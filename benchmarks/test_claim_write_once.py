@@ -60,7 +60,7 @@ def test_c10_only_version_pages_rewritten(benchmark, report):
     __, disk, overwritten = _workload(seed=101, track=True)
     version_rewrites = data_rewrites = 0
     for block in overwritten:
-        raw = disk._blocks.get(block)
+        raw = disk.peek(block)
         if raw is None:
             continue  # freed since
         if Page.from_bytes(raw).is_version_page:

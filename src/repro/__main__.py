@@ -321,6 +321,7 @@ def _stats(extra: list[str] | None = None) -> None:
             handle = fs.create_version(cap)
             fs.write_page(handle.version, ROOT, b"on real files")
             fs.commit(handle.version)
+        disk_cluster.close()
         costs = probe_sync_primitives(data_dir)
         primitive = cheapest_journal_primitive(costs)
         window = tuned_commit_window(costs[primitive])

@@ -192,6 +192,15 @@ class SimDisk:
         """Whether the block currently stores data (no integrity check)."""
         return block_no in self._blocks
 
+    def peek(self, block_no: int) -> bytes | None:
+        """The stored bytes as they are — no integrity check, no tick, no
+        error — or None when the block holds nothing.  For audits that
+        compare media (``StablePair.consistent``)."""
+        return self._blocks.get(block_no)
+
+    def close(self) -> None:
+        """Release what the disk holds open (nothing, in memory)."""
+
     def first_free(self, start: int = 1) -> int:
         """Lowest never-written block number at or after ``start``.
 

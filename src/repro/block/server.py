@@ -80,12 +80,11 @@ class BlockServer:
         self._crashed = False
         # A durable disk (block.fdisk.FDisk) journals the owner map; seed
         # from it so a process restart recovers protection state, and keep
-        # it updated on every allocate/free.  SimDisk has neither hook.
-        self._persist_owner = getattr(disk, "set_owner", None)
-        self._persist_disown = getattr(disk, "clear_owner", None)
-        recovered = getattr(disk, "recovered_owners", None)
-        if recovered is not None:
-            self._owner.update(recovered())
+        # it updated on every allocate/free — in the same journal append as
+        # the data the request writes or erases.  SimDisk has no such hooks.
+        self._journalled = hasattr(disk, "recovered_owners")
+        if self._journalled:
+            self._owner.update(disk.recovered_owners())
 
     # -- lifecycle -------------------------------------------------------
 
@@ -121,13 +120,8 @@ class BlockServer:
 
     # -- commands ----------------------------------------------------------
 
-    def allocate(self, account: int, hint: int | None = None) -> int:
-        """Allocate a free block for ``account`` and return its number.
-
-        ``hint`` asks for a specific block number (used by the companion
-        protocol, where the initiating server chooses the number for both
-        disks); without a hint the lowest free number is chosen.
-        """
+    def _pick(self, hint: int | None) -> int:
+        """Choose (or accept) a free block number; grants nothing yet."""
         self._check_up()
         if hint is not None:
             if hint in self._owner:
@@ -142,11 +136,38 @@ class BlockServer:
             self._alloc_cursor = block_no + 1
         if block_no > self.disk.capacity:
             raise DiskFull(f"block {block_no} beyond capacity {self.disk.capacity}")
+        return block_no
+
+    def _grant(self, block_no: int, account: int) -> None:
         self._owner[block_no] = account
-        if self._persist_owner is not None:
-            self._persist_owner(block_no, account)
         if self.recorder.enabled:
             self.recorder.event("block.alloc", server=self.name, block=block_no)
+
+    def _write_granting(
+        self, writes: list[tuple[int, bytes]], grants: dict[int, int]
+    ) -> None:
+        """Write a batch and grant ``grants`` (block → account) with it: on
+        a journalled disk the OWNER records and the data are one append
+        and one sync.  Nothing is granted if the write fails."""
+        if self._journalled:
+            self.disk.write_many(writes, grants)
+        else:
+            for block_no, data in writes:
+                self.disk.write(block_no, data)
+        for block_no, account in grants.items():
+            self._grant(block_no, account)
+
+    def allocate(self, account: int, hint: int | None = None) -> int:
+        """Allocate a free block for ``account`` and return its number.
+
+        ``hint`` asks for a specific block number (used by the companion
+        protocol, where the initiating server chooses the number for both
+        disks); without a hint the lowest free number is chosen.
+        """
+        block_no = self._pick(hint)
+        if self._journalled:
+            self.disk.set_owner(block_no, account)
+        self._grant(block_no, account)
         return block_no
 
     def write(self, account: int, block_no: int, data: bytes) -> None:
@@ -155,30 +176,35 @@ class BlockServer:
         self._check_owner(block_no, account)
         self.disk.write(block_no, data)
 
-    def allocate_write(self, account: int, data: bytes) -> int:
+    def allocate_write(
+        self, account: int, data: bytes, hint: int | None = None
+    ) -> int:
         """Allocate a block and write it in one command (the common case:
         copy-on-write shadowing always writes fresh blocks)."""
-        block_no = self.allocate(account)
-        self.write(account, block_no, data)
+        block_no = self._pick(hint)
+        self._write_granting([(block_no, data)], {block_no: account})
         return block_no
 
-    def write_many(self, account: int, writes: list[tuple[int, bytes]]) -> None:
+    def write_many(
+        self, account: int, writes: list[tuple[int, bytes]], adopt: bool = False
+    ) -> None:
         """Atomically write a batch of allocated blocks.
 
         On a durable disk the whole batch becomes stable at one journal
         sync (``FDisk.write_many``); on a plain SimDisk it degrades to a
         loop of atomic writes.  Ownership is checked for every member
-        before anything is written.
+        before anything is written.  With ``adopt`` — the companion-side
+        apply, where the other half chose the numbers — members nobody
+        owns yet are allocated to ``account`` in the same transaction.
         """
         self._check_up()
+        grants: dict[int, int] = {}
         for block_no, _ in writes:
-            self._check_owner(block_no, account)
-        batched = getattr(self.disk, "write_many", None)
-        if batched is not None:
-            batched(writes)
-        else:
-            for block_no, data in writes:
-                self.disk.write(block_no, data)
+            if adopt and block_no not in self._owner:
+                grants[self._pick(block_no)] = account
+            else:
+                self._check_owner(block_no, account)
+        self._write_granting(writes, grants)
 
     def read(self, account: int, block_no: int) -> bytes:
         """Read an allocated block, enforcing ownership."""
@@ -191,10 +217,11 @@ class BlockServer:
         self._check_up()
         self._check_owner(block_no, account)
         del self._owner[block_no]
-        if self._persist_disown is not None:
-            self._persist_disown(block_no)
         self._locks.pop(block_no, None)
-        self.disk.erase(block_no)
+        if self._journalled:
+            self.disk.erase(block_no, disown=True)  # DISOWN + ERASE, one sync
+        else:
+            self.disk.erase(block_no)
 
     def test_and_set(
         self,

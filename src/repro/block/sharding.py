@@ -400,6 +400,11 @@ class ShardedBlockService:
             pair.consistent() for pair in [*self.pairs, *self.retired_pairs]
         )
 
+    def close(self) -> None:
+        """Release every pair's disks, retired pairs included."""
+        for pair in [*self.pairs, *self.retired_pairs]:
+            pair.close()
+
     def allocation_counts(self) -> list[int]:
         """Blocks allocated per live shard (balance audits and reports)."""
         return [

@@ -155,9 +155,9 @@ class StableServer:
         intentions: list[_Intention] = self._call_companion("fetch_intentions")
         for intent in intentions:
             if intent.kind == "write":
-                if self.local.owner_of(intent.block_no) is None:
-                    self.local.allocate(intent.account, hint=intent.block_no)
-                self.local.write(intent.account, intent.block_no, intent.data)
+                self.local.write_many(
+                    intent.account, [(intent.block_no, intent.data)], adopt=True
+                )
             elif intent.kind == "reserve":
                 if self.local.owner_of(intent.block_no) is None:
                     self.local.allocate(intent.account, hint=intent.block_no)
@@ -339,8 +339,7 @@ class StableServer:
         """Complete the local half of an operation and clear its marker."""
         self._check_serving()
         if op.kind == "alloc":
-            self.local.allocate(op.account, hint=op.block_no)
-            self.local.write(op.account, op.block_no, op.data)
+            self.local.allocate_write(op.account, op.data, hint=op.block_no)
         elif op.kind == "reserve":
             self.local.allocate(op.account, hint=op.block_no)
         elif op.kind in ("write", "tas"):
@@ -607,9 +606,7 @@ class StableServer:
                 f"{self.name}: companion write collides with local {mine.kind} "
                 f"op on block {block_no}"
             )
-        if self.local.owner_of(block_no) is None:
-            self.local.allocate(account, hint=block_no)
-        self.local.write(account, block_no, data)
+        self.local.write_many(account, [(block_no, data)], adopt=True)
         self._note_dirty(block_no)
 
     def cmd_companion_reserve(self, account: int, block_no: int) -> None:
@@ -671,10 +668,7 @@ class StableServer:
                     f"{self.name}: companion batch collides with local "
                     f"{mine.kind} op on block {block_no}"
                 )
-        for block_no, _ in writes:
-            if self.local.owner_of(block_no) is None:
-                self.local.allocate(account, hint=block_no)
-        self.local.write_many(account, list(writes))
+        self.local.write_many(account, list(writes), adopt=True)
         for block_no, _ in writes:
             self._note_dirty(block_no)
 
@@ -842,11 +836,17 @@ class StablePair:
             self.b.local.allocated_blocks()
         )
         for block_no in blocks:
-            da = self.disk_a._blocks.get(block_no)
-            db = self.disk_b._blocks.get(block_no)
+            da = self.disk_a.peek(block_no)
+            db = self.disk_b.peek(block_no)
             if da is not None and db is not None and da != db:
                 return False
         return True
+
+    def close(self) -> None:
+        """Release both disks (a file-backed disk syncs what is unsynced
+        and closes its segment descriptors)."""
+        self.disk_a.close()
+        self.disk_b.close()
 
 
 class StableClient:

@@ -129,6 +129,11 @@ class WriteOnceViolation(BlockError):
     """An overwrite was attempted on write-once (optical) media."""
 
 
+class UnsupportedDiskLayout(BlockError):
+    """A disk directory was written in an on-disk layout this build does
+    not read (refused outright rather than misread)."""
+
+
 class NotBlockOwner(BlockError):
     """Per-account protection: the caller does not own the block."""
 

@@ -89,8 +89,9 @@ class TcpCluster:
         return ";".join(entries)
 
     def stop(self) -> None:
-        """Stop every daemon and drop pooled connections."""
+        """Stop every daemon, drop pooled connections, release the disks."""
         self.network.close()
+        (self.shards if self.shards is not None else self.pair).close()
 
 
 def build_tcp_cluster(

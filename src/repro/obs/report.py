@@ -216,16 +216,17 @@ def render_cache_table(metrics: MetricsRegistry) -> str:
 
 
 def render_disk_table(metrics: MetricsRegistry) -> str:
-    """Durable-medium activity: journal appends and compactions next to
-    the fsync counters (journal / block-file / directory syncs) and any
-    recovery-replay numbers.  Empty string when no ``disk.fsync.*`` or
-    ``disk.journal.*`` counter was recorded (simulated media), so callers
-    can append it conditionally."""
+    """Durable-medium activity: log appends, cleaning passes and the bytes
+    they copied, segments opened, the sync counters (segment / directory)
+    and any recovery-replay numbers.  Empty string when no ``disk.*``
+    durability counter was recorded (simulated media), so callers can
+    append it conditionally."""
     order = [
         "disk.journal.appends",
         "disk.journal.compactions",
+        "disk.clean.copied_bytes",
+        "disk.segments",
         "disk.fsync.journal",
-        "disk.fsync.block",
         "disk.fsync.dir",
         "disk.recover.replayed",
         "disk.recover.truncated_bytes",
@@ -238,7 +239,9 @@ def render_disk_table(metrics: MetricsRegistry) -> str:
             rows.append((name, counter.value))
     for name in sorted(metrics.counters):
         if (
-            name.startswith(("disk.fsync.", "disk.journal.", "disk.recover."))
+            name.startswith(
+                ("disk.fsync.", "disk.journal.", "disk.recover.", "disk.clean.")
+            )
             and name not in named
         ):
             rows.append((name, metrics.counters[name].value))

@@ -771,6 +771,7 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
     recorder.count("soak.events", len(history))
     if not check.ok or not fsck.ok:
         recorder.count("soak.violations", len(check.violations) + len(fsck.errors))
+    cluster.close()
     if tmp_dir is not None:
         tmp_dir.cleanup()
     return SoakReport(

@@ -68,6 +68,13 @@ class Cluster:
     def clock(self):
         return self.network.clock
 
+    def close(self) -> None:
+        """Release the deployment's disks; every in-process teardown of a
+        disk-backed cluster ends here."""
+        (self.shards if self.shards is not None else self.pair).close()
+        if self.optical_pair is not None:
+            self.optical_pair.close()
+
 
 def build_hybrid_cluster(
     servers: int = 1,

@@ -81,7 +81,7 @@ def _run_pass(batch: int, data_dir: str, seed: int = 29) -> dict:
         done += len(updates)
         round_ += 1
     seconds = time.perf_counter() - start
-    return {
+    result = {
         "batch": batch,
         "commits": N_COMMITS,
         "fsyncs": sum(d.fsyncs for d in disks) - fsyncs,
@@ -90,6 +90,8 @@ def _run_pass(batch: int, data_dir: str, seed: int = 29) -> dict:
         "seconds": round(seconds, 4),
         "commits_per_sec": round(N_COMMITS / seconds, 1),
     }
+    cluster.close()
+    return result
 
 
 def run_diskbench() -> dict:

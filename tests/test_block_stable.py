@@ -19,7 +19,9 @@ def net():
 def pair(net, disk_backend):
     # Runs the whole suite twice: simulated memory AND the durable
     # file-backed disk, so every §4 invariant holds on real files too.
-    return StablePair(net, 0x500, capacity=64, block_size=256, **disk_backend())
+    pair = StablePair(net, 0x500, capacity=64, block_size=256, **disk_backend())
+    yield pair
+    pair.close()
 
 
 @pytest.fixture

@@ -1,18 +1,30 @@
-"""Crash-point recovery: FDisk survives process death at every syscall
-boundary the write paths cross.
+"""Crash-point recovery: FDisk survives death at every boundary the write
+paths cross — in both kinds of death.
 
 Each test arms a :class:`FaultingFDisk` to die at one of
-:data:`CRASH_POINTS`, runs an operation over a seeded store, then re-opens
-a plain :class:`FDisk` on the same root — exactly what a restarted process
-does — and asserts the recovered state is *prefix-consistent*:
+:data:`CRASH_POINTS`, runs operations over a seeded store until one dies,
+then re-opens a plain :class:`FDisk` on the same root — exactly what a
+restarted process does — and asserts the recovered state is
+*prefix-consistent*:
 
 * every acknowledged operation survives byte-for-byte;
 * the in-flight operation lands in the deterministic outcome its crash
-  point implies (old value before the journal sync, new value after);
+  point implies (old state before the ack-point sync, new state after);
 * nothing ever reads back as silent garbage.
+
+Every point runs twice: **process death** (bytes handed to the kernel
+survive in the page cache, so a complete-but-unsynced record replays) and
+**power loss** (everything past the last sync is cut away).  The segment
+limit is a few records, so the stores below have rotated before the crash
+and the ``rotate.*`` / ``clean.*`` points are reached by ordinary writes.
 """
 
 from __future__ import annotations
+
+import gc
+import json
+import os
+import threading
 
 import pytest
 
@@ -21,58 +33,72 @@ from repro.block.fdisk import (
     FDisk,
     FaultingFDisk,
     ProcessDied,
-    measure_sync_cost,
+    probe_sync_primitives,
 )
-from repro.errors import NoSuchBlock
+from repro.block.server import BlockServer
+from repro.errors import CorruptBlock, NoSuchBlock, UnsupportedDiskLayout
 
 CAP, BLK = 64, 256
+LIMIT = 160  # segment size: a handful of records
+ACCOUNT = 7
 
 # Acked baseline installed before every crash: four blocks plus one
 # acknowledged overwrite of block 2.
 ACKED = {1: b"one", 2: b"two-v2", 3: b"three", 4: b"four"}
 
-# Deterministic expected outcome of the in-flight op, per crash point.
-# The journal sync is the ack point: everything before it recovers to the
-# old state, everything at-or-after replays to the new state.
+# Expected outcome of the in-flight op per crash point, as (process death,
+# power loss).  The sync is the ack point: before it the op is lost — except
+# that a killed process leaves the record it already appended in the page
+# cache — and from it on the op has happened.  ``rotate.*`` and ``clean.*``
+# fire after the in-flight op's own sync.
 WRITE_OUTCOME = {
-    "journal.before_append": "old",
-    "journal.mid_append": "old",  # torn record → CRC truncation
-    "journal.before_sync": "old",  # volatile cache lost
-    "journal.after_sync": "new",
-    "block.before_temp": "new",  # replay re-materialises
-    "block.after_temp": "new",  # stray .tmp discarded, then replay
-    "block.after_rename": "new",
+    "journal.before_append": ("old", "old"),
+    "journal.mid_append": ("old", "old"),  # torn record → CRC truncation
+    "journal.before_sync": ("new", "old"),
+    "journal.after_sync": ("new", "new"),
+    "rotate.after_create": ("new", "new"),
+    "rotate.after_snapshot": ("new", "new"),
+    "clean.after_copy": ("new", "new"),
+    "clean.after_unlink": ("new", "new"),
 }
 
 ERASE_OUTCOME = {
-    "journal.before_append": "present",
-    "journal.mid_append": "present",
-    "journal.before_sync": "present",
-    "journal.after_sync": "absent",  # replay re-runs the unlink
-    "erase.after_unlink": "absent",
+    point: tuple({"old": "present", "new": "absent"}[o] for o in outcome)
+    for point, outcome in WRITE_OUTCOME.items()
 }
 
-# How many entries of a 3-write batch survive, per crash point.  The batch
-# shares ONE sync: before it nothing (or a flushed record prefix) lands,
-# after it the whole batch replays.
-BATCH = [(5, b"batch-five"), (6, b"batch-six"), (2, b"two-v3")]
+# How many records of a 3-record append survive.  The append shares ONE
+# sync: before it a record prefix (whatever reached the file) or nothing
+# lands, after it all of it.
 BATCH_OUTCOME = {
-    "journal.before_append": 0,
-    "journal.mid_append": 0,
-    "batch.mid_records": 1,  # record 0 flushed whole → journal prefix
-    "journal.before_sync": 0,
-    "journal.after_sync": 3,
-    "block.before_temp": 3,
-    "block.after_temp": 3,
-    "block.after_rename": 3,
-    "batch.mid_materialize": 3,
+    "journal.before_append": (0, 0),
+    "journal.mid_append": (0, 0),
+    "batch.mid_records": (1, 0),  # record 0 reached the file whole
+    "journal.before_sync": (3, 0),
+    "journal.after_sync": (3, 3),
+    "rotate.after_create": (3, 3),
+    "rotate.after_snapshot": (3, 3),
+    "clean.after_copy": (3, 3),
+    "clean.after_unlink": (3, 3),
 }
+
+# allocate_write is OWNER + WRITE and free is DISOWN + ERASE in one append:
+# how many of the two records survive.  Replay order is append order, so
+# "1" is owner-without-data / disowned-but-present, never the reverse.
+PAIR_OUTCOME = {
+    point: tuple(min(n, 2) for n in outcome)
+    for point, outcome in BATCH_OUTCOME.items()
+}
+
+MODES = [("process", False), ("power", True)]
 
 
 def test_crash_point_matrix_is_exhaustive():
     """Every enumerated crash point is exercised by some scenario below."""
     covered = set(WRITE_OUTCOME) | set(ERASE_OUTCOME) | set(BATCH_OUTCOME)
     assert covered == set(CRASH_POINTS)
+    assert set(PAIR_OUTCOME) == set(CRASH_POINTS)
+    assert len(CRASH_POINTS) <= 9
 
 
 def _seed(disk) -> None:
@@ -90,68 +116,180 @@ def _value(disk, block_no):
         return None
 
 
-def _assert_acked(disk, skip=()) -> None:
-    for block_no, payload in ACKED.items():
+def _assert_acked(disk, acked=ACKED, skip=()) -> None:
+    for block_no, payload in acked.items():
         if block_no in skip:
             continue
-        assert disk.read(block_no) == payload, f"acked block {block_no} lost"
+        assert _value(disk, block_no) == payload, f"acked block {block_no} lost"
+
+
+def _until_death(steps):
+    """Run ``(op, on_ack)`` steps until one dies; returns the dying step's
+    index.  Every step before it was acknowledged."""
+    for i, (op, on_ack) in enumerate(steps):
+        try:
+            op()
+        except ProcessDied:
+            return i
+        on_ack()
+    pytest.fail("the armed crash point was never reached")
 
 
 @pytest.mark.parametrize("point", sorted(WRITE_OUTCOME))
 @pytest.mark.parametrize("target", ["overwrite", "fresh"])
 def test_write_crash_recovers_prefix(tmp_path, point, target):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
-    _seed(disk)
-    block_no, old = (2, ACKED[2]) if target == "overwrite" else (5, None)
-    new = b"in-flight"
-    disk.arm(point)
-    with pytest.raises(ProcessDied):
-        disk.write(block_no, new)
-    assert disk.dead
+    for (mode, power_loss), outcome in zip(MODES, WRITE_OUTCOME[point]):
+        root = tmp_path / mode
+        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        _seed(disk)
+        block_no = 2 if target == "overwrite" else 5
+        acked = dict(ACKED)
+        values = [b"in-flight-%d" % i for i in range(100)]
+        disk.arm(point, power_loss=power_loss)
+        died = _until_death(
+            (
+                lambda v=v: disk.write(block_no, v),
+                lambda v=v: acked.__setitem__(block_no, v),
+            )
+            for v in values
+        )
+        assert disk.dead
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
-    _assert_acked(recovered, skip={block_no})
-    expected = new if WRITE_OUTCOME[point] == "new" else old
-    assert _value(recovered, block_no) == expected
-    recovered.close()
+        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        _assert_acked(recovered, acked, skip={block_no})
+        expected = values[died] if outcome == "new" else acked.get(block_no)
+        assert _value(recovered, block_no) == expected, mode
+        recovered.close()
 
 
 @pytest.mark.parametrize("point", sorted(ERASE_OUTCOME))
 def test_erase_crash_recovers_prefix(tmp_path, point):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
-    _seed(disk)
-    disk.arm(point)
-    with pytest.raises(ProcessDied):
-        disk.erase(2)
+    for (mode, power_loss), outcome in zip(MODES, ERASE_OUTCOME[point]):
+        root = tmp_path / mode
+        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        _seed(disk)
+        acked = dict(ACKED)
+        victims = [2, *range(10, 50)]
+        for block_no in victims[1:]:
+            disk.write(block_no, b"filler-%d" % block_no)
+            acked[block_no] = b"filler-%d" % block_no
+        disk.arm(point, power_loss=power_loss)
+        died = _until_death(
+            (lambda b=b: disk.erase(b), lambda b=b: acked.pop(b)) for b in victims
+        )
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
-    _assert_acked(recovered, skip={2})
-    if ERASE_OUTCOME[point] == "present":
-        assert recovered.read(2) == ACKED[2]
-    else:
-        assert _value(recovered, 2) is None
-        assert not recovered.holds(2)
-    recovered.close()
+        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        victim = victims[died]
+        _assert_acked(recovered, acked, skip={victim})
+        for gone in victims[:died]:
+            assert not recovered.holds(gone)
+        if outcome == "present":
+            assert recovered.read(victim) == acked[victim], mode
+        else:
+            assert _value(recovered, victim) is None, mode
+            assert not recovered.holds(victim)
+        recovered.close()
+
+
+def _batch(round_: int) -> list[tuple[int, bytes]]:
+    return [
+        (5, b"batch-five-%d" % round_),
+        (6, b"batch-six-%d" % round_),
+        (2, b"two-v3-%d" % round_),
+    ]
 
 
 @pytest.mark.parametrize("point", sorted(BATCH_OUTCOME))
 def test_write_many_crash_recovers_batch_prefix(tmp_path, point):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
-    _seed(disk)
-    disk.arm(point)
-    with pytest.raises(ProcessDied):
-        disk.write_many(BATCH)
+    for (mode, power_loss), applied in zip(MODES, BATCH_OUTCOME[point]):
+        root = tmp_path / mode
+        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        _seed(disk)
+        acked = dict(ACKED)
+        disk.arm(point, power_loss=power_loss)
+        died = _until_death(
+            (lambda r=r: disk.write_many(_batch(r)), lambda r=r: acked.update(_batch(r)))
+            for r in range(100)
+        )
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
-    applied = BATCH_OUTCOME[point]
-    _assert_acked(recovered, skip={b for b, _ in BATCH[:applied]})
-    for i, (block_no, payload) in enumerate(BATCH):
-        if i < applied:
-            assert recovered.read(block_no) == payload
-        else:
-            # untouched: the old value (block 2) or still absent (5, 6)
-            assert _value(recovered, block_no) == ACKED.get(block_no)
-    recovered.close()
+        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        batch = _batch(died)
+        _assert_acked(recovered, acked, skip={b for b, _ in batch[:applied]})
+        for i, (block_no, payload) in enumerate(batch):
+            if i < applied:
+                assert recovered.read(block_no) == payload, mode
+            else:
+                # untouched: the last acked value, or still absent
+                assert _value(recovered, block_no) == acked.get(block_no), mode
+        recovered.close()
+
+
+@pytest.mark.parametrize("point", sorted(PAIR_OUTCOME))
+def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
+    for (mode, power_loss), applied in zip(MODES, PAIR_OUTCOME[point]):
+        root = tmp_path / mode
+        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        server = BlockServer("bs", disk)
+        owned = {}
+
+        def allocate_write(block_no: int) -> None:
+            if block_no % 2:
+                # Unarmed housekeeping: freed blocks are the dead bytes
+                # that make the cleaner run under the armed requests.
+                disk.disarm()
+                server.free(ACCOUNT, block_no - 1)
+                del owned[block_no - 1]
+            disk.arm(point, power_loss=power_loss)
+            server.allocate_write(ACCOUNT, b"page-%d" % block_no, hint=block_no)
+
+        died = _until_death(
+            (
+                lambda b=b: allocate_write(b),
+                lambda b=b: owned.__setitem__(b, b"page-%d" % b),
+            )
+            for b in range(2, CAP)
+        )
+
+        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        reborn = BlockServer("bs", recovered)
+        for block_no, payload in owned.items():
+            assert reborn.read(ACCOUNT, block_no) == payload
+        in_flight = died + 2
+        assert (reborn.owner_of(in_flight) == ACCOUNT) == (applied >= 1), mode
+        assert _value(recovered, in_flight) == (
+            b"page-%d" % in_flight if applied == 2 else None
+        ), mode
+        recovered.close()
+
+
+@pytest.mark.parametrize("point", sorted(PAIR_OUTCOME))
+def test_free_crash_never_erases_an_owned_block(tmp_path, point):
+    for (mode, power_loss), applied in zip(MODES, PAIR_OUTCOME[point]):
+        root = tmp_path / mode
+        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        server = BlockServer("bs", disk)
+        blocks = list(range(1, 50))
+        for block_no in blocks:
+            server.allocate_write(ACCOUNT, b"page-%d" % block_no, hint=block_no)
+        freed = set()
+        disk.arm(point, power_loss=power_loss)
+        died = _until_death(
+            (lambda b=b: server.free(ACCOUNT, b), lambda b=b: freed.add(b))
+            for b in blocks
+        )
+
+        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        reborn = BlockServer("bs", recovered)
+        in_flight = blocks[died]
+        for block_no in blocks:
+            if block_no in freed:
+                assert reborn.owner_of(block_no) is None
+                assert not recovered.holds(block_no)
+            elif block_no != in_flight:
+                assert reborn.read(ACCOUNT, block_no) == b"page-%d" % block_no
+        assert (reborn.owner_of(in_flight) is None) == (applied >= 1), mode
+        assert recovered.holds(in_flight) == (applied < 2), mode
+        recovered.close()
 
 
 def test_ack_point_semantics(tmp_path):
@@ -159,7 +297,7 @@ def test_ack_point_semantics(tmp_path):
     lets one write pass through the armed point before the next one dies."""
     disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
     _seed(disk)
-    disk.arm("journal.before_sync", countdown=2)
+    disk.arm("journal.before_sync", countdown=2, power_loss=True)
     disk.write(5, b"acked")  # reaches the point once, survives
     with pytest.raises(ProcessDied):
         disk.write(6, b"never-acked")
@@ -185,10 +323,11 @@ def test_dead_disk_refuses_everything(tmp_path):
     ):
         with pytest.raises(ProcessDied):
             op()
+    disk.close()  # closing the dead is a no-op, not an error
 
 
 def test_owner_map_and_intentions_survive_crash(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
+    disk = FaultingFDisk(tmp_path / "d", CAP, BLK, journal_limit=64)
     disk.write(1, b"x")
     disk.set_owner(1, 7)
     disk.set_owner(9, 8)
@@ -197,11 +336,12 @@ def test_owner_map_and_intentions_survive_crash(tmp_path):
     disk.add_intention("reserve", 7, 10)
     disk.add_intention("free", 7, 11)
     disk.ack_intentions(1)  # the companion applied the first one
-    disk.arm("journal.before_sync")
+    assert disk._active.seq > 1  # the snapshot path, not just replay
+    disk.arm("journal.before_sync", power_loss=True)
     with pytest.raises(ProcessDied):
         disk.write(2, b"y")
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
+    recovered = FDisk(tmp_path / "d", CAP, BLK, journal_limit=64)
     assert recovered.recovered_owners() == {1: 7}
     assert recovered.recovered_intentions() == [
         ("reserve", 7, 10, b""),
@@ -211,17 +351,24 @@ def test_owner_map_and_intentions_survive_crash(tmp_path):
 
 
 def test_checkpoint_then_crash_keeps_compacted_state(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
-    _seed(disk)
+    disk = FaultingFDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+    first_segment = disk._active.path
     disk.set_owner(3, 9)
     disk.add_intention("write", 9, 3, b"later")
+    _seed(disk)
+    for i in range(30):
+        disk.write(4, b"churn-%d" % i)  # dead bytes for the cleaner
+    disk.write(4, b"four")
     disk.checkpoint()
-    assert disk.journal_compactions == 1
-    disk.arm("journal.before_sync")
+    assert disk.journal_compactions >= 1
+    # The segment that held the OWNER and INTENT records is gone: only
+    # the snapshots carry them now.
+    assert not first_segment.exists()
+    disk.arm("journal.before_sync", power_loss=True)
     with pytest.raises(ProcessDied):
         disk.write(5, b"post-checkpoint")
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
+    recovered = FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
     _assert_acked(recovered)
     assert _value(recovered, 5) is None
     assert recovered.recovered_owners() == {3: 9}
@@ -238,14 +385,14 @@ def test_torn_tail_is_truncated_once(tmp_path):
 
     first = FDisk(tmp_path / "d", CAP, BLK)
     assert first.truncated_bytes > 0  # the torn frame header was cut away
-    assert first.recovered_records == 5  # the seed writes replayed
+    assert first.recovered_records == 6  # the head snapshot + the seed writes
     _assert_acked(first)
     first.close()
 
-    # The truncation is durable: a second restart sees a clean journal.
+    # The truncation is durable: a second restart sees a clean log.
     second = FDisk(tmp_path / "d", CAP, BLK)
     assert second.truncated_bytes == 0
-    assert second.recovered_records == 5
+    assert second.recovered_records == 6
     second.close()
 
 
@@ -253,10 +400,27 @@ def test_write_many_costs_one_sync(tmp_path):
     disk = FDisk(tmp_path / "d", CAP, BLK)
     _seed(disk)
     before = disk.fsyncs
-    disk.write_many(BATCH)
+    disk.write_many(_batch(0))
     assert disk.fsyncs == before + 1  # the group-commit lever
-    for block_no, payload in BATCH:
+    for block_no, payload in _batch(0):
         assert disk.read(block_no) == payload
+    disk.close()
+
+
+def test_one_request_is_one_append_and_one_sync(tmp_path):
+    """allocate + write, and disown + erase, ride one journal append."""
+    disk = FDisk(tmp_path / "d", CAP, BLK)
+    server = BlockServer("bs", disk)
+    for request in (
+        lambda: server.allocate_write(ACCOUNT, b"fresh"),
+        lambda: server.write_many(ACCOUNT, [(9, b"a"), (10, b"b")], adopt=True),
+        lambda: server.free(ACCOUNT, 9),
+    ):
+        syncs, appends = disk.fsyncs, disk.journal_appends
+        request()
+        assert disk.fsyncs == syncs + 1
+        assert disk.journal_appends > appends + 1  # several records, one sync
+    assert server.owner_of(10) == ACCOUNT and server.owner_of(9) is None
     disk.close()
 
 
@@ -270,6 +434,202 @@ def test_reopen_validates_geometry(tmp_path):
         FDisk(tmp_path / "d", CAP, BLK * 2)
 
 
+def test_version_1_directory_is_refused(tmp_path):
+    """A journal.log + blocks/ directory is refused, not misread as empty."""
+    root = tmp_path / "d"
+    (root / "blocks").mkdir(parents=True)
+    (root / "journal.log").touch()
+    (root / "meta.json").write_text(json.dumps(
+        {"capacity": CAP, "block_size": BLK, "write_once": False, "version": 1}
+    ))
+    with pytest.raises(UnsupportedDiskLayout):
+        FDisk(root, CAP, BLK)
+
+
 def test_measure_sync_cost_is_positive(tmp_path):
-    cost = measure_sync_cost(tmp_path, samples=4)
+    cost = probe_sync_primitives(tmp_path, samples=4)["fsync"]
     assert cost > 0
+
+
+# -- rotation and cleaning ---------------------------------------------------
+
+
+def _log_bytes(disk) -> int:
+    return sum(path.stat().st_size for path in disk._log_dir.iterdir())
+
+
+def _live_bytes(disk) -> int:
+    return sum(segment.live for segment in disk._segments)
+
+
+def test_cleaning_pass_copies_at_most_one_segment(tmp_path):
+    limit = 400
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=limit)
+    biggest_frame = 8 + 5 + 40
+    for i in range(600):
+        block_no = 1 + (i * 7) % 24
+        passes, copied = disk.journal_compactions, disk.cleaned_bytes
+        disk.write(block_no, b"%03d" % i + bytes(i % 37))
+        # One mutation runs at most one pass, and a pass moves no more
+        # than the one segment it retires.
+        assert disk.journal_compactions - passes <= 1
+        assert disk.cleaned_bytes - copied <= limit + biggest_frame
+        assert all(s.size <= 2 * limit for s in disk._segments)
+    assert disk.journal_compactions > 5
+    for i in range(600 - 24, 600):
+        assert disk.read(1 + (i * 7) % 24) == b"%03d" % i + bytes(i % 37)
+    disk.close()
+
+
+def test_log_size_is_bounded_after_cleaning(tmp_path):
+    limit = 400
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=limit)
+    for i in range(400):
+        disk.write(1 + i % 8, b"v%03d" % i)
+        if i % 50 == 49:
+            disk.erase(1 + (i // 50) % 8)
+        if i % 97 == 96:
+            disk.checkpoint()
+        if not disk._cleanable():
+            assert _log_bytes(disk) <= 2 * _live_bytes(disk) + 2 * limit
+    disk.checkpoint()  # cleans until nothing is eligible
+    assert _log_bytes(disk) <= 2 * _live_bytes(disk) + 2 * limit
+    # Unlinked segments are really gone: disk and memory agree on the log.
+    assert sorted(p.name for p in disk._log_dir.iterdir()) == [
+        s.path.name for s in disk._segments
+    ]
+    disk.close()
+
+
+def test_mostly_live_store_is_never_copied(tmp_path):
+    """Distinct blocks past the segment limit: rotation, but no cleaning —
+    the bulk-load shape must not pay write amplification."""
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=400)
+    for block_no in range(1, CAP + 1):
+        disk.write(block_no, bytes(100))
+    assert len(disk._segments) > 10
+    assert disk.journal_compactions == 0 and disk.cleaned_bytes == 0
+    disk.close()
+
+
+def test_cleaner_keeps_an_unverifiable_block_lost_not_stale(tmp_path):
+    """A record that rots before the cleaner reaches it is not copied and
+    must not vanish with its segment: the block stays held and reads
+    CorruptBlock — across restarts — until the companion path rewrites it."""
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+    disk.write(1, b"cold-v1")
+    disk.write(1, b"cold-v2")
+    disk.write(3, b"bystander")
+    disk.corrupt(1)
+    first_segment = disk._segments[0].path
+    for i in range(40):
+        disk.write(2, b"hot-%d" % i)
+    assert not first_segment.exists()  # cleaned, damaged record and all
+    for handle in (disk, FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)):
+        assert handle.holds(1)
+        with pytest.raises(CorruptBlock):
+            handle.read(1)
+        assert handle.read(3) == b"bystander"
+    handle.write(1, b"healed")
+    assert handle.read(1) == b"healed"
+    handle.close()
+    disk.close()
+
+
+def test_reader_outlives_the_cleaning_of_its_segment(tmp_path):
+    """A lookup made before a cleaning pass stays readable after it (the
+    descriptor closes late), and once the descriptor is gone the read
+    re-looks the block up instead of failing."""
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+    disk.write(1, b"cold")
+    stale = disk._index[1]
+    for i in range(40):
+        disk.write(2, b"hot-%d" % i)
+    assert disk.journal_compactions > 0 and disk._index[1] != stale
+    assert not stale[0].path.exists()
+    # Whatever the stale entry's descriptor now is — retired, closed, or
+    # reused by a newer segment — it never yields wrong bytes...
+    try:
+        assert disk._read_frame(1, stale)[13:] == b"cold"
+    except CorruptBlock:
+        pass
+    assert disk.read(1) == b"cold"  # ...and the read path looks up afresh
+    disk.close()
+
+
+def test_concurrent_reader_sees_only_acknowledged_bytes(tmp_path):
+    """Reads take no lock: while a writer rotates and cleans underneath,
+    a reader sees the value before or after each overwrite, nothing else."""
+    disk = FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+    blocks = range(1, 9)
+    for block_no in blocks:
+        disk.write(block_no, b"%d:0" % block_no)
+    version = {block_no: 0 for block_no in blocks}  # last acknowledged
+    stop = threading.Event()
+    seen, bad = [0], []
+
+    def reader() -> None:
+        while not stop.is_set():
+            for block_no in blocks:
+                low = version[block_no]
+                data = disk.read(block_no)
+                high = version[block_no]
+                owner, _, number = data.partition(b":")
+                # An overwrite may be acknowledged on disk a moment before
+                # the writer thread records it: allow one version ahead.
+                if int(owner) != block_no or not low <= int(number) <= high + 1:
+                    bad.append((block_no, low, data, high))
+                seen[0] += 1
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for i in range(400):
+            block_no = 1 + i % 8
+            disk.write(block_no, b"%d:%d" % (block_no, version[block_no] + 1))
+            version[block_no] += 1
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert not bad, bad[:3]
+    assert seen[0] > 0 and disk.journal_compactions > 0
+    disk.close()
+
+
+# -- teardown ----------------------------------------------------------------
+
+
+def test_build_stop_cycles_leak_no_descriptors(tmp_path):
+    """Every in-process restart closes its disks: twenty build/stop cycles
+    on one data directory leave the descriptor table as it was."""
+    from repro.net import build_tcp_cluster
+
+    def cycle() -> None:
+        cluster = build_tcp_cluster(
+            servers=1, async_mode=True, backend="disk", data_dir=str(tmp_path / "data"),
+        )
+        cluster.fs().create_file(b"x")
+        cluster.stop()
+
+    def open_descriptors() -> int:
+        gc.collect()  # the transport leaves some pooled sockets to the collector
+        return len(os.listdir("/proc/self/fd"))
+
+    cycle()  # warm up whatever the process opens once and keeps
+    before = open_descriptors()
+    for _ in range(20):
+        cycle()
+    assert open_descriptors() == before
+
+
+def test_close_is_idempotent_and_syncs_the_tail(tmp_path):
+    disk = FDisk(tmp_path / "d", CAP, BLK)
+    disk.set_owner(1, 7, sync=False)
+    syncs = disk.fsyncs
+    disk.close()
+    assert disk.fsyncs == syncs + 1  # the unsynced OWNER record
+    disk.close()
+    assert disk.fsyncs == syncs + 1
+    with pytest.raises(OSError):
+        os.fstat(disk._active.fd)

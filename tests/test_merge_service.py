@@ -171,6 +171,7 @@ def test_merge_typed_pages_survive_restart(tmp_path):
     fs.commit(first.version)
     fs.commit(second.version)
     fs.store.flush()
+    before.close()
 
     # A fresh process over the same directory: new network, new registry,
     # new secrets; only the disk images survive.

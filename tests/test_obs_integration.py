@@ -191,3 +191,25 @@ def test_rpc_events_carry_port_and_client(cluster, recorder):
     assert writes, "commit must issue at least one block-write RPC"
     assert writes[0].tags["client"] == fs.name
     assert writes[0].tags["port"] == cluster.block_port
+
+
+def test_disk_table_reports_segments_and_cleaning(tmp_path):
+    """The durable-disk table follows the log-structured layout: segments
+    opened and bytes the cleaner copied; no per-block-file fsync row."""
+    from repro.block.fdisk import FDisk
+    from repro.obs.report import render_disk_table
+
+    recorder = Recorder()
+    disk = FDisk(tmp_path / "d", 64, 256, recorder=recorder, journal_limit=160)
+    disk.write(1, b"cold")
+    for i in range(40):
+        disk.write(2, b"hot-%d" % i)
+    disk.close()
+    table = render_disk_table(recorder.metrics)
+    rows = {line.split()[0]: int(line.split()[1]) for line in table.splitlines()[2:]}
+    assert rows["disk.segments"] == disk._active.seq
+    assert rows["disk.journal.compactions"] == disk.journal_compactions > 0
+    assert rows["disk.clean.copied_bytes"] == disk.cleaned_bytes > 0
+    assert rows["disk.fsync.journal"] + rows["disk.fsync.dir"] == disk.fsyncs - 1
+    assert "disk.fsync.block" not in rows
+    assert render_disk_table(Recorder().metrics) == ""

@@ -16,7 +16,9 @@ def net():
 @pytest.fixture
 def pair(net, disk_backend):
     # Both media: simulated memory and the durable file-backed disk.
-    return StablePair(net, 0x600, capacity=256, block_size=33000, **disk_backend())
+    pair = StablePair(net, 0x600, capacity=256, block_size=33000, **disk_backend())
+    yield pair
+    pair.close()
 
 
 @pytest.fixture

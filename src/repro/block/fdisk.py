@@ -83,13 +83,13 @@ _REC_OWNER = 3  # >IQ block_no, account
 _REC_DISOWN = 4  # >I block_no
 _REC_INTENT = 5  # >BIQ kind, block_no, account, payload
 _REC_INTENT_ACK = 6  # >I count
-_REC_SNAPSHOT = 7  # >Q previous segment's size, framed OWNER / INTENT records
-_REC_LOST = 8  # >I block_no: the cleaner could not verify this block
+_REC_SNAPSHOT = 7  # >Qq previous segment's seal, framed OWNER / INTENT records
+_REC_LOST = 8  # >I block_no: its record could not be verified, or is gone
 
 _BLOCK_HEAD = struct.Struct(">BI")  # WRITE / ERASE / DISOWN / LOST / INTENT_ACK
 _OWNER_HEAD = struct.Struct(">BIQ")
 _INTENT_HEAD = struct.Struct(">BBIQ")
-_SNAPSHOT_HEAD = struct.Struct(">BQ")
+_SNAPSHOT_HEAD = struct.Struct(">BQq")  # sealed size, sealed skeleton or -1
 
 # Intention kinds (wire form of stable._Intention.kind).
 _INTENT_KINDS = ("write", "reserve", "free")
@@ -106,6 +106,13 @@ _SCAN_CHUNK = 1 << 20
 
 def _frame(body: bytes) -> bytes:
     return _FRAME.pack(len(body), zlib.crc32(body)) + body
+
+
+def _skeleton(value: int, header: bytes, body) -> int:
+    """Fold one frame's head — length, CRC, record type and block number,
+    the bytes recovery attributes a damaged frame by — into a segment's
+    running skeleton checksum."""
+    return zlib.crc32(body[: _BLOCK_HEAD.size], zlib.crc32(header, value))
 
 
 def _owner_body(block_no: int, account: int) -> bytes:
@@ -127,7 +134,9 @@ class ProcessDied(DiskCrashed):
 class _Segment:
     """One log file: its long-lived descriptor and byte accounting."""
 
-    __slots__ = ("seq", "path", "fd", "size", "head", "live", "entry_durable")
+    __slots__ = (
+        "seq", "path", "fd", "size", "head", "live", "skeleton", "entry_durable"
+    )
 
     def __init__(self, seq: int, path: Path, fd: int, size: int) -> None:
         self.seq = seq
@@ -136,6 +145,10 @@ class _Segment:
         self.size = size
         self.head = 0  # bytes of the snapshot frame the segment starts with
         self.live = 0  # bytes of the frames the index points at
+        # Checksum over every frame's head, recorded by the next segment's
+        # snapshot when this one is sealed; None once recovery found damage
+        # here it could not attribute (the seal then vouches for nothing).
+        self.skeleton: int | None = 0
         # Whether the file's directory entry is known to be on disk; the
         # first sync of the segment is followed by a directory fsync.
         self.entry_durable = False
@@ -192,6 +205,7 @@ class FDisk(SimDisk):
         # Blocks whose newest record may have been lost to log damage:
         # they read CorruptBlock until rewritten (recovery contract case 3).
         self._suspect: set[int] = set()
+        self._log_damaged = False  # recovery met damage it could not attribute
         self._io_lock = threading.RLock()
         self._log_dir = self.root / "log"
         self._segments: list[_Segment] = []  # oldest first; the last is active
@@ -256,6 +270,8 @@ class FDisk(SimDisk):
         if self._active.size == 0:
             # Fresh, or a rotation that died before its snapshot landed.
             self._write_head()
+        if self._log_damaged:
+            self._hold_orphans()
 
     def _open_segment(self, seq: int) -> _Segment:
         path = self._log_dir / f"{seq:08d}.seg"
@@ -273,10 +289,15 @@ class FDisk(SimDisk):
             int(path.stem) for path in self._log_dir.glob("*.seg")
             if path.stem.isdigit()
         )
-        for seq in names:
-            if self._segments and seq != self._segments[-1].seq + 1:
-                self._suspect_all()  # a segment is missing from the sequence
-            self._replay_segment(self._open_segment(seq), newest=seq == names[-1])
+        segments = [self._open_segment(seq) for seq in names]
+        for segment, successor in zip(segments, segments[1:] + [None]):
+            gap = successor is not None and successor.seq != segment.seq + 1
+            seal = None if successor is None or gap else self._read_seal(successor)
+            self._replay_segment(segment, successor is None, seal)
+            if gap:
+                # A segment is missing from the sequence: the newest record
+                # of anything replayed so far may have been in it.
+                self._suspect_before(successor, 0)
         # Whatever survived to be replayed is acknowledged state from here
         # on: make sure no segment's directory entry is still volatile.
         self._fsync_dir(self._log_dir)
@@ -288,6 +309,21 @@ class FDisk(SimDisk):
                 self.recorder.count(
                     "disk.recover.truncated_bytes", self.truncated_bytes
                 )
+
+    def _read_seal(self, segment: _Segment) -> tuple[int, int] | None:
+        """What ``segment``'s head snapshot recorded about the segment
+        sealed before it — ``(size, skeleton)`` — or None if the snapshot
+        does not read back intact."""
+        raw = os.pread(segment.fd, _FRAME.size, 0)
+        if len(raw) < _FRAME.size:
+            return None
+        length, crc = _FRAME.unpack(raw)
+        if not _SNAPSHOT_HEAD.size <= length <= segment.size - _FRAME.size:
+            return None
+        body = os.pread(segment.fd, length, _FRAME.size)
+        if zlib.crc32(body) != crc or body[0] != _REC_SNAPSHOT:
+            return None
+        return _SNAPSHOT_HEAD.unpack_from(body)[1:]
 
     def _walk(self, segment: _Segment):
         """Yield ``(offset, crc, body, intact)`` for every frame that can be
@@ -318,26 +354,38 @@ class FDisk(SimDisk):
             yield offset, crc, body, zlib.crc32(body) == crc
             offset = end
 
-    def _replay_segment(self, segment: _Segment, newest: bool) -> None:
+    def _replay_segment(
+        self, segment: _Segment, newest: bool, seal: tuple[int, int] | None
+    ) -> None:
+        """Replay one segment.  ``seal`` is what the next segment's head
+        recorded about this one; a sealed segment that still matches it has
+        every frame *head* intact, so a frame that fails its CRC there is
+        payload damage to the block it names and to nothing else."""
         # Frames that failed their CRC but could be stepped over, held back
         # until an intact frame proves they are not the torn tail.
         damaged: list[tuple[int, int, int, bytes]] = []
+        damage_at = None  # where the last damage inside the log begins
+        skeleton = held = 0
         stop = segment.size
         for offset, crc, body, intact in self._walk(segment):
             if body is None:
                 stop = offset
-            elif not intact:
+                break
+            if not damaged:
+                held = skeleton  # the skeleton if the tail is cut here
+            skeleton = _skeleton(skeleton, _FRAME.pack(len(body), crc), body)
+            if not intact:
                 damaged.append((offset, crc, len(body), bytes(body[:5])))
-            else:
-                for frame in damaged:
-                    self._absorb_damage(segment, *frame)
-                damaged.clear()
-                self._apply_record(segment, offset, crc, body)
-                self.recovered_records += 1
+                continue
+            for frame in damaged:
+                self._index_damaged(segment, *frame)
+                damage_at = frame[0]
+            damaged.clear()
+            self._apply_record(segment, offset, crc, body)
+            self.recovered_records += 1
+        segment.skeleton = skeleton
         tail = damaged[0][0] if damaged else stop
-        if tail == segment.size:
-            return
-        if newest:
+        if newest and tail < segment.size:
             # Case 1: nothing valid follows — a torn write.  Cut it away
             # durably so a second restart sees a clean log.
             self.truncated_bytes += segment.size - tail
@@ -345,30 +393,57 @@ class FDisk(SimDisk):
             os.fsync(segment.fd)
             self.fsyncs += 1
             segment.size = tail
-            return
-        for frame in damaged:
-            self._absorb_damage(segment, *frame)
-        if stop < segment.size:
-            self._suspect_all()
+            segment.skeleton = held if damaged else skeleton
+        else:
+            for frame in damaged:
+                self._index_damaged(segment, *frame)
+                damage_at = frame[0]
+            if stop < segment.size:
+                damage_at = stop  # unwalkable from here on
+        if seal is not None:
+            size, sealed = seal  # sealed is -1 if the sealer could not vouch
+            if stop == segment.size == size and sealed == segment.skeleton:
+                damage_at = None  # case 2: every head is vouched for
+            elif damage_at is None and (size != segment.size or sealed >= 0):
+                damage_at = segment.size  # the end is gone, or heads rotted
+        if damage_at is not None:
+            self._suspect_before(segment, damage_at)
+            segment.skeleton = None
 
-    def _absorb_damage(
+    def _index_damaged(
         self, segment: _Segment, offset: int, crc: int, length: int, head: bytes
     ) -> None:
-        """A frame inside the log failed its CRC.  If it still reads as a
-        block write, index it: that block — and only it — raises
-        CorruptBlock until healed (case 2).  Otherwise it could have been
-        the newest record of anything (case 3)."""
+        """A frame inside the log failed its CRC.  If it reads as a block
+        write, index it: the block it names raises CorruptBlock until
+        healed.  Whether it names the right block is for the segment's
+        seal to say (:meth:`_replay_segment`)."""
         if len(head) == _BLOCK_HEAD.size and length - len(head) <= self.block_size:
             kind, block_no = _BLOCK_HEAD.unpack(head)
             if kind == _REC_WRITE and 1 <= block_no <= self.capacity:
                 self._index_put(segment, block_no, offset, length, crc)
-                return
-        self._suspect_all()
 
-    def _suspect_all(self) -> None:
-        """Log damage may have swallowed a newer record of any block indexed
-        so far: none of them may be served until rewritten."""
-        self._suspect.update(self._index)
+    def _hold_orphans(self) -> None:
+        """The damage may have swallowed a block's *only* record.  A block
+        that has an owner but no record is therefore written down as lost:
+        held, and CorruptBlock until the companion path rewrites it."""
+        orphans = [b for b in sorted(self._owners) if b not in self._index]
+        if not orphans:
+            return
+        bodies = [_BLOCK_HEAD.pack(_REC_LOST, block_no) for block_no in orphans]
+        frames = self._append_records(bodies)
+        for block_no, (offset, crc) in zip(orphans, frames):
+            self._index_put(self._active, block_no, offset, _BLOCK_HEAD.size, crc)
+
+    def _suspect_before(self, segment: _Segment, offset: int) -> None:
+        """Damage at ``offset`` of ``segment`` may have swallowed a newer
+        record of any block whose newest valid record lies before it: none
+        of them may be served until rewritten (case 3)."""
+        self._log_damaged = True
+        self._suspect.update(
+            block_no
+            for block_no, entry in self._index.items()
+            if entry[0] is not segment or entry[1] < offset
+        )
 
     def _apply_record(
         self, segment: _Segment, offset: int, crc: int, body: memoryview
@@ -386,9 +461,6 @@ class FDisk(SimDisk):
             self._owners.clear()
             self._intentions.clear()
             segment.head = _FRAME.size + len(body)
-            _, sealed_size = _SNAPSHOT_HEAD.unpack_from(body)
-            if len(self._segments) > 1 and self._segments[-2].size < sealed_size:
-                self._suspect_all()  # the previous segment lost its end
             at = _SNAPSHOT_HEAD.size
             while at < len(body):
                 (length, _) = _FRAME.unpack_from(body, at)
@@ -477,7 +549,10 @@ class FDisk(SimDisk):
                 self._fault("batch.mid_records", buffer)
             crc = zlib.crc32(body)
             frames.append((segment.size + len(buffer), crc))
-            buffer += _FRAME.pack(len(body), crc)
+            header = _FRAME.pack(len(body), crc)
+            if segment.skeleton is not None:
+                segment.skeleton = _skeleton(segment.skeleton, header, body)
+            buffer += header
             self._fault("journal.mid_append", buffer)
             buffer += body
         view = memoryview(buffer)
@@ -533,16 +608,21 @@ class FDisk(SimDisk):
         map and the pending intentions.  One frame, so its CRC makes the
         snapshot all-or-nothing: a torn one is truncated at recovery and
         the older segments, all still present, speak instead.  It also
-        records how long the segment before it was when sealed, so a
-        sealed segment cut short at a frame boundary does not pass as
-        whole."""
+        seals the segment before it — how long it was, and the checksum
+        over its frame heads — so that recovery can tell payload damage
+        there (one block's loss) from a head it must not trust, and a
+        segment cut short at a frame boundary does not pass as whole."""
         bodies = [
             _owner_body(block_no, account)
             for block_no, account in sorted(self._owners.items())
         ]
         bodies += [_intent_body(*intent) for intent in self._intentions]
-        sealed_size = self._segments[-2].size if len(self._segments) > 1 else 0
-        snapshot = _SNAPSHOT_HEAD.pack(_REC_SNAPSHOT, sealed_size) + b"".join(
+        size, skeleton = 0, 0
+        if len(self._segments) > 1:
+            sealed = self._segments[-2]
+            size = sealed.size
+            skeleton = -1 if sealed.skeleton is None else sealed.skeleton
+        snapshot = _SNAPSHOT_HEAD.pack(_REC_SNAPSHOT, size, skeleton) + b"".join(
             map(_frame, bodies)
         )
         self._append_records([snapshot])

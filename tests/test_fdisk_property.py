@@ -357,8 +357,8 @@ def test_corrupt_journal_recovers_a_valid_prefix(ops, offset, flip, mode):
 def test_unwalkable_sealed_frame_never_serves_an_older_version(
     ops, pick, offset, flip, mode
 ):
-    """Case 3: a frame header (length, CRC or type) rots inside a sealed
-    segment, or the segment is cut short, or it is gone.  Recovery must
+    """Case 3: a frame head (length, CRC, type or block number) rots inside
+    a sealed segment, or the segment is cut short, or it is gone.  Recovery must
     not crash, and every block then reads its last acknowledged bytes or
     raises CorruptBlock — never an older version — until rewritten."""
     with tempfile.TemporaryDirectory() as td:
@@ -384,14 +384,13 @@ def test_unwalkable_sealed_frame_never_serves_an_older_version(
         elif mode == "truncate":
             del raw[offset % len(raw) :]
         else:
-            # Walk to a frame and damage its CRC, its type byte, or its
-            # length so that it overruns the file (docs/DURABILITY.md, "what
-            # case 2 trusts", for the eight bytes left out).
+            # Walk to a frame and damage any byte of its head: length,
+            # CRC, record type or block number.
             frames, at = [], 0
             while at < len(raw):
                 frames.append(at)
                 at += 8 + int.from_bytes(raw[at : at + 4], "big")
-            raw[frames[pick % len(frames)] + (0, 1, 4, 5, 6, 7, 8)[offset % 7]] ^= flip
+            raw[frames[pick % len(frames)] + offset % 13] ^= flip
         if mode != "unlink":
             victim.path.write_bytes(bytes(raw))
 

@@ -536,6 +536,111 @@ def test_cleaner_keeps_an_unverifiable_block_lost_not_stale(tmp_path):
     disk.close()
 
 
+def _flip_record_byte(disk, block_no, at) -> None:
+    """Flip byte ``at`` of the frame holding ``block_no``'s newest record
+    (0–3 length, 4–7 CRC, 8 type, 9–12 block number, 13… payload)."""
+    segment, offset, _, _ = disk._index[block_no]
+    raw = bytearray(segment.path.read_bytes())
+    raw[offset + at] ^= 0x01
+    segment.path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("sealed", [True, False], ids=["sealed", "newest"])
+def test_rotted_block_number_never_serves_the_older_version(tmp_path, sealed):
+    """Block 5's acknowledged v2 rots so that its frame names block 4.  The
+    frame's CRC fails, but its head cannot be trusted either: block 5 must
+    not fall back to v1 (recovery contract case 3)."""
+    root = tmp_path / "d"
+    disk = FDisk(root, CAP, BLK)
+    disk.write(4, b"four")
+    disk.write(5, b"five-v1")
+    disk.checkpoint()
+    disk.write(5, b"five-v2")
+    disk.write(6, b"six")  # a valid record follows: not a torn tail
+    if sealed:
+        disk.checkpoint()
+    _flip_record_byte(disk, 5, 12)
+    disk.close()
+
+    recovered = FDisk(root, CAP, BLK)
+    for block_no in (4, 5):
+        with pytest.raises(CorruptBlock):
+            recovered.read(block_no)
+    assert recovered.read(6) == b"six"
+    # The companion path's repairing writes clear it, across restarts too.
+    recovered.write(4, b"four")
+    recovered.write(5, b"five-v2")
+    recovered.close()
+    again = FDisk(root, CAP, BLK)
+    assert [again.read(b) for b in (4, 5, 6)] == [b"four", b"five-v2", b"six"]
+    again.close()
+
+
+def test_payload_rot_in_a_sealed_segment_costs_that_block_only(tmp_path):
+    """The seal in the next segment's head vouches for every frame head of
+    a sealed segment, so a CRC failure there is payload damage: after a
+    restart the block it names is corrupt and its older neighbours are
+    served as before (case 2).  In the unsealed newest segment nothing
+    vouches yet, and the neighbours are suspect as well."""
+    root = tmp_path / "d"
+    disk = FDisk(root, CAP, BLK)
+    disk.write(1, b"old-neighbour")
+    disk.write(2, b"victim")
+    disk.write(3, b"young-neighbour")
+    _flip_record_byte(disk, 2, 13)
+    disk.close()
+    unsealed = FDisk(root, CAP, BLK)
+    for block_no in (1, 2):
+        with pytest.raises(CorruptBlock):
+            unsealed.read(block_no)
+    assert unsealed.read(3) == b"young-neighbour"
+    unsealed.close()
+
+    root = tmp_path / "e"
+    disk = FDisk(root, CAP, BLK)
+    disk.write(1, b"old-neighbour")
+    disk.write(2, b"victim")
+    disk.write(3, b"young-neighbour")
+    disk.checkpoint()
+    _flip_record_byte(disk, 2, 13)
+    disk.close()
+    sealed = FDisk(root, CAP, BLK)
+    with pytest.raises(CorruptBlock):
+        sealed.read(2)
+    assert sealed.read(1) == b"old-neighbour"
+    assert sealed.read(3) == b"young-neighbour"
+    sealed.close()
+
+
+def test_owned_block_whose_only_record_is_gone_reads_corrupt(tmp_path):
+    """A sealed segment vanishes and takes the only record of an owned
+    block with it.  The owner map in the next snapshot still knows the
+    block, so it is held and CorruptBlock — which the companion path
+    heals — not "never written"."""
+    root = tmp_path / "d"
+    disk = FDisk(root, CAP, BLK)
+    disk.write(1, b"elsewhere", owner=ACCOUNT)
+    disk.checkpoint()
+    disk.write(2, b"only-copy", owner=ACCOUNT)
+    lost_segment = disk._index[2][0].path
+    disk.checkpoint()
+    disk.set_owner(3, ACCOUNT)  # reserved, never written
+    disk.close()
+    lost_segment.unlink()
+
+    for _ in range(2):  # the LOST records written at recovery are durable
+        recovered = FDisk(root, CAP, BLK)
+        assert recovered.holds(2)
+        for block_no in (1, 2, 3):
+            with pytest.raises(CorruptBlock):
+                recovered.read(block_no)
+        recovered.close()
+    recovered = FDisk(root, CAP, BLK)
+    recovered.write(2, b"only-copy")
+    assert recovered.read(2) == b"only-copy"
+    recovered.close()
+
+
 def test_reader_outlives_the_cleaning_of_its_segment(tmp_path):
     """A lookup made before a cleaning pass stays readable after it (the
     descriptor closes late), and once the descriptor is gone the read

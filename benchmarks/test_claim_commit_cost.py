@@ -61,3 +61,57 @@ def test_c1_commit_cost_flat_in_file_size(benchmark, report):
         fs.commit(handle.version)
 
     benchmark(sequential_commit)
+
+
+def _update_costs(tmp_path, updates=24):
+    """(block-tier messages, journal syncs) of each of ``updates`` 1-page
+    updates — begin, write one data page, commit — on a disk-backed pair.
+    The file server talks to this process directly, so every network
+    message is block-tier traffic: requests to the pair and the exchanges
+    between its halves."""
+    cluster = build_cluster(seed=22, backend="disk", data_dir=str(tmp_path))
+    try:
+        fs = cluster.fs()
+        cap = fs.create_file(b"root")
+        setup = fs.create_version(cap)
+        for i in range(8):
+            fs.append_page(setup.version, ROOT, b"p%d" % i)
+        fs.commit(setup.version)
+        disks = (cluster.pair.disk_a, cluster.pair.disk_b)
+        costs = []
+        for i in range(updates):
+            messages = cluster.network.stats.messages
+            syncs = sum(disk.fsyncs for disk in disks)
+            handle = fs.create_version(cap)
+            fs.write_page(handle.version, PagePath.of(i % 8), b"w%d" % i)
+            fs.commit(handle.version)
+            costs.append(
+                (
+                    cluster.network.stats.messages - messages,
+                    sum(disk.fsyncs for disk in disks) - syncs,
+                )
+            )
+        return costs
+    finally:
+        cluster.close()
+
+
+def test_c1_warm_commit_block_tier_messages_and_syncs_exact(tmp_path, report):
+    """The two counts the commit protocol diet is about, as exact numbers.
+
+    A warm 1-page update shadows two pages (the data page and the version
+    page).  Its block numbers come out of the pool (2 requests, no
+    companion traffic, no sync), the begin-time top-lock hint is a read
+    and a replicated test-and-set (1 + 2 exchanges, one sync per half),
+    and the commit is ONE replicated request — both pages and the
+    commit reference's test-and-set — with one sync per half: 7 exchanges
+    = 14 messages and 4 syncs.  One update in eight finds the pool empty
+    and reserves the next extent: one more exchange, one more sync per
+    half."""
+    costs = _update_costs(tmp_path)
+    warm, cold = (14, 4), (16, 6)
+    report.row("1-page update on a disk-backed pair: (messages, syncs) per update")
+    report.row(f"  warm pool {warm}, cold pool {cold}, seen {sorted(set(costs))}")
+    assert set(costs) == {warm, cold}
+    # Two allocations per update, sixteen numbers per extent.
+    assert costs.count(cold) == len(costs) // 8

@@ -29,7 +29,7 @@ Consequences faithfully modelled:
 from __future__ import annotations
 
 from repro.block.server import TasResult
-from repro.block.stable import StableClient
+from repro.block.stable import StableClient, Swap
 
 # Optical block numbers live above this bit.  28-bit block numbers leave
 # 2^24 magnetic and (2^28 - 2^24) optical addresses — version pages are a
@@ -81,9 +81,14 @@ class HybridBlockClient:
         client, local = self._route(block)
         client.write(local, data)
 
-    def write_many(self, writes: list[tuple[int, bytes]]) -> int:
+    def write_many(
+        self, writes: list[tuple[int, bytes]], swaps: list[Swap] = ()
+    ) -> list[TasResult]:
         """Batch-write across both media: one batched transaction per pair
-        (the commit flush groups by device exactly as it groups by shard)."""
+        (the commit flush groups by device exactly as it groups by shard).
+        The optical batch goes first: the commit's ``swaps`` set commit
+        references in version pages, which live on the magnetic pair, and
+        a reference may not be durable before the pages it publishes."""
         magnetic: list[tuple[int, bytes]] = []
         optical: list[tuple[int, bytes]] = []
         for block, data in writes:
@@ -91,12 +96,10 @@ class HybridBlockClient:
                 optical.append((block - OPTICAL_BASE, data))
             else:
                 magnetic.append((block, data))
-        written = 0
-        if magnetic:
-            written += self.magnetic.write_many(magnetic)
-        if optical:
-            written += self.optical.write_many(optical)
-        return written
+        if any(self.is_optical(swap[0]) for swap in swaps):
+            raise ValueError("a test-and-set rewrites in place: magnetic blocks only")
+        self.optical.write_many(optical)
+        return self.magnetic.write_many(magnetic, swaps)
 
     def read(self, block: int) -> bytes:
         client, local = self._route(block)

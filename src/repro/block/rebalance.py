@@ -134,20 +134,34 @@ def migrate_steps(
             if half.available:
                 half.cmd_track_dirty(on=True)
 
-        # -- 2. pre-copy: stream the manifest while traffic runs -----------
         copied: dict[int, int] = {}  # local block -> account on the target
-        streamed = 0
-        manifest = _half_call(network, node, source, "manifest")
-        for local, account in manifest:
-            yield  # let client traffic interleave
-            try:
-                data = txn.call(r.port, "export", account=account, block_no=local)
-            except BlockError:
-                continue  # freed or re-owned since the manifest; dirty set covers it
+
+        def copy(local: int, account: int, export) -> None:
+            """Carry one block to the target.  An allocated block nothing
+            was written to yet (``export`` answers None: a deferred page
+            of an update still open, a number handed out of a pool) goes
+            over as a reservation, so that its owner's later flush lands."""
+            data = export("export", account=account, block_no=local)
             txn.call(
                 target_port, "ingest", account=account, block_no=local, data=data
             )
             copied[local] = account
+
+        def through_port(command: str, **params):
+            return txn.call(r.port, command, **params)
+
+        def through_half(command: str, **params):
+            return _half_call(network, node, source, command, **params)
+
+        # -- 2. pre-copy: stream the manifest while traffic runs -----------
+        streamed = 0
+        manifest = through_half("manifest")
+        for local, account in manifest:
+            yield  # let client traffic interleave
+            try:
+                copy(local, account, through_port)
+            except BlockError:
+                continue  # freed or re-owned since the manifest; dirty set covers it
             streamed += 1
             if recorder.enabled:
                 recorder.count("rebalance.pages_streamed")
@@ -167,7 +181,7 @@ def migrate_steps(
             rounds += 1
             if recorder.enabled:
                 recorder.count("rebalance.delta_rounds")
-            owners = dict(_half_call(network, node, source, "manifest"))
+            owners = dict(through_half("manifest"))
             dirty, pending = sorted(pending), set()
             for local in dirty:
                 yield
@@ -182,13 +196,9 @@ def migrate_steps(
                         )
                     continue
                 try:
-                    data = txn.call(r.port, "export", account=account, block_no=local)
+                    copy(local, account, through_port)
                 except BlockError:
                     continue
-                txn.call(
-                    target_port, "ingest", account=account, block_no=local, data=data
-                )
-                copied[local] = account
                 streamed += 1
                 if recorder.enabled:
                     recorder.count("rebalance.pages_streamed")
@@ -203,7 +213,7 @@ def migrate_steps(
         a.retire(new_epoch)
         b.retire(new_epoch)
         try:
-            final_manifest = dict(_half_call(network, node, source, "manifest"))
+            final_manifest = dict(through_half("manifest"))
             if full_reconcile:
                 to_copy = dict(final_manifest)
                 if recorder.enabled:
@@ -234,13 +244,7 @@ def migrate_steps(
                         )
                         freed += 1
                     continue
-                data = _half_call(
-                    network, node, source, "export", account=account, block_no=local
-                )
-                txn.call(
-                    target_port, "ingest", account=account, block_no=local, data=data
-                )
-                copied[local] = account
+                copy(local, account, through_half)
                 cut_blocks += 1
             if full_reconcile:
                 # Free target blocks the final manifest no longer names —

@@ -55,6 +55,30 @@ class TasResult:
     current: bytes
 
 
+def compare_and_swap(
+    data: bytes, offset: int, expected: bytes, new: bytes
+) -> tuple[TasResult, bytes | None]:
+    """The test-and-set itself, on a block's bytes: compare ``expected``
+    against ``data`` at ``offset`` and splice ``new`` in on a match.
+
+    Returns the outcome and the swapped block — ``None`` when the compare
+    failed and nothing is to be written.  Every test-and-set in the block
+    tier (one disk, a companion pair, a swap riding a commit flush) is
+    this function plus its own way of reading and writing the block.
+    """
+    if len(new) != len(expected):
+        raise ValueError("test_and_set: expected and new must be equal length")
+    end = offset + len(expected)
+    if end > len(data):
+        raise ValueError(
+            f"test_and_set range {offset}..{end} beyond block of {len(data)} bytes"
+        )
+    current = data[offset:end]
+    if current != expected:
+        return TasResult(False, current), None
+    return TasResult(True, new), data[:offset] + new + data[end:]
+
+
 class BlockServer:
     """One block server over one simulated disk.
 
@@ -170,6 +194,13 @@ class BlockServer:
         self._grant(block_no, account)
         return block_no
 
+    def reserve(self, account: int, blocks: list[int]) -> None:
+        """Allocate an extent of chosen block numbers for ``account``, no
+        data yet: on a journalled disk all the OWNER records are one
+        append and one sync.  Nothing is granted if any number is taken."""
+        grants = {self._pick(block_no): account for block_no in blocks}
+        self._write_granting([], grants)
+
     def write(self, account: int, block_no: int, data: bytes) -> None:
         """Atomically write ``data`` to an allocated block owned by ``account``."""
         self._check_up()
@@ -244,28 +275,17 @@ class BlockServer:
         section of version commit.
         """
         self._check_up()
-        if len(new) != len(expected):
-            raise ValueError("test_and_set: expected and new must be equal length")
         self._check_owner(block_no, account)
-        data = self.disk.read(block_no)
-        end = offset + len(expected)
-        if end > len(data):
-            raise ValueError(
-                f"test_and_set range {offset}..{end} beyond block of {len(data)} bytes"
-            )
-        current = data[offset:end]
-        if current != expected:
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "block.tas", server=self.name, block=block_no, success=False
-                )
-            return TasResult(False, current)
-        self.disk.write(block_no, data[:offset] + new + data[end:])
+        result, swapped = compare_and_swap(
+            self.disk.read(block_no), offset, expected, new
+        )
+        if swapped is not None:
+            self.disk.write(block_no, swapped)
         if self.recorder.enabled:
             self.recorder.event(
-                "block.tas", server=self.name, block=block_no, success=True
+                "block.tas", server=self.name, block=block_no, success=result.success
             )
-        return TasResult(True, new)
+        return result
 
     # -- the simple locking facility ----------------------------------------
 

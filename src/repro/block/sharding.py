@@ -38,7 +38,9 @@ the paper's scaling story.  This module supplies it:
 Batching: ``write_many`` groups a commit flush by shard and ships each
 group as one transaction, so an M-page commit costs O(shards) round trips
 instead of O(M); the stable layer replicates each batch companion-first
-as a unit (see ``StableServer.cmd_write_many``).
+as a unit (see ``StableServer.cmd_write_many``).  The commit's
+test-and-set rides the batch of the shard that holds the version page,
+sent after every other shard's pages are durable.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from repro.errors import (
     UnknownShard,
 )
 from repro.block.server import BLOCK_SIZE, TasResult
-from repro.block.stable import StablePair, StableServer
+from repro.block.stable import StablePair, StableServer, Swap
 from repro.obs import NULL_RECORDER
 from repro.sim.network import Network
 from repro.sim.rpc import Transaction
@@ -663,66 +665,91 @@ class ShardedBlockClient:
         shard, _ = self._routed("write", block_no, data=data)
         self._count(shard, "pages_written")
 
-    def write_many(self, writes: list[tuple[int, bytes]]) -> int:
-        """Group a batch by shard and ship one transaction per shard.
+    def write_many(
+        self, writes: list[tuple[int, bytes]], swaps: list[Swap] = ()
+    ) -> list[TasResult]:
+        """Group a batch by shard and ship one transaction per shard;
+        returns one result per swap, in the order given.
 
-        This is the commit flush path: an M-page flush costs one round
-        trip per *touched shard*, not one per page.  Groups that land on
-        a retired pair are regrouped under the refreshed map and retried;
-        groups that already landed are not resent.
+        This is the commit path: an M-page flush costs one round trip per
+        *touched shard*, not one per page, and the commit's conditional
+        ``swaps`` ride it.  **Pages before reference** across shards: a
+        swap is sent only once every page outside its own request is
+        durable — the swap-free requests go first; when all swaps live on
+        one shard they ride that shard's page batch, sent last; when they
+        live on several, every page goes out first and the swaps follow in
+        requests of their own.  Groups that land on a retired pair — or on
+        one cut over and gone, which looks like an outage — are regrouped
+        under the refreshed map and retried; groups that already landed
+        are not resent.
         """
-        if not writes:
-            return 0
-        written = 0
-        pending = list(writes)
+        results: dict[int, TasResult] = {}
+        pages = list(writes)
+        conds = list(enumerate(swaps))
         refreshes = self.stale_attempts
         first_fanout: int | None = None
-        while pending:
-            by_shard: dict[int, list[tuple[int, bytes]]] = {}
-            for block_no, data in pending:
-                by_shard.setdefault(self.placement.index_of(block_no), []).append(
-                    (block_no, data)
-                )
+        while pages or conds:
+            index_of = self.placement.index_of
+            page_groups: dict[int, list[tuple[int, bytes]]] = {}
+            for block_no, data in pages:
+                page_groups.setdefault(index_of(block_no), []).append((block_no, data))
+            swap_groups: dict[int, list[tuple[int, Swap]]] = {}
+            for i, swap in conds:
+                swap_groups.setdefault(index_of(swap[0]), []).append((i, swap))
             if first_fanout is None:
-                first_fanout = len(by_shard)
-            leftover: list[tuple[int, bytes]] = []
-            stale = False
-            for idx in sorted(by_shard):
-                group = by_shard[idx]
+                first_fanout = len(page_groups.keys() | swap_groups.keys())
+            riding = next(iter(swap_groups)) if len(swap_groups) == 1 else None
+            requests = [
+                (idx, group, [])
+                for idx, group in sorted(page_groups.items())
+                if idx != riding
+            ] + [
+                (idx, page_groups.get(idx, []) if idx == riding else [], group)
+                for idx, group in sorted(swap_groups.items())
+            ]
+            pages, conds = [], []
+            unplaced: Exception | None = None
+            for idx, group, cond_group in requests:
                 r = self.placement.ranges[idx]
-                local_group = [(r.local_of(b), data) for b, data in group]
+                if cond_group and pages:
+                    # A page batch is still to be placed: no reference yet.
+                    pages.extend(group)
+                    conds.extend(cond_group)
+                    continue
                 try:
-                    written += self._port_call(
+                    outcome = self._port_call(
                         r.port,
                         "write_many",
                         shard_hint=idx,
                         account=self.account,
-                        writes=local_group,
+                        writes=[(r.local_of(b), data) for b, data in group],
+                        swaps=[
+                            (r.local_of(b), *rest) for _, (b, *rest) in cond_group
+                        ],
                     )
-                except PlacementStale:
-                    stale = True
-                    leftover.extend(group)
+                except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
+                    unplaced = exc
+                    pages.extend(group)
+                    conds.extend(cond_group)
                     continue
+                results.update(zip((i for i, _ in cond_group), outcome))
                 self._count(idx, "pages_written", len(group))
                 if self.recorder.enabled:
                     self.recorder.event("shard.batch", shard=idx, pages=len(group))
                 self._note_serve(r, "write_many")
-            if not leftover:
-                break
-            if not (stale and refreshes and self._refresh()):
-                raise PlacementStale(
-                    f"write_many could not place {len(leftover)} pages: "
-                    f"no newer placement map than epoch {self.placement.epoch}"
-                )
-            refreshes -= 1
-            pending = leftover
-        if self.recorder.enabled:
+            if unplaced is not None:
+                # Re-route under a newer map; without one the pair is
+                # retired for good, or really down.
+                if not (refreshes and self._refresh()):
+                    raise unplaced
+                refreshes -= 1
+        if self.recorder.enabled and first_fanout:
             # How widely one commit flush fans out — the round-trip cost
             # of a batch is exactly the number of shards it touches.
             self.recorder.observe(
                 "shard.batch_shards", first_fanout, bounds=(1, 2, 4, 8, 16)
             )
-        return written
+        return [results[i] for i in range(len(swaps))]
 
     def read(self, block_no: int) -> bytes:
         shard, data = self._routed("read", block_no)

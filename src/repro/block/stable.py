@@ -30,6 +30,14 @@ server before finishing locally, any two concurrent operations on the same
 block through different servers are guaranteed to meet at one origin's
 marker, whatever the interleaving (tests enumerate these interleavings via
 the explicit ``begin_*`` / ``finish_op`` steps).
+
+Two requests carry more than one block.  A bare ``allocate`` is answered
+from a *pool*: a half reserves block numbers :data:`EXTENT` at a time —
+one companion exchange and one sync per half for the whole extent — and
+hands them out from memory (see :meth:`StableServer.cmd_allocate` for what
+that pool may and may not do).  And ``write_many`` carries a commit's
+pages together with its conditional swaps, so a commit is one replicated
+request (see :meth:`StableServer.cmd_write_many`).
 """
 
 from __future__ import annotations
@@ -40,13 +48,14 @@ from typing import Any
 from repro.errors import (
     CompanionConflict,
     CorruptBlock,
+    DiskFull,
     PlacementStale,
     ServerCrashed,
     ServerUnreachable,
     WriteOnceViolation,
 )
 from repro.block.disk import SimDisk
-from repro.block.server import BLOCK_SIZE, BlockServer, TasResult
+from repro.block.server import BLOCK_SIZE, BlockServer, TasResult, compare_and_swap
 from repro.sim.network import Network
 from repro.sim.rpc import Request, RpcEndpoint, Transaction
 
@@ -54,24 +63,37 @@ from repro.sim.rpc import Request, RpcEndpoint, Transaction
 # Histogram buckets for flush-batch sizes (pages per write_many).
 _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
+# Block numbers are reserved this many at a time (fewer when fewer are
+# free): one companion exchange and one sync per half buy EXTENT allocates.
+EXTENT = 16
+
+# One conditional swap riding a ``write_many``: (block, offset, expected, new).
+Swap = tuple[int, int, bytes, bytes]
+
 
 @dataclass
 class _PendingOp:
     """An operation in flight at its origin server."""
 
     op_id: int
-    kind: str  # "alloc" or "write" or "free" or "tas"
+    kind: str  # "alloc", "write", "free", "reserve"; "tas": a swap in a batch
     account: int
-    block_no: int
+    block_no: int  # of a "reserve": the extent's first number
     data: bytes = b""
     companion_done: bool = False
+    extent: list[int] = field(default_factory=list)  # all of a "reserve"
+
+    @property
+    def blocks(self) -> list[int]:
+        """Every block number this operation holds a pending marker on."""
+        return self.extent or [self.block_no]
 
 
 @dataclass
 class _Intention:
     """One entry of the intentions list kept for a crashed companion."""
 
-    kind: str  # "write" or "free"
+    kind: str  # "write", "reserve" or "free"
     account: int
     block_no: int
     data: bytes = b""
@@ -100,6 +122,9 @@ class StableServer:
         self._pending: dict[int, _PendingOp] = {}
         self._next_op = 1
         self._alloc_cursor = 1  # rotating allocation cursor (see _choose_block)
+        # Reserved block numbers not handed out yet, block -> owning account,
+        # oldest first (see cmd_allocate).  Memory only: a restart forgets it.
+        self._pool: dict[int, int] = {}
         self._intentions: list[_Intention] = []
         # A durable disk (block.fdisk.FDisk) journals the intentions list;
         # seed from it so intentions recorded for a crashed companion
@@ -129,6 +154,7 @@ class StableServer:
         stops routing to it, the disk keeps its contents."""
         self._crashed = True
         self._pending.clear()
+        self._pool.clear()  # the numbers stay owned on disk; the GC reaps them
         self._dirty = None  # in-memory tracking is lost with the process
         self.local.crash()
         self.network.detach(self.name)
@@ -185,14 +211,17 @@ class StableServer:
                 f"{self._retired_epoch}; refetch the placement map"
             )
 
-    def _record_intention(self, intent: _Intention, sync: bool = True) -> None:
-        """Append to the intentions list, durably when the disk journals."""
-        self._intentions.append(intent)
+    def _record_intentions(self, intents: list[_Intention]) -> None:
+        """Append to the intentions list — durably when the disk journals,
+        with one sync for the whole batch."""
+        self._intentions.extend(intents)
         if self._persist_intent is not None:
-            self._persist_intent(
-                intent.kind, intent.account, intent.block_no, intent.data,
-                sync=sync,
-            )
+            for intent in intents:
+                self._persist_intent(
+                    intent.kind, intent.account, intent.block_no, intent.data,
+                    sync=False,
+                )
+            self.local.disk.sync_journal()
 
     # -- migration support (dirty tracking + retirement) --------------------
 
@@ -261,11 +290,11 @@ class StableServer:
         try:
             if op.kind == "reserve":
                 self._call_companion(
-                    "companion_reserve",
+                    "companion_reserve_many",
                     account=op.account,
-                    block_no=op.block_no,
+                    blocks=list(op.extent),
                 )
-            elif op.kind in ("alloc", "write", "tas"):
+            elif op.kind in ("alloc", "write"):
                 self._call_companion(
                     "companion_write",
                     origin=self.name,
@@ -279,19 +308,13 @@ class StableServer:
                 )
             op.companion_done = True
         except CompanionConflict:
-            self._pending.pop(op.block_no, None)
+            self._drop_markers(op)
             raise
         except (ServerUnreachable, ServerCrashed):
-            if op.kind == "free":
-                self._record_intention(_Intention("free", op.account, op.block_no))
-            elif op.kind == "reserve":
-                self._record_intention(
-                    _Intention("reserve", op.account, op.block_no)
-                )
-            else:
-                self._record_intention(
-                    _Intention("write", op.account, op.block_no, op.data)
-                )
+            kind = op.kind if op.kind in ("free", "reserve") else "write"
+            self._record_intentions(
+                [_Intention(kind, op.account, b, op.data) for b in op.blocks]
+            )
             if self.recorder.enabled:
                 self.recorder.event(
                     "stable.intention",
@@ -310,13 +333,15 @@ class StableServer:
         self._companion_step(op)
         return op
 
-    def begin_allocate(self, account: int) -> _PendingOp:
-        """Reserve a block number on both disks without writing data yet
-        (used by deferred-write page stores: the number is needed for
-        parent references before the data is final)."""
+    def begin_reserve(
+        self, account: int, numbers: list[int] | None = None
+    ) -> _PendingOp:
+        """Reserve an extent of block numbers on both disks without
+        writing data yet (deferred-write page stores need the number for
+        parent references before the data is final): up to :data:`EXTENT`
+        freshly chosen numbers, or exactly ``numbers``."""
         self._check_serving()
-        block_no = self._choose_block()
-        op = self._new_op("reserve", account, block_no)
+        op = self._new_extent(account, numbers)
         self._companion_step(op)
         return op
 
@@ -341,14 +366,20 @@ class StableServer:
         if op.kind == "alloc":
             self.local.allocate_write(op.account, op.data, hint=op.block_no)
         elif op.kind == "reserve":
-            self.local.allocate(op.account, hint=op.block_no)
-        elif op.kind in ("write", "tas"):
+            self.local.reserve(op.account, op.extent)
+        elif op.kind == "write":
             self.local.write(op.account, op.block_no, op.data)
         elif op.kind == "free":
             self.local.free(op.account, op.block_no)
-        self._pending.pop(op.block_no, None)
-        self._note_dirty(op.block_no)
+            self._pool.pop(op.block_no, None)
+        self._drop_markers(op)
+        for block_no in op.blocks:
+            self._note_dirty(block_no)
         return op.block_no
+
+    def _drop_markers(self, op: _PendingOp) -> None:
+        for block_no in op.blocks:
+            self._pending.pop(block_no, None)
 
     def _new_op(self, kind: str, account: int, block_no: int, data: bytes = b"") -> _PendingOp:
         if block_no in self._pending:
@@ -363,6 +394,40 @@ class StableServer:
         self._pending[block_no] = op
         return op
 
+    def _new_extent(
+        self, account: int, numbers: list[int] | None = None
+    ) -> _PendingOp:
+        """Mark a whole extent pending under one "reserve" operation:
+        ``numbers`` as given, or up to :data:`EXTENT` chosen here."""
+        op = _PendingOp(self._next_op, "reserve", account, 0)
+        self._next_op += 1
+        try:
+            for block_no in numbers if numbers is not None else self._fresh_numbers():
+                if block_no in self._pending:
+                    raise CompanionConflict(
+                        f"{self.name}: block {block_no} already has an "
+                        f"operation in flight"
+                    )
+                self._pending[block_no] = op
+                op.extent.append(block_no)
+        except BaseException:
+            self._drop_markers(op)
+            raise
+        op.block_no = op.extent[0]
+        return op
+
+    def _fresh_numbers(self):
+        """Up to :data:`EXTENT` free block numbers, one at a time — the
+        caller marks each pending before asking for the next.  Fewer when
+        the disk has fewer left; :class:`DiskFull` when it has none."""
+        for taken in range(EXTENT):
+            try:
+                yield self._choose_block()
+            except DiskFull:
+                if not taken:
+                    raise
+                return
+
     def _choose_block(self) -> int:
         """Pick a block number free on the local disk and not pending here.
 
@@ -375,8 +440,6 @@ class StableServer:
         rescanning every allocated block from number 1 each time; blocks
         freed behind the cursor are found again after one wrap.
         """
-        from repro.errors import DiskFull
-
         hint = self._alloc_cursor
         wrapped = False
         while True:
@@ -400,8 +463,35 @@ class StableServer:
         return self.finish_op(op)
 
     def cmd_allocate(self, account: int) -> int:
-        op = self.begin_allocate(account)
-        return self.finish_op(op)
+        """Hand out one reserved block number, from memory.
+
+        The pool holds numbers already owned by ``account`` on both disks
+        (:meth:`begin_reserve`), so a number handed out is as durable as
+        one reserved on its own; only an empty pool costs an exchange.
+        The pool itself is volatile and must stay invisible:
+
+        * a number in it is never reported — ``recover`` and ``manifest``
+          omit it, so no garbage collector snapshot holds a number that
+          can still be handed out;
+        * freeing a pooled number, through either half, takes it out;
+        * a restart forgets the pool: the numbers stay owned, unwritten
+          and unreferenced, and the collector's sweep reaps them like any
+          orphan.
+        """
+        self._check_serving()
+        block_no = next(
+            (b for b, owner in self._pool.items() if owner == account), None
+        )
+        if block_no is None:
+            op = self.begin_reserve(account)
+            self.finish_op(op)
+            self._pool.update(dict.fromkeys(op.extent, account))
+            block_no = op.block_no
+        del self._pool[block_no]
+        # From here the number is a migration's to carry (the manifest
+        # left it out while it was pooled).
+        self._note_dirty(block_no)
+        return block_no
 
     def cmd_write(self, account: int, block_no: int, data: bytes) -> None:
         op = self.begin_write(account, block_no, data)
@@ -443,103 +533,117 @@ class StableServer:
     def cmd_test_and_set(
         self, account: int, block_no: int, offset: int, expected: bytes, new: bytes
     ) -> TasResult:
-        """Atomic compare-and-swap, replicated to both disks.
-
-        The compare runs against the local copy; on success the swapped
-        block is propagated companion-first like any write, so concurrent
-        test-and-sets through different halves collide and one retries —
-        giving the mutual exclusion §5.2's commit depends on.
-        """
-        self._check_serving()
-        self.local._check_owner(block_no, account)
-        # The compare must run against verified data: a corrupted local
-        # block would compare garbage and falsely fail (or succeed), so the
-        # read goes through the same checked/repair path as cmd_read.
-        data = self._checked_read(account, block_no)
-        end = offset + len(expected)
-        if len(new) != len(expected):
-            raise ValueError("test_and_set: expected and new must be equal length")
-        if end > len(data):
-            raise ValueError("test_and_set range beyond block")
-        current = data[offset:end]
-        if current != expected:
-            return TasResult(False, current)
-        swapped = data[:offset] + new + data[end:]
-        op = self._new_op("tas", account, block_no, swapped)
-        self._companion_step(op)
-        self.finish_op(op)
-        return TasResult(True, new)
+        """Atomic compare-and-swap, replicated to both disks: a
+        :meth:`cmd_write_many` of no pages and one swap."""
+        return self._write_batch(account, [], [(block_no, offset, expected, new)])[0]
 
     def cmd_write_many(
-        self, account: int, writes: list[tuple[int, bytes]]
-    ) -> int:
-        """Write a batch of blocks in one replicated transaction.
+        self,
+        account: int,
+        writes: list[tuple[int, bytes]],
+        swaps: list[Swap] = (),
+    ) -> list[TasResult]:
+        """Write a batch of blocks, and test-and-set others, in one
+        replicated transaction; returns one :class:`TasResult` per swap.
 
         The whole batch crosses to the companion in a single message
         exchange (companion-first, like any write), then is applied
         locally — an M-page commit flush costs one round trip instead of
-        M.  Pending markers cover every block in the batch for the whole
-        exchange, so concurrent operations on any member collide exactly
-        as they would against individual writes.
+        M, and one append and one sync per half.  Pending markers cover
+        every block in the batch for the whole exchange, so concurrent
+        operations on any member collide exactly as they would against
+        individual writes.
+
+        Each swap ``(block, offset, expected, new)`` is compared against
+        the local copy; on a match the swapped block joins the batch
+        *behind* every page and is propagated companion-first like any
+        write, so concurrent test-and-sets through different halves
+        collide and one retries — giving the mutual exclusion §5.2's
+        commit depends on.  A failed compare reports the bytes found and
+        stops nothing else in the batch.
+
+        **Pages before reference.**  §5.2: "First it ascertains that all
+        of V.b's pages are safely on disk".  A commit's swap sets a commit
+        reference to a version whose pages are this batch's writes, so on
+        neither half may the swap become durable before them: within the
+        one append the swapped blocks come last, and a torn append keeps a
+        prefix.
         """
+        return self._write_batch(account, writes, swaps)
+
+    def _write_batch(
+        self, account: int, writes: list[tuple[int, bytes]], swaps: list[Swap]
+    ) -> list[TasResult]:
+        """:meth:`cmd_write_many`, shared with :meth:`cmd_test_and_set`."""
         self._check_serving()
-        if not writes:
-            return 0
         for block_no, _ in writes:
             self.local._check_owner(block_no, account)
+        members = list(writes)
+        results: list[TasResult] = []
+        for block_no, offset, expected, new in swaps:
+            self.local._check_owner(block_no, account)
+            # The compare must run against verified data: a corrupted local
+            # block would compare garbage and falsely fail (or succeed), so
+            # the read goes through the same checked/repair path as cmd_read.
+            result, swapped = compare_and_swap(
+                self._checked_read(account, block_no), offset, expected, new
+            )
+            results.append(result)
+            if swapped is not None:
+                members.append((block_no, swapped))  # behind every page
+        if not members:
+            return results
         ops: list[_PendingOp] = []
         try:
-            for block_no, data in writes:
-                ops.append(self._new_op("write", account, block_no, data))
+            for i, (block_no, data) in enumerate(members):
+                kind = "write" if i < len(writes) else "tas"
+                ops.append(self._new_op(kind, account, block_no, data))
         except CompanionConflict:
             for op in ops:
-                self._pending.pop(op.block_no, None)
+                self._drop_markers(op)
             raise
         if self.recorder.enabled:
             self.recorder.event(
-                "stable.write_many", origin=self.name, pages=len(writes)
+                "stable.write_many",
+                origin=self.name,
+                pages=len(writes),
+                swaps=len(members) - len(writes),
             )
-            self.recorder.count("stable.write_many_blocks", len(writes))
+            self.recorder.count("stable.write_many_blocks", len(members))
             self.recorder.observe(
-                "stable.batch_pages", len(writes), bounds=_BATCH_BUCKETS
+                "stable.batch_pages", len(members), bounds=_BATCH_BUCKETS
             )
         try:
             self._call_companion(
                 "companion_write_many",
                 origin=self.name,
                 account=account,
-                writes=writes,
+                writes=members,
             )
             for op in ops:
                 op.companion_done = True
         except CompanionConflict:
             for op in ops:
-                self._pending.pop(op.block_no, None)
+                self._drop_markers(op)
             raise
         except (ServerUnreachable, ServerCrashed):
-            # One journal sync covers the whole batch of intentions on a
-            # durable disk (sync=False per record, one final sync).
-            for block_no, data in writes:
-                self._record_intention(
-                    _Intention("write", account, block_no, data), sync=False
-                )
-            flush = getattr(self.local.disk, "sync_journal", None)
-            if flush is not None:
-                flush()
+            self._record_intentions(
+                [_Intention("write", account, b, data) for b, data in members]
+            )
             if self.recorder.enabled:
                 self.recorder.event(
                     "stable.intention",
                     origin=self.name,
                     kind="write_many",
-                    blocks=len(writes),
+                    blocks=len(members),
                 )
         # The local apply is one batched disk transaction: a single journal
         # sync on durable media, a loop of atomic writes on SimDisk.
-        self.local.write_many(account, [(op.block_no, op.data) for op in ops])
+        self.local.write_many(account, members)
         for op in ops:
-            self._pending.pop(op.block_no, None)
+            self._drop_markers(op)
             self._note_dirty(op.block_no)
-        return len(writes)
+        return results
 
     def cmd_lock(self, block_no: int, locker: int) -> bool:
         """Lock a block, replicated companion-first (same pattern as tas).
@@ -584,8 +688,16 @@ class StableServer:
         return self.local.unlock(block_no, locker)
 
     def cmd_recover(self, account: int) -> list[int]:
+        """The §4 recovery operation — minus the numbers either half
+        still holds in its pool: a collector that snapshots this list must
+        never see a number that can yet be handed out."""
         self._check_serving()
-        return self.local.recover(account)
+        pooled = set(self._pool)
+        try:
+            pooled.update(self._call_companion("companion_pooled"))
+        except (ServerUnreachable, ServerCrashed):
+            pass  # a companion that is down has no pool left
+        return [b for b in self.local.recover(account) if b not in pooled]
 
     # -- companion command set -------------------------------------------------
 
@@ -609,19 +721,35 @@ class StableServer:
         self.local.write_many(account, [(block_no, data)], adopt=True)
         self._note_dirty(block_no)
 
-    def cmd_companion_reserve(self, account: int, block_no: int) -> None:
-        """Reserve an allocation chosen by the other half (no data yet)."""
+    def cmd_companion_reserve_many(self, account: int, blocks: list[int]) -> None:
+        """Reserve an extent chosen by the other half (no data yet).
+
+        Every number is checked before any is recorded: one this half has
+        an operation in flight on, or already owns, refuses the whole
+        extent before any damage is done."""
         if self._crashed:
             raise ServerCrashed(f"{self.name} is crashed")
-        mine = self._pending.get(block_no)
-        if mine is not None:
-            raise CompanionConflict(
-                f"{self.name}: companion reserve collides with local {mine.kind} "
-                f"op on block {block_no}"
-            )
-        if self.local.owner_of(block_no) is None:
-            self.local.allocate(account, hint=block_no)
-        self._note_dirty(block_no)
+        for block_no in blocks:
+            mine = self._pending.get(block_no)
+            if mine is not None:
+                raise CompanionConflict(
+                    f"{self.name}: companion reserve collides with local "
+                    f"{mine.kind} op on block {block_no}"
+                )
+            if self.local.owner_of(block_no) is not None:
+                raise CompanionConflict(
+                    f"{self.name}: companion reserve of block {block_no}, "
+                    f"which is already allocated here"
+                )
+        self.local.reserve(account, blocks)
+        for block_no in blocks:
+            self._note_dirty(block_no)
+
+    def cmd_companion_pooled(self) -> list[int]:
+        """The numbers this half's pool still holds (for ``recover``)."""
+        if self._crashed:
+            raise ServerCrashed(f"{self.name} is crashed")
+        return list(self._pool)
 
     def cmd_companion_free(self, account: int, block_no: int) -> None:
         if self._crashed:
@@ -632,6 +760,7 @@ class StableServer:
             )
         if self.local.owner_of(block_no) is not None:
             self.local.free(account, block_no)
+        self._pool.pop(block_no, None)
         self._note_dirty(block_no)
 
     def cmd_companion_read(self, account: int, block_no: int) -> bytes:
@@ -658,6 +787,8 @@ class StableServer:
 
         Collision checks run for *every* block before any write is applied
         — "before any damage is done" must hold for the batch as a whole.
+        The order of ``writes`` is the order of the records: the origin
+        puts a commit's swapped blocks last (pages before reference).
         """
         if self._crashed:
             raise ServerCrashed(f"{self.name} is crashed")
@@ -723,30 +854,47 @@ class StableServer:
         return blocks
 
     def cmd_manifest(self) -> list[tuple[int, int]]:
-        """Every allocated block with its owning account, for streaming."""
+        """Every allocated block with its owning account, for streaming
+        (this half's pooled numbers left out: they enter a migration when
+        they are handed out)."""
         self._check_migration_read()
         return sorted(
             (block_no, self.local.owner_of(block_no))
             for block_no in self.local.allocated_blocks()
+            if block_no not in self._pool
         )
 
-    def cmd_export(self, account: int, block_no: int) -> bytes:
-        """Read a block for migration, through the corruption-repair path."""
+    def cmd_export(self, account: int, block_no: int) -> bytes | None:
+        """Read a block for migration, through the corruption-repair path.
+        ``None``: the block is allocated and nothing was written yet — a
+        reservation (a deferred page of an update still open)."""
         self._check_migration_read()
+        self.local._check_owner(block_no, account)
+        if not self.local.disk.holds(block_no):
+            return None
         return self._checked_read(account, block_no)
 
-    def cmd_ingest(self, account: int, block_no: int, data: bytes) -> int:
+    def cmd_ingest(self, account: int, block_no: int, data: bytes | None) -> int:
         """Install a streamed block at an exact local number on a migration
-        target, replicated companion-first like any write.  Idempotent: a
+        target, replicated companion-first like any write; ``data`` of
+        ``None`` installs a reservation (owner, no data), so that the file
+        server's later flush of that block lands.  Idempotent: a
         re-streamed block is overwritten; a block whose source owner changed
-        between rounds is freed and re-allocated under the new account."""
+        between rounds — or that was freed and reserved again — is freed
+        and re-allocated."""
         self._check_serving()
         owner = self.local.owner_of(block_no)
-        if owner is not None and owner != account:
+        if owner is not None and (
+            owner != account or (data is None and self.local.disk.holds(block_no))
+        ):
             op = self._new_op("free", owner, block_no)
             self._companion_step(op)
             self.finish_op(op)
             owner = None
+        if data is None:
+            if owner is None:
+                self.finish_op(self.begin_reserve(account, [block_no]))
+            return block_no
         kind = "write" if owner is not None else "alloc"
         op = self._new_op(kind, account, block_no, data)
         self._companion_step(op)
@@ -879,13 +1027,21 @@ class StableClient:
             self.port, "write", account=self.account, block_no=block_no, data=data
         )
 
-    def write_many(self, writes: list[tuple[int, bytes]]) -> int:
-        """Write a batch of blocks as one replicated transaction (the
-        commit flush path: one round trip for the whole batch)."""
-        if not writes:
-            return 0
+    def write_many(
+        self, writes: list[tuple[int, bytes]], swaps: list[Swap] = ()
+    ) -> list[TasResult]:
+        """Write a batch of blocks and run conditional ``swaps`` as one
+        replicated transaction (the commit path: one round trip for the
+        pages *and* the commit reference's test-and-set, which becomes
+        durable behind them).  Returns one result per swap."""
+        if not writes and not swaps:
+            return []
         return self.txn.call(
-            self.port, "write_many", account=self.account, writes=list(writes)
+            self.port,
+            "write_many",
+            account=self.account,
+            writes=list(writes),
+            swaps=list(swaps),
         )
 
     def read(self, block_no: int) -> bytes:

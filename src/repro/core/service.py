@@ -868,8 +868,8 @@ class FileService:
             for round_number in range(max_rounds):
                 # "First it ascertains that all of V.b's pages are safely on
                 # disk" — then the single critical section: test-and-set the
-                # base's commit reference.
-                self.store.flush()
+                # base's commit reference.  One stable-storage request does
+                # both, in that order on every disk.
                 result = self.store.tas_commit_ref(base, v_block)
                 if result.success:
                     entry.status = "committed"
@@ -948,12 +948,12 @@ class FileService:
         serialise pass and a re-flush — O(N²) storage transactions in
         total.  Grouping exploits that all members are on *this* server:
         they are serialised against each other in memory, their version
-        pages are pre-linked into a commit-reference chain, the whole
-        set is flushed in one ``write_many`` batch, and a single
-        test-and-set on the base publishes the entire chain atomically.
-        Until that test-and-set lands, the chain hangs off nothing: a
-        crash or storage failure mid-flush aborts *every* member, never
-        a prefix.
+        pages are pre-linked into a commit-reference chain, and one
+        ``write_many`` request flushes the whole set and, behind the
+        pages, runs a single test-and-set on each file's base, which
+        publishes that file's entire chain atomically.  Until that
+        test-and-set lands, the chain hangs off nothing: a crash or
+        storage failure mid-flush aborts *every* member, never a prefix.
 
         Returns ``{version_obj: "committed" | "committed-merged" |
         "conflict: ..."}`` for each distinct member ("committed-merged":
@@ -1039,22 +1039,30 @@ class FileService:
                     break
                 for chain in survivors.values():
                     self._link_chain_refs(chain)
+                # One request flushes the group and publishes every chain:
+                # each file's test-and-set rides behind all the pages.
+                heads = [
+                    (bases[file_obj], chain[0].root_block)
+                    for file_obj, chain in survivors.items()
+                ]
                 try:
-                    self.store.flush(reason="commit_group")
+                    results = self.store.tas_commit_refs(heads, "commit_group")
                 except Exception:
-                    # Atomic group abort: withdraw the chain links so a
-                    # later retry cannot publish half-written pages, and
-                    # leave every member uncommitted.
-                    for chain in survivors.values():
-                        self._unlink_chain_refs(chain)
+                    # Group abort: withdraw the chain links so a later
+                    # retry cannot publish half-written pages, and leave
+                    # the members uncommitted — except the chains of a
+                    # request that failed part-way (swaps on several
+                    # shards) after their reference was set.
+                    for file_obj, chain in survivors.items():
+                        if self._chain_published(bases[file_obj], chain):
+                            self._publish_chain(file_obj, chain, outcomes, merged)
+                        else:
+                            self._unlink_chain_refs(chain)
                     recorder.count("commit.group.flush_failures")
                     span.tag(path="flush_failed")
                     raise
                 retry: dict[int, list[VersionEntry]] = {}
-                for file_obj, chain in survivors.items():
-                    result = self.store.tas_commit_ref(
-                        bases[file_obj], chain[0].root_block
-                    )
+                for (file_obj, chain), result in zip(survivors.items(), results):
                     if result.success:
                         self._publish_chain(file_obj, chain, outcomes, merged)
                     else:
@@ -1156,6 +1164,14 @@ class FileService:
             if page.commit_ref != successor:
                 page.commit_ref = successor
                 self.store.store_in_place(entry.root_block, page)
+
+    def _chain_published(self, base: int, chain: list[VersionEntry]) -> bool:
+        """Whether ``base``'s commit reference on disk names the chain's
+        head (asked only after a commit request failed)."""
+        try:
+            return self.store.read_commit_ref(base) == chain[0].root_block
+        except ReproError:
+            return False  # the shard that cannot answer did not commit it
 
     def _unlink_chain_refs(self, chain: list[VersionEntry]) -> None:
         for entry in chain:

@@ -20,7 +20,7 @@ cache entry, and reads of version pages during commit bypass the cache.
 
 from __future__ import annotations
 
-from repro.block.stable import StableClient
+from repro.block.stable import StableClient, Swap
 from repro.block.server import TasResult
 from repro.core.cache import PageCache
 from repro.core.page import (
@@ -109,37 +109,43 @@ class PageStore:
     # Histogram buckets for pages-per-flush (commit batch sizes).
     _FLUSH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
-    def flush(self, reason: str = "commit") -> int:
+    def flush(
+        self,
+        reason: str = "commit",
+        swaps: list[Swap] = (),
+        outcomes: list[TasResult] | None = None,
+    ) -> int:
         """Write all dirty pages to stable storage; returns how many.
 
-        With batching enabled (the default) a multi-page flush is grouped
-        by the block client into one ``write_many`` transaction per
+        With batching enabled (the default) the flush is one ``write_many``
+        request, grouped by the block client into one transaction per
         shard/pair, "so an M-page commit costs O(shards) round trips
-        instead of O(M)"; single pages and unbatched stores write page by
-        page, which is also the seed behaviour benchmarks compare against.
+        instead of O(M)"; unbatched stores write page by page, which is
+        also the seed behaviour benchmarks compare against.
+
+        ``swaps`` are conditional swaps that ride the same request behind
+        the pages (:meth:`tas_commit_refs`); their results are appended to
+        ``outcomes``.  The dirty set is cleared only once the request has
+        succeeded, so a refused or failed flush can simply be retried.
 
         ``reason`` distinguishes the callers in traces (a plain commit's
         flush vs a group commit's single batched flush).
         """
-        if not self._dirty:
+        if not self._dirty and not swaps:
             return 0
         recorder = self.recorder
         items = sorted(self._dirty.items())
         with recorder.span("flush", pages=len(items), reason=reason) as span:
-            batched = (
-                self.batch_flushes
-                and len(items) > 1
-                and hasattr(self.blocks, "write_many")
-            )
-            if batched:
-                self.blocks.write_many(
-                    [(block, page.to_bytes()) for block, page in items]
-                )
-            else:
-                for block, page in items:
-                    self.blocks.write(block, page.to_bytes())
+            writes = [(block, page.to_bytes()) for block, page in items]
+            if not self.batch_flushes:
+                for block, data in writes:
+                    self.blocks.write(block, data)
+                writes = []
+            results = self.blocks.write_many(writes, swaps)
+            if outcomes is not None:
+                outcomes.extend(results)
             if recorder.enabled:
-                span.tag(batched=batched)
+                span.tag(batched=self.batch_flushes)
                 for block, page in items:
                     recorder.event(
                         "store.page_flush",
@@ -200,27 +206,54 @@ class PageStore:
     # read-test-write sequence (§4's suggestion).
     commit_protocol: str = "tas"
 
-    def tas_commit_ref(self, block: int, new_successor: int) -> TasResult:
-        """Atomically set ``block``'s commit reference from nil to
-        ``new_successor``; on failure the result carries the commit
-        reference that was already there (the winning successor).
+    def tas_commit_ref(
+        self, block: int, new_successor: int, reason: str = "commit"
+    ) -> TasResult:
+        """Flush, and in the same request atomically set ``block``'s commit
+        reference from nil to ``new_successor``; on failure the result
+        carries the commit reference that was already there (the winning
+        successor).
 
         This is the paper's single critical section: "test and set the
-        commit reference".  The page must already be flushed (commit flushes
-        before calling this).
+        commit reference".
         """
-        assert block not in self._dirty, "flush before test-and-set"
-        if self.commit_protocol == "lock":
-            return self._locked_commit_ref(block, new_successor)
-        result = self.blocks.test_and_set(
-            block, COMMIT_REF_OFFSET, NIL_COMMIT_REF, pack_commit_ref(new_successor)
+        return self.tas_commit_refs([(block, new_successor)], reason)[0]
+
+    def tas_commit_refs(
+        self, refs: list[tuple[int, int]], reason: str = "commit"
+    ) -> list[TasResult]:
+        """The commit as one stable-storage request: every dirty page,
+        then the test-and-set of each ``(block, new_successor)`` commit
+        reference — "First it ascertains that all of V.b's pages are
+        safely on disk", and the block tier keeps that order on every disk
+        (pages before reference, ``StableServer.cmd_write_many``).  A lost
+        test-and-set still leaves the pages flushed.
+
+        The lock protocol cannot ride a write: it flushes, then runs its
+        lock / read / test / write / unlock sequence per reference.
+        """
+        assert not any(block in self._dirty for block, _ in refs), (
+            "a version page awaiting its successor must not be buffered"
         )
-        self.cache.invalidate(block)
-        if self.recorder.enabled:
-            self.recorder.event(
-                "store.tas_commit", block=block, success=result.success
-            )
-        return result
+        if self.commit_protocol == "lock":
+            self.flush(reason)
+            return [self._locked_commit_ref(block, new) for block, new in refs]
+        results: list[TasResult] = []
+        self.flush(
+            reason,
+            [
+                (block, COMMIT_REF_OFFSET, NIL_COMMIT_REF, pack_commit_ref(new))
+                for block, new in refs
+            ],
+            results,
+        )
+        for (block, _), result in zip(refs, results):
+            self.cache.invalidate(block)
+            if self.recorder.enabled:
+                self.recorder.event(
+                    "store.tas_commit", block=block, success=result.success
+                )
+        return results
 
     # A private locker identity for the lock-based commit protocol.
     _LOCKER = 0x1985

@@ -240,7 +240,7 @@ class SystemTree:
         return handle
 
     def commit_super(self, update: SuperFileUpdate) -> None:
-        """Commit the super-file update: flush everything, set the
+        """Commit the super-file update: flush everything and set the
         super-file's commit reference, then finish the sub-file commits and
         clear the locks (the part a waiter redoes after a crash)."""
         service = self.service
@@ -248,8 +248,9 @@ class SystemTree:
             return
         # Everything — super version and every sub-version — must be on
         # stable storage before the commit reference is set, so that a
-        # crash after the set leaves a finishable state.
-        service.store.flush()
+        # crash after the set leaves a finishable state.  The commit's one
+        # request flushes the whole dirty set, sub-versions included, and
+        # the block tier makes the reference durable behind all of it.
         service.commit(update.handle.version)
         self._finish_sub_commits(update.update_port)
         service.locks.clear_top_if(update.locked_current, update.update_port)

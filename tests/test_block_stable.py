@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import CompanionConflict, ServerCrashed, ServerUnreachable
 from repro.capability import new_port
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import EXTENT, StableClient, StablePair
 from repro.obs import Recorder
 from repro.sim.faults import CrashSchedule
 from repro.sim.network import Network
@@ -387,3 +387,213 @@ def test_allocation_cursor_wraps_to_find_free_space(net):
     # rescanning from 1.
     assert pair.a._alloc_cursor > 8
     assert len(blocks) == 8
+
+
+# -- reservation extents and the pool -----------------------------------------
+
+
+def _owners(half):
+    return {b: half.local.owner_of(b) for b in half.local.allocated_blocks()}
+
+
+def test_allocate_reserves_an_extent_with_one_exchange_and_one_sync_per_half(
+    pair, client, net
+):
+    syncs = lambda: [getattr(d, "fsyncs", 0) for d in (pair.disk_a, pair.disk_b)]
+    before = syncs()
+    block = client.allocate()
+    # The whole extent is owned by the requester on both disks at once...
+    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(range(1, EXTENT + 1), 1)
+    assert block == 1 and list(pair.a._pool) == list(range(2, EXTENT + 1))
+    if hasattr(pair.disk_a, "fsyncs"):
+        # (a new segment's first sync also syncs the directory entry)
+        assert [now - then for now, then in zip(syncs(), before)] in ([1, 1], [2, 2])
+    # ...and what follows is answered from memory: no message, no sync.
+    messages, before = net.stats.messages, syncs()
+    rest = [client.allocate() for _ in range(EXTENT - 1)]
+    assert rest == list(range(2, EXTENT + 1))
+    assert net.stats.messages - messages == 2 * len(rest)
+    assert syncs() == before and not pair.a._pool
+    # A number handed out is as durable as it ever was: the deferred write
+    # lands on it, on both halves.
+    client.write(rest[-1], b"later")
+    assert pair.disk_a.read(rest[-1]) == pair.disk_b.read(rest[-1]) == b"later"
+
+
+def _overlap_steps():
+    """Every interleaving of {A, B} x {companion step, finish} that keeps
+    each half's own order — after both marked the same extent pending."""
+    from itertools import permutations
+
+    steps = [("a", "step"), ("a", "finish"), ("b", "step"), ("b", "finish")]
+    return [
+        order
+        for order in permutations(steps)
+        if order.index(("a", "step")) < order.index(("a", "finish"))
+        and order.index(("b", "step")) < order.index(("b", "finish"))
+    ]
+
+
+@pytest.mark.parametrize("order", _overlap_steps(), ids=lambda o: "-".join(h + s[0] for h, s in o))
+def test_overlapping_extents_collide_once_before_either_disk_changed(pair, order):
+    halves = {"a": pair.a, "b": pair.b}
+    ops = {name: half._new_extent(1) for name, half in halves.items()}
+    assert ops["a"].extent == ops["b"].extent  # the accidental collision
+    lost = []
+    for name, step in order:
+        if name in lost:
+            continue  # its request was refused; the client retries later
+        if step == "finish":
+            halves[name].finish_op(ops[name])
+            continue
+        disks = (_owners(pair.a), _owners(pair.b))
+        try:
+            halves[name]._companion_step(ops[name])
+        except CompanionConflict:
+            lost.append(name)
+            assert (_owners(pair.a), _owners(pair.b)) == disks  # no damage
+    assert len(lost) == 1
+    (winner,) = set(halves) - set(lost)
+    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(ops[winner].extent, 1)
+    # The loser's retry takes disjoint numbers.
+    retry = halves[lost[0]].begin_reserve(1)
+    assert not set(retry.extent) & set(ops[winner].extent)
+    halves[lost[0]].finish_op(retry)
+    assert _owners(pair.a) == _owners(pair.b)
+    assert len(_owners(pair.a)) == 2 * EXTENT
+    assert not pair.a._pending and not pair.b._pending
+
+
+def test_partly_overlapping_extents_collide_too(pair, client):
+    taken = [client.allocate_write(b"x") for _ in range(8)]
+    for block in taken:
+        client.free(block)  # A's cursor is past them, B's is not
+    op_a = pair.a._new_extent(1)
+    op_b = pair.b._new_extent(1)
+    assert set(op_a.extent) != set(op_b.extent)
+    assert set(op_a.extent) & set(op_b.extent)
+    with pytest.raises(CompanionConflict):
+        pair.a._companion_step(op_a)
+    assert not _owners(pair.a) and not _owners(pair.b)
+    pair.b._companion_step(op_b)
+    pair.b.finish_op(op_b)
+    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(op_b.extent, 1)
+
+
+def test_companion_refuses_an_extent_holding_a_number_it_already_owns(pair):
+    """Not only a pending marker: an owned number refuses the whole
+    extent, before any of it is recorded."""
+    pair.b.local.reserve(7, [5])
+    with pytest.raises(CompanionConflict):
+        pair.a.begin_reserve(1, [4, 5, 6])
+    assert not _owners(pair.a) and _owners(pair.b) == {5: 7}
+    assert not pair.a._pending
+
+
+def test_pooled_numbers_are_in_no_recover_and_no_manifest(pair, client):
+    block = client.allocate()
+    assert len(pair.a._pool) == EXTENT - 1
+    assert client.recover() == [block]
+    assert pair.a.cmd_manifest() == [(block, 1)]
+    # Through the other half as well: recover asks the companion what it
+    # still holds, so no collector snapshot names a number A can hand out.
+    assert pair.b.cmd_recover(1) == [block]
+    # With A gone its pool is gone, and the numbers are plain orphans.
+    pair.a.crash()
+    assert pair.b.cmd_recover(1) == list(range(1, EXTENT + 1))
+
+
+def test_freeing_a_pooled_number_through_either_half_takes_it_out(pair, client):
+    client.allocate()
+    pooled = list(pair.a._pool)
+    pair.a.cmd_free(1, pooled[0])
+    pair.b.cmd_free(1, pooled[1])  # reaches A as a companion_free
+    assert list(pair.a._pool) == pooled[2:]
+    handed = [client.allocate() for _ in pooled[2:]]
+    assert handed == pooled[2:]
+    assert client.allocate() not in pooled  # a new extent, not a freed number
+    assert pair.consistent()
+
+
+def test_pool_is_per_account(pair, net):
+    one = StableClient(net, "one", 0x500, account=1)
+    two = StableClient(net, "two", 0x500, account=2)
+    a, b = one.allocate(), two.allocate()
+    assert pair.a.local.owner_of(a) == 1 and pair.a.local.owner_of(b) == 2
+    assert pair.a.local.owner_of(two.allocate()) == 2
+    assert pair.a.local.owner_of(one.allocate()) == 1
+
+
+def test_extent_is_capped_by_what_is_free_then_disk_full(net, disk_backend):
+    from repro.errors import DiskFull
+
+    pair = StablePair(net, 0x520, capacity=20, block_size=64, **disk_backend())
+    client = StableClient(net, "cli", 0x520, account=1)
+    try:
+        first = [client.allocate() for _ in range(EXTENT)]
+        assert not pair.a._pool
+        rest = [client.allocate() for _ in range(4)]  # an extent of four
+        assert not pair.a._pool
+        assert sorted(first + rest) == list(range(1, 21))
+        with pytest.raises(DiskFull):
+            client.allocate()
+        assert not pair.a._pending
+        assert _owners(pair.a) == _owners(pair.b)
+    finally:
+        pair.close()
+
+
+def test_extent_reserved_while_companion_down_is_resynced(pair, client):
+    pair.b.crash()
+    block = client.allocate()
+    assert len(pair.a._intentions) == EXTENT
+    assert not _owners(pair.b)
+    pair.b.restart()
+    assert pair.b.resync() == EXTENT
+    assert _owners(pair.b) == _owners(pair.a)
+    client.write(block, b"both")
+    assert pair.disk_b.read(block) == b"both"
+
+
+def test_crash_with_a_warm_pool_leaks_only_orphans_the_collector_reaps(disk_backend):
+    """What a half forgets across a restart is its pool and nothing else:
+    the numbers stay owned on both disks, are never handed out again, and
+    the garbage collector's sweep frees them like any orphan."""
+    from repro.core.gc import GarbageCollector
+    from repro.core.pathname import PagePath
+    from repro.testbed import build_cluster
+
+    cluster = build_cluster(seed=31, disk_capacity=256, **disk_backend())
+    try:
+        fs, pair = cluster.fs(), cluster.pair
+        cap = fs.create_file(b"v0")
+        handle = fs.create_version(cap)
+        fs.write_page(handle.version, PagePath.ROOT, b"v1")
+        fs.commit(handle.version)
+        lost = sorted(pair.a._pool)
+        assert lost
+        pair.a.crash()
+        pair.a.restart()
+        pair.a.resync()
+        assert not pair.a._pool
+        for half in pair.halves():
+            assert all(half.local.owner_of(b) is not None for b in lost)
+            assert not any(half.local.disk.holds(b) for b in lost)
+        # New allocations never reuse a forgotten number...
+        handle = fs.create_version(cap)
+        fs.write_page(handle.version, PagePath.ROOT, b"v2")
+        fs.commit(handle.version)
+        in_use = set(fs.store.blocks.recover()) - set(lost)
+        assert in_use
+        # ...and the sweep takes exactly the orphans (and the new pool is
+        # not its to see).
+        pooled = sorted(pair.a._pool)
+        stats = GarbageCollector(fs).collect()
+        assert not stats.sweep_skipped and stats.swept >= len(lost)
+        for half in pair.halves():
+            assert all(half.local.owner_of(b) is None for b in lost)
+        assert sorted(pair.a._pool) == pooled
+        assert fs.read_page(fs.current_version(cap), PagePath.ROOT) == b"v2"
+        assert pair.consistent()
+    finally:
+        cluster.close()

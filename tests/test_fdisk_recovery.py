@@ -292,6 +292,84 @@ def test_free_crash_never_erases_an_owned_block(tmp_path, point):
         recovered.close()
 
 
+NIL4 = b"\x00" * 4
+
+
+def _ref(block_no: int) -> bytes:
+    return block_no.to_bytes(4, "big")
+
+
+@pytest.mark.parametrize("victim", ["companion", "origin"])
+@pytest.mark.parametrize("point", sorted(BATCH_OUTCOME))
+def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
+    tmp_path, point, victim
+):
+    """A commit as the block tier sees it: one ``write_many`` of the new
+    version's pages plus the test-and-set of the base's commit reference.
+    Whichever half dies, wherever, in either way, a disk may come back
+    with pages whose reference was never set — never with a reference to
+    pages it does not hold (§5.2: pages before reference)."""
+    from repro.block.stable import StableServer
+    from repro.sim.network import Network
+    from repro.sim.rpc import RpcEndpoint
+
+    for (mode, power_loss), applied in zip(MODES, BATCH_OUTCOME[point]):
+        roots = {name: tmp_path / mode / name for name in ("blockA", "blockB")}
+        net = Network()
+        disks = {
+            name: FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT, name=name)
+            for name, root in roots.items()
+        }
+        a = StableServer("blockA", "blockB", disks["blockA"], net)
+        b = StableServer("blockB", "blockA", disks["blockB"], net)
+        ends = [RpcEndpoint(net, "blockA", 0x77, a), RpcEndpoint(net, "blockB", 0x77, b)]
+        dying = disks["blockB" if victim == "companion" else "blockA"]
+        tip = a.cmd_allocate_write(ACCOUNT, NIL4 + b"version 0")
+        versions: dict[int, dict[int, bytes]] = {}  # version page -> its pages
+        chain = [tip]
+
+        def commit(round_: int) -> None:
+            data, page = a.cmd_allocate(ACCOUNT), a.cmd_allocate(ACCOUNT)
+            versions[page] = {
+                data: b"data of %d" % round_,
+                page: NIL4 + b"version %d" % round_,
+            }
+            dying.arm(point, power_loss=power_loss)
+            (result,) = a.cmd_write_many(
+                ACCOUNT, list(versions[page].items()), [(chain[-1], 0, NIL4, _ref(page))]
+            )
+            dying.disarm()
+            assert result.success
+
+        died = _until_death(
+            (lambda r=r: commit(r), lambda: chain.append(max(versions)))
+            for r in range(1, 24)
+        )
+        in_flight = max(versions)
+        assert len(chain) == died + 1 and in_flight not in chain
+
+        for name, root in roots.items():
+            disks[name].close()
+            disk = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+            # Every acknowledged commit is whole, and linked.
+            for base, page in zip(chain, chain[1:]):
+                assert disk.read(base)[:4] == _ref(page), (mode, name)
+                for block_no, payload in versions[page].items():
+                    assert disk.read(block_no)[4:] == payload[4:], (mode, name)
+            # The one in flight: a prefix of [data page, version page, swap].
+            # The companion is written first; the origin only after it.
+            whole = name != dying.name and victim == "origin"
+            none = name != dying.name and victim == "companion"
+            kept = 3 if whole else 0 if none else applied
+            landed = [
+                _value(disk, block_no) == payload
+                for block_no, payload in versions[in_flight].items()
+            ] + [disk.read(chain[-1])[:4] == _ref(in_flight)]
+            assert landed == [i < kept for i in range(3)], (mode, name, landed)
+            assert disk.read(chain[-1])[:4] in (NIL4, _ref(in_flight))
+            disk.close()
+
+
 def test_ack_point_semantics(tmp_path):
     """An operation that RETURNED was acked and must survive — countdown=2
     lets one write pass through the armed point before the next one dies."""

@@ -301,3 +301,46 @@ def test_unflushed_foreign_root_skips_sweep(cluster2):
     # The update is unharmed: its manager can still flush and commit it.
     fs1.commit(live.version)
     assert fs1.read_page(fs1.current_version(cap), PagePath.of(0)) == b"pending"
+
+
+def test_sweep_never_frees_a_number_the_other_half_still_pools(cluster):
+    """A cycle's snapshot is taken through one half while the OTHER half
+    holds reserved numbers in its pool.  Were they in the snapshot, one
+    handed out and committed mid-cycle would look like an old orphan at
+    the sweep and be freed under the committed version."""
+    fs, pair = cluster.fs(), cluster.pair
+
+    def update(data):
+        handle = fs.create_version(cap)
+        fs.write_page(handle.version, ROOT, data)
+        fs.commit(handle.version)
+
+    cap = fs.create_file(b"v0")
+    pair.a.crash()
+    update(b"v1")  # served by B alone, which reserves an extent
+    pair.a.restart()
+    pair.a.resync()
+    pooled = set(pair.b._pool)
+    assert pooled
+    # The cycle snapshots through A, marks — and just as the sweep starts,
+    # A dies and an update commits on numbers out of B's pool.
+    recover, calls = fs.store.blocks.recover, []
+
+    def racing_recover():
+        calls.append(1)
+        if len(calls) == 2:
+            pair.a.crash()
+            update(b"v2")
+            assert pooled - set(pair.b._pool)
+        return recover()
+
+    fs.store.blocks.recover = racing_recover
+    stats = cluster.gc().collect()
+    fs.store.blocks.recover = recover
+    assert len(calls) == 2 and not stats.sweep_skipped
+    fs.store.cache.clear()
+    assert fs.read_page(fs.current_version(cap), ROOT) == b"v2"
+    from repro.tools.check import check_cluster
+
+    report = check_cluster(cluster)
+    assert report.ok, report

@@ -123,6 +123,114 @@ def test_group_commit_spans_multiple_files():
     assert fs.metrics.group_committed == 4
 
 
+def _block_requests(cluster, sender="fs0"):
+    """Record the requests one file server sends from now on."""
+    from repro.sim.rpc import Request
+
+    sent = []
+
+    def tracer(source, dest, payload):
+        if isinstance(payload, Request) and source == sender:
+            sent.append(payload.command)
+
+    cluster.network.tracer = tracer
+    return sent
+
+
+def test_group_of_n_files_publishes_in_one_stable_request():
+    """The flush of the whole group and the test-and-set of every file's
+    base are ONE request to the pair — not a flush and then a round trip
+    per file."""
+    cluster = build_cluster(seed=15)
+    fs = cluster.fs()
+    files = [_file_with_pages(fs, 1) for _ in range(5)]
+    handles = [h for cap, paths in files for h in _ready_updates(fs, cap, paths)]
+    sent = _block_requests(cluster)
+    outcomes = fs.commit_group([h.version for h in handles])
+    assert list(outcomes.values()) == ["committed"] * 5
+    assert sent.count("write_many") == 1
+    assert set(sent) <= {"write_many", "read"}
+    for cap, paths in files:
+        assert fs.read_page(fs.current_version(cap), paths[0]) == b"new0"
+
+
+def test_group_commit_round_lost_on_one_file_retries_only_that_file():
+    """A lost test-and-set stops neither the pages nor the other files'
+    swaps riding the same request."""
+    cluster = build_cluster(servers=2, seed=21)
+    fs, other = cluster.fs(0), cluster.fs(1)
+    cap_a, paths_a = _file_with_pages(fs, 2)
+    cap_b, paths_b = _file_with_pages(fs, 2)
+    handles = _ready_updates(fs, cap_a, paths_a[:1]) + _ready_updates(
+        fs, cap_b, paths_b[:1]
+    )
+    publish, rounds = fs.store.tas_commit_refs, []
+
+    def raced(refs, reason):
+        if not rounds:
+            # Another server slips a commit into file B just before this
+            # server's request reaches the disks.
+            rival = other.create_version(cap_b)
+            other.write_page(rival.version, paths_b[1], b"rival")
+            other.commit(rival.version)
+        results = publish(refs, reason)
+        rounds.append([r.success for r in results])
+        return results
+
+    fs.store.tas_commit_refs = raced
+    sent = _block_requests(cluster)
+    outcomes = fs.commit_group([h.version for h in handles])
+    assert list(outcomes.values()) == ["committed"] * 2
+    assert rounds == [[True, False], [True]]
+    assert sent.count("write_many") == 2
+    current = fs.current_version(cap_b)
+    assert fs.read_page(current, paths_b[0]) == b"new0"
+    assert fs.read_page(current, paths_b[1]) == b"rival"
+
+
+def test_group_commit_request_failing_between_shards_keeps_what_it_published():
+    """Bases on two shards: the pages go out first, then one swap request
+    per shard.  If the second shard cannot be reached, the first file IS
+    committed on disk — the server must say so, not withdraw its links."""
+    from repro.errors import ServerUnreachable
+    from repro.testbed import build_sharded_cluster
+
+    history = HistoryRecorder()
+    cluster = build_sharded_cluster(shards=2, seed=23, history=history)
+    fs = cluster.fs()
+    files = [_file_with_pages(fs, 1) for _ in range(2)]
+    handles = [h for cap, paths in files for h in _ready_updates(fs, cap, paths)]
+    blocks = fs.store.blocks
+    shard_of = blocks.placement.index_of
+    bases = [fs._resolve_current(fs.registry.file(cap.obj)) for cap, _ in files]
+    assert shard_of(bases[0]) != shard_of(bases[1])
+    port_call, swap_requests = blocks._port_call, []
+
+    def flaky(port, command, **params):
+        if command == "write_many" and params["swaps"] and not params["writes"]:
+            swap_requests.append(port)
+            if len(swap_requests) == 2:
+                raise ServerUnreachable("the second swap shard went away")
+        return port_call(port, command, **params)
+
+    blocks._port_call = flaky
+    with pytest.raises(ServerUnreachable):
+        fs.commit_group([h.version for h in handles])
+    blocks._port_call = port_call
+    assert len(swap_requests) == 2
+    first = 0 if shard_of(bases[0]) < shard_of(bases[1]) else 1
+    (cap_won, paths_won), (cap_lost, paths_lost) = files[first], files[1 - first]
+    assert fs.read_page(fs.current_version(cap_won), paths_won[0]) == b"new0"
+    assert fs.read_page(fs.current_version(cap_lost), paths_lost[0]) == b"init"
+    # The stranded member is still a live update: its retry goes through.
+    assert fs.commit_group([handles[1 - first].version]) == {
+        handles[1 - first].version.obj: "committed"
+    }
+    assert fs.read_page(fs.current_version(cap_lost), paths_lost[0]) == b"new0"
+    result = check_history(history)
+    assert result.ok, "\n".join(str(v) for v in result.violations)
+
+
 def test_group_commit_deduplicates_and_validates_members():
     cluster = build_cluster(seed=16)
     fs = cluster.fs()

@@ -184,3 +184,44 @@ def test_fsck_passes_on_hybrid(hybrid, fs):
     fs.commit(handle.version)
     report = check_cluster(hybrid)
     assert report.ok, report.errors
+
+
+def test_commit_sends_the_optical_batch_before_the_magnetic_swap(hybrid, fs):
+    """Pages before reference, across media: the commit reference lives in
+    a version page on the magnetic pair, the data pages it publishes on
+    the optical pair — so the optical batch must be durable on both its
+    disks before the magnetic request that carries the test-and-set."""
+    from repro.sim.rpc import Request
+
+    cap = _wide_file(fs)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, PagePath.of(1), b"new data page")
+    optical = [b - OPTICAL_BASE for b in fs.store._dirty if b >= OPTICAL_BASE]
+    assert optical
+    sent = []
+
+    def tracer(sender, dest, payload):
+        if sender != fs.name or not isinstance(payload, Request):
+            return
+        if payload.params.get("swaps"):
+            for disk in (hybrid.optical_pair.disk_a, hybrid.optical_pair.disk_b):
+                assert all(disk.holds(b) for b in optical)
+        sent.append(
+            (dest, payload.command, len(payload.params["writes"]),
+             len(payload.params["swaps"]))
+        )
+
+    hybrid.network.tracer = tracer
+    fs.commit(handle.version)
+    hybrid.network.tracer = None
+    assert sent == [
+        ("optA", "write_many", len(optical), 0),
+        ("magA", "write_many", 1, 1),
+    ]
+    assert fs.read_page(fs.current_version(cap), PagePath.of(1)) == b"new data page"
+
+
+def test_swap_on_an_optical_block_is_refused(fs):
+    block = fs.store.blocks.allocate_optical()
+    with pytest.raises(ValueError):
+        fs.store.blocks.write_many([], [(block, 0, b"\x00", b"\x01")])

@@ -74,11 +74,17 @@ def test_fast_path_span_sees_through_to_the_disks(cluster, recorder):
 
     (span,) = _commit_spans(recorder)
     # One logical stable write = two physical disk writes (the pair),
-    # and the event stream shows the companion-first order.
-    writes = span.events_named("disk.write")
+    # and the event stream shows the companion-first order.  They sit in
+    # the nested flush span: the commit is one stable request, in which
+    # the test-and-set rides behind the pages.
+    flush = span.find("flush")
+    writes = flush.events_named("disk.write")
     assert len(writes) >= 2
-    assert span.counters["stable.companion_rpc"] >= 1
-    assert span.counters["rpc.test_and_set"] == 1
+    assert [e.tags["disk"] for e in writes[:2]] == ["blockB", "blockB"]
+    assert flush.counters["stable.companion_rpc"] == 1
+    assert flush.counters["rpc.write_many"] == 1
+    assert "rpc.test_and_set" not in flush.counters
+    assert "rpc.test_and_set" not in span.counters
 
 
 def test_concurrent_disjoint_commit_records_serialise_span(cluster, recorder):
@@ -187,7 +193,7 @@ def test_rpc_events_carry_port_and_client(cluster, recorder):
     fs.commit(handle.version)
     (span,) = recorder.tracer.spans_named("commit")
     # Block writes happen inside the commit's nested flush span.
-    writes = [e for sub in span.walk() for e in sub.events_named("rpc.write")]
+    writes = [e for sub in span.walk() for e in sub.events_named("rpc.write_many")]
     assert writes, "commit must issue at least one block-write RPC"
     assert writes[0].tags["client"] == fs.name
     assert writes[0].tags["port"] == cluster.block_port

@@ -7,7 +7,7 @@ protocols — companion-first replication and the commit test-and-set.
 
 import pytest
 
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import EXTENT, StableClient, StablePair
 from repro.core.pathname import PagePath
 from repro.sim.network import Network
 from repro.sim.rpc import Request
@@ -68,7 +68,46 @@ def test_corrupt_read_adds_exactly_one_companion_fetch():
     # the good copy, so no further replication traffic is needed)
 
 
+def test_allocate_from_a_warm_pool_is_one_request_and_no_companion_traffic():
+    net = Network()
+    pair = StablePair(net, 0xC03, capacity=64, block_size=128)
+    client = StableClient(net, "cli", 0xC03, account=1)
+    trace = Trace(net)
+    first = client.allocate()
+    # A cold pool: the request, and ONE companion exchange for the extent.
+    assert trace.events == [
+        ("cli", "blockA", "allocate"),
+        ("blockA", "blockB", "companion_reserve_many"),
+    ]
+    trace.clear()
+    messages = net.stats.messages
+    rest = [client.allocate() for _ in range(EXTENT - 1)]
+    # A warm pool: one request and one reply each, nothing else.
+    assert trace.events == [("cli", "blockA", "allocate")] * (EXTENT - 1)
+    assert net.stats.messages - messages == 2 * (EXTENT - 1)
+    assert len({first, *rest}) == EXTENT
+    trace.clear()
+    client.allocate()  # the pool ran dry: the next extent
+    assert trace.commands() == ["allocate", "companion_reserve_many"]
+
+
 def test_commit_fast_path_sequence():
+    cluster = build_cluster(seed=150)
+    fs = cluster.fs()
+    cap = fs.create_file(b"x")
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, ROOT, b"y")
+    trace = Trace(cluster.network)
+    fs.commit(handle.version)
+    # One request to the block layer carries the dirty pages AND the
+    # test-and-set of the commit reference; one exchange replicates it.
+    assert trace.events == [
+        ("fs0", "blockA", "write_many"),
+        ("blockA", "blockB", "companion_write_many"),
+    ]
+
+
+def test_commit_of_a_flushed_version_is_still_one_replicated_request():
     cluster = build_cluster(seed=150)
     fs = cluster.fs()
     cap = fs.create_file(b"x")
@@ -77,8 +116,22 @@ def test_commit_fast_path_sequence():
     fs.store.flush()
     trace = Trace(cluster.network)
     fs.commit(handle.version)
-    # One test-and-set to the block layer, replicated to the companion.
-    assert trace.commands() == ["test_and_set", "companion_write"]
+    # Nothing left to flush: the request is the test-and-set alone.
+    assert trace.commands() == ["write_many", "companion_write_many"]
+
+
+def test_test_and_set_verb_replicates_in_one_exchange():
+    net = Network()
+    pair = StablePair(net, 0xC04, capacity=64, block_size=128)
+    client = StableClient(net, "cli", 0xC04, account=1)
+    block = client.allocate_write(b"\x00" * 8)
+    trace = Trace(net)
+    assert client.test_and_set(block, 0, b"\x00" * 4, b"\x00\x00\x00\x07").success
+    assert trace.commands() == ["test_and_set", "companion_write_many"]
+    trace.clear()
+    # A failed compare changes nothing, so nothing crosses to the companion.
+    assert not client.test_and_set(block, 0, b"\x00" * 4, b"\x00\x00\x00\x09").success
+    assert trace.commands() == ["test_and_set"]
 
 
 def test_client_update_cycle_has_no_server_push():

@@ -284,6 +284,60 @@ def test_half_restart_mid_migration_forces_full_reconcile():
     assert result.ok, result.violations()
 
 
+@pytest.mark.parametrize("restart", [False, True], ids=["delta", "full-reconcile"])
+def test_update_left_open_across_the_cutover_flushes_on_the_target(restart):
+    """An update's deferred pages are block numbers reserved on the source
+    with nothing written yet.  The migration must carry them over as
+    reservations — in the pre-copy, in the delta rounds and in the fence
+    alike — or the fence dies on the unreadable block, or the update's
+    flush after the cutover finds nothing to write to."""
+    cluster, history, caps = _workload_cluster(shards=2, servers=1, seed=19)
+    service = cluster.shards
+    source = service.pairs[0]
+    fs = cluster.fs()
+    early = fs.create_version(caps[0])  # reserved before the stream is armed
+    fs.write_page(early.version, PagePath.of(1), b"open across the cutover")
+
+    steps = migrate_steps(service, 0, new_port(cluster.rng), history=history)
+    for _ in range(2):
+        next(steps)
+    late = fs.create_version(caps[1])  # reserved while it runs
+    fs.write_page(late.version, PagePath.of(2), b"opened mid-stream")
+    moving = [b for b in fs.store._dirty if service.placement.index_of(b) == 0]
+    assert len(moving) >= 2
+    if restart:
+        source.a.crash()
+        next(steps)
+        source.a.restart()
+        source.a.resync()
+    try:
+        while True:
+            next(steps)
+    except StopIteration as stop:
+        report = stop.value
+    assert report.full_reconcile == restart and report.epoch == 2
+    target = service.pairs[0]
+    assert target is not source
+    for block in moving:
+        local = service.placement.local_of(block)
+        for half in target.halves():
+            assert half.local.owner_of(local) is not None  # reserved...
+            assert not half.local.disk.holds(local)  # ...and still unwritten
+    fs.commit(early.version)
+    fs.commit(late.version)
+    assert (
+        fs.read_page(fs.current_version(caps[0]), PagePath.of(1))
+        == b"open across the cutover"
+    )
+    assert (
+        fs.read_page(fs.current_version(caps[1]), PagePath.of(2))
+        == b"opened mid-stream"
+    )
+    assert service.consistent()
+    result = check_history(history)
+    assert result.ok, result.violations
+
+
 def test_checker_flags_serve_after_cutover():
     """The stale-placement invariant has teeth: a synthetic history where
     a shard answers a read *after* its own cutover is flagged."""

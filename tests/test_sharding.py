@@ -123,11 +123,111 @@ def test_write_many_ships_one_transaction_per_touched_shard(
     blocks = [client.allocate() for _ in range(8)]  # two per shard
     writes = [(block, b"batched %d" % i) for i, block in enumerate(blocks)]
     before = recorder.metrics.counter("rpc.write_many").value
-    assert client.write_many(writes) == 8
+    assert client.write_many(writes) == []  # one result per swap: none
     assert recorder.metrics.counter("rpc.write_many").value - before == 4
     for block, payload in writes:
         assert client.read(block) == payload
     assert service.consistent()
+
+
+def _ship(net, service, client, writes, swaps):
+    """Run one ``write_many`` and return its requests in order, as
+    ``(shard, pages, swaps)`` — checking, whenever a request carries a
+    swap, that every page outside that request is already on both disks
+    of its shard (pages before reference)."""
+    from repro.sim.rpc import Request
+
+    sent = []
+
+    def durable(block):
+        pair = service.pair(client.placement.index_of(block))
+        local = client.placement.local_of(block)
+        return pair.disk_a.holds(local) and pair.disk_b.holds(local)
+
+    def tracer(sender, dest, payload):
+        if sender != "cli" or not isinstance(payload, Request):
+            return
+        assert payload.command == "write_many"
+        shard = next(
+            i for i, pair in enumerate(service.pairs) if dest in (pair.a.name, pair.b.name)
+        )
+        pages, conds = payload.params["writes"], payload.params["swaps"]
+        if conds:
+            riding = {client.placement.ranges[shard].global_of(b) for b, _ in pages}
+            assert all(durable(b) for b, _ in writes if b not in riding)
+        sent.append((shard, len(pages), len(conds)))
+
+    net.tracer = tracer
+    try:
+        results = client.write_many(writes, swaps)
+    finally:
+        net.tracer = None
+    return sent, results
+
+
+def _version_pages(client, shards):
+    """One nil-referenced 'version page' on each of the given shards."""
+    pages = {}
+    while set(pages) != set(shards):
+        block = client.allocate_write(b"\x00" * 4 + b"version")
+        shard = client.placement.index_of(block)
+        if shard in shards and shard not in pages:
+            pages[shard] = block
+    return [pages[shard] for shard in shards]
+
+
+def _swap(block, ref):
+    return (block, 0, b"\x00" * 4, ref.to_bytes(4, "big"))
+
+
+def test_swaps_on_one_shard_ride_its_batch_after_every_other_shard(net, service, client):
+    (base,) = _version_pages(client, [2])
+    blocks = [client.allocate() for _ in range(8)]  # two per shard
+    writes = [(block, b"page %d" % i) for i, block in enumerate(blocks)]
+    sent, results = _ship(net, service, client, writes, [_swap(base, blocks[0])])
+    # One request per shard; the shard holding the reference goes last and
+    # carries the swap behind its own pages.
+    assert sent == [(0, 2, 0), (1, 2, 0), (3, 2, 0), (2, 2, 1)]
+    assert [r.success for r in results] == [True]
+    assert client.read(base)[:4] == blocks[0].to_bytes(4, "big")
+    assert service.consistent()
+
+
+def test_swaps_on_two_shards_follow_every_page(net, service, client):
+    bases = _version_pages(client, [3, 1])
+    blocks = [client.allocate() for _ in range(4)]  # one per shard
+    writes = [(block, b"page %d" % i) for i, block in enumerate(blocks)]
+    client.test_and_set(*_swap(bases[1], 99))  # that file has a winner already
+    swaps = [_swap(bases[0], blocks[0]), _swap(bases[1], blocks[1])]
+    sent, results = _ship(net, service, client, writes, swaps)
+    # Pages everywhere first, then the swaps in requests of their own.
+    assert sent == [(0, 1, 0), (1, 1, 0), (2, 1, 0), (3, 1, 0), (1, 0, 1), (3, 0, 1)]
+    # Results come back in the order the swaps were given.
+    assert [r.success for r in results] == [True, False]
+    assert int.from_bytes(results[1].current, "big") == 99
+    assert service.consistent()
+
+
+def test_swap_without_pages_is_one_request(net, service, client):
+    (base,) = _version_pages(client, [1])
+    sent, results = _ship(net, service, client, [], [_swap(base, 7)])
+    assert sent == [(1, 0, 1)] and results[0].success
+
+
+def test_swap_waits_for_a_page_batch_that_could_not_be_placed(net, service, client):
+    """A shard was cut over and no newer map is to be had: its pages are
+    not durable, so the reference must not be set."""
+    from repro.errors import PlacementStale
+
+    (base,) = _version_pages(client, [3])
+    blocks = [client.allocate() for _ in range(4)]
+    for half in service.halves(0):
+        half.retire(2)
+    with pytest.raises(PlacementStale):
+        client.write_many(
+            [(block, b"page") for block in blocks], [_swap(base, blocks[0])]
+        )
+    assert client.read(base)[:4] == b"\x00" * 4
 
 
 def test_write_many_replicates_to_both_halves(service, client):

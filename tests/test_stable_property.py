@@ -93,3 +93,49 @@ def test_pair_never_diverges(ops, schedule):
         last[p["block"]] = p["data"]
     for block, expected in last.items():
         assert pair.disk_a.read(block) == expected
+
+
+# -- extents and pools ---------------------------------------------------------
+
+pool_op = st.one_of(
+    st.tuples(st.just("alloc"), st.sampled_from("ab")),
+    st.tuples(st.just("free"), st.sampled_from("ab"), st.integers(0, 63)),
+    st.tuples(st.just("bounce"), st.sampled_from("ab")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(pool_op, min_size=1, max_size=40))
+def test_pools_never_hand_a_number_out_twice_nor_show_it(ops):
+    """Allocations and frees through both halves, with either half
+    crashing and coming back (which forgets its pool): no number is
+    handed out while it is still held, no pooled number shows in any
+    ``recover``, and both owner maps agree in the end."""
+    network = Network()
+    pair = StablePair(network, 0xB01, capacity=512, block_size=64)
+    halves = {"a": pair.a, "b": pair.b}
+    held: list[int] = []
+    for op in ops:
+        half = halves[op[1]]
+        if op[0] == "alloc":
+            block = half.cmd_allocate(1)
+            assert block not in held
+            held.append(block)
+        elif op[0] == "free" and held:
+            half.cmd_free(1, held.pop(op[2] % len(held)))
+        elif op[0] == "bounce":
+            half.crash()
+            half.restart()
+            half.resync()
+            assert not half._pool
+        pooled = set(pair.a._pool) | set(pair.b._pool)
+        for each in halves.values():
+            listed = set(each.cmd_recover(1))
+            assert not listed & pooled
+            assert set(held) <= listed
+    owners = [
+        {b: h.local.owner_of(b) for b in h.local.allocated_blocks()}
+        for h in halves.values()
+    ]
+    assert owners[0] == owners[1]
+    assert pair.consistent()

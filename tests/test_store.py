@@ -158,3 +158,99 @@ def test_lock_based_commit_full_service_flow():
     fs.commit(vc.version)
     with pytest.raises(CommitConflict):
         fs.commit(vd.version)
+
+
+# -- the commit as one request: pages, then the test-and-set -------------------
+
+
+def _committed_base(store):
+    base = store.store_new(Page(is_version_page=True, commit_ref=NIL))
+    store.flush()
+    return base
+
+
+def _on_both_disks(pair, block):
+    return pair.disk_a.holds(block) and pair.disk_b.holds(block)
+
+
+def test_tas_commit_ref_flushes_in_the_same_request(store, pair, net):
+    base = _committed_base(store)
+    page = store.store_new(Page(data=b"the version's page"))
+    messages = net.stats.messages
+    result = store.tas_commit_ref(base, page)
+    # One request to the pair, one companion exchange: four messages.
+    assert net.stats.messages - messages == 4
+    assert result.success and store.dirty_count == 0
+    assert _on_both_disks(pair, page)
+    for disk in (pair.disk_a, pair.disk_b):
+        assert Page.from_bytes(disk.read(base)).commit_ref == page
+    assert store.read_commit_ref(base) == page  # the cached copy was dropped
+
+
+def test_failed_compare_still_flushes(store, pair):
+    base = _committed_base(store)
+    assert store.tas_commit_ref(base, 777).success
+    page = store.store_new(Page(data=b"the loser's page"))
+    result = store.tas_commit_ref(base, page)
+    assert not result.success
+    assert int.from_bytes(result.current, "big") == 777
+    # The pages are safely on disk all the same: serialise + retry goes on
+    # from there exactly as after a separate flush.
+    assert store.dirty_count == 0 and _on_both_disks(pair, page)
+    assert store.read_commit_ref(base) == 777
+
+
+def test_dirty_set_survives_a_conflicted_request(store, pair):
+    from repro.errors import CompanionConflict
+
+    base = _committed_base(store)
+    page = store.store_new(Page(data=b"retry me"))
+    other = pair.b._new_op("write", 1, page, b"in flight through B")
+    with pytest.raises(CompanionConflict):
+        store.tas_commit_ref(base, page)
+    # Refused before any damage: nothing written, nothing forgotten.
+    assert store.dirty_count == 1 and not pair.disk_a.holds(page)
+    assert store.read_commit_ref(base) == NIL
+    pair.b._drop_markers(other)
+    assert store.tas_commit_ref(base, page).success
+    assert store.dirty_count == 0 and _on_both_disks(pair, page)
+
+
+def test_dirty_set_survives_an_outage(store, pair):
+    from repro.errors import ServerUnreachable
+
+    base = _committed_base(store)
+    page = store.store_new(Page(data=b"retry me"))
+    pair.a.crash()
+    pair.b.crash()
+    with pytest.raises(ServerUnreachable):
+        store.tas_commit_ref(base, page)
+    assert store.dirty_count == 1
+    for half in pair.halves():
+        half.restart()
+    for half in pair.halves():
+        half.resync()
+    assert store.tas_commit_ref(base, page).success
+    assert _on_both_disks(pair, page)
+
+
+def test_tas_commit_refs_publishes_several_files_in_one_request(store, pair, net):
+    bases = [_committed_base(store) for _ in range(3)]
+    assert store.tas_commit_ref(bases[1], 555).success  # someone got there first
+    heads = [store.store_new(Page(is_version_page=True)) for _ in bases]
+    messages = net.stats.messages
+    results = store.tas_commit_refs(list(zip(bases, heads)), "commit_group")
+    assert net.stats.messages - messages == 4
+    assert [r.success for r in results] == [True, False, True]
+    assert int.from_bytes(results[1].current, "big") == 555
+    assert store.dirty_count == 0 and all(_on_both_disks(pair, h) for h in heads)
+
+
+def test_unbatched_store_writes_page_by_page_then_swaps(store, pair, net):
+    store.batch_flushes = False
+    base = _committed_base(store)
+    pages = [store.store_new(Page(data=b"p%d" % i)) for i in range(3)]
+    messages = net.stats.messages
+    assert store.tas_commit_ref(base, pages[0]).success
+    assert net.stats.messages - messages == 4 * (len(pages) + 1)
+    assert all(_on_both_disks(pair, p) for p in pages)

@@ -36,16 +36,11 @@ Subcommands:
   death, the file table is checkpointed to disk, and serving again with
   the same ``--data-dir`` and ``--seed`` recovers files, capabilities and
   intentions lists by journal replay.  See docs/DURABILITY.md.
-  ``--async`` hosts every daemon on one asyncio event loop (pipelined
-  connections, lock-free reads) instead of a thread per connection.
   Prints a ``REPRO_SPEC=...`` line other processes hand to ``repro
   connect``, then serves until interrupted.  ``--smoke`` instead runs a
   history-checked workload over the sockets — killing one stable-pair
   daemon mid-workload — and exits 0 iff failover worked and the recorded
-  history is serializable (combine with ``--async`` to smoke the event-
-  loop daemon).  ``--bench`` runs the wire-transport benchmark on both
-  daemon implementations and writes ``BENCH_net.json`` (``--out PATH``).
-  See docs/NETWORKING.md.
+  history is serializable.  See docs/NETWORKING.md.
 * ``connect`` — join a served deployment by spec string and run a small
   round-trip workload (create, commit, read back) as a separate-process
   client.  With ``--bootstrap`` (serve side: ``--discovery``) only the
@@ -531,11 +526,8 @@ def _serve(extra: list[str]) -> None:
     seed = 42
     host = "127.0.0.1"
     smoke = False
-    bench = False
-    async_mode = False
     discovery = False
     data_dir = None
-    bench_out = "BENCH_net.json"
     args = list(extra)
     while args:
         flag = args.pop(0)
@@ -551,31 +543,17 @@ def _serve(extra: list[str]) -> None:
             data_dir = args.pop(0)
         elif flag == "--smoke":
             smoke = True
-        elif flag == "--bench":
-            bench = True
-        elif flag == "--async":
-            async_mode = True
+        elif flag == "--async":  # ignored; bench/daemon.py passes it (ROADMAP 4(b))
+            pass
         elif flag == "--discovery":
             discovery = True
-        elif flag == "--out":
-            bench_out = args.pop(0)
         else:
             print(f"unknown serve flag {flag!r}")
             print(__doc__)
             sys.exit(2)
 
-    if bench:
-        sys.exit(_serve_bench(bench_out))
     if smoke:
-        sys.exit(
-            _serve_smoke(
-                servers=servers,
-                shards=shards,
-                seed=seed,
-                host=host,
-                async_mode=async_mode,
-            )
-        )
+        sys.exit(_serve_smoke(servers=servers, shards=shards, seed=seed, host=host))
 
     import os
     import threading
@@ -599,7 +577,6 @@ def _serve(extra: list[str]) -> None:
         seed=seed,
         host=host,
         recorder=recorder,
-        async_mode=async_mode,
         discovery=discovery,
         backend="disk" if data_dir is not None else "sim",
         data_dir=data_dir,
@@ -646,11 +623,7 @@ def _serve(extra: list[str]) -> None:
         last_table = raw
 
     topology = f"{shards}-shard" if shards else "single-pair"
-    daemon_kind = "async event-loop" if async_mode else "threaded"
-    print(
-        f"serving {topology} deployment: {servers} file server(s), "
-        f"{daemon_kind} daemons on {host}"
-    )
+    print(f"serving {topology} deployment: {servers} file server(s) on {host}")
     print("REPRO_SPEC=" + cluster.spec(), flush=True)
     print("connect with:  python -m repro connect '<spec>'   (^C stops)")
     try:
@@ -665,37 +638,7 @@ def _serve(extra: list[str]) -> None:
         print("stopped.")
 
 
-def _serve_bench(out: str) -> int:
-    """Run the wire-transport benchmark (both daemon implementations,
-    real sockets) and write ``BENCH_net.json``."""
-    import json
-
-    from repro.workloads.netbench import netbench_document
-
-    document = netbench_document()
-    with open(out, "w") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    parity = document["parity"]
-    print(f"wrote {out}")
-    print(
-        "parity: sim=%d threaded=%d async=%d (mismatch=%d)"
-        % (parity["sim"], parity["threaded"], parity["async"], parity["mismatch"])
-    )
-    print(
-        "contended read p99: threaded %.2fms, async %.2fms (%.2fx better)"
-        % (
-            document["contended"]["threaded"]["read_p99_ms"],
-            document["contended"]["async"]["read_p99_ms"],
-            document["read_p99_improvement"],
-        )
-    )
-    return 1 if parity["mismatch"] else 0
-
-
-def _serve_smoke(
-    servers: int, shards: int, seed: int, host: str, async_mode: bool = False
-) -> int:
+def _serve_smoke(servers: int, shards: int, seed: int, host: str) -> int:
     """End-to-end smoke over real sockets: a history-checked workload that
     loses one stable-pair daemon mid-run and must fail over cleanly."""
     from repro.net import build_tcp_cluster
@@ -712,7 +655,6 @@ def _serve_smoke(
         host=host,
         recorder=recorder,
         history=history,
-        async_mode=async_mode,
     )
     try:
         client = cluster.client("smoke-host", history=history)

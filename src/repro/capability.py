@@ -161,9 +161,9 @@ class CapabilityIssuer:
         self.port = port
         self._secrets: dict[int, int] = {}
         self._next_obj = 1
-        # Minting is no longer confined to the dispatch lock: the async
-        # transport's lock-free read path can lazily re-mint a version
-        # capability while a commit mints new ones.
+        # Minting is not confined to the dispatch lock: the TCP daemon's
+        # lock-free read commands can lazily re-mint a version capability
+        # while a commit mints new ones.
         self._mint_lock = threading.Lock()
 
     # -- minting ----------------------------------------------------------

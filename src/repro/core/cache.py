@@ -78,11 +78,11 @@ class Lease:
 class PageCache:
     """A bounded LRU cache of deserialised pages by block number.
 
-    Thread-safe: the async transport serves snapshot reads without the
-    dispatch lock, so a read's LRU bookkeeping can race a commit's
-    ``put``/``invalidate`` on the same server.  OrderedDict reordering is
-    not atomic, hence the internal mutex (uncontended in the simulation
-    and the threaded transport, where dispatch is already serialised).
+    Thread-safe: the TCP daemon serves its lock-free read commands
+    without the dispatch lock, so a read's LRU bookkeeping can race a
+    commit's ``put``/``invalidate`` on the same server.  OrderedDict
+    reordering is not atomic, hence the internal mutex (uncontended in the
+    simulation, where dispatch is already serialised).
     """
 
     def __init__(self, capacity: int = 1024, recorder=None) -> None:
@@ -95,8 +95,8 @@ class PageCache:
         self._mutex = threading.Lock()
 
     def get(self, block: int) -> Page | None:
-        # Stats move under the mutex too: the lock-free async read path
-        # races put/invalidate here, and `stats.hits += 1` is a read-
+        # Stats move under the mutex too: the lock-free read commands
+        # race put/invalidate here, and `stats.hits += 1` is a read-
         # modify-write that loses updates when interleaved.
         with self._mutex:
             page = self._pages.get(block)

@@ -137,7 +137,7 @@ class FileRegistry:
         Aborted tombstones are skipped: their blocks are freed and the
         numbers may have been reused by newer versions.
 
-        Iterates a snapshot: lock-free snapshot reads (async transport)
+        Iterates a snapshot: the TCP daemon's lock-free read commands
         walk this table while a concurrent commit inserts entries, and a
         live dict iterator would raise ``RuntimeError`` mid-read.
         """

@@ -2,19 +2,26 @@
 
 A :class:`NetServer` hosts any object exposing the ``cmd_*`` command set —
 a block server, one half of a stable pair, a file server — behind a real
-listening TCP socket.  Each accepted connection gets its own thread;
-frames are read with exact-length receives (partial reads and kernel
-buffering are handled here, nowhere else), dispatched, and answered with
-a reply or error frame on the same connection.
+listening TCP socket.  Each accepted connection gets its own thread,
+because handlers block: a file server's commit calls the block daemons and
+a stable half calls its companion, nested RPCs on the handler's own stack.
+The thread reads whatever the socket holds, reassembles frames with
+:class:`repro.net.wire.FrameAssembler` (partial reads and kernel buffering
+are handled there, nowhere else) and answers each frame before it looks at
+the next, so replies on one connection are in request order by
+construction and a connection's backlog is the kernel's socket buffer.
 
 The hosted server objects are the same single-threaded objects the
-simulation drives, so dispatch is serialised through a lock.  The lock is
-acquired with a timeout: a request that cannot get the server within the
-window is answered with a retryable busy error (``MessageDropped`` on the
-wire, which the transaction layer retries with backoff) instead of
-queueing unboundedly — this also breaks the cross-daemon deadlock a
-companion pair could otherwise reach when both halves serve a client and
-call each other at the same moment.
+simulation drives, so mutating commands are serialised through a dispatch
+lock.  The lock is acquired with a timeout: a request that cannot get the
+server within the window is answered with a retryable busy error
+(``MessageDropped`` on the wire, which the transaction layer retries with
+backoff) instead of queueing unboundedly — this also breaks the
+cross-daemon deadlock a companion pair could otherwise reach when both
+halves serve a client and call each other at the same moment.  Commands in
+:data:`READ_ONLY_COMMANDS` (the snapshot-read fast path of §4, plus pure
+introspection) run without the lock, so a long commit never makes a
+concurrent ``snapshot_read`` wait or answer busy.
 
 Lifecycle mirrors the simulated network's attach/detach/reattach: a
 stopped daemon refuses connections (clients observe ECONNREFUSED and fail
@@ -37,6 +44,37 @@ from repro.obs import NULL_RECORDER
 # How long one request may wait for the dispatch lock before being told
 # to retry.  Generous against slow CI machines, small against deadlock.
 DEFAULT_LOCK_TIMEOUT = 5.0
+
+# Commands that never mutate server state and are safe to run while a
+# mutating command holds the dispatch lock.  Deliberately conservative:
+# ``read_page``/``page_structure`` record search flags on uncommitted
+# versions, and a stable server's ``read`` performs repairing writes, so
+# none of those qualify.
+READ_ONLY_COMMANDS = frozenset(
+    {
+        "snapshot_read",
+        "ping",
+        "current_version",
+        "committed_versions",
+        "family_tree",
+        "probe_update",
+        # Same mutation class as current_version + snapshot_read: hint
+        # repair and lazy version-entry minting only.  renew_lease stays
+        # locked — it feeds the write-paths cache via validate_cache.
+        "read_current",
+        # Discovery / placement reads: pure dictionary lookups.
+        "placement",
+        "directory",
+        "bootstrap",
+        # Migration reads on a stable server: the manifest and the
+        # retirement stamp are pure dict/attribute reads.  ``export``
+        # stays locked — it reads through ``_checked_read``, which can
+        # perform repairing writes; ``dirty_blocks`` stays locked — its
+        # ``reset`` flag mutates the tracking set.
+        "manifest",
+        "retired_epoch",
+    }
+)
 
 
 class _BusySignal(Exception):
@@ -185,49 +223,57 @@ class NetServer:
                 conn, _ = listener.accept()
             except OSError:
                 return  # listener closed: daemon stopping
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._conns_lock:
-                if not self._running:
-                    conn.close()
-                    return
-                self._conns.add(conn)
+            try:
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with self._conns_lock:
+                    if not self._running:
+                        conn.close()
+                        return
+                    self._conns.add(conn)
+                threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name=f"netserver-{self.name}-conn",
+                    daemon=True,
+                ).start()
+            except (OSError, RuntimeError):
+                # The peer reset before we got to it, or the process has no
+                # thread left to give: this connection is lost, not the daemon.
+                self.recorder.count("net.tcp.accept_errors")
+                with self._conns_lock:
+                    self._conns.discard(conn)
+                conn.close()
+                continue
             self.recorder.count("net.tcp.accepts")
-            threading.Thread(
-                target=self._serve_connection,
-                args=(conn,),
-                name=f"netserver-{self.name}-conn",
-                daemon=True,
-            ).start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
+        assembler = wire.FrameAssembler(self.max_frame)
         try:
             while self._running:
-                try:
-                    header = _recv_exact(conn, wire.HEADER_SIZE)
-                except (ConnectionError, OSError):
-                    return
-                if header is None:
-                    return  # orderly close from the peer
-                frame_type, request_id, length = wire.decode_header(
-                    header, self.max_frame
-                )
-                payload = _recv_exact(conn, length)
-                if payload is None:
-                    return  # torn frame: peer died mid-write
-                if frame_type != wire.FRAME_REQUEST:
-                    raise wire.BadFrame(
-                        f"server expected a request frame, got type {frame_type}"
+                data = conn.recv(1 << 16)
+                if not data:
+                    return  # the peer closed, or died mid-frame
+                request_id = 0  # a header that does not parse names no request
+                for frame_type, request_id, payload in assembler.feed(data):
+                    if frame_type != wire.FRAME_REQUEST:
+                        raise wire.BadFrame(
+                            f"server expected a request frame, got type {frame_type}"
+                        )
+                    self.recorder.count(
+                        "net.tcp.bytes_in", wire.HEADER_SIZE + len(payload)
                     )
-                self.recorder.count("net.tcp.bytes_in", wire.HEADER_SIZE + length)
-                reply = self._dispatch(payload, request_id)
-                conn.sendall(reply)
-                self.recorder.count("net.tcp.bytes_out", len(reply))
+                    reply = self._dispatch(payload, request_id)
+                    conn.sendall(reply)
+                    self.recorder.count("net.tcp.bytes_out", len(reply))
         except WireError as exc:
-            # Protocol violation: answer if possible, then hang up — a
-            # peer speaking garbage gets no second frame.
+            # Protocol violation: answer if possible — under the request's
+            # id when its header parsed, so the caller gets the typed error
+            # — then hang up: a peer speaking garbage gets no second frame.
             self.recorder.count("net.tcp.protocol_errors")
             try:
-                conn.sendall(wire.encode_error(exc, self.max_frame))
+                conn.sendall(
+                    wire.encode_error(exc, self.max_frame, request_id=request_id)
+                )
             except OSError:
                 pass
         except (ConnectionError, OSError):
@@ -267,25 +313,11 @@ class NetServer:
             return wire.encode_error(exc, self.max_frame, request_id=request_id)
 
     def _locked_call(self, sender: str, command: str, params: dict) -> Any:
+        if command in READ_ONLY_COMMANDS:
+            return self.handler(sender, command, params)
         if not self._dispatch_lock.acquire(timeout=self.lock_timeout):
             raise _BusySignal()
         try:
             return self.handler(sender, command, params)
         finally:
             self._dispatch_lock.release()
-
-
-def _recv_exact(conn: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes; None on a clean EOF at a frame boundary
-    (or before ``n`` is complete — the caller treats both as hang-up)."""
-    if n == 0:
-        return b""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = conn.recv(min(remaining, 1 << 16))
-        if not chunk:
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)

@@ -111,7 +111,7 @@ class HistoryRecorder:
     def __init__(self) -> None:
         self.events: list[HistoryEvent] = []
         self._seq = 0
-        # Lock-free snapshot reads (async transport) record concurrently
+        # The TCP daemon's lock-free read commands record concurrently
         # with commits; sequence numbers must stay unique and ordered.
         self._lock = threading.Lock()
 

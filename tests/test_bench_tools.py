@@ -57,7 +57,7 @@ def test_committed_baselines_match_fresh_measurements(bench_json):
     """The committed BENCH_*.json files must be regenerable bit-for-bit —
     a PR that changes commit-path costs must refresh them (that is the
     point of the gate).  Subtrees a document declares as ``wallclock``
-    (BENCH_net.json's contended-latency record) are excluded: they are
+    (BENCH_disk.json's seconds and sync-cost-tuned pass) are excluded: they are
     committed as a record of a claim, not a reproducible count."""
     for filename, produce in bench_json.BENCHES.items():
         committed = json.loads((BENCHMARKS / filename).read_text())

@@ -790,7 +790,7 @@ def test_build_stop_cycles_leak_no_descriptors(tmp_path):
 
     def cycle() -> None:
         cluster = build_tcp_cluster(
-            servers=1, async_mode=True, backend="disk", data_dir=str(tmp_path / "data"),
+            servers=1, backend="disk", data_dir=str(tmp_path / "data")
         )
         cluster.fs().create_file(b"x")
         cluster.stop()

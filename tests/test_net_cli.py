@@ -164,3 +164,37 @@ def test_stats_renders_net_section():
 def test_serve_rejects_unknown_flag():
     result = _run("serve", "--bogus")
     assert result.returncode == 2
+    # The netbench entry point is gone with the second daemon.
+    result = _run("serve", "--bench")
+    assert result.returncode == 2
+    assert "unknown serve flag '--bench'" in result.stdout
+
+
+def test_serve_still_accepts_the_async_flag():
+    """``bench/daemon.py`` starts the daemon with ``--async``; until it stops
+    (ROADMAP 4(b)) the flag is parsed and means nothing."""
+    server, spec, _ = _spawn_server("--async", "--servers", "1")
+    try:
+        assert spec.startswith("service:")
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+
+
+def test_daemon_process_imports_no_event_loop_or_executors():
+    """What the daemon does not import it does not pay for at every spawn:
+    ``asyncio`` costs it megabytes of resident memory and tens of
+    milliseconds of start-up (``server_rss_mib`` and ``setup_s`` in bench/)."""
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.net, repro.__main__; "
+            "print([m for m in ('asyncio', 'concurrent.futures') if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -1,12 +1,12 @@
-"""Concurrency barrage for the asyncio wire transport.
+"""Concurrency barrage for the socket daemon.
 
-The tentpole claims, each under deliberate stress:
+What the daemon promises, each under deliberate stress:
 
 * ~200 simultaneous connections with mixed reads and commits in flight —
   every request gets exactly one reply, none dropped, busy-retries
   bounded (zero, with the default lock timeout);
 * pipelined calls on one connection come back in FIFO order even when
-  the daemon dispatches them to different executor pools;
+  lock-free reads are interleaved with slower mutating commands;
 * a daemon killed mid-pipeline poisons the in-flight calls with a
   connection error (never a wrong or silently missing reply) and the
   workload completes through the companion with a serializable history;
@@ -25,9 +25,8 @@ import pytest
 
 from repro.core.pathname import PagePath
 from repro.errors import MessageDropped, ServerUnreachable
-from repro.net import build_tcp_cluster, wire
-from repro.net.aserver import AsyncNetServer, READ_ONLY_COMMANDS
-from repro.net.server import command_handler
+from repro.net import NetServer, build_tcp_cluster, wire
+from repro.net.server import READ_ONLY_COMMANDS, command_handler
 from repro.net.transport import PipelinedConnection
 from repro.obs import Recorder
 from repro.sim.rpc import _registry, failover_order
@@ -63,9 +62,7 @@ def test_connection_barrage_no_response_dropped():
     COMMITS_EACH = 3
 
     recorder = Recorder()
-    cluster = build_tcp_cluster(
-        servers=2, seed=77, async_mode=True, recorder=recorder
-    )
+    cluster = build_tcp_cluster(servers=2, seed=77, recorder=recorder)
     try:
         network = cluster.network
         seed_client = cluster.client("seed", use_cache=False)
@@ -137,36 +134,33 @@ def test_connection_barrage_no_response_dropped():
         cluster.stop()
 
 
-# -- per-connection FIFO across executor pools ------------------------------
+# -- per-connection FIFO across lock-free and locked commands ---------------
 
 
-class SplitPoolServer:
-    """One command in the read pool, one in the write pool, with skewed
-    runtimes — FIFO replies are only observable if the daemon's writer
-    actually orders them."""
+class SplitServer:
+    """One lock-free command, one behind the dispatch lock, with skewed
+    runtimes — FIFO replies are only observable if the daemon actually
+    answers in request order."""
 
     def __init__(self):
         self.name = "split"
 
-    def cmd_snapshot_read(self, value):  # read pool (lock-free)
+    def cmd_snapshot_read(self, value):  # lock-free
         return ("read", value)
 
-    def cmd_mutate(self, value):  # write pool (dispatch lock)
+    def cmd_mutate(self, value):  # dispatch lock
         time.sleep(0.01)
         return ("mutate", value)
 
 
 def test_pipelined_replies_are_fifo_per_connection():
     assert "snapshot_read" in READ_ONLY_COMMANDS
-    daemon = AsyncNetServer(
-        "split", command_handler(SplitPoolServer(), 0x42)
-    ).start()
+    daemon = NetServer("split", command_handler(SplitServer(), 0x42)).start()
     try:
         with socket.create_connection(daemon.address, timeout=10) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            # Interleave slow mutating calls with fast reads.  The reads
-            # finish first in their pool, but replies must still come
-            # back in submission order.
+            # Interleave slow mutating calls with fast reads: replies
+            # must come back in submission order.
             expected = []
             for i in range(20):
                 command = "mutate" if i % 3 == 0 else "snapshot_read"
@@ -189,22 +183,19 @@ def test_pipelined_replies_are_fifo_per_connection():
             assert [value for _, _, value in got] == list(range(20))
     finally:
         daemon.stop()
-        daemon.close_loop()
 
 
 # -- kill the daemon mid-pipeline -------------------------------------------
 
 
-def test_kill_async_daemon_mid_pipeline_fails_over_cleanly():
+def test_kill_daemon_mid_pipeline_fails_over_cleanly():
     """Crash the preferred file-server daemon while pipelined calls are
     in flight: the pending calls surface as connection errors (never a
     fabricated reply), and a normal client completes the workload through
     the replica with a serializable recorded history."""
     recorder = Recorder()
     history = HistoryRecorder()
-    cluster = build_tcp_cluster(
-        servers=2, seed=29, async_mode=True, recorder=recorder, history=history
-    )
+    cluster = build_tcp_cluster(servers=2, seed=29, recorder=recorder, history=history)
     try:
         client = cluster.client("host", history=history)
         caps = [client.create_file(b"file %d" % i) for i in range(3)]
@@ -285,10 +276,9 @@ class SlowCommitServer:
 
 def test_snapshot_read_not_busied_by_long_commit_daemon_level():
     """With a 0.1s lock timeout and a 0.6s mutating call holding the
-    lock, a snapshot read on the same port must answer — not busy.  (On
-    the threaded daemon this exact sequence answers MessageDropped.)"""
+    lock, a snapshot read on the same port must answer — not busy."""
     server = SlowCommitServer()
-    daemon = AsyncNetServer(
+    daemon = NetServer(
         "slowfs", command_handler(server, 0x42), lock_timeout=0.1
     ).start()
     try:
@@ -325,7 +315,6 @@ def test_snapshot_read_not_busied_by_long_commit_daemon_level():
         assert background == ["committed"]
     finally:
         daemon.stop()
-        daemon.close_loop()
 
 
 def test_snapshot_read_not_busied_by_commit_stream_service_level():
@@ -334,8 +323,7 @@ def test_snapshot_read_not_busied_by_commit_stream_service_level():
     every concurrent snapshot read must succeed, zero busy signals."""
     recorder = Recorder()
     cluster = build_tcp_cluster(
-        servers=2, seed=31, async_mode=True, recorder=recorder,
-        lock_timeout=0.02,
+        servers=2, seed=31, recorder=recorder, lock_timeout=0.02
     )
     try:
         committer = cluster.client("committer", use_cache=False)

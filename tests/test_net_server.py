@@ -19,8 +19,8 @@ from repro.errors import (
     ServerUnreachable,
 )
 from repro.net import NetServer, TcpNetwork, TcpTransaction, wire
-from repro.net.aserver import AsyncNetServer
 from repro.net.server import command_handler
+from repro.net.transport import PipelinedConnection
 from repro.obs import Recorder
 from repro.sim.rpc import Request, RpcEndpoint, Transaction
 
@@ -53,16 +53,8 @@ class EchoServer:
         return b"x" * n
 
 
-def _stop_daemon(daemon):
-    daemon.stop()
-    if isinstance(daemon, AsyncNetServer):
-        daemon.close_loop()
-
-
-# Every daemon-level test runs against both implementations: the threaded
-# thread-per-connection server and the asyncio event-loop server speak the
-# same wire protocol and must be behaviourally identical at this level.
-@pytest.fixture(params=[NetServer, AsyncNetServer], ids=["threaded", "async"])
+# One daemon; the id names its design, a thread per connection.
+@pytest.fixture(params=[NetServer], ids=["threaded"])
 def daemon_cls(request):
     return request.param
 
@@ -73,7 +65,7 @@ def daemon(daemon_cls):
     daemon = daemon_cls("echo", command_handler(server, 0x42)).start()
     daemon.server_obj = server
     yield daemon
-    _stop_daemon(daemon)
+    daemon.stop()
 
 
 def _raw_call(address, frame):
@@ -176,7 +168,7 @@ def test_oversized_reply_is_an_error_frame_not_a_truncation(daemon_cls):
         assert frame_type == wire.FRAME_ERROR
         assert isinstance(wire.decode_error(body), FrameTooLarge)
     finally:
-        _stop_daemon(daemon)
+        daemon.stop()
 
 
 def test_garbage_header_gets_error_then_hangup(daemon):
@@ -216,7 +208,7 @@ def test_busy_dispatch_answers_message_dropped(daemon_cls):
         assert frame_type == wire.FRAME_ERROR
         assert isinstance(wire.decode_error(body), MessageDropped)
     finally:
-        _stop_daemon(daemon)
+        daemon.stop()
 
 
 def test_stop_refuses_connections_and_restart_keeps_port(daemon):
@@ -235,6 +227,107 @@ def test_stop_refuses_connections_and_restart_keeps_port(daemon):
         daemon.address, wire.encode_request("c", "echo", {"value": "back"})
     )
     assert wire.decode_value(body) == "back"
+
+
+def test_undecodable_body_is_answered_under_its_request_id(daemon):
+    """Header fine, body garbage: the daemon knows whose request it was, so
+    the typed error goes to that caller — and then it hangs up."""
+    frame = wire.encode_request("c", "echo", {"value": 1}, request_id=7)
+    garbled = frame[: wire.HEADER_SIZE] + b"\xff" * (len(frame) - wire.HEADER_SIZE)
+    with socket.create_connection(daemon.address, timeout=5) as sock:
+        sock.sendall(garbled)
+        frame_type, request_id, length = wire.decode_header(
+            _read(sock, wire.HEADER_SIZE)
+        )
+        assert (frame_type, request_id) == (wire.FRAME_ERROR, 7)
+        assert isinstance(wire.decode_error(_read(sock, length)), wire.BadFrame)
+        assert sock.recv(1) == b""
+
+    # The client's connection object delivers it: a BadFrame for the
+    # caller, not an unsolicited frame followed by a dead connection.
+    conn = PipelinedConnection(socket.create_connection(daemon.address, timeout=5))
+    try:
+        frame_type, body, _ = conn.call("c", "echo", {7: "not a parameter name"})
+        assert frame_type == wire.FRAME_ERROR
+        assert isinstance(wire.decode_error(body), wire.BadFrame)
+    finally:
+        conn.close()
+
+
+def test_accept_loop_outlives_a_connection_it_cannot_serve(monkeypatch):
+    """One connection whose thread cannot be started is closed and counted;
+    the daemon keeps accepting."""
+    recorder = Recorder()
+    daemon = NetServer(
+        "echo", command_handler(EchoServer(), 0x42), recorder=recorder
+    ).start()
+    start_thread = threading.Thread.start
+    failures = []
+
+    def start_or_fail(thread):
+        if thread.name.endswith("-conn") and not failures:
+            failures.append(thread)
+            raise RuntimeError("can't start new thread")
+        start_thread(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start_or_fail)
+    try:
+        with socket.create_connection(daemon.address, timeout=5) as sock:
+            assert sock.recv(1) == b""  # closed on us, unserved
+        assert len(failures) == 1
+        frame_type, body = _raw_call(
+            daemon.address, wire.encode_request("c", "echo", {"value": "next"})
+        )
+        assert wire.decode_value(body) == "next"
+        assert daemon.running
+        assert recorder.metrics.counters["net.tcp.accept_errors"].value == 1
+    finally:
+        daemon.stop()
+
+
+class _HeldAccept:
+    """A recorder that parks the accept thread on its first accept, so the
+    next handshake stays in the listen backlog."""
+
+    enabled = False
+
+    def __init__(self):
+        self.parked = threading.Event()
+        self.release = threading.Event()
+
+    def count(self, name, n=1):
+        if name == "net.tcp.accepts" and not self.parked.is_set():
+            self.parked.set()
+            self.release.wait(timeout=10)
+
+
+def test_stop_resets_a_connection_still_in_the_listen_backlog():
+    """A client whose handshake the kernel completed but the daemon never
+    accepted learns of the crash at once, not at its call timeout."""
+    recorder = _HeldAccept()
+    daemon = NetServer(
+        "echo", command_handler(EchoServer(), 0x42), recorder=recorder
+    ).start()
+    stopper = threading.Thread(target=daemon.stop)
+    try:
+        with socket.create_connection(daemon.address, timeout=5):
+            assert recorder.parked.wait(timeout=5)
+            with socket.create_connection(daemon.address, timeout=5) as waiting:
+                waiting.sendall(wire.encode_request("c", "echo", {"value": 1}))
+                stopper.start()
+                started = time.monotonic()
+                try:
+                    assert waiting.recv(1) == b""
+                except ConnectionResetError:
+                    pass
+                assert time.monotonic() - started < 2.0
+        recorder.release.set()
+        stopper.join(timeout=10)
+        assert not stopper.is_alive()
+    finally:
+        recorder.release.set()
+        daemon.stop()
+    assert not daemon.running
 
 
 # -- the TcpNetwork / TcpTransaction client layer ---------------------------

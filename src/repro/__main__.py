@@ -355,69 +355,17 @@ def _stats(extra: list[str] | None = None) -> None:
 
 
 def _soak(extra: list[str]) -> None:
-    from repro.sim.explore import SoakConfig, run_soak
+    from repro.sim.explore import parse_soak_flags, run_soak
 
-    seeds = [1]
-    ops = 200
-    shards = 0
-    clients = 3
-    mutant = False
-    group_commit = False
-    leases = False
-    rebalance = False
-    backend = "sim"
-    contention = False
-    merge = True
-    args = list(extra)
-    while args:
-        flag = args.pop(0)
-        if flag == "--seed":
-            value = args.pop(0)
-            if ".." in value:
-                low, high = value.split("..", 1)
-                seeds = list(range(int(low), int(high) + 1))
-            else:
-                seeds = [int(value)]
-        elif flag == "--ops":
-            ops = int(args.pop(0))
-        elif flag == "--shards":
-            shards = int(args.pop(0))
-        elif flag == "--clients":
-            clients = int(args.pop(0))
-        elif flag == "--mutant":
-            mutant = True
-        elif flag == "--group-commit":
-            group_commit = True
-        elif flag == "--leases":
-            leases = True
-        elif flag == "--rebalance":
-            rebalance = True
-        elif flag == "--backend":
-            backend = args.pop(0)
-        elif flag == "--contention":
-            contention = True
-        elif flag == "--no-merge":
-            merge = False
-        else:
-            print(f"unknown soak flag {flag!r}")
-            print(__doc__)
-            sys.exit(2)
+    try:
+        configs = parse_soak_flags(extra)
+    except ValueError as exc:
+        print(exc)
+        print(__doc__)
+        sys.exit(2)
 
     failed = False
-    for seed in seeds:
-        config = SoakConfig(
-            seed=seed,
-            ops=ops,
-            shards=shards,
-            clients=clients,
-            mutant=mutant,
-            group_commit=group_commit,
-            leases=leases,
-            rebalance=rebalance,
-            backend=backend,
-            contention=contention,
-            merge=merge,
-        )
+    for config in configs:
         report = run_soak(config)
         print(report.summary())
         if not report.ok:

@@ -12,10 +12,6 @@ the paper's scaling story.  This module supplies it:
   ``epoch + 1``.  A client routing with a stale map gets a typed
   :class:`~repro.errors.PlacementStale` and refetches.
 
-* :class:`ShardMap` — the original arithmetic map (``stride`` numbers
-  per shard), kept as the constructor for epoch-1 layouts and for the
-  fixed-topology API.
-
 * :class:`ShardedBlockService` — the server side: N :class:`~repro.block.
   stable.StablePair` companion pairs, one service port per shard, each
   pair internally replicated and recoverable exactly as a single pair is.
@@ -66,45 +62,6 @@ from repro.sim.rpc import Transaction
 # block numbers are ``shard * stride + local`` with local in [1, stride],
 # so any pair capacity up to the stride fits without overlap.
 DEFAULT_SHARD_STRIDE = 1 << 22
-
-
-@dataclass(frozen=True)
-class ShardMap:
-    """The deterministic block-number → shard placement map.
-
-    Pure arithmetic, shared by clients and servers: shard ``s`` owns the
-    global numbers ``s*stride + 1 .. (s+1)*stride``.  This is the epoch-1
-    layout of every deployment; elastic reshaping happens on the derived
-    :class:`PlacementMap`.
-    """
-
-    shards: int
-    stride: int = DEFAULT_SHARD_STRIDE
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("a sharded service needs at least one shard")
-        if self.stride < 1:
-            raise ValueError("shard stride must be positive")
-
-    def shard_of(self, block: int) -> int:
-        """The shard that owns a global block number."""
-        shard = (block - 1) // self.stride
-        if not 0 <= shard < self.shards:
-            raise ValueError(
-                f"block {block} maps to shard {shard}, outside 0..{self.shards - 1}"
-            )
-        return shard
-
-    def local_of(self, block: int) -> int:
-        """The shard-local block number behind a global one."""
-        return block - self.shard_of(block) * self.stride
-
-    def global_of(self, shard: int, local: int) -> int:
-        """Splice a shard-local number into the global namespace."""
-        if not 1 <= local <= self.stride:
-            raise ValueError(f"local block {local} outside 1..{self.stride}")
-        return shard * self.stride + local
 
 
 @dataclass(frozen=True)
@@ -314,7 +271,6 @@ class ShardedBlockService:
         self.write_once = write_once
         self.backend = backend
         self.data_dir = data_dir
-        self.map = ShardMap(len(list(ports)), stride)
         if recorder is None:
             recorder = getattr(network, "recorder", None)
         self.recorder = recorder if recorder is not None else NULL_RECORDER
@@ -386,7 +342,6 @@ class ShardedBlockService:
             client_node,
             self.placement.ports,
             account,
-            shard_map=self.map if self.placement.epoch == 1 else None,
             recorder=recorder,
             retry=retry,
             placement=self.placement,
@@ -496,7 +451,7 @@ class ShardedBlockClient:
         client_node: str,
         ports: list[int],
         account: int,
-        shard_map: ShardMap | None = None,
+        stride: int = DEFAULT_SHARD_STRIDE,
         recorder=None,
         retry: RetryPolicy | None = None,
         placement: PlacementMap | None = None,
@@ -509,17 +464,8 @@ class ShardedBlockClient:
         self.ports = list(ports)
         self.account = account
         if placement is None:
-            shard_map = (
-                shard_map if shard_map is not None else ShardMap(len(self.ports))
-            )
-            if shard_map.shards != len(self.ports):
-                raise ValueError(
-                    f"shard map covers {shard_map.shards} shards but "
-                    f"{len(self.ports)} ports were given"
-                )
-            placement = PlacementMap.initial(self.ports, shard_map.stride)
+            placement = PlacementMap.initial(self.ports, stride)
         self.placement = placement
-        self.map = shard_map
         if recorder is None:
             recorder = getattr(network, "recorder", NULL_RECORDER)
         self.recorder = recorder

@@ -184,17 +184,12 @@ class FileClient:
             # have been superseded before this instant, so the lease
             # window bounds how far any lease-served read can lag.
             now = self.clock.now
-            try:
-                data, current, lease = self._call(
-                    "read_current",
-                    file_cap=file_cap,
-                    path=str(path),
-                    lease_ticks=self.lease_ticks,
-                )
-            except ReproError:
-                # Degraded fallback (e.g. a daemon predating the lease
-                # protocol): the server-side snapshot fast path, uncached.
-                return self.snapshot_read(file_cap, path)
+            data, current, lease = self._call(
+                "read_current",
+                file_cap=file_cap,
+                path=str(path),
+                lease_ticks=self.lease_ticks,
+            )
             self.cache.remember(file_cap, current, {path: data})
             self.cache.set_lease(file_cap, lease, now)
             return data

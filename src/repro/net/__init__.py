@@ -12,37 +12,26 @@ that wire; this package *is* that wire:
   read-only commands served without the dispatch lock;
 * :mod:`repro.net.transport` — :class:`~repro.net.transport.TcpNetwork`
   (the simulated network's interface over pooled real connections,
-  each a :class:`~repro.net.transport.PipelinedConnection`) and
+  each a blocking :class:`~repro.net.transport.Connection`) and
   :class:`~repro.net.transport.TcpTransaction` (per-call timeouts,
   bounded retry with backoff, deterministic companion failover);
 * :mod:`repro.net.cluster` — :func:`~repro.net.cluster.build_tcp_cluster`
   to launch a whole single-pair or sharded topology of daemons on
-  localhost, plus the spec strings ``repro serve`` / ``repro connect``
+  localhost (a :class:`repro.testbed.Cluster`, as on the simulator),
+  plus the spec strings ``repro serve`` / ``repro connect``
   exchange.
 
 Everything above the transport — OCC, stores, clients — runs unchanged;
 see docs/NETWORKING.md for the wire format and the sim/TCP parity matrix.
 """
 
-from repro.net.cluster import (
-    TcpCluster,
-    bootstrap,
-    build_tcp_cluster,
-    connect,
-    parse_spec,
-)
+from repro.net.cluster import bootstrap, build_tcp_cluster, connect, parse_spec
 from repro.net.server import NetServer
-from repro.net.transport import (
-    PipelinedConnection,
-    TcpNetwork,
-    TcpTransaction,
-    WallClock,
-)
+from repro.net.transport import Connection, TcpNetwork, TcpTransaction, WallClock
 
 __all__ = [
+    "Connection",
     "NetServer",
-    "PipelinedConnection",
-    "TcpCluster",
     "TcpNetwork",
     "TcpTransaction",
     "WallClock",

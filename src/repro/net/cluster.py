@@ -1,13 +1,14 @@
 """Launch a whole file-service topology as socket daemons on localhost.
 
 :func:`build_tcp_cluster` is the TCP twin of :func:`repro.testbed.
-build_cluster`: the same stable pair (or sharded pairs) and replicated
-file servers, but every server object is hosted by a real
-:class:`~repro.net.server.NetServer` daemon and every message — client to
-file server, file server to block storage, companion half to companion
-half — crosses a real TCP socket.  Nothing above the transport changes:
-``core/service.py`` OCC logic, the stores, the registry are byte-for-byte
-the objects the simulation runs.
+build_cluster`: the same :func:`repro.testbed.assemble` — stable pair (or
+sharded pairs), replicated file servers, one :class:`~repro.testbed.
+Cluster` handle — on a :class:`~repro.net.transport.TcpNetwork`, so every
+server object is hosted by a real :class:`~repro.net.server.NetServer`
+daemon and every message — client to file server, file server to block
+storage, companion half to companion half — crosses a real TCP socket.
+Nothing above the transport changes: ``core/service.py`` OCC logic, the
+stores, the registry are byte-for-byte the objects the simulation runs.
 
 A cluster serialises to a *spec string* so other OS processes can reach
 it (``repro serve`` prints it, ``repro connect`` parses it):
@@ -21,77 +22,10 @@ one address per daemon serving that paper port.  A client only needs the
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from functools import partial
 
-from repro.capability import CapabilityIssuer, new_port
-from repro.block.stable import StablePair
-from repro.core.registry import FileRegistry
-from repro.core.service import FileService
 from repro.net.transport import TcpNetwork
-from repro.obs import NULL_RECORDER
-from repro.sim.rpc import RpcEndpoint, _registry
-from repro.testbed import FILE_SERVICE_ACCOUNT
-
-
-@dataclass
-class TcpCluster:
-    """A running socket deployment (all daemons in this process)."""
-
-    network: TcpNetwork
-    rng: random.Random
-    block_port: int
-    service_port: int
-    pair: StablePair
-    registry: FileRegistry
-    issuer: CapabilityIssuer
-    servers: list[FileService]
-    endpoints: list[RpcEndpoint]
-    shards: object = None  # ShardedBlockService on sharded deployments
-    recorder: object = NULL_RECORDER
-    history: object = None
-    discovery: object = None  # DiscoveryServer when built with discovery=True
-    discovery_port: int | None = None
-
-    def fs(self, index: int = 0) -> FileService:
-        return self.servers[index]
-
-    @property
-    def clock(self):
-        return self.network.clock
-
-    def client(self, node: str, **kwargs):
-        """A FileClient bound to this cluster over TCP."""
-        from repro.client.api import FileClient
-
-        return FileClient(self.network, node, self.service_port, **kwargs)
-
-    def spec(self) -> str:
-        """The connection spec other processes parse (see module doc)."""
-        ports = [("service", self.service_port), ("block", self.block_port)]
-        if self.discovery_port is not None:
-            ports.append(("discovery", self.discovery_port))
-        if self.shards is not None:
-            ports += [
-                ("shard%d" % i, port)
-                for i, port in enumerate(self.shards.ports)
-                if port != self.block_port
-            ]
-        entries = []
-        registry = _registry(self.network)
-        for label, port in ports:
-            addresses = []
-            for name in sorted(registry.get(port, [])):
-                address = self.network.address_of(name)
-                if address is not None:
-                    addresses.append("%s:%d" % address)
-            entries.append(f"{label}:{port:x}={','.join(addresses)}")
-        return ";".join(entries)
-
-    def stop(self) -> None:
-        """Stop every daemon, drop pooled connections, release the disks."""
-        self.network.close()
-        (self.shards if self.shards is not None else self.pair).close()
+from repro.testbed import Cluster, assemble, pair_tier, sharded_tier
 
 
 def build_tcp_cluster(
@@ -110,7 +44,7 @@ def build_tcp_cluster(
     discovery: bool = False,
     backend: str = "sim",
     data_dir: str | None = None,
-) -> TcpCluster:
+) -> Cluster:
     """Build and start a localhost TCP deployment.
 
     ``shards=0`` gives one companion pair; ``shards=K`` a K-pair sharded
@@ -121,138 +55,26 @@ def build_tcp_cluster(
     ``discovery`` entry, and other processes can join via
     :func:`bootstrap` with only that entry.
     """
-    rng = random.Random(seed)
-    if recorder is None:
-        recorder = NULL_RECORDER
     network = TcpNetwork(host=host, recorder=recorder)
     if call_timeout is not None:
         network.call_timeout = call_timeout
     if lock_timeout is not None:
         network.lock_timeout = lock_timeout
-    recorder.bind_clock(network.clock)
-    service_port = new_port(rng)
-    registry = FileRegistry()
-    issuer = CapabilityIssuer(service_port)
     # Replicated file servers share the registry and issuer in memory;
     # their daemons must therefore serialise behind one lock.
     network.share_dispatch_lock([f"fs{i}" for i in range(servers)])
-
-    sharded_service = None
     if shards > 0:
-        from repro.block.sharding import ShardedBlockService
-
-        shard_ports = [new_port(rng) for _ in range(shards)]
-        sharded_service = ShardedBlockService(
-            network, shard_ports, capacity=disk_capacity, recorder=recorder,
-            backend=backend, data_dir=data_dir,
+        tier = partial(
+            sharded_tier, shards=shards, capacity=disk_capacity,
+            cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
         )
-        block_port = shard_ports[0]
-        pair = sharded_service.pairs[0]
     else:
-        block_port = new_port(rng)
-        pair = StablePair(
-            network, block_port, capacity=disk_capacity, recorder=recorder,
-            backend=backend, data_dir=data_dir,
+        tier = partial(
+            pair_tier, capacity=disk_capacity, backend=backend, data_dir=data_dir
         )
-
-    fs_list: list[FileService] = []
-    endpoints: list[RpcEndpoint] = []
-    for i in range(servers):
-        name = f"fs{i}"
-        if sharded_service is not None:
-            from repro.core.cache import PageCache
-            from repro.core.store import PageStore
-
-            service = FileService(
-                name,
-                network,
-                registry,
-                issuer,
-                block_port,
-                FILE_SERVICE_ACCOUNT,
-                rng=rng,
-                store=PageStore(
-                    sharded_service.client(
-                        name, FILE_SERVICE_ACCOUNT, recorder=recorder
-                    ),
-                    PageCache(cache_capacity, recorder=recorder),
-                    recorder=recorder,
-                ),
-                recorder=recorder,
-                history=history,
-            )
-        else:
-            service = FileService(
-                name,
-                network,
-                registry,
-                issuer,
-                block_port,
-                FILE_SERVICE_ACCOUNT,
-                cache_capacity=cache_capacity,
-                deferred_writes=deferred_writes,
-                rng=rng,
-                recorder=recorder,
-                history=history,
-            )
-        fs_list.append(service)
-        endpoints.append(RpcEndpoint(network, name, service_port, service))
-
-    disc = None
-    discovery_port = None
-    if discovery:
-        from repro.net.discovery import attach_discovery
-
-        discovery_port = new_port(rng)
-        disc, disc_endpoint = attach_discovery(
-            network, discovery_port, service_port=service_port, recorder=recorder
-        )
-        endpoints.append(disc_endpoint)
-
-        def _register(name: str, kind: str, port: int) -> None:
-            address = network.address_of(name)
-            disc.cmd_register(
-                name=name,
-                kind=kind,
-                serves=port,
-                host=address[0] if address else None,
-                tcp_port=address[1] if address else None,
-            )
-
-        for i in range(servers):
-            _register(f"fs{i}", "fs", service_port)
-        pairs = sharded_service.pairs if sharded_service is not None else [pair]
-        for p in pairs:
-            for half in p.halves():
-                _register(half.name, "stable", p.port)
-        if sharded_service is not None:
-            disc.cmd_publish_placement(sharded_service.placement, 0)
-
-            def _republish(placement, previous, _service=sharded_service):
-                disc.cmd_publish_placement(placement, previous)
-                for p in _service.pairs:
-                    for half in p.halves():
-                        _register(half.name, "stable", p.port)
-                for p in _service.retired_pairs:
-                    for half in p.halves():
-                        disc.cmd_deregister(half.name)
-
-            sharded_service.publishers.append(_republish)
-    return TcpCluster(
-        network=network,
-        rng=rng,
-        block_port=block_port,
-        service_port=service_port,
-        pair=pair,
-        registry=registry,
-        issuer=issuer,
-        servers=fs_list,
-        endpoints=endpoints,
-        shards=sharded_service,
-        recorder=recorder,
-        history=history,
-        discovery=disc,
-        discovery_port=discovery_port,
+    return assemble(
+        network, seed, servers, tier, network.recorder, history, discovery,
+        cache_capacity=cache_capacity, deferred_writes=deferred_writes,
     )
 
 

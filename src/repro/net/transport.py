@@ -16,14 +16,11 @@ restart), and companion failover on refused / reset / timed-out
 connections in the shared deterministic :func:`repro.sim.rpc.
 failover_order`.
 
-Connections are :class:`PipelinedConnection` objects: every request
-frame carries a fresh correlation id (wire version 2) and a caller may
-have *several* requests in flight on one socket before collecting any
-reply.  Replies are demultiplexed by id under a shared-reader scheme —
-whichever waiter arrives first reads frames off the socket and delivers
-them to their owners — so the synchronous one-call-at-a-time facade the
-rest of the stack uses pays no extra thread, while pipelined callers get
-their replies back in the order the daemon read the requests.
+Connections are :class:`Connection` objects, one exchange at a time:
+every request frame carries a fresh correlation id (wire version 2) and
+the reply must carry it back.  The daemon would serve a pipeline in
+order (docs/NETWORKING.md), but nothing in the stack sends one — every
+exchange is one blocking call per (thread, connection).
 
 Failure mapping keeps the simulation's error contract:
 
@@ -329,11 +326,9 @@ class TcpNetwork:
             raise wire.decode_error(body)
         return wire.decode_value(body)
 
-    def connection(self, dest: str) -> "PipelinedConnection":
-        """This thread's pipelined connection to ``dest``, creating (and
-        pooling) it if absent.  Direct users pipeline with ``submit`` /
-        ``result``; :meth:`send` rides the same object one call at a
-        time."""
+    def connection(self, dest: str) -> "Connection":
+        """This thread's connection to ``dest``, creating (and pooling)
+        it if absent."""
         pool = self._pool()
         conn = pool.get(dest)
         if conn is not None and not conn.closed:
@@ -341,9 +336,7 @@ class TcpNetwork:
         address = self.address_of(dest)
         if address is None:
             raise ServerUnreachable(f"{dest}: no TCP address registered")
-        conn = PipelinedConnection(
-            self._connect(dest, address), dest, self.max_frame
-        )
+        conn = Connection(self._connect(dest, address), dest, self.max_frame)
         pool[dest] = conn
         return conn
 
@@ -358,7 +351,7 @@ class TcpNetwork:
         self.recorder.count("net.tcp.connections")
         return sock
 
-    def _pool(self) -> dict[str, "PipelinedConnection"]:
+    def _pool(self) -> dict[str, "Connection"]:
         pool = getattr(self._pools, "pool", None)
         if pool is None:
             pool = {}
@@ -377,27 +370,19 @@ class AsyncTcpNetwork(TcpNetwork):  # unused; bench/layers.py reads the name (RO
     pass
 
 
-class PipelinedConnection:
-    """One TCP connection carrying any number of in-flight exchanges.
+class Connection:
+    """One TCP connection carrying one exchange at a time.
 
-    ``submit`` writes a request frame tagged with a fresh correlation id
-    and returns the id immediately; ``result`` blocks until that id's
-    reply (or error frame) arrives.  Replies are collected under a
-    *shared reader*: whichever waiter gets there first reads frames off
-    the socket, delivers each to the pending entry its id names, and
-    hands the reader role on.  No background thread exists — a purely
-    synchronous caller (``submit`` immediately followed by ``result``)
-    costs exactly what the old one-exchange-at-a-time socket did.
-
-    A connection failure or timeout poisons the connection: every
-    pending and future call raises, and the owner reconnects (the
-    at-least-once edge the module docstring describes).
+    ``call`` writes a request frame under a fresh correlation id and
+    blocks for the frame that answers it.  The connection belongs to one
+    thread (the pools are per thread), so nothing here locks.  Any
+    failure after the request is encoded — send, receive, timeout, a
+    frame that is not this call's answer — closes the connection, and the
+    owner reconnects (the at-least-once edge the module docstring
+    describes).
     """
 
-    __slots__ = (
-        "sock", "dest", "max_frame", "_send_lock", "_cond", "_pending",
-        "_reading", "_next_id", "_dead", "_closed",
-    )
+    __slots__ = ("sock", "dest", "max_frame", "closed", "_next_id")
 
     def __init__(
         self,
@@ -408,123 +393,45 @@ class PipelinedConnection:
         self.sock = sock
         self.dest = dest
         self.max_frame = max_frame
-        self._send_lock = threading.Lock()
-        self._cond = threading.Condition()
-        # id -> [done, frame_type, body]
-        self._pending: dict[int, list] = {}
-        self._reading = False
+        self.closed = False
         self._next_id = 1
-        self._dead: Exception | None = None
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed or self._dead is not None
-
-    @property
-    def in_flight(self) -> int:
-        with self._cond:
-            return len(self._pending)
 
     def call(
         self, sender: str, command: str, params: dict
     ) -> tuple[int, bytes, int]:
         """One synchronous exchange: returns (frame type, body, bytes
         sent)."""
-        request_id, sent = self.submit(sender, command, params)
-        frame_type, body = self.result(request_id)
-        return frame_type, body, sent
-
-    def submit(self, sender: str, command: str, params: dict) -> tuple[int, int]:
-        """Write one request frame; returns (request id, bytes written).
-        Several submissions may be outstanding at once."""
-        with self._cond:
-            if self._dead is not None:
-                raise self._dead
-            if self._closed:
-                raise ConnectionResetError(f"{self.dest}: connection closed")
-            request_id = self._next_id
-            self._next_id = (self._next_id % wire.MAX_REQUEST_ID) + 1
-            # Register before sending: a reply cannot outrun its entry.
-            self._pending[request_id] = [False, 0, b""]
+        if self.closed:
+            raise ConnectionResetError(f"{self.dest}: connection closed")
+        request_id = self._next_id
+        self._next_id = (request_id % wire.MAX_REQUEST_ID) + 1
+        # An unencodable request raises here: nothing reached the wire,
+        # the connection stays healthy.
+        frame = wire.encode_request(
+            sender, command, params, self.max_frame, request_id=request_id
+        )
         try:
-            frame = wire.encode_request(
-                sender, command, params, self.max_frame, request_id=request_id
-            )
-        except Exception:
-            # Nothing reached the wire: the connection stays healthy,
-            # only this request's entry is withdrawn.
-            with self._cond:
-                self._pending.pop(request_id, None)
-            raise
-        try:
-            with self._send_lock:
-                self.sock.sendall(frame)
-        except Exception as exc:
-            self._poison(exc)
-            raise
-        return request_id, len(frame)
-
-    def result(self, request_id: int) -> tuple[int, bytes]:
-        """Block until the reply for ``request_id`` arrives; returns
-        (frame type, body).  Safe to call from any thread, in any order
-        relative to other pending ids."""
-        while True:
-            with self._cond:
-                slot = self._pending.get(request_id)
-                if slot is None:
-                    raise wire.BadFrame(
-                        f"{self.dest}: request id {request_id} is not pending"
-                    )
-                if slot[0]:
-                    del self._pending[request_id]
-                    return slot[1], slot[2]
-                if self._dead is not None:
-                    del self._pending[request_id]
-                    raise self._dead
-                if self._reading:
-                    self._cond.wait()
-                    continue
-                self._reading = True
-            try:
-                frame_type, reply_id, body = self._read_frame()
-            except Exception as exc:
-                self._poison(exc)
-                raise
-            with self._cond:
-                self._reading = False
-                slot = self._pending.get(reply_id)
-                if slot is not None:
-                    slot[0] = True
-                    slot[1] = frame_type
-                    slot[2] = body
-                self._cond.notify_all()
-            # An unsolicited id is dropped rather than fatal: an
-            # at-least-once retransmit's late first answer may arrive
-            # after its entry was abandoned.
-
-    def _read_frame(self) -> tuple[int, int, bytes]:
-        header = _recv_exact_or_raise(self.sock, wire.HEADER_SIZE)
-        frame_type, reply_id, length = wire.decode_header(header, self.max_frame)
-        body = _recv_exact_or_raise(self.sock, length)
-        if frame_type == wire.FRAME_REQUEST:
-            raise wire.BadFrame("peer sent a request frame as a reply")
-        return frame_type, reply_id, body
-
-    def _poison(self, exc: Exception | None) -> None:
-        with self._cond:
-            self._reading = False
-            if self._dead is None:
-                self._dead = (
-                    exc
-                    if exc is not None
-                    else ConnectionResetError(f"{self.dest}: connection died")
+            self.sock.sendall(frame)
+            header = _recv_exact_or_raise(self.sock, wire.HEADER_SIZE)
+            frame_type, reply_id, length = wire.decode_header(header, self.max_frame)
+            body = _recv_exact_or_raise(self.sock, length)
+            if frame_type == wire.FRAME_REQUEST:
+                raise wire.BadFrame("peer sent a request frame as a reply")
+            # Id 0 on an error frame is the daemon saying our header did
+            # not parse; with one exchange outstanding it can only mean
+            # this call.
+            if reply_id != request_id and (reply_id or frame_type != wire.FRAME_ERROR):
+                raise wire.BadFrame(
+                    f"{self.dest}: reply id {reply_id} answers no request "
+                    f"(expected {request_id})"
                 )
-            self._cond.notify_all()
+        except BaseException:
+            self.close()
+            raise
+        return frame_type, body, len(frame)
 
     def close(self) -> None:
-        self._closed = True
-        self._poison(ConnectionResetError(f"{self.dest}: connection closed"))
+        self.closed = True
         try:
             self.sock.close()
         except OSError:

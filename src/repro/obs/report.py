@@ -123,136 +123,96 @@ def render_shard_table(metrics: MetricsRegistry) -> str:
     return "\n".join(lines)
 
 
+def render_counter_table(
+    metrics: MetricsRegistry, prefixes: tuple[str, ...], first: tuple[str, ...] = ()
+) -> str:
+    """One ``counter  value`` table: the instruments named in ``first``
+    (counters or gauges) in that order, then every other counter under
+    ``prefixes``, sorted.  Empty string when none of them was recorded,
+    so callers can append the table conditionally."""
+    recorded = {**metrics.gauges, **metrics.counters}
+    names = [name for name in first if name in recorded] + sorted(
+        name
+        for name in metrics.counters
+        if name.startswith(prefixes) and name not in first
+    )
+    if not names:
+        return ""
+    width = max(len(name) for name in names)
+    header = f"{'counter':<{width}} {'value':>12}"
+    lines = [header, "-" * len(header)]
+    for name in names:
+        lines.append(f"{name:<{width}} {recorded[name].value:>12}")
+    return "\n".join(lines)
+
+
 def render_placement_table(metrics: MetricsRegistry) -> str:
     """Placement / rebalance activity: the current placement epoch gauge
-    next to the ``rebalance.*`` and ``discovery.*`` counters.  Empty
-    string when no epoch was ever recorded (no discovery service and no
-    reshape ran), so callers can append it conditionally."""
-    epoch = metrics.gauges.get("placement.epoch")
-    rows: list[tuple[str, int]] = []
-    for name in sorted(metrics.counters):
-        if name.startswith(("rebalance.", "discovery.")):
-            rows.append((name, metrics.counters[name].value))
-    if epoch is None and not rows:
-        return ""
-    width = max([len("placement.epoch")] + [len(n) for n, _ in rows])
-    lines = []
-    if epoch is not None:
-        lines.append(f"{'placement.epoch':<{width}} {epoch.value:>10}")
-    for name, value in rows:
-        lines.append(f"{name:<{width}} {value:>10}")
-    return "\n".join(lines)
+    next to the ``rebalance.*`` and ``discovery.*`` counters."""
+    return render_counter_table(
+        metrics, ("rebalance.", "discovery."), first=("placement.epoch",)
+    )
 
 
 def render_net_table(metrics: MetricsRegistry) -> str:
     """Transport traffic: the simulated ``net.messages`` row next to the
-    real-socket ``net.tcp.*`` counters (connections, requests, retries,
-    failovers, bytes in/out), so a mixed run shows both wires side by
-    side.  Empty string when neither wire recorded anything."""
-    rows: list[tuple[str, int]] = []
-    sim = metrics.counters.get("net.messages")
-    if sim is not None:
-        rows.append(("sim net.messages", sim.value))
-    tcp_order = [
-        "net.tcp.connections",
-        "net.tcp.requests",
-        "net.tcp.retries",
-        "net.tcp.failovers",
-        "net.tcp.bytes_in",
-        "net.tcp.bytes_out",
-    ]
-    named = set(tcp_order)
-    for name in tcp_order:
-        counter = metrics.counters.get(name)
-        if counter is not None:
-            rows.append((name, counter.value))
-    for name in sorted(metrics.counters):
-        if name.startswith("net.tcp.") and name not in named:
-            rows.append((name, metrics.counters[name].value))
-    if not rows:
-        return ""
-    width = max(len(name) for name, _ in rows)
-    header = f"{'counter':<{width}} {'value':>12}"
-    lines = [header, "-" * len(header)]
-    for name, value in rows:
-        lines.append(f"{name:<{width}} {value:>12}")
-    return "\n".join(lines)
+    real-socket ``net.tcp.*`` counters, so a mixed run shows both wires
+    side by side."""
+    return render_counter_table(
+        metrics,
+        ("net.tcp.",),
+        first=(
+            "net.messages",
+            "net.tcp.connections",
+            "net.tcp.requests",
+            "net.tcp.retries",
+            "net.tcp.failovers",
+            "net.tcp.bytes_in",
+            "net.tcp.bytes_out",
+        ),
+    )
 
 
 def render_cache_table(metrics: MetricsRegistry) -> str:
     """Client-cache effectiveness: plain hit/miss traffic next to the
     lease counters (zero-message hits, epoch fast-renewals, epoch bumps,
-    expiries, evictions).  Empty string when no cache counter was
-    recorded, so callers can append it conditionally."""
-    order = [
-        "cache.hits",
-        "cache.misses",
-        "cache.invalidations",
-        "cache.evictions",
-        "cache.lease.hits",
-        "cache.lease.expired",
-        "cache.lease.grants",
-        "cache.lease.fast_renewals",
-        "cache.lease.cold_reads",
-        "cache.lease.epoch_bumps",
-    ]
-    named = set(order)
-    rows: list[tuple[str, int]] = []
-    for name in order:
-        counter = metrics.counters.get(name)
-        if counter is not None:
-            rows.append((name, counter.value))
-    for name in sorted(metrics.counters):
-        if name.startswith("cache.") and name not in named:
-            rows.append((name, metrics.counters[name].value))
-    if not rows:
-        return ""
-    width = max(len(name) for name, _ in rows)
-    header = f"{'counter':<{width}} {'value':>12}"
-    lines = [header, "-" * len(header)]
-    for name, value in rows:
-        lines.append(f"{name:<{width}} {value:>12}")
-    return "\n".join(lines)
+    expiries, evictions)."""
+    return render_counter_table(
+        metrics,
+        ("cache.",),
+        first=(
+            "cache.hits",
+            "cache.misses",
+            "cache.invalidations",
+            "cache.evictions",
+            "cache.lease.hits",
+            "cache.lease.expired",
+            "cache.lease.grants",
+            "cache.lease.fast_renewals",
+            "cache.lease.cold_reads",
+            "cache.lease.epoch_bumps",
+        ),
+    )
 
 
 def render_disk_table(metrics: MetricsRegistry) -> str:
     """Durable-medium activity: log appends, cleaning passes and the bytes
     they copied, segments opened, the sync counters (segment / directory)
-    and any recovery-replay numbers.  Empty string when no ``disk.*``
-    durability counter was recorded (simulated media), so callers can
-    append it conditionally."""
-    order = [
-        "disk.journal.appends",
-        "disk.journal.compactions",
-        "disk.clean.copied_bytes",
-        "disk.segments",
-        "disk.fsync.journal",
-        "disk.fsync.dir",
-        "disk.recover.replayed",
-        "disk.recover.truncated_bytes",
-    ]
-    named = set(order)
-    rows: list[tuple[str, int]] = []
-    for name in order:
-        counter = metrics.counters.get(name)
-        if counter is not None:
-            rows.append((name, counter.value))
-    for name in sorted(metrics.counters):
-        if (
-            name.startswith(
-                ("disk.fsync.", "disk.journal.", "disk.recover.", "disk.clean.")
-            )
-            and name not in named
-        ):
-            rows.append((name, metrics.counters[name].value))
-    if not rows:
-        return ""
-    width = max(len(name) for name, _ in rows)
-    header = f"{'counter':<{width}} {'value':>12}"
-    lines = [header, "-" * len(header)]
-    for name, value in rows:
-        lines.append(f"{name:<{width}} {value:>12}")
-    return "\n".join(lines)
+    and any recovery-replay numbers; empty on simulated media."""
+    return render_counter_table(
+        metrics,
+        ("disk.fsync.", "disk.journal.", "disk.recover.", "disk.clean."),
+        first=(
+            "disk.journal.appends",
+            "disk.journal.compactions",
+            "disk.clean.copied_bytes",
+            "disk.segments",
+            "disk.fsync.journal",
+            "disk.fsync.dir",
+            "disk.recover.replayed",
+            "disk.recover.truncated_bytes",
+        ),
+    )
 
 
 def render_report(recorder) -> str:

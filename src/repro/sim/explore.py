@@ -148,6 +148,65 @@ class SoakConfig:
     merge: bool = True
 
 
+# The CLI spelling of a soak run, declared once: flag -> SoakConfig field.
+# A flag for a bool field takes no value and flips the field's default;
+# any other flag takes one value of the field's type.
+SOAK_FLAGS = {
+    "--seed": "seed",
+    "--ops": "ops",
+    "--shards": "shards",
+    "--clients": "clients",
+    "--mutant": "mutant",
+    "--group-commit": "group_commit",
+    "--leases": "leases",
+    "--rebalance": "rebalance",
+    "--backend": "backend",
+    "--contention": "contention",
+    "--no-merge": "merge",
+}
+
+
+def parse_soak_flags(args: list[str]) -> list[SoakConfig]:
+    """The configs a ``repro soak`` command line names — one per seed, as
+    ``--seed LO..HI`` runs the same configuration over a seed range.
+    Raises ValueError on an unknown flag or an unparseable value."""
+    defaults = SoakConfig()
+    values: dict = {}
+    seeds = [defaults.seed]
+    args = list(args)
+    while args:
+        flag = args.pop(0)
+        name = SOAK_FLAGS.get(flag)
+        if name is None:
+            raise ValueError(f"unknown soak flag {flag!r}")
+        default = getattr(defaults, name)
+        if isinstance(default, bool):
+            values[name] = not default
+        elif not args:
+            raise ValueError(f"soak flag {flag} needs a value")
+        elif name == "seed":
+            low, _, high = args.pop(0).partition("..")
+            seeds = list(range(int(low), int(high or low) + 1))
+        else:
+            values[name] = type(default)(args.pop(0))
+    return [SoakConfig(**values, seed=seed) for seed in seeds]
+
+
+def soak_flags(config: SoakConfig) -> list[str]:
+    """The inverse of :func:`parse_soak_flags`: seed and ops always, every
+    other flag only where the config leaves its default."""
+    defaults = SoakConfig()
+    flags: list[str] = []
+    for flag, name in SOAK_FLAGS.items():
+        value, default = getattr(config, name), getattr(defaults, name)
+        if isinstance(value, bool):
+            if value != default:
+                flags.append(flag)
+        elif name in ("seed", "ops") or value != default:
+            flags += [flag, str(value)]
+    return flags
+
+
 @dataclass
 class SoakReport:
     """What one soak run found."""
@@ -177,30 +236,9 @@ class SoakReport:
 
     def repro_line(self) -> str:
         """The exact command that replays this run."""
-        cfg = self.config
-        line = (
-            f"PYTHONPATH=src python -m repro soak "
-            f"--seed {cfg.seed} --ops {cfg.ops}"
+        return "PYTHONPATH=src python -m repro soak " + " ".join(
+            soak_flags(self.config)
         )
-        if cfg.shards:
-            line += f" --shards {cfg.shards}"
-        if cfg.clients != 3:
-            line += f" --clients {cfg.clients}"
-        if cfg.mutant:
-            line += " --mutant"
-        if cfg.group_commit:
-            line += " --group-commit"
-        if cfg.leases:
-            line += " --leases"
-        if cfg.rebalance:
-            line += " --rebalance"
-        if cfg.backend != "sim":
-            line += f" --backend {cfg.backend}"
-        if cfg.contention:
-            line += " --contention"
-        if not cfg.merge:
-            line += " --no-merge"
-        return line
 
     def summary(self) -> str:
         cfg = self.config

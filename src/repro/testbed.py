@@ -1,31 +1,39 @@
-"""One-call construction of a complete simulated deployment.
+"""One-call construction of a complete deployment.
 
 Everything above the block layer needs the same scaffolding: a network, a
-stable pair (or single block server), one or more replicated file server
-processes, a shared registry and capability issuer.  :func:`build_cluster`
-assembles it; tests, benchmarks and examples all start here.
+block tier (one stable pair, several behind a placement map, or hybrid
+media), one or more replicated file server processes, a shared registry
+and capability issuer.  :func:`assemble` hangs it on a network — the
+simulated one or real sockets — and is the only code that does; the
+``build_*`` functions make the network, pick the tier and call it.
+Tests, benchmarks and examples all start here.
 
     cluster = build_cluster(servers=2, seed=7)
     cap = cluster.fs().create_file(b"hello")
 
-The cluster is deterministic for a given seed.
+The cluster is deterministic for a given seed: block ports, then the
+service port, then the discovery port are drawn in that order on either
+network, so one seed names one topology on both.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.capability import CapabilityIssuer, new_port
-from repro.block.stable import StablePair
+from repro.block.stable import StableClient, StablePair
+from repro.core.cache import PageCache
 from repro.core.gc import GarbageCollector
 from repro.core.registry import FileRegistry
 from repro.core.service import FileService
+from repro.core.store import HybridPageStore, PageStore
 from repro.core.system_tree import SystemTree
 from repro.obs import NULL_RECORDER
 from repro.sim.faults import FaultPlan
 from repro.sim.network import Network
-from repro.sim.rpc import RpcEndpoint
+from repro.sim.rpc import RpcEndpoint, _registry
 
 # The account under which the file service owns its blocks.
 FILE_SERVICE_ACCOUNT = 1
@@ -33,7 +41,7 @@ FILE_SERVICE_ACCOUNT = 1
 
 @dataclass
 class Cluster:
-    """A running simulated deployment."""
+    """A running deployment, on the simulated network or on sockets."""
 
     network: Network
     rng: random.Random
@@ -68,12 +76,210 @@ class Cluster:
     def clock(self):
         return self.network.clock
 
+    def client(self, node: str, **kwargs):
+        """A FileClient on ``node``, bound to this deployment's network."""
+        from repro.client.api import FileClient
+
+        return FileClient(self.network, node, self.service_port, **kwargs)
+
+    def spec(self) -> str:
+        """The connection spec other processes parse (see
+        :mod:`repro.net.cluster`); a simulated node has no address and
+        lists none."""
+        ports = [("service", self.service_port), ("block", self.block_port)]
+        if self.discovery_port is not None:
+            ports.append(("discovery", self.discovery_port))
+        if self.shards is not None:
+            ports += [
+                ("shard%d" % i, port)
+                for i, port in enumerate(self.shards.ports)
+                if port != self.block_port
+            ]
+        entries = []
+        registry = _registry(self.network)
+        for label, port in ports:
+            addresses = [
+                "%s:%d" % address
+                for name in sorted(registry.get(port, []))
+                if (address := _address_of(self.network, name)) is not None
+            ]
+            entries.append(f"{label}:{port:x}={','.join(addresses)}")
+        return ";".join(entries)
+
     def close(self) -> None:
-        """Release the deployment's disks; every in-process teardown of a
-        disk-backed cluster ends here."""
+        """Stop every daemon the network hosts (the simulator hosts none),
+        then release the deployment's disks; every in-process teardown
+        ends here."""
+        getattr(self.network, "close", lambda: None)()
         (self.shards if self.shards is not None else self.pair).close()
         if self.optical_pair is not None:
             self.optical_pair.close()
+
+    stop = close
+
+
+def _address_of(network, name: str) -> tuple[str, int] | None:
+    """A node's socket address; None on the simulator, which has none."""
+    lookup = getattr(network, "address_of", None)
+    return lookup(name) if lookup is not None else None
+
+
+# -- block tiers -------------------------------------------------------------
+#
+# A tier draws its ports from the deployment's rng, starts its pairs on
+# the network and returns ``(block_port, pair, shards, store_for)``:
+# ``store_for(name)`` is the page store of file server ``name``, or None
+# for the default store a FileService builds on ``block_port``.
+
+
+def pair_tier(
+    network, rng, recorder, history, *, capacity, write_once=False,
+    backend="sim", data_dir=None,
+):
+    """One companion pair."""
+    port = new_port(rng)
+    pair = StablePair(
+        network, port, capacity=capacity, write_once=write_once,
+        recorder=recorder, backend=backend, data_dir=data_dir,
+    )
+    return port, pair, None, lambda name: None
+
+
+def sharded_tier(
+    network, rng, recorder, history, *, shards, capacity, cache_capacity,
+    backend="sim", data_dir=None,
+):
+    """``shards`` companion pairs behind a placement map; file servers
+    get a shard-routing block client.  ``block_port`` and ``pair`` point
+    at shard 0 so single-pair tooling keeps working."""
+    # Imported here: a single-pair daemon never pays for loading it.
+    from repro.block.sharding import ShardedBlockService
+
+    ports = [new_port(rng) for _ in range(shards)]
+    service = ShardedBlockService(
+        network, ports, capacity=capacity, recorder=recorder,
+        backend=backend, data_dir=data_dir,
+    )
+
+    def store_for(name):
+        return PageStore(
+            service.client(
+                name, FILE_SERVICE_ACCOUNT, recorder=recorder, history=history
+            ),
+            PageCache(cache_capacity, recorder=recorder),
+            recorder=recorder,
+        )
+
+    return ports[0], service.pairs[0], service, store_for
+
+
+def assemble(
+    network,
+    seed: int,
+    servers: int,
+    block_tier,
+    recorder=NULL_RECORDER,
+    history=None,
+    discovery: bool = False,
+    **service_options,
+) -> Cluster:
+    """Hang a deployment on ``network``: the block tier, then ``servers``
+    file servers sharing the registry (the replicated file table) and the
+    capability issuer, so any server can serve any file — the deployment
+    §5.4.1 describes — and, when asked, a discovery server.
+
+    ``recorder`` is threaded through every layer below, so one recorder
+    sees the whole deployment.  ``service_options`` go to every
+    :class:`FileService`.
+    """
+    rng = random.Random(seed)
+    recorder.bind_clock(network.clock)
+    block_port, pair, shards, store_for = block_tier(network, rng, recorder, history)
+    service_port = new_port(rng)
+    cluster = Cluster(
+        network=network,
+        rng=rng,
+        block_port=block_port,
+        service_port=service_port,
+        pair=pair,
+        registry=FileRegistry(),
+        issuer=CapabilityIssuer(service_port),
+        servers=[],
+        endpoints=[],
+        shards=shards,
+        recorder=recorder,
+        history=history,
+    )
+    for i in range(servers):
+        name = f"fs{i}"
+        service = FileService(
+            name,
+            network,
+            cluster.registry,
+            cluster.issuer,
+            block_port,
+            FILE_SERVICE_ACCOUNT,
+            rng=rng,
+            store=store_for(name),
+            recorder=recorder,
+            history=history,
+            **service_options,
+        )
+        cluster.servers.append(service)
+        cluster.endpoints.append(RpcEndpoint(network, name, service_port, service))
+    if discovery:
+        _attach_discovery(cluster)
+    return cluster
+
+
+def _attach_discovery(cluster: Cluster) -> None:
+    """Add a :class:`repro.net.discovery.DiscoveryServer`: every file
+    server and pair half is registered (with its socket address when it
+    has one), and on a sharded tier the placement map is published there
+    and re-published on every epoch bump."""
+    from repro.net.discovery import attach_discovery
+
+    network, shards = cluster.network, cluster.shards
+    cluster.discovery_port = new_port(cluster.rng)
+    cluster.discovery, endpoint = attach_discovery(
+        network,
+        cluster.discovery_port,
+        service_port=cluster.service_port,
+        recorder=cluster.recorder,
+    )
+    cluster.endpoints.append(endpoint)
+    disc = cluster.discovery
+
+    def register(name: str, kind: str, port: int) -> None:
+        host, tcp_port = _address_of(network, name) or (None, None)
+        disc.cmd_register(
+            name=name, kind=kind, serves=port, host=host, tcp_port=tcp_port
+        )
+
+    def register_pairs(pairs) -> None:
+        for pair in pairs:
+            for half in pair.halves():
+                register(half.name, "stable", pair.port)
+
+    for fs in cluster.servers:
+        register(fs.name, "fs", cluster.service_port)
+    if shards is None:
+        register_pairs([cluster.pair])
+        return
+    register_pairs(shards.pairs)
+    disc.cmd_publish_placement(shards.placement, 0)
+
+    # Every epoch bump republishes, so bootstrapping clients always see
+    # the newest map the operator committed; the directory follows the
+    # pair churn (new pairs register, retired halves deregister).
+    def republish(placement, previous) -> None:
+        disc.cmd_publish_placement(placement, previous)
+        register_pairs(shards.pairs)
+        for pair in shards.retired_pairs:
+            for half in pair.halves():
+                disc.cmd_deregister(half.name)
+
+    shards.publishers.append(republish)
 
 
 def build_hybrid_cluster(
@@ -91,66 +297,36 @@ def build_hybrid_cluster(
     pair; the optical pair hangs off ``cluster.optical_pair``.
     """
     from repro.block.hybrid import HybridBlockClient
-    from repro.core.store import HybridPageStore
-    from repro.core.cache import PageCache
 
-    rng = random.Random(seed)
-    if recorder is None:
-        recorder = NULL_RECORDER
-    network = Network(hop_ticks=hop_ticks, recorder=recorder)
-    recorder.bind_clock(network.clock)
-    magnetic_port = new_port(rng)
-    optical_port = new_port(rng)
-    service_port = new_port(rng)
-    magnetic = StablePair(
-        network, magnetic_port, capacity=magnetic_capacity,
-        name_a="magA", name_b="magB", recorder=recorder,
-    )
-    optical = StablePair(
-        network, optical_port, capacity=optical_capacity,
-        name_a="optA", name_b="optB", write_once=True, recorder=recorder,
-    )
-    registry = FileRegistry()
-    issuer = CapabilityIssuer(service_port)
-    fs_list: list[FileService] = []
-    endpoints: list[RpcEndpoint] = []
-    for i in range(servers):
-        name = f"fs{i}"
-        from repro.block.stable import StableClient
+    optical = None
 
-        hybrid = HybridBlockClient(
-            StableClient(network, name, magnetic_port, FILE_SERVICE_ACCOUNT),
-            StableClient(network, name, optical_port, FILE_SERVICE_ACCOUNT),
+    def hybrid_tier(network, rng, recorder, history):
+        nonlocal optical
+        magnetic_port = new_port(rng)
+        optical_port = new_port(rng)
+        magnetic = StablePair(
+            network, magnetic_port, capacity=magnetic_capacity,
+            name_a="magA", name_b="magB", recorder=recorder,
         )
-        service = FileService(
-            name,
-            network,
-            registry,
-            issuer,
-            magnetic_port,
-            FILE_SERVICE_ACCOUNT,
-            rng=rng,
-            store=HybridPageStore(
-                hybrid,
+        optical = StablePair(
+            network, optical_port, capacity=optical_capacity,
+            name_a="optA", name_b="optB", write_once=True, recorder=recorder,
+        )
+
+        def store_for(name):
+            return HybridPageStore(
+                HybridBlockClient(
+                    StableClient(network, name, magnetic_port, FILE_SERVICE_ACCOUNT),
+                    StableClient(network, name, optical_port, FILE_SERVICE_ACCOUNT),
+                ),
                 PageCache(cache_capacity, recorder=recorder),
                 recorder=recorder,
-            ),
-            recorder=recorder,
-        )
-        fs_list.append(service)
-        endpoints.append(RpcEndpoint(network, name, service_port, service))
-    cluster = Cluster(
-        network=network,
-        rng=rng,
-        block_port=magnetic_port,
-        service_port=service_port,
-        pair=magnetic,
-        registry=registry,
-        issuer=issuer,
-        servers=fs_list,
-        endpoints=endpoints,
-        recorder=recorder,
-    )
+            )
+
+        return magnetic_port, magnetic, None, store_for
+
+    network = Network(hop_ticks=hop_ticks, recorder=recorder)
+    cluster = assemble(network, seed, servers, hybrid_tier, network.recorder)
     cluster.optical_pair = optical
     return cluster
 
@@ -182,94 +358,14 @@ def build_sharded_cluster(
     is published there (and re-published on every epoch bump), and
     clients can bootstrap from ``cluster.discovery_port``.
     """
-    from repro.block.sharding import ShardedBlockService
-    from repro.core.cache import PageCache
-    from repro.core.store import PageStore
-
-    rng = random.Random(seed)
-    if recorder is None:
-        recorder = NULL_RECORDER
     network = Network(hop_ticks=hop_ticks, recorder=recorder)
-    recorder.bind_clock(network.clock)
-    shard_ports = [new_port(rng) for _ in range(shards)]
-    service_port = new_port(rng)
-    service = ShardedBlockService(
-        network, shard_ports, capacity=shard_capacity, recorder=recorder,
-        backend=backend, data_dir=data_dir,
+    tier = partial(
+        sharded_tier, shards=shards, capacity=shard_capacity,
+        cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
     )
-    registry = FileRegistry()
-    issuer = CapabilityIssuer(service_port)
-    fs_list: list[FileService] = []
-    endpoints: list[RpcEndpoint] = []
-    for i in range(servers):
-        name = f"fs{i}"
-        fs = FileService(
-            name,
-            network,
-            registry,
-            issuer,
-            shard_ports[0],
-            FILE_SERVICE_ACCOUNT,
-            rng=rng,
-            store=PageStore(
-                service.client(
-                    name, FILE_SERVICE_ACCOUNT, recorder=recorder, history=history
-                ),
-                PageCache(cache_capacity, recorder=recorder),
-                recorder=recorder,
-            ),
-            recorder=recorder,
-            history=history,
-        )
-        fs_list.append(fs)
-        endpoints.append(RpcEndpoint(network, name, service_port, fs))
-    cluster = Cluster(
-        network=network,
-        rng=rng,
-        block_port=shard_ports[0],
-        service_port=service_port,
-        pair=service.pairs[0],
-        registry=registry,
-        issuer=issuer,
-        servers=fs_list,
-        endpoints=endpoints,
-        recorder=recorder,
-        history=history,
+    return assemble(
+        network, seed, servers, tier, network.recorder, history, discovery
     )
-    cluster.shards = service
-    if discovery:
-        from repro.net.discovery import attach_discovery
-
-        discovery_port = new_port(rng)
-        disc, disc_endpoint = attach_discovery(
-            network, discovery_port, service_port=service_port, recorder=recorder
-        )
-        endpoints.append(disc_endpoint)
-        for i, fs in enumerate(fs_list):
-            disc.cmd_register(name=f"fs{i}", kind="fs", serves=service_port)
-        for pair in service.pairs:
-            for half in pair.halves():
-                disc.cmd_register(name=half.name, kind="stable", serves=pair.port)
-        disc.cmd_publish_placement(service.placement, 0)
-
-        # Every epoch bump republishes, so bootstrapping clients always
-        # see the newest map the operator committed; the directory follows
-        # the pair churn (new pairs register, retired halves deregister).
-        def _republish(placement, previous, _disc=disc, _service=service):
-            _disc.cmd_publish_placement(placement, previous)
-            for pair in _service.pairs:
-                for half in pair.halves():
-                    _disc.cmd_register(
-                        name=half.name, kind="stable", serves=pair.port
-                    )
-            for pair in _service.retired_pairs:
-                for half in pair.halves():
-                    _disc.cmd_deregister(half.name)
-
-        service.publishers.append(_republish)
-        cluster.discovery = disc
-        cluster.discovery_port = discovery_port
-    return cluster
 
 
 def build_cluster(
@@ -287,57 +383,16 @@ def build_cluster(
 ) -> Cluster:
     """Build a network + stable block pair + ``servers`` file servers.
 
-    All file servers share the block storage, the registry (the replicated
-    file table) and the capability issuer, so any server can serve any
-    file — the deployment §5.4.1 describes.
-
-    ``recorder`` (a :class:`repro.obs.Recorder`) is threaded through every
-    layer — network, disks, block servers, page stores, file services — so
-    one recorder sees the whole deployment; the default is the no-op
-    recorder and costs nothing.
+    ``recorder`` (a :class:`repro.obs.Recorder`) sees the whole
+    deployment (see :func:`assemble`); the default is the no-op recorder
+    and costs nothing.
     """
-    rng = random.Random(seed)
-    if recorder is None:
-        recorder = NULL_RECORDER
     network = Network(hop_ticks=hop_ticks, recorder=recorder)
-    recorder.bind_clock(network.clock)
-    block_port = new_port(rng)
-    service_port = new_port(rng)
-    pair = StablePair(
-        network, block_port, capacity=disk_capacity, write_once=write_once,
-        recorder=recorder, backend=backend, data_dir=data_dir,
+    tier = partial(
+        pair_tier, capacity=disk_capacity, write_once=write_once,
+        backend=backend, data_dir=data_dir,
     )
-    registry = FileRegistry()
-    issuer = CapabilityIssuer(service_port)
-    fs_list: list[FileService] = []
-    endpoints: list[RpcEndpoint] = []
-    for i in range(servers):
-        name = f"fs{i}"
-        service = FileService(
-            name,
-            network,
-            registry,
-            issuer,
-            block_port,
-            FILE_SERVICE_ACCOUNT,
-            cache_capacity=cache_capacity,
-            deferred_writes=deferred_writes,
-            rng=rng,
-            recorder=recorder,
-            history=history,
-        )
-        fs_list.append(service)
-        endpoints.append(RpcEndpoint(network, name, service_port, service))
-    return Cluster(
-        network=network,
-        rng=rng,
-        block_port=block_port,
-        service_port=service_port,
-        pair=pair,
-        registry=registry,
-        issuer=issuer,
-        servers=fs_list,
-        endpoints=endpoints,
-        recorder=recorder,
-        history=history,
+    return assemble(
+        network, seed, servers, tier, network.recorder, history,
+        cache_capacity=cache_capacity, deferred_writes=deferred_writes,
     )

@@ -63,3 +63,15 @@ def test_examples_run_clean(script):
         cwd="/root/repo",
     )
     assert result.returncode == 0, result.stderr[-2000:]
+
+
+def test_soak_runs_a_seed_range_and_rejects_unknown_flags():
+    result = _run("soak", "--seed", "1..2", "--ops", "20", "--shards", "2")
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split()[1] for line in lines] == ["seed=1", "seed=2"]
+    assert all("(2 shards): ok" in line for line in lines)
+
+    result = _run("soak", "--bogus")
+    assert result.returncode == 2
+    assert "unknown soak flag '--bogus'" in result.stdout

@@ -202,11 +202,11 @@ def test_group_commit_aborts_atomically_when_one_shard_dies_mid_flush():
     updates = _grouped_updates(client, cap, paths)
     # Down the shard that owns one member's version page: the batched
     # flush writes the other shards, then hits the dead one.
-    shard_map = cluster.shards.map
+    placement = cluster.shards.placement
     root = cluster.registry.version(updates[-1].version.obj).root_block
-    victim = shard_map.shard_of(root)
+    victim = placement.index_of(root)
     shards_touched = {
-        shard_map.shard_of(
+        placement.index_of(
             cluster.registry.version(u.version.obj).root_block
         )
         for u in updates

@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 from repro.core.gc import GarbageCollector
 from repro.core.pathname import PagePath
 from repro.errors import CommitConflict, ReproError
-from repro.sim.explore import ExploreScheduler, blind_serialise_mutant
+from repro.sim.explore import (
+    ExploreScheduler,
+    SoakConfig,
+    SoakReport,
+    blind_serialise_mutant,
+    parse_soak_flags,
+)
 from repro.testbed import build_cluster
 from repro.verify.history import HistoryRecorder, check_history
 
@@ -101,3 +107,32 @@ def test_mutant_double_commit_is_flagged():
     result = check_history(history)
     assert not result.ok
     assert any(v.kind == "non-serializable-read" for v in result.violations)
+
+
+# -- the soak command line -----------------------------------------------------
+
+soak_configs = st.builds(
+    SoakConfig,
+    seed=st.integers(0, 10**6),
+    ops=st.integers(1, 10**4),
+    shards=st.integers(0, 8),
+    clients=st.integers(1, 8),
+    mutant=st.booleans(),
+    group_commit=st.booleans(),
+    leases=st.booleans(),
+    rebalance=st.booleans(),
+    backend=st.sampled_from(["sim", "disk"]),
+    contention=st.booleans(),
+    merge=st.booleans(),
+)
+
+
+@given(soak_configs)
+def test_replay_line_parses_back_to_its_config(config):
+    """The replay line a failing soak prints and the parser ``repro soak``
+    runs are two readings of one flag table: whatever a config is, its
+    line names exactly that config again."""
+    line = SoakReport(config, check=None, fsck=None).repro_line()
+    command, flags = line.split()[:5], line.split()[5:]
+    assert command == ["PYTHONPATH=src", "python", "-m", "repro", "soak"]
+    assert parse_soak_flags(flags) == [config]

@@ -15,6 +15,7 @@ import pytest
 from repro.client.api import FileClient
 from repro.core.cache import Lease
 from repro.core.pathname import PagePath
+from repro.errors import ReproError
 
 ROOT = PagePath.ROOT
 LEASE = 10_000  # logical ticks: long enough to stay live across a test
@@ -270,6 +271,23 @@ def test_fetch_of_pruned_version_falls_back_cold(cluster):
     assert client.read(cap, ROOT) == b"v1"  # ROOT is cached: lease hit
     entry.pages.pop(ROOT)
     assert client.read(cap, ROOT) == b"v1"  # miss -> fallback cold read
+
+
+def test_leased_cold_read_of_deleted_file_raises_after_one_rpc(cluster):
+    """A failed ``read_current`` is the answer: no second, weaker-freshness
+    RPC is tried behind the caller's back."""
+    client = FileClient(
+        cluster.network, "host", cluster.service_port, lease_ticks=LEASE
+    )
+    cap = client.create_file(b"doomed")
+    client.delete_file(cap)
+    sent = []
+    cluster.network.tracer = lambda sender, dest, payload: (
+        sent.append(payload.command) if sender == "host" else None
+    )
+    with pytest.raises(ReproError):
+        client.read(cap)
+    assert sent == ["read_current"]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from repro.errors import (
 )
 from repro.net import NetServer, TcpNetwork, TcpTransaction, wire
 from repro.net.server import command_handler
-from repro.net.transport import PipelinedConnection
+from repro.net.transport import Connection
 from repro.obs import Recorder
 from repro.sim.rpc import Request, RpcEndpoint, Transaction
 
@@ -245,13 +245,35 @@ def test_undecodable_body_is_answered_under_its_request_id(daemon):
 
     # The client's connection object delivers it: a BadFrame for the
     # caller, not an unsolicited frame followed by a dead connection.
-    conn = PipelinedConnection(socket.create_connection(daemon.address, timeout=5))
+    conn = Connection(socket.create_connection(daemon.address, timeout=5))
     try:
         frame_type, body, _ = conn.call("c", "echo", {7: "not a parameter name"})
         assert frame_type == wire.FRAME_ERROR
         assert isinstance(wire.decode_error(body), wire.BadFrame)
     finally:
         conn.close()
+
+
+def test_unparseable_header_error_reaches_the_caller_typed(daemon_cls):
+    """A header the daemon rejects names no request, so its error frame
+    carries id 0; the one outstanding call is whose it is.  The caller
+    sees the typed error once — not a reset, retry sweeps and
+    ServerUnreachable."""
+    recorder = Recorder()
+    daemon = daemon_cls(
+        "echo", command_handler(EchoServer(), 0x42), max_frame=1024
+    ).start()
+    net = TcpNetwork(recorder=recorder)  # the client's own limit is the default
+    net.register("echo", *daemon.address)
+    net.listen_port(0x42, "echo")
+    try:
+        with pytest.raises(FrameTooLarge):
+            Transaction(net, "client").call(0x42, "echo", value=b"x" * 4096)
+        assert "net.tcp.retries" not in recorder.metrics.counters
+        assert "net.tcp.conn_errors" not in recorder.metrics.counters
+    finally:
+        net.close()
+        daemon.stop()
 
 
 def test_accept_loop_outlives_a_connection_it_cannot_serve(monkeypatch):

@@ -2,13 +2,8 @@
 
 import pytest
 
-from repro.errors import ServerUnreachable
-from repro.block.sharding import (
-    RetryPolicy,
-    ShardedBlockClient,
-    ShardedBlockService,
-    ShardMap,
-)
+from repro.errors import ServerUnreachable, UnknownShard
+from repro.block.sharding import PlacementMap, RetryPolicy, ShardedBlockService
 from repro.core.pathname import PagePath
 from repro.obs import Recorder
 from repro.obs.report import render_shard_table
@@ -48,40 +43,35 @@ def client(net, service):
 
 
 def test_shard_map_round_trips_every_number():
-    shard_map = ShardMap(4, stride=100)
-    for shard in range(4):
+    shard_map = PlacementMap.initial(PORTS, stride=100)
+    for shard, r in enumerate(shard_map.ranges):
         for local in (1, 37, 100):
-            block = shard_map.global_of(shard, local)
-            assert shard_map.shard_of(block) == shard
+            block = r.global_of(local)
+            assert shard_map.index_of(block) == shard
             assert shard_map.local_of(block) == local
 
 
 def test_shard_map_slices_are_disjoint_and_contiguous():
-    shard_map = ShardMap(3, stride=10)
-    owners = [shard_map.shard_of(block) for block in range(1, 31)]
+    shard_map = PlacementMap.initial(PORTS[:3], stride=10)
+    owners = [shard_map.index_of(block) for block in range(1, 31)]
     assert owners == [0] * 10 + [1] * 10 + [2] * 10
 
 
 def test_shard_map_rejects_out_of_range():
-    shard_map = ShardMap(2, stride=10)
+    shard_map = PlacementMap.initial(PORTS[:2], stride=10)
+    with pytest.raises(UnknownShard):
+        shard_map.index_of(21)  # beyond the last shard's slice
+    with pytest.raises(UnknownShard):
+        shard_map.index_of(0)  # nil is never placed
     with pytest.raises(ValueError):
-        shard_map.shard_of(21)  # beyond the last shard's slice
+        shard_map.ranges[0].global_of(11)  # local number beyond the stride
     with pytest.raises(ValueError):
-        shard_map.shard_of(0)  # nil is never placed
-    with pytest.raises(ValueError):
-        shard_map.global_of(0, 11)  # local number beyond the stride
-    with pytest.raises(ValueError):
-        ShardMap(0)
+        PlacementMap.initial([])
 
 
 def test_pair_capacity_must_fit_inside_the_stride(net):
     with pytest.raises(ValueError):
         ShardedBlockService(net, [0x900], capacity=32, stride=16)
-
-
-def test_client_port_count_must_match_map(net):
-    with pytest.raises(ValueError):
-        ShardedBlockClient(net, "cli", [0x900, 0x901], 1, shard_map=ShardMap(3))
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +224,8 @@ def test_write_many_replicates_to_both_halves(service, client):
     blocks = [client.allocate() for _ in range(4)]  # one per shard
     client.write_many([(block, b"both halves") for block in blocks])
     for block in blocks:
-        shard = client.map.shard_of(block)
-        local = client.map.local_of(block)
+        shard = client.placement.index_of(block)
+        local = client.placement.local_of(block)
         pair = service.pair(shard)
         assert pair.disk_a.read(local) == pair.disk_b.read(local) == b"both halves"
 
@@ -247,7 +237,7 @@ def test_write_many_replicates_to_both_halves(service, client):
 
 def test_half_failover_within_a_shard(service, client):
     block = client.allocate_write(b"survives")
-    service.pair(client.map.shard_of(block)).a.crash()
+    service.pair(client.placement.index_of(block)).a.crash()
     assert client.read(block) == b"survives"
 
 
@@ -255,14 +245,14 @@ def test_allocation_skips_a_down_shard(service, client, recorder):
     for half in service.halves(0):
         half.crash()
     blocks = [client.allocate_write(b"x%d" % i) for i in range(6)]
-    assert all(client.map.shard_of(block) != 0 for block in blocks)
+    assert all(client.placement.index_of(block) != 0 for block in blocks)
     assert service.allocation_counts() == [0, 2, 2, 2]
     assert recorder.metrics.counter("shard.alloc_failover").value >= 1
 
 
 def test_placed_reads_retry_with_backoff_then_fail(service, client, net, recorder):
     block = client.allocate_write(b"gone")
-    for half in service.halves(client.map.shard_of(block)):
+    for half in service.halves(client.placement.index_of(block)):
         half.crash()
     before = net.clock.now
     with pytest.raises(ServerUnreachable):
@@ -277,7 +267,7 @@ def test_retry_policy_bridges_a_transient_outage(net, service):
         "cli", account=1, retry=RetryPolicy(attempts=3, backoff_ticks=40)
     )
     block = client.allocate_write(b"still here")
-    shard = client.map.shard_of(block)
+    shard = client.placement.index_of(block)
     a, b = service.halves(shard)
     a.crash()
     b.crash()
@@ -292,12 +282,12 @@ def test_retry_policy_bridges_a_transient_outage(net, service):
 
 def test_shard_half_recovers_via_resync(service, client):
     block = client.allocate_write(b"v1")
-    pair = service.pair(client.map.shard_of(block))
+    pair = service.pair(client.placement.index_of(block))
     pair.b.crash()
     client.write(block, b"v2")
     pair.b.restart()
     assert pair.b.resync() >= 1
-    assert pair.disk_b.read(client.map.local_of(block)) == b"v2"
+    assert pair.disk_b.read(client.placement.local_of(block)) == b"v2"
     assert service.consistent()
 
 

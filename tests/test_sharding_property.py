@@ -1,4 +1,5 @@
-"""Hypothesis properties for the ShardMap placement arithmetic.
+"""Hypothesis properties for the epoch-1 placement arithmetic
+(``PlacementMap.initial``: ``stride`` block numbers per shard, in order).
 
 The placement map is the one piece of the sharded deployment that every
 participant — clients, servers, the allocator, fsck — must agree on, and
@@ -15,42 +16,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block.sharding import ShardMap
+from repro.block.sharding import PlacementMap
+from repro.errors import UnknownShard
 
 shard_counts = st.integers(min_value=1, max_value=64)
 strides = st.integers(min_value=1, max_value=10_000)
 
 
+def initial_map(shards: int, stride: int) -> PlacementMap:
+    return PlacementMap.initial(list(range(0x100, 0x100 + shards)), stride)
+
+
 @st.composite
 def map_and_block(draw):
-    """A ShardMap plus a global block number inside its range."""
+    """(epoch-1 map, shards, stride, a global block number inside it)."""
     shards = draw(shard_counts)
     stride = draw(strides)
     block = draw(st.integers(min_value=1, max_value=shards * stride))
-    return ShardMap(shards, stride), block
+    return initial_map(shards, stride), shards, stride, block
 
 
 @given(map_and_block())
 def test_every_block_lands_on_exactly_one_shard(case):
-    """Total coverage without overlap: shard_of is a function defined on
+    """Total coverage without overlap: index_of is a function defined on
     the whole 1..shards*stride range, and its preimages partition it."""
-    shard_map, block = case
-    shard = shard_map.shard_of(block)
-    assert 0 <= shard < shard_map.shards
+    shard_map, shards, stride, block = case
+    shard = shard_map.index_of(block)
+    assert 0 <= shard < shards
     # The shard's own range contains the block — and no other shard's
     # range does, because the ranges are disjoint by construction.
-    low = shard * shard_map.stride + 1
-    high = (shard + 1) * shard_map.stride
+    low = shard * stride + 1
+    high = (shard + 1) * stride
     assert low <= block <= high
+    assert [block in r for r in shard_map.ranges].count(True) == 1
 
 
 @given(map_and_block())
 def test_global_local_round_trip(case):
-    shard_map, block = case
-    shard = shard_map.shard_of(block)
+    shard_map, _, stride, block = case
+    shard = shard_map.index_of(block)
     local = shard_map.local_of(block)
-    assert 1 <= local <= shard_map.stride
-    assert shard_map.global_of(shard, local) == block
+    assert 1 <= local <= stride
+    assert shard_map.ranges[shard].global_of(local) == block
 
 
 @given(
@@ -61,14 +68,14 @@ def test_global_local_round_trip(case):
 def test_local_global_round_trip(shards, stride, local):
     """The other direction: splicing a valid local number into the global
     namespace and mapping back recovers both coordinates."""
-    shard_map = ShardMap(shards, stride)
+    shard_map = initial_map(shards, stride)
     if local > stride:
         with pytest.raises(ValueError):
-            shard_map.global_of(0, local)
+            shard_map.ranges[0].global_of(local)
         return
     for shard in {0, shards - 1}:
-        block = shard_map.global_of(shard, local)
-        assert shard_map.shard_of(block) == shard
+        block = shard_map.ranges[shard].global_of(local)
+        assert shard_map.index_of(block) == shard
         assert shard_map.local_of(block) == local
 
 
@@ -77,32 +84,32 @@ def test_placement_is_stable_when_shards_are_added(case, extra):
     """Growth stability: a map with more shards (same stride) places
     every pre-existing block exactly where the smaller map did, so a
     deployment can add pairs without moving a single page."""
-    shard_map, block = case
-    grown = ShardMap(shard_map.shards + extra, shard_map.stride)
-    assert grown.shard_of(block) == shard_map.shard_of(block)
+    shard_map, shards, stride, block = case
+    grown = initial_map(shards + extra, stride)
+    assert grown.index_of(block) == shard_map.index_of(block)
     assert grown.local_of(block) == shard_map.local_of(block)
 
 
 @given(map_and_block())
 @settings(max_examples=30)
 def test_shard_of_agrees_with_exhaustive_range_walk(case):
-    """shard_of against the ground truth on the block's neighbourhood:
+    """index_of against the ground truth on the block's neighbourhood:
     walking the range boundaries around the block never skips or doubles
     a number."""
-    shard_map, block = case
-    shard = shard_map.shard_of(block)
-    boundary = shard * shard_map.stride  # last block of the previous shard
+    shard_map, shards, stride, block = case
+    shard = shard_map.index_of(block)
+    boundary = shard * stride  # last block of the previous shard
     if boundary >= 1:
-        assert shard_map.shard_of(boundary) == shard - 1
-    next_boundary = (shard + 1) * shard_map.stride
-    if next_boundary < shard_map.shards * shard_map.stride:
-        assert shard_map.shard_of(next_boundary + 1) == shard + 1
+        assert shard_map.index_of(boundary) == shard - 1
+    next_boundary = (shard + 1) * stride
+    if next_boundary < shards * stride:
+        assert shard_map.index_of(next_boundary + 1) == shard + 1
 
 
 @given(shards=shard_counts, stride=strides)
 def test_out_of_range_blocks_are_rejected(shards, stride):
-    shard_map = ShardMap(shards, stride)
-    with pytest.raises(ValueError):
-        shard_map.shard_of(shards * stride + 1)
-    with pytest.raises(ValueError):
-        shard_map.shard_of(0)
+    shard_map = initial_map(shards, stride)
+    with pytest.raises(UnknownShard):
+        shard_map.index_of(shards * stride + 1)
+    with pytest.raises(UnknownShard):
+        shard_map.index_of(0)

@@ -450,7 +450,7 @@ def _merge_restructured(
 
 
 # ---------------------------------------------------------------------------
-# Chain serialisation (group commit)
+# Chain serialisation (commit catch-up)
 # ---------------------------------------------------------------------------
 
 
@@ -473,21 +473,23 @@ def serialise_through(
     store: PageStore,
     b_root: int,
     first_successor: int,
+    stop: int,
     merge: bool = True,
     recorder=None,
     policy=None,
 ) -> ChainResult:
-    """Serialise ``V.b`` after *every* committed version from
-    ``first_successor`` to the end of the commit-reference chain, merging
-    as it goes, without flushing or touching the critical section between
-    steps.
+    """Serialise ``V.b`` after every committed version from
+    ``first_successor`` up to and including ``stop`` — the version the
+    caller will attempt its test-and-set on — merging as it goes,
+    without flushing or touching the critical section between steps: a
+    version is caught up through the whole intervening chain in memory
+    and pays for stable storage once at the end.
 
-    The single-commit path interleaves one ``serialise`` per test-and-set
-    round (flush, TAS, fail, serialise, retry); group commit instead
-    catches a version up through the whole intervening chain in memory
-    and pays for stable storage once at the end.  Returns a
+    ``stop``'s own commit reference is deliberately not read: if a
+    newer version exists, the lost test-and-set is what reports it.
+    The walk also ends where the chain does.  Returns a
     :class:`ChainResult` whose ``tip`` is the last committed version
-    walked — on success the caller may attempt its test-and-set there.
+    walked.
     """
     out = ChainResult(ok=True, tip=first_successor)
     successor = first_successor
@@ -505,6 +507,8 @@ def serialise_through(
             out.ok = False
             out.conflict_path = result.conflict_path
             out.reason = result.reason
+            return out
+        if successor == stop:
             return out
         next_block = store.load(successor, fresh=True).commit_ref
         if next_block == NIL:

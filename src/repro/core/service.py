@@ -37,7 +37,7 @@ the root's own flags live in the version-page header.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.capability import (
     ALL_RIGHTS,
@@ -91,7 +91,7 @@ class ServiceMetrics:
     files_created: int = 0
     versions_created: int = 0
     commits: int = 0
-    fast_commits: int = 0  # base still current: pure test-and-set
+    fast_commits: int = 0  # base still current: no serialise run
     merged_commits: int = 0  # went through serialise at least once
     group_commits: int = 0  # group-commit batches published
     group_committed: int = 0  # members committed through a group batch
@@ -108,6 +108,27 @@ class ServiceMetrics:
     leases_granted: int = 0  # client-cache read leases handed out
     lease_fast_renewals: int = 0  # renewals answered from the epoch alone
     epoch_bumps: int = 0  # lease epochs advanced by commit publications
+
+
+@dataclass
+class _Member:
+    """One version on its way through :meth:`FileService._settle`."""
+
+    entry: VersionEntry
+    # Last committed block the member has serialised against (at first,
+    # its base).  Kept apart from the page's base_ref: intra-group merges
+    # rebase base_ref onto *uncommitted* predecessors, which must not be
+    # mistaken for catch-up progress when a test-and-set is lost.
+    caught_up: int = NIL
+    # ``caught_up``'s commit reference, where known without asking (a
+    # lost test-and-set returns it): the first hop of the next catch-up.
+    successor: int = NIL
+    # Paths the merge policy reconciled during catch-up: the client must
+    # not cache its pre-merge writes for them.
+    merged: set[str] = field(default_factory=set)
+    serialised: bool = False  # needed at least one ``serialise`` run
+    # (page or None, reason) once the member was removed as a conflict.
+    conflict: tuple[PagePath | None, str] | None = None
 
 
 class FileService:
@@ -247,8 +268,10 @@ class FileService:
             )
         return entry
 
-    def _writable_version(self, cap: Capability) -> VersionEntry:
-        entry = self._version_entry(cap, RIGHT_WRITE)
+    def _open_version(
+        self, cap: Capability, rights: int = RIGHT_WRITE
+    ) -> VersionEntry:
+        entry = self._version_entry(cap, rights)
         if entry.status == "committed":
             raise VersionCommitted(f"version {entry.obj} already committed")
         if entry.status == "aborted":
@@ -614,7 +637,7 @@ class FileService:
     def write_page(self, version_cap: Capability, path: PagePath, data: bytes) -> None:
         """Write a page's data (copy-on-write shadowing underneath)."""
         self._check_up()
-        entry = self._writable_version(version_cap)
+        entry = self._open_version(version_cap)
         block, page = self._walk(entry, path, "write")
         if len(data) + REF_SIZE * page.nrefs > PAGE_BODY_SIZE:
             raise PageTooLarge(
@@ -839,7 +862,8 @@ class FileService:
     def commit(
         self, version_cap: Capability, max_rounds: int = 64
     ) -> list[str]:
-        """Commit an uncommitted version, making it the current version.
+        """Commit an uncommitted version, making it the current version:
+        a group of one through :meth:`_settle`.
 
         Returns the (usually empty) list of page paths whose data the
         merge policy reconciled with concurrent committed updates: the
@@ -851,91 +875,34 @@ class FileService:
         removed and the client must redo the update on a fresh version.
         """
         self._check_up()
-        entry = self._version_entry(version_cap, RIGHT_COMMIT)
-        if entry.status == "committed":
-            raise VersionCommitted(f"version {entry.obj} already committed")
-        if entry.status == "aborted":
-            raise VersionAborted(f"version {entry.obj} was aborted")
-        v_block = entry.root_block
-        base = self.store.load(v_block).base_ref
+        entry = self._open_version(version_cap, RIGHT_COMMIT)
+        member = _Member(entry)
         recorder = self.recorder
         started = self.clock.now
-        # Paths whose data the merge policy reconciled with a concurrent
-        # committed update: returned to the client, whose cached values
-        # for them are its own pre-merge writes, not the committed bytes.
-        merged_paths: list[str] = []
         with recorder.span("commit", server=self.name, version=entry.obj) as span:
-            for round_number in range(max_rounds):
-                # "First it ascertains that all of V.b's pages are safely on
-                # disk" — then the single critical section: test-and-set the
-                # base's commit reference.  One stable-storage request does
-                # both, in that order on every disk.
-                result = self.store.tas_commit_ref(base, v_block)
-                if result.success:
-                    entry.status = "committed"
-                    if self.history is not None:
-                        # Recorded inside the critical section: seq order of
-                        # these events IS the commit-reference chain order.
-                        self.history.record(
-                            "commit",
-                            actor=self.name,
-                            file=entry.file_obj,
-                            version=entry.obj,
-                            tick=self.clock.now,
-                        )
-                    file_entry = self.registry.file(entry.file_obj)
-                    file_entry.entry_block = v_block
-                    self._current_hints[entry.file_obj] = v_block
-                    self._bump_epoch(entry.file_obj)
-                    self._live_updates.discard(entry.update_port)
-                    # Cache the flag administration while it is still in memory.
-                    self._write_paths_cache[v_block] = collect_write_paths(
-                        self.store, v_block
-                    ).paths
-                    while len(self._write_paths_cache) > 4096:
-                        self._write_paths_cache.pop(
-                            next(iter(self._write_paths_cache))
-                        )
-                    self.metrics.commits += 1
-                    if round_number == 0:
-                        self.metrics.fast_commits += 1
-                        span.tag(path="fast")
-                    else:
-                        self.metrics.merged_commits += 1
-                        span.tag(path="serialise")
-                    if merged_paths:
-                        span.tag(semantic_merges=len(merged_paths))
-                    span.tag(rounds=round_number + 1)
-                    recorder.count("commit.committed")
-                    recorder.observe("commit.ticks", self.clock.now - started)
-                    return sorted(set(merged_paths))
-                successor = int.from_bytes(result.current, "big")
-                outcome = serialise(
-                    self.store,
-                    v_block,
-                    successor,
-                    recorder=recorder,
-                    policy=self.merge_policy,
+            rounds, _ = self._settle([member], max_rounds, "commit")
+            span.tag(rounds=rounds)
+            recorder.observe("commit.ticks", self.clock.now - started)
+            if member.conflict is not None:
+                path, reason = member.conflict
+                if path is None:
+                    span.tag(path="unsettled")
+                    raise CommitConflict(f"version {entry.obj}: {reason}")
+                span.tag(path="conflict")
+                raise CommitConflict(
+                    f"version {entry.obj} conflicts with committed update at "
+                    f"page '{path}': {reason}"
                 )
-                self.metrics.serialise_runs += 1
-                self.metrics.serialise_pages_visited += outcome.pages_visited
-                self._note_merges(outcome.semantic_merges, outcome.reason)
-                if not outcome.ok:
-                    self.metrics.conflicts += 1
-                    span.tag(path="conflict", rounds=round_number + 1)
-                    recorder.count("commit.conflicts")
-                    recorder.observe("commit.ticks", self.clock.now - started)
-                    self._remove_version(entry)
-                    raise CommitConflict(
-                        f"version {entry.obj} conflicts with committed update at "
-                        f"page '{outcome.conflict_path}': {outcome.reason}"
-                    )
-                merged_paths.extend(str(p) for p in outcome.merged_paths)
-                base = successor
-            span.tag(path="unsettled", rounds=max_rounds)
-            raise CommitConflict(
-                f"version {entry.obj}: commit did not settle in {max_rounds} rounds"
-            )
+            # "fast": the base was still current, so no ``serialise`` ran.
+            if member.serialised:
+                self.metrics.merged_commits += 1
+                span.tag(path="serialise")
+            else:
+                self.metrics.fast_commits += 1
+                span.tag(path="fast")
+            if member.merged:
+                span.tag(semantic_merges=len(member.merged))
+            return sorted(member.merged)
 
     def commit_group(
         self, version_caps: list[Capability], max_rounds: int = 64
@@ -943,12 +910,13 @@ class FileService:
         """Commit a batch of ready updates through ONE critical section
         per file and ONE batched flush for the whole group.
 
-        The sequential path pays, for the k-th of N back-to-back commits
-        on one file, k-1 failed test-and-sets each followed by a
-        serialise pass and a re-flush — O(N²) storage transactions in
-        total.  Grouping exploits that all members are on *this* server:
-        they are serialised against each other in memory, their version
-        pages are pre-linked into a commit-reference chain, and one
+        Committed one at a time, the k-th of N back-to-back updates of
+        one file walks the k-1 versions committed since its base and pays
+        its own flush and test-and-set — N stable-storage requests and
+        O(N²) ``serialise`` runs in total.  Grouping exploits that all
+        members are on *this* server: they are serialised against each
+        other in memory, their version pages are pre-linked into a
+        commit-reference chain, and one
         ``write_many`` request flushes the whole set and, behind the
         pages, runs a single test-and-set on each file's base, which
         publishes that file's entire chain atomically.  Until that
@@ -964,281 +932,285 @@ class FileService:
         uncommitted for the client to retry.
         """
         self._check_up()
-        outcomes: dict[int, str] = {}
-        entries: list[VersionEntry] = []
-        seen: set[int] = set()
+        entries: dict[int, VersionEntry] = {}
         for cap in version_caps:
-            entry = self._version_entry(cap, RIGHT_COMMIT)
-            if entry.status == "committed":
-                raise VersionCommitted(f"version {entry.obj} already committed")
-            if entry.status == "aborted":
-                raise VersionAborted(f"version {entry.obj} was aborted")
-            if entry.obj in seen:
-                continue
-            seen.add(entry.obj)
-            entries.append(entry)
+            entry = self._open_version(cap, RIGHT_COMMIT)
+            entries.setdefault(entry.obj, entry)
+        outcomes: dict[int, str] = {}
         if not entries:
             return outcomes
+        members = [_Member(entry) for entry in entries.values()]
         recorder = self.recorder
         started = self.clock.now
-        pending: dict[int, list[VersionEntry]] = {}
-        for entry in entries:
-            pending.setdefault(entry.file_obj, []).append(entry)
-        # Last committed block each member has serialised against.  Kept
-        # apart from the page's base_ref: intra-group merges rebase
-        # base_ref onto *uncommitted* predecessors, which must not be
-        # mistaken for catch-up progress when a test-and-set is lost.
-        caught_up = {
-            e.obj: self.store.load(e.root_block, fresh=True).base_ref
-            for e in entries
-        }
-        # Per member: paths the merge policy reconciled during catch-up.
-        # Members with any land in the outcome as "committed-merged" so
-        # the client knows not to cache its pre-merge writes for them.
-        merged: dict[int, set[str]] = {e.obj: set() for e in entries}
         with recorder.span(
-            "commit.group", server=self.name, members=len(entries)
+            "commit.group", server=self.name, members=len(members)
         ) as span:
             recorder.count("commit.group.batches")
-            recorder.count("commit.group.members", len(entries))
-            recorder.observe("commit.group.size", len(entries))
-            rounds_used = 0
-            for _ in range(max_rounds):
-                rounds_used += 1
-                survivors: dict[int, list[VersionEntry]] = {}
-                bases: dict[int, int] = {}
-                for file_obj, members in pending.items():
-                    file_entry = self.registry.file(file_obj)
-                    group_base = self._resolve_current(file_entry)
-                    bases[file_obj] = group_base
-                    chain: list[VersionEntry] = []
-                    dead = False
-                    for entry in members:
-                        if dead:
-                            # Members after a conflicted predecessor were
-                            # rebased onto it and share its pages; they
-                            # cannot outlive it.
-                            self._group_conflict(
-                                entry,
-                                None,
-                                "grouped predecessor conflicted with a "
-                                "committed update; redo the update",
-                                outcomes,
-                            )
-                            continue
-                        if self._group_catch_up(
-                            entry, group_base, caught_up, chain, outcomes, merged
-                        ):
-                            chain.append(entry)
-                        else:
-                            dead = True
-                    if chain:
-                        survivors[file_obj] = chain
-                if not survivors:
-                    pending = {}
-                    break
-                for chain in survivors.values():
-                    self._link_chain_refs(chain)
-                # One request flushes the group and publishes every chain:
-                # each file's test-and-set rides behind all the pages.
-                heads = [
-                    (bases[file_obj], chain[0].root_block)
-                    for file_obj, chain in survivors.items()
-                ]
-                try:
-                    results = self.store.tas_commit_refs(heads, "commit_group")
-                except Exception:
-                    # Group abort: withdraw the chain links so a later
-                    # retry cannot publish half-written pages, and leave
-                    # the members uncommitted — except the chains of a
-                    # request that failed part-way (swaps on several
-                    # shards) after their reference was set.
-                    for file_obj, chain in survivors.items():
-                        if self._chain_published(bases[file_obj], chain):
-                            self._publish_chain(file_obj, chain, outcomes, merged)
-                        else:
-                            self._unlink_chain_refs(chain)
-                    recorder.count("commit.group.flush_failures")
-                    span.tag(path="flush_failed")
-                    raise
-                retry: dict[int, list[VersionEntry]] = {}
-                for (file_obj, chain), result in zip(survivors.items(), results):
-                    if result.success:
-                        self._publish_chain(file_obj, chain, outcomes, merged)
-                    else:
-                        # Another server slipped a commit in; next round
-                        # catches the chain up behind the new tip.
-                        recorder.count("commit.group.tas_retries")
-                        retry[file_obj] = chain
-                pending = retry
-                if not pending:
-                    break
-            for members in pending.values():
-                for entry in members:
-                    self._group_conflict(
-                        entry,
-                        None,
-                        f"group commit did not settle in {max_rounds} rounds",
-                        outcomes,
-                    )
+            recorder.count("commit.group.members", len(members))
+            recorder.observe("commit.group.size", len(members))
+            try:
+                rounds, lost = self._settle(members, max_rounds, "commit_group")
+            except Exception:
+                recorder.count("commit.group.flush_failures")
+                span.tag(path="flush_failed")
+                raise
+            finally:
+                # Also after a failed request: what it published counts.
+                for member in members:
+                    obj = member.entry.obj
+                    if member.conflict is not None:
+                        recorder.count("commit.group.conflicts")
+                        path, reason = member.conflict
+                        where = f"page '{path}': " if path is not None else ""
+                        outcomes[obj] = f"conflict: {where}{reason}"
+                    elif member.entry.status == "committed":
+                        self.metrics.group_committed += 1
+                        recorder.count("commit.group.committed")
+                        outcomes[obj] = (
+                            "committed-merged" if member.merged else "committed"
+                        )
+            if lost:
+                recorder.count("commit.group.tas_retries", lost)
             self.metrics.group_commits += 1
-            span.tag(rounds=rounds_used)
+            span.tag(rounds=rounds)
             recorder.observe("commit.group.ticks", self.clock.now - started)
         return outcomes
 
-    def _group_catch_up(
-        self,
-        entry: VersionEntry,
-        group_base: int,
-        caught_up: dict[int, int],
-        prior: list[VersionEntry],
-        outcomes: dict[int, str],
-        merged: dict[int, set[str]] | None = None,
-    ) -> bool:
-        """Serialise one group member up to the head of its chain: first
-        through any externally committed versions it has not seen, then —
-        always — against this round's earlier survivors, so the member's
-        own writes re-graft over whatever external catch-up pulled in
+    def _settle(
+        self, members: list[_Member], max_rounds: int, reason: str
+    ) -> tuple[int, int]:
+        """The commit (§5.2), for any number of this server's versions:
+        per file, catch each member up with what was committed since its
+        base and serialise it behind the chain-mates before it, pre-link
+        the chain, then flush everything and test-and-set every chain's
+        head onto its file's base in ONE stable-storage request — the
+        only critical section.  A chain whose test-and-set is lost
+        catches up with the successor the loser was told about and goes
+        round again (Figure 6); members that cannot be serialised are
+        removed and carry the ``conflict`` that says why.
+
+        Returns the rounds used and the test-and-sets lost.  A failed
+        request propagates after its chains are either published (the
+        reference did land) or unlinked (the members stay open).
+        """
+        pending: dict[int, list[_Member]] = {}
+        for member in members:
+            member.caught_up = self.store.load(member.entry.root_block).base_ref
+            pending.setdefault(member.entry.file_obj, []).append(member)
+        rounds = lost = 0
+        while pending and rounds < max_rounds:
+            rounds += 1
+            chains: dict[int, tuple[int, list[_Member]]] = {}
+            for file_obj, waiting in pending.items():
+                # The base is optimistic: this server's hint, no read.
+                # A hint always names a committed version, so a stale
+                # one can only lose the test-and-set — which reports the
+                # newer tip — never win it.
+                base = self._current_hints.get(file_obj)
+                if base is None:
+                    base = self._resolve_current(self.registry.file(file_obj))
+                chain: list[_Member] = []
+                for i, member in enumerate(waiting):
+                    if self._catch_up(member, base, chain):
+                        chain.append(member)
+                        continue
+                    # Members after a conflicted predecessor were
+                    # rebased onto it and share its pages; they
+                    # cannot outlive it.
+                    for later in waiting[i + 1:]:
+                        self._conflict(
+                            later,
+                            None,
+                            "grouped predecessor conflicted with a "
+                            "committed update; redo the update",
+                        )
+                    break
+                if chain:
+                    chains[file_obj] = (base, chain)
+            pending = {}
+            if not chains:
+                break
+            for _, chain in chains.values():
+                self._link_chain_refs(chain)
+            # "First it ascertains that all of V.b's pages are safely on
+            # disk" — then the single critical section: test-and-set the
+            # base's commit reference.  One stable-storage request does
+            # both, in that order on every disk, for every chain.
+            try:
+                results = self.store.tas_commit_refs(
+                    [
+                        (base, chain[0].entry.root_block)
+                        for base, chain in chains.values()
+                    ],
+                    reason,
+                )
+            except Exception:
+                # Abort: withdraw the chain links so a later retry
+                # cannot publish half-written pages, and leave the
+                # members uncommitted — except the chains whose
+                # reference was set by a request that failed part-way
+                # (swaps on several shards) or whose reply was lost.
+                for base, chain in chains.values():
+                    if self._chain_published(base, chain):
+                        self._publish_chain(chain)
+                        # Pages before reference: the chain is on disk.
+                        # A still-buffered copy of a committed version
+                        # page would later overwrite the commit
+                        # reference its successor sets.
+                        for member in chain:
+                            self.store.forget(member.entry.root_block)
+                    else:
+                        self._unlink_chain_refs(chain)
+                raise
+            for (file_obj, (base, chain)), result in zip(chains.items(), results):
+                if result.success:
+                    self._publish_chain(chain)
+                    continue
+                # Another server slipped a commit in.  The successor it
+                # set is both the first hop of the chain's catch-up and
+                # the next optimistic base: hop by hop, as Figure 6.  (A
+                # member already beyond a lagging hint walks on from
+                # where it is, never back through its own ancestors.)
+                lost += 1
+                successor = int.from_bytes(result.current, "big")
+                self._current_hints[file_obj] = successor
+                for member in chain:
+                    if member.caught_up == base:
+                        member.successor = successor
+                pending[file_obj] = chain
+        for waiting in pending.values():
+            for member in waiting:
+                self._conflict(
+                    member, None, f"commit did not settle in {max_rounds} rounds"
+                )
+        return rounds, lost
+
+    def _catch_up(self, member: _Member, base: int, prior: list[_Member]) -> bool:
+        """Serialise one member up to the head of its chain: first
+        through the committed versions between its own base and ``base``,
+        then — always — against this round's earlier survivors, so the
+        member's own writes re-graft over whatever the catch-up pulled in
         (idempotent where already merged)."""
-        v_block = entry.root_block
-        base = caught_up[entry.obj]
-        if base != group_base:
-            first = self.store.load(base, fresh=True).commit_ref
+        v_block = member.entry.root_block
+        if member.caught_up != base:
+            first = member.successor
+            if first == NIL:
+                first = self.store.read_commit_ref(member.caught_up)
+            member.successor = NIL
             if first != NIL:
-                chain = serialise_through(
+                walk = serialise_through(
                     self.store,
                     v_block,
                     first,
+                    base,
                     recorder=self.recorder,
                     policy=self.merge_policy,
                 )
-                self.metrics.serialise_runs += chain.serialise_runs
-                self.metrics.serialise_pages_visited += chain.pages_visited
-                self._note_merges(chain.semantic_merges, chain.reason)
-                if merged is not None:
-                    merged[entry.obj].update(str(p) for p in chain.merged_paths)
-                if not chain.ok:
-                    self._group_conflict(
-                        entry, chain.conflict_path, chain.reason, outcomes
-                    )
+                if not self._merged_in(member, walk, walk.serialise_runs):
                     return False
-                caught_up[entry.obj] = chain.tip
+                member.caught_up = walk.tip
         for earlier in prior:
             result = serialise(
                 self.store,
                 v_block,
-                earlier.root_block,
+                earlier.entry.root_block,
                 recorder=self.recorder,
                 policy=self.merge_policy,
             )
-            self.metrics.serialise_runs += 1
-            self.metrics.serialise_pages_visited += result.pages_visited
-            self._note_merges(result.semantic_merges, result.reason)
-            if merged is not None:
-                merged[entry.obj].update(str(p) for p in result.merged_paths)
-            if not result.ok:
-                self._group_conflict(
-                    entry, result.conflict_path, result.reason, outcomes
-                )
+            if not self._merged_in(member, result, 1):
                 return False
         return True
 
-    def _group_conflict(
-        self, entry: VersionEntry, path, reason: str, outcomes: dict[int, str]
-    ) -> None:
+    def _merged_in(self, member: _Member, result, runs: int) -> bool:
+        """Account one catch-up step (merge-policy observability: applied
+        merges, and the conflicts that reached the policy but could not
+        be reconciled); a failed step removes the member."""
+        member.serialised = True
+        self.metrics.serialise_runs += runs
+        self.metrics.serialise_pages_visited += result.pages_visited
+        if result.semantic_merges:
+            self.metrics.semantic_merges += result.semantic_merges
+            self.recorder.count("merge.applied", result.semantic_merges)
+        if result.reason.startswith("merge:"):
+            self.metrics.merge_conflicts += 1
+            self.recorder.count("merge.conflicts")
+        member.merged.update(str(p) for p in result.merged_paths)
+        if not result.ok:
+            self._conflict(member, result.conflict_path, result.reason)
+        return result.ok
+
+    def _conflict(self, member: _Member, path, reason: str) -> None:
+        member.conflict = (path, reason)
         self.metrics.conflicts += 1
         self.recorder.count("commit.conflicts")
-        self.recorder.count("commit.group.conflicts")
-        where = f"page '{path}': " if path is not None else ""
-        outcomes[entry.obj] = f"conflict: {where}{reason}"
-        self._remove_version(entry)
+        self._remove_version(member.entry)
 
-    def _link_chain_refs(self, chain: list[VersionEntry]) -> None:
+    def _link_chain_refs(self, chain: list[_Member]) -> None:
         """Pre-link the members' commit references into the chain order
         they will be published in, dirtying only pages whose reference
         actually changes (re-linking after a lost test-and-set is mostly
         a no-op)."""
-        for i, entry in enumerate(chain):
-            successor = chain[i + 1].root_block if i + 1 < len(chain) else NIL
-            page = self.store.load(entry.root_block)
+        blocks = [member.entry.root_block for member in chain]
+        for block, successor in zip(blocks, blocks[1:] + [NIL]):
+            page = self.store.load(block)
             if page.commit_ref != successor:
                 page.commit_ref = successor
-                self.store.store_in_place(entry.root_block, page)
+                self.store.store_in_place(block, page)
 
-    def _chain_published(self, base: int, chain: list[VersionEntry]) -> bool:
+    def _chain_published(self, base: int, chain: list[_Member]) -> bool:
         """Whether ``base``'s commit reference on disk names the chain's
         head (asked only after a commit request failed)."""
         try:
-            return self.store.read_commit_ref(base) == chain[0].root_block
+            return self.store.read_commit_ref(base) == chain[0].entry.root_block
         except ReproError:
             return False  # the shard that cannot answer did not commit it
 
-    def _unlink_chain_refs(self, chain: list[VersionEntry]) -> None:
-        for entry in chain:
+    def _unlink_chain_refs(self, chain: list[_Member]) -> None:
+        for member in chain:
             try:
-                page = self.store.load(entry.root_block)
+                page = self.store.load(member.entry.root_block)
             except ReproError:
                 continue
             if page.commit_ref != NIL:
                 page.commit_ref = NIL
-                self.store.store_in_place(entry.root_block, page)
+                self.store.store_in_place(member.entry.root_block, page)
 
-    def _note_merges(self, count: int, reason: str = "") -> None:
-        """Merge-policy observability: applied merges and the conflicts
-        that reached the policy but could not be reconciled."""
-        if count:
-            self.metrics.semantic_merges += count
-            self.recorder.count("merge.applied", count)
-        if reason.startswith("merge:"):
-            self.metrics.merge_conflicts += 1
-            self.recorder.count("merge.conflicts")
-
-    def _publish_chain(
-        self,
-        file_obj: int,
-        chain: list[VersionEntry],
-        outcomes: dict[int, str],
-        merged: dict[int, set[str]] | None = None,
-    ) -> None:
+    def _publish_chain(self, chain: list[_Member]) -> None:
         """Bookkeeping for a chain the test-and-set just made current:
         every member is now committed, in chain order."""
-        recorder = self.recorder
-        for entry in chain:
-            entry.status = "committed"
+        for member in chain:
+            entry = member.entry
+            self._published(entry)
             if self.history is not None:
-                # Same rule as the sequential path: these records are made
-                # while the critical section's outcome is fresh and no
-                # other task can run, so their seq order IS chain order.
+                # Recorded while the critical section's outcome is fresh
+                # and no other task can run: seq order of these events IS
+                # the commit-reference chain order.
                 self.history.record(
                     "commit",
                     actor=self.name,
-                    file=file_obj,
+                    file=entry.file_obj,
                     version=entry.obj,
                     tick=self.clock.now,
                 )
             self._live_updates.discard(entry.update_port)
-            self._write_paths_cache[entry.root_block] = collect_write_paths(
-                self.store, entry.root_block
-            ).paths
-            while len(self._write_paths_cache) > 4096:
-                self._write_paths_cache.pop(next(iter(self._write_paths_cache)))
             self.metrics.commits += 1
-            self.metrics.group_committed += 1
-            recorder.count("commit.committed")
-            recorder.count("commit.group.committed")
-            if merged is not None and merged.get(entry.obj):
-                outcomes[entry.obj] = "committed-merged"
-            else:
-                outcomes[entry.obj] = "committed"
-        file_entry = self.registry.file(file_obj)
-        tip = chain[-1].root_block
-        file_entry.entry_block = tip
-        self._current_hints[file_obj] = tip
-        # One bump per member: a client that leased mid-chain state must
-        # miss the fast-renewal path just as it would under sequential
-        # commits.
-        for _ in chain:
-            self._bump_epoch(file_obj)
+            self.recorder.count("commit.committed")
+
+    def _published(self, entry: VersionEntry) -> None:
+        """What every commit-publication point owes a version whose
+        base's commit reference now names it: the registry, this
+        server's hint, the lease epoch (one bump per version: a client
+        that leased mid-chain state must miss the fast-renewal path) and
+        the flag administration, cached while it is still in memory."""
+        entry.status = "committed"
+        self.registry.file(entry.file_obj).entry_block = entry.root_block
+        self._current_hints[entry.file_obj] = entry.root_block
+        self._bump_epoch(entry.file_obj)
+        self._write_paths_cache[entry.root_block] = collect_write_paths(
+            self.store, entry.root_block
+        ).paths
+        while len(self._write_paths_cache) > 4096:
+            self._write_paths_cache.pop(next(iter(self._write_paths_cache)))
 
     def abort(self, version_cap: Capability) -> None:
         """Explicitly discard an uncommitted version."""

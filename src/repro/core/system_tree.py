@@ -90,7 +90,7 @@ class SystemTree:
         sub-file dies with it.
         """
         service = self.service
-        entry = service._writable_version(parent_version)
+        entry = service._open_version(parent_version)
         parent_file = service.registry.file(entry.file_obj)
 
         file_cap = service.issuer.mint(ALL_RIGHTS, service.rng)
@@ -286,12 +286,9 @@ class SystemTree:
             # access by other clients during the update" — or a recovering
             # waiter already performed them (result carries our block).
             if result.success or int.from_bytes(result.current, "big") == entry.root_block:
-                entry.status = "committed"
-                file_entry = service.registry.file(entry.file_obj)
-                file_entry.entry_block = entry.root_block
                 # A commit-publication point like any other: leases on
                 # the old current version must stop fast-renewing.
-                service._bump_epoch(entry.file_obj)
+                service._published(entry)
                 finished += 1
             service.locks.clear_inner_if(base, update_port)
         return finished

@@ -27,7 +27,7 @@ from repro.core.pathname import PagePath
 
 def _modify_parent(service, version_cap: Capability, parent_path: PagePath):
     """Walk to the page whose reference table is about to change."""
-    entry = service._writable_version(version_cap)
+    entry = service._open_version(version_cap)
     block, page = service._walk(entry, parent_path, "modify")
     return entry, block, page
 
@@ -158,7 +158,7 @@ def split_page(
     ``data[at:]``.  Returns the new sibling's path."""
     if path.is_root:
         raise BadPathName("cannot split the root page into siblings")
-    entry = service._writable_version(version_cap)
+    entry = service._open_version(version_cap)
     block, page = service._walk(entry, path, "write")
     if not 0 <= at <= page.dsize:
         raise BadPathName(f"split offset {at} outside 0..{page.dsize}")

@@ -424,21 +424,24 @@ def blind_serialise_mutant() -> Iterator[None]:
     This deliberately reintroduces the bug class the paper's test
     prevents — concurrent conflicting updates both commit, the loser's
     writes silently vanish — so tests can prove the history checker
-    notices.  Patches the name :mod:`repro.core.service` actually calls.
+    notices.  Patches every name the commit engine
+    (``FileService._settle``) reaches the test through: its own, for
+    chain-mates, and :mod:`repro.core.occ`'s, for each hop of
+    ``serialise_through``.
     """
-    from repro.core import service as service_module
+    from repro.core import occ, service
     from repro.core.occ import SerialiseResult
 
-    real = service_module.serialise
+    real = occ.serialise
 
     def blind(store, b_root, c_root, merge=True, recorder=None, **kwargs):
         return SerialiseResult(ok=True)
 
-    service_module.serialise = blind
+    occ.serialise = service.serialise = blind
     try:
         yield
     finally:
-        service_module.serialise = real
+        occ.serialise = service.serialise = real
 
 
 def _client_script(

@@ -97,16 +97,28 @@ def test_soak_report_is_deterministic(soak_seed):
     ]
 
 
-def test_soak_catches_blind_serialise_mutant(soak_seed):
+def test_soak_catches_blind_serialise_mutant(soak_seed, group_commit=False):
     """The harness's reason to exist: with the serialisability test
     disabled, concurrent commits produce lost updates and the history
-    checker must say so."""
-    report = run_soak(SoakConfig(seed=soak_seed, ops=120, mutant=True))
+    checker must say so; and blinded means blinded: no commit may still
+    be refused by a serialise conflict."""
+    report = run_soak(
+        SoakConfig(
+            seed=soak_seed, ops=120, mutant=True, group_commit=group_commit
+        )
+    )
     assert not report.ok
+    assert report.conflicts == 0
     kinds = {v.kind for v in report.check.violations}
     assert kinds & {"non-serializable-read", "stale-snapshot-read",
                     "durable-divergence"}
     assert "--mutant" in report.repro_line()
+
+
+def test_soak_catches_blind_serialise_mutant_at_any_chain_length(soak_seed):
+    """Single and grouped commits are one engine: the mutant must blind
+    the catch-up walk and the chain-mate test alike."""
+    test_soak_catches_blind_serialise_mutant(soak_seed, group_commit=True)
 
 
 def test_repro_line_replays_config():

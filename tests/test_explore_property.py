@@ -55,7 +55,22 @@ def _gc(fs):
         pass
 
 
-def _deploy():
+def _grouped_pair(fs, cap):
+    """The same write skew, both updates ready before ONE ``commit_group``
+    — the chain-mate serialisability test decides the second member."""
+    versions = []
+    for read_page, write_page, payload in ((0, 1, b"A-wrote"), (1, 0, b"B-wrote")):
+        handle = fs.create_version(cap)
+        yield
+        fs.read_page(handle.version, PagePath.of(read_page))
+        fs.write_page(handle.version, PagePath.of(write_page), payload)
+        versions.append(handle.version)
+        yield
+    fs.commit_group(versions)
+    yield
+
+
+def _deploy(grouped=False):
     history = HistoryRecorder()
     cluster = build_cluster(seed=5, history=history)
     fs = cluster.fs()
@@ -66,8 +81,11 @@ def _deploy():
     fs.commit(setup.version)
 
     sched = ExploreScheduler()
-    sched.spawn("A", _update(fs, cap, 0, 1, b"A-wrote"))
-    sched.spawn("B", _update(fs, cap, 1, 0, b"B-wrote"))
+    if grouped:
+        sched.spawn("AB", _grouped_pair(fs, cap))
+    else:
+        sched.spawn("A", _update(fs, cap, 0, 1, b"A-wrote"))
+        sched.spawn("B", _update(fs, cap, 1, 0, b"B-wrote"))
     sched.spawn("gc", _gc(fs))
     return history, fs, cap, sched
 
@@ -97,16 +115,23 @@ def test_chosen_interleavings_stay_serializable(picks):
     assert result.ok, [f"{v.kind}: {v.detail}" for v in result.violations]
 
 
-def test_mutant_double_commit_is_flagged():
+def test_mutant_double_commit_is_flagged(grouped=False):
     """With the serialisability test disabled, strict alternation makes
-    both conflicting updates read before either commits — both commit,
-    and the history checker must call the lost update out."""
-    history, fs, cap, sched = _deploy()
+    both conflicting updates read before either commits — both commit
+    (the blinded engine refuses nothing, whether the second meets the
+    first as a committed successor or as a chain-mate), and the history
+    checker must call the lost update out."""
+    history, fs, cap, sched = _deploy(grouped)
     with blind_serialise_mutant():
         sched.run(order=iter([0, 1] * 12))
+    assert fs.metrics.conflicts == 0
     result = check_history(history)
     assert not result.ok
     assert any(v.kind == "non-serializable-read" for v in result.violations)
+
+
+def test_mutant_double_commit_in_one_group_is_flagged():
+    test_mutant_double_commit_is_flagged(grouped=True)
 
 
 # -- the soak command line -----------------------------------------------------

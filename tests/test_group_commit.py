@@ -231,6 +231,90 @@ def test_group_commit_request_failing_between_shards_keeps_what_it_published():
     assert result.ok, "\n".join(str(v) for v in result.violations)
 
 
+def test_commit_whose_reply_is_lost_is_still_committed():
+    """The single commit is a group of one and inherits the same
+    handling: a request that was applied before it failed HAS committed
+    the version — the registry must say so, a retry must be told so, and
+    the next update must find a clean base."""
+    from repro.errors import ServerUnreachable
+
+    history = HistoryRecorder()
+    cluster = build_cluster(seed=24, history=history)
+    fs = cluster.fs()
+    cap, paths = _file_with_pages(fs, 1)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, paths[0], b"landed")
+    blocks = fs.store.blocks
+    write_many = blocks.write_many
+
+    def reply_lost(writes, swaps=()):
+        blocks.write_many = write_many
+        write_many(writes, swaps)
+        raise ServerUnreachable("the reply went missing")
+
+    blocks.write_many = reply_lost
+    with pytest.raises(ServerUnreachable):
+        fs.commit(handle.version)
+    assert fs.registry.version(handle.version.obj).status == "committed"
+    assert fs.current_version(cap).obj == handle.version.obj
+    with pytest.raises(VersionCommitted):
+        fs.commit(handle.version)
+    follow_up = fs.create_version(cap)
+    assert fs.read_page(follow_up.version, paths[0]) == b"landed"
+    fs.write_page(follow_up.version, paths[0], b"next")
+    fs.commit(follow_up.version)
+    assert fs.read_page(fs.current_version(cap), paths[0]) == b"next"
+    result = check_history(history)
+    assert result.ok, "\n".join(str(v) for v in result.violations)
+
+
+def test_commit_that_does_not_settle_removes_the_version():
+    from repro.errors import CommitConflict
+
+    cluster = build_cluster(seed=25)
+    fs = cluster.fs()
+    cap, paths = _file_with_pages(fs, 1)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, paths[0], b"never")
+    entry = fs.registry.version(handle.version.obj)
+    base = fs._resolve_current(fs.registry.file(cap.obj))
+    assert fs.locks.read(base).top == entry.update_port != 0
+    with pytest.raises(CommitConflict, match="did not settle in 0 rounds"):
+        fs.commit(handle.version, max_rounds=0)
+    assert entry.status == "aborted"
+    assert entry.update_port not in fs._live_updates
+    assert fs.locks.read(base).top == 0
+    assert fs.read_page(fs.current_version(cap), paths[0]) == b"init"
+
+
+@pytest.mark.parametrize("hint", ["missing", "behind"])
+def test_commit_survives_a_hint_that_cannot_vouch_for_its_base(hint):
+    """The optimistic base is the server's hint.  With no hint the engine
+    chases the commit references afresh; one that lags the member's own
+    (still current) base just loses test-and-sets until it has caught up
+    — the update is never serialised against its own ancestors."""
+    cluster = build_cluster(seed=26)
+    fs = cluster.fs()
+    cap, paths = _file_with_pages(fs, 1)
+    older = fs._current_hints[cap.obj]
+    first = fs.create_version(cap)
+    fs.write_page(first.version, paths[0], b"first")
+    fs.commit(first.version)
+    handle = fs.create_version(cap)
+    # Reads what its own base wrote: a false conflict if that base were
+    # ever mistaken for a concurrent committed update.
+    assert fs.read_page(handle.version, paths[0]) == b"first"
+    fs.write_page(handle.version, paths[0], b"second")
+    if hint == "missing":
+        del fs._current_hints[cap.obj]
+    else:
+        fs._current_hints[cap.obj] = older
+    assert fs.commit(handle.version) == []
+    assert fs.metrics.serialise_runs == 0
+    assert fs._current_hints[cap.obj] == fs.registry.version(handle.version.obj).root_block
+    assert fs.read_page(fs.current_version(cap), paths[0]) == b"second"
+
+
 def test_group_commit_deduplicates_and_validates_members():
     cluster = build_cluster(seed=16)
     fs = cluster.fs()

@@ -106,15 +106,17 @@ def test_concurrent_disjoint_commit_records_serialise_span(cluster, recorder):
     first_span, second_span = _commit_spans(recorder)
     assert first_span.tags["path"] == "fast"
     assert second_span.tags["path"] == "serialise"
-    assert second_span.tags["rounds"] == 2
+    # ``rounds`` counts stable-storage requests: this server knew the tip,
+    # so the catch-up ran before the first (and only) test-and-set.
+    assert second_span.tags["rounds"] == 1
     serialise = second_span.find("serialise")
     assert serialise is not None
     assert serialise.tags["ok"] is True
     assert serialise.tags["grafts"] >= 1
-    # The serialise round retried the test-and-set: once losing, once
-    # winning on the merged version.
+    # ... which the merged version wins (losing first is what a commit
+    # through ANOTHER server costs: tests/test_protocol_traces.py).
     tas = second_span.events_named("store.tas_commit")
-    assert [event.tags["success"] for event in tas] == [False, True]
+    assert [event.tags["success"] for event in tas] == [True]
 
 
 def test_conflicting_commit_tagged_and_aborted(cluster, recorder):

@@ -120,6 +120,91 @@ def test_commit_of_a_flushed_version_is_still_one_replicated_request():
     assert trace.commands() == ["write_many", "companion_write_many"]
 
 
+# One commit path: ``commit(v)`` is ``commit_group([v])`` — a group of
+# one through the same engine — so the two must cost the block tier the
+# same requests in the same order, whatever state the base is in.
+COMMIT_CALLS = {
+    "commit": lambda fs, version: fs.commit(version),
+    "commit_group": lambda fs, version: fs.commit_group([version]),
+}
+either_commit = pytest.mark.parametrize(
+    "commit", COMMIT_CALLS.values(), ids=COMMIT_CALLS.keys()
+)
+
+
+def _two_page_file(fs):
+    cap = fs.create_file(b"root")
+    setup = fs.create_version(cap)
+    pages = [fs.append_page(setup.version, ROOT, b"init") for _ in range(2)]
+    fs.commit(setup.version)
+    return cap, pages
+
+
+@either_commit
+@pytest.mark.parametrize("flushed", [False, True])
+def test_commit_on_a_current_base_reads_nothing(commit, flushed):
+    cluster = build_cluster(seed=153)
+    fs = cluster.fs()
+    cap, pages = _two_page_file(fs)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, pages[0], b"mine")
+    if flushed:
+        fs.store.flush()  # the version's own page is no longer buffered
+    trace = Trace(cluster.network)
+    commit(fs, handle.version)
+    # The base is the server's hint: no resolution, no fresh load.
+    assert trace.commands() == ["write_many", "companion_write_many"]
+    assert fs.read_page(fs.current_version(cap), pages[0]) == b"mine"
+
+
+@either_commit
+def test_commit_one_version_behind_catches_up_before_its_only_request(commit):
+    cluster = build_cluster(seed=154)
+    fs = cluster.fs()
+    cap, pages = _two_page_file(fs)
+    stale = fs.create_version(cap)
+    fs.write_page(stale.version, pages[0], b"stale-based")
+    ahead = fs.create_version(cap)
+    fs.write_page(ahead.version, pages[1], b"ahead")
+    fs.commit(ahead.version)
+    trace = Trace(cluster.network)
+    commit(fs, stale.version)
+    # This server committed the newer version, so it knows the tip: the
+    # base's commit reference is read, the catch-up runs in memory, and
+    # the one test-and-set is not lost.
+    assert trace.commands() == ["read", "write_many", "companion_write_many"]
+    current = fs.current_version(cap)
+    assert fs.read_page(current, pages[0]) == b"stale-based"
+    assert fs.read_page(current, pages[1]) == b"ahead"
+
+
+@either_commit
+def test_commit_behind_another_servers_commit_is_figure_6(commit):
+    cluster = build_cluster(servers=2, seed=155)
+    fs, other = cluster.fs(0), cluster.fs(1)
+    cap, pages = _two_page_file(fs)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, pages[0], b"mine")
+    rival = other.create_version(cap)
+    other.write_page(rival.version, pages[1], b"rival")
+    other.commit(rival.version)
+    trace = Trace(cluster.network)
+    commit(fs, handle.version)
+    # Nothing here knows of the rival: the first request flushes and
+    # loses its test-and-set, the catch-up reads the successor the loser
+    # was told about, and the second request wins.
+    assert trace.commands() == [
+        "write_many",
+        "companion_write_many",
+        "read",
+        "write_many",
+        "companion_write_many",
+    ]
+    current = fs.current_version(cap)
+    assert fs.read_page(current, pages[0]) == b"mine"
+    assert fs.read_page(current, pages[1]) == b"rival"
+
+
 def test_test_and_set_verb_replicates_in_one_exchange():
     net = Network()
     pair = StablePair(net, 0xC04, capacity=64, block_size=128)

@@ -84,6 +84,23 @@ def test_super_update_atomic_across_subfiles(nested):
     assert fs.read_page(fs.current_version(cap_b), ROOT) == b"B v2"
 
 
+def test_finished_sub_commit_repairs_the_current_hint(nested):
+    """A sub-file commit is a commit-publication point like any other:
+    the hint must land on the new version, so a snapshot read needs no
+    resolution and sees the committed data."""
+    fs, tree, cap_c, cap_a, cap_b = nested
+    update = tree.begin_super_update(cap_c)
+    ha = tree.open_subfile(update, cap_a)
+    fs.write_page(ha.version, ROOT, b"A v2")
+    tree.commit_super(update)
+    sub_block = fs.registry.version(ha.version.obj).root_block
+    assert fs._current_hints[cap_a.obj] == sub_block
+    assert sub_block in fs._write_paths_cache
+    fast = fs.metrics.snapshot_fast
+    assert fs.snapshot_read(cap_a, ROOT) == b"A v2"
+    assert fs.metrics.snapshot_fast == fast + 1
+
+
 def test_inner_lock_blocks_small_updates(nested):
     fs, tree, cap_c, cap_a, cap_b = nested
     update = tree.begin_super_update(cap_c)

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from repro.capability import Capability
 from repro.errors import CommitConflict, FileLocked, ReproError
-from repro.core.cache import ClientFileCache
+from repro.core.cache import ClientFileCache, Lease
 from repro.core.pathname import PagePath
 from repro.core.service import VersionHandle
 from repro.obs import NULL_RECORDER
@@ -133,12 +133,13 @@ class FileClient:
         one small message and no page transfers.  With ``lease_ticks``
         set, a cache hit under a live lease costs **no messages at all**;
         when the lease dies the next read renews it with one validation
-        message, and a cold file is fetched (and leased) in one
-        ``read_current`` round trip.
+        message.  Every read the cache cannot serve — all of them without
+        a cache — is one lock-free ``read_current`` round trip for the
+        file's true current version, leased when ``lease_ticks`` is set.
         """
         if self.cache is None:
-            current = self.current_version(file_cap)
-            return self._call("read_page", version_cap=current, path=str(path))
+            data, _, _ = self._read_current(file_cap, path)
+            return data
         recorder = self._recorder
         entry = self.cache.entry(file_cap)
         if (
@@ -179,27 +180,28 @@ class FileClient:
                 data = self._fetch_into(file_cap, entry, path)
                 if data is not None:
                     return data
+        # Stamped before the request: the version granted on cannot have
+        # been superseded before this instant, so the lease window bounds
+        # how far any lease-served read can lag.
+        now = self.clock.now
+        data, current, lease = self._read_current(file_cap, path)
+        self.cache.remember(file_cap, current, {path: data})
         if self.lease_ticks:
-            # Stamped before the request: the version granted on cannot
-            # have been superseded before this instant, so the lease
-            # window bounds how far any lease-served read can lag.
-            now = self.clock.now
-            data, current, lease = self._call(
-                "read_current",
-                file_cap=file_cap,
-                path=str(path),
-                lease_ticks=self.lease_ticks,
-            )
-            self.cache.remember(file_cap, current, {path: data})
             self.cache.set_lease(file_cap, lease, now)
-            return data
-        current = self.current_version(file_cap)
-        data = self._call("read_page", version_cap=current, path=str(path))
-        if self.cache.entry(file_cap) is None:
-            self.cache.remember(file_cap, current, {path: data})
-        else:
-            self.cache.put(file_cap, path, data)
         return data
+
+    def _read_current(
+        self, file_cap: Capability, path: PagePath
+    ) -> tuple[bytes, Capability, Lease]:
+        """One ``read_current`` round trip: the page of the file's true
+        current version, that version, and a lease (zero ticks, and not
+        counted as a grant, when this client takes no leases)."""
+        return self._call(
+            "read_current",
+            file_cap=file_cap,
+            path=str(path),
+            lease_ticks=self.lease_ticks or 0,
+        )
 
     def _fetch_into(
         self, file_cap: Capability, entry: Any, path: PagePath

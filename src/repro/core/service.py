@@ -1357,10 +1357,14 @@ class FileService:
     # ------------------------------------------------------------------
 
     def _grant_lease(self, epoch: int, lease_ticks: int) -> Lease:
+        """A lease of ``lease_ticks``, clamped at ``max_lease_ticks``.  A
+        zero-tick request comes from a reader that takes no leases: it is
+        answered with a zero-TTL lease and counted as no grant."""
         granted = max(0, min(int(lease_ticks), self.max_lease_ticks))
-        self.metrics.leases_granted += 1
-        if self.recorder.enabled:
-            self.recorder.count("cache.lease.grants")
+        if lease_ticks > 0:
+            self.metrics.leases_granted += 1
+            if self.recorder.enabled:
+                self.recorder.count("cache.lease.grants")
         return Lease(epoch, granted)
 
     def renew_lease(
@@ -1406,11 +1410,14 @@ class FileService:
     def read_current(
         self, file_cap: Capability, path: PagePath, lease_ticks: int = 0
     ) -> tuple[bytes, Capability, Lease]:
-        """One-round-trip cold read: resolve the current version *truly*
+        """One-round-trip read of the current version: resolve it *truly*
         (full commit-reference chase, never the snapshot hint — a lease
         granted on a hint that already lags another server's commit
         would break the staleness bound), read the page, and grant a
-        lease on what was current at this instant.
+        lease on what was current at this instant.  Every client read
+        the cache cannot serve comes here; with ``lease_ticks=0`` (no
+        lease wanted) it is a plain snapshot read and no lease counter
+        moves.
         """
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_READ)
@@ -1421,7 +1428,7 @@ class FileService:
         block, _ = self._resolve_current_page(entry)
         data = self._walk_readonly(block, path).data
         self.metrics.snapshot_reads += 1
-        if self.recorder.enabled:
+        if lease_ticks > 0 and self.recorder.enabled:
             self.recorder.count("cache.lease.cold_reads")
         current_cap = self._version_cap_for_block(entry.obj, block)
         if self.history is not None:

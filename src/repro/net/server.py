@@ -37,7 +37,7 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.errors import ReproError, ServerUnreachable, WireError
+from repro.errors import MessageDropped, ReproError, ServerUnreachable, WireError
 from repro.net import wire
 from repro.obs import NULL_RECORDER
 
@@ -292,8 +292,6 @@ class NetServer:
         try:
             result = self._locked_call(sender, command, params)
         except _BusySignal:
-            from repro.errors import MessageDropped
-
             self.recorder.count("net.tcp.busy")
             return wire.encode_error(
                 MessageDropped(f"{self.name}: dispatch busy, retry"),

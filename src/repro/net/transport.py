@@ -47,7 +47,7 @@ from repro.net import wire
 from repro.net.server import NetServer
 from repro.obs import NULL_RECORDER
 from repro.sim.network import NetworkStats
-from repro.sim.rpc import Transaction, _registry, failover_order
+from repro.sim.rpc import Request, Transaction, _registry, failover_order
 
 # Transaction-layer retry schedule: how many whole-port sweeps, and the
 # backoff before sweep k (seconds, doubling).
@@ -155,8 +155,6 @@ class TcpNetwork:
         """
 
         def dispatch(sender: str, command: str, params: dict) -> Any:
-            from repro.sim.rpc import Request
-
             return handler(sender, Request(command, params))
 
         with self._topology_lock:
@@ -479,8 +477,6 @@ class TcpTransaction(Transaction):
         recorder = network.recorder
         if recorder.enabled:
             recorder.event("rpc." + command, port=port, client=self.client_node)
-        from repro.sim.rpc import Request
-
         request = Request(command, params)
         last_error: Exception | None = None
         for sweep in range(max(1, network.retry_sweeps)):

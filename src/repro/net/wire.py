@@ -103,16 +103,29 @@ _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
 
 
-def _lazy_types():
-    """The service value types, imported lazily to avoid import cycles
-    (block.stable imports sim.rpc; wire must stay importable first)."""
-    from repro.block.server import TasResult
-    from repro.block.sharding import PlacementMap, ShardRange
-    from repro.block.stable import _Intention
-    from repro.core.cache import Lease
-    from repro.core.service import VersionHandle
+# The service value types.  Importing them when this module loads would
+# cycle (block.stable imports sim.rpc; wire must stay importable first),
+# so the codec's entry points bind them on first use, once per process.
+VersionHandle: Any = None
+TasResult: Any = None
+_Intention: Any = None
+Lease: Any = None
+PlacementMap: Any = None
+ShardRange: Any = None
 
-    return VersionHandle, TasResult, _Intention, Lease, PlacementMap, ShardRange
+
+def _bind_service_types() -> None:
+    global VersionHandle, TasResult, _Intention, Lease, PlacementMap, ShardRange
+    from repro.block import server, sharding, stable
+    from repro.core import cache, service
+
+    TasResult = server.TasResult
+    PlacementMap, ShardRange = sharding.PlacementMap, sharding.ShardRange
+    _Intention = stable._Intention
+    Lease = cache.Lease
+    # Last: the entry points test this one, so a thread racing the first
+    # binding never sees a half-bound set.
+    VersionHandle = service.VersionHandle
 
 
 # ---------------------------------------------------------------------------
@@ -120,13 +133,24 @@ def _lazy_types():
 # ---------------------------------------------------------------------------
 
 
-def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> bytes:
-    """Append the tagged encoding of ``value`` to ``out`` and return it."""
-    if out is None:
-        out = bytearray()
-    if _depth > MAX_DEPTH:
+def encode_value(value: Any) -> bytes:
+    """The tagged encoding of ``value``."""
+    return bytes(_encode_into(bytearray(), value))
+
+
+def _encode_into(out: bytearray, value: Any) -> bytearray:
+    """Append the encoding of ``value`` to ``out`` and return ``out``: a
+    frame is built in one buffer, whatever the nesting."""
+    if VersionHandle is None:
+        _bind_service_types()
+    _encode(value, out, 0)
+    return out
+
+
+def _encode(value: Any, out: bytearray, depth: int) -> None:
+    """Append the tagged encoding of ``value`` to ``out``."""
+    if depth > MAX_DEPTH:
         raise BadFrame(f"value nesting exceeds {MAX_DEPTH} levels")
-    VersionHandle, TasResult, _Intention, Lease, PlacementMap, _ = _lazy_types()
     if value is None:
         out.append(_T_NONE)
     elif value is True:
@@ -157,13 +181,13 @@ def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> b
         out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
         out += _U32.pack(len(value))
         for item in value:
-            encode_value(item, out, _depth + 1)
+            _encode(item, out, depth + 1)
     elif isinstance(value, dict):
         out.append(_T_DICT)
         out += _U32.pack(len(value))
         for key, item in value.items():
-            encode_value(key, out, _depth + 1)
-            encode_value(item, out, _depth + 1)
+            _encode(key, out, depth + 1)
+            _encode(item, out, depth + 1)
     elif isinstance(value, Capability):
         out.append(_T_CAP)
         out += value.pack()
@@ -178,25 +202,24 @@ def encode_value(value: Any, out: bytearray | None = None, _depth: int = 0) -> b
         out += value.current
     elif isinstance(value, _Intention):
         out.append(_T_INTENTION)
-        encode_value(value.kind, out, _depth + 1)
-        encode_value(value.account, out, _depth + 1)
-        encode_value(value.block_no, out, _depth + 1)
-        encode_value(value.data, out, _depth + 1)
+        _encode(value.kind, out, depth + 1)
+        _encode(value.account, out, depth + 1)
+        _encode(value.block_no, out, depth + 1)
+        _encode(value.data, out, depth + 1)
     elif isinstance(value, Lease):
         out.append(_T_LEASE)
-        encode_value(value.epoch, out, _depth + 1)
-        encode_value(value.ttl, out, _depth + 1)
+        _encode(value.epoch, out, depth + 1)
+        _encode(value.ttl, out, depth + 1)
     elif isinstance(value, PlacementMap):
         out.append(_T_PLACEMENT)
-        encode_value(value.epoch, out, _depth + 1)
+        _encode(value.epoch, out, depth + 1)
         out += _U32.pack(len(value.ranges))
         for r in value.ranges:
-            encode_value(r.lo, out, _depth + 1)
-            encode_value(r.hi, out, _depth + 1)
-            encode_value(r.port, out, _depth + 1)
+            _encode(r.lo, out, depth + 1)
+            _encode(r.hi, out, depth + 1)
+            _encode(r.port, out, depth + 1)
     else:
         raise BadFrame(f"type {type(value).__name__} has no wire encoding")
-    return bytes(out)
 
 
 class _Reader:
@@ -230,6 +253,8 @@ class _Reader:
 
 def decode_value(payload: bytes) -> Any:
     """Decode one complete value; trailing bytes are an error."""
+    if VersionHandle is None:
+        _bind_service_types()
     reader = _Reader(payload)
     value = _decode(reader, 0)
     if not reader.done():
@@ -242,9 +267,6 @@ def decode_value(payload: bytes) -> Any:
 def _decode(reader: _Reader, depth: int) -> Any:
     if depth > MAX_DEPTH:
         raise BadFrame(f"value nesting exceeds {MAX_DEPTH} levels")
-    VersionHandle, TasResult, _Intention, Lease, PlacementMap, ShardRange = (
-        _lazy_types()
-    )
     tag = reader.u8()
     if tag == _T_NONE:
         return None
@@ -329,20 +351,20 @@ def _decode(reader: _Reader, depth: int) -> Any:
 # ---------------------------------------------------------------------------
 
 
-def _frame(
-    frame_type: int, request_id: int, payload: bytes, max_frame: int
-) -> bytes:
+def _frame(frame_type: int, request_id: int, value: Any, max_frame: int) -> bytes:
+    """One frame carrying ``value``: the header slot is reserved, the
+    payload encoded after it, and the header packed in place."""
     if not 0 <= request_id <= MAX_REQUEST_ID:
         raise BadFrame(f"request id {request_id} outside the u32 range")
-    if HEADER_SIZE + len(payload) > max_frame:
+    out = _encode_into(bytearray(HEADER_SIZE), value)
+    if len(out) > max_frame:
         raise FrameTooLarge(
-            f"frame of {HEADER_SIZE + len(payload)} bytes exceeds the "
-            f"{max_frame}-byte maximum"
+            f"frame of {len(out)} bytes exceeds the {max_frame}-byte maximum"
         )
-    return (
-        _HEADER.pack(MAGIC, WIRE_VERSION, frame_type, request_id, len(payload))
-        + payload
+    _HEADER.pack_into(
+        out, 0, MAGIC, WIRE_VERSION, frame_type, request_id, len(out) - HEADER_SIZE
     )
+    return bytes(out)
 
 
 def encode_request(
@@ -352,18 +374,13 @@ def encode_request(
     max_frame: int = DEFAULT_MAX_FRAME,
     request_id: int = 0,
 ) -> bytes:
-    return _frame(
-        FRAME_REQUEST,
-        request_id,
-        encode_value((sender, command, params)),
-        max_frame,
-    )
+    return _frame(FRAME_REQUEST, request_id, (sender, command, params), max_frame)
 
 
 def encode_reply(
     value: Any, max_frame: int = DEFAULT_MAX_FRAME, request_id: int = 0
 ) -> bytes:
-    return _frame(FRAME_REPLY, request_id, encode_value(value), max_frame)
+    return _frame(FRAME_REPLY, request_id, value, max_frame)
 
 
 def encode_error(
@@ -371,8 +388,7 @@ def encode_error(
     max_frame: int = DEFAULT_MAX_FRAME,
     request_id: int = 0,
 ) -> bytes:
-    payload = encode_value((type(exc).__name__, str(exc)))
-    return _frame(FRAME_ERROR, request_id, payload, max_frame)
+    return _frame(FRAME_ERROR, request_id, (type(exc).__name__, str(exc)), max_frame)
 
 
 def decode_header(

@@ -2,16 +2,22 @@
 
 The network tracer records every (sender, destination, command) triple;
 these tests assert the exact message sequences of the documented
-protocols — companion-first replication and the commit test-and-set.
+protocols — companion-first replication, the commit test-and-set and
+the one-RPC client read.
 """
 
 import pytest
 
 from repro.block.stable import EXTENT, StableClient, StablePair
+from repro.client.api import FileClient
 from repro.core.pathname import PagePath
+from repro.errors import MessageDropped
+from repro.net import build_tcp_cluster
+from repro.obs import Recorder
 from repro.sim.network import Network
 from repro.sim.rpc import Request
 from repro.testbed import build_cluster
+from repro.verify.history import HistoryRecorder
 
 ROOT = PagePath.ROOT
 
@@ -224,8 +230,6 @@ def test_client_update_cycle_has_no_server_push():
     server→block — there is no server→client push path (the anti-XDFS
     property, structurally)."""
     cluster = build_cluster(servers=2, seed=151)
-    from repro.client.api import FileClient
-
     client = FileClient(cluster.network, "host", cluster.service_port)
     cap = client.create_file(b"v0")
     trace = Trace(cluster.network)
@@ -239,8 +243,6 @@ def test_client_update_cycle_has_no_server_push():
 
 def test_failover_trace_shows_retry_on_other_server():
     cluster = build_cluster(servers=2, seed=152)
-    from repro.client.api import FileClient
-
     client = FileClient(cluster.network, "host", cluster.service_port)
     cap = client.create_file(b"v0")
     cluster.fs(0).crash()
@@ -249,3 +251,87 @@ def test_failover_trace_shows_retry_on_other_server():
     senders_to = [(s, d) for s, d, _ in trace.events if s == "host"]
     assert ("host", "fs0") in senders_to  # the failed attempt
     assert ("host", "fs1") in senders_to  # the failover
+
+
+# The client read path: every read that reaches a server is one lock-free
+# ``read_current``.  Version reads (inside an update, or of a historical
+# version) keep ``read_page``.
+READERS = {
+    "uncached": {"use_cache": False},
+    "leaseless-cold": {"use_cache": True},
+}
+
+
+@pytest.mark.parametrize("options", READERS.values(), ids=READERS.keys())
+def test_client_read_is_one_rpc_of_the_true_current_version(options):
+    history = HistoryRecorder()
+    cluster = build_cluster(servers=2, seed=156, history=history)
+    network = cluster.network
+    writer = FileClient(
+        network, "writer", cluster.service_port, prefer_server="fs1", use_cache=False
+    )
+    reader = FileClient(
+        network, "host", cluster.service_port, prefer_server="fs0", **options
+    )
+    cap = writer.create_file(b"v0")
+    assert reader.read(cap) == b"v0"  # fs0 now holds a current-version hint
+    if reader.cache is not None:
+        reader.cache.drop(cap)  # the next read is cold again
+    writer.transact(cap, lambda u: u.write(ROOT, b"v1"))  # through fs1
+    current = writer.current_version(cap)
+    trace = Trace(network)
+    messages = network.stats.messages
+    seen = len(history)
+
+    assert reader.read(cap) == b"v1"
+    # One file-server RPC and the version-page load behind it: 4
+    # messages (current_version + read_page cost 2 RPCs, 6 messages).
+    assert [e for e in trace.events if e[0] == "host"] == [
+        ("host", "fs0", "read_current")
+    ]
+    assert network.stats.messages - messages == 4
+    # One snapshot read, of the version fs1 just committed: fs0's stale
+    # hint is not what a client read is served from.
+    reads = [e for e in history.events[seen:] if e.kind == "snapshot_read"]
+    assert [(r.version, r.value) for r in reads] == [(current.obj, b"v1")]
+
+
+def test_leaseless_reads_grant_no_leases():
+    recorder = Recorder()
+    cluster = build_cluster(seed=158, recorder=recorder)
+    fs = cluster.fs()
+    client = FileClient(cluster.network, "host", cluster.service_port, use_cache=False)
+    cap = client.create_file(b"data")
+    for _ in range(5):
+        assert client.read(cap) == b"data"
+    assert fs.metrics.snapshot_reads == 5
+    assert fs.metrics.leases_granted == fs.metrics.lease_fast_renewals == 0
+    leases = {
+        name: counter.value
+        for name, counter in recorder.metrics.counters.items()
+        if name.startswith("cache.lease.")
+    }
+    assert not any(leases.values()), leases
+
+
+def test_tcp_read_is_served_while_the_dispatch_lock_is_held():
+    """An uncached read over TCP never takes the dispatch lock: it is
+    answered while a mutating command (here, the test) holds it."""
+    recorder = Recorder()
+    cluster = build_tcp_cluster(seed=157, recorder=recorder, lock_timeout=0.05)
+    try:
+        client = cluster.client("host", use_cache=False)
+        cap = client.create_file(b"v0")
+        lock = cluster.network.daemon("fs0")._dispatch_lock
+        assert lock.acquire(timeout=5)
+        try:
+            data = client.read(cap)
+        except MessageDropped:
+            pytest.fail("read answered busy while the dispatch lock was held")
+        finally:
+            lock.release()
+        assert data == b"v0"
+        busy = recorder.metrics.counters.get("net.tcp.busy")
+        assert busy is None or busy.value == 0
+    finally:
+        cluster.stop()

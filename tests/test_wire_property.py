@@ -4,16 +4,22 @@ Round-trips arbitrary requests, replies and errors through the binary
 encoding, and checks the explicit safety guards: oversized frames are
 rejected (never truncated) on both encode and decode, truncated payloads
 raise :class:`TruncatedFrame`, corrupted headers raise :class:`BadFrame`.
+Golden frames pin the encoding byte for byte: wire version 2 is a
+contract, and any faster codec must emit exactly these bytes.
 """
 
 from __future__ import annotations
+
+import builtins
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.block.server import TasResult
+from repro.block.sharding import PlacementMap, ShardRange
 from repro.block.stable import _Intention
 from repro.capability import Capability
+from repro.core.cache import Lease
 from repro.core.service import VersionHandle
 from repro.errors import (
     BadFrame,
@@ -333,3 +339,127 @@ def test_assembler_rejects_old_version_mid_stream():
     assert [rid for _, rid, _ in assembler.feed(good)] == [7]
     with pytest.raises(WireVersionMismatch):
         assembler.feed(v1)
+
+
+# -- golden frames: the byte-identical contract ------------------------------
+
+CAP = Capability(port=0x0123456789AB, obj=42, rights=0x00FF, check=0xCAFEBABE1234)
+FILE = Capability(port=0x0123456789AB, obj=7, rights=0xFFFF, check=0x0BADF00D5EED)
+PLACEMENT = PlacementMap(
+    2, (ShardRange(1, 4096, 0xC00), ShardRange(4097, 8192, 0xC01))
+)
+
+# One value per tag (the list also carries None, True and False).
+GOLDEN_VALUES = {
+    "int": (-1985, "0302f83f"),
+    "bytes": (b"\x00page\xff", "05000000060070616765ff"),
+    "str": ("\u00e9preuve", "0600000008c3a9707265757665"),
+    "list": ([None, True, False, 0, 255, 256], "0700000006000102030100030200ff03020100"),
+    "tuple": ((2.5, "x", b""), "08000000030440040000000000000600000001780500000000"),
+    "dict": ({"a": 1, 2: b"b"}, "0900000002060000000161030101030102050000000162"),
+    "capability": (CAP, "0a0123456789ab000000000000002a00ffcafebabe1234"),
+    "version_handle": (
+        VersionHandle(CAP, FILE),
+        "0b0123456789ab000000000000002a00ffcafebabe1234"
+        "0123456789ab0000000000000007ffff0badf00d5eed",
+    ),
+    "tas_result": (TasResult(True, b"\x00\x00\x00\x07"), "0c010000000400000007"),
+    "intention": (
+        _Intention("write", 1, 17, b"blk"),
+        "0d060000000577726974650301010301110500000003626c6b",
+    ),
+    "lease": (Lease(5, 20_000), "0e03010503024e20"),
+    "placement": (
+        PLACEMENT,
+        "0f030102000000020301010302100003020c00030210010302200003020c01",
+    ),
+}
+
+WRITE_MANY_PARAMS = {
+    "account": 1,
+    "writes": [(100, b"A" * 16), (101, b"B" * 16)],
+    "swaps": [(99, 0, b"\x00" * 4, b"\x00\x00\x00\x64")],
+}
+
+GOLDEN_FRAMES = {
+    "read_current_request": (
+        lambda: wire.encode_request(
+            "host",
+            "read_current",
+            {"file_cap": FILE, "path": "0.1", "lease_ticks": 0},
+            request_id=7,
+        ),
+        "41460201000000070000006c08000000030600000004686f7374060000000c72"
+        "6561645f63757272656e740900000003060000000866696c655f6361700a0123"
+        "456789ab0000000000000007ffff0badf00d5eed060000000470617468060000"
+        "0003302e31060000000b6c656173655f7469636b73030100",
+    ),
+    "read_current_reply": (
+        lambda: wire.encode_reply((b"page", CAP, Lease(3, 0)), request_id=7),
+        "41460202000000070000002c08000000030500000004706167650a0123456789"
+        "ab000000000000002a00ffcafebabe12340e030103030100",
+    ),
+    "write_many_request": (
+        lambda: wire.encode_request(
+            "fs0", "write_many", WRITE_MANY_PARAMS, request_id=9
+        ),
+        "4146020100000009000000a608000000030600000003667330060000000a7772"
+        "6974655f6d616e79090000000306000000076163636f756e7403010106000000"
+        "0677726974657307000000020800000002030164050000001041414141414141"
+        "4141414141414141410800000002030165050000001042424242424242424242"
+        "4242424242420600000005737761707307000000010800000004030163030100"
+        "050000000400000000050000000400000064",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_VALUES)
+def test_golden_value_encodings(name):
+    value, golden = GOLDEN_VALUES[name]
+    assert wire.encode_value(value).hex() == golden
+    assert wire.decode_value(bytes.fromhex(golden)) == value
+
+
+@pytest.mark.parametrize("name", GOLDEN_FRAMES)
+def test_golden_frames(name):
+    encode, golden = GOLDEN_FRAMES[name]
+    frame = encode()
+    assert frame.hex() == golden
+    frame_type, _, length = wire.decode_header(frame[: wire.HEADER_SIZE])
+    assert length == len(frame) - wire.HEADER_SIZE
+    body = frame[wire.HEADER_SIZE :]
+    if frame_type == wire.FRAME_REQUEST:
+        _, command, params = wire.decode_request(body)
+        if command == "write_many":
+            assert params == WRITE_MANY_PARAMS
+    else:
+        assert wire.decode_value(body) == (b"page", CAP, Lease(3, 0))
+
+
+def test_warm_codec_performs_no_imports(monkeypatch):
+    """The service value types are resolved once per process, not at
+    every value node: a warm encode + decode imports nothing."""
+    request = (
+        "fs0",
+        "write_many",
+        {
+            **WRITE_MANY_PARAMS,
+            "handle": VersionHandle(CAP, FILE),
+            "reply": [TasResult(False, b"\x01"), Lease(1, 2)],
+            "intentions": (_Intention("free", 1, 2, b""),),
+            "placement": PLACEMENT,
+        },
+    )
+    wire.decode_value(wire.encode_value(request))  # warm-up
+    imports: list[str] = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", counting_import)
+    decoded = wire.decode_value(wire.encode_value(request))
+    monkeypatch.undo()
+    assert imports == []
+    assert decoded == request

@@ -15,8 +15,8 @@ test-and-set operation, any server can be allowed to carry out a commit"):
 an atomic compare-and-swap of a byte range inside a block, which the file
 service uses on the commit-reference field of version pages.
 
-All commands are exposed twice: as plain methods (for in-process use and
-unit tests) and as ``cmd_*`` methods served over :mod:`repro.sim.rpc`.
+All commands are plain methods (for in-process use and unit tests), each
+declared once as a ``cmd_*`` command served over :mod:`repro.sim.rpc`.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.errors import (
 )
 from repro.block.disk import SimDisk
 from repro.sim.clock import LogicalClock
+from repro.sim.rpc import command
 
 # Serialized pages carry a fixed header in front of up to 32K of page body
 # (client data + reference table); the disk block must hold both.
@@ -208,7 +209,7 @@ class BlockServer:
         self.disk.write(block_no, data)
 
     def allocate_write(
-        self, account: int, data: bytes, hint: int | None = None
+        self, account: int, data: bytes, *, hint: int | None = None
     ) -> int:
         """Allocate a block and write it in one command (the common case:
         copy-on-write shadowing always writes fresh blocks)."""
@@ -341,31 +342,12 @@ class BlockServer:
 
     # -- RPC command surface -------------------------------------------------
 
-    def cmd_allocate(self, account: int, hint: int | None = None) -> int:
-        return self.allocate(account, hint)
-
-    def cmd_write(self, account: int, block_no: int, data: bytes) -> None:
-        return self.write(account, block_no, data)
-
-    def cmd_allocate_write(self, account: int, data: bytes) -> int:
-        return self.allocate_write(account, data)
-
-    def cmd_read(self, account: int, block_no: int) -> bytes:
-        return self.read(account, block_no)
-
-    def cmd_free(self, account: int, block_no: int) -> None:
-        return self.free(account, block_no)
-
-    def cmd_test_and_set(
-        self, account: int, block_no: int, offset: int, expected: bytes, new: bytes
-    ) -> TasResult:
-        return self.test_and_set(account, block_no, offset, expected, new)
-
-    def cmd_lock(self, block_no: int, locker: int) -> bool:
-        return self.lock(block_no, locker)
-
-    def cmd_unlock(self, block_no: int, locker: int) -> None:
-        return self.unlock(block_no, locker)
-
-    def cmd_recover(self, account: int) -> list[int]:
-        return self.recover(account)
+    cmd_allocate = command(allocate)
+    cmd_write = command(write)
+    cmd_allocate_write = command(allocate_write)
+    cmd_read = command(read)
+    cmd_free = command(free)
+    cmd_test_and_set = command(test_and_set)
+    cmd_lock = command(lock)
+    cmd_unlock = command(unlock)
+    cmd_recover = command(recover)

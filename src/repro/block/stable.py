@@ -57,7 +57,7 @@ from repro.errors import (
 from repro.block.disk import SimDisk
 from repro.block.server import BLOCK_SIZE, BlockServer, TasResult, compare_and_swap
 from repro.sim.network import Network
-from repro.sim.rpc import Request, RpcEndpoint, Transaction
+from repro.sim.rpc import Request, RpcEndpoint, Transaction, command
 
 
 # Histogram buckets for flush-batch sizes (pages per write_many).
@@ -200,9 +200,12 @@ class StableServer:
     def available(self) -> bool:
         return not self._crashed and not self._recovering
 
-    def _check_serving(self) -> None:
+    def _check_up(self) -> None:
         if self._crashed:
             raise ServerCrashed(f"{self.name} is crashed")
+
+    def _check_serving(self) -> None:
+        self._check_up()
         if self._recovering:
             raise ServerCrashed(f"{self.name} is recovering; resync first")
         if self._retired_epoch is not None:
@@ -710,8 +713,7 @@ class StableServer:
         on the same block, two clients hit the same block through different
         servers simultaneously — refuse, before any damage is done.
         """
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         mine = self._pending.get(block_no)
         if mine is not None:
             raise CompanionConflict(
@@ -727,8 +729,7 @@ class StableServer:
         Every number is checked before any is recorded: one this half has
         an operation in flight on, or already owns, refuses the whole
         extent before any damage is done."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         for block_no in blocks:
             mine = self._pending.get(block_no)
             if mine is not None:
@@ -747,13 +748,11 @@ class StableServer:
 
     def cmd_companion_pooled(self) -> list[int]:
         """The numbers this half's pool still holds (for ``recover``)."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         return list(self._pool)
 
     def cmd_companion_free(self, account: int, block_no: int) -> None:
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         if block_no in self._pending:
             raise CompanionConflict(
                 f"{self.name}: companion free collides on block {block_no}"
@@ -764,20 +763,17 @@ class StableServer:
         self._note_dirty(block_no)
 
     def cmd_companion_read(self, account: int, block_no: int) -> bytes:
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         return self.local.read(account, block_no)
 
     def cmd_companion_lock(self, block_no: int, locker: int) -> bool:
         """The companion-first half of a replicated lock."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         return self.local.lock(block_no, locker)
 
     def cmd_companion_unlock(self, block_no: int, locker: int) -> None:
         """The companion-first half of a replicated unlock."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         self.local.unlock(block_no, locker)
 
     def cmd_companion_write_many(
@@ -790,8 +786,7 @@ class StableServer:
         The order of ``writes`` is the order of the records: the origin
         puts a commit's swapped blocks last (pages before reference).
         """
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         for block_no, _ in writes:
             mine = self._pending.get(block_no)
             if mine is not None:
@@ -807,14 +802,12 @@ class StableServer:
         """Hand the restarting companion the operations it missed.  The
         list stays here until the companion acknowledges having applied
         it — a crash mid-resync must not lose the missed writes."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         return list(self._intentions)
 
     def cmd_ack_intentions(self, count: int) -> None:
         """The companion applied the first ``count`` intentions: drop them."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         self._intentions = self._intentions[count:]
         if self._persist_intent_ack is not None and count:
             self._persist_intent_ack(count)
@@ -825,12 +818,12 @@ class StableServer:
     # not ordinary clients, so like the companion set they check only
     # _crashed: a retired source must keep answering export/manifest/dirty
     # queries during the cutover fence, and a recovering half may still be
-    # audited.
+    # audited.  Only manifest and retired_epoch are read-only: export's
+    # checked read can repair, and dirty_blocks' reset mutates the set.
 
     def cmd_track_dirty(self, on: bool) -> bool:
         """Arm (or disarm) dirty-block tracking for a migration stream."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         self._dirty = set() if on else None
         return bool(on)
 
@@ -838,8 +831,7 @@ class StableServer:
         """Migration reads must come from an up-to-date disk: crashed and
         recovering halves refuse (their twin answers), but a *retired*
         half keeps serving — the fence reads it after cutting clients off."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         if self._recovering:
             raise ServerCrashed(f"{self.name} is recovering; resync first")
 
@@ -853,6 +845,7 @@ class StableServer:
             self._dirty.clear()
         return blocks
 
+    @command(read_only=True)
     def cmd_manifest(self) -> list[tuple[int, int]]:
         """Every allocated block with its owning account, for streaming
         (this half's pooled numbers left out: they enter a migration when
@@ -902,13 +895,12 @@ class StableServer:
 
     def cmd_retire(self, epoch: int) -> None:
         """Wire form of :meth:`retire`, for an operator driving remotely."""
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         self.retire(epoch)
 
+    @command(read_only=True)
     def cmd_retired_epoch(self) -> int | None:
-        if self._crashed:
-            raise ServerCrashed(f"{self.name} is crashed")
+        self._check_up()
         return self._retired_epoch
 
 

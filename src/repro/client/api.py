@@ -280,38 +280,33 @@ class FileClient:
         return self._call("read_page", version_cap=version_cap, path=str(path))
 
     def revalidate(self, file_cap: Capability) -> int:
-        """Run the cache-validation test for one file; returns the number
-        of cached pages discarded.
+        """Run the cache-validation test, one ``renew_lease``, for one
+        file; returns the number of cached pages discarded.
 
-        With leases enabled the same round trip also renews the lease: the
+        With leases enabled the same round trip renews the lease: the
         client presents the epoch its old lease carried, and a server that
         sees the file unchanged answers without touching any page tree.
+        Without leases the client holds no epoch and asks for zero ticks:
+        the full test runs and no lease is granted.
         """
         if self.cache is None:
             return 0
         entry = self.cache.entry(file_cap)
         if entry is None:
             return 0
-        if self.lease_ticks:
-            now = self.clock.now  # pre-send: see read()'s staleness note
-            discard_texts, current, lease = self._call(
-                "renew_lease",
-                file_cap=file_cap,
-                cached_version_cap=entry.version_cap,
-                epoch=entry.lease_epoch,
-                lease_ticks=self.lease_ticks,
-            )
-            discards = [PagePath.parse(text) for text in discard_texts]
-            dead = self.cache.apply_discards(file_cap, discards, current)
-            self.cache.set_lease(file_cap, lease, now)
-            return dead
-        discard_texts, current = self._call(
-            "validate_cache",
+        now = self.clock.now  # pre-send: see read()'s staleness note
+        discard_texts, current, lease = self._call(
+            "renew_lease",
             file_cap=file_cap,
             cached_version_cap=entry.version_cap,
+            epoch=entry.lease_epoch,
+            lease_ticks=self.lease_ticks or 0,
         )
         discards = [PagePath.parse(text) for text in discard_texts]
-        return self.cache.apply_discards(file_cap, discards, current)
+        dead = self.cache.apply_discards(file_cap, discards, current)
+        if self.lease_ticks:
+            self.cache.set_lease(file_cap, lease, now)
+        return dead
 
     # -- updates ----------------------------------------------------------------
 

@@ -73,6 +73,7 @@ from repro.core.registry import FileEntry, FileRegistry, VersionEntry
 from repro.core.store import PageStore
 from repro.obs import NULL_RECORDER
 from repro.sim.network import Network
+from repro.sim.rpc import Request, command
 
 
 @dataclass(frozen=True)
@@ -404,14 +405,15 @@ class FileService:
         version = self.registry.version_by_block(block)
         if version is not None:
             return self.issuer.mint_for(version.obj, ALL_RIGHTS, self.rng)
-        obj = self.registry.fresh_obj()
-        cap = self.issuer.mint_for(obj, ALL_RIGHTS, self.rng)
+        # The issuer's counter, not the registry's: the registry learns a
+        # freshly minted number only when its version is added.
+        cap = self.issuer.mint(ALL_RIGHTS, self.rng)
         self.registry.add_version(
             VersionEntry(
-                obj,
+                cap.obj,
                 file_obj,
                 block,
-                self.issuer.secret_of(obj),
+                self.issuer.secret_of(cap.obj),
                 status="committed",
             )
         )
@@ -427,6 +429,7 @@ class FileService:
         owner: str = "",
         respect_soft_lock: bool = False,
         set_soft_lock: bool = True,
+        *,
         max_lock_retries: int = 16,
     ) -> VersionHandle:
         """Create an uncommitted version based on the current version.
@@ -860,7 +863,7 @@ class FileService:
     # ------------------------------------------------------------------
 
     def commit(
-        self, version_cap: Capability, max_rounds: int = 64
+        self, version_cap: Capability, *, max_rounds: int = 64
     ) -> list[str]:
         """Commit an uncommitted version, making it the current version:
         a group of one through :meth:`_settle`.
@@ -905,7 +908,7 @@ class FileService:
             return sorted(member.merged)
 
     def commit_group(
-        self, version_caps: list[Capability], max_rounds: int = 64
+        self, version_caps: list[Capability], *, max_rounds: int = 64
     ) -> dict[int, str]:
         """Commit a batch of ready updates through ONE critical section
         per file and ONE batched flush for the whole group.
@@ -1311,14 +1314,12 @@ class FileService:
         if allow_delegate:
             delegate = self._validation_delegate(file_entry)
             if delegate is not None:
-                from repro.sim.rpc import Request
-
                 try:
-                    texts, current = self.network.send(
+                    texts, current, _ = self.network.send(
                         self.name,
                         delegate,
                         Request(
-                            "validate_cache",
+                            "renew_lease",
                             {
                                 "file_cap": file_cap,
                                 "cached_version_cap": cached_version_cap,
@@ -1447,7 +1448,7 @@ class FileService:
         live server that committed the file's newest version, provided it
         is not us and our own flag cache is cold for that version."""
         newest: VersionEntry | None = None
-        for version in self.registry.versions.values():
+        for version in list(self.registry.versions.values()):
             if version.file_obj != file_entry.obj or version.status != "committed":
                 continue
             if newest is None or version.obj > newest.obj:
@@ -1484,7 +1485,7 @@ class FileService:
         chain.reverse()
         uncommitted = [
             {"version": v.obj, "based_on": self.store.load(v.root_block).base_ref}
-            for v in self.registry.versions.values()
+            for v in list(self.registry.versions.values())
             if v.file_obj == entry.obj and v.status == "uncommitted"
         ]
         return {
@@ -1555,137 +1556,39 @@ class FileService:
         return caps
 
     # ------------------------------------------------------------------
-    # RPC command surface (clients reach all of the above over the network)
+    # RPC command surface: each command declared once, over its method.
+    # Read-only ones only read, repairing at most hints and lazily
+    # minted version entries.  read_page and page_structure record flags,
+    # and renew_lease fills the write-paths cache: they stay locked.
     # ------------------------------------------------------------------
 
-    def cmd_committed_versions(self, file_cap: Capability) -> list[Capability]:
-        return self.committed_versions(file_cap)
+    cmd_create_file = command(create_file)
+    cmd_delete_file = command(delete_file)
+    cmd_current_version = command(current_version, read_only=True)
+    cmd_create_version = command(create_version)
+    cmd_read_page = command(read_page, paths=("path",))
+    cmd_write_page = command(write_page, paths=("path",))
+    cmd_page_structure = command(page_structure, paths=("path",))
+    cmd_insert_page = command(insert_page, paths=("parent_path",), path_reply=True)
+    cmd_append_page = command(append_page, paths=("parent_path",), path_reply=True)
+    cmd_remove_page = command(remove_page, paths=("path",))
+    cmd_make_hole = command(make_hole, paths=("path",))
+    cmd_remove_hole = command(remove_hole, paths=("path",))
+    cmd_fill_hole = command(fill_hole, paths=("path",))
+    cmd_split_page = command(split_page, paths=("path",), path_reply=True)
+    cmd_move_subtree = command(
+        move_subtree, paths=("src", "dst_parent"), path_reply=True
+    )
+    cmd_commit = command(commit)
+    cmd_commit_group = command(commit_group)
+    cmd_abort = command(abort)
+    cmd_snapshot_read = command(snapshot_read, read_only=True, paths=("path",))
+    cmd_read_current = command(read_current, read_only=True, paths=("path",))
+    cmd_renew_lease = command(renew_lease, path_reply=True)
+    cmd_committed_versions = command(committed_versions, read_only=True)
+    cmd_family_tree = command(family_tree, read_only=True)
 
-    def cmd_create_file(
-        self, initial_data: bytes = b"", mergeable: bool = False
-    ) -> Capability:
-        return self.create_file(initial_data, mergeable=mergeable)
-
-    def cmd_delete_file(self, file_cap: Capability) -> None:
-        return self.delete_file(file_cap)
-
-    def cmd_current_version(self, file_cap: Capability) -> Capability:
-        return self.current_version(file_cap)
-
-    def cmd_create_version(
-        self,
-        file_cap: Capability,
-        owner: str = "",
-        respect_soft_lock: bool = False,
-        set_soft_lock: bool = True,
-    ) -> VersionHandle:
-        return self.create_version(
-            file_cap, owner, respect_soft_lock, set_soft_lock
-        )
-
-    def cmd_read_page(self, version_cap: Capability, path: str) -> bytes:
-        return self.read_page(version_cap, PagePath.parse(path))
-
-    def cmd_write_page(self, version_cap: Capability, path: str, data: bytes) -> None:
-        return self.write_page(version_cap, PagePath.parse(path), data)
-
-    def cmd_page_structure(self, version_cap: Capability, path: str) -> list[int]:
-        return self.page_structure(version_cap, PagePath.parse(path))
-
-    def cmd_insert_page(
-        self,
-        version_cap: Capability,
-        parent_path: str,
-        index: int,
-        data: bytes = b"",
-        nref_slots: int = 0,
-    ) -> str:
-        return str(
-            self.insert_page(
-                version_cap, PagePath.parse(parent_path), index, data, nref_slots
-            )
-        )
-
-    def cmd_append_page(
-        self,
-        version_cap: Capability,
-        parent_path: str,
-        data: bytes = b"",
-        nref_slots: int = 0,
-    ) -> str:
-        return str(
-            self.append_page(version_cap, PagePath.parse(parent_path), data, nref_slots)
-        )
-
-    def cmd_remove_page(self, version_cap: Capability, path: str) -> None:
-        return self.remove_page(version_cap, PagePath.parse(path))
-
-    def cmd_make_hole(self, version_cap: Capability, path: str) -> None:
-        return self.make_hole(version_cap, PagePath.parse(path))
-
-    def cmd_remove_hole(self, version_cap: Capability, path: str) -> None:
-        return self.remove_hole(version_cap, PagePath.parse(path))
-
-    def cmd_fill_hole(
-        self, version_cap: Capability, path: str, data: bytes = b"", nref_slots: int = 0
-    ) -> None:
-        return self.fill_hole(version_cap, PagePath.parse(path), data, nref_slots)
-
-    def cmd_split_page(self, version_cap: Capability, path: str, at: int) -> str:
-        return str(self.split_page(version_cap, PagePath.parse(path), at))
-
-    def cmd_move_subtree(
-        self, version_cap: Capability, src: str, dst_parent: str, dst_index: int
-    ) -> str:
-        return str(
-            self.move_subtree(
-                version_cap, PagePath.parse(src), PagePath.parse(dst_parent), dst_index
-            )
-        )
-
-    def cmd_commit(self, version_cap: Capability) -> list[str]:
-        return self.commit(version_cap)
-
-    def cmd_commit_group(self, version_caps: list[Capability]) -> dict[int, str]:
-        return self.commit_group(list(version_caps))
-
-    def cmd_snapshot_read(self, file_cap: Capability, path: str) -> bytes:
-        return self.snapshot_read(file_cap, PagePath.parse(path))
-
-    def cmd_abort(self, version_cap: Capability) -> None:
-        return self.abort(version_cap)
-
-    def cmd_validate_cache(
-        self,
-        file_cap: Capability,
-        cached_version_cap: Capability,
-        allow_delegate: bool = True,
-    ) -> tuple[list[str], Capability]:
-        discards, current = self.validate_cache(
-            file_cap, cached_version_cap, allow_delegate
-        )
-        return [str(path) for path in discards], current
-
-    def cmd_renew_lease(
-        self,
-        file_cap: Capability,
-        cached_version_cap: Capability,
-        epoch: int | None = None,
-        lease_ticks: int = 0,
-    ) -> tuple[list[str], Capability, Lease]:
-        discards, current, lease = self.renew_lease(
-            file_cap, cached_version_cap, epoch=epoch, lease_ticks=lease_ticks
-        )
-        return [str(path) for path in discards], current, lease
-
-    def cmd_read_current(
-        self, file_cap: Capability, path: str, lease_ticks: int = 0
-    ) -> tuple[bytes, Capability, Lease]:
-        return self.read_current(file_cap, PagePath.parse(path), lease_ticks)
-
-    def cmd_family_tree(self, file_cap: Capability) -> dict:
-        return self.family_tree(file_cap)
-
+    @command(read_only=True)
     def cmd_probe_update(self, update_port: int) -> bool:
         """Whether this server process still manages the given update —
         the lock waiter's liveness probe (§5.3's warning mechanism)."""
@@ -1698,6 +1601,7 @@ class FileService:
 
         return SystemTree(self).wait_or_recover(file_cap)
 
+    @command(read_only=True)
     def cmd_ping(self) -> str:
         return self.name
 

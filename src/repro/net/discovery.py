@@ -9,9 +9,10 @@ publish can never roll the map backwards.
 The server is transport-agnostic: it speaks the same ``cmd_<verb>``
 dispatch as every other daemon, so it runs over the simulated network
 (:class:`repro.sim.rpc.RpcEndpoint`) and over real TCP daemons
-unchanged.  Liveness is time-based — an entry whose last heartbeat is
-older than ``heartbeat_ttl`` ticks is reported dead but kept (it may
-come back; explicit deregistration removes it).
+unchanged; its three lookups are declared read-only and never wait for
+the daemon's dispatch lock.  Liveness is time-based — an entry whose
+last heartbeat is older than ``heartbeat_ttl`` ticks is reported dead
+but kept (it may come back; explicit deregistration removes it).
 
 See ``docs/DISCOVERY.md`` for the registry protocol and the cutover
 staleness argument.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from repro.errors import PlacementStale, UnknownObject
 from repro.obs import NULL_RECORDER
-from repro.sim.rpc import RpcEndpoint, Transaction
+from repro.sim.rpc import RpcEndpoint, Transaction, command
 
 # A daemon missing this many ticks of heartbeats is presumed dead.
 DEFAULT_HEARTBEAT_TTL = 600
@@ -106,6 +107,7 @@ class DiscoveryServer:
             self.recorder.count("discovery.heartbeats")
         return True
 
+    @command(read_only=True)
     def cmd_directory(self) -> list[dict]:
         """Every registration with its liveness verdict."""
         return [
@@ -123,6 +125,7 @@ class DiscoveryServer:
 
     # -- placement publication --------------------------------------------
 
+    @command(read_only=True)
     def cmd_placement(self):
         """The latest published placement map (``None`` before the first
         publish — single-pair deployments never publish one)."""
@@ -152,6 +155,7 @@ class DiscoveryServer:
 
     # -- bootstrap ---------------------------------------------------------
 
+    @command(read_only=True)
     def cmd_bootstrap(self) -> dict:
         """Everything a fresh client needs: the file-service port, the
         placement map, and the daemon directory (TCP clients dial the

@@ -2,7 +2,8 @@
 
 A :class:`NetServer` hosts any object exposing the ``cmd_*`` command set —
 a block server, one half of a stable pair, a file server — behind a real
-listening TCP socket.  Each accepted connection gets its own thread,
+listening TCP socket, through the same :func:`repro.sim.rpc.dispatcher`
+the simulated network calls.  Each accepted connection gets its own thread,
 because handlers block: a file server's commit calls the block daemons and
 a stable half calls its companion, nested RPCs on the handler's own stack.
 The thread reads whatever the socket holds, reassembles frames with
@@ -18,10 +19,12 @@ server within the window is answered with a retryable busy error
 (``MessageDropped`` on the wire, which the transaction layer retries with
 backoff) instead of queueing unboundedly — this also breaks the
 cross-daemon deadlock a companion pair could otherwise reach when both
-halves serve a client and call each other at the same moment.  Commands in
-:data:`READ_ONLY_COMMANDS` (the snapshot-read fast path of §4, plus pure
-introspection) run without the lock, so a long commit never makes a
-concurrent ``snapshot_read`` wait or answer busy.
+halves serve a client and call each other at the same moment.  A handler
+declared ``command(read_only=True)`` (the snapshot-read fast path of §4,
+plus pure introspection) runs without the lock, so a long commit never
+makes a concurrent ``snapshot_read`` wait or answer busy.  The declaration
+sits at the handler, in the server's own module: this module knows no
+command names.
 
 Lifecycle mirrors the simulated network's attach/detach/reattach: a
 stopped daemon refuses connections (clients observe ECONNREFUSED and fail
@@ -37,77 +40,34 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.errors import MessageDropped, ReproError, ServerUnreachable, WireError
+from repro.errors import MessageDropped, ReproError, WireError
 from repro.net import wire
 from repro.obs import NULL_RECORDER
+from repro.sim.rpc import Request
 
 # How long one request may wait for the dispatch lock before being told
 # to retry.  Generous against slow CI machines, small against deadlock.
 DEFAULT_LOCK_TIMEOUT = 5.0
-
-# Commands that never mutate server state and are safe to run while a
-# mutating command holds the dispatch lock.  Deliberately conservative:
-# ``read_page``/``page_structure`` record search flags on uncommitted
-# versions, and a stable server's ``read`` performs repairing writes, so
-# none of those qualify.
-READ_ONLY_COMMANDS = frozenset(
-    {
-        "snapshot_read",
-        "ping",
-        "current_version",
-        "committed_versions",
-        "family_tree",
-        "probe_update",
-        # Same mutation class as current_version + snapshot_read: hint
-        # repair and lazy version-entry minting only.  renew_lease stays
-        # locked — it feeds the write-paths cache via validate_cache.
-        "read_current",
-        # Discovery / placement reads: pure dictionary lookups.
-        "placement",
-        "directory",
-        "bootstrap",
-        # Migration reads on a stable server: the manifest and the
-        # retirement stamp are pure dict/attribute reads.  ``export``
-        # stays locked — it reads through ``_checked_read``, which can
-        # perform repairing writes; ``dirty_blocks`` stays locked — its
-        # ``reset`` flag mutates the tracking set.
-        "manifest",
-        "retired_epoch",
-    }
-)
 
 
 class _BusySignal(Exception):
     """Internal: dispatch lock not acquired within the timeout."""
 
 
-def command_handler(server: Any, port: int) -> Callable[[str, str, dict], Any]:
-    """Wrap a ``cmd_*`` server object as a dispatch handler."""
-
-    def handle(sender: str, command: str, params: dict) -> Any:
-        method = getattr(server, f"cmd_{command}", None)
-        if method is None:
-            raise ServerUnreachable(
-                f"port {port:#x}: unknown command {command!r}"
-            )
-        return method(**params)
-
-    return handle
-
-
 class NetServer:
     """A threaded TCP daemon serving the wire protocol for one server.
 
-    ``handler(sender, command, params)`` produces the reply value (or
-    raises).  ``port=0`` binds an OS-assigned port on first start; the
-    assigned port is kept across stop/start cycles so failover addresses
-    stay stable.
+    ``handler`` is a :func:`repro.sim.rpc.dispatcher`: called as
+    ``handler(sender, request, run)``, it looks the command up and hands
+    it to the daemon's ``run``, which applies the dispatch lock.
+    ``port=0`` binds an OS-assigned port on first start; the assigned port
+    is kept across stop/start cycles so failover addresses stay stable.
     """
 
     def __init__(
         self,
         name: str,
-        handler: Callable[[str, str, dict], Any],
+        handler: Callable[..., Any],
         host: str = "127.0.0.1",
         port: int = 0,
         recorder=None,
@@ -290,7 +250,7 @@ class NetServer:
         sender, command, params = wire.decode_request(payload)
         self.recorder.count("net.tcp.requests_served")
         try:
-            result = self._locked_call(sender, command, params)
+            result = self.handler(sender, Request(command, params), self._locked_call)
         except _BusySignal:
             self.recorder.count("net.tcp.busy")
             return wire.encode_error(
@@ -310,12 +270,14 @@ class NetServer:
             # unencodable type).  Tell the caller the truth.
             return wire.encode_error(exc, self.max_frame, request_id=request_id)
 
-    def _locked_call(self, sender: str, command: str, params: dict) -> Any:
-        if command in READ_ONLY_COMMANDS:
-            return self.handler(sender, command, params)
+    def _locked_call(self, handler: Callable[..., Any], params: dict) -> Any:
+        # The flag is read off the function: a bound method answers a
+        # missing attribute by raising, a microsecond per request.
+        if getattr(getattr(handler, "__func__", handler), "read_only", False):
+            return handler(**params)
         if not self._dispatch_lock.acquire(timeout=self.lock_timeout):
             raise _BusySignal()
         try:
-            return self.handler(sender, command, params)
+            return handler(**params)
         finally:
             self._dispatch_lock.release()

@@ -145,23 +145,19 @@ class TcpNetwork:
 
     # -- topology (server side) -------------------------------------------
 
-    def attach(self, name: str, handler: Callable[[str, Any], Any]) -> None:
+    def attach(self, name: str, handler: Callable[..., Any]) -> None:
         """Host ``name`` as a real daemon.
 
-        ``handler(sender, payload)`` is the simulated-network handler
-        shape (``payload`` is a :class:`repro.sim.rpc.Request`); the
-        daemon adapts decoded frames to it.  Re-attaching replaces the
-        handler and restarts the daemon on its existing TCP port.
+        ``handler`` is the :func:`repro.sim.rpc.dispatcher` an
+        :class:`~repro.sim.rpc.RpcEndpoint` attaches to either network;
+        the daemon calls it as is.  Re-attaching replaces the handler and
+        restarts the daemon on its existing TCP port.
         """
-
-        def dispatch(sender: str, command: str, params: dict) -> Any:
-            return handler(sender, Request(command, params))
-
         with self._topology_lock:
             daemon = self._daemons.get(name)
             if daemon is not None:
                 daemon.stop()
-                daemon.handler = dispatch
+                daemon.handler = handler
             else:
                 extra = (
                     {} if self.lock_timeout is None
@@ -169,7 +165,7 @@ class TcpNetwork:
                 )
                 daemon = NetServer(
                     name,
-                    dispatch,
+                    handler,
                     host=self.host,
                     recorder=self.recorder,
                     max_frame=self.max_frame,

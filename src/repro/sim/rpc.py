@@ -15,16 +15,20 @@ Network`:
   block servers.
 
 Requests are ``(command, kwargs)`` pairs; servers expose commands as
-methods named ``cmd_<command>``.  Exceptions raised by the server that
-derive from :class:`repro.errors.ReproError` propagate to the caller (they
-are the service's error replies); anything else is a bug and propagates
-too, loudly.
+attributes named ``cmd_<command>``, declared with :func:`command`.
+:func:`dispatcher` is the one place a request finds its handler, on the
+simulated network and in the TCP daemon alike.  Exceptions raised by the
+server that derive from :class:`repro.errors.ReproError` propagate to the
+caller (they are the service's error replies); anything else is a bug and
+propagates too, loudly.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import MessageDropped, ServerUnreachable
 from repro.obs import NULL_RECORDER
@@ -39,10 +43,78 @@ class Request:
     params: dict[str, Any]
 
 
+def command(fn=None, *, read_only=False, paths=(), path_reply=False) -> Callable:
+    """Declare a wire command, once: ``cmd_read_page = command(read_page,
+    paths=("path",))`` over a method, or ``@command(read_only=True)`` on a
+    handler with its own body.
+
+    The accepted parameters are ``fn``'s positional-or-keyword ones (its
+    keyword-only ones stay in-process).  ``paths`` arrive as page-path
+    text; with ``path_reply`` page paths in the result go back as text.
+    ``read_only`` lets the TCP daemon skip its dispatch lock: the command
+    only reads, or repairs soft state as any concurrent writer would.
+    """
+    if fn is None:
+        return functools.partial(
+            command, read_only=read_only, paths=paths, path_reply=path_reply
+        )
+    params = list(inspect.signature(fn).parameters.values())[1:]  # not self
+    accepted = frozenset(p.name for p in params if p.kind is p.POSITIONAL_OR_KEYWORD)
+    if paths or path_reply or len(accepted) < len(params):
+        fn = _converting(fn, accepted, paths, path_reply)
+    fn.read_only = read_only
+    return fn
+
+
+def _converting(fn: Callable, accepted, paths, path_reply: bool) -> Callable:
+    from repro.core.pathname import PagePath  # repro.core imports this module
+
+    def as_text(value: Any) -> Any:
+        if isinstance(value, PagePath):
+            return str(value)
+        if type(value) in (list, tuple):
+            return type(value)(map(as_text, value))
+        return value
+
+    @functools.wraps(fn)
+    def handler(self, *args: Any, **params: Any) -> Any:
+        if not accepted.issuperset(params):
+            unknown = sorted(set(params) - accepted)
+            raise TypeError(f"{fn.__name__}() does not accept {unknown}")
+        for name in paths:
+            if name in params:
+                params[name] = PagePath.parse(params[name])
+        result = fn(self, *args, **params)
+        return as_text(result) if path_reply else result
+
+    return handler
+
+
+def dispatcher(server: Any, port: int) -> Callable[..., Any]:
+    """The network handler for ``server``: ``dispatch(sender, request,
+    run)`` resolves ``cmd_<command>`` at each call, so wrapped or patched
+    handlers take effect, and runs it as ``run(handler, params)``.  The
+    simulated network passes no ``run`` (a direct call); the TCP daemon
+    passes its own, which takes the dispatch lock unless the handler is
+    declared read-only."""
+
+    def dispatch(sender: str, request: Request, run=None) -> Any:
+        handler = getattr(server, f"cmd_{request.command}", None)
+        if handler is None:
+            raise ServerUnreachable(
+                f"port {port:#x}: unknown command {request.command!r}"
+            )
+        if run is None:
+            return handler(**request.params)
+        return run(handler, request.params)
+
+    return dispatch
+
+
 class RpcEndpoint:
     """Server-side binding of a server object to a (port, node name).
 
-    The server object's ``cmd_*`` methods are the service's command set.
+    The server object's ``cmd_*`` handlers are the service's command set.
     """
 
     def __init__(self, network: Network, node: str, port: int, server: Any) -> None:
@@ -50,19 +122,10 @@ class RpcEndpoint:
         self.node = node
         self.port = port
         self.server = server
-        network.attach(node, self._handle)
+        network.attach(node, dispatcher(server, port))
         _registry(network).setdefault(port, [])
         if node not in _registry(network)[port]:
             _registry(network)[port].append(node)
-
-    def _handle(self, sender: str, payload: Any) -> Any:
-        request: Request = payload
-        method = getattr(self.server, f"cmd_{request.command}", None)
-        if method is None:
-            raise ServerUnreachable(
-                f"port {self.port:#x}: unknown command {request.command!r}"
-            )
-        return method(**request.params)
 
     def detach(self) -> None:
         """Take this server off the network (crash)."""

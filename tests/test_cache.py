@@ -261,7 +261,7 @@ def test_validation_delegated_to_committing_server(cluster2):
     discards, _ = fs0.validate_cache(cap, cached)
     cluster2.network.tracer = None
     assert discards == [PagePath.of(2)]
-    assert ("fs0", "fs1", "validate_cache") in forwarded
+    assert ("fs0", "fs1", "renew_lease") in forwarded
 
 
 def test_validation_falls_back_when_delegate_dead(cluster2):

@@ -26,9 +26,8 @@ import pytest
 from repro.core.pathname import PagePath
 from repro.errors import MessageDropped, ServerUnreachable
 from repro.net import NetServer, build_tcp_cluster, wire
-from repro.net.server import READ_ONLY_COMMANDS, command_handler
 from repro.obs import Recorder
-from repro.sim.rpc import _registry, failover_order
+from repro.sim.rpc import _registry, command, dispatcher, failover_order
 from repro.verify.history import HistoryRecorder, check_history
 
 ROOT = PagePath.ROOT
@@ -176,7 +175,8 @@ class SplitServer:
     def __init__(self):
         self.name = "split"
 
-    def cmd_snapshot_read(self, value):  # lock-free
+    @command(read_only=True)
+    def cmd_snapshot_read(self, value):
         return ("read", value)
 
     def cmd_mutate(self, value):  # dispatch lock
@@ -185,8 +185,8 @@ class SplitServer:
 
 
 def test_pipelined_replies_are_fifo_per_connection():
-    assert "snapshot_read" in READ_ONLY_COMMANDS
-    daemon = NetServer("split", command_handler(SplitServer(), 0x42)).start()
+    assert SplitServer.cmd_snapshot_read.read_only
+    daemon = NetServer("split", dispatcher(SplitServer(), 0x42)).start()
     try:
         with socket.create_connection(daemon.address, timeout=10) as sock:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -301,6 +301,7 @@ class SlowCommitServer:
         time.sleep(0.6)
         return "committed"
 
+    @command(read_only=True)
     def cmd_snapshot_read(self):
         return "snapshot"
 
@@ -310,7 +311,7 @@ def test_snapshot_read_not_busied_by_long_commit_daemon_level():
     lock, a snapshot read on the same port must answer — not busy."""
     server = SlowCommitServer()
     daemon = NetServer(
-        "slowfs", command_handler(server, 0x42), lock_timeout=0.1
+        "slowfs", dispatcher(server, 0x42), lock_timeout=0.1
     ).start()
     try:
         background = []

@@ -19,10 +19,9 @@ from repro.errors import (
     ServerUnreachable,
 )
 from repro.net import NetServer, TcpNetwork, TcpTransaction, wire
-from repro.net.server import command_handler
 from repro.net.transport import Connection
 from repro.obs import Recorder
-from repro.sim.rpc import Request, RpcEndpoint, Transaction
+from repro.sim.rpc import Request, RpcEndpoint, Transaction, dispatcher
 
 
 class EchoServer:
@@ -62,7 +61,7 @@ def daemon_cls(request):
 @pytest.fixture
 def daemon(daemon_cls):
     server = EchoServer()
-    daemon = daemon_cls("echo", command_handler(server, 0x42)).start()
+    daemon = daemon_cls("echo", dispatcher(server, 0x42)).start()
     daemon.server_obj = server
     yield daemon
     daemon.stop()
@@ -159,7 +158,7 @@ def test_unknown_command_is_server_unreachable(daemon):
 def test_oversized_reply_is_an_error_frame_not_a_truncation(daemon_cls):
     server = EchoServer()
     daemon = daemon_cls(
-        "small", command_handler(server, 0x42), max_frame=1024
+        "small", dispatcher(server, 0x42), max_frame=1024
     ).start()
     try:
         frame_type, body = _raw_call(
@@ -191,7 +190,7 @@ def test_garbage_header_gets_error_then_hangup(daemon):
 def test_busy_dispatch_answers_message_dropped(daemon_cls):
     server = EchoServer()
     daemon = daemon_cls(
-        "busy", command_handler(server, 0x42), lock_timeout=0.05
+        "busy", dispatcher(server, 0x42), lock_timeout=0.05
     ).start()
     try:
         blocker = threading.Thread(
@@ -261,7 +260,7 @@ def test_unparseable_header_error_reaches_the_caller_typed(daemon_cls):
     ServerUnreachable."""
     recorder = Recorder()
     daemon = daemon_cls(
-        "echo", command_handler(EchoServer(), 0x42), max_frame=1024
+        "echo", dispatcher(EchoServer(), 0x42), max_frame=1024
     ).start()
     net = TcpNetwork(recorder=recorder)  # the client's own limit is the default
     net.register("echo", *daemon.address)
@@ -281,7 +280,7 @@ def test_accept_loop_outlives_a_connection_it_cannot_serve(monkeypatch):
     the daemon keeps accepting."""
     recorder = Recorder()
     daemon = NetServer(
-        "echo", command_handler(EchoServer(), 0x42), recorder=recorder
+        "echo", dispatcher(EchoServer(), 0x42), recorder=recorder
     ).start()
     start_thread = threading.Thread.start
     failures = []
@@ -328,7 +327,7 @@ def test_stop_resets_a_connection_still_in_the_listen_backlog():
     accepted learns of the crash at once, not at its call timeout."""
     recorder = _HeldAccept()
     daemon = NetServer(
-        "echo", command_handler(EchoServer(), 0x42), recorder=recorder
+        "echo", dispatcher(EchoServer(), 0x42), recorder=recorder
     ).start()
     stopper = threading.Thread(target=daemon.stop)
     try:

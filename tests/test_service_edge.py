@@ -166,3 +166,42 @@ def test_version_caps_of_old_versions_survive_many_commits(fs):
         old_caps.append(fs.current_version(cap))
     for n, version in enumerate(old_caps):
         assert fs.read_page(version, ROOT) == b"r%d" % n
+
+
+# -- the version table under lock-free reads ---------------------------------
+
+
+def test_family_tree_survives_a_version_added_mid_walk(fs, monkeypatch):
+    """The TCP daemon runs ``family_tree`` (and ``committed_versions``)
+    without its dispatch lock, while a lock-free read can mint a version
+    entry and a locked ``create_version`` can add one: the walk over the
+    version table must not fail with "dictionary changed size"."""
+    cap = fs.create_file(b"root")
+    fs.create_version(cap)
+    fs.create_version(cap)
+    real_load = fs.store.load
+    added = []
+
+    def load(block, fresh=False):
+        if not fresh and not added:  # the walk over uncommitted versions
+            added.append(block)
+            fs.create_version(cap)
+        return real_load(block, fresh)
+
+    monkeypatch.setattr(fs.store, "load", load)
+    tree = fs.family_tree(cap)
+    assert added
+    assert len(tree["uncommitted"]) == 2  # the versions present when it began
+
+
+def test_lazily_minted_version_never_reuses_a_minted_number(fs):
+    """After a registry restore a read mints the current version's entry
+    lazily.  ``create_version`` mints its number before it registers the
+    version, so a read in between must not draw the same number — nor,
+    with it, that version's secret."""
+    cap = fs.create_file(b"root")
+    fs.restore_registry(fs.checkpoint_registry())
+    minted = fs.issuer.mint()
+    current = fs.current_version(cap)
+    assert current.obj != minted.obj
+    assert fs.registry.version(current.obj).file_obj == cap.obj

@@ -101,15 +101,15 @@ def test_c1_warm_commit_block_tier_messages_and_syncs_exact(tmp_path, report):
 
     A warm 1-page update shadows two pages (the data page and the version
     page).  Its block numbers come out of the pool (2 requests, no
-    companion traffic, no sync), the begin-time top-lock hint is a read
-    and a replicated test-and-set (1 + 2 exchanges, one sync per half),
-    and the commit is ONE replicated request — both pages and the
-    commit reference's test-and-set — with one sync per half: 7 exchanges
-    = 14 messages and 4 syncs.  One update in eight finds the pool empty
-    and reserves the next extent: one more exchange, one more sync per
-    half."""
+    companion traffic, no sync).  Beginning it reads the base afresh (1
+    exchange, no sync) and writes nothing: the small file's top-lock hint
+    is file-server soft state.  The commit is ONE replicated request —
+    both pages and the commit reference's test-and-set — with one sync
+    per half: 5 exchanges = 10 messages and 2 syncs.  One update in eight
+    finds the pool empty and reserves the next extent: one more exchange,
+    one more sync per half."""
     costs = _update_costs(tmp_path)
-    warm, cold = (14, 4), (16, 6)
+    warm, cold = (10, 2), (12, 4)
     report.row("1-page update on a disk-backed pair: (messages, syncs) per update")
     report.row(f"  warm pool {warm}, cold pool {cold}, seen {sorted(set(costs))}")
     assert set(costs) == {warm, cold}

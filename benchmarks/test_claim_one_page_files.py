@@ -4,8 +4,10 @@ efficient; no concurrency control mechanisms slow it down."
 
 The compiler-temporary scenario (§2's Bauer-principle motivation): small
 private files written once, read once.  The table compares the cost of a
-one-page update against a deep-tree update, and shows the soft-lock
-opt-out shaving the remaining concurrency-control message.
+one-page update against a deep-tree update.  A small file's top lock is
+file-server soft state, so the one-page update carries no
+concurrency-control message at all: it costs what the retired soft-lock
+opt-out did.
 """
 
 import random
@@ -17,7 +19,7 @@ from repro.workloads.generators import compiler_temp_sizes
 ROOT = PagePath.ROOT
 
 
-def _update_cost(depth, set_soft_lock=True, seed=70):
+def _update_cost(depth, seed=70):
     """Messages and disk writes for one update of a file whose written
     page sits ``depth`` levels below the root."""
     cluster = build_cluster(seed=seed)
@@ -32,7 +34,7 @@ def _update_cost(depth, set_soft_lock=True, seed=70):
     disk = cluster.pair.disk_a
     msgs = cluster.network.stats.messages
     writes = disk.stats.writes
-    handle = fs.create_version(cap, set_soft_lock=set_soft_lock)
+    handle = fs.create_version(cap)
     fs.write_page(handle.version, path, b"payload")
     fs.commit(handle.version)
     return {
@@ -45,24 +47,22 @@ def test_c6_one_page_files_cheapest(benchmark, report):
     one_page = _update_cost(0)
     shallow = _update_cost(1)
     deep = _update_cost(4)
-    no_lock = _update_cost(0, set_soft_lock=False)
     report.row("full update-cycle cost by page-tree depth of the written page:")
     report.row(f"{'case':>22} {'messages':>9} {'disk writes':>12}")
     report.row(f"{'one-page file':>22} {one_page['messages']:>9} {one_page['writes']:>12}")
     report.row(f"{'1 level deep':>22} {shallow['messages']:>9} {shallow['writes']:>12}")
     report.row(f"{'4 levels deep':>22} {deep['messages']:>9} {deep['writes']:>12}")
-    report.row(
-        f"{'one-page, no softlock':>22} {no_lock['messages']:>9} {no_lock['writes']:>12}"
-    )
     assert one_page["writes"] < shallow["writes"] < deep["writes"]
-    assert no_lock["messages"] < one_page["messages"]
+    # The base read, one block number from the pool and one replicated
+    # commit request: the (8, 2) of the retired soft-lock opt-out.
+    assert (one_page["messages"], one_page["writes"]) == (8, 2)
 
     cluster = build_cluster(seed=71)
     fs = cluster.fs()
     cap = fs.create_file(b"")
 
     def temp_file_cycle():
-        handle = fs.create_version(cap, set_soft_lock=False)
+        handle = fs.create_version(cap)
         fs.write_page(handle.version, ROOT, b"object code")
         fs.commit(handle.version)
 

@@ -65,7 +65,7 @@ class FelixFileService:
         self._next_ticket += 1
         state.holder = ticket
         try:
-            handle = self.service.create_version(file_cap, set_soft_lock=False)
+            handle = self.service.create_version(file_cap)
         except Exception:
             state.holder = None
             raise

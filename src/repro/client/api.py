@@ -402,13 +402,15 @@ class FileClient:
         and commit; on a serialisability conflict, redo from scratch.
 
         Returns ``update_fn``'s result from the attempt that committed.
+        Whatever ``update_fn`` raises aborts the version first; a failed
+        ``commit`` does not, because its reply may be all that was lost.
         """
         last: ReproError | None = None
         for attempt in range(max_redos):
             update = self.begin(file_cap, respect_soft_lock)
             try:
                 outcome = update_fn(update)
-            except ReproError:
+            except Exception:
                 update.abort()
                 raise
             try:

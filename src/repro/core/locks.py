@@ -15,6 +15,13 @@ recovery itself (see :class:`repro.core.system_tree.SystemTree`).
 The atomicity the paper assumes is provided by the block server's
 test-and-set: the two 8-byte lock fields are adjacent in the page header,
 so a single 16-byte compare-and-swap tests both and sets one.
+
+Only super-file updates set these on-disk fields, because a waiter's crash
+recovery reads them.  Small files "set only their top lock and never wait
+for it", so their top lock is a hint and lives as file-server soft state,
+``FileEntry.top_lock`` in the shared registry: beginning or aborting a
+small update writes nothing to stable storage.  A small update still
+tests the durable inner lock, on the base page it reads afresh anyway.
 """
 
 from __future__ import annotations
@@ -62,9 +69,11 @@ class LockOps:
     # -- top lock ----------------------------------------------------------
 
     def set_top(self, block: int, observed: LockSnapshot, port: int) -> bool:
-        """Small-file rule: set the top lock to ``port`` provided the inner
-        lock is clear and the fields still match ``observed`` (the top lock
-        is overwritten — it is only a hint on small files)."""
+        """The small-file rule on disk: set the top lock to ``port``
+        provided the inner lock is clear and the fields still match
+        ``observed`` (an existing top lock is overwritten).  Small updates
+        keep their hint in the registry instead; §5.3's relaxed super-file
+        update still takes its top lock this way."""
         if observed.inner != 0:
             return False
         result = self.store.blocks.test_and_set(

@@ -60,6 +60,10 @@ class FileEntry:
     # means "cannot vouch" (set after a registry restore), and a lease
     # carrying -1 is never fast-renewed, only fully re-validated.
     epoch: int = 0
+    # The port of the small update holding the §5.3 top lock, a hint kept
+    # as soft state (see repro.core.locks).  In-memory only: the updates
+    # holding it die with the table, so a restored entry starts at 0.
+    top_lock: int = 0
 
 
 @dataclass

@@ -64,7 +64,7 @@ from repro.errors import (
 from repro.block.stable import StableClient
 from repro.core.cache import Lease, PageCache
 from repro.core.flags import Flags
-from repro.core.locks import LockOps, LockSnapshot
+from repro.core.locks import LockOps
 from repro.core.occ import collect_write_paths, serialise, serialise_through
 from repro.core.page import NIL, PAGE_BODY_SIZE, Page, PageRef, REF_SIZE
 from repro.merge import DEFAULT_MERGE_POLICY as _DEFAULT_MERGE_POLICY
@@ -424,13 +424,7 @@ class FileService:
     # ------------------------------------------------------------------
 
     def create_version(
-        self,
-        file_cap: Capability,
-        owner: str = "",
-        respect_soft_lock: bool = False,
-        set_soft_lock: bool = True,
-        *,
-        max_lock_retries: int = 16,
+        self, file_cap: Capability, owner: str = "", respect_soft_lock: bool = False
     ) -> VersionHandle:
         """Create an uncommitted version based on the current version.
 
@@ -443,35 +437,28 @@ class FileService:
         the *soft lock* hint, honoured only when the client asks
         (``respect_soft_lock=True``, for updates known to be large).
 
-        ``set_soft_lock=False`` skips planting the hint, saving the
-        test-and-set round trip — the Bauer-principle option for private
-        temporary files that nobody else will ever look at.
+        The inner lock is tested on the base, read afresh; the top lock is
+        the registry's soft state (``FileEntry.top_lock``), so beginning
+        writes nothing to stable storage.  A super update's top lock stays
+        on the page and counts as held too.
         """
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_CREATE)
+        cur_block, cur_page = self._resolve_current_page(entry)
+        if cur_page.inner_lock:
+            raise FileLocked(
+                f"file {entry.obj}: inner lock held by update "
+                f"{cur_page.inner_lock:#x} (super-file update in progress)"
+            )
+        holder = cur_page.top_lock or entry.top_lock
+        if respect_soft_lock and holder:
+            raise FileLocked(
+                f"file {entry.obj}: soft top lock held by update {holder:#x}"
+            )
         update_port = new_port(self.rng)
-        for _ in range(max_lock_retries):
-            cur_block, cur_page = self._resolve_current_page(entry)
-            snapshot = LockSnapshot(cur_page.top_lock, cur_page.inner_lock)
-            if snapshot.inner != 0:
-                raise FileLocked(
-                    f"file {entry.obj}: inner lock held by update "
-                    f"{snapshot.inner:#x} (super-file update in progress)"
-                )
-            if respect_soft_lock and snapshot.top != 0:
-                raise FileLocked(
-                    f"file {entry.obj}: soft top lock held by update "
-                    f"{snapshot.top:#x}"
-                )
-            if not set_soft_lock:
-                break
-            if self.locks.set_top(cur_block, snapshot, update_port):
-                break
-        else:
-            raise FileLocked(f"file {entry.obj}: could not set top lock")
-        return self._new_version_from(
-            entry, cur_block, owner, update_port if set_soft_lock else 0, cur_page
-        )
+        handle = self._new_version_from(entry, cur_block, owner, update_port, cur_page)
+        entry.top_lock = update_port
+        return handle
 
     def _new_version_from(
         self,
@@ -1203,10 +1190,12 @@ class FileService:
         """What every commit-publication point owes a version whose
         base's commit reference now names it: the registry, this
         server's hint, the lease epoch (one bump per version: a client
-        that leased mid-chain state must miss the fast-renewal path) and
-        the flag administration, cached while it is still in memory."""
+        that leased mid-chain state must miss the fast-renewal path), the
+        version's soft top lock and the flag administration, cached while
+        it is still in memory."""
         entry.status = "committed"
         self.registry.file(entry.file_obj).entry_block = entry.root_block
+        self._release_top(entry)
         self._current_hints[entry.file_obj] = entry.root_block
         self._bump_epoch(entry.file_obj)
         self._write_paths_cache[entry.root_block] = collect_write_paths(
@@ -1232,7 +1221,9 @@ class FileService:
         Private pages are those behind references carrying the C flag;
         parts grafted from other versions during merge carry clear flags
         and are shared, so they survive.  Pages orphaned by wholesale table
-        grafts are left to the garbage collector.
+        grafts are left to the garbage collector.  The version's soft top
+        lock goes with it; a super update's durable locks are cleared by
+        :mod:`repro.core.system_tree`, which set them.
         """
         from repro.errors import BlockError
 
@@ -1242,29 +1233,22 @@ class FileService:
                 "abort", actor=self.name, file=entry.file_obj, version=entry.obj
             )
         self._live_updates.discard(entry.update_port)
+        self._release_top(entry)
         # A version owned by a crashed server may have allocated blocks it
         # never flushed; tolerate the holes and free what exists.
-        base = NIL
         try:
             self._free_private(entry.root_block)
-            base = self.store.load(entry.root_block, fresh=True).base_ref
-        except BlockError:
-            pass
-        if base != NIL and entry.update_port:
-            try:
-                self.locks.clear_top_if(base, entry.update_port)
-            except BlockError:
-                # A group-commit merge may have rebased base_ref onto a
-                # fellow member that was never flushed; no lock can live
-                # on an unwritten block (locks are only pushed on durable
-                # current-version pages), so there is nothing to clear.
-                pass
-        try:
             self.store.free(entry.root_block)
         except BlockError:
             pass
         # The registry entry stays (status "aborted") so the owner's stale
         # capability gets an informative error; the GC purges it later.
+
+    def _release_top(self, entry: VersionEntry) -> None:
+        """Clear the file's soft top lock if ``entry``'s update holds it."""
+        file_entry = self.registry.files.get(entry.file_obj)
+        if file_entry is not None and file_entry.top_lock == entry.update_port:
+            file_entry.top_lock = 0
 
     def _free_private(self, block: int) -> None:
         from repro.errors import BlockError

@@ -20,6 +20,9 @@ updates are likely to cause a conflict":
 * each sub-file the update touches gets an *inner lock* on its current
   version block (waiting out any small update's top lock first), and a new
   sub-version is created under the super update's port;
+* these locks are durable, because a waiter's crash recovery reads them;
+  a small update's top lock is registry soft state (:mod:`repro.core.locks`)
+  and is waited out the same way;
 * commit sets the super-file's commit reference first (the usual atomic
   test-and-set — it cannot fail, the top lock excluded super competitors),
   then descends to commit every sub-version and clear the locks; "these
@@ -40,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.capability import ALL_RIGHTS, Capability, RIGHT_CREATE, new_port
-from repro.errors import FileLocked, NotASuperFile
+from repro.errors import BlockError, FileLocked, NotASuperFile
 from repro.core.flags import Flags
 from repro.core.page import NIL, Page, PageRef
 from repro.core.pathname import PagePath
@@ -178,13 +181,18 @@ class SystemTree:
         """Start an update of a super-file.
 
         Standard rule: wait for both lock fields of the current version
-        block to be clear, then set the top lock.  ``relaxed=True``
-        implements the §5.3 relaxation ("allow creating a version when the
-        version block's top lock is set" — the optimistic layer underneath
-        still guarantees consistency); the inner lock is always honoured.
+        block, and a small update's soft top lock, to be clear, then set
+        the top lock.  ``relaxed=True`` implements the §5.3 relaxation
+        ("allow creating a version when the version block's top lock is
+        set" — the optimistic layer underneath still guarantees
+        consistency); the inner lock is always honoured.
         """
         service = self.service
         entry = service._file_entry(file_cap, RIGHT_CREATE)
+        if not relaxed and entry.top_lock:
+            raise FileLocked(
+                f"super-file {entry.obj}: top lock held by {entry.top_lock:#x}"
+            )
         update_port = new_port(service.rng)
         for _ in range(max_retries):
             cur_block = service._resolve_current(entry)
@@ -220,17 +228,20 @@ class SystemTree:
     ) -> VersionHandle:
         """Bring a sub-file into a super-file update: set the inner lock on
         its current version block and create a sub-version owned by the
-        same update port."""
+        same update port.  A small update's soft top lock makes the super
+        update wait, as a durable one would."""
         service = self.service
         entry = service._file_entry(sub_file_cap, RIGHT_CREATE)
         if entry.obj in update.sub_updates:
             return update.sub_updates[entry.obj]
         cur_block = service._resolve_current(entry)
-        if not service.locks.set_inner(cur_block, update.update_port):
+        if entry.top_lock or not service.locks.set_inner(
+            cur_block, update.update_port
+        ):
             snapshot = service.locks.read(cur_block)
             raise FileLocked(
-                f"sub-file {entry.obj}: cannot set inner lock "
-                f"(top={snapshot.top:#x}, inner={snapshot.inner:#x})"
+                f"sub-file {entry.obj}: cannot set inner lock (top="
+                f"{snapshot.top or entry.top_lock:#x}, inner={snapshot.inner:#x})"
             )
         handle = service._new_version_from(
             entry, cur_block, owner=service.name, update_port=update.update_port
@@ -334,21 +345,23 @@ class SystemTree:
         is running — keep waiting), ``"cleared"`` (holder crashed before
         committing; locks cleared, update discarded) or ``"finished"``
         (holder crashed after setting the commit reference; this waiter
-        completed the sub-file commits)."""
+        completed the sub-file commits).  A super update's durable top
+        lock is looked at first, then a small update's soft one."""
         service = self.service
         entry = service._file_entry(file_cap)
         block = service._resolve_current(entry)
-        snapshot = service.locks.read(block)
-        if snapshot.top == 0:
+        port = service.locks.read(block).top or entry.top_lock
+        if port == 0:
             return "free"
-        if self.holder_alive(snapshot.top):
+        if self.holder_alive(port):
             return "alive"
-        port = snapshot.top
         # The holder is dead.  "If the commit reference is off, the lock
         # can be cleared without further ado" — resolve_current gave us the
         # lock-bearing block only if its commit reference is nil.
         self._abandon_update(port)
         service.locks.force_clear_top(block)
+        if entry.top_lock == port:
+            entry.top_lock = 0
         return "cleared"
 
     def recover_after_commit(self, file_cap: Capability) -> str:
@@ -436,7 +449,12 @@ class SystemTree:
         for entry in list(service.registry.versions.values()):
             if entry.update_port != update_port or entry.status != "uncommitted":
                 continue
-            base = service.store.load(entry.root_block, fresh=True).base_ref
+            try:
+                base = service.store.load(entry.root_block, fresh=True).base_ref
+            except BlockError:
+                # Never flushed, so its base is unknown here; each waiter
+                # clears the inner lock it is blocked on itself.
+                base = NIL
             service._remove_version(entry)
             if base != NIL:
                 service.locks.clear_inner_if(base, update_port)

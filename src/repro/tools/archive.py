@@ -116,14 +116,13 @@ def import_file(service, archive: bytes) -> tuple[Capability, ArchiveStats]:
     for archive_id, page in pages.items():
         blocks[archive_id] = service.store.store_new(page)
 
-    # Mint the new file identity.
+    # Mint the new file identity.  Every number comes from the issuer: the
+    # registry learns the file's only when it is added below.
     file_cap = service.issuer.mint(ALL_RIGHTS, service.rng)
-    version_caps: dict[int, Capability] = {}
-    for archive_id in chain_ids:
-        obj = service.registry.fresh_obj()
-        version_caps[archive_id] = service.issuer.mint_for(
-            obj, ALL_RIGHTS, service.rng
-        )
+    version_caps = {
+        archive_id: service.issuer.mint(ALL_RIGHTS, service.rng)
+        for archive_id in chain_ids
+    }
 
     # Rewrite topology to the fresh block numbers and finalise pages.
     refcount: dict[int, int] = {}

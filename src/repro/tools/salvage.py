@@ -118,20 +118,23 @@ def salvage(service) -> SalvageReport:
                 mergeable=pages[current].mergeable,
             )
         )
-        # Register the current version so reads work immediately.
-        version_obj = registry.fresh_obj()
-        version_cap = service.issuer.mint_for(version_obj, ALL_RIGHTS, service.rng)
+        report.files[file_obj] = secret_cap
+        report.files_recovered += 1
+
+    # Register each current version so reads work immediately.  Its number
+    # comes from the issuer, once every file number is known to it: never
+    # a file's, nor a pre-crash version's an old capability still names.
+    for entry in registry.files.values():
+        version_cap = service.issuer.mint(ALL_RIGHTS, service.rng)
         registry.add_version(
             VersionEntry(
-                version_obj,
-                file_obj,
-                current,
-                service.issuer.secret_of(version_obj),
+                version_cap.obj,
+                entry.obj,
+                entry.entry_block,
+                service.issuer.secret_of(version_cap.obj),
                 status="committed",
             )
         )
-        report.files[file_obj] = secret_cap
-        report.files_recovered += 1
 
     # Adopt the recovered table (in place, so replicas sharing the object
     # see it too).

@@ -83,6 +83,18 @@ def test_imported_file_is_updatable(cluster, fs):
     assert fs.read_page(fs.current_version(cap), ROOT) == b"r4"
 
 
+def test_imported_versions_never_take_the_files_number(cluster, fs):
+    """The registry learns the new file's number only once its versions
+    are minted: asking it for version numbers would hand the file's own
+    number, and with it the file's secret, to a version."""
+    cap = _history_file(fs, revisions=2)
+    new_cap, _ = import_file(fs, export_file(fs, cap))
+    objs = [version.obj for version in fs.committed_versions(new_cap)]
+    assert len(objs) == 3  # birth, the pages, r2
+    assert new_cap.obj not in objs
+    assert len(set(objs)) == len(objs)
+
+
 def test_garbage_archive_rejected(fs):
     with pytest.raises(ValueError):
         import_file(fs, b"NOTANARCHIVE" + b"\x00" * 50)

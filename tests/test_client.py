@@ -98,6 +98,27 @@ def test_application_errors_abort_and_propagate(net_client, cluster2):
     assert live == []
 
 
+def test_any_exception_from_the_update_aborts_its_version(net_client, cluster2):
+    """A plain bug in ``update_fn`` must not leak a live version: its top
+    lock would turn every cautious ``begin`` into a wait on a holder that
+    looks alive forever."""
+    cap = net_client.create_file(b"x")
+    began = []
+
+    def buggy(update):
+        began.append(update.version)
+        update.write(ROOT, b"partial")
+        raise ValueError("not a ReproError")
+
+    with pytest.raises(ValueError):
+        net_client.transact(cap, buggy)
+    assert cluster2.registry.version(began[0].obj).status == "aborted"
+    careful = net_client.begin(cap, respect_soft_lock=True)
+    assert net_client.stats.lock_waits == 0
+    careful.abort()
+    assert net_client.read(cap) == b"x"
+
+
 def test_failover_between_servers(cluster2):
     client = FileClient(cluster2.network, "host", cluster2.service_port)
     cap = client.create_file(b"v1")

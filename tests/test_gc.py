@@ -95,6 +95,36 @@ def test_reshare_preserves_write_information(cluster):
     assert fs.read_page(fs.current_version(cap), b) == b"b"
 
 
+@pytest.mark.parametrize("collector_server_begins_first", [False, True])
+def test_begin_after_a_reshare_elsewhere_never_clones_the_stale_page(
+    cluster2, collector_server_begins_first
+):
+    """The collector on one server rewrites the current version page in
+    place and sweeps the read copies it named.  Another server still
+    caches the page as it was, so every begin — whichever server began
+    since — must clone the base as it is on disk, never the cached copy."""
+    from repro.tools.check import check_cluster
+
+    fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
+    cap = fs1.create_file(b"root")
+    setup = fs1.create_version(cap)
+    leaf = fs1.append_page(setup.version, ROOT, b"leafdata")
+    fs1.commit(setup.version)
+    reader = fs1.create_version(cap)
+    fs1.read_page(reader.version, leaf)  # a read copy in the committed tree
+    fs1.commit(reader.version)
+    stats = cluster2.gc(0).collect()
+    assert stats.reshared >= 1 and stats.swept >= 1
+    if collector_server_begins_first:
+        fs0.abort(fs0.create_version(cap).version)
+    handle = fs1.create_version(cap)
+    fs1.write_page(handle.version, ROOT, b"root2")
+    fs1.commit(handle.version)
+    assert fs0.read_page(fs0.current_version(cap), leaf) == b"leafdata"
+    report = check_cluster(cluster2)
+    assert report.ok, report.errors
+
+
 def test_reap_orphans_of_dead_server(cluster2):
     fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
     cap = fs0.create_file(b"x")

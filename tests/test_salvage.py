@@ -123,3 +123,21 @@ def test_salvage_after_total_service_loss_end_to_end():
     cluster.servers.append(reborn)  # let fsck find the live server
     result = check_cluster(cluster)
     assert result.ok, result.errors
+
+
+def test_salvage_in_place_keeps_old_snapshots_from_reading_the_current():
+    """Salvaging a server's own table: its issuer still honours every
+    capability it minted, so a recovered version must not re-use a
+    pre-salvage version's number (here the birth version of file 0, the
+    first number after the file's own)."""
+    from repro.errors import NoSuchVersion
+
+    cluster, fs, caps = _populated_cluster()
+    birth = fs.committed_versions(caps[0])[0]
+    assert fs.read_page(birth, ROOT) == b"file0-r0"
+    report = salvage(fs)
+    current = fs.current_version(report.files[caps[0].obj])
+    assert current.obj != birth.obj
+    assert fs.read_page(current, ROOT) == b"file0-r2"
+    with pytest.raises(NoSuchVersion):
+        fs.read_page(birth, ROOT)

@@ -181,13 +181,16 @@ def test_entry_block_advances_lazily(fs, cluster):
     assert entry.entry_block != first_block  # advanced again
 
 
-def test_one_page_file_without_soft_lock(fs):
-    """The Bauer-principle path for compiler temporaries (claim C6)."""
+def test_no_small_update_writes_a_durable_top_lock(fs):
+    """A small file's top lock is the registry's soft state (§5.3: only a
+    hint), never a field on disk — the compiler-temporary path of claim C6
+    is the plain update cycle."""
     cap = fs.create_file(b"")
-    handle = fs.create_version(cap, set_soft_lock=False)
+    handle = fs.create_version(cap)
+    base = fs.registry.file(cap.obj).entry_block
+    assert fs.store.load(base, fresh=True).top_lock == 0
+    assert fs.registry.file(cap.obj).top_lock != 0  # the hint, in memory
     fs.write_page(handle.version, ROOT, b"object code")
     fs.commit(handle.version)
     assert fs.read_page(fs.current_version(cap), ROOT) == b"object code"
-    # No soft lock was planted on the base version.
-    base = fs.family_tree(cap)["committed"][0]
-    assert fs.store.load(base, fresh=True).top_lock == 0
+    assert fs.registry.file(cap.obj).top_lock == 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import CrossesSubFile, FileLocked
+from repro.core.locks import LockSnapshot
 from repro.core.pathname import PagePath
 from repro.core.system_tree import SystemTree
 
@@ -254,3 +255,55 @@ def test_relaxed_super_update(nested):
     relaxed = tree.begin_super_update(cap_c, relaxed=True)
     tree.abort_super(relaxed)
     tree.abort_super(first)
+
+
+def test_small_update_top_lock_is_soft_state_yet_excludes_super_entry(nested):
+    """A small file's top lock lives in the registry, not on disk, and
+    still makes a super update wait before entering the file."""
+    fs, tree, cap_c, cap_a, cap_b = nested
+    small = fs.create_version(cap_a)
+    block = fs.registry.file(cap_a.obj).entry_block
+    assert fs.locks.read(block) == LockSnapshot(0, 0)
+    update = tree.begin_super_update(cap_c)
+    with pytest.raises(FileLocked):
+        tree.open_subfile(update, cap_a)
+    assert fs.locks.read(block) == LockSnapshot(0, 0)
+    fs.abort(small.version)  # the hint goes with its holder
+    tree.open_subfile(update, cap_a)
+    tree.abort_super(update)
+
+
+def test_restored_registry_still_sees_a_dead_super_updates_inner_lock(nested):
+    """A registry restore forgets every soft lock, but a small update
+    tests the durable inner lock on the page it reads and waits; the
+    waiter then clears the dead super update exactly as without the
+    restore."""
+    fs, tree, cap_c, cap_a, cap_b = nested
+    table = fs.checkpoint_registry()
+    update = tree.begin_super_update(cap_c)
+    ha = tree.open_subfile(update, cap_a)
+    fs.write_page(ha.version, ROOT, b"never")
+    fs.store.flush()
+    fs.crash()
+    fs.restart()
+    fs.restore_registry(table)
+    assert fs.registry.file(cap_a.obj).top_lock == 0
+    with pytest.raises(FileLocked):
+        fs.create_version(cap_a)
+    assert SystemTree(fs).wait_or_recover(cap_a) == "cleared"
+    assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v1"
+    handle = fs.create_version(cap_a, respect_soft_lock=True)
+    fs.abort(handle.version)
+    tree.abort_super(tree.begin_super_update(cap_c))
+
+
+def test_dead_holders_soft_top_lock_is_cleared_by_one_recover_lock(cluster2):
+    fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
+    cap = fs0.create_file(b"v1")
+    fs0.create_version(cap)  # plants the hint; then its server dies
+    fs0.crash()
+    with pytest.raises(FileLocked):
+        fs1.create_version(cap, respect_soft_lock=True)
+    assert SystemTree(fs1).wait_or_recover(cap) == "cleared"
+    handle = fs1.create_version(cap, respect_soft_lock=True)
+    fs1.abort(handle.version)

@@ -91,6 +91,22 @@ def test_client_cache_and_buffered_writes_over_tcp(tcp_cluster):
     assert client.read(cap) == b"buffered then shipped"
 
 
+def test_small_update_begin_and_abort_send_no_lock_traffic(tcp_cluster):
+    """A small file's top lock is file-server soft state: beginning and
+    aborting an update send the block tier no lock request — only the
+    base read (one exchange), the version page's block number from the
+    pool (one) and its replicated free (two)."""
+    client = tcp_cluster.client("host")
+    cap = client.create_file(b"v1")
+    client.transact(cap, lambda u: u.write(ROOT, b"v2"))  # warms the caches
+    stats = tcp_cluster.network.stats
+    for _ in range(3):
+        before = stats.messages
+        client.begin(cap).abort()
+        # create_version and abort: 2 client exchanges; 4 block-tier ones.
+        assert stats.messages - before == 2 * (2 + 4)
+
+
 def test_group_commit_over_tcp(tcp_cluster):
     client = tcp_cluster.client("host", use_cache=False)
     cap = client.create_file(b"base")

@@ -28,10 +28,7 @@ CONTRACT = {
         "commit_group": (("version_caps",), False),
         "committed_versions": (("file_cap",), True),
         "create_file": (("initial_data", "mergeable"), False),
-        "create_version": (
-            ("file_cap", "owner", "respect_soft_lock", "set_soft_lock"),
-            False,
-        ),
+        "create_version": (("file_cap", "owner", "respect_soft_lock"), False),
         "current_version": (("file_cap",), True),
         "delete_file": (("file_cap",), False),
         "family_tree": (("file_cap",), True),
@@ -143,11 +140,12 @@ def test_declared_commands_are_the_pinned_contract(cls):
 
 def test_in_process_parameters_are_refused_over_the_wire():
     """Keyword-only parameters (retry budgets) are not part of the
-    protocol, though the method behind the command takes them."""
+    protocol, though the method behind the command takes them; a retired
+    parameter is refused like any unknown one."""
     client = build_cluster(servers=1, seed=3).client("c")
     cap = client.create_file(b"x")
-    with pytest.raises(TypeError, match="max_lock_retries"):
-        client._call("create_version", file_cap=cap, max_lock_retries=1)
+    with pytest.raises(TypeError, match="set_soft_lock"):
+        client._call("create_version", file_cap=cap, set_soft_lock=False)
     handle = client._call("create_version", file_cap=cap)
     with pytest.raises(TypeError, match="max_rounds"):
         client._call("commit", version_cap=handle.version, max_rounds=0)

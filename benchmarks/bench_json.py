@@ -337,17 +337,6 @@ def bench_rebalance() -> dict:
     }
 
 
-def bench_net() -> dict:
-    """The wire-transport parity gate (real sockets).
-
-    The sequential message-count parity across sim / tcp: ``mismatch``
-    must stay 0, the absolute counts within tolerance.
-    """
-    from repro.workloads.netbench import netbench_document
-
-    return netbench_document(schema=SCHEMA_VERSION)
-
-
 def bench_disk() -> dict:
     """The durable-disk benchmark (real files, real fsyncs).
 
@@ -380,7 +369,6 @@ BENCHES = {
     "BENCH_commit.json": bench_commit,
     "BENCH_scale.json": bench_scale,
     "BENCH_rebalance.json": bench_rebalance,
-    "BENCH_net.json": bench_net,
     "BENCH_disk.json": bench_disk,
     "BENCH_contention.json": bench_contention,
 }

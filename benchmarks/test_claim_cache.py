@@ -21,17 +21,38 @@ ROOT = PagePath.ROOT
 
 
 def test_c5_unshared_file_validation_null(benchmark, report):
+    """A leaseless cached read of an unshared file: one ``read_current``
+    that presents the cached version, answered with no discards and no
+    page."""
     cluster = build_cluster(seed=60)
     client = FileClient(cluster.network, "host", cluster.service_port)
     cap = client.create_file(b"private data")
     client.read(cap)  # populate the cache
+    replies = []
+    call = client._call
 
-    def revalidate():
-        return client.revalidate(cap)
+    def recording_call(command, **params):
+        reply = call(command, **params)
+        replies.append((command, reply))
+        return reply
 
-    discarded = benchmark(revalidate)
-    assert discarded == 0
-    report.row("unshared file: validation discards nothing, transfers no pages")
+    client._call = recording_call
+
+    def cached_read():
+        replies.clear()
+        before = cluster.network.stats.messages
+        data = client.read(cap)
+        return data, cluster.network.stats.messages - before
+
+    data, messages = benchmark(cached_read)
+    assert data == b"private data"
+    [(command, (page, _, _, discards))] = replies
+    assert (command, page, discards) == ("read_current", None, [])
+    # The RPC, and the fresh read of the cached version page that shows
+    # nothing committed since: no page-tree page, no page transfer.
+    assert messages == 4
+    report.row("unshared file: a cached read is one RPC; validation discards")
+    report.row(f"nothing and transfers no page ({messages} messages per read)")
     report.row(f"cache hits so far: {client.cache.stats.hits}")
 
 
@@ -97,4 +118,4 @@ def test_c5_no_unsolicited_messages(benchmark, report):
     report.row(f"remote writes per round: {remote_writes}")
     report.row("unsolicited server->client messages (Amoeba): 0 (by design)")
     report.row(f"unsolicited messages an XDFS-style scheme would send: {remote_writes}")
-    report.row("the reader pays instead one validation exchange when it next reads")
+    report.row("the reader instead validates in the one exchange of its next read")

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 from repro.capability import Capability
 from repro.errors import CommitConflict, FileLocked, ReproError
-from repro.core.cache import ClientFileCache, Lease
+from repro.core.cache import ClientFileCache
 from repro.core.pathname import PagePath
 from repro.core.service import VersionHandle
 from repro.obs import NULL_RECORDER
@@ -123,106 +123,76 @@ class FileClient:
     def current_version(self, file_cap: Capability) -> Capability:
         return self._call("current_version", file_cap=file_cap)
 
-    # -- snapshot reads -----------------------------------------------------------
+    # -- current-state reads ------------------------------------------------------
 
     def read(self, file_cap: Capability, path: PagePath = PagePath.ROOT) -> bytes:
         """Read a page of the file's current state, going through the cache.
 
-        Without leases the cache is revalidated first (the §5.4
-        serialisability test); for a file nobody else modified this costs
-        one small message and no page transfers.  With ``lease_ticks``
-        set, a cache hit under a live lease costs **no messages at all**;
-        when the lease dies the next read renews it with one validation
-        message.  Every read the cache cannot serve — all of them without
-        a cache — is one lock-free ``read_current`` round trip for the
-        file's true current version, leased when ``lease_ticks`` is set.
+        With ``lease_ticks`` set, a cache hit under a live lease costs
+        **no messages at all**.  Every other read is one lock-free
+        ``read_current`` round trip.  Holding a cache entry, the client
+        presents its version (and its lease epoch), and the server runs
+        the §5.4 serialisability test in the same exchange: it answers
+        with the paths to discard and sends the page only if the client
+        does not hold it or must discard it.  For a file nobody else
+        modified that is one small message and no page transfer.  The
+        reply carries a fresh lease when ``lease_ticks`` is set.
         """
         if self.cache is None:
-            data, _, _ = self._read_current(file_cap, path)
-            return data
+            # No cache, nowhere to keep a lease: ask for none.
+            return self._call(
+                "read_current", file_cap=file_cap, path=str(path), lease_ticks=0
+            )[0]
         recorder = self._recorder
         entry = self.cache.entry(file_cap)
-        if (
-            entry is not None
-            and self.lease_ticks
-            and entry.lease_live(self.clock.now)
-        ):
-            data = self.cache.get(file_cap, path)
-            if data is not None:
-                self.stats.cache_hits += 1
-                self.stats.lease_hits += 1
-                if recorder.enabled:
-                    recorder.count("cache.lease.hits")
-                self._record_cached_read(file_cap, entry, path, data, leased=True)
-                return data
-            data = self._fetch_into(file_cap, entry, path)
-            if data is not None:
-                return data
-            entry = None  # leased version vanished: cold-read below
+        validation = {}
         if entry is not None:
-            if self.lease_ticks:
+            if self.lease_ticks and entry.lease_live(self.clock.now):
+                data = self.cache.get(file_cap, path)
+                if data is not None:
+                    self.stats.cache_hits += 1
+                    self.stats.lease_hits += 1
+                    if recorder.enabled:
+                        recorder.count("cache.lease.hits")
+                    self._record_cached_read(file_cap, entry, path, data, leased=True)
+                    return data
+            elif self.lease_ticks:
                 self.stats.lease_expired += 1
                 if recorder.enabled:
                     recorder.count("cache.lease.expired")
-            self.revalidate(file_cap)
-            data = self.cache.get(file_cap, path)
-            if data is not None:
-                self.stats.cache_hits += 1
-                # Re-fetch: revalidate may have advanced the cached
-                # version.  A cache-served read is a snapshot read of
-                # that committed version — the one read path no server
-                # ever sees.
-                entry = self.cache.entry(file_cap)
-                self._record_cached_read(file_cap, entry, path, data, leased=False)
-                return data
-            entry = self.cache.entry(file_cap)
-            if entry is not None:
-                data = self._fetch_into(file_cap, entry, path)
-                if data is not None:
-                    return data
+            validation = {
+                "cached_version_cap": entry.version_cap,
+                "epoch": entry.lease_epoch,
+                "have_page": path in entry.pages,
+            }
         # Stamped before the request: the version granted on cannot have
         # been superseded before this instant, so the lease window bounds
         # how far any lease-served read can lag.
         now = self.clock.now
-        data, current, lease = self._read_current(file_cap, path)
-        self.cache.remember(file_cap, current, {path: data})
-        if self.lease_ticks:
-            self.cache.set_lease(file_cap, lease, now)
-        return data
-
-    def _read_current(
-        self, file_cap: Capability, path: PagePath
-    ) -> tuple[bytes, Capability, Lease]:
-        """One ``read_current`` round trip: the page of the file's true
-        current version, that version, and a lease (zero ticks, and not
-        counted as a grant, when this client takes no leases)."""
-        return self._call(
+        data, current, lease, discards = self._call(
             "read_current",
             file_cap=file_cap,
             path=str(path),
             lease_ticks=self.lease_ticks or 0,
+            **validation,
         )
-
-    def _fetch_into(
-        self, file_cap: Capability, entry: Any, path: PagePath
-    ) -> bytes | None:
-        """Fetch one page of the entry's *validated* version into the cache.
-
-        Fetching via ``entry.version_cap`` — never a fresh
-        ``current_version`` call — keeps the entry a single-version
-        snapshot: a commit landing between the validation and this fetch
-        must not install a newer version's page into an entry tagged with
-        the older version.  Returns None when the version vanished
-        (history pruned): the entry is dropped and the caller falls back
-        to a cold read.
-        """
-        self.stats.cache_misses += 1
-        try:
-            data = self.read_version(entry.version_cap, path)
-        except ReproError:
-            self.cache.drop(file_cap)
-            return None
-        self.cache.put(file_cap, path, data)
+        if entry is None:
+            self.cache.remember(file_cap, current, {path: data})
+        else:
+            self.cache.apply_discards(
+                file_cap, [PagePath.parse(text) for text in discards], current
+            )
+            if data is None:
+                # Still valid in the current version: a cache-served read
+                # of that committed version, which no server records.
+                data = self.cache.get(file_cap, path)
+                self.stats.cache_hits += 1
+                self._record_cached_read(file_cap, entry, path, data, leased=False)
+            else:
+                self.stats.cache_misses += 1
+                self.cache.put(file_cap, path, data)
+        if self.lease_ticks:
+            self.cache.set_lease(file_cap, lease, now)
         return data
 
     def _record_cached_read(
@@ -251,16 +221,6 @@ class FileClient:
             **extra,
         )
 
-    def snapshot_read(
-        self, file_cap: Capability, path: PagePath = PagePath.ROOT
-    ) -> bytes:
-        """Read the file's current committed state via the server's
-        snapshot fast path: no commit-path work, no client cache, served
-        from the server's current-version hint.  May run one version
-        behind commits made through *other* server processes; use
-        :meth:`read` when the newest committed state matters."""
-        return self._call("snapshot_read", file_cap=file_cap, path=str(path))
-
     def ping(self) -> str:
         """Name of the server process currently answering this client —
         group commits must hand all their updates to one server, so
@@ -278,35 +238,6 @@ class FileClient:
     ) -> bytes:
         """Read a page of a specific (usually historical) version."""
         return self._call("read_page", version_cap=version_cap, path=str(path))
-
-    def revalidate(self, file_cap: Capability) -> int:
-        """Run the cache-validation test, one ``renew_lease``, for one
-        file; returns the number of cached pages discarded.
-
-        With leases enabled the same round trip renews the lease: the
-        client presents the epoch its old lease carried, and a server that
-        sees the file unchanged answers without touching any page tree.
-        Without leases the client holds no epoch and asks for zero ticks:
-        the full test runs and no lease is granted.
-        """
-        if self.cache is None:
-            return 0
-        entry = self.cache.entry(file_cap)
-        if entry is None:
-            return 0
-        now = self.clock.now  # pre-send: see read()'s staleness note
-        discard_texts, current, lease = self._call(
-            "renew_lease",
-            file_cap=file_cap,
-            cached_version_cap=entry.version_cap,
-            epoch=entry.lease_epoch,
-            lease_ticks=self.lease_ticks or 0,
-        )
-        discards = [PagePath.parse(text) for text in discard_texts]
-        dead = self.cache.apply_discards(file_cap, discards, current)
-        if self.lease_ticks:
-            self.cache.set_lease(file_cap, lease, now)
-        return dead
 
     # -- updates ----------------------------------------------------------------
 

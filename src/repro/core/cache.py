@@ -169,9 +169,10 @@ class ClientFileCache:
     Usage pattern (see :class:`repro.client.api.FileClient`):
 
     1. after working on a version, ``remember`` its pages;
-    2. before the next update, ``revalidate`` against the service — the
-       server replies with the path names whose pages must be discarded
-       (an empty list for unshared files: the null-operation case);
+    2. on the next read, present the entry's version to the service
+       (``read_current``) — the server replies with the path names whose
+       pages must be discarded (an empty list for unshared files: the
+       null-operation case);
     3. ``get`` serves page reads without network traffic.
 
     Entries are keyed by ``(service port, file object)``: object numbers

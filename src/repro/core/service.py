@@ -100,8 +100,7 @@ class ServiceMetrics:
     aborts: int = 0
     pages_read: int = 0
     pages_written: int = 0
-    snapshot_reads: int = 0  # reads of the current committed tree
-    snapshot_fast: int = 0  # served from the hint, no resolution round trip
+    snapshot_reads: int = 0  # pages served from the current committed tree
     serialise_runs: int = 0
     serialise_pages_visited: int = 0
     semantic_merges: int = 0  # W/W overlaps reconciled by the merge policy
@@ -196,12 +195,11 @@ class FileService:
         # its write paths, as cache validation consumes them.
         self._write_paths_cache: dict[int, list[PagePath]] = {}
         # Current-version hints: file obj -> the block of its current
-        # committed version page, as last seen by this server.  Snapshot
-        # reads use the hint to serve committed trees straight from the
-        # page cache, without the fresh version-page read every chain
-        # resolution costs; every commit and every resolution repairs it.
-        # Only ever points at committed version pages, so a stale hint can
-        # at worst serve a slightly older *committed* snapshot.
+        # committed version page, as last seen by this server.  The commit
+        # engine takes its optimistic base from the hint instead of
+        # resolving the chain; every commit and every resolution repairs
+        # it.  Only ever points at committed version pages, so a stale
+        # hint can at worst lose the test-and-set, which names the tip.
         self._current_hints: dict[int, int] = {}
         # Ports of updates this server process is managing.  Deliberately
         # in-memory only: "when the server crashes, the outstanding
@@ -646,63 +644,6 @@ class FileService:
                 path=str(path),
                 value=bytes(data),
             )
-
-    def snapshot_read(self, file_cap: Capability, path: PagePath) -> bytes:
-        """Read a page of the file's *current committed* version without
-        entering the commit path at all.
-
-        Committed version trees are immutable, so once this server knows
-        which block holds the current version page it can serve the whole
-        read from its page cache: no fresh version-page load, no commit-
-        reference chase, no contact with the critical section.  The hint
-        is repaired by every commit and every resolution on this server;
-        when it is missing or visibly stale the read falls back to full
-        resolution (one fresh load per chain hop) and repairs it.
-
-        A hint that lags commits made through *another* server serves a
-        slightly older — but still committed and internally consistent —
-        snapshot; callers that need the newest version use ``read_page``
-        on ``current_version`` instead.
-        """
-        self._check_up()
-        entry = self._file_entry(file_cap, RIGHT_READ)
-        block = self._current_hints.get(entry.obj)
-        fast = False
-        if block is not None:
-            try:
-                page = self.store.load(block)
-                fast = page.commit_ref == NIL
-            except ReproError:
-                # The hinted block vanished (history pruned, file
-                # restructured): drop the hint and resolve from scratch.
-                self._current_hints.pop(entry.obj, None)
-                block = None
-        if not fast:
-            block, _ = self._resolve_current_page(entry)  # repairs the hint
-        data = self._walk_readonly(block, path).data
-        self.metrics.snapshot_reads += 1
-        if fast:
-            self.metrics.snapshot_fast += 1
-        if self.recorder.enabled:
-            self.recorder.count(
-                "snapshot.fast_reads" if fast else "snapshot.resolved_reads"
-            )
-        if self.history is not None:
-            version = self.registry.version_by_block(block)
-            obj = (
-                version.obj
-                if version is not None
-                else self._version_cap_for_block(entry.obj, block).obj
-            )
-            self.history.record(
-                "snapshot_read",
-                actor=self.name,
-                file=entry.obj,
-                version=obj,
-                path=str(path),
-                value=data,
-            )
-        return data
 
     def page_structure(self, version_cap: Capability, path: PagePath) -> list[int]:
         """The block-validity view of a page's reference table: for each
@@ -1198,11 +1139,14 @@ class FileService:
         self._release_top(entry)
         self._current_hints[entry.file_obj] = entry.root_block
         self._bump_epoch(entry.file_obj)
+        if len(self._write_paths_cache) >= 4096:
+            # Soft state, rebuilt from the flags on disk.  Cleared rather
+            # than trimmed: lock-free reads insert while this runs, and
+            # iterating a dict that grows under it raises.
+            self._write_paths_cache.clear()
         self._write_paths_cache[entry.root_block] = collect_write_paths(
             self.store, entry.root_block
         ).paths
-        while len(self._write_paths_cache) > 4096:
-            self._write_paths_cache.pop(next(iter(self._write_paths_cache)))
 
     def abort(self, version_cap: Capability) -> None:
         """Explicitly discard an uncommitted version."""
@@ -1266,17 +1210,15 @@ class FileService:
                     pass
 
     # ------------------------------------------------------------------
-    # cache validation (§5.4)
+    # current-state reads and cache validation (§5.4)
     # ------------------------------------------------------------------
 
     def validate_cache(
-        self,
-        file_cap: Capability,
-        cached_version_cap: Capability,
-        allow_delegate: bool = True,
+        self, file_cap: Capability, cached_version_cap: Capability
     ) -> tuple[list[PagePath], Capability]:
-        """The §5.4 cache check: which of the client's cached page paths
-        must be discarded, and what the current version is.
+        """The §5.4 cache check, run on this server: which of the client's
+        cached page paths must be discarded, and what the current version
+        is.  Clients reach the same walk through :meth:`read_current`.
 
         "When a request for a new version of the file is made, a
         serialisability test is made between the cache entry and the
@@ -1284,39 +1226,20 @@ class FileService:
         pages to be discarded."  For a file nobody else changed the answer
         is the empty list and no page tree is read at all (the null
         operation of claim C5).
-
-        Delegation ("the server responsible for carrying out the test can
-        make the test itself, or it can delegate the task to the server
-        holding the most recent version for efficiency"): if another live
-        server committed the current version — so *its* flag-bits cache is
-        warm — and ours is cold, the test is forwarded there.
         """
         self._check_up()
         file_entry = self._file_entry(file_cap, RIGHT_READ)
         cached = self._version_entry(cached_version_cap)
+        discards, block = self._discards_since(file_entry, cached.root_block)
+        return discards, self._version_cap_for_block(file_entry.obj, block)
 
-        if allow_delegate:
-            delegate = self._validation_delegate(file_entry)
-            if delegate is not None:
-                try:
-                    texts, current, _ = self.network.send(
-                        self.name,
-                        delegate,
-                        Request(
-                            "renew_lease",
-                            {
-                                "file_cap": file_cap,
-                                "cached_version_cap": cached_version_cap,
-                                "allow_delegate": False,
-                            },
-                        ),
-                    )
-                    return [PagePath.parse(t) for t in texts], current
-                except Exception:
-                    pass  # the delegate vanished: do the test ourselves
-
+    def _discards_since(
+        self, file_entry: FileEntry, block: int
+    ) -> tuple[list[PagePath], int]:
+        """Chase the commit chain from the committed version in ``block``
+        to the current one, collecting the write paths of every version
+        on the way: the discard list, and the current version's block."""
         discards: list[PagePath] = []
-        block = cached.root_block
         seen_root_discard = False
         while True:
             page = self.store.load(block, fresh=True)
@@ -1334,12 +1257,7 @@ class FileService:
                 if path.is_root:
                     seen_root_discard = True
         file_entry.entry_block = block
-        current_cap = self._version_cap_for_block(file_entry.obj, block)
-        return discards, current_cap
-
-    # ------------------------------------------------------------------
-    # read leases (epoch-invalidated zero-message cached reads)
-    # ------------------------------------------------------------------
+        return discards, block
 
     def _grant_lease(self, epoch: int, lease_ticks: int) -> Lease:
         """A lease of ``lease_ticks``, clamped at ``max_lease_ticks``.  A
@@ -1352,70 +1270,98 @@ class FileService:
                 self.recorder.count("cache.lease.grants")
         return Lease(epoch, granted)
 
-    def renew_lease(
+    def read_current(
         self,
         file_cap: Capability,
-        cached_version_cap: Capability,
-        epoch: int | None = None,
+        path: PagePath,
         lease_ticks: int = 0,
+        cached_version_cap: Capability | None = None,
+        epoch: int | None = None,
+        have_page: bool = False,
         allow_delegate: bool = True,
-    ) -> tuple[list[PagePath], Capability, Lease]:
-        """The §5.4 validation test, answered with a fresh read lease.
+    ) -> tuple[bytes | None, Capability, Lease, list[PagePath]]:
+        """The one read of a file's current state: the page at ``path``,
+        the current version, a lease of ``lease_ticks`` on it (zero: no
+        lease wanted, no lease counter moves) and the §5.4 discard list
+        for the client's cache.
 
-        When the client presents the epoch its dying lease carried and
-        nothing committed since — the registry's counter is unchanged
-        and the entry block still points at the client's version — the
-        renewal is answered from the file table alone: empty discard
-        list, same version, new lease, no page tree or version chain
-        touched.  Otherwise the full :meth:`validate_cache` walk runs
-        and the lease carries the pre-walk epoch (conservative: a commit
-        racing the walk makes the *next* renewal walk again, it can
-        never make a stale fast-renewal).
-        """
-        self._check_up()
-        file_entry = self._file_entry(file_cap, RIGHT_READ)
-        cached = self._version_entry(cached_version_cap)
-        if (
-            epoch is not None
-            and epoch >= 0
-            and file_entry.epoch == epoch
-            and file_entry.entry_block == cached.root_block
-            and cached.status == "committed"
-        ):
-            self.metrics.lease_fast_renewals += 1
-            if self.recorder.enabled:
-                self.recorder.count("cache.lease.fast_renewals")
-            return [], cached_version_cap, self._grant_lease(epoch, lease_ticks)
-        new_epoch = file_entry.epoch
-        discards, current = self.validate_cache(
-            file_cap, cached_version_cap, allow_delegate
-        )
-        return discards, current, self._grant_lease(new_epoch, lease_ticks)
+        Without ``cached_version_cap`` the current version is resolved
+        *truly* — a full commit-reference chase, never this server's hint:
+        a lease granted on a hint that lags another server's commit would
+        break the staleness bound — and nothing is discarded.
 
-    def read_current(
-        self, file_cap: Capability, path: PagePath, lease_ticks: int = 0
-    ) -> tuple[bytes, Capability, Lease]:
-        """One-round-trip read of the current version: resolve it *truly*
-        (full commit-reference chase, never the snapshot hint — a lease
-        granted on a hint that already lags another server's commit
-        would break the staleness bound), read the page, and grant a
-        lease on what was current at this instant.  Every client read
-        the cache cannot serve comes here; with ``lease_ticks=0`` (no
-        lease wanted) it is a plain snapshot read and no lease counter
-        moves.
+        With it, the §5.4 test runs between the cached version and the
+        current one.  A client presenting its lease ``epoch`` on a file
+        where nothing committed since — the counter is unchanged and the
+        entry block still names the cached version — is answered from the
+        file table alone; otherwise the commit chain is walked.  The page
+        comes back as ``None`` when the client holds it (``have_page``)
+        and the test did not discard it: "it is not necessary to transmit
+        pages while making the serialisability test".  A cached version
+        this server no longer knows (pruned, or lost with a registry
+        restore) is answered like a cold read, the root discarded.
+
+        Delegation ("it can delegate the task to the server holding the
+        most recent version for efficiency"): when another live server
+        committed the newest version, so *its* flag-bits cache is warm and
+        ours is cold, the whole read is forwarded there.
+
+        The lease carries the epoch read before resolution: a commit
+        racing this read makes the next one walk again, it can never make
+        a stale fast renewal.
         """
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_READ)
-        # Epoch before resolution: if a commit lands in between, the
-        # lease pairs an old epoch with the new version and the next
-        # renewal does a harmless full walk.
-        epoch = entry.epoch
-        block, _ = self._resolve_current_page(entry)
+        current_epoch = entry.epoch
+        cached = None
+        if cached_version_cap is not None:
+            try:
+                cached = self._version_entry(cached_version_cap)
+            except ReproError:
+                pass  # unknown here: answered as a cold read
+        current_cap = None
+        if cached is None or cached.status != "committed":
+            block, _ = self._resolve_current_page(entry)
+            discards = [] if cached_version_cap is None else [PagePath.ROOT]
+            if lease_ticks > 0 and self.recorder.enabled:
+                self.recorder.count("cache.lease.cold_reads")
+        elif (
+            epoch is not None
+            and epoch >= 0
+            and epoch == current_epoch
+            and entry.entry_block == cached.root_block
+        ):
+            block, discards, current_cap = cached.root_block, [], cached_version_cap
+            self.metrics.lease_fast_renewals += 1
+            if self.recorder.enabled:
+                self.recorder.count("cache.lease.fast_renewals")
+        else:
+            delegate = self._validation_delegate(entry) if allow_delegate else None
+            if delegate is not None:
+                params = {
+                    "file_cap": file_cap,
+                    "path": str(path),
+                    "lease_ticks": lease_ticks,
+                    "cached_version_cap": cached_version_cap,
+                    "epoch": epoch,
+                    "have_page": have_page,
+                    "allow_delegate": False,
+                }
+                try:
+                    data, current_cap, lease, texts = self.network.send(
+                        self.name, delegate, Request("read_current", params)
+                    )
+                    return data, current_cap, lease, [PagePath.parse(t) for t in texts]
+                except Exception:
+                    pass  # the delegate vanished: do the test ourselves
+            discards, block = self._discards_since(entry, cached.root_block)
+        if current_cap is None:
+            current_cap = self._version_cap_for_block(entry.obj, block)
+        lease = self._grant_lease(current_epoch, lease_ticks)
+        if have_page and not any(bad.is_ancestor_of(path) for bad in discards):
+            return None, current_cap, lease, discards
         data = self._walk_readonly(block, path).data
         self.metrics.snapshot_reads += 1
-        if lease_ticks > 0 and self.recorder.enabled:
-            self.recorder.count("cache.lease.cold_reads")
-        current_cap = self._version_cap_for_block(entry.obj, block)
         if self.history is not None:
             self.history.record(
                 "snapshot_read",
@@ -1425,7 +1371,7 @@ class FileService:
                 path=str(path),
                 value=data,
             )
-        return data, current_cap, self._grant_lease(epoch, lease_ticks)
+        return data, current_cap, lease, discards
 
     def _validation_delegate(self, file_entry: FileEntry) -> str | None:
         """Pick the server to delegate a cache-validation test to: the
@@ -1541,9 +1487,9 @@ class FileService:
 
     # ------------------------------------------------------------------
     # RPC command surface: each command declared once, over its method.
-    # Read-only ones only read, repairing at most hints and lazily
-    # minted version entries.  read_page and page_structure record flags,
-    # and renew_lease fills the write-paths cache: they stay locked.
+    # Read-only ones only read, repairing at most soft state: hints, entry
+    # blocks, the write-paths cache and lazily minted version entries.
+    # read_page and page_structure record flags: they stay locked.
     # ------------------------------------------------------------------
 
     cmd_create_file = command(create_file)
@@ -1566,9 +1512,9 @@ class FileService:
     cmd_commit = command(commit)
     cmd_commit_group = command(commit_group)
     cmd_abort = command(abort)
-    cmd_snapshot_read = command(snapshot_read, read_only=True, paths=("path",))
-    cmd_read_current = command(read_current, read_only=True, paths=("path",))
-    cmd_renew_lease = command(renew_lease, path_reply=True)
+    cmd_read_current = command(
+        read_current, read_only=True, paths=("path",), path_reply=True
+    )
     cmd_committed_versions = command(committed_versions, read_only=True)
     cmd_family_tree = command(family_tree, read_only=True)
 

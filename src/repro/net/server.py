@@ -20,11 +20,12 @@ server within the window is answered with a retryable busy error
 backoff) instead of queueing unboundedly — this also breaks the
 cross-daemon deadlock a companion pair could otherwise reach when both
 halves serve a client and call each other at the same moment.  A handler
-declared ``command(read_only=True)`` (the snapshot-read fast path of §4,
+declared ``command(read_only=True)`` (a file server's current-state read,
 plus pure introspection) runs without the lock, so a long commit never
-makes a concurrent ``snapshot_read`` wait or answer busy.  The declaration
-sits at the handler, in the server's own module: this module knows no
-command names.
+makes a concurrent read wait or answer busy, and a read one file server
+delegates to another never waits on the lock the two share.  The
+declaration sits at the handler, in the server's own module: this module
+knows no command names.
 
 Lifecycle mirrors the simulated network's attach/detach/reattach: a
 stopped daemon refuses connections (clients observe ECONNREFUSED and fail

@@ -237,8 +237,9 @@ def test_flag_bits_cache_avoids_tree_reads(fs, cluster):
 
 def test_validation_delegated_to_committing_server(cluster2):
     """"It can delegate the task to the server holding the most recent
-    version for efficiency": a cold server forwards the test to the server
-    whose flag cache is warm, reading no page-tree pages itself."""
+    version for efficiency": a cold server forwards the whole read to the
+    server whose flag cache is warm, and relays its answer — reading no
+    page-tree pages itself."""
     fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
     cap = fs0.create_file(b"root")
     setup = fs0.create_version(cap)
@@ -258,13 +259,20 @@ def test_validation_delegated_to_committing_server(cluster2):
     cluster2.network.tracer = lambda s, d, p: forwarded.append(
         (s, d, p.command if isinstance(p, Request) else "")
     )
-    discards, _ = fs0.validate_cache(cap, cached)
+    data, current, _, discards = fs0.read_current(
+        cap, PagePath.of(1), cached_version_cap=cached, have_page=True
+    )
     cluster2.network.tracer = None
     assert discards == [PagePath.of(2)]
-    assert ("fs0", "fs1", "renew_lease") in forwarded
+    assert data is None  # page 1 is still valid: nothing transmitted
+    assert current.obj == fs1.current_version(cap).obj
+    assert [f for f in forwarded if f[0] == "fs0"] == [("fs0", "fs1", "read_current")]
+    assert fs0._write_paths_cache == {}
 
 
 def test_validation_falls_back_when_delegate_dead(cluster2):
+    """A delegate that died since its commit is no answer: the cold
+    server walks the chain itself."""
     fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
     cap = fs0.create_file(b"root")
     cached = fs0.current_version(cap)
@@ -273,8 +281,35 @@ def test_validation_falls_back_when_delegate_dead(cluster2):
     fs1.commit(writer.version)
     fs1.crash()
     fs0._write_paths_cache.clear()
-    discards, _ = fs0.validate_cache(cap, cached)
+    data, _, _, discards = fs0.read_current(
+        cap, ROOT, cached_version_cap=cached, have_page=True
+    )
     assert discards == [ROOT]
+    assert data == b"w"  # discarded, so the page comes along
+
+
+def test_flag_bits_cache_overflow_never_iterates_under_concurrent_reads(fs):
+    """Lock-free reads insert into the flag-bits cache while a commit
+    bounds it, so bounding it must not iterate the dict: an insert
+    between creating an iterator and advancing it raises "dictionary
+    changed size during iteration".  (Regression: the commit evicted the
+    oldest entry with ``pop(next(iter(...)))``.)"""
+
+    class InsertDuringIteration(dict):
+        def __iter__(self):
+            iterator = dict.__iter__(self)
+            self[-1] = []  # a concurrent read's insert lands here
+            return iterator
+
+    cap = fs.create_file(b"root")
+    fs._write_paths_cache = InsertDuringIteration({i: [] for i in range(4096)})
+    writer = fs.create_version(cap)
+    fs.write_page(writer.version, ROOT, b"w")
+    fs.commit(writer.version)
+    # Soft state: cleared at the bound, rebuilt from the flags on disk.
+    assert list(fs._write_paths_cache.keys()) == [
+        fs.registry.version(writer.version.obj).root_block
+    ]
 
 
 def test_flag_bits_cache_survives_crash_via_disk(fs, cluster):
@@ -306,7 +341,7 @@ def test_client_cache_roundtrip(cluster):
     cap = client.create_file(b"v1")
     assert client.read(cap) == b"v1"  # miss, fetch
     messages_before = cluster.network.stats.messages
-    assert client.read(cap) == b"v1"  # revalidate (null) + cache hit
+    assert client.read(cap) == b"v1"  # validated (null) + cache hit
     # The hit still costs the validation round trip, but no page read.
     assert client.stats.cache_hits >= 1
 

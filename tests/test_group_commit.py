@@ -389,52 +389,3 @@ def test_client_commit_group_pins_one_server():
     for i, path in enumerate(paths):
         assert client.read(cap, path) == b"grp%d" % i
 
-
-def test_snapshot_read_serves_committed_state_without_resolution():
-    cluster = build_cluster(seed=21)
-    fs = cluster.fs()
-    cap, paths = _file_with_pages(fs, 2)
-    # The setup commit primed the hint: the very first snapshot read is
-    # already a fast one.
-    assert fs.snapshot_read(cap, paths[0]) == b"init"
-    assert fs.metrics.snapshot_fast == 1
-    handle = fs.create_version(cap)
-    fs.write_page(handle.version, paths[0], b"updated")
-    fs.commit(handle.version)
-    assert fs.snapshot_read(cap, paths[0]) == b"updated"
-    assert fs.metrics.snapshot_reads == 2
-    assert fs.metrics.snapshot_fast == 2
-
-
-def test_snapshot_read_may_lag_commits_made_elsewhere():
-    """A stale hint serves the previous committed version — still a
-    committed snapshot, repaired by the next resolution on this server."""
-    history = HistoryRecorder()
-    cluster = build_cluster(servers=2, seed=22, history=history)
-    fs0, fs1 = cluster.servers
-    cap, paths = _file_with_pages(fs0, 1)
-    assert fs0.snapshot_read(cap, paths[0]) == b"init"
-    handle = fs1.create_version(cap)
-    fs1.write_page(handle.version, paths[0], b"via-fs1")
-    fs1.commit(handle.version)
-    # fs0's hint (and cached page) predate fs1's commit: it serves the
-    # older committed version, tagged with that version's identity.
-    assert fs0.snapshot_read(cap, paths[0]) == b"init"
-    fs0.current_version(cap)  # resolution repairs the hint
-    assert fs0.snapshot_read(cap, paths[0]) == b"via-fs1"
-    result = check_history(history)
-    assert result.ok, "\n".join(str(v) for v in result.violations)
-
-
-def test_snapshot_read_survives_a_server_restart():
-    cluster = build_cluster(seed=23)
-    fs = cluster.fs()
-    cap, paths = _file_with_pages(fs, 1)
-    fs.crash()
-    fs.restart()
-    # Hints died with the crash; the read falls back to resolution and
-    # rebuilds them.
-    assert fs.snapshot_read(cap, paths[0]) == b"init"
-    assert fs.metrics.snapshot_fast == 0
-    assert fs.snapshot_read(cap, paths[0]) == b"init"
-    assert fs.metrics.snapshot_fast == 1

@@ -1,13 +1,13 @@
 """Read leases (§5.4 caching, pushed to zero-message hot reads).
 
-A server grants a ``Lease(epoch, ttl)`` with every validation or cold
-``read_current``; while the lease is live the client serves cached pages
-with no network traffic at all.  Every commit — sequential, grouped, or
-through the other server of the pair — bumps the file's epoch, so a
-post-lease renewal that presents a stale epoch does the full §5.4 walk
-and a renewal on an unchanged file is answered from the file table
-alone.  The history checker bounds how stale any lease-served read can
-be: it may lag a superseding commit by at most the lease TTL.
+A server grants a ``Lease(epoch, ttl)`` with every ``read_current``;
+while the lease is live the client serves cached pages with no network
+traffic at all.  Every commit — sequential, grouped, or through the other
+server of the pair — bumps the file's epoch, so a post-lease read that
+presents a stale epoch does the full §5.4 walk and one on an unchanged
+file is answered from the file table alone (the fast renewal).  The
+history checker bounds how stale any lease-served read can be: it may lag
+a superseding commit by at most the lease TTL.
 """
 
 import pytest
@@ -22,22 +22,36 @@ LEASE = 10_000  # logical ticks: long enough to stay live across a test
 
 
 # ---------------------------------------------------------------------------
-# the server-side protocol: renew_lease / read_current / epoch bumps
+# the server-side protocol: read_current's renewals / epoch bumps
 # ---------------------------------------------------------------------------
+
+
+def _renew(fs, cap, cached, epoch, lease_ticks=LEASE, path=ROOT):
+    """A renewal: the client holds ``path`` of ``cached`` and presents
+    its lease's epoch; returns (page or None, current, lease, discards)."""
+    return fs.read_current(
+        cap, path, lease_ticks, cached_version_cap=cached, epoch=epoch,
+        have_page=True,
+    )
 
 
 def test_renew_lease_fast_path_on_unchanged_file(fs):
     cap = fs.create_file(b"quiet file")
     cached = fs.current_version(cap)
     epoch = fs.registry.files[cap.obj].epoch
-    discards, current, lease = fs.renew_lease(
-        cap, cached, epoch=epoch, lease_ticks=LEASE
-    )
+    data, current, lease, discards = _renew(fs, cap, cached, epoch)
+    assert data is None  # the client's page is still good: none sent
     assert discards == []
     assert current.obj == cached.obj
     assert lease == Lease(epoch, LEASE)
     assert fs.metrics.lease_fast_renewals == 1
     assert fs.metrics.leases_granted == 1
+    # Missing the page, the client gets it in the same exchange.
+    data, _, _, _ = fs.read_current(
+        cap, ROOT, LEASE, cached_version_cap=cached, epoch=epoch
+    )
+    assert data == b"quiet file"
+    assert fs.metrics.lease_fast_renewals == 2
 
 
 def test_commit_bumps_epoch_and_defeats_fast_path(fs):
@@ -52,13 +66,16 @@ def test_commit_bumps_epoch_and_defeats_fast_path(fs):
     fs.write_page(writer.version, PagePath.of(1), b"changed")
     fs.commit(writer.version)
     assert fs.registry.files[cap.obj].epoch == old_epoch + 1
-    discards, current, lease = fs.renew_lease(
-        cap, cached, epoch=old_epoch, lease_ticks=LEASE
+    data, current, lease, discards = _renew(
+        fs, cap, cached, old_epoch, path=PagePath.of(0)
     )
     assert discards == [PagePath.of(1)]
+    assert data is None  # page 0 survives the walk
     assert current.obj != cached.obj
     assert lease.epoch == old_epoch + 1
     assert fs.metrics.lease_fast_renewals == 0
+    data, _, _, _ = _renew(fs, cap, cached, old_epoch, path=PagePath.of(1))
+    assert data == b"changed"  # discarded, so sent
 
 
 def test_commit_through_other_server_bumps_shared_epoch(cluster2):
@@ -71,10 +88,9 @@ def test_commit_through_other_server_bumps_shared_epoch(cluster2):
     writer = fs1.create_version(cap)
     fs1.write_page(writer.version, ROOT, b"v2")
     fs1.commit(writer.version)
-    discards, current, lease = fs0.renew_lease(
-        cap, cached, epoch=epoch, lease_ticks=LEASE
-    )
+    data, _, lease, discards = _renew(fs0, cap, cached, epoch)
     assert discards == [ROOT]
+    assert data == b"v2"
     assert lease.epoch == epoch + 1
     assert fs0.metrics.lease_fast_renewals == 0
 
@@ -95,20 +111,34 @@ def test_group_commit_bumps_epoch_per_member(fs):
 
 def test_read_current_is_one_call_and_grants_a_lease(fs):
     cap = fs.create_file(b"cold data")
-    data, current, lease = fs.read_current(cap, ROOT, lease_ticks=LEASE)
+    data, current, lease, discards = fs.read_current(cap, ROOT, lease_ticks=LEASE)
     assert data == b"cold data"
+    assert discards == []
     assert current.obj == fs.current_version(cap).obj
     assert lease.ttl == LEASE
     assert lease.epoch == fs.registry.files[cap.obj].epoch
+
+
+def test_read_current_of_an_unknown_cached_version_is_a_cold_read(fs):
+    """A cached version the server no longer knows (pruned, or lost with
+    a registry restore) cannot be tested: the whole entry is discarded
+    and the page sent, as on a cold read."""
+    from dataclasses import replace
+
+    cap = fs.create_file(b"data")
+    gone = replace(fs.current_version(cap), obj=999_999)
+    data, current, _, discards = _renew(fs, cap, gone, epoch=None)
+    assert (data, discards) == (b"data", [ROOT])
+    assert current.obj == fs.current_version(cap).obj
 
 
 def test_lease_ttl_clamped_to_server_maximum(fs):
     cap = fs.create_file(b"x")
     cached = fs.current_version(cap)
     fs.max_lease_ticks = 50
-    _, _, lease = fs.renew_lease(cap, cached, epoch=None, lease_ticks=LEASE)
+    _, _, lease, _ = _renew(fs, cap, cached, epoch=None)
     assert lease.ttl == 50
-    _, _, lease = fs.renew_lease(cap, cached, epoch=None, lease_ticks=-5)
+    _, _, lease, _ = _renew(fs, cap, cached, epoch=None, lease_ticks=-5)
     assert lease.ttl == 0
 
 
@@ -130,10 +160,8 @@ def test_restored_registry_never_fast_renews(cluster):
     # (what a recovering client's first read does), then try to renew a
     # lease carried across the restore with the ambiguous epoch.
     cached = fs.current_version(cap)
-    discards, _, lease = fs.renew_lease(
-        cap, cached, epoch=-1, lease_ticks=LEASE
-    )
-    assert discards == []
+    data, _, _, discards = _renew(fs, cap, cached, epoch=-1)
+    assert (data, discards) == (None, [])
     assert fs.metrics.lease_fast_renewals == 0  # walked, not fast-pathed
     # The next commit heals the epoch back into vouched-for territory.
     writer = fs.create_version(cap)
@@ -169,8 +197,9 @@ def test_lease_expiry_triggers_single_renewal(cluster):
     cluster.clock.advance(101)  # the lease dies
     before = cluster.network.stats.messages
     assert client.read(cap) == b"data"
-    renewal_cost = cluster.network.stats.messages - before
-    assert renewal_cost > 0  # one renew_lease round trip
+    # One read_current round trip, answered from the file table: no
+    # page-tree or version-page read, no page sent.
+    assert cluster.network.stats.messages - before == 2
     assert client.stats.lease_expired == 1
     # The renewal granted a fresh lease: reads are free again.
     before = cluster.network.stats.messages
@@ -203,26 +232,31 @@ def test_leaseless_client_unchanged(cluster):
 
 
 def test_no_cache_client_ignores_leases(cluster):
+    """A client without a cache has nowhere to keep a lease, so it asks
+    for none: no server grants it one."""
     client = FileClient(
         cluster.network, "host", cluster.service_port,
         use_cache=False, lease_ticks=LEASE,
     )
     cap = client.create_file(b"uncached")
-    assert client.read(cap) == b"uncached"
-    assert client.read(cap) == b"uncached"
+    for _ in range(5):
+        assert client.read(cap) == b"uncached"
     assert client.stats.lease_hits == 0
+    assert sum(fs.metrics.leases_granted for fs in cluster.servers) == 0
 
 
 # ---------------------------------------------------------------------------
-# the TOCTOU regression: a commit racing the revalidate/fetch window
+# the TOCTOU regression: a commit racing the validation/page-read window
 # ---------------------------------------------------------------------------
 
 
 def test_read_fetches_via_validated_version_cap(cluster2):
-    """A commit landing between ``revalidate`` and the page fetch must
-    not produce a mixed-version entry.  (Regression: the miss path
-    fetched from a fresh ``current_version`` call, so the new version's
-    page landed in an entry tagged with the validated older cap.)"""
+    """A commit landing between the validation walk and the page read
+    must not produce a mixed-version entry: the page comes from the
+    version the walk found current, which is the version the reply names.
+    (Regression: the miss path fetched from a fresh ``current_version``
+    call, so the new version's page landed in an entry tagged with the
+    validated older cap.)"""
     net = cluster2.network
     writer = FileClient(net, "writer", cluster2.service_port)
     reader = FileClient(net, "reader", cluster2.service_port)
@@ -231,18 +265,27 @@ def test_read_fetches_via_validated_version_cap(cluster2):
                                     for i in range(2)])
     assert reader.read(cap, PagePath.of(0)) == b"old page 0"
 
-    # Interleave: the writer commits in the window after the reader's
-    # validation answered and before its page fetch goes out.
-    original = reader.revalidate
+    # Interleave: the writer commits after the serving server's walk
+    # answered and before it reads the page.
+    def walk_then_lose_the_race(fs):
+        original = fs._discards_since
 
-    def revalidate_then_lose_the_race(file_cap):
-        dead = original(file_cap)
-        writer.transact(cap, lambda u: u.write(PagePath.of(1), b"NEW page 1"))
-        return dead
+        def racing(*args):
+            answer = original(*args)
+            del fs._discards_since  # race once
+            writer.transact(cap, lambda u: u.write(PagePath.of(1), b"NEW page 1"))
+            return answer
 
-    reader.revalidate = revalidate_then_lose_the_race
+        return racing
+
+    for fs in cluster2.servers:
+        fs._discards_since = walk_then_lose_the_race(fs)
     data = reader.read(cap, PagePath.of(1))
-    reader.revalidate = original
+    for fs in cluster2.servers:
+        vars(fs).pop("_discards_since", None)
+    assert reader.read_version(reader.current_version(cap), PagePath.of(1)) == (
+        b"NEW page 1"
+    )  # the race did happen
 
     # Whatever the read returned, the cache entry must be internally
     # consistent: every cached page equals that same version's page.
@@ -255,8 +298,8 @@ def test_read_fetches_via_validated_version_cap(cluster2):
 
 
 def test_fetch_of_pruned_version_falls_back_cold(cluster):
-    """If the validated version vanishes (e.g. pruned) before the fetch,
-    the client drops the entry and cold-reads instead of erroring."""
+    """If the cached version vanishes (e.g. pruned), the read is answered
+    cold: the entry is discarded from the root, not an error."""
     client = FileClient(
         cluster.network, "host", cluster.service_port, lease_ticks=LEASE
     )
@@ -300,8 +343,11 @@ def test_lease_wire_roundtrip():
 
     for lease in (Lease(epoch=42, ttl=12345), Lease(epoch=-1, ttl=0)):
         assert decode_value(encode_value(lease)) == lease
-    # Nested where the protocol actually carries it: a renewal reply.
-    reply = ([], Lease(epoch=7, ttl=300))
+    # Nested where the protocol actually carries it: a validated read's
+    # reply, whose page stayed home.
+    from repro.capability import Capability
+
+    reply = (None, Capability(1, 2, 3, 4), Lease(epoch=7, ttl=300), [])
     assert decode_value(encode_value(reply)) == reply
 
 

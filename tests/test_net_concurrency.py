@@ -10,9 +10,9 @@ What the daemon promises, each under deliberate stress:
 * a daemon killed mid-pipeline ends the in-flight calls with a
   connection error (never a wrong or silently missing reply) and the
   workload completes through the companion with a serializable history;
-* a long-running commit holding the dispatch lock must not cause
-  ``snapshot_read`` on the same port to answer busy/MessageDropped —
-  the regression the lock-free read path exists to prevent.
+* a long-running commit holding the dispatch lock must not cause a
+  read (``read_current``) on the same port to answer busy/MessageDropped
+  — the regression the lock-free read path exists to prevent.
 """
 
 from __future__ import annotations
@@ -110,7 +110,7 @@ def test_connection_barrage_no_response_dropped():
                     ids = [
                         conn.submit(
                             f"conn{index}",
-                            "snapshot_read",
+                            "read_current",
                             {"file_cap": cap, "path": str(ROOT)},
                         )
                         for _ in range(READS_PER_CONNECTION)
@@ -120,7 +120,7 @@ def test_connection_barrage_no_response_dropped():
                         assert frame_type == wire.FRAME_REPLY, wire.decode_error(
                             body
                         )
-                        assert wire.decode_value(body) == b"barrage data"
+                        assert wire.decode_value(body)[0] == b"barrage data"
                         replies[index] += 1
                 finally:
                     conn.close()
@@ -176,7 +176,7 @@ class SplitServer:
         self.name = "split"
 
     @command(read_only=True)
-    def cmd_snapshot_read(self, value):
+    def cmd_read(self, value):
         return ("read", value)
 
     def cmd_mutate(self, value):  # dispatch lock
@@ -185,7 +185,7 @@ class SplitServer:
 
 
 def test_pipelined_replies_are_fifo_per_connection():
-    assert SplitServer.cmd_snapshot_read.read_only
+    assert SplitServer.cmd_read.read_only
     daemon = NetServer("split", dispatcher(SplitServer(), 0x42)).start()
     try:
         with socket.create_connection(daemon.address, timeout=10) as sock:
@@ -194,13 +194,13 @@ def test_pipelined_replies_are_fifo_per_connection():
             # must come back in submission order.
             expected = []
             for i in range(20):
-                command = "mutate" if i % 3 == 0 else "snapshot_read"
+                command = "mutate" if i % 3 == 0 else "read"
                 sock.sendall(
                     wire.encode_request(
                         "c", command, {"value": i}, request_id=i + 1
                     )
                 )
-                expected.append((i + 1, command.replace("snapshot_read", "read")))
+                expected.append((i + 1, command))
             assembler = wire.FrameAssembler()
             got = []
             while len(got) < 20:
@@ -239,7 +239,7 @@ def test_kill_daemon_mid_pipeline_fails_over_cleanly():
             ids = [
                 conn.submit(
                     "pipeliner",
-                    "snapshot_read",
+                    "read_current",
                     {"file_cap": caps[0], "path": str(ROOT)},
                 )
                 for _ in range(32)
@@ -252,7 +252,7 @@ def test_kill_daemon_mid_pipeline_fails_over_cleanly():
                     if frame_type == wire.FRAME_REPLY:
                         # Served before the crash landed: the payload
                         # must be the real data, never garbage.
-                        assert wire.decode_value(body) == b"pre 0"
+                        assert wire.decode_value(body)[0] == b"pre 0"
                         outcomes["replied"] += 1
                     else:
                         # Caught mid-crash: a typed error frame, still
@@ -285,7 +285,7 @@ def test_kill_daemon_mid_pipeline_fails_over_cleanly():
         cluster.stop()
 
 
-# -- long commit must not busy snapshot_read --------------------------------
+# -- long commit must not busy a read ---------------------------------------
 
 
 class SlowCommitServer:
@@ -302,7 +302,7 @@ class SlowCommitServer:
         return "committed"
 
     @command(read_only=True)
-    def cmd_snapshot_read(self):
+    def cmd_read(self):
         return "snapshot"
 
 
@@ -331,7 +331,7 @@ def test_snapshot_read_not_busied_by_long_commit_daemon_level():
         start = time.monotonic()
         with socket.create_connection(daemon.address, timeout=10) as sock:
             sock.sendall(
-                wire.encode_request("r", "snapshot_read", {}, request_id=2)
+                wire.encode_request("r", "read", {}, request_id=2)
             )
             header = _read_exact(sock, wire.HEADER_SIZE)
             frame_type, rid, length = wire.decode_header(header)
@@ -385,9 +385,9 @@ def test_snapshot_read_not_busied_by_commit_stream_service_level():
         thread.start()
         try:
             for _ in range(200):
-                assert reader.snapshot_read(read_cap) == b"read data"
+                assert reader.read(read_cap) == b"read data"
         except MessageDropped:
-            pytest.fail("snapshot_read answered busy during a commit")
+            pytest.fail("a read answered busy during a commit")
         finally:
             stop.set()
             thread.join(timeout=60)

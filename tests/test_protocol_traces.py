@@ -254,16 +254,28 @@ def test_failover_trace_shows_retry_on_other_server():
 
 
 # The client read path: every read that reaches a server is one lock-free
-# ``read_current``.  Version reads (inside an update, or of a historical
-# version) keep ``read_page``.
+# ``read_current``, whatever the client's cache and lease hold.  Version
+# reads (inside an update, or of a historical version) keep ``read_page``.
+# Per state: client options, the preparation after the reader's first
+# read, and the messages the next read costs (before the cached-read
+# verbs were folded into ``read_current``: 4, 4, 12, 12 and 2 messages —
+# the middle two were ``renew_lease`` plus ``read_page``).
+LEASE = 1_000_000
 READERS = {
-    "uncached": {"use_cache": False},
-    "leaseless-cold": {"use_cache": True},
+    "uncached": ({"use_cache": False}, "drop", 4),
+    "leaseless-cold": ({"use_cache": True}, "drop", 4),
+    "leaseless-cached": ({"use_cache": True}, None, 8),
+    "lease-expired": ({"lease_ticks": 100}, "expire", 8),
+    "lease-live-page-missing": ({"lease_ticks": LEASE}, "reread-then-pop", 2),
 }
 
 
-@pytest.mark.parametrize("options", READERS.values(), ids=READERS.keys())
-def test_client_read_is_one_rpc_of_the_true_current_version(options):
+@pytest.mark.parametrize(
+    "options, prepare, messages_sent", READERS.values(), ids=READERS.keys()
+)
+def test_client_read_is_one_rpc_of_the_true_current_version(
+    options, prepare, messages_sent
+):
     history = HistoryRecorder()
     cluster = build_cluster(servers=2, seed=156, history=history)
     network = cluster.network
@@ -275,21 +287,29 @@ def test_client_read_is_one_rpc_of_the_true_current_version(options):
     )
     cap = writer.create_file(b"v0")
     assert reader.read(cap) == b"v0"  # fs0 now holds a current-version hint
-    if reader.cache is not None:
+    if prepare == "drop" and reader.cache is not None:
         reader.cache.drop(cap)  # the next read is cold again
     writer.transact(cap, lambda u: u.write(ROOT, b"v1"))  # through fs1
+    if prepare == "expire":
+        cluster.clock.advance(101)
+    elif prepare == "reread-then-pop":
+        reader.cache.drop(cap)
+        assert reader.read(cap) == b"v1"  # a live lease on the new version
+        reader.cache.entry(cap).pages.pop(ROOT)
     current = writer.current_version(cap)
     trace = Trace(network)
     messages = network.stats.messages
     seen = len(history)
 
     assert reader.read(cap) == b"v1"
-    # One file-server RPC and the version-page load behind it: 4
-    # messages (current_version + read_page cost 2 RPCs, 6 messages).
     assert [e for e in trace.events if e[0] == "host"] == [
         ("host", "fs0", "read_current")
     ]
-    assert network.stats.messages - messages == 4
+    # Cold: the RPC and the version-page load behind it.  Cached and
+    # stale: fs0's flag cache is cold, so it forwards the whole read to
+    # fs1, which walks from the cached version to the current one.  Live
+    # lease: the epoch answers, and the page comes from fs0's page cache.
+    assert network.stats.messages - messages == messages_sent
     # One snapshot read, of the version fs1 just committed: fs0's stale
     # hint is not what a client read is served from.
     reads = [e for e in history.events[seen:] if e.kind == "snapshot_read"]
@@ -331,6 +351,42 @@ def test_tcp_read_is_served_while_the_dispatch_lock_is_held():
         finally:
             lock.release()
         assert data == b"v0"
+        busy = recorder.metrics.counters.get("net.tcp.busy")
+        assert busy is None or busy.value == 0
+    finally:
+        cluster.stop()
+
+
+def test_tcp_cached_read_is_served_while_the_dispatch_lock_is_held():
+    """A cached read's §5.4 test runs lock-free too, on the server the
+    client asked and on the one it delegates to: it is answered while the
+    test holds the dispatch lock both file servers share."""
+    recorder = Recorder()
+    cluster = build_tcp_cluster(
+        servers=2, seed=159, recorder=recorder, lock_timeout=0.05
+    )
+    try:
+        writer = cluster.client("writer", use_cache=False, prefer_server="fs1")
+        reader = cluster.client("host", prefer_server="fs0")
+        cap = writer.create_file(b"root")
+        setup = writer.begin(cap)
+        kept_page = setup.append_page(ROOT, b"kept")
+        changed_page = setup.append_page(ROOT, b"old")
+        setup.commit()
+        assert reader.read(cap, kept_page) == b"kept"
+        assert reader.read(cap, changed_page) == b"old"
+        writer.transact(cap, lambda u: u.write(changed_page, b"changed"))
+        lock = cluster.network.daemon("fs0")._dispatch_lock
+        assert lock.acquire(timeout=5)
+        try:
+            kept = reader.read(cap, kept_page)  # validated, not sent
+            changed = reader.read(cap, changed_page)  # discarded, so sent
+        except MessageDropped:
+            pytest.fail("a cached read answered busy while the lock was held")
+        finally:
+            lock.release()
+        assert (kept, changed) == (b"kept", b"changed")
+        assert reader.stats.cache_hits == 1
         busy = recorder.metrics.counters.get("net.tcp.busy")
         assert busy is None or busy.value == 0
     finally:

@@ -87,8 +87,8 @@ def test_super_update_atomic_across_subfiles(nested):
 
 def test_finished_sub_commit_repairs_the_current_hint(nested):
     """A sub-file commit is a commit-publication point like any other:
-    the hint must land on the new version, so a snapshot read needs no
-    resolution and sees the committed data."""
+    the hint must land on the new version, so the next commit's optimistic
+    base is current, and the flag administration is cached for reads."""
     fs, tree, cap_c, cap_a, cap_b = nested
     update = tree.begin_super_update(cap_c)
     ha = tree.open_subfile(update, cap_a)
@@ -97,9 +97,9 @@ def test_finished_sub_commit_repairs_the_current_hint(nested):
     sub_block = fs.registry.version(ha.version.obj).root_block
     assert fs._current_hints[cap_a.obj] == sub_block
     assert sub_block in fs._write_paths_cache
-    fast = fs.metrics.snapshot_fast
-    assert fs.snapshot_read(cap_a, ROOT) == b"A v2"
-    assert fs.metrics.snapshot_fast == fast + 1
+    data, current, _, _ = fs.read_current(cap_a, ROOT)
+    assert data == b"A v2"
+    assert current.obj == ha.version.obj
 
 
 def test_inner_lock_blocks_small_updates(nested):

@@ -91,6 +91,34 @@ def test_client_cache_and_buffered_writes_over_tcp(tcp_cluster):
     assert client.read(cap) == b"buffered then shipped"
 
 
+def test_revalidating_read_delegated_across_file_servers_does_not_stall():
+    """A reader on fs0 revalidates after a commit through fs1, so fs0
+    forwards the read to fs1, whose flag cache is warm.  The two daemons
+    share one dispatch lock; the forwarded read must not wait for it.
+    (Regression: the validation held the lock on fs0 while the delegated
+    call queued for it on fs1, waited out the lock timeout — 5 s — and got
+    a busy answer.)"""
+    import time
+
+    recorder = Recorder()
+    cluster = build_tcp_cluster(servers=2, seed=7, recorder=recorder)
+    try:
+        writer = cluster.client("writer", prefer_server="fs1")
+        reader = cluster.client("reader", prefer_server="fs0")
+        cap = writer.create_file(b"v1")
+        assert reader.read(cap) == b"v1"
+        writer.transact(cap, lambda u: u.write(ROOT, b"v2"))
+        served = cluster.fs(1).metrics.snapshot_reads
+        start = time.perf_counter()
+        assert reader.read(cap) == b"v2"
+        assert time.perf_counter() - start < 1.0
+        assert cluster.fs(1).metrics.snapshot_reads == served + 1  # delegated
+        busy = recorder.metrics.counters.get("net.tcp.busy")
+        assert busy is None or busy.value == 0
+    finally:
+        cluster.stop()
+
+
 def test_small_update_begin_and_abort_send_no_lock_traffic(tcp_cluster):
     """A small file's top lock is file-server soft state: beginning and
     aborting an update send the block tier no lock request — only the

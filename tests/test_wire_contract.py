@@ -42,22 +42,22 @@ CONTRACT = {
         "page_structure": (("version_cap", "path"), False),
         "ping": ((), True),
         "probe_update": (("update_port",), True),
-        "read_current": (("file_cap", "path", "lease_ticks"), True),
+        "read_current": (
+            (
+                "file_cap",
+                "path",
+                "lease_ticks",
+                "cached_version_cap",
+                "epoch",
+                "have_page",
+                "allow_delegate",
+            ),
+            True,
+        ),
         "read_page": (("version_cap", "path"), False),
         "recover_lock": (("file_cap",), False),
         "remove_hole": (("version_cap", "path"), False),
         "remove_page": (("version_cap", "path"), False),
-        "renew_lease": (
-            (
-                "file_cap",
-                "cached_version_cap",
-                "epoch",
-                "lease_ticks",
-                "allow_delegate",
-            ),
-            False,
-        ),
-        "snapshot_read": (("file_cap", "path"), True),
         "split_page": (("version_cap", "path", "at"), False),
         "write_page": (("version_cap", "path", "data"), False),
     },
@@ -173,7 +173,6 @@ READ_ONLY_PARAMS = {
     "ping": lambda cap: {},
     "probe_update": lambda cap: {"update_port": 1},
     "read_current": lambda cap: {"file_cap": cap, "path": ROOT_TEXT, "lease_ticks": 0},
-    "snapshot_read": lambda cap: {"file_cap": cap, "path": ROOT_TEXT},
 }
 
 

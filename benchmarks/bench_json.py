@@ -341,9 +341,9 @@ def bench_disk() -> dict:
     """The durable-disk benchmark (real files, real fsyncs).
 
     Gated half: the deterministic sync/write/message counters of the
-    untuned and fixed-batch passes.  The sync-cost-tuned pass and the
-    commits/sec speedup are wall-clock on whatever medium CI mounts —
-    committed as the record of the tuning claim, reported, not gated.
+    untuned and fixed-batch passes.  The commits/sec columns and the
+    probed sync costs are wall-clock on whatever medium CI mounts —
+    committed as a record, reported, not gated.
     """
     from repro.workloads.diskbench import diskbench_document
 

@@ -6,21 +6,15 @@ Subcommands:
   crash things, and show the family tree and fsck output.
 * ``fsck``   — build a busy deployment and run the invariant checker.
 * ``salvage`` — demonstrate total-loss recovery from the block layer.
-* ``stats``  — run an instrumented deployment and print the observability
-  report: metrics, the commit-path table (fast versus serialise), and
-  per-commit span trees.  See docs/OBSERVABILITY.md.
+* ``stats [K]`` — run an instrumented deployment and print the observability
+  report: metrics, the commit-path table (fast versus serialise), per-commit
+  span trees, and a ``K``-shard section (default 4).  See docs/OBSERVABILITY.md.
 * ``soak``   — deterministic randomised soak under fault injection with
   serializability history checking.  ``--seed N`` (or ``--seed A..B`` for
-  a range), ``--ops M``, ``--shards K``, ``--clients C``, ``--mutant``,
-  ``--group-commit`` (mix grouped commit batches into the workload),
-  ``--leases`` (clients read through leases; lease-staleness checked),
-  ``--contention`` (hot-directory churn on merge-typed files; the
-  checker replays them under the merge semantics), ``--no-merge``
-  (strip the merge policy: paper-exact strict OCC),
-  ``--rebalance`` (live-migrate one shard mid-workload; needs
-  ``--shards >= 2``; the checker proves nothing was served by the old
-  pair after its cutover), ``--backend disk`` (run block storage on the
-  durable file-backed disk in a temp dir instead of simulated memory).
+  a range), ``--ops M``, ``--mutant``.  Each seed draws its topology,
+  client count and features — group commit, read leases, hot-directory
+  contention with or without semantic merges, the durable file-backed
+  disk, a live shard rebalance — and its summary line names them.
   Exits nonzero and prints the replay command on any violation.  See
   docs/SIMULATION.md.
 * ``cluster`` — operator verbs over a demo sharded deployment with a
@@ -50,7 +44,9 @@ Subcommands:
 
 from __future__ import annotations
 
+import inspect
 import sys
+from typing import Callable
 
 from repro.client.api import FileClient
 from repro.core.pathname import PagePath
@@ -152,7 +148,7 @@ def _salvage() -> None:
         print(f"  file {obj}: {data!r}")
 
 
-def _stats(extra: list[str] | None = None) -> None:
+def _stats(shards: int = 4) -> None:
     from repro.obs import Recorder
     from repro.obs.report import (
         render_commit_table,
@@ -233,8 +229,7 @@ def _stats(extra: list[str] | None = None) -> None:
         print()
 
     # A sharded deployment: the same workload shape, block storage spread
-    # over K companion pairs (``repro stats [shards]``; default 4).
-    shards = int(extra[0]) if extra else 4
+    # over K companion pairs (``repro stats [K]``).
     sharded_recorder = Recorder()
     sharded = build_sharded_cluster(
         shards=shards, servers=1, seed=11, recorder=sharded_recorder
@@ -298,10 +293,10 @@ def _stats(extra: list[str] | None = None) -> None:
 
     # The same commit workload on the durable file-backed disk: the disk
     # table shows the journal appends, the per-medium fsync counts, and
-    # the measured sync cost with its tuned group-commit window.
+    # the measured cost of each sync primitive.
     import tempfile
 
-    from repro.block.fdisk import probe_sync_primitives, cheapest_journal_primitive, tuned_commit_window
+    from repro.block.fdisk import probe_sync_primitives, cheapest_journal_primitive
     from repro.obs.report import render_disk_table
 
     with tempfile.TemporaryDirectory(prefix="repro-stats-") as data_dir:
@@ -319,7 +314,6 @@ def _stats(extra: list[str] | None = None) -> None:
         disk_cluster.close()
         costs = probe_sync_primitives(data_dir)
         primitive = cheapest_journal_primitive(costs)
-        window = tuned_commit_window(costs[primitive])
         print()
         print("durable disk (file-backed backend)")
         print("==================================")
@@ -330,8 +324,7 @@ def _stats(extra: list[str] | None = None) -> None:
         )
         print(
             f"journal sync via {primitive} "
-            f"({costs[primitive] * 1e6:.0f} us median) -> tuned "
-            f"group-commit window {window * 1e3:.2f} ms"
+            f"({costs[primitive] * 1e6:.0f} us median)"
         )
 
     # The same commit loop once more over real localhost TCP sockets,
@@ -354,19 +347,12 @@ def _stats(extra: list[str] | None = None) -> None:
     print(render_net_table(recorder.metrics))
 
 
-def _soak(extra: list[str]) -> None:
-    from repro.sim.explore import parse_soak_flags, run_soak
-
-    try:
-        configs = parse_soak_flags(extra)
-    except ValueError as exc:
-        print(exc)
-        print(__doc__)
-        sys.exit(2)
+def _soak(seed: range = range(1, 2), ops: int = 200, mutant: bool = False) -> None:
+    from repro.sim.explore import SoakConfig, run_soak
 
     failed = False
-    for config in configs:
-        report = run_soak(config)
+    for one_seed in seed:
+        report = run_soak(SoakConfig.for_seed(one_seed, ops, mutant))
         print(report.summary())
         if not report.ok:
             failed = True
@@ -376,32 +362,12 @@ def _soak(extra: list[str]) -> None:
     sys.exit(1 if failed else 0)
 
 
-def _cluster(extra: list[str]) -> None:
+def _cluster(verb: str = "status", shards: int = 3, seed: int = 1985,
+             index: int = 0) -> None:
     """Operator verbs: status / split / migrate over a demo deployment."""
     from repro.capability import new_port
     from repro.net.discovery import DiscoveryClient
     from repro.testbed import build_sharded_cluster
-
-    verb = extra[0] if extra else "status"
-    if verb not in ("status", "split", "migrate"):
-        print(f"unknown cluster verb {verb!r} (want status|split|migrate)")
-        print(__doc__)
-        sys.exit(2)
-    shards = 3
-    seed = 1985
-    index = 0
-    args = list(extra[1:])
-    while args:
-        flag = args.pop(0)
-        if flag == "--shards":
-            shards = int(args.pop(0))
-        elif flag == "--seed":
-            seed = int(args.pop(0))
-        elif flag == "--index":
-            index = int(args.pop(0))
-        else:
-            print(f"unknown cluster flag {flag!r}")
-            sys.exit(2)
 
     cluster = build_sharded_cluster(
         shards=shards, servers=1, seed=seed, shard_capacity=64, discovery=True
@@ -463,42 +429,13 @@ def _cluster(extra: list[str]) -> None:
     print(f"all {len(caps)} files read back through the new placement: ok")
 
 
-def _serve(extra: list[str]) -> None:
+def _serve(servers: int = 2, shards: int = 0, seed: int = 42, host: str = "127.0.0.1",
+           data_dir: str | None = None, smoke: bool = False,
+           discovery: bool = False) -> None:
     import time
 
     from repro.net import build_tcp_cluster
     from repro.obs import Recorder
-
-    servers = 2
-    shards = 0
-    seed = 42
-    host = "127.0.0.1"
-    smoke = False
-    discovery = False
-    data_dir = None
-    args = list(extra)
-    while args:
-        flag = args.pop(0)
-        if flag == "--servers":
-            servers = int(args.pop(0))
-        elif flag == "--shards":
-            shards = int(args.pop(0))
-        elif flag == "--seed":
-            seed = int(args.pop(0))
-        elif flag == "--host":
-            host = args.pop(0)
-        elif flag == "--data-dir":
-            data_dir = args.pop(0)
-        elif flag == "--smoke":
-            smoke = True
-        elif flag == "--async":  # ignored; bench/daemon.py passes it (ROADMAP 4(b))
-            pass
-        elif flag == "--discovery":
-            discovery = True
-        else:
-            print(f"unknown serve flag {flag!r}")
-            print(__doc__)
-            sys.exit(2)
 
     if smoke:
         sys.exit(_serve_smoke(servers=servers, shards=shards, seed=seed, host=host))
@@ -509,15 +446,14 @@ def _serve(extra: list[str]) -> None:
     recorder = Recorder()
     if data_dir is not None:
         os.makedirs(data_dir, exist_ok=True)
-        from repro.block.fdisk import tune_journal_sync, tuned_commit_window
+        from repro.block.fdisk import tune_journal_sync
 
         primitive, costs = tune_journal_sync(data_dir)
-        window = tuned_commit_window(costs[primitive])
         print(
             f"disk backend: data dir {data_dir}, journal sync via "
             f"{primitive} ({costs[primitive] * 1e6:.0f} us median; probed "
             + ", ".join(f"{k} {v * 1e6:.0f}us" for k, v in costs.items())
-            + f"), tuned commit window {window * 1e3:.2f} ms"
+            + ")"
         )
     cluster = build_tcp_cluster(
         servers=servers,
@@ -649,29 +585,11 @@ def _serve_smoke(servers: int, shards: int, seed: int, host: str) -> int:
         cluster.stop()
 
 
-def _connect(extra: list[str]) -> None:
+def _connect(spec: str, node: str = "remote-client", bootstrap: bool = False) -> None:
     from repro.client.api import FileClient
     from repro.net import connect
 
-    if not extra:
-        print(
-            "usage: python -m repro connect '<spec>' [--node NAME] [--bootstrap]"
-        )
-        sys.exit(2)
-    spec = extra[0]
-    node = "remote-client"
-    use_bootstrap = False
-    args = extra[1:]
-    while args:
-        flag = args.pop(0)
-        if flag == "--node":
-            node = args.pop(0)
-        elif flag == "--bootstrap":
-            use_bootstrap = True
-        else:
-            print(f"unknown connect flag {flag!r}")
-            sys.exit(2)
-    if use_bootstrap:
+    if bootstrap:
         # Only the spec's discovery entry is used; everything else comes
         # from the registry's bootstrap payload.
         client = FileClient.from_discovery(spec, node=node)
@@ -688,27 +606,102 @@ def _connect(extra: list[str]) -> None:
     print("connect: ok")
 
 
+def _seeds(text: str) -> range:
+    """``N``, or the inclusive range ``A..B``; never empty."""
+    low, _, high = text.partition("..")
+    seeds = range(int(low), int(high or low) + 1)
+    if not seeds:
+        raise ValueError("empty seed range")
+    return seeds
+
+
+def _cluster_verb(text: str) -> str:
+    if text not in ("status", "split", "migrate"):
+        raise ValueError("want status|split|migrate")
+    return text
+
+
+# Every subcommand's command line, declared once: its handler, then its
+# arguments in order.  A key without dashes is a positional argument, one
+# with them a flag; each maps to the type that converts its text (bool: a
+# switch that takes no text; None: accepted and ignored).  Defaults are
+# the handler's own; a parameter without one is required.  The soak row
+# is also what explore.soak_flags spells a replay line from.
+COMMANDS: dict[str, tuple[Callable[..., None], dict]] = {
+    "demo": (_demo, {}),
+    "fsck": (_fsck, {}),
+    "salvage": (_salvage, {}),
+    "stats": (_stats, {"shards": int}),
+    "soak": (_soak, {"--seed": _seeds, "--ops": int, "--mutant": bool}),
+    "cluster": (_cluster, {"verb": _cluster_verb, "--shards": int, "--seed": int,
+                           "--index": int}),
+    "serve": (_serve, {"--servers": int, "--shards": int, "--seed": int, "--host": str,
+                       "--data-dir": str, "--smoke": bool, "--discovery": bool,
+                       "--async": None}),  # bench/daemon.py still passes --async
+    "connect": (_connect, {"spec": str, "--node": str, "--bootstrap": bool}),
+}
+
+
+class UsageError(Exception):
+    """A malformed command line: what is wrong, then the usage line."""
+
+
+def _usage(command: str, problem: str) -> UsageError:
+    handler, spec = COMMANDS[command]
+    params = inspect.signature(handler).parameters
+    words = [f"usage: python -m repro {command}"]
+    for key, kind in spec.items():
+        if not key.startswith("--"):
+            optional = params[key].default is not params[key].empty
+            words.append(f"[{key}]" if optional else f"<{key}>")
+        elif kind is not None:
+            words.append(f"[{key}]" if kind is bool else f"[{key} {key[2:].upper()}]")
+    return UsageError(f"{problem}\n{' '.join(words)}")
+
+
+def parse_command_line(args: list[str]) -> tuple[Callable[..., None], dict]:
+    """The handler ``python -m repro ARGS`` names and the keyword
+    arguments to call it with; :class:`UsageError` if anything is off."""
+    command, *words = args or ["demo"]
+    if command not in COMMANDS:
+        raise UsageError(__doc__)
+    handler, spec = COMMANDS[command]
+    positionals = iter([key for key in spec if not key.startswith("--")])
+    values: dict = {}
+    words = iter(words)
+    for word in words:
+        key, text = word, None
+        if not word.startswith("--"):
+            key, text = next(positionals, None), word
+            if key is None:
+                raise _usage(command, f"unexpected {command} argument {word!r}")
+        elif word not in spec:
+            raise _usage(command, f"unknown {command} flag {word!r}")
+        elif spec[word] not in (bool, None):
+            text = next(words, None)
+            if text is None or text.startswith("--"):
+                raise _usage(command, f"{command} flag {word} needs a value")
+        kind = spec[key]
+        if kind is None:
+            continue
+        try:
+            value = True if kind is bool else kind(text)
+        except ValueError as exc:
+            raise _usage(command, f"bad {command} {key} {text!r}: {exc}") from None
+        values[key.lstrip("-").replace("-", "_")] = value
+    for name, param in inspect.signature(handler).parameters.items():
+        if param.default is param.empty and name not in values:
+            raise _usage(command, f"{command} needs <{name}>")
+    return handler, values
+
+
 def main(argv: list[str]) -> None:
-    command = argv[1] if len(argv) > 1 else "demo"
-    if command == "demo":
-        _demo()
-    elif command == "fsck":
-        _fsck()
-    elif command == "salvage":
-        _salvage()
-    elif command == "stats":
-        _stats(argv[2:])
-    elif command == "soak":
-        _soak(argv[2:])
-    elif command == "cluster":
-        _cluster(argv[2:])
-    elif command == "serve":
-        _serve(argv[2:])
-    elif command == "connect":
-        _connect(argv[2:])
-    else:
-        print(__doc__)
+    try:
+        handler, values = parse_command_line(argv[1:])
+    except UsageError as exc:
+        print(exc)
         sys.exit(2)
+    handler(**values)
 
 
 if __name__ == "__main__":

@@ -48,9 +48,7 @@ primitive the platform offers (``fsync``, ``fdatasync``, ``O_DSYNC``
 writes), :func:`tune_journal_sync` points the ack-point sync at the
 cheapest one that is safe for an append-only log — ``fdatasync`` flushes
 the data and the size metadata needed to read it back, which is exactly
-the log's durability contract — and :func:`tuned_commit_window` /
-:func:`batch_size_for_window` turn the measured cost into a group-commit
-batch window.
+the log's durability contract.
 """
 
 from __future__ import annotations
@@ -1010,7 +1008,7 @@ class FaultingFDisk(FDisk):
 
 
 # ---------------------------------------------------------------------------
-# sync-cost probe and group-commit window tuning
+# sync-cost probe and journal sync tuning
 # ---------------------------------------------------------------------------
 
 
@@ -1083,37 +1081,3 @@ def tune_journal_sync(
     winner = cheapest_journal_primitive(costs)
     FDisk.sync_primitive = winner
     return winner, costs
-
-
-def tuned_commit_window(
-    sync_cost: float,
-    factor: float = 2.0,
-    floor: float = 0.0002,
-    ceiling: float = 0.05,
-) -> float:
-    """The group-commit batch window (seconds) for a measured sync cost.
-
-    Rule of thumb from the sync-write characterisation literature: wait
-    about ``factor`` device syncs before forcing the journal — arrivals
-    during the wait share one sync, while no commit is delayed by more
-    than a couple of device-sync times.  Clamped to keep the window sane
-    on extreme media (tmpfs: microseconds; laptop disk with barriers:
-    tens of milliseconds).
-    """
-    return min(ceiling, max(floor, factor * sync_cost))
-
-
-def batch_size_for_window(
-    window: float, interarrival: float, cap: int = 16
-) -> int:
-    """How many commits share one sync given the batch window and the
-    mean interarrival time of ready-to-commit updates.
-
-    Group commit is self-clocking: with any nonzero window, a committer
-    that just finished a sync finds at least the arrivals that queued
-    behind it, so a saturated system always batches ≥ 2.
-    """
-    batch = 1 + int(window / max(interarrival, 1e-9))
-    if window > 0:
-        batch = max(batch, 2)
-    return max(1, min(cap, batch))

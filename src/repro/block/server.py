@@ -15,8 +15,10 @@ test-and-set operation, any server can be allowed to carry out a commit"):
 an atomic compare-and-swap of a byte range inside a block, which the file
 service uses on the commit-reference field of version pages.
 
-All commands are plain methods (for in-process use and unit tests), each
-declared once as a ``cmd_*`` command served over :mod:`repro.sim.rpc`.
+All commands are plain methods: a block server is never attached to a
+network on its own, only as the local store inside each half of a
+companion pair (:class:`~repro.block.stable.StableServer`), whose
+commands are the block service's wire surface.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from repro.errors import (
 )
 from repro.block.disk import SimDisk
 from repro.sim.clock import LogicalClock
-from repro.sim.rpc import command
 
 # Serialized pages carry a fixed header in front of up to 32K of page body
 # (client data + reference table); the disk block must hold both.
@@ -339,15 +340,3 @@ class BlockServer:
     def allocated_blocks(self) -> Iterable[int]:
         """All allocated block numbers (GC uses this for sweep audits)."""
         return sorted(self._owner)
-
-    # -- RPC command surface -------------------------------------------------
-
-    cmd_allocate = command(allocate)
-    cmd_write = command(write)
-    cmd_allocate_write = command(allocate_write)
-    cmd_read = command(read)
-    cmd_free = command(free)
-    cmd_test_and_set = command(test_and_set)
-    cmd_lock = command(lock)
-    cmd_unlock = command(unlock)
-    cmd_recover = command(recover)

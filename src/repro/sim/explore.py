@@ -22,7 +22,9 @@ robustness story:
   checker.  The result is a :class:`SoakReport` whose
   :meth:`~SoakReport.repro_line` replays a failure exactly.
 
-``python -m repro soak --seed N --ops M [--shards K]`` is the CLI wrapper.
+``python -m repro soak --seed N --ops M [--mutant]`` is the CLI wrapper:
+:meth:`SoakConfig.for_seed` draws the run's whole feature set from the
+seed.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ class SoakConfig:
     test with one that blindly accepts every commit — the checker must
     flag the resulting lost updates (this is how the harness proves it
     can see bugs at all).
+
+    ``repro soak`` runs :meth:`for_seed` configs only; the feature fields
+    record what such a run drew, and tests may set them directly.
     """
 
     seed: int = 1
@@ -147,64 +152,50 @@ class SoakConfig:
     # abort-rate/goodput comparison.
     merge: bool = True
 
+    @classmethod
+    def for_seed(cls, seed: int, ops: int, mutant: bool) -> SoakConfig:
+        """The run a seed names: topology, client count and feature set
+        are drawn from the seed, so ``--seed A..B`` soaks the features in
+        composition.  Single pair and 4 shards come up twice as often as
+        2 shards, which is drawn for the smallest rebalance; merges are
+        switched off on a third of the contention runs.  A grouped commit
+        needs the page workload, a rebalance a sharded topology."""
+        rng = random.Random(f"soak-{seed}-features")
+        shards = rng.choice((0, 0, 2, 4, 4))
+        clients = rng.randint(2, 4)
+        contention = rng.random() < 1 / 3
+        merge = not (contention and rng.random() < 1 / 3)
+        return cls(seed=seed, ops=ops, mutant=mutant, shards=shards, clients=clients,
+                   contention=contention, merge=merge,
+                   group_commit=not contention and rng.random() < 1 / 2,
+                   leases=rng.random() < 1 / 2,
+                   backend="disk" if rng.random() < 1 / 3 else "sim",
+                   rebalance=shards >= 2 and rng.random() < 1 / 2)
 
-# The CLI spelling of a soak run, declared once: flag -> SoakConfig field.
-# A flag for a bool field takes no value and flips the field's default;
-# any other flag takes one value of the field's type.
-SOAK_FLAGS = {
-    "--seed": "seed",
-    "--ops": "ops",
-    "--shards": "shards",
-    "--clients": "clients",
-    "--mutant": "mutant",
-    "--group-commit": "group_commit",
-    "--leases": "leases",
-    "--rebalance": "rebalance",
-    "--backend": "backend",
-    "--contention": "contention",
-    "--no-merge": "merge",
-}
-
-
-def parse_soak_flags(args: list[str]) -> list[SoakConfig]:
-    """The configs a ``repro soak`` command line names — one per seed, as
-    ``--seed LO..HI`` runs the same configuration over a seed range.
-    Raises ValueError on an unknown flag or an unparseable value."""
-    defaults = SoakConfig()
-    values: dict = {}
-    seeds = [defaults.seed]
-    args = list(args)
-    while args:
-        flag = args.pop(0)
-        name = SOAK_FLAGS.get(flag)
-        if name is None:
-            raise ValueError(f"unknown soak flag {flag!r}")
-        default = getattr(defaults, name)
-        if isinstance(default, bool):
-            values[name] = not default
-        elif not args:
-            raise ValueError(f"soak flag {flag} needs a value")
-        elif name == "seed":
-            low, _, high = args.pop(0).partition("..")
-            seeds = list(range(int(low), int(high or low) + 1))
-        else:
-            values[name] = type(default)(args.pop(0))
-    return [SoakConfig(**values, seed=seed) for seed in seeds]
+    def features(self) -> list[str]:
+        """The features this run switches on, by name."""
+        switched = {"group commit": self.group_commit, "leases": self.leases,
+                    "contention": self.contention,
+                    "merge off": self.contention and not self.merge,
+                    "disk": self.backend == "disk", "rebalance": self.rebalance}
+        return [name for name, on in switched.items() if on]
 
 
 def soak_flags(config: SoakConfig) -> list[str]:
-    """The inverse of :func:`parse_soak_flags`: seed and ops always, every
-    other flag only where the config leaves its default."""
-    defaults = SoakConfig()
-    flags: list[str] = []
-    for flag, name in SOAK_FLAGS.items():
-        value, default = getattr(config, name), getattr(defaults, name)
-        if isinstance(value, bool):
-            if value != default:
-                flags.append(flag)
-        elif name in ("seed", "ops") or value != default:
-            flags += [flag, str(value)]
-    return flags
+    """The ``repro soak`` flags that name ``config``, read off the soak
+    row of the command-line table: every valued flag, and every switch
+    the config sets."""
+    from repro.__main__ import COMMANDS
+
+    _, flags = COMMANDS["soak"]
+    line: list[str] = []
+    for flag, kind in flags.items():
+        value = getattr(config, flag[2:])
+        if kind is not bool:
+            line += [flag, str(value)]
+        elif value:
+            line.append(flag)
+    return line
 
 
 @dataclass
@@ -235,16 +226,27 @@ class SoakReport:
         ]
 
     def repro_line(self) -> str:
-        """The exact command that replays this run."""
-        return "PYTHONPATH=src python -m repro soak " + " ".join(
-            soak_flags(self.config)
-        )
+        """What replays this run exactly: the ``repro soak`` command for a
+        seed's own draw, else the ``SoakConfig(...)`` to hand
+        :func:`run_soak` — never a command that runs something else."""
+        cfg = self.config
+        if cfg == SoakConfig.for_seed(cfg.seed, cfg.ops, cfg.mutant):
+            return "PYTHONPATH=src python -m repro soak " + " ".join(
+                soak_flags(cfg)
+            )
+        default = SoakConfig()
+        fields = [
+            f"{name}={value!r}"
+            for name, value in vars(cfg).items()
+            if name in ("seed", "ops") or value != getattr(default, name)
+        ]
+        return f"SoakConfig({', '.join(fields)})"
 
     def summary(self) -> str:
         cfg = self.config
         topo = f"{cfg.shards} shards" if cfg.shards else "single pair"
-        if cfg.contention:
-            topo += ", contention" + ("" if cfg.merge else ", merge off")
+        topo += f", {cfg.clients} clients: "
+        topo += ", ".join(cfg.features()) or "plain"
         status = "ok" if self.ok else f"{len(self.violations())} violation(s)"
         rebalance = ""
         if cfg.rebalance:
@@ -676,8 +678,6 @@ def _audit_final_state(
 def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
     """Run one deterministic soak and check everything it recorded."""
     recorder = recorder if recorder is not None else NULL_RECORDER
-    if config.rebalance and config.shards < 2:
-        raise ValueError("--rebalance needs a sharded topology (--shards >= 2)")
     history = HistoryRecorder()
     data_dir = None
     tmp_dir = None

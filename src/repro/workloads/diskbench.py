@@ -1,6 +1,6 @@
 """The durable-disk benchmark behind ``BENCH_disk.json``.
 
-Three passes of the same commit workload on a file-backed (``FDisk``)
+Two passes of the same commit workload on a file-backed (``FDisk``)
 deployment, varying only how commits are settled:
 
 * **untuned** — one commit at a time, the seed path: every commit pays
@@ -9,20 +9,13 @@ deployment, varying only how commits are settled:
   batches of :data:`FIXED_BATCH`.  The batch size is a constant, so the
   sync/write/message counters are deterministic — this is the pass the
   CI gate holds.
-* **tuned** — batches sized by the *measured* medium: the probe times
-  every durable primitive the platform offers (fsync / fdatasync /
-  O_DSYNC), the journal sync is retargeted at the cheapest eligible one
-  (:func:`tune_journal_sync`), its median latency becomes a commit
-  window (:func:`tuned_commit_window`) and the window divided by the
-  workload's observed between-sync prep time becomes the batch
-  (:func:`batch_size_for_window`).  Batch size depends on real clocks,
-  so this pass is reported, never gated.
 
-The headline wall-clock number is ``speedup`` — tuned commits/sec over
-untuned commits/sec on the same run, the paper-adjacent claim that a
-sync-cost-sized group commit beats per-commit syncing on real media.
-The deterministic claim backing it is gated: the grouped pass must keep
-moving fewer fsyncs, stable writes and messages than the untuned pass.
+Before both, the probe times every durable primitive the platform
+offers (fsync / fdatasync / O_DSYNC) and the journal sync is retargeted
+at the cheapest eligible one (:func:`tune_journal_sync`); those costs
+and the commits/sec columns are wall-clock, reported and never gated.
+The gated claim: the grouped pass keeps moving fewer fsyncs, stable
+writes and messages than the untuned pass.
 """
 
 from __future__ import annotations
@@ -96,54 +89,29 @@ def _run_pass(batch: int, data_dir: str, seed: int = 29) -> dict:
 
 def run_diskbench() -> dict:
     """The full measurement (the body of ``BENCH_disk.json``)."""
-    from repro.block.fdisk import (
-        FDisk,
-        batch_size_for_window,
-        tune_journal_sync,
-        tuned_commit_window,
-    )
+    from repro.block.fdisk import FDisk, tune_journal_sync
 
     previous_primitive = FDisk.sync_primitive
     try:
         with tempfile.TemporaryDirectory(prefix="repro-diskbench-") as base:
             # Probe every durable primitive the medium offers and point
-            # the journal sync at the cheapest one; the commit window is
-            # then sized by the *winning* primitive's measured cost.
+            # the journal sync at the cheapest one.
             primitive, costs = tune_journal_sync(base)
-            sync_cost = costs[primitive]
-            window = tuned_commit_window(sync_cost)
-
             untuned = _run_pass(1, f"{base}/untuned")
             grouped = _run_pass(FIXED_BATCH, f"{base}/grouped")
-
-            # The medium's tuned batch: how many ready commits arrive during
-            # one commit window, with arrivals paced by the untuned pass's
-            # observed non-sync prep time per commit.
-            per_commit = untuned["seconds"] / N_COMMITS
-            sync_share = (untuned["fsyncs"] / N_COMMITS) * sync_cost
-            interarrival = max(per_commit - sync_share, 1e-6)
-            batch = batch_size_for_window(window, interarrival)
-            tuned = _run_pass(batch, f"{base}/tuned")
     finally:
         FDisk.sync_primitive = previous_primitive
 
     return {
         "untuned": untuned,
         "grouped8": grouped,
-        "tuned": tuned,
         "tuning": {
-            "sync_cost_us": round(sync_cost * 1e6, 1),
-            "window_ms": round(window * 1e3, 3),
-            "interarrival_us": round(interarrival * 1e6, 1),
-            "batch": batch,
+            "sync_cost_us": round(costs[primitive] * 1e6, 1),
             "sync_primitive": primitive,
             "primitives_us": {
                 name: round(cost * 1e6, 1) for name, cost in costs.items()
             },
         },
-        "speedup": round(
-            tuned["commits_per_sec"] / untuned["commits_per_sec"], 2
-        ),
     }
 
 
@@ -164,9 +132,7 @@ WALLCLOCK = [
     "untuned.commits_per_sec",
     "grouped8.seconds",
     "grouped8.commits_per_sec",
-    "tuned",
     "tuning",
-    "speedup",
 ]
 
 

@@ -146,15 +146,3 @@ def test_free_releases_lock(server):
     server.free(1, block)
     fresh = server.allocate(1, hint=block)
     assert server.lock_holder(fresh) is None
-
-
-def test_cmd_surface_mirrors_methods(server):
-    block = server.cmd_allocate_write(1, b"rpc")
-    assert server.cmd_read(1, block) == b"rpc"
-    server.cmd_write(1, block, b"rpc2")
-    result = server.cmd_test_and_set(1, block, 0, b"rpc2", b"rpc3")
-    assert result.success
-    assert server.cmd_lock(block, 1)
-    server.cmd_unlock(block, 1)
-    assert block in server.cmd_recover(1)
-    server.cmd_free(1, block)

@@ -66,12 +66,40 @@ def test_examples_run_clean(script):
 
 
 def test_soak_runs_a_seed_range_and_rejects_unknown_flags():
-    result = _run("soak", "--seed", "1..2", "--ops", "20", "--shards", "2")
+    from repro.sim.explore import SoakConfig
+
+    result = _run("soak", "--seed", "1..2", "--ops", "20")
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert [line.split()[1] for line in lines] == ["seed=1", "seed=2"]
-    assert all("(2 shards): ok" in line for line in lines)
+    for seed, line in zip((1, 2), lines):
+        features = SoakConfig.for_seed(seed, 20, False).features()
+        assert f": {', '.join(features) or 'plain'}): ok;" in line
 
-    result = _run("soak", "--bogus")
-    assert result.returncode == 2
-    assert "unknown soak flag '--bogus'" in result.stdout
+    # A feature is the seed's to draw, not a flag.
+    for flag in ("--bogus", "--leases"):
+        result = _run("soak", flag)
+        assert result.returncode == 2
+        assert f"unknown soak flag '{flag}'" in result.stdout
+
+
+MALFORMED = [
+    ("serve --seed", "--seed"),
+    ("serve --servers x", "--servers"),
+    ("connect S --node", "--node"),
+    ("cluster status --index", "--index"),
+    ("stats x", "'x'"),
+    ("soak --seed 3..1", "--seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "line, named", MALFORMED, ids=[line for line, _ in MALFORMED]
+)
+def test_malformed_command_line_exits_2_naming_the_argument(line, named):
+    result = _run(*line.split())
+    assert result.returncode == 2, result.stdout + result.stderr
+    assert "Traceback" not in result.stdout + result.stderr
+    message = result.stdout.splitlines()[0]
+    assert line.split()[0] in message and named in message
+    assert "metrics" not in result.stdout  # nothing ran before the check

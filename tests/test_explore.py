@@ -1,12 +1,16 @@
 """The soak harness: determinism, fault scripts, end-to-end checking."""
 
+import pathlib
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from repro.sim.explore import (
     ExploreScheduler,
     SoakConfig,
+    SoakReport,
     apply_fault,
     random_fault_script,
     run_soak,
@@ -112,7 +116,8 @@ def test_soak_catches_blind_serialise_mutant(soak_seed, group_commit=False):
     kinds = {v.kind for v in report.check.violations}
     assert kinds & {"non-serializable-read", "stale-snapshot-read",
                     "durable-divergence"}
-    assert "--mutant" in report.repro_line()
+    assert_replay_spells_config(report)
+    assert "mutant=True" in report.repro_line()
 
 
 def test_soak_catches_blind_serialise_mutant_at_any_chain_length(soak_seed):
@@ -121,13 +126,57 @@ def test_soak_catches_blind_serialise_mutant_at_any_chain_length(soak_seed):
     test_soak_catches_blind_serialise_mutant(soak_seed, group_commit=True)
 
 
+def assert_replay_spells_config(report):
+    """A hand-built config is no seed's draw, so its replay line is the
+    config itself, never a ``repro soak`` command."""
+    line = report.repro_line()
+    assert line.startswith("SoakConfig("), line
+    assert eval(line, {"SoakConfig": SoakConfig}) == report.config
+
+
 def test_repro_line_replays_config():
-    line = run_soak(SoakConfig(seed=9, ops=30, shards=4, clients=2)).repro_line()
-    assert "--seed 9" in line
-    assert "--ops 30" in line
-    assert "--shards 4" in line
-    assert "--clients 2" in line
-    assert line.startswith("PYTHONPATH=src python -m repro soak")
+    config = SoakConfig.for_seed(9, 30, False)
+    line = run_soak(config).repro_line()
+    assert line == "PYTHONPATH=src python -m repro soak --seed 9 --ops 30"
+    mutant = SoakConfig.for_seed(9, 30, True)
+    assert SoakReport(mutant, check=None, fsck=None).repro_line() == (
+        "PYTHONPATH=src python -m repro soak --seed 9 --ops 30 --mutant"
+    )
+
+
+# The (topology, feature) cells the per-feature CI soak steps covered —
+# each feature alone on the single pair and on 4 shards, and a rebalance
+# on 2 and on 4 shards — which CI's one seed range must draw 3 times each.
+COVERED_CELLS = [
+    (shards, feature)
+    for shards in (0, 4)
+    for feature in (
+        "plain", "group commit", "leases", "merges on", "merge off", "disk"
+    )
+] + [(2, "rebalance"), (4, "rebalance")]
+
+
+def _thin_cells(seeds) -> dict:
+    seen = Counter()
+    for seed in seeds:
+        config = SoakConfig.for_seed(seed, 500, False)
+        features = config.features()
+        if not features:
+            features = ["plain"]
+        elif config.contention and config.merge:
+            features.append("merges on")
+        seen.update((config.shards, feature) for feature in features)
+    return {cell: seen[cell] for cell in COVERED_CELLS if seen[cell] < 3}
+
+
+def test_ci_seed_range_draws_every_covered_cell_three_times():
+    """A pure function of the draw: CI's ``repro soak --seed 1..N`` hits
+    every cell on at least 3 seeds, and N is the smallest range that
+    does."""
+    ci = pathlib.Path(__file__).parents[1] / ".github" / "workflows" / "ci.yml"
+    last = int(re.search(r"repro soak --seed 1\.\.(\d+) ", ci.read_text())[1])
+    assert _thin_cells(range(1, last + 1)) == {}
+    assert _thin_cells(range(1, last)) != {}
 
 
 def test_soak_emits_observability_counters(soak_seed):
@@ -248,7 +297,8 @@ def test_soak_passes_with_group_commit(soak_seed):
     report = run_soak(SoakConfig(seed=soak_seed, ops=60, group_commit=True))
     assert report.ok, "\n".join(report.violations()) + "\n" + report.repro_line()
     assert report.commits > 0
-    assert "--group-commit" in report.repro_line()
+    assert_replay_spells_config(report)
+    assert "group_commit=True" in report.repro_line()
 
 
 def test_soak_passes_with_group_commit_on_sharded_topology(soak_seed):

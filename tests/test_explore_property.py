@@ -17,6 +17,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.__main__ import parse_command_line
 from repro.core.gc import GarbageCollector
 from repro.core.pathname import PagePath
 from repro.errors import CommitConflict, ReproError
@@ -25,7 +26,6 @@ from repro.sim.explore import (
     SoakConfig,
     SoakReport,
     blind_serialise_mutant,
-    parse_soak_flags,
 )
 from repro.testbed import build_cluster
 from repro.verify.history import HistoryRecorder, check_history
@@ -136,13 +136,14 @@ def test_mutant_double_commit_in_one_group_is_flagged():
 
 # -- the soak command line -----------------------------------------------------
 
-soak_configs = st.builds(
+seeds, ops, mutants = st.integers(0, 10**6), st.integers(1, 10**4), st.booleans()
+hand_built = st.builds(
     SoakConfig,
-    seed=st.integers(0, 10**6),
-    ops=st.integers(1, 10**4),
+    seed=seeds,
+    ops=ops,
     shards=st.integers(0, 8),
     clients=st.integers(1, 8),
-    mutant=st.booleans(),
+    mutant=mutants,
     group_commit=st.booleans(),
     leases=st.booleans(),
     rebalance=st.booleans(),
@@ -152,12 +153,21 @@ soak_configs = st.builds(
 )
 
 
-@given(soak_configs)
-def test_replay_line_parses_back_to_its_config(config):
-    """The replay line a failing soak prints and the parser ``repro soak``
-    runs are two readings of one flag table: whatever a config is, its
-    line names exactly that config again."""
+@given(st.builds(SoakConfig.for_seed, seeds, ops, mutants), hand_built)
+def test_replay_line_parses_back_to_its_config(drawn, config):
+    """The replay line a failing soak prints never names a different run:
+    a seed's draw round-trips through the ``repro soak`` parser, and any
+    other config is spelled out, with no command line."""
+    line = SoakReport(drawn, check=None, fsck=None).repro_line()
+    command, words = line.split()[:4], line.split()[4:]
+    assert command == ["PYTHONPATH=src", "python", "-m", "repro"]
+    _, values = parse_command_line(words)
+    assert [
+        SoakConfig.for_seed(seed, values["ops"], values.get("mutant", False))
+        for seed in values["seed"]
+    ] == [drawn]
+
     line = SoakReport(config, check=None, fsck=None).repro_line()
-    command, flags = line.split()[:5], line.split()[5:]
-    assert command == ["PYTHONPATH=src", "python", "-m", "repro", "soak"]
-    assert parse_soak_flags(flags) == [config]
+    if config != SoakConfig.for_seed(config.seed, config.ops, config.mutant):
+        assert "repro soak" not in line
+        assert eval(line, {"SoakConfig": SoakConfig}) == config

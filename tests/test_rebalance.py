@@ -369,15 +369,19 @@ def test_rebalance_soak_smoke():
     report = run_soak(SoakConfig(seed=1, ops=90, shards=2, rebalance=True))
     assert report.ok, report.violations()
     assert report.rebalances + report.rebalance_aborts >= 1
-    assert "--rebalance" in report.repro_line()
+    line = report.repro_line()
+    assert line.startswith("SoakConfig(") and "rebalance=True" in line
     assert report.check.cutovers_seen == report.rebalances
 
 
 def test_rebalance_soak_requires_sharded_topology():
-    from repro.sim.explore import SoakConfig, run_soak
+    """The seed's draw only rebalances a sharded topology, and does
+    rebalance both sharded sizes."""
+    from repro.sim.explore import SoakConfig
 
-    with pytest.raises(ValueError):
-        run_soak(SoakConfig(seed=1, ops=10, shards=0, rebalance=True))
+    drawn = [SoakConfig.for_seed(seed, 100, False) for seed in range(1, 201)]
+    rebalanced = {config.shards for config in drawn if config.rebalance}
+    assert rebalanced == {2, 4}
 
 
 def test_split_then_migrate_preserves_routing():

@@ -9,7 +9,6 @@ import inspect
 
 import pytest
 
-from repro.block.server import BlockServer
 from repro.block.stable import StableServer
 from repro.core.pathname import PagePath
 from repro.core.service import FileService
@@ -90,17 +89,6 @@ CONTRACT = {
         "write": (("account", "block_no", "data"), False),
         "write_many": (("account", "writes", "swaps"), False),
     },
-    "BlockServer": {
-        "allocate": (("account", "hint"), False),
-        "allocate_write": (("account", "data"), False),
-        "free": (("account", "block_no"), False),
-        "lock": (("block_no", "locker"), False),
-        "read": (("account", "block_no"), False),
-        "recover": (("account",), False),
-        "test_and_set": (("account", "block_no", "offset", "expected", "new"), False),
-        "unlock": (("block_no", "locker"), False),
-        "write": (("account", "block_no", "data"), False),
-    },
     "DiscoveryServer": {
         "bootstrap": ((), True),
         "deregister": (("name",), False),
@@ -131,7 +119,7 @@ def _commands(cls) -> dict:
 
 @pytest.mark.parametrize(
     "cls",
-    [FileService, StableServer, BlockServer, DiscoveryServer],
+    [FileService, StableServer, DiscoveryServer],
     ids=lambda cls: cls.__name__,
 )
 def test_declared_commands_are_the_pinned_contract(cls):

@@ -48,9 +48,10 @@ def test_c5_unshared_file_validation_null(benchmark, report):
     assert data == b"private data"
     [(command, (page, _, _, discards))] = replies
     assert (command, page, discards) == ("read_current", None, [])
-    # The RPC, and the fresh read of the cached version page that shows
-    # nothing committed since: no page-tree page, no page transfer.
-    assert messages == 4
+    # The RPC alone: with no version of the file open, the file table
+    # names the cached version current, so no version page is read from
+    # stable storage, no page-tree page either, and no page is sent.
+    assert messages == 2
     report.row("unshared file: a cached read is one RPC; validation discards")
     report.row(f"nothing and transfers no page ({messages} messages per read)")
     report.row(f"cache hits so far: {client.cache.stats.hits}")

@@ -33,7 +33,7 @@ from typing import Generator
 from repro.errors import BlockError
 from repro.core.flags import Flags
 from repro.core.page import NIL, Page, PageRef
-from repro.core.registry import FileRegistry
+from repro.core.registry import FileEntry, FileRegistry
 from repro.core.store import PageStore
 
 
@@ -99,9 +99,11 @@ class GarbageCollector:
         return roots
 
     def _mark_tree(
-        self, block: int, marked: set[int], stats: GcStats
+        self, block: int, marked: set[int], stats: GcStats, open_version: bool
     ) -> Generator[None, None, None]:
-        """Mark every block reachable from a page tree root."""
+        """Mark every block reachable from a page tree root.  The tree of
+        an ``open_version`` is read without caching (``PageStore.peek``)."""
+        load = self.store.peek if open_version else self.store.load
         stack = [block]
         while stack:
             current = stack.pop()
@@ -110,7 +112,7 @@ class GarbageCollector:
             marked.add(current)
             stats.marked += 1
             try:
-                page = self.store.load(current)
+                page = load(current)
             except BlockError:
                 # Either the block is already freed (harmless) or another
                 # server reserved it and has not flushed the data yet — we
@@ -135,12 +137,15 @@ class GarbageCollector:
         )
 
     def _reshare_version(
-        self, root_block: int, stats: GcStats
+        self, file_entry: FileEntry, root_block: int, stats: GcStats
     ) -> Generator[None, None, None]:
         """Reshare copied-but-unchanged subtrees of one committed version."""
         root = self.store.load(root_block, fresh=True)
         changed = yield from self._reshare_page(root, stats)
         if changed:
+            # Other servers' cached copies name the pages the sweep frees:
+            # the table stops naming the version, so their readers chase.
+            file_entry.current = None
             # The walk yields between page visits, and a concurrent commit
             # may test-and-set this version's commit reference at any of
             # them — including between the shard batches of a deferred
@@ -257,10 +262,15 @@ class GarbageCollector:
                     if page.commit_ref == NIL:
                         break
                     block = page.commit_ref
-                yield from self._reshare_version(block, stats)
+                yield from self._reshare_version(file_entry, block, stats)
         marked: set[int] = set()
-        for root in self._roots(stats):
-            yield from self._mark_tree(root, marked, stats)
+        roots = self._roots(stats)
+        # Taken after the roots: a version published since has its final
+        # pages on disk, and every one still open is among these.
+        versions = list(self.registry.versions.values())
+        open_roots = {v.root_block for v in versions if v.status == "uncommitted"}
+        for root in roots:
+            yield from self._mark_tree(root, marked, stats, root in open_roots)
         if stats.mark_incomplete:
             # Some live subtree could not be fully traversed, so "unmarked"
             # does not imply "garbage".  Skip the sweep; the next cycle
@@ -319,7 +329,9 @@ class GarbageCollector:
         # The cutoff may be the current version, whose commit reference a
         # concurrent commit can test-and-set at any moment: cut the base
         # reference with the commit-ref-preserving compare-and-swap rather
-        # than a whole-page write (same fork hazard as resharing).
+        # than a whole-page write (same fork hazard as resharing).  Cached
+        # copies elsewhere keep the old base: the table stops naming it.
+        entry.current = None
         while True:
             cut_page = self.store.load(cutoff, fresh=True)
             cut_page.base_ref = NIL

@@ -18,10 +18,12 @@ so a single 16-byte compare-and-swap tests both and sets one.
 
 Only super-file updates set these on-disk fields, because a waiter's crash
 recovery reads them.  Small files "set only their top lock and never wait
-for it", so their top lock is a hint and lives as file-server soft state,
-``FileEntry.top_lock`` in the shared registry: beginning or aborting a
-small update writes nothing to stable storage.  A small update still
-tests the durable inner lock, on the base page it reads afresh anyway.
+for it", so their top lock is a hint and lives as file-server soft state:
+``FileEntry.open`` in the shared registry lists each open version with
+its update's port, and the lock is held while it is non-empty.  Beginning
+or aborting a small update writes nothing to stable storage, and one
+ending never clears another's lock.  A small update still tests the
+durable inner lock, on the base page it reads afresh anyway.
 """
 
 from __future__ import annotations

@@ -9,7 +9,14 @@ The registry maps file object numbers to an *entry block* — the block
 number of **some committed version page** of the file.  The entry may be
 stale: the current version is found by following commit references from the
 entry, and the entry is advanced lazily.  That is what lets any replicated
-server resolve any file, and what makes registry staleness harmless.
+server resolve any file from any committed version it knows.
+
+Only an open version — created, neither published nor removed — can move
+a file's commit chain (§5.2), and each is listed in ``FileEntry.open``
+(§5.3's top lock as soft state).  While none is open the entry names the
+current version (``FileEntry.current``, its page the entry block), and a
+read takes that name instead of a chase; every writer that could make it
+wrong clears it first (:meth:`repro.core.service.FileService.read_current`).
 
 Uncommitted versions are also registered (version object number → version
 page block) so capabilities can be validated; these entries are expendable
@@ -60,10 +67,18 @@ class FileEntry:
     # means "cannot vouch" (set after a registry restore), and a lease
     # carrying -1 is never fast-renewed, only fully re-validated.
     epoch: int = 0
-    # The port of the small update holding the §5.3 top lock, a hint kept
-    # as soft state (see repro.core.locks).  In-memory only: the updates
-    # holding it die with the table, so a restored entry starts at 0.
-    top_lock: int = 0
+    # Every open version of the file: version obj -> update port.  Non-
+    # empty is the §5.3 top lock, a hint kept as soft state (see
+    # repro.core.locks).  In-memory only, like ``current``: the updates
+    # die with the table, so a restored entry starts with neither.
+    open: dict[int, int] = field(default_factory=dict)
+    # The version obj of the current version, in ``entry_block``, while
+    # ``open`` is empty; None means "unknown: chase the commit references".
+    current: int | None = None
+
+    def soft_lock(self) -> int:
+        """The port of some open update of the file, or 0."""
+        return next(iter(self.open.values()), 0)
 
 
 @dataclass
@@ -78,6 +93,7 @@ class VersionEntry:
     owner: str = ""  # client node that owns the update (for GC / crash)
     update_port: int = 0  # the port identifying this update (lock value)
     server: str = ""  # the server process managing the update
+    epoch: int = 0  # the file's lease epoch when the version began
 
 
 @dataclass

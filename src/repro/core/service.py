@@ -317,6 +317,7 @@ class FileService:
                 block,
                 self.issuer.secret_of(file_cap.obj),
                 mergeable=mergeable,
+                current=version_cap.obj,
             )
         )
         self.registry.add_version(
@@ -389,6 +390,23 @@ class FileService:
                 return block, page
             block = page.commit_ref
 
+    def _trusted_current(self, entry: FileEntry) -> tuple[int, int] | None:
+        """(block, version obj) of the current version when a read may take
+        the file table's name instead of a chase: no version open (read
+        before ``current``, which a publication writes first), a name set,
+        and this server's cached copy of the entry block that version's
+        page by its version capability.  No server caches another's open
+        version (``PageStore.peek``); a collector rewriting the page clears
+        the name first."""
+        obj = None if entry.open else entry.current
+        if obj is None:
+            return None
+        block = entry.entry_block
+        page = self.store.cache.get(block)
+        if page is None or page.version_cap is None or page.version_cap.obj != obj:
+            return None
+        return block, obj
+
     def current_version(self, file_cap: Capability) -> Capability:
         """The capability of the file's current (committed) version."""
         self._check_up()
@@ -436,9 +454,9 @@ class FileService:
         (``respect_soft_lock=True``, for updates known to be large).
 
         The inner lock is tested on the base, read afresh; the top lock is
-        the registry's soft state (``FileEntry.top_lock``), so beginning
-        writes nothing to stable storage.  A super update's top lock stays
-        on the page and counts as held too.
+        the registry's soft state (a non-empty ``FileEntry.open``), so
+        beginning writes nothing to stable storage.  A super update's top
+        lock stays on the page and counts as held too.
         """
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_CREATE)
@@ -448,15 +466,13 @@ class FileService:
                 f"file {entry.obj}: inner lock held by update "
                 f"{cur_page.inner_lock:#x} (super-file update in progress)"
             )
-        holder = cur_page.top_lock or entry.top_lock
+        holder = cur_page.top_lock or entry.soft_lock()
         if respect_soft_lock and holder:
             raise FileLocked(
                 f"file {entry.obj}: soft top lock held by update {holder:#x}"
             )
         update_port = new_port(self.rng)
-        handle = self._new_version_from(entry, cur_block, owner, update_port, cur_page)
-        entry.top_lock = update_port
-        return handle
+        return self._new_version_from(entry, cur_block, owner, update_port, cur_page)
 
     def _new_version_from(
         self,
@@ -466,7 +482,8 @@ class FileService:
         update_port: int,
         cur_page: Page | None = None,
     ) -> VersionHandle:
-        """Build the version page of a new version based on ``cur_block``."""
+        """Build the version page of a new version based on ``cur_block``
+        and list it among the file's open versions."""
         if cur_page is None:
             cur_page = self.store.load(cur_block, fresh=True)
         version_cap = self.issuer.mint(ALL_RIGHTS, self.rng)
@@ -493,8 +510,10 @@ class FileService:
                 owner=owner or self.name,
                 update_port=update_port,
                 server=self.name,
+                epoch=entry.epoch,
             )
         )
+        entry.open[version_cap.obj] = update_port
         self.metrics.versions_created += 1
         if self.history is not None:
             base_entry = self.registry.version_by_block(cur_block)
@@ -1132,13 +1151,22 @@ class FileService:
         base's commit reference now names it: the registry, this
         server's hint, the lease epoch (one bump per version: a client
         that leased mid-chain state must miss the fast-renewal path), the
-        version's soft top lock and the flag administration, cached while
-        it is still in memory."""
+        file table's current version, the version's place among the open
+        ones and the flag administration, cached while it is still in
+        memory.  The table names this version current only if no other is
+        open and the epoch has not moved since it began (a grouped chain,
+        a test-and-set published late, a restore), and names it before the
+        version leaves ``open``."""
         entry.status = "committed"
-        self.registry.file(entry.file_obj).entry_block = entry.root_block
-        self._release_top(entry)
+        file_entry = self.registry.file(entry.file_obj)
+        file_entry.entry_block = entry.root_block
+        alone = file_entry.open.keys() <= {entry.obj}
+        file_entry.current = (
+            entry.obj if alone and file_entry.epoch == entry.epoch >= 0 else None
+        )
         self._current_hints[entry.file_obj] = entry.root_block
         self._bump_epoch(entry.file_obj)
+        file_entry.open.pop(entry.obj, None)
         if len(self._write_paths_cache) >= 4096:
             # Soft state, rebuilt from the flags on disk.  Cleared rather
             # than trimmed: lock-free reads insert while this runs, and
@@ -1165,9 +1193,11 @@ class FileService:
         Private pages are those behind references carrying the C flag;
         parts grafted from other versions during merge carry clear flags
         and are shared, so they survive.  Pages orphaned by wholesale table
-        grafts are left to the garbage collector.  The version's soft top
-        lock goes with it; a super update's durable locks are cleared by
-        :mod:`repro.core.system_tree`, which set them.
+        grafts are left to the garbage collector.  The version leaves the
+        file's open ones, and the table forgets the current version first:
+        a reaped version's test-and-set may have landed.  A super update's
+        durable locks are cleared by :mod:`repro.core.system_tree`, which
+        set them.
         """
         from repro.errors import BlockError
 
@@ -1177,7 +1207,10 @@ class FileService:
                 "abort", actor=self.name, file=entry.file_obj, version=entry.obj
             )
         self._live_updates.discard(entry.update_port)
-        self._release_top(entry)
+        file_entry = self.registry.files.get(entry.file_obj)
+        if file_entry is not None:
+            file_entry.current = None
+            file_entry.open.pop(entry.obj, None)
         # A version owned by a crashed server may have allocated blocks it
         # never flushed; tolerate the holes and free what exists.
         try:
@@ -1187,12 +1220,6 @@ class FileService:
             pass
         # The registry entry stays (status "aborted") so the owner's stale
         # capability gets an informative error; the GC purges it later.
-
-    def _release_top(self, entry: VersionEntry) -> None:
-        """Clear the file's soft top lock if ``entry``'s update holds it."""
-        file_entry = self.registry.files.get(entry.file_obj)
-        if file_entry is not None and file_entry.top_lock == entry.update_port:
-            file_entry.top_lock = 0
 
     def _free_private(self, block: int) -> None:
         from repro.errors import BlockError
@@ -1286,15 +1313,18 @@ class FileService:
         for the client's cache.
 
         Without ``cached_version_cap`` the current version is resolved
-        *truly* — a full commit-reference chase, never this server's hint:
-        a lease granted on a hint that lags another server's commit would
-        break the staleness bound — and nothing is discarded.
+        *truly*, never from this server's hint: a lease granted on a hint
+        that lags another server's commit would break the staleness bound.
+        While no version of the file is open the shared file table names
+        it (:meth:`_trusted_current`); otherwise the commit references are
+        chased afresh.  Nothing is discarded.
 
         With it, the §5.4 test runs between the cached version and the
         current one.  A client presenting its lease ``epoch`` on a file
         where nothing committed since — the counter is unchanged and the
         entry block still names the cached version — is answered from the
-        file table alone; otherwise the commit chain is walked.  The page
+        file table alone, and so is one whose cached version the table
+        names current; otherwise the commit chain is walked.  The page
         comes back as ``None`` when the client holds it (``have_page``)
         and the test did not discard it: "it is not necessary to transmit
         pages while making the serialisability test".  A cached version
@@ -1321,7 +1351,17 @@ class FileService:
                 pass  # unknown here: answered as a cold read
         current_cap = None
         if cached is None or cached.status != "committed":
-            block, _ = self._resolve_current_page(entry)
+            trusted = self._trusted_current(entry)
+            if self.recorder.enabled:
+                self.recorder.count(
+                    "cache.current.chased" if trusted is None
+                    else "cache.current.trusted"
+                )
+            if trusted is None:
+                block, _ = self._resolve_current_page(entry)
+            else:
+                block = trusted[0]
+                current_cap = self.issuer.mint_for(trusted[1], ALL_RIGHTS, self.rng)
             discards = [] if cached_version_cap is None else [PagePath.ROOT]
             if lease_ticks > 0 and self.recorder.enabled:
                 self.recorder.count("cache.lease.cold_reads")
@@ -1335,6 +1375,10 @@ class FileService:
             self.metrics.lease_fast_renewals += 1
             if self.recorder.enabled:
                 self.recorder.count("cache.lease.fast_renewals")
+        elif (trusted := self._trusted_current(entry)) and trusted[1] == cached.obj:
+            block, discards, current_cap = cached.root_block, [], cached_version_cap
+            if self.recorder.enabled:
+                self.recorder.count("cache.current.trusted")
         else:
             delegate = self._validation_delegate(entry) if allow_delegate else None
             if delegate is not None:
@@ -1354,6 +1398,8 @@ class FileService:
                     return data, current_cap, lease, [PagePath.parse(t) for t in texts]
                 except Exception:
                     pass  # the delegate vanished: do the test ourselves
+            if self.recorder.enabled:
+                self.recorder.count("cache.current.chased")
             discards, block = self._discards_since(entry, cached.root_block)
         if current_cap is None:
             current_cap = self._version_cap_for_block(entry.obj, block)
@@ -1414,7 +1460,7 @@ class FileService:
             chain.append(page.base_ref)
         chain.reverse()
         uncommitted = [
-            {"version": v.obj, "based_on": self.store.load(v.root_block).base_ref}
+            {"version": v.obj, "based_on": self.store.peek(v.root_block).base_ref}
             for v in list(self.registry.versions.values())
             if v.file_obj == entry.obj and v.status == "uncommitted"
         ]

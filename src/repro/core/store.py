@@ -77,6 +77,15 @@ class PageStore:
         self.cache.put(block, page)
         return page
 
+    def peek(self, block: int) -> Page:
+        """Load the page in ``block`` without caching it: for pages of a
+        version open on another server, which may rewrite them in place
+        until it publishes — a cached copy would pass for the final page."""
+        dirty = self._dirty.get(block)
+        if dirty is not None:
+            return dirty
+        return Page.from_bytes(self.blocks.read(block))
+
     # -- writes ------------------------------------------------------------
 
     def store_new(self, page: Page) -> int:

@@ -189,9 +189,9 @@ class SystemTree:
         """
         service = self.service
         entry = service._file_entry(file_cap, RIGHT_CREATE)
-        if not relaxed and entry.top_lock:
+        if not relaxed and entry.open:
             raise FileLocked(
-                f"super-file {entry.obj}: top lock held by {entry.top_lock:#x}"
+                f"super-file {entry.obj}: top lock held by {entry.soft_lock():#x}"
             )
         update_port = new_port(service.rng)
         for _ in range(max_retries):
@@ -235,13 +235,13 @@ class SystemTree:
         if entry.obj in update.sub_updates:
             return update.sub_updates[entry.obj]
         cur_block = service._resolve_current(entry)
-        if entry.top_lock or not service.locks.set_inner(
+        if entry.open or not service.locks.set_inner(
             cur_block, update.update_port
         ):
             snapshot = service.locks.read(cur_block)
             raise FileLocked(
                 f"sub-file {entry.obj}: cannot set inner lock (top="
-                f"{snapshot.top or entry.top_lock:#x}, inner={snapshot.inner:#x})"
+                f"{snapshot.top or entry.soft_lock():#x}, inner={snapshot.inner:#x})"
             )
         handle = service._new_version_from(
             entry, cur_block, owner=service.name, update_port=update.update_port
@@ -345,24 +345,26 @@ class SystemTree:
         is running — keep waiting), ``"cleared"`` (holder crashed before
         committing; locks cleared, update discarded) or ``"finished"``
         (holder crashed after setting the commit reference; this waiter
-        completed the sub-file commits).  A super update's durable top
-        lock is looked at first, then a small update's soft one."""
+        completed the sub-file commits).  The holders are a super update's
+        durable top lock and every open version's update (the soft lock):
+        each dead one is cleared, and the waiter keeps waiting while any
+        is alive."""
         service = self.service
         entry = service._file_entry(file_cap)
         block = service._resolve_current(entry)
-        port = service.locks.read(block).top or entry.top_lock
-        if port == 0:
+        durable = service.locks.read(block).top
+        holders = set(entry.open.values()) | ({durable} if durable else set())
+        if not holders:
             return "free"
-        if self.holder_alive(port):
-            return "alive"
-        # The holder is dead.  "If the commit reference is off, the lock
-        # can be cleared without further ado" — resolve_current gave us the
-        # lock-bearing block only if its commit reference is nil.
-        self._abandon_update(port)
-        service.locks.force_clear_top(block)
-        if entry.top_lock == port:
-            entry.top_lock = 0
-        return "cleared"
+        dead = {port for port in holders if not self.holder_alive(port)}
+        # "If the commit reference is off, the lock can be cleared without
+        # further ado" — resolve_current gave us the lock-bearing block
+        # only if its commit reference is nil.
+        for port in sorted(dead):
+            self._abandon_update(port)
+        if durable in dead:
+            service.locks.force_clear_top(block)
+        return "alive" if holders - dead else "cleared"
 
     def recover_after_commit(self, file_cap: Capability) -> str:
         """Recovery when the crashed holder *had* set the super-file's

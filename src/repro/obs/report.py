@@ -176,7 +176,8 @@ def render_net_table(metrics: MetricsRegistry) -> str:
 def render_cache_table(metrics: MetricsRegistry) -> str:
     """Client-cache effectiveness: plain hit/miss traffic next to the
     lease counters (zero-message hits, epoch fast-renewals, epoch bumps,
-    expiries, evictions)."""
+    expiries, evictions) and how servers resolved current reads (named by
+    the file table, or chased through stable storage)."""
     return render_counter_table(
         metrics,
         ("cache.",),
@@ -191,6 +192,8 @@ def render_cache_table(metrics: MetricsRegistry) -> str:
             "cache.lease.fast_renewals",
             "cache.lease.cold_reads",
             "cache.lease.epoch_bumps",
+            "cache.current.trusted",
+            "cache.current.chased",
         ),
     )
 

@@ -356,10 +356,14 @@ def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
             if not half._crashed:
                 half.crash()
         else:
+            # Restart first, then resync each recovering half whose
+            # companion is up: two half episodes may overlap, and a
+            # resync against a crashed companion cannot reach it.
             if half._crashed:
                 half.restart()
-            if half._recovering:
-                half.resync()
+            for recovering, companion in ((pair.a, pair.b), (pair.b, pair.a)):
+                if recovering._recovering and not companion._crashed:
+                    recovering.resync()
     elif action in ("pair_down", "pair_up"):
         # Index modulo the live pair list: a rebalance may have swapped a
         # pair out since the script was drawn, but the event still lands

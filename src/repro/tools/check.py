@@ -69,8 +69,10 @@ class CheckReport:
 
 
 def _load(service, block: int) -> Page | None:
+    # Uncached: the audit reads open versions' pages, which no server may
+    # keep (PageStore.peek).
     try:
-        return service.store.load(block, fresh=True)
+        return service.store.peek(block)
     except ReproError:
         return None
 

@@ -23,7 +23,7 @@ def dump_page_tree(service, root_block: int, max_depth: int = 8) -> str:
             lines.append("  " * depth + "...")
             return
         try:
-            page = service.store.load(block, fresh=True)
+            page = service.store.peek(block)
         except ReproError:
             lines.append("  " * depth + f"{path or '<root>'}  block={block} UNREADABLE")
             return
@@ -41,7 +41,7 @@ def dump_page_tree(service, root_block: int, max_depth: int = 8) -> str:
             visit(ref.block, path.child(index), str(ref.flags), depth + 1)
 
     try:
-        root = service.store.load(root_block, fresh=True)
+        root = service.store.peek(root_block)
         visit(root_block, PagePath.ROOT, str(root.root_flags), 0)
     except ReproError:
         lines.append(f"<root> block={root_block} UNREADABLE")

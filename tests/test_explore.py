@@ -15,6 +15,7 @@ from repro.sim.explore import (
     random_fault_script,
     run_soak,
 )
+from repro.core.pathname import PagePath
 from repro.sim.faults import FaultEvent
 from repro.testbed import build_cluster
 
@@ -73,6 +74,28 @@ def test_apply_fault_is_idempotent():
     for _ in range(2):
         apply_fault(cluster, FaultEvent(0, "half_up", ("a",)))
     assert not cluster.pair.a._crashed
+
+
+def test_overlapping_half_outages_resync_only_against_a_live_companion():
+    """Half B goes down while half A is still down: A's restart must not
+    resync against the crashed B.  Each half resyncs once its companion
+    is up, and the pair then serves again."""
+    cluster = build_cluster(seed=3)
+    fs = cluster.fs()
+    cap = fs.create_file(b"v1")
+    for event in ("half_down a", "half_down b", "half_up a"):
+        action, half = event.split()
+        apply_fault(cluster, FaultEvent(0, action, (half,)))
+    assert cluster.pair.a._recovering
+    apply_fault(cluster, FaultEvent(0, "half_up", ("b",)))
+    assert cluster.pair.a.available and cluster.pair.b.available
+    assert fs.read_page(fs.current_version(cap), PagePath.ROOT) == b"v1"
+
+
+@pytest.mark.parametrize("seed", [84, 146, 199])
+def test_soak_seeds_with_overlapping_half_outages_are_clean(seed):
+    report = run_soak(SoakConfig.for_seed(seed, 500, False))
+    assert report.ok, "\n".join(report.violations()) + "\n" + report.repro_line()
 
 
 def test_soak_passes_on_single_pair(soak_seed):

@@ -125,6 +125,41 @@ def test_begin_after_a_reshare_elsewhere_never_clones_the_stale_page(
     assert report.ok, report.errors
 
 
+def test_read_after_a_reshare_elsewhere_never_trusts_the_stale_root(cluster2):
+    """A server reading the current version holds its page in cache; the
+    collector on the other server rewrites that page in place and sweeps
+    the read copies the cached copy still names.  The file table stops
+    naming the version current first, so the reader chases to the page
+    as it is on disk instead of walking its stale copy."""
+    from repro.core.page import Page
+    from repro.tools.check import check_cluster
+
+    fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
+    cap = fs1.create_file(b"root")
+    setup = fs1.create_version(cap)
+    leaf = fs1.append_page(setup.version, ROOT, b"leafdata")
+    fs1.commit(setup.version)
+    reader = fs1.create_version(cap)
+    fs1.read_page(reader.version, leaf)  # a read copy in the committed tree
+    fs1.commit(reader.version)
+    entry = cluster2.registry.file(cap.obj)
+    block = entry.entry_block
+    assert fs0.read_current(cap, leaf)[0] == b"leafdata"
+    stale = fs0.store.cache.get(block)
+    assert fs0._trusted_current(entry) == (block, entry.current)
+
+    stats = cluster2.gc(1).collect()
+    assert stats.reshared >= 1 and stats.swept >= 1
+    assert fs0.store.cache.get(block) is stale  # the pre-reshare root
+    assert stale.refs != Page.from_bytes(fs0.store.blocks.read(block)).refs
+    assert entry.current is None
+    assert fs0._trusted_current(entry) is None
+    assert fs0.read_current(cap, leaf)[0] == b"leafdata"
+    assert fs0.store.cache.get(block) is not stale
+    report = check_cluster(cluster2)
+    assert report.ok, report.errors
+
+
 def test_reap_orphans_of_dead_server(cluster2):
     fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
     cap = fs0.create_file(b"x")

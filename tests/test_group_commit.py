@@ -278,12 +278,13 @@ def test_commit_that_does_not_settle_removes_the_version():
     fs.write_page(handle.version, paths[0], b"never")
     entry = fs.registry.version(handle.version.obj)
     file_entry = fs.registry.file(cap.obj)
-    assert file_entry.top_lock == entry.update_port != 0
+    assert file_entry.open == {entry.obj: entry.update_port}
+    assert entry.update_port != 0
     with pytest.raises(CommitConflict, match="did not settle in 0 rounds"):
         fs.commit(handle.version, max_rounds=0)
     assert entry.status == "aborted"
     assert entry.update_port not in fs._live_updates
-    assert file_entry.top_lock == 0
+    assert file_entry.open == {}
     assert fs.read_page(fs.current_version(cap), paths[0]) == b"init"
 
 

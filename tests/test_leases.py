@@ -250,13 +250,17 @@ def test_no_cache_client_ignores_leases(cluster):
 # ---------------------------------------------------------------------------
 
 
-def test_read_fetches_via_validated_version_cap(cluster2):
-    """A commit landing between the validation walk and the page read
-    must not produce a mixed-version entry: the page comes from the
-    version the walk found current, which is the version the reply names.
-    (Regression: the miss path fetched from a fresh ``current_version``
-    call, so the new version's page landed in an entry tagged with the
-    validated older cap.)"""
+def _race_the_page_read(cluster2, open_a_version: bool) -> list[str]:
+    """A commit landing between the serving server's resolution of the
+    current version and its page read must not produce a mixed-version
+    entry: the page comes from the version resolution found current,
+    which is the version the reply names.  (Regression: the miss path
+    fetched from a fresh ``current_version`` call, so the new version's
+    page landed in an entry tagged with the validated older cap.)
+
+    Resolution is by the file table while no version of the file is open,
+    and by the commit-chain walk while one is (``open_a_version``).
+    Returns the resolver the race was injected after."""
     net = cluster2.network
     writer = FileClient(net, "writer", cluster2.service_port)
     reader = FileClient(net, "reader", cluster2.service_port)
@@ -264,25 +268,33 @@ def test_read_fetches_via_validated_version_cap(cluster2):
     writer.transact(cap, lambda u: [u.append_page(ROOT, b"old page %d" % i)
                                     for i in range(2)])
     assert reader.read(cap, PagePath.of(0)) == b"old page 0"
+    if open_a_version:
+        cluster2.fs(0).create_version(cap)  # left open: the table names none
 
-    # Interleave: the writer commits after the serving server's walk
-    # answered and before it reads the page.
-    def walk_then_lose_the_race(fs):
-        original = fs._discards_since
+    # Interleave: the writer commits after the serving server resolved
+    # the current version and before it reads the page.
+    resolvers = ("_trusted_current", "_discards_since")
+    raced = []
+
+    def resolve_then_lose_the_race(fs, name):
+        original = getattr(fs, name)
 
         def racing(*args):
             answer = original(*args)
-            del fs._discards_since  # race once
-            writer.transact(cap, lambda u: u.write(PagePath.of(1), b"NEW page 1"))
+            if answer is not None and not raced:  # race once
+                raced.append(name)
+                writer.transact(cap, lambda u: u.write(PagePath.of(1), b"NEW page 1"))
             return answer
 
         return racing
 
     for fs in cluster2.servers:
-        fs._discards_since = walk_then_lose_the_race(fs)
+        for name in resolvers:
+            setattr(fs, name, resolve_then_lose_the_race(fs, name))
     data = reader.read(cap, PagePath.of(1))
     for fs in cluster2.servers:
-        vars(fs).pop("_discards_since", None)
+        for name in resolvers:
+            vars(fs).pop(name, None)
     assert reader.read_version(reader.current_version(cap), PagePath.of(1)) == (
         b"NEW page 1"
     )  # the race did happen
@@ -295,6 +307,21 @@ def test_read_fetches_via_validated_version_cap(cluster2):
         if cached is not None:
             assert cached == reader.read_version(entry.version_cap, path)
     assert data == b"old page 1"  # the validated snapshot, not the racer's
+    return raced
+
+
+def test_read_fetches_via_validated_version_cap(cluster2):
+    """The race after the file table named the current version."""
+    assert _race_the_page_read(cluster2, open_a_version=False) == [
+        "_trusted_current"
+    ]
+
+
+def test_read_fetches_via_the_walks_version_cap(cluster2):
+    """The race after the commit-chain walk found the current version."""
+    assert _race_the_page_read(cluster2, open_a_version=True) == [
+        "_discards_since"
+    ]
 
 
 def test_fetch_of_pruned_version_falls_back_cold(cluster):

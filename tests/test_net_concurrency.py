@@ -12,12 +12,17 @@ What the daemon promises, each under deliberate stress:
   workload completes through the companion with a serializable history;
 * a long-running commit holding the dispatch lock must not cause a
   read (``read_current``) on the same port to answer busy/MessageDropped
-  — the regression the lock-free read path exists to prevent.
+  — the regression the lock-free read path exists to prevent;
+* lock-free reads racing commits, aborts and group commits on two file
+  servers never return a stale current version, whether the file table
+  named it or a chase found it.  The explore scheduler interleaves only
+  at RPC boundaries, so only real threads can reach this race.
 """
 
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 
@@ -394,6 +399,98 @@ def test_snapshot_read_not_busied_by_commit_stream_service_level():
         assert not errors, errors[0]
         busy = recorder.metrics.counters.get("net.tcp.busy")
         assert busy is None or busy.value == 0
+    finally:
+        cluster.stop()
+
+
+# -- lock-free current reads against writers on two servers -----------------
+
+
+def test_lock_free_current_reads_race_writers_on_both_servers():
+    """Uncached readers on both servers race writers that commit, abort
+    and group-commit on the same files through both servers for about
+    two seconds.  Every read must be serializable with the commits, and
+    the reads must have been answered both ways: from the file table
+    (no version open) and by a chase (one open, or the name cleared)."""
+    recorder = Recorder()
+    history = HistoryRecorder()
+    cluster = build_tcp_cluster(
+        servers=2, seed=43, recorder=recorder, history=history
+    )
+    names = [server.name for server in cluster.servers]
+    try:
+        setup = cluster.client("setup", use_cache=False)
+        caps = []
+        for i in range(3):
+            cap = setup.create_file(b"file %d" % i)
+            setup.transact(
+                cap, lambda u: [u.append_page(ROOT, b"init") for _ in range(2)]
+            )
+            caps.append(cap)
+        pages = [ROOT.child(0), ROOT.child(1)]
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def reader(index: int) -> None:
+            client = cluster.client(
+                f"reader{index}", use_cache=False, prefer_server=names[index]
+            )
+            try:
+                n = 0
+                while not stop.is_set():
+                    client.read(caps[n % len(caps)], pages[n % 2])
+                    n += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        def writer(index: int) -> None:
+            client = cluster.client(
+                f"writer{index}", use_cache=False, prefer_server=names[index]
+            )
+            try:
+                n = 0
+                while not stop.is_set():
+                    cap, tag = caps[n % len(caps)], b"w%d.%d" % (index, n)
+                    if n % 3 == 0:
+                        client.transact(cap, lambda u: u.write(pages[0], tag))
+                    elif n % 3 == 1:
+                        update = client.begin(cap)
+                        update.write(pages[1], b"aborted " + tag)
+                        update.abort()
+                    else:
+                        group = [client.begin(cap) for _ in pages]
+                        for update, page in zip(group, pages):
+                            update.write(page, b"grouped " + tag)
+                        client.commit_group(group)
+                    n += 1
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=role, args=(index,))
+            for role in (reader, writer)
+            for index in range(len(names))
+        ]
+        # Switch threads often, so a read lands inside a handler's steps.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            time.sleep(2.0)
+        finally:
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors[0]
+        result = check_history(history)
+        assert result.ok, "\n".join(str(v) for v in result.violations)
+        assert result.snapshot_reads_checked > 0
+        counters = recorder.metrics.counters
+        assert counters["cache.current.trusted"].value > 0
+        assert counters["cache.current.chased"].value > 0
     finally:
         cluster.stop()
 

@@ -189,8 +189,8 @@ def test_no_small_update_writes_a_durable_top_lock(fs):
     handle = fs.create_version(cap)
     base = fs.registry.file(cap.obj).entry_block
     assert fs.store.load(base, fresh=True).top_lock == 0
-    assert fs.registry.file(cap.obj).top_lock != 0  # the hint, in memory
+    assert fs.registry.file(cap.obj).open  # the hint, in memory
     fs.write_page(handle.version, ROOT, b"object code")
     fs.commit(handle.version)
     assert fs.read_page(fs.current_version(cap), ROOT) == b"object code"
-    assert fs.registry.file(cap.obj).top_lock == 0
+    assert fs.registry.file(cap.obj).open == {}

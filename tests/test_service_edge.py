@@ -179,16 +179,16 @@ def test_family_tree_survives_a_version_added_mid_walk(fs, monkeypatch):
     cap = fs.create_file(b"root")
     fs.create_version(cap)
     fs.create_version(cap)
-    real_load = fs.store.load
+    real_peek = fs.store.peek
     added = []
 
-    def load(block, fresh=False):
-        if not fresh and not added:  # the walk over uncommitted versions
+    def peek(block):
+        if not added:  # the walk over uncommitted versions
             added.append(block)
             fs.create_version(cap)
-        return real_load(block, fresh)
+        return real_peek(block)
 
-    monkeypatch.setattr(fs.store, "load", load)
+    monkeypatch.setattr(fs.store, "peek", peek)
     tree = fs.family_tree(cap)
     assert added
     assert len(tree["uncommitted"]) == 2  # the versions present when it began

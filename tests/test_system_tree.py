@@ -287,7 +287,7 @@ def test_restored_registry_still_sees_a_dead_super_updates_inner_lock(nested):
     fs.crash()
     fs.restart()
     fs.restore_registry(table)
-    assert fs.registry.file(cap_a.obj).top_lock == 0
+    assert fs.registry.file(cap_a.obj).open == {}
     with pytest.raises(FileLocked):
         fs.create_version(cap_a)
     assert SystemTree(fs).wait_or_recover(cap_a) == "cleared"
@@ -300,10 +300,44 @@ def test_restored_registry_still_sees_a_dead_super_updates_inner_lock(nested):
 def test_dead_holders_soft_top_lock_is_cleared_by_one_recover_lock(cluster2):
     fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
     cap = fs0.create_file(b"v1")
-    fs0.create_version(cap)  # plants the hint; then its server dies
+    for _ in range(2):  # two holders plant the hint; then their server dies
+        fs0.create_version(cap)
     fs0.crash()
     with pytest.raises(FileLocked):
         fs1.create_version(cap, respect_soft_lock=True)
     assert SystemTree(fs1).wait_or_recover(cap) == "cleared"
+    assert cluster2.registry.file(cap.obj).open == {}
     handle = fs1.create_version(cap, respect_soft_lock=True)
     fs1.abort(handle.version)
+
+
+def test_a_live_holder_keeps_the_soft_lock_when_a_dead_one_is_cleared(cluster2):
+    fs0, fs1 = cluster2.fs(0), cluster2.fs(1)
+    cap = fs0.create_file(b"v1")
+    fs0.create_version(cap)  # dies with fs0
+    live = fs1.create_version(cap)
+    fs0.crash()
+    assert SystemTree(fs1).wait_or_recover(cap) == "alive"
+    assert cluster2.registry.file(cap.obj).open == {
+        live.version.obj: cluster2.registry.version(live.version.obj).update_port
+    }
+    fs1.abort(live.version)
+    assert SystemTree(fs1).wait_or_recover(cap) == "free"
+
+
+def test_one_of_two_overlapping_small_updates_ending_keeps_the_soft_lock(nested):
+    """The soft top lock is held while *any* small update of the file is
+    open: one of two overlapping updates aborting must not clear it."""
+    fs, tree, cap_c, cap_a, cap_b = nested
+    first = fs.create_version(cap_a)
+    second = fs.create_version(cap_a)
+    fs.abort(second.version)
+    with pytest.raises(FileLocked):
+        fs.create_version(cap_a, respect_soft_lock=True)
+    update = tree.begin_super_update(cap_c)
+    with pytest.raises(FileLocked):
+        tree.open_subfile(update, cap_a)
+    fs.commit(first.version)
+    tree.open_subfile(update, cap_a)
+    tree.abort_super(update)
+    fs.abort(fs.create_version(cap_a, respect_soft_lock=True).version)

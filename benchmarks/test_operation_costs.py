@@ -79,9 +79,11 @@ def test_operation_cost_model(benchmark, report):
         rows,
     )
     _measure(
-        "validate_cache (unshared file)",
+        "read_current (cached, unshared)",
         cluster,
-        lambda: fs.validate_cache(cap, current),
+        lambda: fs.read_current(
+            cap, ROOT, cached_version_cap=current, have_page=True
+        ),
         rows,
     )
 

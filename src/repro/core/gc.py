@@ -78,12 +78,11 @@ class GarbageCollector:
         for entry in self.registry.files.values():
             chain: list[int] = []
             try:
-                block = entry.entry_block
                 # Forward along commit references to current...
-                while block != NIL:
+                for block, _ in self.store.commits_from(entry.entry_block):
                     chain.append(block)
-                    block = self.store.load(block, fresh=True).commit_ref
-                # ...and backward along base references to the oldest version.
+                # ...and back along base references while each is
+                # committed at all: a root set must never shrink.
                 block = self.store.load(chain[0], fresh=True).base_ref
                 while block != NIL:
                     page = self.store.load(block, fresh=True)
@@ -130,12 +129,6 @@ class GarbageCollector:
     # resharing (§5.1)
     # ------------------------------------------------------------------
 
-    def _file_has_uncommitted(self, file_obj: int) -> bool:
-        return any(
-            v.file_obj == file_obj and v.status == "uncommitted"
-            for v in self.registry.versions.values()
-        )
-
     def _reshare_version(
         self, file_entry: FileEntry, root_block: int, stats: GcStats
     ) -> Generator[None, None, None]:
@@ -145,7 +138,7 @@ class GarbageCollector:
         if changed:
             # Other servers' cached copies name the pages the sweep frees:
             # the table stops naming the version, so their readers chase.
-            file_entry.current = None
+            file_entry.rewrite()
             # The walk yields between page visits, and a concurrent commit
             # may test-and-set this version's commit reference at any of
             # them — including between the shard batches of a deferred
@@ -254,14 +247,9 @@ class GarbageCollector:
             # later versions' pages (the merge correlates through them), so
             # their read-copies are reclaimed by history pruning instead.
             for file_entry in list(self.registry.files.values()):
-                if self._file_has_uncommitted(file_entry.obj):
+                if file_entry.open:
                     continue
-                block = file_entry.entry_block
-                while True:
-                    page = self.store.load(block, fresh=True)
-                    if page.commit_ref == NIL:
-                        break
-                    block = page.commit_ref
+                block, _ = self.service._resolve_current(file_entry)
                 yield from self._reshare_version(file_entry, block, stats)
         marked: set[int] = set()
         roots = self._roots(stats)
@@ -312,16 +300,8 @@ class GarbageCollector:
         if keep < 1:
             raise ValueError("must keep at least the current version")
         entry = self.service._file_entry(file_cap)
-        current = self.service._resolve_current(entry)
-        chain = [current]
-        while True:
-            page = self.store.load(chain[-1], fresh=True)
-            if page.base_ref == NIL:
-                break
-            base_page = self.store.load(page.base_ref, fresh=True)
-            if base_page.commit_ref != chain[-1]:
-                break
-            chain.append(page.base_ref)
+        current, _ = self.service._resolve_current(entry)
+        chain = self.store.history_of(current)
         if len(chain) <= keep:
             return 0
         cutoff = chain[keep - 1]  # oldest version we keep
@@ -331,13 +311,13 @@ class GarbageCollector:
         # reference with the commit-ref-preserving compare-and-swap rather
         # than a whole-page write (same fork hazard as resharing).  Cached
         # copies elsewhere keep the old base: the table stops naming it.
-        entry.current = None
+        entry.rewrite()
         while True:
             cut_page = self.store.load(cutoff, fresh=True)
             cut_page.base_ref = NIL
             if self.store.rewrite_version_page(cutoff, cut_page, keep_base=False):
                 break
-        entry.entry_block = current
+        entry.advance(current)
         for block in pruned:
             version = self.registry.version_by_block(block)
             if version is not None:

@@ -7,16 +7,17 @@ operational."
 
 The registry maps file object numbers to an *entry block* — the block
 number of **some committed version page** of the file.  The entry may be
-stale: the current version is found by following commit references from the
-entry, and the entry is advanced lazily.  That is what lets any replicated
-server resolve any file from any committed version it knows.
+stale: the current version is found by following commit references from
+it (:meth:`repro.core.store.PageStore.commits_from`), and it is advanced
+lazily.  That lets any replicated server resolve any file from any
+committed version it knows; it is also the commit engine's optimistic base.
 
 Only an open version — created, neither published nor removed — can move
-a file's commit chain (§5.2), and each is listed in ``FileEntry.open``
-(§5.3's top lock as soft state).  While none is open the entry names the
-current version (``FileEntry.current``, its page the entry block), and a
-read takes that name instead of a chase; every writer that could make it
-wrong clears it first (:meth:`repro.core.service.FileService.read_current`).
+a file's commit chain (§5.2); ``FileEntry.open`` lists each (§5.3's top
+lock as soft state).  While none is open the entry names the current
+version (``FileEntry.current``), which a read takes instead of a chase.
+Only ``FileEntry``'s rule methods write this soft state, and each that
+could make the name wrong clears it first.
 
 Uncommitted versions are also registered (version object number → version
 page block) so capabilities can be validated; these entries are expendable
@@ -63,7 +64,7 @@ class FileEntry:
     mergeable: bool = False
     # Commit counter for client-cache leases: bumped by every commit
     # publication, read by the lease fast-renewal path.  In-memory only —
-    # a deliberately volatile hint, like the current-version hints: -1
+    # a deliberately volatile hint, like ``open`` and ``current``: -1
     # means "cannot vouch" (set after a registry restore), and a lease
     # carrying -1 is never fast-renewed, only fully re-validated.
     epoch: int = 0
@@ -79,6 +80,47 @@ class FileEntry:
     def soft_lock(self) -> int:
         """The port of some open update of the file, or 0."""
         return next(iter(self.open.values()), 0)
+
+    # -- the rules: the only writers of the soft state above ------------------
+
+    def named_current(self) -> int | None:
+        """The version obj the table names current, its page in
+        ``entry_block``, or None.  ``open`` is read before ``current``:
+        a publication writes the name before its version leaves ``open``."""
+        return None if self.open else self.current
+
+    def open_version(self, version: VersionEntry) -> None:
+        """``version`` was created: it may move the commit chain."""
+        self.open[version.obj] = version.update_port
+
+    def publish(self, version: VersionEntry) -> None:
+        """The base's commit reference now names ``version``: it becomes
+        the entry block, and is named current — before it leaves ``open`` —
+        only if no other version is open and the epoch has not moved since
+        it began (a grouped chain, a late test-and-set, a restore).  One
+        epoch bump per version, so no lease on mid-chain state fast-renews;
+        ``max`` heals the post-restore "unknown"."""
+        self.entry_block = version.root_block
+        alone = self.open.keys() <= {version.obj}
+        self.current = (
+            version.obj if alone and self.epoch == version.epoch >= 0 else None
+        )
+        self.epoch = max(self.epoch, 0) + 1
+        self.open.pop(version.obj, None)
+
+    def remove(self, version: VersionEntry) -> None:
+        """``version`` died unpublished.  The name goes first: a reaped
+        version's test-and-set may have landed."""
+        self.current = None
+        self.open.pop(version.obj, None)
+
+    def rewrite(self) -> None:
+        """A committed version page is about to be rewritten in place."""
+        self.current = None
+
+    def advance(self, block: int) -> None:
+        """A chase found the current version in ``block``."""
+        self.entry_block = block
 
 
 @dataclass

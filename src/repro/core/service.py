@@ -120,9 +120,6 @@ class _Member:
     # rebase base_ref onto *uncommitted* predecessors, which must not be
     # mistaken for catch-up progress when a test-and-set is lost.
     caught_up: int = NIL
-    # ``caught_up``'s commit reference, where known without asking (a
-    # lost test-and-set returns it): the first hop of the next catch-up.
-    successor: int = NIL
     # Paths the merge policy reconciled during catch-up: the client must
     # not cache its pre-merge writes for them.
     merged: set[str] = field(default_factory=set)
@@ -194,13 +191,6 @@ class FileService:
         # to make crash recovery possible."  Per committed version page:
         # its write paths, as cache validation consumes them.
         self._write_paths_cache: dict[int, list[PagePath]] = {}
-        # Current-version hints: file obj -> the block of its current
-        # committed version page, as last seen by this server.  The commit
-        # engine takes its optimistic base from the hint instead of
-        # resolving the chain; every commit and every resolution repairs
-        # it.  Only ever points at committed version pages, so a stale
-        # hint can at worst lose the test-and-set, which names the tip.
-        self._current_hints: dict[int, int] = {}
         # Ports of updates this server process is managing.  Deliberately
         # in-memory only: "when the server crashes, the outstanding
         # transactions with the server crash as well, telling all servers
@@ -220,7 +210,6 @@ class FileService:
         self.store.cache.clear()
         self._live_updates.clear()
         self._write_paths_cache.clear()  # recoverable: flags are on disk
-        self._current_hints.clear()  # recoverable: resolution rebuilds them
         self.network.detach(self.name)
         if self.history is not None:
             self.history.record("crash", actor=self.name)
@@ -355,54 +344,23 @@ class FileService:
         entry = self._file_entry(file_cap, RIGHT_DESTROY)
         self.registry.drop_file(entry.obj)
         self.issuer.revoke(entry.obj)
-        self._current_hints.pop(entry.obj, None)
 
-    def _bump_epoch(self, file_obj: int) -> None:
-        """Advance the file's commit counter (the lease-invalidation
-        epoch) in the shared registry.  Every commit-publication point
-        calls this, so a lease granted through *any* replica stops
-        fast-renewing the moment the file changes through any other.
-        ``max(..., 0)`` heals the post-restore "unknown" marker: the
-        first commit after a restore re-establishes a trustworthy
-        counter."""
-        entry = self.registry.files.get(file_obj)
-        if entry is None:
-            return  # file deleted while the commit was in flight
-        entry.epoch = max(entry.epoch, 0) + 1
-        self.metrics.epoch_bumps += 1
-        if self.recorder.enabled:
-            self.recorder.count("cache.lease.epoch_bumps")
-
-    def _resolve_current(self, entry: FileEntry) -> int:
-        """Find the current version's block by chasing commit references
-        from the (possibly stale) file-table entry, advancing the entry."""
-        block, _ = self._resolve_current_page(entry)
-        return block
-
-    def _resolve_current_page(self, entry: FileEntry) -> tuple[int, Page]:
-        """Like :meth:`_resolve_current`, also returning the loaded page."""
-        block = entry.entry_block
-        while True:
-            page = self.store.load(block, fresh=True)
-            if page.commit_ref == NIL:
-                entry.entry_block = block
-                self._current_hints[entry.obj] = block
-                return block, page
-            block = page.commit_ref
+    def _resolve_current(self, entry: FileEntry) -> tuple[int, Page]:
+        """The current version's block and page, chased from the file
+        table's (possibly stale) entry block, which advances to it."""
+        *_, (block, page) = self.store.commits_from(entry.entry_block)
+        entry.advance(block)
+        return block, page
 
     def _trusted_current(self, entry: FileEntry) -> tuple[int, int] | None:
         """(block, version obj) of the current version when a read may take
-        the file table's name instead of a chase: no version open (read
-        before ``current``, which a publication writes first), a name set,
-        and this server's cached copy of the entry block that version's
-        page by its version capability.  No server caches another's open
-        version (``PageStore.peek``); a collector rewriting the page clears
-        the name first."""
-        obj = None if entry.open else entry.current
-        if obj is None:
-            return None
+        the file table's name (:meth:`FileEntry.named_current`) instead of
+        a chase: this server's cached copy of the entry block is that
+        version's page by its version capability (never an open one's:
+        ``PageStore.peek``)."""
+        obj = entry.named_current()
         block = entry.entry_block
-        page = self.store.cache.get(block)
+        page = None if obj is None else self.store.cache.get(block)
         if page is None or page.version_cap is None or page.version_cap.obj != obj:
             return None
         return block, obj
@@ -411,7 +369,7 @@ class FileService:
         """The capability of the file's current (committed) version."""
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_READ)
-        block = self._resolve_current(entry)
+        block, _ = self._resolve_current(entry)
         return self._version_cap_for_block(entry.obj, block)
 
     def _version_cap_for_block(self, file_obj: int, block: int) -> Capability:
@@ -460,7 +418,7 @@ class FileService:
         """
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_CREATE)
-        cur_block, cur_page = self._resolve_current_page(entry)
+        cur_block, cur_page = self._resolve_current(entry)
         if cur_page.inner_lock:
             raise FileLocked(
                 f"file {entry.obj}: inner lock held by update "
@@ -500,20 +458,19 @@ class FileService:
         v_block = self.store.store_new(v_page)
         if update_port:
             self._live_updates.add(update_port)
-        self.registry.add_version(
-            VersionEntry(
-                version_cap.obj,
-                entry.obj,
-                v_block,
-                self.issuer.secret_of(version_cap.obj),
-                status="uncommitted",
-                owner=owner or self.name,
-                update_port=update_port,
-                server=self.name,
-                epoch=entry.epoch,
-            )
+        version = VersionEntry(
+            version_cap.obj,
+            entry.obj,
+            v_block,
+            self.issuer.secret_of(version_cap.obj),
+            status="uncommitted",
+            owner=owner or self.name,
+            update_port=update_port,
+            server=self.name,
+            epoch=entry.epoch,
         )
-        entry.open[version_cap.obj] = update_port
+        self.registry.add_version(version)
+        entry.open_version(version)
         self.metrics.versions_created += 1
         if self.history is not None:
             base_entry = self.registry.version_by_block(cur_block)
@@ -947,21 +904,23 @@ class FileService:
         for member in members:
             member.caught_up = self.store.load(member.entry.root_block).base_ref
             pending.setdefault(member.entry.file_obj, []).append(member)
+        # file obj -> (base, successor) of its chain's lost test-and-set.
+        beaten: dict[int, tuple[int, int]] = {}
         rounds = lost = 0
         while pending and rounds < max_rounds:
             rounds += 1
             chains: dict[int, tuple[int, list[_Member]]] = {}
             for file_obj, waiting in pending.items():
-                # The base is optimistic: this server's hint, no read.
-                # A hint always names a committed version, so a stale
-                # one can only lose the test-and-set — which reports the
-                # newer tip — never win it.
-                base = self._current_hints.get(file_obj)
-                if base is None:
-                    base = self._resolve_current(self.registry.file(file_obj))
+                # The base is optimistic, no read: the successor a lost
+                # test-and-set reported, else the table's entry block.
+                # Either is committed, so a stale one can only lose the
+                # test-and-set — which reports the newer tip — never win.
+                behind, base = beaten.pop(file_obj, (NIL, NIL))
+                if base == NIL:
+                    base = self.registry.file(file_obj).entry_block
                 chain: list[_Member] = []
                 for i, member in enumerate(waiting):
-                    if self._catch_up(member, base, chain):
+                    if self._catch_up(member, base, chain, behind):
                         chain.append(member)
                         continue
                     # Members after a conflicted predecessor were
@@ -1016,17 +975,12 @@ class FileService:
                 if result.success:
                     self._publish_chain(chain)
                     continue
-                # Another server slipped a commit in.  The successor it
-                # set is both the first hop of the chain's catch-up and
-                # the next optimistic base: hop by hop, as Figure 6.  (A
-                # member already beyond a lagging hint walks on from
-                # where it is, never back through its own ancestors.)
+                # A commit the table had not shown slipped in.  Its block
+                # is the next base and the catch-up's first hop: hop by
+                # hop, as Figure 6.  (A member beyond a lagging base walks
+                # on from where it is, never back through its ancestors.)
                 lost += 1
-                successor = int.from_bytes(result.current, "big")
-                self._current_hints[file_obj] = successor
-                for member in chain:
-                    if member.caught_up == base:
-                        member.successor = successor
+                beaten[file_obj] = (base, int.from_bytes(result.current, "big"))
                 pending[file_obj] = chain
         for waiting in pending.values():
             for member in waiting:
@@ -1035,18 +989,22 @@ class FileService:
                 )
         return rounds, lost
 
-    def _catch_up(self, member: _Member, base: int, prior: list[_Member]) -> bool:
+    def _catch_up(
+        self, member: _Member, base: int, prior: list[_Member], behind: int
+    ) -> bool:
         """Serialise one member up to the head of its chain: first
         through the committed versions between its own base and ``base``,
         then — always — against this round's earlier survivors, so the
         member's own writes re-graft over whatever the catch-up pulled in
-        (idempotent where already merged)."""
+        (idempotent where already merged).  A member caught up to
+        ``behind``, where a test-and-set was just lost to ``base``, knows
+        its first hop without asking."""
         v_block = member.entry.root_block
         if member.caught_up != base:
-            first = member.successor
-            if first == NIL:
+            if member.caught_up == behind:
+                first = base
+            else:
                 first = self.store.read_commit_ref(member.caught_up)
-            member.successor = NIL
             if first != NIL:
                 walk = serialise_through(
                     self.store,
@@ -1148,25 +1106,16 @@ class FileService:
 
     def _published(self, entry: VersionEntry) -> None:
         """What every commit-publication point owes a version whose
-        base's commit reference now names it: the registry, this
-        server's hint, the lease epoch (one bump per version: a client
-        that leased mid-chain state must miss the fast-renewal path), the
-        file table's current version, the version's place among the open
-        ones and the flag administration, cached while it is still in
-        memory.  The table names this version current only if no other is
-        open and the epoch has not moved since it began (a grouped chain,
-        a test-and-set published late, a restore), and names it before the
-        version leaves ``open``."""
+        base's commit reference now names it: the registry, the file
+        table (:meth:`FileEntry.publish`; none left if the file was deleted
+        meanwhile) and the flag administration, cached while in memory."""
         entry.status = "committed"
-        file_entry = self.registry.file(entry.file_obj)
-        file_entry.entry_block = entry.root_block
-        alone = file_entry.open.keys() <= {entry.obj}
-        file_entry.current = (
-            entry.obj if alone and file_entry.epoch == entry.epoch >= 0 else None
-        )
-        self._current_hints[entry.file_obj] = entry.root_block
-        self._bump_epoch(entry.file_obj)
-        file_entry.open.pop(entry.obj, None)
+        file_entry = self.registry.files.get(entry.file_obj)
+        if file_entry is not None:
+            file_entry.publish(entry)
+            self.metrics.epoch_bumps += 1
+            if self.recorder.enabled:
+                self.recorder.count("cache.lease.epoch_bumps")
         if len(self._write_paths_cache) >= 4096:
             # Soft state, rebuilt from the flags on disk.  Cleared rather
             # than trimmed: lock-free reads insert while this runs, and
@@ -1194,8 +1143,7 @@ class FileService:
         parts grafted from other versions during merge carry clear flags
         and are shared, so they survive.  Pages orphaned by wholesale table
         grafts are left to the garbage collector.  The version leaves the
-        file's open ones, and the table forgets the current version first:
-        a reaped version's test-and-set may have landed.  A super update's
+        file's open ones (:meth:`FileEntry.remove`).  A super update's
         durable locks are cleared by :mod:`repro.core.system_tree`, which
         set them.
         """
@@ -1209,8 +1157,7 @@ class FileService:
         self._live_updates.discard(entry.update_port)
         file_entry = self.registry.files.get(entry.file_obj)
         if file_entry is not None:
-            file_entry.current = None
-            file_entry.open.pop(entry.obj, None)
+            file_entry.remove(entry)
         # A version owned by a crashed server may have allocated blocks it
         # never flushed; tolerate the holes and free what exists.
         try:
@@ -1240,50 +1187,28 @@ class FileService:
     # current-state reads and cache validation (§5.4)
     # ------------------------------------------------------------------
 
-    def validate_cache(
-        self, file_cap: Capability, cached_version_cap: Capability
-    ) -> tuple[list[PagePath], Capability]:
-        """The §5.4 cache check, run on this server: which of the client's
-        cached page paths must be discarded, and what the current version
-        is.  Clients reach the same walk through :meth:`read_current`.
-
-        "When a request for a new version of the file is made, a
-        serialisability test is made between the cache entry and the
-        current version [...] the server returns a list of path names of
-        pages to be discarded."  For a file nobody else changed the answer
-        is the empty list and no page tree is read at all (the null
-        operation of claim C5).
-        """
-        self._check_up()
-        file_entry = self._file_entry(file_cap, RIGHT_READ)
-        cached = self._version_entry(cached_version_cap)
-        discards, block = self._discards_since(file_entry, cached.root_block)
-        return discards, self._version_cap_for_block(file_entry.obj, block)
-
     def _discards_since(
         self, file_entry: FileEntry, block: int
     ) -> tuple[list[PagePath], int]:
-        """Chase the commit chain from the committed version in ``block``
-        to the current one, collecting the write paths of every version
-        on the way: the discard list, and the current version's block."""
+        """The §5.4 test: chase the commit chain from the committed
+        version in ``block`` to the current one, collecting the write paths
+        of every version after it — "a list of path names of pages to be
+        discarded" (empty, reading no tree, for an unshared file: C5)."""
         discards: list[PagePath] = []
         seen_root_discard = False
-        while True:
-            page = self.store.load(block, fresh=True)
-            if page.commit_ref == NIL:
-                break
-            block = page.commit_ref
-            if seen_root_discard:
+        for block, page in self.store.commits_from(block):
+            successor = page.commit_ref
+            if successor == NIL or seen_root_discard:
                 continue  # everything is dead already; just find current
-            cached_paths = self._write_paths_cache.get(block)
+            cached_paths = self._write_paths_cache.get(successor)
             if cached_paths is None:
-                cached_paths = collect_write_paths(self.store, block).paths
-                self._write_paths_cache[block] = cached_paths
+                cached_paths = collect_write_paths(self.store, successor).paths
+                self._write_paths_cache[successor] = cached_paths
             for path in cached_paths:
                 discards.append(path)
                 if path.is_root:
                     seen_root_discard = True
-        file_entry.entry_block = block
+        file_entry.advance(block)
         return discards, block
 
     def _grant_lease(self, epoch: int, lease_ticks: int) -> Lease:
@@ -1313,11 +1238,11 @@ class FileService:
         for the client's cache.
 
         Without ``cached_version_cap`` the current version is resolved
-        *truly*, never from this server's hint: a lease granted on a hint
-        that lags another server's commit would break the staleness bound.
-        While no version of the file is open the shared file table names
-        it (:meth:`_trusted_current`); otherwise the commit references are
-        chased afresh.  Nothing is discarded.
+        *truly*, never from the possibly stale entry block alone: a lease
+        granted on a version that lags another server's commit would break
+        the staleness bound.  While no version of the file is open the
+        shared file table names it (:meth:`_trusted_current`); otherwise
+        the commit references are chased afresh.  Nothing is discarded.
 
         With it, the §5.4 test runs between the cached version and the
         current one.  A client presenting its lease ``epoch`` on a file
@@ -1358,7 +1283,7 @@ class FileService:
                     else "cache.current.trusted"
                 )
             if trusted is None:
-                block, _ = self._resolve_current_page(entry)
+                block, _ = self._resolve_current(entry)
             else:
                 block = trusted[0]
                 current_cap = self.issuer.mint_for(trusted[1], ALL_RIGHTS, self.rng)
@@ -1446,23 +1371,12 @@ class FileService:
         current) and the uncommitted versions hanging off it — Figure 4."""
         self._check_up()
         entry = self._file_entry(file_cap, RIGHT_READ)
-        current = self._resolve_current(entry)
-        # Walk back along base references to the oldest committed version.
-        chain = [current]
-        while True:
-            page = self.store.load(chain[-1], fresh=True)
-            if page.base_ref == NIL:
-                break
-            base_page = self.store.load(page.base_ref, fresh=True)
-            # Stop if the base is not a committed predecessor (safety).
-            if base_page.commit_ref != chain[-1]:
-                break
-            chain.append(page.base_ref)
-        chain.reverse()
+        current, _ = self._resolve_current(entry)
+        chain = self.store.history_of(current)[::-1]
         uncommitted = [
-            {"version": v.obj, "based_on": self.store.peek(v.root_block).base_ref}
-            for v in list(self.registry.versions.values())
-            if v.file_obj == entry.obj and v.status == "uncommitted"
+            {"version": obj, "based_on": self.store.peek(v.root_block).base_ref}
+            for obj in list(entry.open)
+            if (v := self.registry.versions.get(obj)) is not None
         ]
         return {
             "file": entry.obj,
@@ -1533,7 +1447,7 @@ class FileService:
 
     # ------------------------------------------------------------------
     # RPC command surface: each command declared once, over its method.
-    # Read-only ones only read, repairing at most soft state: hints, entry
+    # Read-only ones only read, repairing at most soft state: entry
     # blocks, the write-paths cache and lazily minted version entries.
     # read_page and page_structure record flags: they stay locked.
     # ------------------------------------------------------------------

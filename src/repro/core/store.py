@@ -20,12 +20,15 @@ cache entry, and reads of version pages during commit bypass the cache.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from repro.block.stable import StableClient, Swap
 from repro.block.server import TasResult
 from repro.core.cache import PageCache
 from repro.core.page import (
     COMMIT_REF_OFFSET,
     COMMIT_REF_SIZE,
+    NIL,
     NIL_COMMIT_REF,
     Page,
     pack_commit_ref,
@@ -287,6 +290,29 @@ class PageStore:
         finally:
             self.blocks.unlock(block, self._LOCKER)
             self.cache.invalidate(block)
+
+    # -- the committed chain (§5.4.1) ------------------------------------------
+
+    def commits_from(self, block: int) -> Iterator[tuple[int, Page]]:
+        """Each version page from the committed one in ``block`` forward
+        along commit references, loaded fresh (any server may have just
+        set one); the last is the current version."""
+        while True:
+            page = self.load(block, fresh=True)
+            yield block, page
+            if page.commit_ref == NIL:
+                return
+            block = page.commit_ref
+
+    def history_of(self, block: int) -> list[int]:
+        """The committed chain ending at ``block``, newest first: back
+        along base references while the base's commit reference names us."""
+        chain = [block]
+        while True:
+            base = self.load(chain[-1], fresh=True).base_ref
+            if base == NIL or self.load(base, fresh=True).commit_ref != chain[-1]:
+                return chain
+            chain.append(base)
 
     def read_commit_ref(self, block: int) -> int:
         """The commit reference currently stored in a version page."""

@@ -195,7 +195,7 @@ class SystemTree:
             )
         update_port = new_port(service.rng)
         for _ in range(max_retries):
-            cur_block = service._resolve_current(entry)
+            cur_block, _ = service._resolve_current(entry)
             if relaxed:
                 snapshot = service.locks.read(cur_block)
                 if snapshot.inner != 0:
@@ -234,7 +234,7 @@ class SystemTree:
         entry = service._file_entry(sub_file_cap, RIGHT_CREATE)
         if entry.obj in update.sub_updates:
             return update.sub_updates[entry.obj]
-        cur_block = service._resolve_current(entry)
+        cur_block, _ = service._resolve_current(entry)
         if entry.open or not service.locks.set_inner(
             cur_block, update.update_port
         ):
@@ -351,7 +351,7 @@ class SystemTree:
         is alive."""
         service = self.service
         entry = service._file_entry(file_cap)
-        block = service._resolve_current(entry)
+        block, _ = service._resolve_current(entry)
         durable = service.locks.read(block).top
         holders = set(entry.open.values()) | ({durable} if durable else set())
         if not holders:
@@ -373,8 +373,7 @@ class SystemTree:
         live holder (the waiter found the super commit done)."""
         service = self.service
         entry = service._file_entry(file_cap)
-        current = service._resolve_current(entry)
-        page = service.store.load(current, fresh=True)
+        current, page = service._resolve_current(entry)
         # The newly committed super version's own registry entry tells us
         # the update port; sub-versions share it.
         version = service.registry.version_by_block(current)
@@ -403,7 +402,7 @@ class SystemTree:
         """
         service = self.service
         entry = service._file_entry(file_cap)
-        block = service._resolve_current(entry)
+        block, _ = service._resolve_current(entry)
         snapshot = service.locks.read(block)
         if snapshot.inner != 0:
             return self._recover_inner(entry, block, snapshot.inner)
@@ -423,7 +422,7 @@ class SystemTree:
             parent_cap = service.issuer.mint_for(
                 parent_entry.obj, ALL_RIGHTS, service.rng
             )
-            parent_block = service._resolve_current(parent_entry)
+            parent_block, _ = service._resolve_current(parent_entry)
             parent_snap = service.locks.read(parent_block)
             if parent_snap.top == port:
                 # The dead holder never committed the super-file: the whole

@@ -269,23 +269,32 @@ def check_cluster(cluster, gc_expected_clean: bool = False) -> CheckReport:
 
 def main() -> int:
     """``python -m repro.tools.check`` — the CI gate: exercise a busy
-    deployment (several files, concurrent updates, a crash and restart,
-    a GC pass) and fail on any invariant violation."""
+    deployment (several files, concurrent updates on two servers, a crash
+    and restart, a GC pass) and fail on any invariant violation."""
     from repro.core.pathname import PagePath
     from repro.testbed import build_cluster
 
     cluster = build_cluster(servers=2, seed=1985)
-    fs = cluster.fs()
-    caps = [fs.create_file(b"file %d" % i) for i in range(4)]
+    fs, other = cluster.fs(0), cluster.fs(1)
+    files = []
+    for i in range(4):
+        cap = fs.create_file(b"file %d" % i)
+        setup = fs.create_version(cap)
+        pages = [fs.append_page(setup.version, PagePath.ROOT) for _ in range(2)]
+        fs.commit(setup.version)
+        files.append((cap, pages))
     for round_number in range(3):
-        for cap in caps:
+        for cap, (mine, theirs) in files:
             handle = fs.create_version(cap)
-            fs.write_page(
-                handle.version, PagePath.ROOT, b"round %d" % round_number
-            )
+            fs.write_page(handle.version, mine, b"round %d" % round_number)
+            # A rival commits through the other server while this update
+            # is open, so its commit catches up across servers.
+            rival = other.create_version(cap)
+            other.write_page(rival.version, theirs, b"rival %d" % round_number)
+            other.commit(rival.version)
             fs.commit(handle.version)
     # A crash mid-update must leave the system clean.
-    doomed = fs.create_version(caps[0])
+    doomed = fs.create_version(files[0][0])
     fs.write_page(doomed.version, PagePath.ROOT, b"lost")
     fs.crash()
     fs.restart()

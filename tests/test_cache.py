@@ -156,12 +156,17 @@ def test_page_cache_stat_updates_run_under_the_mutex():
 # ---------------------------------------------------------------------------
 
 
+def _validate(fs, cap, cached):
+    """The §5.4 test as a client's cached read of the root runs it."""
+    return fs.read_current(cap, ROOT, cached_version_cap=cached, have_page=True)
+
+
 def test_validate_cache_null_op_for_unshared_file(fs):
     """"For files that are not shared [...] the serialisability test is a
     null operation, and all pages in the cache will always be valid."""
     cap = fs.create_file(b"private")
     cached = fs.current_version(cap)
-    discards, current = fs.validate_cache(cap, cached)
+    _, current, _, discards = _validate(fs, cap, cached)
     assert discards == []
     assert current.obj == cached.obj
 
@@ -177,7 +182,7 @@ def test_validate_cache_reports_written_paths(fs):
     other = fs.create_version(cap)
     fs.write_page(other.version, PagePath.of(2), b"changed")
     fs.commit(other.version)
-    discards, current = fs.validate_cache(cap, cached)
+    _, current, _, discards = _validate(fs, cap, cached)
     assert discards == [PagePath.of(2)]
     assert current.obj != cached.obj
 
@@ -193,7 +198,7 @@ def test_validate_cache_accumulates_across_versions(fs):
         other = fs.create_version(cap)
         fs.write_page(other.version, PagePath.of(page), b"new")
         fs.commit(other.version)
-    discards, _ = fs.validate_cache(cap, cached)
+    discards = _validate(fs, cap, cached)[3]
     assert set(discards) == {PagePath.of(0), PagePath.of(3)}
 
 
@@ -205,7 +210,7 @@ def test_validate_cache_transfers_no_pages(fs, cluster):
     fs.store.cache.clear()
     disk = cluster.pair.disk_a
     reads_before = disk.stats.reads + cluster.pair.disk_b.stats.reads
-    fs.validate_cache(cap, cached)
+    _validate(fs, cap, cached)
     reads_after = disk.stats.reads + cluster.pair.disk_b.stats.reads
     # One fresh read of the version page to see the commit reference; no
     # page-tree pages at all.
@@ -228,7 +233,7 @@ def test_flag_bits_cache_avoids_tree_reads(fs, cluster):
     fs.store.cache.clear()  # drop the page cache; keep the flag cache
     disk = cluster.pair.disk_a
     reads_before = disk.stats.reads + cluster.pair.disk_b.stats.reads
-    discards, _ = fs.validate_cache(cap, cached)
+    discards = _validate(fs, cap, cached)[3]
     reads = disk.stats.reads + cluster.pair.disk_b.stats.reads - reads_before
     assert discards == [PagePath.of(3)]
     # Only the chain-walk reads of the two version pages; no tree pages.
@@ -327,7 +332,7 @@ def test_flag_bits_cache_survives_crash_via_disk(fs, cluster):
     fs.crash()
     fs.restart()
     assert fs._write_paths_cache == {}
-    discards, _ = fs.validate_cache(cap, cached)
+    discards = _validate(fs, cap, cached)[3]
     assert discards == [PagePath.of(1)]
 
 

@@ -89,7 +89,9 @@ def test_reshare_preserves_write_information(cluster):
     cluster.gc().collect()
     # The write's W flag must still be discoverable by a validation that
     # starts from the version just before it (index 1: the setup version).
-    discards, _ = fs.validate_cache(cap, fs.committed_versions(cap)[1])
+    *_, discards = fs.read_current(
+        cap, ROOT, cached_version_cap=fs.committed_versions(cap)[1], have_page=True
+    )
     assert discards == [PagePath.of(0)]  # only the write; the read-copy
     # of `b` was reshared without inventing a phantom write.
     assert fs.read_page(fs.current_version(cap), b) == b"b"

@@ -202,7 +202,7 @@ def test_group_commit_request_failing_between_shards_keeps_what_it_published():
     handles = [h for cap, paths in files for h in _ready_updates(fs, cap, paths)]
     blocks = fs.store.blocks
     shard_of = blocks.placement.index_of
-    bases = [fs._resolve_current(fs.registry.file(cap.obj)) for cap, _ in files]
+    bases = [fs._resolve_current(fs.registry.file(cap.obj))[0] for cap, _ in files]
     assert shard_of(bases[0]) != shard_of(bases[1])
     port_call, swap_requests = blocks._port_call, []
 
@@ -288,16 +288,16 @@ def test_commit_that_does_not_settle_removes_the_version():
     assert fs.read_page(fs.current_version(cap), paths[0]) == b"init"
 
 
-@pytest.mark.parametrize("hint", ["missing", "behind"])
-def test_commit_survives_a_hint_that_cannot_vouch_for_its_base(hint):
-    """The optimistic base is the server's hint.  With no hint the engine
-    chases the commit references afresh; one that lags the member's own
-    (still current) base just loses test-and-sets until it has caught up
-    — the update is never serialised against its own ancestors."""
+def test_commit_survives_an_entry_block_behind_its_base():
+    """The optimistic base is the file table's entry block.  One that
+    lags the member's own (still current) base just loses test-and-sets
+    until it has caught up — the update is never serialised against its
+    own ancestors."""
     cluster = build_cluster(seed=26)
     fs = cluster.fs()
     cap, paths = _file_with_pages(fs, 1)
-    older = fs._current_hints[cap.obj]
+    file_entry = fs.registry.file(cap.obj)
+    older = file_entry.entry_block
     first = fs.create_version(cap)
     fs.write_page(first.version, paths[0], b"first")
     fs.commit(first.version)
@@ -306,14 +306,39 @@ def test_commit_survives_a_hint_that_cannot_vouch_for_its_base(hint):
     # ever mistaken for a concurrent committed update.
     assert fs.read_page(handle.version, paths[0]) == b"first"
     fs.write_page(handle.version, paths[0], b"second")
-    if hint == "missing":
-        del fs._current_hints[cap.obj]
-    else:
-        fs._current_hints[cap.obj] = older
+    file_entry.entry_block = older
     assert fs.commit(handle.version) == []
     assert fs.metrics.serialise_runs == 0
-    assert fs._current_hints[cap.obj] == fs.registry.version(handle.version.obj).root_block
+    assert file_entry.entry_block == fs.registry.version(handle.version.obj).root_block
     assert fs.read_page(fs.current_version(cap), paths[0]) == b"second"
+
+
+@pytest.mark.parametrize("verb", ["commit", "commit_group"])
+def test_a_file_deleted_behind_the_test_and_set_still_commits(verb):
+    """A delete can land between the commit's test-and-set and the
+    publication that follows it.  Every member still commits; only the
+    file table's bookkeeping goes with the file."""
+    cluster = build_cluster(seed=27)
+    fs = cluster.fs()
+    cap, paths = _file_with_pages(fs, 2)
+    base = fs.registry.file(cap.obj).entry_block
+    handles = _ready_updates(fs, cap, paths if verb == "commit_group" else paths[:1])
+    tas_commit_refs = fs.store.tas_commit_refs
+
+    def tas_then_delete(refs, reason="commit"):
+        results = tas_commit_refs(refs, reason)
+        fs.delete_file(cap)
+        return results
+
+    fs.store.tas_commit_refs = tas_then_delete
+    if verb == "commit":
+        assert fs.commit(handles[0].version) == []
+    else:
+        outcomes = fs.commit_group([handle.version for handle in handles])
+        assert list(outcomes.values()) == ["committed", "committed"]
+    *_, (tip, _) = fs.store.commits_from(base)
+    for i in range(len(handles)):
+        assert fs._walk_readonly(tip, paths[i]).data == b"new%d" % i
 
 
 def test_group_commit_deduplicates_and_validates_members():

@@ -148,7 +148,7 @@ def test_full_cold_recovery_from_stable_storage(cluster2):
     # Wire a version entry for the current version on demand: resolving
     # goes through commit references on stable storage.
     entry = recovered_registry.file(cap.obj)
-    block = reborn._resolve_current(entry)
+    block, _ = reborn._resolve_current(entry)
     page = reborn.store.load(block)
     assert page.data == b"precious v2"
     # The old file capability validates against the recovered secrets.

@@ -158,7 +158,7 @@ def test_commit_on_a_current_base_reads_nothing(commit, flushed):
         fs.store.flush()  # the version's own page is no longer buffered
     trace = Trace(cluster.network)
     commit(fs, handle.version)
-    # The base is the server's hint: no resolution, no fresh load.
+    # The base is the file table's entry block: no resolution, no fresh load.
     assert trace.commands() == ["write_many", "companion_write_many"]
     assert fs.read_page(fs.current_version(cap), pages[0]) == b"mine"
 
@@ -191,9 +191,13 @@ def test_commit_behind_another_servers_commit_is_figure_6(commit):
     cap, pages = _two_page_file(fs)
     handle = fs.create_version(cap)
     fs.write_page(handle.version, pages[0], b"mine")
+    file_entry = cluster.registry.file(cap.obj)
+    base = file_entry.entry_block
     rival = other.create_version(cap)
     other.write_page(rival.version, pages[1], b"rival")
     other.commit(rival.version)
+    # A file table that has not yet heard of the rival's commit.
+    file_entry.entry_block = base
     trace = Trace(cluster.network)
     commit(fs, handle.version)
     # Nothing here knows of the rival: the first request flushes and
@@ -202,6 +206,32 @@ def test_commit_behind_another_servers_commit_is_figure_6(commit):
     assert trace.commands() == [
         "write_many",
         "companion_write_many",
+        "read",
+        "write_many",
+        "companion_write_many",
+    ]
+    current = fs.current_version(cap)
+    assert fs.read_page(current, pages[0]) == b"mine"
+    assert fs.read_page(current, pages[1]) == b"rival"
+
+
+@either_commit
+def test_commit_behind_another_servers_commit_in_the_table_wins_first_time(commit):
+    cluster = build_cluster(servers=2, seed=155)
+    fs, other = cluster.fs(0), cluster.fs(1)
+    cap, pages = _two_page_file(fs)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, pages[0], b"mine")
+    rival = other.create_version(cap)
+    other.write_page(rival.version, pages[1], b"rival")
+    other.commit(rival.version)
+    trace = Trace(cluster.network)
+    commit(fs, handle.version)
+    # The shared file table's entry block already names the rival: the
+    # catch-up reads the base's commit reference and the rival's root,
+    # and the one test-and-set, on the rival, is not lost.
+    assert trace.commands() == [
+        "read",
         "read",
         "write_many",
         "companion_write_many",
@@ -286,7 +316,7 @@ def test_client_read_is_one_rpc_of_the_true_current_version(
         network, "host", cluster.service_port, prefer_server="fs0", **options
     )
     cap = writer.create_file(b"v0")
-    assert reader.read(cap) == b"v0"  # fs0 now holds a current-version hint
+    assert reader.read(cap) == b"v0"  # fs0 now caches the current version
     if prepare == "drop" and reader.cache is not None:
         reader.cache.drop(cap)  # the next read is cold again
     writer.transact(cap, lambda u: u.write(ROOT, b"v1"))  # through fs1

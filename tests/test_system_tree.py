@@ -85,17 +85,18 @@ def test_super_update_atomic_across_subfiles(nested):
     assert fs.read_page(fs.current_version(cap_b), ROOT) == b"B v2"
 
 
-def test_finished_sub_commit_repairs_the_current_hint(nested):
+def test_finished_sub_commit_advances_the_entry_block(nested):
     """A sub-file commit is a commit-publication point like any other:
-    the hint must land on the new version, so the next commit's optimistic
-    base is current, and the flag administration is cached for reads."""
+    the file table's entry block must land on the new version, so the next
+    commit's optimistic base is current, and the flag administration is
+    cached for reads."""
     fs, tree, cap_c, cap_a, cap_b = nested
     update = tree.begin_super_update(cap_c)
     ha = tree.open_subfile(update, cap_a)
     fs.write_page(ha.version, ROOT, b"A v2")
     tree.commit_super(update)
     sub_block = fs.registry.version(ha.version.obj).root_block
-    assert fs._current_hints[cap_a.obj] == sub_block
+    assert fs.registry.file(cap_a.obj).entry_block == sub_block
     assert sub_block in fs._write_paths_cache
     data, current, _, _ = fs.read_current(cap_a, ROOT)
     assert data == b"A v2"

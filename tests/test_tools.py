@@ -66,7 +66,7 @@ def test_checker_detects_broken_chain(cluster):
     fs, caps = _populate(cluster)
     entry = cluster.registry.file(caps[0].obj)
     # Vandalise: point the current version's commit reference at itself.
-    block = fs._resolve_current(entry)
+    block, _ = fs._resolve_current(entry)
     page = fs.store.load(block, fresh=True)
     page.commit_ref = block
     fs.store.store_in_place(block, page)
@@ -80,7 +80,7 @@ def test_checker_detects_broken_chain(cluster):
 def test_checker_detects_dangling_reference(cluster):
     fs, caps = _populate(cluster)
     entry = cluster.registry.file(caps[0].obj)
-    block = fs._resolve_current(entry)
+    block, _ = fs._resolve_current(entry)
     page = fs.store.load(block, fresh=True)
     from repro.core.page import PageRef
     from repro.core.flags import Flags
@@ -130,7 +130,7 @@ def test_summary_line(cluster):
 def test_dump_page_tree_renders_structure(cluster):
     fs, caps = _populate(cluster)
     entry = cluster.registry.file(caps[0].obj)
-    block = fs._resolve_current(entry)
+    block, _ = fs._resolve_current(entry)
     text = dump_page_tree(fs, block)
     assert "<root>" in text
     assert "block=" in text

@@ -31,7 +31,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from repro.client.api import FileClient  # noqa: E402
 from repro.core.pathname import PagePath  # noqa: E402
-from repro.testbed import build_cluster, build_sharded_cluster  # noqa: E402
+from repro.testbed import build_cluster  # noqa: E402
 
 ROOT = PagePath.ROOT
 HERE = pathlib.Path(__file__).parent
@@ -52,10 +52,7 @@ def _costs_around(cluster, fn):
     """Run ``fn`` and return the deltas of the deployment-wide cost
     counters it moved: network messages, stable writes (disk A of every
     pair — companion B mirrors it), and logical ticks."""
-    if cluster.shards is not None:
-        disks = [pair.disk_a for pair in cluster.shards.pairs]
-    else:
-        disks = [cluster.pair.disk_a]
+    disks = [pair.disk_a for pair in cluster.shards.pairs]
     msgs = cluster.network.stats.messages
     writes = sum(d.stats.writes for d in disks)
     ticks = cluster.clock.now
@@ -133,7 +130,7 @@ def measure_scale(ops: int = 24, shards: int = 4) -> dict:
     """Per-op commit cost of a fixed update workload on the sharded
     deployment — the trajectory that shows batching holding up as the
     storage fans out."""
-    cluster = build_sharded_cluster(shards=shards, seed=9)
+    cluster = build_cluster(shards=shards, seed=9)
     client = FileClient(cluster.network, "bench", cluster.service_port,
                         use_cache=False)
     caps = []
@@ -261,7 +258,7 @@ def measure_rebalance(shards: int = 4, files: int = 3, pages: int = 4) -> dict:
     recorder = Recorder()
     # cache_capacity=1: reads actually reach the block layer, so the
     # reader feels the placement change instead of its page cache.
-    cluster = build_sharded_cluster(
+    cluster = build_cluster(
         shards=shards, seed=17, cache_capacity=1, recorder=recorder
     )
     fs = cluster.fs()

@@ -1,6 +1,5 @@
 """Ablations: the design choices DESIGN.md calls out, each toggled.
 
-* deferred writes (the §5.4 "not write-through" cache) vs write-through;
 * the server page cache, across sizes;
 * the soft-lock hint honoured vs ignored under a heavy shared-file load;
 * strict vs relaxed super-file version creation (§5.3's relaxation).
@@ -16,37 +15,6 @@ from repro.workloads.driver import AmoebaAdapter, run_workload
 from repro.workloads.generators import hotspot_workload
 
 ROOT = PagePath.ROOT
-
-
-# ---------------------------------------------------------------------------
-# deferred vs write-through page stores
-# ---------------------------------------------------------------------------
-
-
-def _update_write_cost(deferred: bool) -> int:
-    cluster = build_cluster(seed=120, deferred_writes=deferred)
-    fs = cluster.fs()
-    cap = fs.create_file(b"root")
-    setup = fs.create_version(cap)
-    child = fs.append_page(setup.version, ROOT, b"c")
-    fs.commit(setup.version)
-    disk = cluster.pair.disk_a
-    before = disk.stats.writes
-    handle = fs.create_version(cap)
-    for n in range(10):  # client rewrites the page ten times
-        fs.write_page(handle.version, child, b"draft%d" % n)
-    fs.commit(handle.version)
-    return disk.stats.writes - before
-
-
-def test_ablation_deferred_writes(benchmark, report):
-    deferred = _update_write_cost(deferred=True)
-    write_through = _update_write_cost(deferred=False)
-    report.row("disk writes for one update with 10 client rewrites of a page:")
-    report.row(f"  deferred (cache until commit, §5.4): {deferred}")
-    report.row(f"  write-through:                       {write_through}")
-    assert deferred < write_through
-    benchmark(lambda: _update_write_cost(deferred=True))
 
 
 # ---------------------------------------------------------------------------
@@ -145,42 +113,6 @@ def test_ablation_soft_lock_hint(benchmark, report):
     report.row(f"  hint honoured: {honoured} bulk updates redone")
     assert honoured < ignored
     benchmark(lambda: _bulk_update_redos(respect_hint=True))
-
-
-# ---------------------------------------------------------------------------
-# the commit critical section: test-and-set vs lock-read-write-unlock (§5.2/§4)
-# ---------------------------------------------------------------------------
-
-
-def _commit_cost(protocol: str) -> tuple[int, int]:
-    cluster = build_cluster(seed=126)
-    fs = cluster.fs()
-    fs.store.commit_protocol = protocol
-    cap = fs.create_file(b"x")
-    handle = fs.create_version(cap)
-    fs.write_page(handle.version, ROOT, b"y")
-    fs.store.flush()
-    msgs = cluster.network.stats.messages
-    ticks = cluster.clock.now
-    fs.commit(handle.version)
-    assert fs.read_page(fs.current_version(cap), ROOT) == b"y"
-    return (
-        cluster.network.stats.messages - msgs,
-        cluster.clock.now - ticks,
-    )
-
-
-def test_ablation_commit_protocol(benchmark, report):
-    """"If the disk server implements a test-and-set operation, any server
-    can be allowed to carry out a commit" — versus the lock-read-test-
-    write-unlock sequence over the block server's simple locking facility."""
-    tas_msgs, tas_ticks = _commit_cost("tas")
-    lock_msgs, lock_ticks = _commit_cost("lock")
-    report.row("commit critical-section cost by protocol:")
-    report.row(f"  test-and-set:            {tas_msgs} messages, {tas_ticks} ticks")
-    report.row(f"  lock/read/write/unlock:  {lock_msgs} messages, {lock_ticks} ticks")
-    assert tas_msgs < lock_msgs
-    benchmark(lambda: _commit_cost("tas"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ outcomes, read failover, and crash/resync cost.
 import pytest
 
 from repro.errors import CompanionConflict
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.sim.network import Network
 
 
 def _pair(capacity=1 << 20, **backend):
     net = Network()
     pair = StablePair(net, 0x900, capacity=capacity, block_size=512, **backend)
-    client = StableClient(net, "cli", 0x900, account=1)
+    client = ShardedBlockClient(net, "cli", [0x900], account=1)
     return net, pair, client
 
 

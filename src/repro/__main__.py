@@ -51,7 +51,7 @@ from typing import Callable
 from repro.client.api import FileClient
 from repro.core.pathname import PagePath
 from repro.testbed import build_cluster
-from repro.tools.check import check_cluster
+from repro.tools.check import CheckReport, check_cluster, check_pairs
 from repro.tools.inspect import dump_family, dump_page_tree
 
 ROOT = PagePath.ROOT
@@ -156,8 +156,6 @@ def _stats(shards: int = 4) -> None:
         render_shard_table,
         render_span,
     )
-    from repro.testbed import build_cluster, build_sharded_cluster
-
     recorder = Recorder()
     cluster = build_cluster(servers=2, seed=11, recorder=recorder)
     fs = cluster.fs()
@@ -231,9 +229,7 @@ def _stats(shards: int = 4) -> None:
     # A sharded deployment: the same workload shape, block storage spread
     # over K companion pairs (``repro stats [K]``).
     sharded_recorder = Recorder()
-    sharded = build_sharded_cluster(
-        shards=shards, servers=1, seed=11, recorder=sharded_recorder
-    )
+    sharded = build_cluster(shards=shards, seed=11, recorder=sharded_recorder)
     fs = sharded.fs()
     for i in range(8):
         cap = fs.create_file(b"sharded file %d" % i)
@@ -367,10 +363,8 @@ def _cluster(verb: str = "status", shards: int = 3, seed: int = 1985,
     """Operator verbs: status / split / migrate over a demo deployment."""
     from repro.capability import new_port
     from repro.net.discovery import DiscoveryClient
-    from repro.testbed import build_sharded_cluster
-
-    cluster = build_sharded_cluster(
-        shards=shards, servers=1, seed=seed, shard_capacity=64, discovery=True
+    cluster = build_cluster(
+        shards=shards, seed=seed, disk_capacity=64, discovery=True
     )
     fs = cluster.fs()
     caps = []
@@ -429,7 +423,7 @@ def _cluster(verb: str = "status", shards: int = 3, seed: int = 1985,
     print(f"all {len(caps)} files read back through the new placement: ok")
 
 
-def _serve(servers: int = 2, shards: int = 0, seed: int = 42, host: str = "127.0.0.1",
+def _serve(servers: int = 2, shards: int = 1, seed: int = 42, host: str = "127.0.0.1",
            data_dir: str | None = None, smoke: bool = False,
            discovery: bool = False) -> None:
     import time
@@ -483,8 +477,7 @@ def _serve(servers: int = 2, shards: int = 0, seed: int = 42, host: str = "127.0
             )
         pending = sum(
             len(half._intentions)
-            for pair in ([cluster.pair] if cluster.shards is None
-                         else cluster.shards.pairs)
+            for pair in cluster.pairs
             for half in pair.halves()
         )
         if pending:
@@ -506,8 +499,7 @@ def _serve(servers: int = 2, shards: int = 0, seed: int = 42, host: str = "127.0
         os.replace(tmp, table_path)
         last_table = raw
 
-    topology = f"{shards}-shard" if shards else "single-pair"
-    print(f"serving {topology} deployment: {servers} file server(s) on {host}")
+    print(f"serving {shards}-shard deployment: {servers} file server(s) on {host}")
     print("REPRO_SPEC=" + cluster.spec(), flush=True)
     print("connect with:  python -m repro connect '<spec>'   (^C stops)")
     try:
@@ -571,8 +563,10 @@ def _serve_smoke(servers: int, shards: int, seed: int, host: str) -> int:
         if failovers is None or failovers.value == 0:
             print("SMOKE FAIL: no TCP failover observed")
             return 1
-        if not cluster.pair.consistent():
-            print("SMOKE FAIL: companion pair inconsistent after resync")
+        audit = CheckReport()
+        check_pairs(cluster, audit)
+        if not audit.ok:
+            print("SMOKE FAIL: after resync,", "; ".join(audit.errors))
             return 1
         if not result.ok:
             for line in result.violations():

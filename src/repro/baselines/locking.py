@@ -36,7 +36,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.errors import BaselineError, TransactionAborted
-from repro.block.stable import StableClient
+from repro.block.sharding import ShardedBlockClient
 from repro.sim.network import Network
 
 # A lock older than this many logical ticks is vulnerable to prodding.
@@ -75,7 +75,7 @@ class LockingFileService:
         self.name = name
         self.network = network
         self.clock = network.clock
-        self.blocks = StableClient(network, name, block_port, account)
+        self.blocks = ShardedBlockClient(network, name, [block_port], account)
         self._next_file = 1
         self._next_txn = 1
         self._page_table: dict[tuple[int, int], int] = {}  # (file, idx) -> block

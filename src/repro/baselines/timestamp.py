@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import BaselineError, TimestampConflict, TransactionAborted
-from repro.block.stable import StableClient
+from repro.block.sharding import ShardedBlockClient
 from repro.sim.network import Network
 
 
@@ -75,7 +75,7 @@ class TimestampFileService:
         self.name = name
         self.network = network
         self.clock = network.clock
-        self.blocks = StableClient(network, name, block_port, account)
+        self.blocks = ShardedBlockClient(network, name, [block_port], account)
         self._next_file = 1
         self._next_txn = 1
         self._histories: dict[tuple[int, int], _PageHistory] = {}

@@ -13,11 +13,15 @@ provides:
 * :mod:`repro.block.stable` — companion-pair stable storage: every block on
   two disks behind two servers, companion-first writes, collision
   detection, intentions lists and crash resynchronisation.
+* :mod:`repro.block.sharding` — companion pairs behind a placement map
+  (one pair is the one-shard case) and the block client every file server
+  talks through.
 """
 
 from repro.block.disk import SimDisk, DiskStats
 from repro.block.server import BlockServer, BLOCK_SIZE
-from repro.block.stable import StablePair, StableClient
+from repro.block.sharding import ShardedBlockClient
+from repro.block.stable import StablePair
 
 __all__ = [
     "SimDisk",
@@ -25,5 +29,5 @@ __all__ = [
     "BlockServer",
     "BLOCK_SIZE",
     "StablePair",
-    "StableClient",
+    "ShardedBlockClient",
 ]

@@ -29,7 +29,8 @@ Consequences faithfully modelled:
 from __future__ import annotations
 
 from repro.block.server import TasResult
-from repro.block.stable import StableClient, Swap
+from repro.block.sharding import ShardedBlockClient
+from repro.block.stable import Swap
 
 # Optical block numbers live above this bit.  28-bit block numbers leave
 # 2^24 magnetic and (2^28 - 2^24) optical addresses — version pages are a
@@ -40,19 +41,22 @@ OPTICAL_BASE = 1 << 24
 class HybridBlockClient:
     """A block-service client spliced from a magnetic and an optical pair.
 
-    Implements the same verb set as :class:`repro.block.stable.
-    StableClient`; block numbers at or above :data:`OPTICAL_BASE` route to
-    the optical pair (after removing the offset).
+    Implements the same verb set as :class:`repro.block.sharding.
+    ShardedBlockClient`, over one such client per medium; block numbers at
+    or above :data:`OPTICAL_BASE` route to the optical pair (after removing
+    the offset).
     """
 
-    def __init__(self, magnetic: StableClient, optical: StableClient) -> None:
+    def __init__(
+        self, magnetic: ShardedBlockClient, optical: ShardedBlockClient
+    ) -> None:
         self.magnetic = magnetic
         self.optical = optical
         self.optical_dead = 0  # "freed" optical blocks: space lost forever
 
     # -- routing -----------------------------------------------------------
 
-    def _route(self, block: int) -> tuple[StableClient, int]:
+    def _route(self, block: int) -> tuple[ShardedBlockClient, int]:
         if block >= OPTICAL_BASE:
             return self.optical, block - OPTICAL_BASE
         return self.magnetic, block

@@ -1,7 +1,8 @@
-"""Sharded block storage: N companion pairs behind one client interface.
+"""Block storage: companion pairs behind a placement map, one client.
 
 "The file service can be distributed over multiple block-server pairs" —
-the paper's scaling story.  This module supplies it:
+the paper's scaling story.  Every deployment is built this way; a single
+companion pair is simply the one-shard case:
 
 * :class:`PlacementMap` — the epoch-versioned placement map.  Each live
   shard owns a disjoint, contiguous range of the global block-number
@@ -10,7 +11,9 @@ the paper's scaling story.  This module supplies it:
   derives the same answer.  The map is immutable; elasticity (splitting
   a range, migrating a range to a fresh pair) produces a *new* map with
   ``epoch + 1``.  A client routing with a stale map gets a typed
-  :class:`~repro.errors.PlacementStale` and refetches.
+  :class:`~repro.errors.PlacementStale` and refetches.  Shard 0's range
+  starts at block 1, so on one shard a global block number is the pair's
+  own.
 
 * :class:`ShardedBlockService` — the server side: N :class:`~repro.block.
   stable.StablePair` companion pairs, one service port per shard, each
@@ -18,15 +21,15 @@ the paper's scaling story.  This module supplies it:
   ``split`` and ``migrate`` reshape the deployment while it serves (see
   :mod:`repro.block.rebalance` for the live-migration driver).
 
-* :class:`ShardedBlockClient` — the client side: implements the same verb
-  set as :class:`~repro.block.stable.StableClient` (plus ``write_many``),
-  routing placed blocks by the map and spreading *new* allocations
-  round-robin across shards.  Failover is two-level: within a shard the
-  transaction layer fails over between the pair's halves; a whole pair
-  that stops answering is retried with backoff (transient outages:
-  restarts, partitions) and, for allocations only, skipped in favour of
-  the next shard — an allocation has no placement constraint until it
-  happens.  A third level is placement staleness: on
+* :class:`ShardedBlockClient` — the block client every file server,
+  baseline and hybrid store talks through: the block-service verbs (plus
+  ``write_many``), routing placed blocks by the map and spreading *new*
+  allocations round-robin across shards.  Failover is two-level: within a
+  shard the transaction layer fails over between the pair's halves; a
+  whole pair that stops answering is retried with backoff (transient
+  outages: restarts, partitions) and, for allocations only, skipped in
+  favour of the next shard — an allocation has no placement constraint
+  until it happens.  A third level is placement staleness: on
   :class:`~repro.errors.PlacementStale` (or a whole-pair outage that
   turns out to be a cutover) the client refetches the map and re-routes,
   invisibly to its caller.
@@ -135,6 +138,8 @@ class PlacementMap:
         ports = [r.port for r in ranges]
         if len(set(ports)) != len(ports):
             raise ValueError("placement ports must be unique")
+        # Lower bounds for the bisect in index_of, built once per map.
+        object.__setattr__(self, "_los", tuple(r.lo for r in ranges))
 
     @classmethod
     def initial(
@@ -155,8 +160,7 @@ class PlacementMap:
 
     def index_of(self, block: int) -> int:
         """The index of the range owning a global block number."""
-        los = [r.lo for r in self.ranges]
-        i = bisect_right(los, block) - 1
+        i = bisect_right(self._los, block) - 1
         if i < 0 or block > self.ranges[i].hi:
             raise UnknownShard(
                 f"block {block} maps to no range of placement epoch {self.epoch}"
@@ -237,7 +241,7 @@ class RetryPolicy:
 
 
 class ShardedBlockService:
-    """The server side of a sharded deployment: one stable pair per shard.
+    """The server side of block storage: one stable pair per shard.
 
     Pairs are named ``shard<i>A`` / ``shard<i>B`` and listen on one port
     per shard, so the transaction layer's half-failover works per shard
@@ -430,12 +434,12 @@ class ShardedBlockService:
 
 
 class ShardedBlockClient:
-    """Client-side view of a sharded block service.
+    """The client side of block storage, by the placement map.
 
-    Same verb set as :class:`~repro.block.stable.StableClient`, so page
-    stores and file servers plug in unchanged; block numbers in and out
-    are global.  Per-shard traffic is counted on the recorder under
-    ``shard.s<i>.*`` so deployments can watch their balance.
+    Every file server reaches stable storage through this class, so every
+    disk access is a counted network transaction; block numbers in and
+    out are global.  Allocations per shard are counted on the recorder
+    under ``shard.s<i>.allocs`` so deployments can watch their balance.
 
     Routing follows ``self.placement``.  When a call lands on a retired
     pair the shard answers :class:`~repro.errors.PlacementStale`; the
@@ -461,10 +465,9 @@ class ShardedBlockClient:
         self.network = network
         self.node = client_node
         self.txn = Transaction(network, client_node)
-        self.ports = list(ports)
         self.account = account
         if placement is None:
-            placement = PlacementMap.initial(self.ports, stride)
+            placement = PlacementMap.initial(list(ports), stride)
         self.placement = placement
         if recorder is None:
             recorder = getattr(network, "recorder", NULL_RECORDER)
@@ -496,73 +499,84 @@ class ShardedBlockClient:
         """Record which pair served us, under which epoch belief — the
         history checker replays these against cutover events to enforce
         the stale-placement invariant."""
-        if self._history is not None:
-            self._history.record(
-                "shard_serve",
-                actor=self.node,
-                path=command,
-                base=r.port,
-                version=self.placement.epoch,
-                tick=self.network.clock.now,
-            )
+        self._history.record(
+            "shard_serve",
+            actor=self.node,
+            path=command,
+            base=r.port,
+            version=self.placement.epoch,
+            tick=self.network.clock.now,
+        )
 
     # -- shard-level transaction with retry/backoff -------------------------
 
-    def _port_call(self, port: int, command: str, *, shard_hint=None, **params):
+    def _port_call(self, port: int, command: str, params: dict, failure=None):
         """One transaction against a shard port, retrying whole-pair
         outages with exponential backoff (the transaction layer already
-        handles drops and half-failover underneath).  PlacementStale is
-        not retried here — the routed caller refreshes and re-routes."""
-        delay = self.retry.backoff_ticks
-        last: Exception | None = None
-        for attempt in range(self.retry.attempts):
+        handles drops and half-failover underneath); ``failure`` is the
+        outage a first attempt already met.  PlacementStale is not retried
+        here — the routed caller refreshes and re-routes."""
+        if failure is None:
             try:
                 return self.txn.call(port, command, **params)
             except (ServerUnreachable, ServerCrashed) as exc:
-                last = exc
-                if self.recorder.enabled:
-                    self.recorder.event(
-                        "shard.retry",
-                        shard=shard_hint if shard_hint is not None else port,
-                        command=command,
-                    )
-                if attempt + 1 < self.retry.attempts:
-                    self.network.clock.advance(delay)
-                    delay *= self.retry.multiplier
-        assert last is not None
-        raise last
+                failure = exc
+        delay = self.retry.backoff_ticks
+        for _ in range(1, self.retry.attempts):
+            self._note_retry(port, command)
+            self.network.clock.advance(delay)
+            delay *= self.retry.multiplier
+            try:
+                return self.txn.call(port, command, **params)
+            except (ServerUnreachable, ServerCrashed) as exc:
+                failure = exc
+        self._note_retry(port, command)
+        raise failure
 
-    def _routed(self, command: str, block_no: int, *, with_account=True, **params):
-        """Route a placed-block verb by the current map, transparently
-        chasing placement epochs.  Returns ``(shard_index, result)``."""
+    def _note_retry(self, port: int, command: str) -> None:
+        if self.recorder.enabled:
+            self.recorder.event("shard.retry", port=port, command=command)
+
+    def _routed(self, command: str, block_no: int, params: dict):
+        """Route a placed-block verb by the current map: one transaction
+        unless the pair is out or retired (:meth:`_rerouted`)."""
+        placement = self.placement
+        r = placement.ranges[placement.index_of(block_no)]
+        try:
+            result = self.txn.call(
+                r.port, command, block_no=block_no - r.lo + 1, **params
+            )
+        except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
+            return self._rerouted(command, block_no, params, r, exc)
+        if self._history is not None:
+            self._note_serve(r, command)
+        return result
+
+    def _rerouted(self, command, block_no, params, r, failure):
+        """A routed verb after its first transaction on ``r`` failed:
+        ride out a whole-pair outage with backoff; if the pair is retired,
+        or stays down, and the map moved under us (a cutover mid-backoff),
+        re-route, chasing up to ``stale_attempts`` placement epochs;
+        otherwise the caller hears about it."""
         refreshes = self.stale_attempts
         while True:
-            idx = self.placement.index_of(block_no)
-            r = self.placement.ranges[idx]
-            call = dict(params, block_no=r.local_of(block_no))
-            if with_account:
-                call["account"] = self.account
             try:
-                result = self._port_call(r.port, command, shard_hint=idx, **call)
-            except PlacementStale:
-                if refreshes and self._refresh():
-                    refreshes -= 1
-                    continue
-                raise
-            except (ServerUnreachable, ServerCrashed):
-                # The whole pair outlasted our backoff.  If the map moved
-                # under us (cutover mid-backoff), re-route; otherwise the
-                # outage is real and the caller hears about it.
-                if refreshes and self._refresh():
-                    refreshes -= 1
-                    continue
-                raise
-            self._note_serve(r, command)
-            return idx, result
-
-    def _count(self, shard: int, what: str, n: int = 1) -> None:
-        if self.recorder.enabled:
-            self.recorder.count(f"shard.s{shard}.{what}", n)
+                if isinstance(failure, PlacementStale):
+                    raise failure
+                result = self._port_call(
+                    r.port, command, dict(params, block_no=block_no - r.lo + 1),
+                    failure,
+                )
+            except (PlacementStale, ServerUnreachable, ServerCrashed):
+                if not (refreshes and self._refresh()):
+                    raise
+                refreshes -= 1
+                r = self.placement.range_of(block_no)
+                failure = None
+                continue
+            if self._history is not None:
+                self._note_serve(r, command)
+            return result
 
     # -- allocation: round-robin placement with shard failover ---------------
 
@@ -587,8 +601,10 @@ class ShardedBlockClient:
                         self.recorder.event("shard.alloc_failover", shard=idx)
                     continue
                 self._next_shard = (idx + 1) % len(ranges)
-                self._count(idx, "allocs")
-                self._note_serve(r, command)
+                if self.recorder.enabled:
+                    self.recorder.count(f"shard.s{idx}.allocs")
+                if self._history is not None:
+                    self._note_serve(r, command)
                 return r.global_of(local)
             if refreshes and self._refresh():
                 refreshes -= 1
@@ -608,8 +624,7 @@ class ShardedBlockClient:
     # -- placed-block verbs (routed by the map) ------------------------------
 
     def write(self, block_no: int, data: bytes) -> None:
-        shard, _ = self._routed("write", block_no, data=data)
-        self._count(shard, "pages_written")
+        self._routed("write", block_no, {"account": self.account, "data": data})
 
     def write_many(
         self, writes: list[tuple[int, bytes]], swaps: list[Swap] = ()
@@ -619,108 +634,130 @@ class ShardedBlockClient:
 
         This is the commit path: an M-page flush costs one round trip per
         *touched shard*, not one per page, and the commit's conditional
-        ``swaps`` ride it.  **Pages before reference** across shards: a
-        swap is sent only once every page outside its own request is
-        durable — the swap-free requests go first; when all swaps live on
-        one shard they ride that shard's page batch, sent last; when they
-        live on several, every page goes out first and the swaps follow in
-        requests of their own.  Groups that land on a retired pair — or on
-        one cut over and gone, which looks like an outage — are regrouped
-        under the refreshed map and retried; groups that already landed
-        are not resent.
+        ``swaps`` ride it (in the order :meth:`_requests` gives).  Groups
+        that land on a retired pair — or on one cut over and gone, which
+        looks like an outage — are regrouped under the refreshed map and
+        retried; groups that already landed are not resent.
         """
-        results: dict[int, TasResult] = {}
-        pages = list(writes)
-        conds = list(enumerate(swaps))
+        results: list[TasResult | None] = [None] * len(swaps)
+        pages = writes
+        conds = [*enumerate(swaps)] if swaps else []
         refreshes = self.stale_attempts
-        first_fanout: int | None = None
         while pages or conds:
-            index_of = self.placement.index_of
-            page_groups: dict[int, list[tuple[int, bytes]]] = {}
-            for block_no, data in pages:
-                page_groups.setdefault(index_of(block_no), []).append((block_no, data))
-            swap_groups: dict[int, list[tuple[int, Swap]]] = {}
-            for i, swap in conds:
-                swap_groups.setdefault(index_of(swap[0]), []).append((i, swap))
-            if first_fanout is None:
-                first_fanout = len(page_groups.keys() | swap_groups.keys())
-            riding = next(iter(swap_groups)) if len(swap_groups) == 1 else None
-            requests = [
-                (idx, group, [])
-                for idx, group in sorted(page_groups.items())
-                if idx != riding
-            ] + [
-                (idx, page_groups.get(idx, []) if idx == riding else [], group)
-                for idx, group in sorted(swap_groups.items())
-            ]
+            requests = self._requests(pages, conds)
             pages, conds = [], []
             unplaced: Exception | None = None
-            for idx, group, cond_group in requests:
-                r = self.placement.ranges[idx]
-                if cond_group and pages:
+            for r, group, where, shard_swaps in requests:
+                if shard_swaps and pages:
                     # A page batch is still to be placed: no reference yet.
-                    pages.extend(group)
-                    conds.extend(cond_group)
+                    self._requeue(r, group, where, shard_swaps, pages, conds)
                     continue
                 try:
-                    outcome = self._port_call(
-                        r.port,
-                        "write_many",
-                        shard_hint=idx,
-                        account=self.account,
-                        writes=[(r.local_of(b), data) for b, data in group],
-                        swaps=[
-                            (r.local_of(b), *rest) for _, (b, *rest) in cond_group
-                        ],
-                    )
+                    outcome = self._batch(r.port, group, shard_swaps)
                 except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
                     unplaced = exc
-                    pages.extend(group)
-                    conds.extend(cond_group)
+                    self._requeue(r, group, where, shard_swaps, pages, conds)
                     continue
-                results.update(zip((i for i, _ in cond_group), outcome))
-                self._count(idx, "pages_written", len(group))
-                if self.recorder.enabled:
-                    self.recorder.event("shard.batch", shard=idx, pages=len(group))
-                self._note_serve(r, "write_many")
+                if where:
+                    for i, result in zip(where, outcome):
+                        results[i] = result
+                if self._history is not None:
+                    self._note_serve(r, "write_many")
             if unplaced is not None:
                 # Re-route under a newer map; without one the pair is
                 # retired for good, or really down.
                 if not (refreshes and self._refresh()):
                     raise unplaced
                 refreshes -= 1
-        if self.recorder.enabled and first_fanout:
-            # How widely one commit flush fans out — the round-trip cost
-            # of a batch is exactly the number of shards it touches.
-            self.recorder.observe(
-                "shard.batch_shards", first_fanout, bounds=(1, 2, 4, 8, 16)
+        return results
+
+    def _requests(self, pages, conds) -> list[tuple[ShardRange, list, list, list]]:
+        """``(range, pages, swap positions, swaps)`` per shard a batch
+        touches under the current map, in shard-local numbers and in the
+        order **pages before reference** across shards needs: a swap is
+        sent only once every page outside its own request is durable.  The
+        swap-free requests go first; when all swaps live on one shard they
+        ride that shard's page batch, sent last; when they live on
+        several, every page goes out first and the swaps follow in
+        requests of their own.  ``conds`` holds ``(position, swap)``."""
+        requests, riding = [], []
+        placed = 0
+        for r in self.placement.ranges:
+            lo, hi, shift = r.lo, r.hi, r.lo - 1
+            mine = [page for page in pages if lo <= page[0] <= hi]
+            if shift:
+                mine = [(b - shift, data) for b, data in mine]
+            placed += len(mine)
+            if conds and (theirs := [c for c in conds if lo <= c[1][0] <= hi]):
+                placed += len(theirs)
+                riding.append((r, mine, [i for i, _ in theirs],
+                               [(b - shift, *rest) for _, (b, *rest) in theirs]))
+            elif mine:
+                requests.append((r, mine, (), []))
+        if placed < len(pages) + len(conds):
+            for block_no in [b for b, _ in pages] + [c[0] for _, c in conds]:
+                self.placement.index_of(block_no)  # UnknownShard: a stray
+        if len(riding) > 1:
+            requests = sorted(
+                requests + [(r, mine, (), []) for r, mine, _, _ in riding if mine],
+                key=lambda request: request[0].lo,
             )
-        return [results[i] for i in range(len(swaps))]
+            riding = [(r, [], where, swaps) for r, _, where, swaps in riding]
+        requests += riding
+        return requests
+
+    def _batch(self, port: int, writes: list, swaps: list) -> list[TasResult]:
+        """One shard's ``write_many`` (written-out keywords: CPython passes
+        them faster than a forwarded dict), with :meth:`_port_call`'s
+        backoff once the pair fails to answer."""
+        try:
+            return self.txn.call(
+                port, "write_many", account=self.account, writes=writes, swaps=swaps
+            )
+        except (ServerUnreachable, ServerCrashed) as exc:
+            return self._port_call(port, "write_many", {
+                "account": self.account, "writes": writes, "swaps": swaps,
+            }, exc)
+
+    @staticmethod
+    def _requeue(r, group, where, swaps, pages, conds) -> None:
+        """Put a request that was not placed back into ``pages`` and
+        ``conds``, in global numbers, for the next round."""
+        shift = r.lo - 1
+        pages += [(b + shift, data) for b, data in group]
+        conds += zip(where, [(b + shift, *rest) for b, *rest in swaps])
 
     def read(self, block_no: int) -> bytes:
-        shard, data = self._routed("read", block_no)
-        self._count(shard, "reads")
+        # :meth:`_routed` spelled out for the hottest verb: CPython passes
+        # written-out keywords faster than a forwarded dict.
+        placement = self.placement
+        r = placement.ranges[placement.index_of(block_no)]
+        try:
+            data = self.txn.call(
+                r.port, "read", account=self.account, block_no=block_no - r.lo + 1
+            )
+        except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
+            return self._rerouted("read", block_no, {"account": self.account}, r, exc)
+        if self._history is not None:
+            self._note_serve(r, "read")
         return data
 
     def free(self, block_no: int) -> None:
-        self._routed("free", block_no)
+        self._routed("free", block_no, {"account": self.account})
 
     def test_and_set(
         self, block_no: int, offset: int, expected: bytes, new: bytes
     ) -> TasResult:
-        _, result = self._routed(
-            "test_and_set", block_no, offset=offset, expected=expected, new=new
-        )
-        return result
+        return self._routed("test_and_set", block_no, {
+            "account": self.account, "offset": offset,
+            "expected": expected, "new": new,
+        })
 
     def lock(self, block_no: int, locker: int) -> bool:
-        _, result = self._routed(
-            "lock", block_no, with_account=False, locker=locker
-        )
-        return result
+        return self._routed("lock", block_no, {"locker": locker})
 
     def unlock(self, block_no: int, locker: int) -> None:
-        self._routed("unlock", block_no, with_account=False, locker=locker)
+        self._routed("unlock", block_no, {"locker": locker})
 
     def recover(self) -> list[int]:
         """The §4 recovery operation, unioned across every live shard."""
@@ -728,9 +765,9 @@ class ShardedBlockClient:
         while True:
             try:
                 blocks: list[int] = []
-                for idx, r in enumerate(self.placement.ranges):
+                for r in self.placement.ranges:
                     for local in self._port_call(
-                        r.port, "recover", shard_hint=idx, account=self.account
+                        r.port, "recover", {"account": self.account}
                     ):
                         blocks.append(r.global_of(local))
                 return sorted(blocks)

@@ -988,78 +988,3 @@ class StablePair:
         self.disk_a.close()
         self.disk_b.close()
 
-
-class StableClient:
-    """Client-side view of a stable pair (or a single block server) by port.
-
-    Wraps a :class:`Transaction` with the block-service verbs; failover
-    between the halves comes from the port registry.  The file service
-    talks to block storage exclusively through this class, so every disk
-    access is a counted network transaction.
-    """
-
-    def __init__(
-        self, network: Network, client_node: str, port: int, account: int
-    ) -> None:
-        self.txn = Transaction(network, client_node)
-        self.port = port
-        self.account = account
-
-    def allocate_write(self, data: bytes) -> int:
-        return self.txn.call(
-            self.port, "allocate_write", account=self.account, data=data
-        )
-
-    def allocate(self) -> int:
-        """Reserve a block on both disks without writing data yet."""
-        return self.txn.call(self.port, "allocate", account=self.account)
-
-    def write(self, block_no: int, data: bytes) -> None:
-        self.txn.call(
-            self.port, "write", account=self.account, block_no=block_no, data=data
-        )
-
-    def write_many(
-        self, writes: list[tuple[int, bytes]], swaps: list[Swap] = ()
-    ) -> list[TasResult]:
-        """Write a batch of blocks and run conditional ``swaps`` as one
-        replicated transaction (the commit path: one round trip for the
-        pages *and* the commit reference's test-and-set, which becomes
-        durable behind them).  Returns one result per swap."""
-        if not writes and not swaps:
-            return []
-        return self.txn.call(
-            self.port,
-            "write_many",
-            account=self.account,
-            writes=list(writes),
-            swaps=list(swaps),
-        )
-
-    def read(self, block_no: int) -> bytes:
-        return self.txn.call(self.port, "read", account=self.account, block_no=block_no)
-
-    def free(self, block_no: int) -> None:
-        self.txn.call(self.port, "free", account=self.account, block_no=block_no)
-
-    def test_and_set(
-        self, block_no: int, offset: int, expected: bytes, new: bytes
-    ) -> TasResult:
-        return self.txn.call(
-            self.port,
-            "test_and_set",
-            account=self.account,
-            block_no=block_no,
-            offset=offset,
-            expected=expected,
-            new=new,
-        )
-
-    def lock(self, block_no: int, locker: int) -> bool:
-        return self.txn.call(self.port, "lock", block_no=block_no, locker=locker)
-
-    def unlock(self, block_no: int, locker: int) -> None:
-        self.txn.call(self.port, "unlock", block_no=block_no, locker=locker)
-
-    def recover(self) -> list[int]:
-        return self.txn.call(self.port, "recover", account=self.account)

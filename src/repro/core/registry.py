@@ -148,9 +148,13 @@ class FileRegistry:
 
     def __post_init__(self) -> None:
         # Lock-free snapshot reads can lazily mint version entries (after
-        # a registry restore) while a commit allocates objects; the
-        # counter must never hand out the same number twice.
+        # a registry restore) while a commit allocates objects or the
+        # collector drops versions; the counter must never hand out the
+        # same number twice, nor the index below lose a live entry.
         self._obj_lock = threading.Lock()
+        # Version page block -> the newest version registered there: what
+        # version_by_block answers from, so no lookup walks the table.
+        self._by_block: dict[int, VersionEntry] = {}
 
     # -- object numbers -----------------------------------------------------
 
@@ -176,13 +180,15 @@ class FileRegistry:
         self.files.pop(obj, None)
         for version in list(self.versions.values()):
             if version.file_obj == obj:
-                del self.versions[version.obj]
+                self.drop_version(version.obj)
 
     # -- versions ----------------------------------------------------------------
 
     def add_version(self, entry: VersionEntry) -> None:
-        self.versions[entry.obj] = entry
-        self._next_obj = max(self._next_obj, entry.obj + 1)
+        with self._obj_lock:
+            self.versions[entry.obj] = entry
+            self._by_block[entry.root_block] = entry
+            self._next_obj = max(self._next_obj, entry.obj + 1)
 
     def version(self, obj: int) -> VersionEntry:
         try:
@@ -191,22 +197,28 @@ class FileRegistry:
             raise NoSuchVersion(f"version object {obj} unknown") from None
 
     def drop_version(self, obj: int) -> None:
-        self.versions.pop(obj, None)
+        with self._obj_lock:
+            entry = self.versions.pop(obj, None)
+            if entry is not None and self._by_block.get(entry.root_block) is entry:
+                del self._by_block[entry.root_block]
 
     def version_by_block(self, block: int) -> VersionEntry | None:
-        """The version whose version page lives in ``block``, if known.
+        """The version whose version page lives in ``block``, if known: the
+        newest registered there, unless it was aborted — an aborted
+        version's blocks are freed, and a number reused by a newer version
+        names that one.  One dictionary lookup, however many versions the
+        table has seen."""
+        entry = self._by_block.get(block)
+        if entry is None or entry.status == "aborted":
+            return None
+        return entry
 
-        Aborted tombstones are skipped: their blocks are freed and the
-        numbers may have been reused by newer versions.
-
-        Iterates a snapshot: the TCP daemon's lock-free read commands
-        walk this table while a concurrent commit inserts entries, and a
-        live dict iterator would raise ``RuntimeError`` mid-read.
-        """
-        for entry in list(self.versions.values()):
-            if entry.root_block == block and entry.status != "aborted":
-                return entry
-        return None
+    def adopt(self, other: "FileRegistry") -> None:
+        """Take over another table's files and versions wholesale."""
+        self.files = other.files
+        self.versions = other.versions
+        self._by_block = other._by_block
+        self._next_obj = other._next_obj
 
     def live_version_roots(self) -> set[int]:
         """Root blocks of all non-aborted versions (the GC's extra roots)."""
@@ -271,6 +283,7 @@ class FileRegistry:
         for entry in self.files.values():
             entry.epoch = -1
         self.versions = {}
+        self._by_block = {}
         self._next_obj = max(
             [self._next_obj] + [obj + 1 for obj in self.files]
         )

@@ -61,7 +61,7 @@ from repro.errors import (
     VersionAborted,
     VersionCommitted,
 )
-from repro.block.stable import StableClient
+from repro.block.sharding import ShardedBlockClient
 from repro.core.cache import Lease, PageCache
 from repro.core.flags import Flags
 from repro.core.locks import LockOps
@@ -140,7 +140,6 @@ class FileService:
         block_port: int,
         account: int,
         cache_capacity: int = 4096,
-        deferred_writes: bool = True,
         rng=None,
         store: PageStore | None = None,
         recorder=None,
@@ -167,9 +166,8 @@ class FileService:
                 store.recorder = self.recorder
         else:
             self.store = PageStore(
-                StableClient(network, name, block_port, account),
+                ShardedBlockClient(network, name, [block_port], account),
                 PageCache(cache_capacity, recorder=self.recorder),
-                deferred_writes,
                 recorder=self.recorder,
             )
         self.locks = LockOps(self.store)
@@ -1346,15 +1344,17 @@ class FileService:
 
     def _validation_delegate(self, file_entry: FileEntry) -> str | None:
         """Pick the server to delegate a cache-validation test to: the
-        live server that committed the file's newest version, provided it
-        is not us and our own flag cache is cold for that version."""
-        newest: VersionEntry | None = None
-        for version in list(self.registry.versions.values()):
-            if version.file_obj != file_entry.obj or version.status != "committed":
-                continue
-            if newest is None or version.obj > newest.obj:
-                newest = version
-        if newest is None or not newest.server or newest.server == self.name:
+        live server that committed the version at the file's entry block
+        (the newest the table has published), provided it is not us and
+        our own flag cache is cold for that version."""
+        newest = self.registry.version_by_block(file_entry.entry_block)
+        if (
+            newest is None
+            or newest.file_obj != file_entry.obj
+            or newest.status != "committed"
+            or not newest.server
+            or newest.server == self.name
+        ):
             return None
         if newest.root_block in self._write_paths_cache:
             return None  # we already hold the flag administration

@@ -1,6 +1,6 @@
 """The page store: a file server's view of block storage.
 
-Wraps a :class:`repro.block.stable.StableClient` with
+Wraps a :class:`repro.block.sharding.ShardedBlockClient` with
 
 * (de)serialisation between :class:`repro.core.page.Page` and disk blocks,
 * a server-side :class:`repro.core.cache.PageCache`, and
@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from repro.block.stable import StableClient, Swap
+from repro.block.sharding import ShardedBlockClient
+from repro.block.stable import Swap
 from repro.block.server import TasResult
 from repro.core.cache import PageCache
 from repro.core.page import (
@@ -41,20 +42,13 @@ class PageStore:
 
     def __init__(
         self,
-        blocks: StableClient,
+        blocks: ShardedBlockClient,
         cache: PageCache | None = None,
-        deferred_writes: bool = True,
         recorder=None,
-        batch_flushes: bool = True,
     ) -> None:
         self.blocks = blocks
         self.cache = cache if cache is not None else PageCache()
-        self.deferred_writes = deferred_writes
         self.recorder = recorder if recorder is not None else NULL_RECORDER
-        # Ship multi-page flushes as batched write_many transactions (one
-        # round trip per shard/pair) instead of one write per page.  Off,
-        # this is the seed behaviour — benchmarks compare the two.
-        self.batch_flushes = batch_flushes
         self._dirty: dict[int, Page] = {}
 
     # -- reads -----------------------------------------------------------
@@ -92,17 +86,14 @@ class PageStore:
     # -- writes ------------------------------------------------------------
 
     def store_new(self, page: Page) -> int:
-        """Allocate a fresh block for a page and write it.
+        """Allocate a fresh block for a page; the data write is deferred.
 
-        Even with deferred writes enabled the allocation happens eagerly
-        (the block *number* is needed for the parent's reference), but the
-        data write is deferred.
+        The allocation happens eagerly (the block *number* is needed for
+        the parent's reference); the data reaches stable storage with the
+        next :meth:`flush`.
         """
-        if self.deferred_writes:
-            block = self.blocks.allocate()
-            self._dirty[block] = page
-        else:
-            block = self.blocks.allocate_write(page.to_bytes())
+        block = self.blocks.allocate()
+        self._dirty[block] = page
         self.cache.put(block, page)
         return block
 
@@ -110,12 +101,9 @@ class PageStore:
         """Rewrite a private page in its existing block.
 
         "After it has been copied for writing, it can be written in place
-        when it is written again."  Deferred unless configured otherwise.
+        when it is written again."  Deferred until the next flush.
         """
-        if self.deferred_writes:
-            self._dirty[block] = page
-        else:
-            self.blocks.write(block, page.to_bytes())
+        self._dirty[block] = page
         self.cache.put(block, page)
 
     # Histogram buckets for pages-per-flush (commit batch sizes).
@@ -129,11 +117,9 @@ class PageStore:
     ) -> int:
         """Write all dirty pages to stable storage; returns how many.
 
-        With batching enabled (the default) the flush is one ``write_many``
-        request, grouped by the block client into one transaction per
-        shard/pair, "so an M-page commit costs O(shards) round trips
-        instead of O(M)"; unbatched stores write page by page, which is
-        also the seed behaviour benchmarks compare against.
+        The flush is one ``write_many`` request, grouped by the block
+        client into one transaction per shard, so an M-page commit costs
+        O(shards) round trips instead of O(M).
 
         ``swaps`` are conditional swaps that ride the same request behind
         the pages (:meth:`tas_commit_refs`); their results are appended to
@@ -149,15 +135,10 @@ class PageStore:
         items = sorted(self._dirty.items())
         with recorder.span("flush", pages=len(items), reason=reason) as span:
             writes = [(block, page.to_bytes()) for block, page in items]
-            if not self.batch_flushes:
-                for block, data in writes:
-                    self.blocks.write(block, data)
-                writes = []
             results = self.blocks.write_many(writes, swaps)
             if outcomes is not None:
                 outcomes.extend(results)
             if recorder.enabled:
-                span.tag(batched=self.batch_flushes)
                 for block, page in items:
                     recorder.event(
                         "store.page_flush",
@@ -208,15 +189,10 @@ class PageStore:
         return len(self._dirty)
 
     # -- the commit critical section ------------------------------------------
-
-    # Which primitive realises the commit critical section.  §5.2 offers
-    # both: "only one server may be allowed to read the version block, test
-    # the commit reference, set it, and write it back.  If the disk server
-    # implements a test-and-set operation, any server can be allowed to
-    # carry out a commit."  "tas" uses the disk-level compare-and-swap;
-    # "lock" uses the block server's simple locking facility around a
-    # read-test-write sequence (§4's suggestion).
-    commit_protocol: str = "tas"
+    #
+    # §5.2: "If the disk server implements a test-and-set operation, any
+    # server can be allowed to carry out a commit."  The block tier's
+    # compare-and-swap is that operation, and it rides the commit's flush.
 
     def tas_commit_ref(
         self, block: int, new_successor: int, reason: str = "commit"
@@ -240,16 +216,10 @@ class PageStore:
         safely on disk", and the block tier keeps that order on every disk
         (pages before reference, ``StableServer.cmd_write_many``).  A lost
         test-and-set still leaves the pages flushed.
-
-        The lock protocol cannot ride a write: it flushes, then runs its
-        lock / read / test / write / unlock sequence per reference.
         """
         assert not any(block in self._dirty for block, _ in refs), (
             "a version page awaiting its successor must not be buffered"
         )
-        if self.commit_protocol == "lock":
-            self.flush(reason)
-            return [self._locked_commit_ref(block, new) for block, new in refs]
         results: list[TasResult] = []
         self.flush(
             reason,
@@ -266,30 +236,6 @@ class PageStore:
                     "store.tas_commit", block=block, success=result.success
                 )
         return results
-
-    # A private locker identity for the lock-based commit protocol.
-    _LOCKER = 0x1985
-
-    def _locked_commit_ref(self, block: int, new_successor: int) -> TasResult:
-        """The §4 alternative: lock the block, read it, test and set the
-        commit reference, write it back, unlock."""
-        while not self.blocks.lock(block, self._LOCKER):
-            pass  # single-process simulation: the holder finishes first
-        try:
-            raw = self.blocks.read(block)
-            current = raw[COMMIT_REF_OFFSET:COMMIT_REF_OFFSET + len(NIL_COMMIT_REF)]
-            if current != NIL_COMMIT_REF:
-                return TasResult(False, current)
-            patched = (
-                raw[:COMMIT_REF_OFFSET]
-                + pack_commit_ref(new_successor)
-                + raw[COMMIT_REF_OFFSET + len(NIL_COMMIT_REF):]
-            )
-            self.blocks.write(block, patched)
-            return TasResult(True, pack_commit_ref(new_successor))
-        finally:
-            self.blocks.unlock(block, self._LOCKER)
-            self.cache.invalidate(block)
 
     # -- the committed chain (§5.4.1) ------------------------------------------
 
@@ -365,13 +311,10 @@ class HybridPageStore(PageStore):
     """A page store over hybrid media (Figure 2): version pages on the
     magnetic pair, everything else on the write-once optical pair.
 
-    Requires deferred writes — an optical block must be written exactly
-    once, which the flush-at-commit discipline guarantees (each private
-    page reaches its optical block once, with its final content).
+    An optical block must be written exactly once, which the
+    flush-at-commit discipline guarantees (each private page reaches its
+    optical block once, with its final content).
     """
-
-    def __init__(self, blocks, cache: PageCache | None = None, recorder=None) -> None:
-        super().__init__(blocks, cache, deferred_writes=True, recorder=recorder)
 
     def store_new(self, page: Page) -> int:
         if page.is_version_page:

@@ -16,7 +16,7 @@ that wire; this package *is* that wire:
   :class:`~repro.net.transport.TcpTransaction` (per-call timeouts,
   bounded retry with backoff, deterministic companion failover);
 * :mod:`repro.net.cluster` — :func:`~repro.net.cluster.build_tcp_cluster`
-  to launch a whole single-pair or sharded topology of daemons on
+  to launch a whole topology of companion pairs and file servers on
   localhost (a :class:`repro.testbed.Cluster`, as on the simulator),
   plus the spec strings ``repro serve`` / ``repro connect``
   exchange.

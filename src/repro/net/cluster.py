@@ -1,11 +1,11 @@
 """Launch a whole file-service topology as socket daemons on localhost.
 
 :func:`build_tcp_cluster` is the TCP twin of :func:`repro.testbed.
-build_cluster`: the same :func:`repro.testbed.assemble` — stable pair (or
-sharded pairs), replicated file servers, one :class:`~repro.testbed.
-Cluster` handle — on a :class:`~repro.net.transport.TcpNetwork`, so every
-server object is hosted by a real :class:`~repro.net.server.NetServer`
-daemon and every message — client to file server, file server to block
+build_cluster`: the same :func:`repro.testbed.assemble` — companion pairs
+behind a placement map, replicated file servers, one :class:`~repro.
+testbed.Cluster` handle — on a :class:`~repro.net.transport.TcpNetwork`,
+so every server object is hosted by a real :class:`~repro.net.server.
+NetServer` daemon and every message — client to file server, file server to block
 storage, companion half to companion half — crosses a real TCP socket.
 Nothing above the transport changes: ``core/service.py`` OCC logic, the
 stores, the registry are byte-for-byte the objects the simulation runs.
@@ -25,16 +25,15 @@ from __future__ import annotations
 from functools import partial
 
 from repro.net.transport import TcpNetwork
-from repro.testbed import Cluster, assemble, pair_tier, sharded_tier
+from repro.testbed import Cluster, assemble, block_tier
 
 
 def build_tcp_cluster(
     servers: int = 1,
-    shards: int = 0,
+    shards: int = 1,
     seed: int = 42,
     disk_capacity: int = 1 << 16,
     cache_capacity: int = 4096,
-    deferred_writes: bool = True,
     host: str = "127.0.0.1",
     recorder=None,
     history=None,
@@ -45,15 +44,12 @@ def build_tcp_cluster(
     backend: str = "sim",
     data_dir: str | None = None,
 ) -> Cluster:
-    """Build and start a localhost TCP deployment.
-
-    ``shards=0`` gives one companion pair; ``shards=K`` a K-pair sharded
-    block tier.  Every daemon binds an OS-assigned port on ``host``.
-    ``discovery=True`` adds a discovery daemon: every other
+    """Build and start a localhost TCP deployment of ``shards`` companion
+    pairs behind a placement map.  Every daemon binds an OS-assigned port
+    on ``host``.  ``discovery=True`` adds a discovery daemon: every other
     daemon registers there with its socket address, the placement map is
-    published on sharded deployments, the spec string gains a
-    ``discovery`` entry, and other processes can join via
-    :func:`bootstrap` with only that entry.
+    published, the spec string gains a ``discovery`` entry, and other
+    processes can join via :func:`bootstrap` with only that entry.
     """
     network = TcpNetwork(host=host, recorder=recorder)
     if call_timeout is not None:
@@ -63,18 +59,12 @@ def build_tcp_cluster(
     # Replicated file servers share the registry and issuer in memory;
     # their daemons must therefore serialise behind one lock.
     network.share_dispatch_lock([f"fs{i}" for i in range(servers)])
-    if shards > 0:
-        tier = partial(
-            sharded_tier, shards=shards, capacity=disk_capacity,
-            cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
-        )
-    else:
-        tier = partial(
-            pair_tier, capacity=disk_capacity, backend=backend, data_dir=data_dir
-        )
+    tier = partial(
+        block_tier, shards=shards, capacity=disk_capacity,
+        cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
+    )
     return assemble(
-        network, seed, servers, tier, network.recorder, history, discovery,
-        cache_capacity=cache_capacity, deferred_writes=deferred_writes,
+        network, seed, servers, tier, network.recorder, history, discovery
     )
 
 

@@ -128,7 +128,7 @@ class DiscoveryServer:
     @command(read_only=True)
     def cmd_placement(self):
         """The latest published placement map (``None`` before the first
-        publish — single-pair deployments never publish one)."""
+        publish)."""
         return self._placement
 
     def cmd_publish_placement(self, placement, expect_epoch: int) -> int:

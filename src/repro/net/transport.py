@@ -6,8 +6,9 @@ already programs against — ``send(sender, dest, payload)``, ``attach`` /
 server registry — but ``send`` is a pooled wire call to a real daemon and
 ``attach`` *starts* one (:class:`repro.net.server.NetServer`).  Because
 :class:`repro.sim.rpc.Transaction` consults ``network.transaction_class``,
-every existing client — ``StableClient``, ``HybridBlockClient``, the
-sharding router, ``client/api.FileClient`` — runs over sockets unchanged.
+every existing client — the block client (``block/sharding.py``),
+``HybridBlockClient``, ``client/api.FileClient`` — runs over sockets
+unchanged.
 
 :class:`TcpTransaction` is the transaction layer for this wire: the same
 ``call(port, command, ...)`` interface, with per-call socket timeouts,

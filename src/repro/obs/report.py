@@ -97,29 +97,21 @@ def render_commit_table(tracer: Tracer) -> str:
 
 
 def render_shard_table(metrics: MetricsRegistry) -> str:
-    """Per-shard traffic balance on a sharded deployment.
-
-    Reads the ``shard.s<i>.*`` counters the sharded block client records;
-    returns the empty string when none exist (unsharded deployment), so
-    callers can append it conditionally.
-    """
-    shards: dict[int, dict[str, int]] = {}
+    """Per-shard allocation balance, from the ``shard.s<i>.allocs``
+    counters the block client records; the empty string when none exist
+    (no recorder saw an allocation), so callers can append it
+    conditionally."""
+    allocs: dict[int, int] = {}
     for name, counter in metrics.counters.items():
-        match = re.fullmatch(r"shard\.s(\d+)\.(\w+)", name)
+        match = re.fullmatch(r"shard\.s(\d+)\.allocs", name)
         if match:
-            shards.setdefault(int(match.group(1)), {})[
-                match.group(2)
-            ] = counter.value
-    if not shards:
+            allocs[int(match.group(1))] = counter.value
+    if not allocs:
         return ""
-    header = f"{'shard':<6} {'allocs':>8} {'pages_written':>14} {'reads':>8}"
+    header = f"{'shard':<6} {'allocs':>8}"
     lines = [header, "-" * len(header)]
-    for shard in sorted(shards):
-        row = shards[shard]
-        lines.append(
-            f"s{shard:<5} {row.get('allocs', 0):>8} "
-            f"{row.get('pages_written', 0):>14} {row.get('reads', 0):>8}"
-        )
+    for shard in sorted(allocs):
+        lines.append(f"s{shard:<5} {allocs[shard]:>8}")
     return "\n".join(lines)
 
 

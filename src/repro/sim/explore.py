@@ -43,7 +43,7 @@ from repro.core.pathname import PagePath
 from repro.obs import NULL_RECORDER
 from repro.sim.faults import FaultEvent, FaultScript
 from repro.sim.sched import Scheduler, Task
-from repro.testbed import Cluster, build_cluster, build_sharded_cluster
+from repro.testbed import Cluster, build_cluster
 from repro.tools.check import CheckReport, check_cluster
 from repro.verify.history import CheckResult, HistoryRecorder, check_history
 from repro.workloads.generators import DirOpSpec, directory_churn_workload
@@ -99,8 +99,8 @@ class ExploreScheduler(Scheduler):
 class SoakConfig:
     """One soak run, fully determined by its fields.
 
-    ``shards=0`` builds the single stable-pair deployment; ``shards>=2``
-    builds the sharded one.  ``ops`` is the *total* operation budget,
+    ``shards`` is the number of companion pairs behind the placement map
+    (1: a single pair).  ``ops`` is the *total* operation budget,
     split across ``clients``.  ``mutant`` replaces the serialisability
     test with one that blindly accepts every commit — the checker must
     flag the resulting lost updates (this is how the harness proves it
@@ -112,7 +112,7 @@ class SoakConfig:
 
     seed: int = 1
     ops: int = 200
-    shards: int = 0
+    shards: int = 1
     clients: int = 3
     files: int = 2
     pages: int = 4
@@ -161,7 +161,7 @@ class SoakConfig:
         switched off on a third of the contention runs.  A grouped commit
         needs the page workload, a rebalance a sharded topology."""
         rng = random.Random(f"soak-{seed}-features")
-        shards = rng.choice((0, 0, 2, 4, 4))
+        shards = rng.choice((1, 1, 2, 4, 4))
         clients = rng.randint(2, 4)
         contention = rng.random() < 1 / 3
         merge = not (contention and rng.random() < 1 / 3)
@@ -244,7 +244,7 @@ class SoakReport:
 
     def summary(self) -> str:
         cfg = self.config
-        topo = f"{cfg.shards} shards" if cfg.shards else "single pair"
+        topo = f"{cfg.shards} shard" + "s" * (cfg.shards > 1)
         topo += f", {cfg.clients} clients: "
         topo += ", ".join(cfg.features()) or "plain"
         status = "ok" if self.ok else f"{len(self.violations())} violation(s)"
@@ -287,8 +287,8 @@ def random_fault_script(
     """
     sharded = config.shards >= 2
     kinds = ["partition", "drops", "server"]
-    # Storage outages: half of the one pair (companion failover) on the
-    # single-pair topology, a whole shard pair on the sharded one.
+    # Storage outages: half of the one pair (companion failover) on one
+    # shard, a whole shard pair when there are several.
     kinds.append("pair" if sharded else "half")
     events: list[FaultEvent] = []
     episodes = rng.randint(2, 4)
@@ -327,12 +327,6 @@ def random_fault_script(
     return FaultScript(events)
 
 
-def _pairs_of(cluster: Cluster) -> list:
-    if cluster.shards is not None:
-        return list(cluster.shards.pairs)
-    return [cluster.pair]
-
-
 def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
     """Map one :class:`FaultEvent` onto a live cluster.
 
@@ -368,7 +362,7 @@ def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
         # Index modulo the live pair list: a rebalance may have swapped a
         # pair out since the script was drawn, but the event still lands
         # on a real (possibly new) shard.
-        pairs = _pairs_of(cluster)
+        pairs = cluster.shards.pairs
         pair = pairs[target[0] % len(pairs)]
         if action == "pair_down":
             for half in pair.halves():
@@ -400,13 +394,10 @@ def recover_all(cluster: Cluster) -> None:
     resync every storage half, restart every file server."""
     cluster.network.heal_all()
     cluster.network.drop_policy.drop_every = None
-    pairs = _pairs_of(cluster)
-    if cluster.shards is not None:
-        # Retired pairs no longer serve, but their disks are still part
-        # of the deployment's durable state: resync them too so the
-        # final pair-agreement audit covers the pre-cutover history.
-        pairs += list(getattr(cluster.shards, "retired_pairs", ()))
-    for pair in pairs:
+    # Retired pairs no longer serve, but their disks are still part of the
+    # deployment's durable state: resync them too so the final
+    # pair-agreement audit covers the pre-cutover history.
+    for pair in cluster.pairs:
         for half in pair.halves():
             if half._crashed:
                 half.restart()
@@ -634,9 +625,6 @@ def _rebalance_script(
             tally["rebalance_aborts"] += 1
             continue
         tally["rebalances"] += 1
-        # ``cluster.pair`` is the single-pair tooling's view of shard 0;
-        # keep it pointing at a pair that still serves.
-        cluster.pair = service.pairs[0]
         return None
     return None
 
@@ -690,28 +678,18 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
 
         tmp_dir = tempfile.TemporaryDirectory(prefix="repro-soak-")
         data_dir = tmp_dir.name
-    if config.shards >= 2:
-        cluster = build_sharded_cluster(
-            shards=config.shards,
-            servers=config.servers,
-            seed=config.seed,
-            recorder=recorder,
-            history=history,
-            # A rebalance soak also exercises the discovery republish
-            # path on every epoch bump.
-            discovery=config.rebalance,
-            backend=config.backend,
-            data_dir=data_dir,
-        )
-    else:
-        cluster = build_cluster(
-            servers=config.servers,
-            seed=config.seed,
-            recorder=recorder,
-            history=history,
-            backend=config.backend,
-            data_dir=data_dir,
-        )
+    cluster = build_cluster(
+        servers=config.servers,
+        shards=config.shards,
+        seed=config.seed,
+        recorder=recorder,
+        history=history,
+        # A rebalance soak also exercises the discovery republish path on
+        # every epoch bump.
+        discovery=config.rebalance,
+        backend=config.backend,
+        data_dir=data_dir,
+    )
     rng = random.Random(f"soak-{config.seed}")
     if not config.merge:
         for server in cluster.servers:

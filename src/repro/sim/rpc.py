@@ -176,8 +176,8 @@ class Transaction:
     def __new__(cls, network, client_node: str, backoff_ticks: int = 0):
         # A network may carry its own transaction implementation (the TCP
         # transport does): constructing ``Transaction(network, node)``
-        # then yields that class, so StableClient, the sharding router and
-        # FileClient run unchanged over real sockets.
+        # then yields that class, so the block client and FileClient run
+        # unchanged over real sockets.
         override = getattr(network, "transaction_class", None)
         if cls is Transaction and override is not None and override is not cls:
             return object.__new__(override)

@@ -1,12 +1,12 @@
 """One-call construction of a complete deployment.
 
 Everything above the block layer needs the same scaffolding: a network, a
-block tier (one stable pair, several behind a placement map, or hybrid
-media), one or more replicated file server processes, a shared registry
-and capability issuer.  :func:`assemble` hangs it on a network — the
-simulated one or real sockets — and is the only code that does; the
-``build_*`` functions make the network, pick the tier and call it.
-Tests, benchmarks and examples all start here.
+block tier (companion pairs behind a placement map — one pair is the
+one-shard case — or hybrid media), one or more replicated file server
+processes, a shared registry and capability issuer.  :func:`assemble`
+hangs it on a network — the simulated one or real sockets — and is the
+only code that does; the ``build_*`` functions make the network and the
+tier and call it.  Tests, benchmarks and examples all start here.
 
     cluster = build_cluster(servers=2, seed=7)
     cap = cluster.fs().create_file(b"hello")
@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.capability import CapabilityIssuer, new_port
-from repro.block.stable import StableClient, StablePair
+from repro.block.sharding import ShardedBlockClient, ShardedBlockService
+from repro.block.stable import StablePair
 from repro.core.cache import PageCache
 from repro.core.gc import GarbageCollector
 from repro.core.registry import FileRegistry
@@ -45,20 +46,37 @@ class Cluster:
 
     network: Network
     rng: random.Random
-    block_port: int
     service_port: int
-    pair: StablePair
+    shards: ShardedBlockService  # the block tier's companion pairs
     registry: FileRegistry
     issuer: CapabilityIssuer
     servers: list[FileService]
     endpoints: list[RpcEndpoint]
     faults: FaultPlan = field(default_factory=FaultPlan)
     optical_pair: StablePair | None = None  # set on hybrid deployments
-    shards: object = None  # ShardedBlockService on sharded deployments
     recorder: object = NULL_RECORDER  # the shared observability recorder
     history: object = None  # shared HistoryRecorder (verify.history), if any
     discovery: object = None  # DiscoveryServer when built with discovery=True
     discovery_port: int | None = None
+
+    @property
+    def pair(self) -> StablePair:
+        """Shard 0's companion pair: a one-shard deployment's only one."""
+        return self.shards.pairs[0]
+
+    @property
+    def block_port(self) -> int:
+        """Shard 0's service port."""
+        return self.shards.ports[0]
+
+    @property
+    def pairs(self) -> list[StablePair]:
+        """Every companion pair the deployment's durable state lives on:
+        the live shards, retired ones (their disks hold the pre-cutover
+        history until decommissioned) and a hybrid deployment's optical
+        pair."""
+        optical = [self.optical_pair] if self.optical_pair is not None else []
+        return [*self.shards.pairs, *self.shards.retired_pairs, *optical]
 
     def fs(self, index: int = 0) -> FileService:
         """The ``index``-th file server process."""
@@ -89,12 +107,9 @@ class Cluster:
         ports = [("service", self.service_port), ("block", self.block_port)]
         if self.discovery_port is not None:
             ports.append(("discovery", self.discovery_port))
-        if self.shards is not None:
-            ports += [
-                ("shard%d" % i, port)
-                for i, port in enumerate(self.shards.ports)
-                if port != self.block_port
-            ]
+        ports += [
+            ("shard%d" % i, port) for i, port in enumerate(self.shards.ports) if i
+        ]
         entries = []
         registry = _registry(self.network)
         for label, port in ports:
@@ -108,12 +123,11 @@ class Cluster:
 
     def close(self) -> None:
         """Stop every daemon the network hosts (the simulator hosts none),
-        then release the deployment's disks; every in-process teardown
-        ends here."""
+        then release every pair's disks; every in-process teardown ends
+        here."""
         getattr(self.network, "close", lambda: None)()
-        (self.shards if self.shards is not None else self.pair).close()
-        if self.optical_pair is not None:
-            self.optical_pair.close()
+        for pair in self.pairs:
+            pair.close()
 
     stop = close
 
@@ -127,38 +141,21 @@ def _address_of(network, name: str) -> tuple[str, int] | None:
 # -- block tiers -------------------------------------------------------------
 #
 # A tier draws its ports from the deployment's rng, starts its pairs on
-# the network and returns ``(block_port, pair, shards, store_for)``:
-# ``store_for(name)`` is the page store of file server ``name``, or None
-# for the default store a FileService builds on ``block_port``.
+# the network and returns ``(shards, store_for)``: ``shards`` is the
+# ShardedBlockService holding the pairs, and ``store_for(name)`` is the
+# page store of file server ``name``.
 
 
-def pair_tier(
-    network, rng, recorder, history, *, capacity, write_once=False,
-    backend="sim", data_dir=None,
-):
-    """One companion pair."""
-    port = new_port(rng)
-    pair = StablePair(
-        network, port, capacity=capacity, write_once=write_once,
-        recorder=recorder, backend=backend, data_dir=data_dir,
-    )
-    return port, pair, None, lambda name: None
-
-
-def sharded_tier(
+def block_tier(
     network, rng, recorder, history, *, shards, capacity, cache_capacity,
-    backend="sim", data_dir=None,
+    write_once=False, backend="sim", data_dir=None,
 ):
-    """``shards`` companion pairs behind a placement map; file servers
-    get a shard-routing block client.  ``block_port`` and ``pair`` point
-    at shard 0 so single-pair tooling keeps working."""
-    # Imported here: a single-pair daemon never pays for loading it.
-    from repro.block.sharding import ShardedBlockService
-
+    """``shards`` companion pairs behind a placement map; every file
+    server gets a block client that routes by it."""
     ports = [new_port(rng) for _ in range(shards)]
     service = ShardedBlockService(
-        network, ports, capacity=capacity, recorder=recorder,
-        backend=backend, data_dir=data_dir,
+        network, ports, capacity=capacity, write_once=write_once,
+        recorder=recorder, backend=backend, data_dir=data_dir,
     )
 
     def store_for(name):
@@ -170,18 +167,17 @@ def sharded_tier(
             recorder=recorder,
         )
 
-    return ports[0], service.pairs[0], service, store_for
+    return service, store_for
 
 
 def assemble(
     network,
     seed: int,
     servers: int,
-    block_tier,
+    tier,
     recorder=NULL_RECORDER,
     history=None,
     discovery: bool = False,
-    **service_options,
 ) -> Cluster:
     """Hang a deployment on ``network``: the block tier, then ``servers``
     file servers sharing the registry (the replicated file table) and the
@@ -189,24 +185,21 @@ def assemble(
     §5.4.1 describes — and, when asked, a discovery server.
 
     ``recorder`` is threaded through every layer below, so one recorder
-    sees the whole deployment.  ``service_options`` go to every
-    :class:`FileService`.
+    sees the whole deployment.
     """
     rng = random.Random(seed)
     recorder.bind_clock(network.clock)
-    block_port, pair, shards, store_for = block_tier(network, rng, recorder, history)
+    shards, store_for = tier(network, rng, recorder, history)
     service_port = new_port(rng)
     cluster = Cluster(
         network=network,
         rng=rng,
-        block_port=block_port,
         service_port=service_port,
-        pair=pair,
+        shards=shards,
         registry=FileRegistry(),
         issuer=CapabilityIssuer(service_port),
         servers=[],
         endpoints=[],
-        shards=shards,
         recorder=recorder,
         history=history,
     )
@@ -217,13 +210,12 @@ def assemble(
             network,
             cluster.registry,
             cluster.issuer,
-            block_port,
+            cluster.block_port,
             FILE_SERVICE_ACCOUNT,
             rng=rng,
             store=store_for(name),
             recorder=recorder,
             history=history,
-            **service_options,
         )
         cluster.servers.append(service)
         cluster.endpoints.append(RpcEndpoint(network, name, service_port, service))
@@ -235,8 +227,8 @@ def assemble(
 def _attach_discovery(cluster: Cluster) -> None:
     """Add a :class:`repro.net.discovery.DiscoveryServer`: every file
     server and pair half is registered (with its socket address when it
-    has one), and on a sharded tier the placement map is published there
-    and re-published on every epoch bump."""
+    has one), and the placement map is published there and re-published
+    on every epoch bump."""
     from repro.net.discovery import attach_discovery
 
     network, shards = cluster.network, cluster.shards
@@ -263,10 +255,7 @@ def _attach_discovery(cluster: Cluster) -> None:
 
     for fs in cluster.servers:
         register(fs.name, "fs", cluster.service_port)
-    if shards is None:
-        register_pairs([cluster.pair])
-        return
-    register_pairs(shards.pairs)
+    register_pairs(cluster.pairs)
     disc.cmd_publish_placement(shards.placement, 0)
 
     # Every epoch bump republishes, so bootstrapping clients always see
@@ -292,9 +281,9 @@ def build_hybrid_cluster(
     recorder=None,
 ) -> Cluster:
     """Build a deployment on hybrid media (Figure 2): version pages on a
-    rewritable magnetic pair, all other pages on a genuinely write-once
-    optical pair (overwrites raise).  ``cluster.pair`` is the magnetic
-    pair; the optical pair hangs off ``cluster.optical_pair``.
+    rewritable magnetic pair (the one shard), all other pages on a
+    genuinely write-once optical pair (overwrites raise), which hangs off
+    ``cluster.optical_pair``.
     """
     from repro.block.hybrid import HybridBlockClient
 
@@ -304,9 +293,9 @@ def build_hybrid_cluster(
         nonlocal optical
         magnetic_port = new_port(rng)
         optical_port = new_port(rng)
-        magnetic = StablePair(
-            network, magnetic_port, capacity=magnetic_capacity,
-            name_a="magA", name_b="magB", recorder=recorder,
+        magnetic = ShardedBlockService(
+            network, [magnetic_port], capacity=magnetic_capacity,
+            recorder=recorder,
         )
         optical = StablePair(
             network, optical_port, capacity=optical_capacity,
@@ -316,14 +305,16 @@ def build_hybrid_cluster(
         def store_for(name):
             return HybridPageStore(
                 HybridBlockClient(
-                    StableClient(network, name, magnetic_port, FILE_SERVICE_ACCOUNT),
-                    StableClient(network, name, optical_port, FILE_SERVICE_ACCOUNT),
+                    magnetic.client(name, FILE_SERVICE_ACCOUNT),
+                    ShardedBlockClient(
+                        network, name, [optical_port], FILE_SERVICE_ACCOUNT
+                    ),
                 ),
                 PageCache(cache_capacity, recorder=recorder),
                 recorder=recorder,
             )
 
-        return magnetic_port, magnetic, None, store_for
+        return magnetic, store_for
 
     network = Network(hop_ticks=hop_ticks, recorder=recorder)
     cluster = assemble(network, seed, servers, hybrid_tier, network.recorder)
@@ -331,12 +322,13 @@ def build_hybrid_cluster(
     return cluster
 
 
-def build_sharded_cluster(
-    shards: int = 4,
+def build_cluster(
     servers: int = 1,
+    shards: int = 1,
     seed: int = 42,
-    shard_capacity: int = 4096,
+    disk_capacity: int = 1 << 20,
     cache_capacity: int = 4096,
+    write_once: bool = False,
     hop_ticks: int = 10,
     recorder=None,
     history=None,
@@ -344,55 +336,29 @@ def build_sharded_cluster(
     backend: str = "sim",
     data_dir: str | None = None,
 ) -> Cluster:
-    """Build a deployment whose block storage is ``shards`` companion
-    pairs behind a :class:`repro.block.sharding.ShardedBlockService`.
+    """Build a network, ``shards`` companion pairs of ``disk_capacity``
+    blocks each behind a placement map, and ``servers`` file servers.
 
-    File servers receive a shard-routing block client and are otherwise
-    unchanged — the placement map keeps everything above the block layer
-    shard-oblivious.  ``cluster.shards`` exposes the service (pairs,
-    balance audits); ``cluster.pair`` and ``cluster.block_port`` point at
-    shard 0 so single-pair tooling keeps working.
-
-    With ``discovery=True`` a :class:`repro.net.discovery.DiscoveryServer`
-    joins the deployment: every daemon is registered, the placement map
-    is published there (and re-published on every epoch bump), and
-    clients can bootstrap from ``cluster.discovery_port``.
-    """
-    network = Network(hop_ticks=hop_ticks, recorder=recorder)
-    tier = partial(
-        sharded_tier, shards=shards, capacity=shard_capacity,
-        cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
-    )
-    return assemble(
-        network, seed, servers, tier, network.recorder, history, discovery
-    )
-
-
-def build_cluster(
-    servers: int = 1,
-    seed: int = 42,
-    disk_capacity: int = 1 << 20,
-    cache_capacity: int = 4096,
-    deferred_writes: bool = True,
-    write_once: bool = False,
-    hop_ticks: int = 10,
-    recorder=None,
-    history=None,
-    backend: str = "sim",
-    data_dir: str | None = None,
-) -> Cluster:
-    """Build a network + stable block pair + ``servers`` file servers.
+    File servers reach every pair through one shard-routing block client;
+    the placement map keeps everything above the block layer
+    shard-oblivious.  ``cluster.shards`` exposes the pairs (balance
+    audits, splits, migrations), ``cluster.pairs`` every pair the state
+    lives on, and ``cluster.pair`` / ``cluster.block_port`` shard 0.
 
     ``recorder`` (a :class:`repro.obs.Recorder`) sees the whole
     deployment (see :func:`assemble`); the default is the no-op recorder
-    and costs nothing.
+    and costs nothing.  With ``discovery=True`` a
+    :class:`repro.net.discovery.DiscoveryServer` joins the deployment:
+    every daemon is registered, the placement map is published there (and
+    re-published on every epoch bump), and clients can bootstrap from
+    ``cluster.discovery_port``.
     """
     network = Network(hop_ticks=hop_ticks, recorder=recorder)
     tier = partial(
-        pair_tier, capacity=disk_capacity, write_once=write_once,
+        block_tier, shards=shards, capacity=disk_capacity,
+        cache_capacity=cache_capacity, write_once=write_once,
         backend=backend, data_dir=data_dir,
     )
     return assemble(
-        network, seed, servers, tier, network.recorder, history,
-        cache_capacity=cache_capacity, deferred_writes=deferred_writes,
+        network, seed, servers, tier, network.recorder, history, discovery
     )

@@ -24,8 +24,9 @@ Checked globally:
 * **Reachability** — every block owned by the file-service account is
   reachable from some live version (leaks are reported, not fatal: the
   garbage collector's job is precisely to remove them).
-* **Pair agreement** — both disks of the stable pair hold identical bytes
-  for every doubly-present block.
+* **Pair agreement** — both disks of every companion pair (each live
+  shard, each retired one, a hybrid deployment's optical pair) hold
+  identical bytes for every doubly-present block.
 """
 
 from __future__ import annotations
@@ -257,14 +258,22 @@ def check_cluster(cluster, gc_expected_clean: bool = False) -> CheckReport:
         else:
             report.warn(message)
 
-    if not cluster.pair.consistent():
-        # Only an error when both halves are up; a crashed/stale half is
-        # expected to lag until resync.
-        if cluster.pair.a.available and cluster.pair.b.available:
-            report.error("stable pair disks disagree")
-        else:
-            report.warn("stable pair disks disagree (one half down/recovering)")
+    check_pairs(cluster, report)
     return report
+
+
+def check_pairs(cluster, report: CheckReport) -> None:
+    """Pair agreement on every pair the deployment's state lives on.  Only
+    an error when both halves are up; a crashed or recovering half is
+    expected to lag until resync."""
+    for pair in cluster.pairs:
+        if pair.consistent():
+            continue
+        halves = f"{pair.a.name}/{pair.b.name}"
+        if pair.a.available and pair.b.available:
+            report.error(f"pair {halves}: disks disagree")
+        else:
+            report.warn(f"pair {halves}: disks disagree (one half down/recovering)")
 
 
 def main() -> int:

@@ -138,11 +138,5 @@ def salvage(service) -> SalvageReport:
 
     # Adopt the recovered table (in place, so replicas sharing the object
     # see it too).
-    service.registry.files = registry.files
-    service.registry.versions = registry.versions
-    service.registry._next_obj = max(
-        [registry._next_obj]
-        + [obj + 1 for obj in registry.files]
-        + [obj + 1 for obj in registry.versions]
-    )
+    service.registry.adopt(registry)
     return report

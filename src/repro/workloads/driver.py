@@ -406,8 +406,7 @@ def run_workload(
 
 def summarize_run(recorder, result: RunResult) -> str:
     """The driver's after-run summary: headline numbers, the commit-path
-    table, the recorded metrics, and — on sharded deployments — the
-    per-shard balance table."""
+    table, the recorded metrics, and the per-shard allocation balance."""
     from repro.obs.report import (
         render_commit_table,
         render_metrics,

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import CompanionConflict, ServerCrashed, ServerUnreachable
 from repro.capability import new_port
-from repro.block.stable import EXTENT, StableClient, StablePair
+from repro.block.stable import EXTENT, StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.obs import Recorder
 from repro.sim.faults import CrashSchedule
 from repro.sim.network import Network
@@ -26,7 +27,7 @@ def pair(net, disk_backend):
 
 @pytest.fixture
 def client(net, pair):
-    return StableClient(net, "cli", 0x500, account=1)
+    return ShardedBlockClient(net, "cli", [0x500], account=1)
 
 
 def test_write_lands_on_both_disks(pair, client):
@@ -196,7 +197,7 @@ def test_lock_facility_via_client(pair, client):
 
 def test_reserve_then_write(pair, net):
     """Deferred-write allocation: number reserved on both halves first."""
-    client = StableClient(net, "cli", 0x500, account=1)
+    client = ShardedBlockClient(net, "cli", [0x500], account=1)
     block = client.allocate()
     assert pair.a.local.owner_of(block) == 1
     assert pair.b.local.owner_of(block) == 1
@@ -334,7 +335,7 @@ def test_companion_retransmissions_counted_distinctly():
     net = Network(recorder=recorder)
     recorder.bind_clock(net.clock)
     pair = StablePair(net, 0x500, capacity=64, block_size=256)
-    client = StableClient(net, "cli", 0x500, account=1)
+    client = ShardedBlockClient(net, "cli", [0x500], account=1)
     block = client.allocate_write(b"v1")
     base_rpc = recorder.metrics.counter("stable.companion_rpc").value
     # Drop exactly the companion-write message of the next write (send 1
@@ -355,7 +356,7 @@ def test_allocation_probe_cost_stays_linear(net):
     probe O(n) blocks in total, not the O(n^2) a rescan-from-1 policy
     costs (~125k probes here)."""
     pair = StablePair(net, 0x510, capacity=2048, block_size=64)
-    client = StableClient(net, "cli", 0x510, account=1)
+    client = ShardedBlockClient(net, "cli", [0x510], account=1)
     probed = {"total": 0}
     original = pair.disk_a.first_free
 
@@ -377,7 +378,7 @@ def test_allocation_cursor_wraps_to_find_free_space(net):
     from repro.errors import DiskFull
 
     pair = StablePair(net, 0x511, capacity=8, block_size=64)
-    client = StableClient(net, "cli", 0x511, account=1)
+    client = ShardedBlockClient(net, "cli", [0x511], account=1)
     blocks = [client.allocate_write(b"fill") for _ in range(8)]
     with pytest.raises(DiskFull):
         client.allocate_write(b"no room")
@@ -516,8 +517,8 @@ def test_freeing_a_pooled_number_through_either_half_takes_it_out(pair, client):
 
 
 def test_pool_is_per_account(pair, net):
-    one = StableClient(net, "one", 0x500, account=1)
-    two = StableClient(net, "two", 0x500, account=2)
+    one = ShardedBlockClient(net, "one", [0x500], account=1)
+    two = ShardedBlockClient(net, "two", [0x500], account=2)
     a, b = one.allocate(), two.allocate()
     assert pair.a.local.owner_of(a) == 1 and pair.a.local.owner_of(b) == 2
     assert pair.a.local.owner_of(two.allocate()) == 2
@@ -528,7 +529,7 @@ def test_extent_is_capped_by_what_is_free_then_disk_full(net, disk_backend):
     from repro.errors import DiskFull
 
     pair = StablePair(net, 0x520, capacity=20, block_size=64, **disk_backend())
-    client = StableClient(net, "cli", 0x520, account=1)
+    client = ShardedBlockClient(net, "cli", [0x520], account=1)
     try:
         first = [client.allocate() for _ in range(EXTENT)]
         assert not pair.a._pool

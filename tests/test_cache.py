@@ -421,9 +421,9 @@ def test_client_cache_no_cross_deployment_collision():
     """End to end: one application cache shared by clients of two
     deployments (a sharded one and a plain one) whose file services
     mint the same object numbers at different ports."""
-    from repro.testbed import build_cluster, build_sharded_cluster
+    from repro.testbed import build_cluster
 
-    sharded = build_sharded_cluster(shards=2, servers=1, seed=3)
+    sharded = build_cluster(shards=2, servers=1, seed=3)
     plain = build_cluster(servers=1, seed=5)
     client_a = FileClient(sharded.network, "app", sharded.service_port)
     client_b = FileClient(plain.network, "app", plain.service_port)

@@ -14,18 +14,13 @@ import pytest
 
 from repro.core.pathname import PagePath
 from repro.net import build_tcp_cluster
-from repro.testbed import (
-    Cluster,
-    build_cluster,
-    build_hybrid_cluster,
-    build_sharded_cluster,
-)
+from repro.testbed import Cluster, build_cluster, build_hybrid_cluster
 
 ROOT = PagePath.ROOT
 
 BUILDERS = {
     "pair": lambda: build_cluster(servers=2, seed=5),
-    "sharded": lambda: build_sharded_cluster(shards=3, servers=2, seed=5),
+    "sharded": lambda: build_cluster(shards=3, servers=2, seed=5),
     "hybrid": lambda: build_hybrid_cluster(servers=2, seed=5),
     "tcp": lambda: build_tcp_cluster(servers=2, seed=5),
     "tcp-sharded": lambda: build_tcp_cluster(servers=2, shards=3, seed=5),
@@ -33,10 +28,7 @@ BUILDERS = {
 
 
 def _disks(cluster):
-    pairs = cluster.shards.pairs if cluster.shards is not None else [cluster.pair]
-    if cluster.optical_pair is not None:
-        pairs = [*pairs, cluster.optical_pair]
-    return [disk for pair in pairs for disk in (pair.disk_a, pair.disk_b)]
+    return [disk for pair in cluster.pairs for disk in (pair.disk_a, pair.disk_b)]
 
 
 @pytest.mark.parametrize("teardown", ["close", "stop"])
@@ -71,6 +63,24 @@ def test_every_builder_returns_the_same_working_handle(build, teardown):
     assert cluster.network.is_up("fs0") == (not hosts_daemons)
 
 
+def test_one_pair_is_the_one_shard_deployment():
+    """The default deployment is a placement map of one companion pair:
+    shard 0's range starts at block 1, so its numbers are the pair's own,
+    and the file server reaches it through the shard-routing client."""
+    from repro.block.sharding import ShardedBlockClient
+
+    cluster = build_cluster(servers=2, seed=5)
+    (only,) = cluster.shards.placement.ranges
+    assert only.lo == 1 and only.port == cluster.block_port
+    assert cluster.pairs == [cluster.pair] == cluster.shards.pairs
+    assert [cluster.pair.a.name, cluster.pair.b.name] == ["shard0A", "shard0B"]
+    for fs in cluster.servers:
+        assert isinstance(fs.store.blocks, ShardedBlockClient)
+    cap = cluster.fs().create_file(b"one shard")
+    block = cluster.registry.file(cap.obj).entry_block
+    assert cluster.pair.disk_a.peek(block) == cluster.pair.disk_b.peek(block)
+
+
 def test_one_seed_names_one_topology_on_both_wires():
     sim = build_cluster(servers=2, seed=23)
     tcp = build_tcp_cluster(servers=2, seed=23)
@@ -79,7 +89,7 @@ def test_one_seed_names_one_topology_on_both_wires():
     finally:
         tcp.stop()
 
-    sim = build_sharded_cluster(shards=3, seed=23)
+    sim = build_cluster(shards=3, seed=23)
     tcp = build_tcp_cluster(shards=3, seed=23)
     try:
         assert tcp.shards.ports == sim.shards.ports
@@ -89,7 +99,7 @@ def test_one_seed_names_one_topology_on_both_wires():
 
 
 def test_sharded_discovery_publishes_the_same_directory_on_both_wires():
-    sim = build_sharded_cluster(shards=2, servers=2, seed=31, discovery=True)
+    sim = build_cluster(shards=2, servers=2, seed=31, discovery=True)
     tcp = build_tcp_cluster(shards=2, servers=2, seed=31, discovery=True)
     try:
         assert tcp.discovery_port == sim.discovery_port

@@ -17,7 +17,7 @@ from repro.net.discovery import (
     heartbeat_script,
 )
 from repro.sim.network import Network
-from repro.testbed import build_sharded_cluster
+from repro.testbed import build_cluster
 
 DISC_PORT = 0xD15C
 
@@ -119,10 +119,10 @@ def test_bootstrap_payload():
 
 
 def test_sharded_testbed_attaches_and_republishes():
-    """``build_sharded_cluster(discovery=True)``: every daemon
+    """``build_cluster(discovery=True)``: every daemon
     registered, the map published, and a live migration republishes the
     bumped map and swaps the pair halves in the directory."""
-    cluster = build_sharded_cluster(shards=2, servers=2, seed=3, discovery=True)
+    cluster = build_cluster(shards=2, servers=2, seed=3, discovery=True)
     disc = cluster.discovery
     service = cluster.shards
     client = DiscoveryClient(cluster.network, "probe", cluster.discovery_port)

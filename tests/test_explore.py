@@ -45,7 +45,7 @@ def test_run_random_is_deterministic():
 
 
 def test_fault_script_pairs_every_outage(soak_seed):
-    for shards in (0, 4):
+    for shards in (1, 4):
         config = SoakConfig(seed=soak_seed, shards=shards)
         script = random_fault_script(random.Random("faults"), config, horizon=300)
         downs = {"crash_server": 0, "half_down": 0, "pair_down": 0,
@@ -172,7 +172,7 @@ def test_repro_line_replays_config():
 # on 2 and on 4 shards — which CI's one seed range must draw 3 times each.
 COVERED_CELLS = [
     (shards, feature)
-    for shards in (0, 4)
+    for shards in (1, 4)
     for feature in (
         "plain", "group commit", "leases", "merges on", "merge off", "disk"
     )
@@ -274,9 +274,9 @@ def test_group_commit_aborts_atomically_when_one_shard_dies_mid_flush():
     from repro.client.api import FileClient
     from repro.core.pathname import PagePath
     from repro.errors import ReproError
-    from repro.testbed import build_sharded_cluster
+    from repro.testbed import build_cluster
 
-    cluster = build_sharded_cluster(shards=4, seed=32, shard_capacity=16)
+    cluster = build_cluster(shards=4, seed=32, disk_capacity=16)
     client = FileClient(cluster.network, "host", cluster.service_port)
     cap = client.create_file(b"base")
     setup = client.begin(cap)

@@ -31,7 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.block.fdisk import CRASH_POINTS, FDisk, FaultingFDisk, ProcessDied
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.errors import CorruptBlock, NoSuchBlock
 from repro.sim.network import Network
 
@@ -424,7 +425,7 @@ def test_companion_repair_heals_corrupt_half(payload_list, corrupt_mask):
         pair = StablePair(
             net, 0x910, capacity=CAP, block_size=BLK, backend="disk", data_dir=td
         )
-        client = StableClient(net, "cli", 0x910, account=1)
+        client = ShardedBlockClient(net, "cli", [0x910], account=1)
         blocks = [client.allocate_write(p) for p in payload_list]
         for block_no, corrupted in zip(blocks, corrupt_mask):
             if corrupted:

@@ -193,10 +193,10 @@ def test_group_commit_request_failing_between_shards_keeps_what_it_published():
     per shard.  If the second shard cannot be reached, the first file IS
     committed on disk — the server must say so, not withdraw its links."""
     from repro.errors import ServerUnreachable
-    from repro.testbed import build_sharded_cluster
+    from repro.testbed import build_cluster
 
     history = HistoryRecorder()
-    cluster = build_sharded_cluster(shards=2, seed=23, history=history)
+    cluster = build_cluster(shards=2, seed=23, history=history)
     fs = cluster.fs()
     files = [_file_with_pages(fs, 1) for _ in range(2)]
     handles = [h for cap, paths in files for h in _ready_updates(fs, cap, paths)]
@@ -204,19 +204,20 @@ def test_group_commit_request_failing_between_shards_keeps_what_it_published():
     shard_of = blocks.placement.index_of
     bases = [fs._resolve_current(fs.registry.file(cap.obj))[0] for cap, _ in files]
     assert shard_of(bases[0]) != shard_of(bases[1])
-    port_call, swap_requests = blocks._port_call, []
+    call, swap_requests = blocks.txn.call, []
 
     def flaky(port, command, **params):
         if command == "write_many" and params["swaps"] and not params["writes"]:
-            swap_requests.append(port)
-            if len(swap_requests) == 2:
+            if port not in swap_requests:
+                swap_requests.append(port)
+            if port == swap_requests[-1] and len(swap_requests) == 2:
                 raise ServerUnreachable("the second swap shard went away")
-        return port_call(port, command, **params)
+        return call(port, command, **params)
 
-    blocks._port_call = flaky
+    blocks.txn.call = flaky
     with pytest.raises(ServerUnreachable):
         fs.commit_group([h.version for h in handles])
-    blocks._port_call = port_call
+    del blocks.txn.call
     assert len(swap_requests) == 2
     first = 0 if shard_of(bases[0]) < shard_of(bases[1]) else 1
     (cap_won, paths_won), (cap_lost, paths_lost) = files[first], files[1 - first]

@@ -147,13 +147,15 @@ def test_corrupted_optical_block_served_from_companion(hybrid, fs):
 
 def test_hybrid_block_client_routing():
     from repro.sim.network import Network
-    from repro.block.stable import StableClient, StablePair
+    from repro.block.stable import StablePair
+    from repro.block.sharding import ShardedBlockClient
 
     net = Network()
     StablePair(net, 0xA01, capacity=64, name_a="m1", name_b="m2")
     StablePair(net, 0xA02, capacity=64, name_a="o1", name_b="o2", write_once=True)
     client = HybridBlockClient(
-        StableClient(net, "fs", 0xA01, 1), StableClient(net, "fs", 0xA02, 1)
+        ShardedBlockClient(net, "fs", [0xA01], 1),
+        ShardedBlockClient(net, "fs", [0xA02], 1),
     )
     magnetic = client.allocate_magnetic()
     optical = client.allocate_optical()
@@ -216,7 +218,7 @@ def test_commit_sends_the_optical_batch_before_the_magnetic_swap(hybrid, fs):
     hybrid.network.tracer = None
     assert sent == [
         ("optA", "write_many", len(optical), 0),
-        ("magA", "write_many", 1, 1),
+        ("shard0A", "write_many", 1, 1),
     ]
     assert fs.read_page(fs.current_version(cap), PagePath.of(1)) == b"new data page"
 

@@ -5,7 +5,8 @@ import pytest
 from repro.core.locks import LockSnapshot
 from repro.core.page import Page
 from repro.core.store import PageStore
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.sim.network import Network
 
 
@@ -13,7 +14,7 @@ from repro.sim.network import Network
 def store():
     net = Network()
     StablePair(net, 0x700, capacity=128, block_size=33000)
-    return PageStore(StableClient(net, "fs", 0x700, account=1))
+    return PageStore(ShardedBlockClient(net, "fs", [0x700], account=1))
 
 
 @pytest.fixture

@@ -85,6 +85,15 @@ def test_serve_smoke_commits_and_fails_over():
     assert "net.tcp.failovers" in result.stdout
 
 
+def test_serve_smoke_fails_over_on_a_sharded_deployment():
+    """The same gate on two pairs: half failover within shard 0, and the
+    agreement check after resync covers both pairs."""
+    result = _run("serve", "--smoke", "--shards", "2")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "killed stable-pair daemon shard0A" in result.stdout
+    assert "smoke: ok" in result.stdout
+
+
 def test_serve_data_dir_survives_sigkill(tmp_path):
     """The durability acceptance test: commit a file over TCP, ``kill -9``
     the server, restart it on the same data dir alone, and read the data

@@ -80,7 +80,7 @@ def test_fast_path_span_sees_through_to_the_disks(cluster, recorder):
     flush = span.find("flush")
     writes = flush.events_named("disk.write")
     assert len(writes) >= 2
-    assert [e.tags["disk"] for e in writes[:2]] == ["blockB", "blockB"]
+    assert [e.tags["disk"] for e in writes[:2]] == ["shard0B", "shard0B"]
     assert flush.counters["stable.companion_rpc"] == 1
     assert flush.counters["rpc.write_many"] == 1
     assert "rpc.test_and_set" not in flush.counters

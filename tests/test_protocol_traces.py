@@ -8,7 +8,8 @@ the one-RPC client read.
 
 import pytest
 
-from repro.block.stable import EXTENT, StableClient, StablePair
+from repro.block.stable import EXTENT, StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.client.api import FileClient
 from repro.core.pathname import PagePath
 from repro.errors import MessageDropped
@@ -41,7 +42,7 @@ class Trace:
 def test_companion_first_write_sequence():
     net = Network()
     pair = StablePair(net, 0xC00, capacity=64, block_size=128)
-    client = StableClient(net, "cli", 0xC00, account=1)
+    client = ShardedBlockClient(net, "cli", [0xC00], account=1)
     trace = Trace(net)
     client.allocate_write(b"data")
     # Exactly: client request to A, then A's companion write to B.
@@ -54,7 +55,7 @@ def test_companion_first_write_sequence():
 def test_read_sequence_no_companion_traffic():
     net = Network()
     pair = StablePair(net, 0xC01, capacity=64, block_size=128)
-    client = StableClient(net, "cli", 0xC01, account=1)
+    client = ShardedBlockClient(net, "cli", [0xC01], account=1)
     block = client.allocate_write(b"data")
     trace = Trace(net)
     client.read(block)
@@ -64,7 +65,7 @@ def test_read_sequence_no_companion_traffic():
 def test_corrupt_read_adds_exactly_one_companion_fetch():
     net = Network()
     pair = StablePair(net, 0xC02, capacity=64, block_size=128)
-    client = StableClient(net, "cli", 0xC02, account=1)
+    client = ShardedBlockClient(net, "cli", [0xC02], account=1)
     block = client.allocate_write(b"data")
     pair.disk_a.corrupt(block)
     trace = Trace(net)
@@ -77,7 +78,7 @@ def test_corrupt_read_adds_exactly_one_companion_fetch():
 def test_allocate_from_a_warm_pool_is_one_request_and_no_companion_traffic():
     net = Network()
     pair = StablePair(net, 0xC03, capacity=64, block_size=128)
-    client = StableClient(net, "cli", 0xC03, account=1)
+    client = ShardedBlockClient(net, "cli", [0xC03], account=1)
     trace = Trace(net)
     first = client.allocate()
     # A cold pool: the request, and ONE companion exchange for the extent.
@@ -108,8 +109,8 @@ def test_commit_fast_path_sequence():
     # One request to the block layer carries the dirty pages AND the
     # test-and-set of the commit reference; one exchange replicates it.
     assert trace.events == [
-        ("fs0", "blockA", "write_many"),
-        ("blockA", "blockB", "companion_write_many"),
+        ("fs0", "shard0A", "write_many"),
+        ("shard0A", "shard0B", "companion_write_many"),
     ]
 
 
@@ -244,7 +245,7 @@ def test_commit_behind_another_servers_commit_in_the_table_wins_first_time(commi
 def test_test_and_set_verb_replicates_in_one_exchange():
     net = Network()
     pair = StablePair(net, 0xC04, capacity=64, block_size=128)
-    client = StableClient(net, "cli", 0xC04, account=1)
+    client = ShardedBlockClient(net, "cli", [0xC04], account=1)
     block = client.allocate_write(b"\x00" * 8)
     trace = Trace(net)
     assert client.test_and_set(block, 0, b"\x00" * 4, b"\x00\x00\x00\x07").success

@@ -22,7 +22,7 @@ from repro.client.api import FileClient
 from repro.core.pathname import PagePath
 from repro.errors import PlacementStale, ReproError
 from repro.sim.sched import Scheduler
-from repro.testbed import build_sharded_cluster
+from repro.testbed import build_cluster
 from repro.verify.history import HistoryRecorder, check_history
 
 ROOT = PagePath.ROOT
@@ -30,8 +30,8 @@ ROOT = PagePath.ROOT
 
 def _workload_cluster(shards=3, servers=2, seed=5, files=3, pages=3, **kwargs):
     history = HistoryRecorder()
-    cluster = build_sharded_cluster(
-        shards=shards, servers=servers, seed=seed, shard_capacity=64,
+    cluster = build_cluster(
+        shards=shards, servers=servers, seed=seed, disk_capacity=64,
         history=history, **kwargs
     )
     fs = cluster.fs()

@@ -98,11 +98,13 @@ def test_write_rights_checked_on_every_page_command(cluster, fs):
 def test_block_layer_protection_under_the_service(cluster):
     """Even a party who learns raw block numbers cannot read them without
     the service's account."""
-    from repro.block.stable import StableClient
+    from repro.block.sharding import ShardedBlockClient
 
     cap = cluster.fs().create_file(b"protected")
     block = cluster.registry.file(cap.obj).entry_block
-    intruder = StableClient(cluster.network, "intruder", cluster.block_port, account=666)
+    intruder = ShardedBlockClient(
+        cluster.network, "intruder", [cluster.block_port], account=666
+    )
     with pytest.raises(NotBlockOwner):
         intruder.read(block)
     with pytest.raises(NotBlockOwner):

@@ -8,7 +8,7 @@ from repro.core.pathname import PagePath
 from repro.obs import Recorder
 from repro.obs.report import render_shard_table
 from repro.sim.network import Network
-from repro.testbed import build_sharded_cluster
+from repro.testbed import build_cluster
 
 ROOT = PagePath.ROOT
 
@@ -298,7 +298,7 @@ def test_shard_half_recovers_via_resync(service, client):
 
 def test_sharded_cluster_spreads_files_across_all_shards():
     recorder = Recorder()
-    cluster = build_sharded_cluster(shards=4, servers=1, seed=3, recorder=recorder)
+    cluster = build_cluster(shards=4, servers=1, seed=3, recorder=recorder)
     fs = cluster.fs()
     caps = []
     for i in range(8):
@@ -322,7 +322,7 @@ def test_sharded_cluster_spreads_files_across_all_shards():
 
 
 def test_sharded_cluster_commits_survive_a_half_crash():
-    cluster = build_sharded_cluster(shards=2, servers=1, seed=5)
+    cluster = build_cluster(shards=2, servers=1, seed=5)
     fs = cluster.fs()
     cap = fs.create_file(b"durable")
     handle = fs.create_version(cap)
@@ -335,12 +335,11 @@ def test_sharded_cluster_commits_survive_a_half_crash():
     )
 
 
-def _commit_message_count(batch: bool):
-    """Messages charged to one 7-page commit, batched or page-by-page."""
+def _commit_flush():
+    """The flush span of one 7-page commit on 4 shards."""
     recorder = Recorder()
-    cluster = build_sharded_cluster(shards=4, servers=1, seed=9, recorder=recorder)
+    cluster = build_cluster(shards=4, servers=1, seed=9, recorder=recorder)
     fs = cluster.fs()
-    fs.store.batch_flushes = batch
     cap = fs.create_file(b"seed")
     handle = fs.create_version(cap)
     for i in range(6):
@@ -348,8 +347,7 @@ def _commit_message_count(batch: bool):
     recorder.tracer.clear()
     fs.commit(handle.version)
     (span,) = recorder.tracer.spans_named("commit")
-    messages = sum(s.counters.get("net.messages", 0) for s in span.walk())
-    return messages, span.find("flush")
+    return span.find("flush")
 
 
 def test_whole_pair_outage_during_batched_commit_flush():
@@ -359,7 +357,7 @@ def test_whole_pair_outage_during_batched_commit_flush():
     resyncs a redo of the update goes through."""
     from repro.tools.check import check_cluster
 
-    cluster = build_sharded_cluster(shards=4, servers=1, seed=11)
+    cluster = build_cluster(shards=4, servers=1, seed=11)
     fs = cluster.fs()
     cap = fs.create_file(b"seed")
     setup = fs.create_version(cap)
@@ -404,7 +402,7 @@ def test_foreign_server_cannot_touch_an_in_flight_update():
     would publish a version whose pages are not durable)."""
     from repro.errors import NotManagingServer
 
-    cluster = build_sharded_cluster(shards=2, servers=2, seed=13)
+    cluster = build_cluster(shards=2, servers=2, seed=13)
     fs0, fs1 = cluster.fs(0), cluster.fs(1)
     cap = fs0.create_file(b"seed")
     setup = fs0.create_version(cap)
@@ -423,12 +421,11 @@ def test_foreign_server_cannot_touch_an_in_flight_update():
 
 
 def test_batched_flush_reduces_messages_per_commit():
-    """Acceptance: the batched flush path costs fewer network messages per
-    commit than the seed's page-by-page path, measured on the commit
-    span's per-commit message counters."""
-    batched_messages, batched_flush = _commit_message_count(True)
-    plain_messages, plain_flush = _commit_message_count(False)
-    assert batched_flush.tags["batched"] is True
-    assert plain_flush.tags["batched"] is False
-    assert batched_flush.tags["pages"] == plain_flush.tags["pages"] == 7
-    assert batched_messages < plain_messages
+    """Acceptance: a commit flush costs one replicated request (4
+    messages: request, companion exchange, reply) per touched shard, fewer
+    than a page-by-page flush's one request per page plus the swap's."""
+    flush = _commit_flush()
+    pages = flush.tags["pages"]
+    messages = sum(s.counters.get("net.messages", 0) for s in flush.walk())
+    assert pages == 7
+    assert messages <= 4 * 4 < 4 * (pages + 1)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.block.stable import StableClient, StablePair
+from repro.block.stable import StablePair
+from repro.block.sharding import ShardedBlockClient
 from repro.core.page import NIL, Page
 from repro.core.store import PageStore
 from repro.sim.network import Network
@@ -23,7 +24,7 @@ def pair(net, disk_backend):
 
 @pytest.fixture
 def store(net, pair):
-    return PageStore(StableClient(net, "fs", 0x600, account=1))
+    return PageStore(ShardedBlockClient(net, "fs", [0x600], account=1))
 
 
 def test_store_new_and_load(store):
@@ -48,15 +49,6 @@ def test_dirty_pages_served_from_memory(store):
     store.store_in_place(block, page)
     assert store.load(block).data == b"v2"
     assert store.load(block, fresh=True).data == b"v2"  # dirty wins
-
-
-def test_write_through_mode(net, pair):
-    eager = PageStore(
-        StableClient(net, "fs2", 0x600, account=1), deferred_writes=False
-    )
-    block = eager.store_new(Page(data=b"now"))
-    assert pair.disk_a.holds(block)
-    assert eager.dirty_count == 0
 
 
 def test_cache_avoids_disk_reads(store, pair):
@@ -107,60 +99,6 @@ def test_tas_requires_flush(store):
     block = store.store_new(Page(is_version_page=True))
     with pytest.raises(AssertionError):
         store.tas_commit_ref(block, 1)
-
-
-def test_lock_based_commit_protocol(store):
-    """The §4 alternative critical section behaves identically to TAS."""
-    store.commit_protocol = "lock"
-    version = Page(is_version_page=True, commit_ref=NIL)
-    block = store.store_new(version)
-    store.flush()
-    result = store.tas_commit_ref(block, 777)
-    assert result.success
-    assert store.read_commit_ref(block) == 777
-    again = store.tas_commit_ref(block, 888)
-    assert not again.success
-    assert int.from_bytes(again.current, "big") == 777
-    # The lock was released both times.
-    assert store.blocks.lock(block, locker=1)
-    store.blocks.unlock(block, locker=1)
-
-
-def test_lock_based_commit_full_service_flow():
-    """A whole concurrent-commit scenario on the lock protocol."""
-    from repro.errors import CommitConflict
-    from repro.core.pathname import PagePath
-    from repro.testbed import build_cluster
-
-    cluster = build_cluster(seed=99)
-    fs = cluster.fs()
-    fs.store.commit_protocol = "lock"
-    cap = fs.create_file(b"root")
-    setup = fs.create_version(cap)
-    for i in range(3):
-        fs.append_page(setup.version, PagePath.ROOT, b"c%d" % i)
-    fs.commit(setup.version)
-    va = fs.create_version(cap)
-    vb = fs.create_version(cap)
-    fs.write_page(va.version, PagePath.of(0), b"A")
-    fs.write_page(vb.version, PagePath.of(1), b"B")
-    fs.commit(va.version)
-    fs.commit(vb.version)  # merges, then lock-protocol commit on the chain
-    current = fs.current_version(cap)
-    assert fs.read_page(current, PagePath.of(0)) == b"A"
-    assert fs.read_page(current, PagePath.of(1)) == b"B"
-    # And a genuine conflict still aborts.
-    vc = fs.create_version(cap)
-    vd = fs.create_version(cap)
-    fs.read_page(vd.version, PagePath.of(2))
-    fs.write_page(vc.version, PagePath.of(2), b"C")
-    fs.write_page(vd.version, PagePath.of(0), b"D")
-    fs.commit(vc.version)
-    with pytest.raises(CommitConflict):
-        fs.commit(vd.version)
-
-
-# -- the commit as one request: pages, then the test-and-set -------------------
 
 
 def _committed_base(store):
@@ -244,13 +182,3 @@ def test_tas_commit_refs_publishes_several_files_in_one_request(store, pair, net
     assert [r.success for r in results] == [True, False, True]
     assert int.from_bytes(results[1].current, "big") == 555
     assert store.dirty_count == 0 and all(_on_both_disks(pair, h) for h in heads)
-
-
-def test_unbatched_store_writes_page_by_page_then_swaps(store, pair, net):
-    store.batch_flushes = False
-    base = _committed_base(store)
-    pages = [store.store_new(Page(data=b"p%d" % i)) for i in range(3)]
-    messages = net.stats.messages
-    assert store.tas_commit_ref(base, pages[0]).success
-    assert net.stats.messages - messages == 4 * (len(pages) + 1)
-    assert all(_on_both_disks(pair, p) for p in pages)

@@ -156,3 +156,42 @@ def test_dump_family_renders_chain(cluster):
     assert "<- current" in text
     assert "uncommitted version=" in text
     fs.abort(pending.version)
+
+
+def _disagreeing(pair):
+    """Flip a byte of some block on ``pair``'s second disk only."""
+    block = next(iter(pair.b.local.allocated_blocks()))
+    pair.disk_b.corrupt(block)
+    assert not pair.consistent()
+
+
+@pytest.mark.parametrize("which", ["shard 2", "retired pair", "optical pair"])
+def test_fsck_audits_every_pair(which):
+    """Pair agreement covers every pair the state lives on, not only shard
+    0: a live shard other than 0, a pair retired by a migration (its disks
+    keep the pre-cutover history) and a hybrid deployment's optical pair."""
+    from repro.capability import new_port
+    from repro.testbed import build_cluster, build_hybrid_cluster
+
+    if which == "optical pair":
+        cluster = build_hybrid_cluster(seed=5)
+    else:
+        cluster = build_cluster(shards=4, seed=5)
+    fs = cluster.fs()
+    for i in range(8):
+        cap = fs.create_file(b"file %d" % i)
+        handle = fs.create_version(cap)
+        fs.append_page(handle.version, ROOT, b"page of %d" % i)
+        fs.commit(handle.version)
+    assert check_cluster(cluster).ok
+    if which == "shard 2":
+        _disagreeing(cluster.shards.pairs[2])
+    elif which == "retired pair":
+        cluster.shards.migrate(1, new_port(cluster.rng))
+        (retired,) = cluster.shards.retired_pairs
+        _disagreeing(retired)
+    else:
+        _disagreeing(cluster.optical_pair)
+    report = check_cluster(cluster)
+    assert not report.ok
+    assert any("disks disagree" in error for error in report.errors)

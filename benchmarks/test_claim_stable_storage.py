@@ -33,7 +33,8 @@ def test_c7_replicated_write_cost(benchmark, report, disk_backend):
     client.allocate_write(b"y" * 256)
     cost = net.stats.messages - before
     report.row(f"messages per replicated allocate+write: {cost}")
-    report.row("(client->A request/reply + A->B companion request/reply)")
+    report.row("(client->A request/reply + A->B companion_write_many request/reply)")
+    assert cost == 4
     assert pair.consistent()
 
 
@@ -43,7 +44,7 @@ def test_c7_collisions_detected_before_damage(benchmark, report, disk_backend):
     def collision_round():
         net, pair, client = _pair(**disk_backend())
         block = client.allocate_write(b"base")
-        op = pair.a.begin_write(1, block, b"via A")
+        op = pair.a.begin_batch(1, [(block, b"via A")])
         with pytest.raises(CompanionConflict):
             pair.b.cmd_write(1, block, b"via B")
         pair.a.finish_op(op)

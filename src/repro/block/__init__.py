@@ -7,12 +7,13 @@ provides:
 * :mod:`repro.block.disk` — a simulated disk: fixed-size blocks, atomic
   writes, crash and corruption injection, optional write-once (optical)
   mode.
-* :mod:`repro.block.server` — the block server: allocation, per-account
-  protection, block locks, an atomic test-and-set (the primitive the file
-  service's commit relies on), and the recovery listing.
+* :mod:`repro.block.server` — the block server: per-account protection,
+  reservation, one batched (optionally allocating) write, the
+  compare-and-swap behind the test-and-set the file service's commit
+  relies on, and the recovery listing.
 * :mod:`repro.block.stable` — companion-pair stable storage: every block on
-  two disks behind two servers, companion-first writes, collision
-  detection, intentions lists and crash resynchronisation.
+  two disks behind two servers, every write one companion-first batch,
+  collision detection, intentions lists and crash resynchronisation.
 * :mod:`repro.block.sharding` — companion pairs behind a placement map
   (one pair is the one-shard case) and the block client every file server
   talks through.

@@ -173,10 +173,20 @@ class SimDisk:
             self.recorder.event("disk.read", disk=self.name, block=block_no)
         return data
 
-    def erase(self, block_no: int) -> None:
+    def write_many(
+        self, writes: list[tuple[int, bytes]], owners: dict[int, int] | None = None
+    ) -> None:
+        """Store a batch, one atomic write per block.  ``owners`` is the
+        durable disk's (``FDisk`` journals them with the batch): memory
+        keeps no owner records, so they go nowhere here."""
+        for block_no, data in writes:
+            self.write(block_no, data)
+
+    def erase(self, block_no: int, disown: bool = False) -> None:
         """Erase a block's contents (used by deallocation on magnetic media).
 
         On write-once media erasing is impossible; the block simply stays.
+        ``disown`` is the durable disk's, like ``owners`` above.
         """
         self._check_up()
         if self.write_once:
@@ -200,6 +210,28 @@ class SimDisk:
 
     def close(self) -> None:
         """Release what the disk holds open (nothing, in memory)."""
+
+    # -- the durable disk's journal hooks: nothing to journal in memory -----
+
+    def recovered_owners(self) -> dict[int, int]:
+        """The owner map a restart recovers: none, in memory."""
+        return {}
+
+    def add_intention(
+        self, kind: str, account: int, block_no: int, data: bytes = b"",
+        sync: bool = True,
+    ) -> None:
+        """An intentions-list entry lives only in the stable server."""
+
+    def ack_intentions(self, count: int) -> None:
+        """See :meth:`add_intention`."""
+
+    def recovered_intentions(self) -> list[tuple[str, int, int, bytes]]:
+        """The intentions a restart recovers: none, in memory."""
+        return []
+
+    def sync_journal(self) -> None:
+        """Every write above is already as stable as memory gets."""
 
     def first_free(self, start: int = 1) -> int:
         """Lowest never-written block number at or after ``start``.

@@ -122,14 +122,6 @@ class HybridBlockClient:
         client, local = self._route(block)
         return client.test_and_set(local, offset, expected, new)
 
-    def lock(self, block: int, locker: int) -> bool:
-        client, local = self._route(block)
-        return client.lock(local, locker)
-
-    def unlock(self, block: int, locker: int) -> None:
-        client, local = self._route(block)
-        client.unlock(local, locker)
-
     def recover(self) -> list[int]:
         blocks = list(self.magnetic.recover())
         blocks += [n + OPTICAL_BASE for n in self.optical.recover()]

@@ -9,16 +9,19 @@ facility.  [...]  Block servers can support a recovery operation, which
 given an account number, returns a list of block numbers owned by that
 account."
 
-This module implements exactly that command set, plus the **test-and-set**
-primitive §5.2 asks of the disk server ("If the disk server implements a
-test-and-set operation, any server can be allowed to carry out a commit"):
-an atomic compare-and-swap of a byte range inside a block, which the file
-service uses on the commit-reference field of version pages.
+This module is one disk's share of that: ownership and protection,
+reservation, one batched write, read, free and recovery.  The
+**test-and-set** §5.2 asks of the disk server ("If the disk server
+implements a test-and-set operation, any server can be allowed to carry
+out a commit") is :func:`compare_and_swap` plus that write; the optional
+locking facility is not built (the commit's test-and-set is the critical
+section the file service needs).
 
 All commands are plain methods: a block server is never attached to a
 network on its own, only as the local store inside each half of a
 companion pair (:class:`~repro.block.stable.StableServer`), whose
-commands are the block service's wire surface.
+commands — allocate_write, write, test_and_set and write_many among them
+— are the block service's wire surface.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from repro.errors import (
-    BlockLocked,
     DiskFull,
     NoSuchBlock,
     NotBlockOwner,
@@ -65,8 +67,9 @@ def compare_and_swap(
 
     Returns the outcome and the swapped block — ``None`` when the compare
     failed and nothing is to be written.  Every test-and-set in the block
-    tier (one disk, a companion pair, a swap riding a commit flush) is
-    this function plus its own way of reading and writing the block.
+    tier is a swap riding a replicated batch
+    (``StableServer.begin_batch``): this function on the checked local
+    copy, then the swapped block written behind the batch's pages.
     """
     if len(new) != len(expected):
         raise ValueError("test_and_set: expected and new must be equal length")
@@ -87,7 +90,10 @@ class BlockServer:
     ``name`` identifies the server on the network and in intentions lists.
     Crashing a block server (``crash()``) makes every command raise
     :class:`ServerCrashed` until ``restart()``; the underlying disk keeps
-    its contents, as §4 assumes for magnetic media.
+    its contents, as §4 assumes for magnetic media.  The owner map is
+    seeded from the disk, so a durable disk (``block.fdisk.FDisk``, which
+    journals it with the data) recovers protection state across a restart;
+    memory recovers none.
     """
 
     def __init__(
@@ -100,17 +106,8 @@ class BlockServer:
         self.disk = disk
         self.recorder = disk.recorder
         self.clock = clock if clock is not None else disk.clock
-        self._owner: dict[int, int] = {}
-        self._locks: dict[int, int] = {}  # block -> locker id (a port)
-        self._alloc_cursor = 1
+        self._owner: dict[int, int] = disk.recovered_owners()
         self._crashed = False
-        # A durable disk (block.fdisk.FDisk) journals the owner map; seed
-        # from it so a process restart recovers protection state, and keep
-        # it updated on every allocate/free — in the same journal append as
-        # the data the request writes or erases.  SimDisk has no such hooks.
-        self._journalled = hasattr(disk, "recovered_owners")
-        if self._journalled:
-            self._owner.update(disk.recovered_owners())
 
     # -- lifecycle -------------------------------------------------------
 
@@ -119,11 +116,8 @@ class BlockServer:
         self._crashed = True
 
     def restart(self) -> None:
-        """Restart after a crash.  Locks do not survive the crash — the
-        paper's lock-recovery story relies on waiters noticing the holder
-        died, and a dead server's own lock table dies with it."""
+        """Restart after a crash."""
         self._crashed = False
-        self._locks.clear()
 
     @property
     def crashed(self) -> bool:
@@ -146,89 +140,47 @@ class BlockServer:
 
     # -- commands ----------------------------------------------------------
 
-    def _pick(self, hint: int | None) -> int:
-        """Choose (or accept) a free block number; grants nothing yet."""
+    def _pick(self, block_no: int) -> int:
+        """Accept a chosen block number that is free here; grants nothing
+        yet.  The stable server chooses numbers for both halves."""
         self._check_up()
-        if hint is not None:
-            if hint in self._owner:
-                raise DiskFull(f"hinted block {hint} is already allocated")
-            block_no = hint
-        else:
-            block_no = self._alloc_cursor
-            while block_no in self._owner or self.disk.holds(block_no):
-                block_no += 1
-                if block_no > self.disk.capacity:
-                    raise DiskFull("no free blocks")
-            self._alloc_cursor = block_no + 1
+        if block_no in self._owner:
+            raise DiskFull(f"block {block_no} is already allocated")
         if block_no > self.disk.capacity:
             raise DiskFull(f"block {block_no} beyond capacity {self.disk.capacity}")
         return block_no
-
-    def _grant(self, block_no: int, account: int) -> None:
-        self._owner[block_no] = account
-        if self.recorder.enabled:
-            self.recorder.event("block.alloc", server=self.name, block=block_no)
 
     def _write_granting(
         self, writes: list[tuple[int, bytes]], grants: dict[int, int]
     ) -> None:
         """Write a batch and grant ``grants`` (block → account) with it: on
-        a journalled disk the OWNER records and the data are one append
-        and one sync.  Nothing is granted if the write fails."""
-        if self._journalled:
-            self.disk.write_many(writes, grants)
-        else:
-            for block_no, data in writes:
-                self.disk.write(block_no, data)
-        for block_no, account in grants.items():
-            self._grant(block_no, account)
-
-    def allocate(self, account: int, hint: int | None = None) -> int:
-        """Allocate a free block for ``account`` and return its number.
-
-        ``hint`` asks for a specific block number (used by the companion
-        protocol, where the initiating server chooses the number for both
-        disks); without a hint the lowest free number is chosen.
-        """
-        block_no = self._pick(hint)
-        if self._journalled:
-            self.disk.set_owner(block_no, account)
-        self._grant(block_no, account)
-        return block_no
+        a durable disk the OWNER records and the data are one append and
+        one sync.  Nothing is granted if the write fails."""
+        self.disk.write_many(writes, grants)
+        self._owner.update(grants)
+        if self.recorder.enabled:
+            for block_no in grants:
+                self.recorder.event("block.alloc", server=self.name, block=block_no)
 
     def reserve(self, account: int, blocks: list[int]) -> None:
         """Allocate an extent of chosen block numbers for ``account``, no
-        data yet: on a journalled disk all the OWNER records are one
-        append and one sync.  Nothing is granted if any number is taken."""
+        data yet: on a durable disk all the OWNER records are one append
+        and one sync.  Nothing is granted if any number is taken."""
         grants = {self._pick(block_no): account for block_no in blocks}
         self._write_granting([], grants)
-
-    def write(self, account: int, block_no: int, data: bytes) -> None:
-        """Atomically write ``data`` to an allocated block owned by ``account``."""
-        self._check_up()
-        self._check_owner(block_no, account)
-        self.disk.write(block_no, data)
-
-    def allocate_write(
-        self, account: int, data: bytes, *, hint: int | None = None
-    ) -> int:
-        """Allocate a block and write it in one command (the common case:
-        copy-on-write shadowing always writes fresh blocks)."""
-        block_no = self._pick(hint)
-        self._write_granting([(block_no, data)], {block_no: account})
-        return block_no
 
     def write_many(
         self, account: int, writes: list[tuple[int, bytes]], adopt: bool = False
     ) -> None:
-        """Atomically write a batch of allocated blocks.
+        """Atomically write a batch of allocated blocks — the only way data
+        reaches this disk.
 
         On a durable disk the whole batch becomes stable at one journal
         sync (``FDisk.write_many``); on a plain SimDisk it degrades to a
         loop of atomic writes.  Ownership is checked for every member
-        before anything is written.  With ``adopt`` — the companion-side
-        apply, where the other half chose the numbers — members nobody
-        owns yet are allocated to ``account`` in the same transaction.
+        before anything is written.  With ``adopt`` — an allocating write,
+        where the stable server chose the numbers — members nobody owns
+        yet are allocated to ``account`` in the same transaction.
         """
         self._check_up()
         grants: dict[int, int] = {}
@@ -250,75 +202,7 @@ class BlockServer:
         self._check_up()
         self._check_owner(block_no, account)
         del self._owner[block_no]
-        self._locks.pop(block_no, None)
-        if self._journalled:
-            self.disk.erase(block_no, disown=True)  # DISOWN + ERASE, one sync
-        else:
-            self.disk.erase(block_no)
-
-    def test_and_set(
-        self,
-        account: int,
-        block_no: int,
-        offset: int,
-        expected: bytes,
-        new: bytes,
-    ) -> TasResult:
-        """Atomic compare-and-swap of ``len(expected)`` bytes at ``offset``.
-
-        If the stored bytes equal ``expected``, they are replaced by ``new``
-        (which must be the same length) and ``success`` is True.  Otherwise
-        nothing changes and the caller gets the bytes actually stored — for
-        the commit protocol that is the commit reference of the version
-        that got there first (§5.2, Figure 6).
-
-        The read-modify-write happens within one command, which the
-        simulation executes atomically — this *is* the single critical
-        section of version commit.
-        """
-        self._check_up()
-        self._check_owner(block_no, account)
-        result, swapped = compare_and_swap(
-            self.disk.read(block_no), offset, expected, new
-        )
-        if swapped is not None:
-            self.disk.write(block_no, swapped)
-        if self.recorder.enabled:
-            self.recorder.event(
-                "block.tas", server=self.name, block=block_no, success=result.success
-            )
-        return result
-
-    # -- the simple locking facility ----------------------------------------
-
-    def lock(self, block_no: int, locker: int) -> bool:
-        """Try to lock a block for ``locker``; True on success.
-
-        Re-locking by the same locker succeeds (the facility is advisory
-        and re-entrant, which is all the file service needs).
-        """
-        self._check_up()
-        holder = self._locks.get(block_no)
-        if holder is None or holder == locker:
-            self._locks[block_no] = locker
-            return True
-        return False
-
-    def unlock(self, block_no: int, locker: int) -> None:
-        """Release a lock held by ``locker``; foreign unlocks raise."""
-        self._check_up()
-        holder = self._locks.get(block_no)
-        if holder is None:
-            return
-        if holder != locker:
-            raise BlockLocked(
-                f"block {block_no} locked by {holder}, not {locker}"
-            )
-        del self._locks[block_no]
-
-    def lock_holder(self, block_no: int) -> int | None:
-        self._check_up()
-        return self._locks.get(block_no)
+        self.disk.erase(block_no, disown=True)  # DISOWN + ERASE, one sync
 
     # -- recovery -----------------------------------------------------------
 

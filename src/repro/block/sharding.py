@@ -176,22 +176,6 @@ class PlacementMap:
     def local_of(self, block: int) -> int:
         return self.range_of(block).local_of(block)
 
-    def range_by_port(self, port: int) -> ShardRange:
-        for r in self.ranges:
-            if r.port == port:
-                return r
-        raise UnknownShard(
-            f"port {port:#x} serves no range of placement epoch {self.epoch}"
-        )
-
-    def index_by_port(self, port: int) -> int:
-        for i, r in enumerate(self.ranges):
-            if r.port == port:
-                return i
-        raise UnknownShard(
-            f"port {port:#x} serves no range of placement epoch {self.epoch}"
-        )
-
     def split_at(self, index: int, cut: int, new_port: int) -> "PlacementMap":
         """Split ``ranges[index]`` at ``cut``: the old port keeps
         ``lo..cut-1``, the new port takes ``cut..hi``.  Epoch + 1."""
@@ -752,12 +736,6 @@ class ShardedBlockClient:
             "account": self.account, "offset": offset,
             "expected": expected, "new": new,
         })
-
-    def lock(self, block_no: int, locker: int) -> bool:
-        return self._routed("lock", block_no, {"locker": locker})
-
-    def unlock(self, block_no: int, locker: int) -> None:
-        self._routed("unlock", block_no, {"locker": locker})
 
     def recover(self) -> list[int]:
         """The §4 recovery operation, unioned across every live shard."""

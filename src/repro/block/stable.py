@@ -22,8 +22,17 @@ The protocol, as the paper gives it:
   Clients send requests to the alternative block server if the primary
   fails to respond."
 
-Collision detection here uses *pending-operation markers*: a server marks a
-block while it has an operation in flight on it; a companion-step arriving
+Every write takes one path: a *batch* — pages, conditional swaps riding
+behind them, and for ``allocate_write`` a number this half chose — sent
+to the companion in one ``companion_write_many`` exchange and then
+applied locally in one disk transaction.  ``write``, ``allocate_write``,
+``test_and_set``, ``write_many`` and migration's ``ingest`` are all that
+batch (:meth:`StableServer.begin_batch`), so a commit's M pages and its
+swap cost one round trip and one sync per half.  Reservations and frees
+take the same companion-first shape with their own exchange.
+
+Collision detection uses *pending-operation markers*: a server marks a
+block while it has an operation in flight on it; a companion step arriving
 at a server that has its own pending operation on the same block raises
 :class:`CompanionConflict`.  Because every operation visits the other
 server before finishing locally, any two concurrent operations on the same
@@ -31,13 +40,14 @@ block through different servers are guaranteed to meet at one origin's
 marker, whatever the interleaving (tests enumerate these interleavings via
 the explicit ``begin_*`` / ``finish_op`` steps).
 
-Two requests carry more than one block.  A bare ``allocate`` is answered
-from a *pool*: a half reserves block numbers :data:`EXTENT` at a time —
-one companion exchange and one sync per half for the whole extent — and
-hands them out from memory (see :meth:`StableServer.cmd_allocate` for what
-that pool may and may not do).  And ``write_many`` carries a commit's
-pages together with its conditional swaps, so a commit is one replicated
-request (see :meth:`StableServer.cmd_write_many`).
+A restarted half refuses every companion command but the resync's own
+until its resync has run: the origin records an intention instead, so the
+replayed list is complete and in order, and no repair reads a stale copy.
+
+A bare ``allocate`` is answered from a *pool*: a half reserves block
+numbers :data:`EXTENT` at a time — one companion exchange and one sync
+per half for the whole extent — and hands them out from memory (see
+:meth:`StableServer.cmd_allocate` for what that pool may and may not do).
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ from repro.errors import (
 from repro.block.disk import SimDisk
 from repro.block.server import BLOCK_SIZE, BlockServer, TasResult, compare_and_swap
 from repro.sim.network import Network
-from repro.sim.rpc import Request, RpcEndpoint, Transaction, command
+from repro.sim.rpc import Request, RpcEndpoint, command
 
 
 # Histogram buckets for flush-batch sizes (pages per write_many).
@@ -73,20 +83,18 @@ Swap = tuple[int, int, bytes, bytes]
 
 @dataclass
 class _PendingOp:
-    """An operation in flight at its origin server."""
+    """An operation in flight at its origin server: a pending marker holds
+    each of its blocks from its begin step to its finish step."""
 
-    op_id: int
-    kind: str  # "alloc", "write", "free", "reserve"; "tas": a swap in a batch
+    kind: str  # "write" (a batch), "reserve" or "free"
     account: int
-    block_no: int  # of a "reserve": the extent's first number
-    data: bytes = b""
-    companion_done: bool = False
-    extent: list[int] = field(default_factory=list)  # all of a "reserve"
-
-    @property
-    def blocks(self) -> list[int]:
-        """Every block number this operation holds a pending marker on."""
-        return self.extent or [self.block_no]
+    blocks: list[int] = field(default_factory=list)  # every marked number
+    # Of a "write": the members in record order (a swapped block behind
+    # every page), one result per swap, and whether numbers nobody owns yet
+    # are allocated to ``account`` by the write (allocate_write, ingest).
+    writes: list[tuple[int, bytes]] = field(default_factory=list)
+    results: list[TasResult] = field(default_factory=list)
+    adopt: bool = False
 
 
 @dataclass
@@ -103,8 +111,9 @@ class StableServer:
     """One half of a companion pair.
 
     Exposes the block-server command set (allocate_write / write / read /
-    free / test_and_set / lock / unlock / recover) with companion-first
-    replication underneath, plus the companion-facing commands.
+    free / test_and_set / write_many / allocate / recover) with
+    companion-first replication underneath, plus the companion-facing
+    commands.
     """
 
     def __init__(
@@ -120,23 +129,17 @@ class StableServer:
         self.local = BlockServer(name + ".bs", disk)
         self.recorder = disk.recorder
         self._pending: dict[int, _PendingOp] = {}
-        self._next_op = 1
         self._alloc_cursor = 1  # rotating allocation cursor (see _choose_block)
         # Reserved block numbers not handed out yet, block -> owning account,
         # oldest first (see cmd_allocate).  Memory only: a restart forgets it.
         self._pool: dict[int, int] = {}
-        self._intentions: list[_Intention] = []
-        # A durable disk (block.fdisk.FDisk) journals the intentions list;
-        # seed from it so intentions recorded for a crashed companion
-        # survive *this* server's own process death too.
-        self._persist_intent = getattr(disk, "add_intention", None)
-        self._persist_intent_ack = getattr(disk, "ack_intentions", None)
-        recovered = getattr(disk, "recovered_intentions", None)
-        if recovered is not None:
-            self._intentions = [
-                _Intention(kind, account, block_no, data)
-                for kind, account, block_no, data in recovered()
-            ]
+        # A durable disk (block.fdisk.FDisk) journals the intentions list:
+        # those recorded for a crashed companion survive *this* server's
+        # own process death too.
+        self._intentions = [
+            _Intention(kind, account, block_no, data)
+            for kind, account, block_no, data in disk.recovered_intentions()
+        ]
         self._recovering = False
         self._crashed = False
         # Migration support (see repro.block.rebalance): while a live
@@ -160,9 +163,9 @@ class StableServer:
         self.network.detach(self.name)
 
     def restart(self) -> None:
-        """Restart after a crash; the server answers companion traffic but
-        refuses client commands until :meth:`resync` has run ("restores its
-        disk before accepting any requests")."""
+        """Restart after a crash.  Until :meth:`resync` has run the server
+        answers nothing but its companion's resync ("restores its disk
+        before accepting any requests")."""
         self._crashed = False
         self._recovering = True
         self.restarts += 1
@@ -177,24 +180,26 @@ class StableServer:
         Two-phase: the fetch leaves the list in place at the companion and
         only the acknowledgement after a full apply clears it — so a crash
         mid-resync loses nothing (the next resync re-applies; the writes
-        are idempotent)."""
-        intentions: list[_Intention] = self._call_companion("fetch_intentions")
-        for intent in intentions:
-            if intent.kind == "write":
-                self.local.write_many(
-                    intent.account, [(intent.block_no, intent.data)], adopt=True
-                )
-            elif intent.kind == "reserve":
-                if self.local.owner_of(intent.block_no) is None:
-                    self.local.allocate(intent.account, hint=intent.block_no)
-            elif intent.kind == "free":
-                if self.local.owner_of(intent.block_no) is not None:
+        are idempotent).  The companion keeps recording intentions while
+        this half recovers, so the loop ends only on an empty fetch."""
+        applied = 0
+        while intentions := self._call_companion("fetch_intentions"):
+            for intent in intentions:
+                owner = self.local.owner_of(intent.block_no)
+                if intent.kind == "write":
+                    self.local.write_many(
+                        intent.account, [(intent.block_no, intent.data)], adopt=True
+                    )
+                elif intent.kind == "reserve" and owner is None:
+                    self.local.reserve(intent.account, [intent.block_no])
+                elif intent.kind == "free" and owner is not None:
                     self.local.free(intent.account, intent.block_no)
-        self._call_companion("ack_intentions", count=len(intentions))
+            self._call_companion("ack_intentions", count=len(intentions))
+            applied += len(intentions)
         self._recovering = False
-        if intentions:
-            self.recorder.count("stable.resync_applied", len(intentions))
-        return len(intentions)
+        if applied:
+            self.recorder.count("stable.resync_applied", applied)
+        return applied
 
     @property
     def available(self) -> bool:
@@ -204,10 +209,17 @@ class StableServer:
         if self._crashed:
             raise ServerCrashed(f"{self.name} is crashed")
 
-    def _check_serving(self) -> None:
+    def _check_current(self) -> None:
+        """Up, and resynced: what its disk holds is the pair's latest.  A
+        recovering half takes no companion write (its resync would replay
+        an older intention over it) and serves no repair or migration
+        read (its copy may be stale)."""
         self._check_up()
         if self._recovering:
             raise ServerCrashed(f"{self.name} is recovering; resync first")
+
+    def _check_serving(self) -> None:
+        self._check_current()
         if self._retired_epoch is not None:
             raise PlacementStale(
                 f"{self.name} was cut over at placement epoch "
@@ -215,16 +227,16 @@ class StableServer:
             )
 
     def _record_intentions(self, intents: list[_Intention]) -> None:
-        """Append to the intentions list — durably when the disk journals,
+        """Append to the intentions list — durably on a journalled disk,
         with one sync for the whole batch."""
         self._intentions.extend(intents)
-        if self._persist_intent is not None:
-            for intent in intents:
-                self._persist_intent(
-                    intent.kind, intent.account, intent.block_no, intent.data,
-                    sync=False,
-                )
-            self.local.disk.sync_journal()
+        disk = self.local.disk
+        for intent in intents:
+            disk.add_intention(
+                intent.kind, intent.account, intent.block_no, intent.data,
+                sync=False,
+            )
+        disk.sync_journal()
 
     # -- migration support (dirty tracking + retirement) --------------------
 
@@ -285,55 +297,110 @@ class StableServer:
     def _companion_step(self, op: _PendingOp) -> None:
         """Send the operation to the companion (the companion-first write).
 
-        On companion unreachability, record an intention instead; the
-        operation then completes locally only, as the paper prescribes.
-        On :class:`CompanionConflict` the pending marker is dropped and the
-        conflict propagates to the client for retry.
+        A companion that is down or recovering gets an intention instead;
+        the operation then completes locally only, as the paper prescribes.
+        Any refusal — :class:`CompanionConflict` above all — drops the
+        pending markers and propagates to the client, which retries.
         """
         try:
-            if op.kind == "reserve":
+            if op.kind == "write":
                 self._call_companion(
-                    "companion_reserve_many",
-                    account=op.account,
-                    blocks=list(op.extent),
-                )
-            elif op.kind in ("alloc", "write"):
-                self._call_companion(
-                    "companion_write",
+                    "companion_write_many",
                     origin=self.name,
                     account=op.account,
-                    block_no=op.block_no,
-                    data=op.data,
+                    writes=op.writes,
                 )
-            elif op.kind == "free":
+            elif op.kind == "reserve":
                 self._call_companion(
-                    "companion_free", account=op.account, block_no=op.block_no
+                    "companion_reserve_many", account=op.account, blocks=op.blocks
                 )
-            op.companion_done = True
-        except CompanionConflict:
-            self._drop_markers(op)
-            raise
+            else:
+                self._call_companion(
+                    "companion_free", account=op.account, block_no=op.blocks[0]
+                )
         except (ServerUnreachable, ServerCrashed):
-            kind = op.kind if op.kind in ("free", "reserve") else "write"
-            self._record_intentions(
-                [_Intention(kind, op.account, b, op.data) for b in op.blocks]
-            )
+            if op.kind == "write":
+                intents = [
+                    _Intention("write", op.account, b, data) for b, data in op.writes
+                ]
+            else:
+                intents = [_Intention(op.kind, op.account, b) for b in op.blocks]
+            self._record_intentions(intents)
             if self.recorder.enabled:
                 self.recorder.event(
                     "stable.intention",
                     origin=self.name,
                     kind=op.kind,
-                    block=op.block_no,
+                    blocks=len(intents),
                 )
+        except BaseException:
+            self._drop_markers(op)
+            raise
 
     # -- stepwise operation API (tests interleave begin/finish) -------------
 
-    def begin_allocate_write(self, account: int, data: bytes) -> _PendingOp:
-        """Choose a block number, mark it pending, run the companion step."""
+    def begin_batch(
+        self,
+        account: int,
+        writes: list[tuple[int, bytes]],
+        swaps: list[Swap] = (),
+        adopt: bool = False,
+    ) -> _PendingOp:
+        """The first step of every replicated write: :meth:`_new_batch`,
+        then the companion step."""
+        op = self._new_batch(account, writes, swaps, adopt)
+        if op.writes:
+            self._companion_step(op)
+        return op
+
+    def _new_batch(
+        self,
+        account: int,
+        writes: list[tuple[int, bytes]],
+        swaps: list[Swap],
+        adopt: bool,
+    ) -> _PendingOp:
+        """Check, compare and mark every member of a batch pending.
+
+        Each swap ``(block, offset, expected, new)`` is compared against
+        the checked local copy; on a match the swapped block joins the
+        batch *behind* every page.  With ``adopt`` a member nobody owns yet
+        is allocated to ``account`` by the write (on both halves)."""
         self._check_serving()
-        block_no = self._choose_block()
-        op = self._new_op("alloc", account, block_no, data)
-        self._companion_step(op)
+        for block_no, _ in writes:
+            if not adopt or self.local.owner_of(block_no) is not None:
+                self.local._check_owner(block_no, account)
+        op = _PendingOp("write", account, writes=list(writes), adopt=adopt)
+        for block_no, offset, expected, new in swaps:
+            self.local._check_owner(block_no, account)
+            # The compare must run against verified data: a corrupted local
+            # block would compare garbage and falsely fail (or succeed), so
+            # the read goes through the same checked/repair path as cmd_read.
+            result, swapped = compare_and_swap(
+                self._checked_read(account, block_no), offset, expected, new
+            )
+            op.results.append(result)
+            if swapped is not None:
+                op.writes.append((block_no, swapped))  # behind every page
+            if self.recorder.enabled:
+                self.recorder.event(
+                    "block.tas", server=self.name, block=block_no,
+                    success=result.success,
+                )
+        if not op.writes:
+            return op
+        self._mark(op, [block_no for block_no, _ in op.writes])
+        if self.recorder.enabled:
+            self.recorder.event(
+                "stable.write_many",
+                origin=self.name,
+                pages=len(writes),
+                swaps=len(op.writes) - len(writes),
+            )
+            self.recorder.count("stable.write_many_blocks", len(op.writes))
+            self.recorder.observe(
+                "stable.batch_pages", len(op.writes), bounds=_BATCH_BUCKETS
+            )
         return op
 
     def begin_reserve(
@@ -348,75 +415,64 @@ class StableServer:
         self._companion_step(op)
         return op
 
-    def begin_write(self, account: int, block_no: int, data: bytes) -> _PendingOp:
-        """Mark an existing block pending and run the companion step."""
-        self._check_serving()
-        self.local._check_owner(block_no, account)  # protection first
-        op = self._new_op("write", account, block_no, data)
-        self._companion_step(op)
-        return op
-
     def begin_free(self, account: int, block_no: int) -> _PendingOp:
         self._check_serving()
         self.local._check_owner(block_no, account)
-        op = self._new_op("free", account, block_no)
+        op = _PendingOp("free", account)
+        self._mark(op, [block_no])
         self._companion_step(op)
         return op
 
-    def finish_op(self, op: _PendingOp) -> int:
-        """Complete the local half of an operation and clear its marker."""
-        self._check_serving()
-        if op.kind == "alloc":
-            self.local.allocate_write(op.account, op.data, hint=op.block_no)
-        elif op.kind == "reserve":
-            self.local.reserve(op.account, op.extent)
-        elif op.kind == "write":
-            self.local.write(op.account, op.block_no, op.data)
-        elif op.kind == "free":
-            self.local.free(op.account, op.block_no)
-            self._pool.pop(op.block_no, None)
-        self._drop_markers(op)
+    def finish_op(self, op: _PendingOp) -> _PendingOp:
+        """Complete the local half of an operation and clear its markers;
+        returns ``op``.  The local apply is one disk transaction: a single
+        journal sync on durable media."""
+        try:
+            self._check_serving()
+            if op.kind == "write":
+                if op.writes:
+                    self.local.write_many(op.account, op.writes, adopt=op.adopt)
+            elif op.kind == "reserve":
+                self.local.reserve(op.account, op.blocks)
+            else:
+                self.local.free(op.account, op.blocks[0])
+                self._pool.pop(op.blocks[0], None)
+        finally:
+            self._drop_markers(op)
         for block_no in op.blocks:
             self._note_dirty(block_no)
-        return op.block_no
+        return op
 
     def _drop_markers(self, op: _PendingOp) -> None:
         for block_no in op.blocks:
-            self._pending.pop(block_no, None)
+            if self._pending.get(block_no) is op:
+                del self._pending[block_no]
 
-    def _new_op(self, kind: str, account: int, block_no: int, data: bytes = b"") -> _PendingOp:
-        if block_no in self._pending:
-            # Two clients of the *same* server: serialized by the server
-            # itself in real Amoeba; in the simulation a same-server overlap
-            # is a conflict the client retries.
-            raise CompanionConflict(
-                f"{self.name}: block {block_no} already has an operation in flight"
-            )
-        op = _PendingOp(self._next_op, kind, account, block_no, data)
-        self._next_op += 1
-        self._pending[block_no] = op
-        return op
-
-    def _new_extent(
-        self, account: int, numbers: list[int] | None = None
-    ) -> _PendingOp:
-        """Mark a whole extent pending under one "reserve" operation:
-        ``numbers`` as given, or up to :data:`EXTENT` chosen here."""
-        op = _PendingOp(self._next_op, "reserve", account, 0)
-        self._next_op += 1
+    def _mark(self, op: _PendingOp, numbers) -> None:
+        """Mark each number pending under ``op``, in order.  A number
+        already pending here — two clients of the *same* server, which real
+        Amoeba serialises and the simulation lets overlap — refuses the
+        whole operation as a conflict the client retries."""
         try:
-            for block_no in numbers if numbers is not None else self._fresh_numbers():
+            for block_no in numbers:
                 if block_no in self._pending:
                     raise CompanionConflict(
                         f"{self.name}: block {block_no} already has an "
                         f"operation in flight"
                     )
                 self._pending[block_no] = op
-                op.extent.append(block_no)
+                op.blocks.append(block_no)
         except BaseException:
             self._drop_markers(op)
             raise
-        op.block_no = op.extent[0]
+
+    def _new_extent(
+        self, account: int, numbers: list[int] | None = None
+    ) -> _PendingOp:
+        """Mark a whole extent pending under one "reserve" operation:
+        ``numbers`` as given, or up to :data:`EXTENT` chosen here."""
+        op = _PendingOp("reserve", account)
+        self._mark(op, numbers if numbers is not None else self._fresh_numbers())
         return op
 
     def _fresh_numbers(self):
@@ -462,8 +518,11 @@ class StableServer:
     # -- client command set ---------------------------------------------------
 
     def cmd_allocate_write(self, account: int, data: bytes) -> int:
-        op = self.begin_allocate_write(account, data)
-        return self.finish_op(op)
+        """Choose a number and write it, one batch: both halves adopt it."""
+        self._check_serving()
+        block_no = self._choose_block()
+        self.finish_op(self.begin_batch(account, [(block_no, data)], adopt=True))
+        return block_no
 
     def cmd_allocate(self, account: int) -> int:
         """Hand out one reserved block number, from memory.
@@ -486,10 +545,9 @@ class StableServer:
             (b for b, owner in self._pool.items() if owner == account), None
         )
         if block_no is None:
-            op = self.begin_reserve(account)
-            self.finish_op(op)
-            self._pool.update(dict.fromkeys(op.extent, account))
-            block_no = op.block_no
+            op = self.finish_op(self.begin_reserve(account))
+            self._pool.update(dict.fromkeys(op.blocks, account))
+            block_no = op.blocks[0]
         del self._pool[block_no]
         # From here the number is a migration's to carry (the manifest
         # left it out while it was pooled).
@@ -497,8 +555,7 @@ class StableServer:
         return block_no
 
     def cmd_write(self, account: int, block_no: int, data: bytes) -> None:
-        op = self.begin_write(account, block_no, data)
-        self.finish_op(op)
+        self.finish_op(self.begin_batch(account, [(block_no, data)]))
 
     def _checked_read(self, account: int, block_no: int) -> bytes:
         """Read a block through the integrity check; on corruption, fetch
@@ -506,7 +563,8 @@ class StableServer:
 
         Every server-side read of client data goes through here — serving
         (or comparing against) a corrupted local block would propagate
-        garbage the companion still holds intact.
+        garbage the companion still holds intact.  A companion that is
+        down or recovering has no copy to offer: the read fails.
         """
         try:
             return self.local.read(account, block_no)
@@ -515,7 +573,7 @@ class StableServer:
                 "companion_read", account=account, block_no=block_no
             )
             try:
-                self.local.write(account, block_no, data)  # repair in place
+                self.local.write_many(account, [(block_no, data)])  # repair
             except WriteOnceViolation:
                 pass  # optical media cannot be repaired; serve the copy
             return data
@@ -530,15 +588,15 @@ class StableServer:
         return self._checked_read(account, block_no)
 
     def cmd_free(self, account: int, block_no: int) -> None:
-        op = self.begin_free(account, block_no)
-        self.finish_op(op)
+        self.finish_op(self.begin_free(account, block_no))
 
     def cmd_test_and_set(
         self, account: int, block_no: int, offset: int, expected: bytes, new: bytes
     ) -> TasResult:
         """Atomic compare-and-swap, replicated to both disks: a
         :meth:`cmd_write_many` of no pages and one swap."""
-        return self._write_batch(account, [], [(block_no, offset, expected, new)])[0]
+        op = self.begin_batch(account, [], [(block_no, offset, expected, new)])
+        return self.finish_op(op).results[0]
 
     def cmd_write_many(
         self,
@@ -554,16 +612,13 @@ class StableServer:
         locally — an M-page commit flush costs one round trip instead of
         M, and one append and one sync per half.  Pending markers cover
         every block in the batch for the whole exchange, so concurrent
-        operations on any member collide exactly as they would against
-        individual writes.
+        operations on any member collide.
 
-        Each swap ``(block, offset, expected, new)`` is compared against
-        the local copy; on a match the swapped block joins the batch
-        *behind* every page and is propagated companion-first like any
-        write, so concurrent test-and-sets through different halves
-        collide and one retries — giving the mutual exclusion §5.2's
-        commit depends on.  A failed compare reports the bytes found and
-        stops nothing else in the batch.
+        A swap that matches is propagated companion-first like any write,
+        so concurrent test-and-sets through different halves collide and
+        one retries — giving the mutual exclusion §5.2's commit depends
+        on.  A failed compare reports the bytes found and stops nothing
+        else in the batch.
 
         **Pages before reference.**  §5.2: "First it ascertains that all
         of V.b's pages are safely on disk".  A commit's swap sets a commit
@@ -572,123 +627,7 @@ class StableServer:
         one append the swapped blocks come last, and a torn append keeps a
         prefix.
         """
-        return self._write_batch(account, writes, swaps)
-
-    def _write_batch(
-        self, account: int, writes: list[tuple[int, bytes]], swaps: list[Swap]
-    ) -> list[TasResult]:
-        """:meth:`cmd_write_many`, shared with :meth:`cmd_test_and_set`."""
-        self._check_serving()
-        for block_no, _ in writes:
-            self.local._check_owner(block_no, account)
-        members = list(writes)
-        results: list[TasResult] = []
-        for block_no, offset, expected, new in swaps:
-            self.local._check_owner(block_no, account)
-            # The compare must run against verified data: a corrupted local
-            # block would compare garbage and falsely fail (or succeed), so
-            # the read goes through the same checked/repair path as cmd_read.
-            result, swapped = compare_and_swap(
-                self._checked_read(account, block_no), offset, expected, new
-            )
-            results.append(result)
-            if swapped is not None:
-                members.append((block_no, swapped))  # behind every page
-        if not members:
-            return results
-        ops: list[_PendingOp] = []
-        try:
-            for i, (block_no, data) in enumerate(members):
-                kind = "write" if i < len(writes) else "tas"
-                ops.append(self._new_op(kind, account, block_no, data))
-        except CompanionConflict:
-            for op in ops:
-                self._drop_markers(op)
-            raise
-        if self.recorder.enabled:
-            self.recorder.event(
-                "stable.write_many",
-                origin=self.name,
-                pages=len(writes),
-                swaps=len(members) - len(writes),
-            )
-            self.recorder.count("stable.write_many_blocks", len(members))
-            self.recorder.observe(
-                "stable.batch_pages", len(members), bounds=_BATCH_BUCKETS
-            )
-        try:
-            self._call_companion(
-                "companion_write_many",
-                origin=self.name,
-                account=account,
-                writes=members,
-            )
-            for op in ops:
-                op.companion_done = True
-        except CompanionConflict:
-            for op in ops:
-                self._drop_markers(op)
-            raise
-        except (ServerUnreachable, ServerCrashed):
-            self._record_intentions(
-                [_Intention("write", account, b, data) for b, data in members]
-            )
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "stable.intention",
-                    origin=self.name,
-                    kind="write_many",
-                    blocks=len(members),
-                )
-        # The local apply is one batched disk transaction: a single journal
-        # sync on durable media, a loop of atomic writes on SimDisk.
-        self.local.write_many(account, members)
-        for op in ops:
-            self._drop_markers(op)
-            self._note_dirty(op.block_no)
-        return results
-
-    def cmd_lock(self, block_no: int, locker: int) -> bool:
-        """Lock a block, replicated companion-first (same pattern as tas).
-
-        Lock state must live on both halves: a client that fails over to
-        the companion mid-critical-section would otherwise see the block
-        unlocked and the mutual exclusion §5.2's commit depends on would
-        silently evaporate.  If the companion refuses (the lock is held
-        there by someone else), nothing changes locally; if the local grant
-        then fails, the companion's grant is rolled back.  A companion that
-        is down is skipped — its lock table died with it anyway.
-        """
-        self._check_serving()
-        companion_granted: bool | None = None
-        try:
-            companion_granted = self._call_companion(
-                "companion_lock", block_no=block_no, locker=locker
-            )
-        except (ServerUnreachable, ServerCrashed):
-            pass  # companion down: its in-memory lock table is gone anyway
-        if companion_granted is False:
-            return False
-        granted = self.local.lock(block_no, locker)
-        if not granted and companion_granted:
-            try:
-                self._call_companion(
-                    "companion_unlock", block_no=block_no, locker=locker
-                )
-            except (ServerUnreachable, ServerCrashed):
-                pass
-        return granted
-
-    def cmd_unlock(self, block_no: int, locker: int) -> None:
-        """Release a lock on both halves, companion-first."""
-        self._check_serving()
-        try:
-            self._call_companion(
-                "companion_unlock", block_no=block_no, locker=locker
-            )
-        except (ServerUnreachable, ServerCrashed):
-            pass
-        return self.local.unlock(block_no, locker)
+        return self.finish_op(self.begin_batch(account, writes, swaps)).results
 
     def cmd_recover(self, account: int) -> list[int]:
         """The §4 recovery operation — minus the numbers either half
@@ -703,25 +642,42 @@ class StableServer:
         return [b for b in self.local.recover(account) if b not in pooled]
 
     # -- companion command set -------------------------------------------------
+    #
+    # A recovering half refuses all of these with ServerCrashed (see
+    # _check_current): the origin then records an intention, which the
+    # resync replays in order, or a repairing read fails instead of
+    # returning a stale copy.  Only the resync's own fetch_intentions and
+    # ack_intentions reach a half that is up but has not resynced.
 
-    def cmd_companion_write(
-        self, origin: str, account: int, block_no: int, data: bytes
+    def _check_collision(self, what: str, blocks) -> None:
+        """Refuse, before any damage is done, a companion operation on a
+        block this half has its own operation in flight on: two clients
+        hit the same block through different servers simultaneously."""
+        for block_no in blocks:
+            mine = self._pending.get(block_no)
+            if mine is not None:
+                raise CompanionConflict(
+                    f"{self.name}: companion {what} collides with local "
+                    f"{mine.kind} op on block {block_no}"
+                )
+
+    def cmd_companion_write_many(
+        self, origin: str, account: int, writes: list[tuple[int, bytes]]
     ) -> None:
-        """The companion-first write arriving from the other half.
+        """A replicated write arriving from the other half in one message.
 
-        Collision check: if *this* server has its own operation in flight
-        on the same block, two clients hit the same block through different
-        servers simultaneously — refuse, before any damage is done.
+        Collision checks run for *every* block before any write is applied
+        — "before any damage is done" must hold for the batch as a whole.
+        The order of ``writes`` is the order of the records: the origin
+        puts a commit's swapped blocks last (pages before reference).  A
+        number nobody owns here yet was chosen by the origin: it is
+        allocated to ``account`` with the write.
         """
-        self._check_up()
-        mine = self._pending.get(block_no)
-        if mine is not None:
-            raise CompanionConflict(
-                f"{self.name}: companion write collides with local {mine.kind} "
-                f"op on block {block_no}"
-            )
-        self.local.write_many(account, [(block_no, data)], adopt=True)
-        self._note_dirty(block_no)
+        self._check_current()
+        self._check_collision("batch", [block_no for block_no, _ in writes])
+        self.local.write_many(account, list(writes), adopt=True)
+        for block_no, _ in writes:
+            self._note_dirty(block_no)
 
     def cmd_companion_reserve_many(self, account: int, blocks: list[int]) -> None:
         """Reserve an extent chosen by the other half (no data yet).
@@ -729,14 +685,9 @@ class StableServer:
         Every number is checked before any is recorded: one this half has
         an operation in flight on, or already owns, refuses the whole
         extent before any damage is done."""
-        self._check_up()
+        self._check_current()
+        self._check_collision("reserve", blocks)
         for block_no in blocks:
-            mine = self._pending.get(block_no)
-            if mine is not None:
-                raise CompanionConflict(
-                    f"{self.name}: companion reserve collides with local "
-                    f"{mine.kind} op on block {block_no}"
-                )
             if self.local.owner_of(block_no) is not None:
                 raise CompanionConflict(
                     f"{self.name}: companion reserve of block {block_no}, "
@@ -748,55 +699,20 @@ class StableServer:
 
     def cmd_companion_pooled(self) -> list[int]:
         """The numbers this half's pool still holds (for ``recover``)."""
-        self._check_up()
+        self._check_current()
         return list(self._pool)
 
     def cmd_companion_free(self, account: int, block_no: int) -> None:
-        self._check_up()
-        if block_no in self._pending:
-            raise CompanionConflict(
-                f"{self.name}: companion free collides on block {block_no}"
-            )
+        self._check_current()
+        self._check_collision("free", [block_no])
         if self.local.owner_of(block_no) is not None:
             self.local.free(account, block_no)
         self._pool.pop(block_no, None)
         self._note_dirty(block_no)
 
     def cmd_companion_read(self, account: int, block_no: int) -> bytes:
-        self._check_up()
+        self._check_current()
         return self.local.read(account, block_no)
-
-    def cmd_companion_lock(self, block_no: int, locker: int) -> bool:
-        """The companion-first half of a replicated lock."""
-        self._check_up()
-        return self.local.lock(block_no, locker)
-
-    def cmd_companion_unlock(self, block_no: int, locker: int) -> None:
-        """The companion-first half of a replicated unlock."""
-        self._check_up()
-        self.local.unlock(block_no, locker)
-
-    def cmd_companion_write_many(
-        self, origin: str, account: int, writes: list[tuple[int, bytes]]
-    ) -> None:
-        """A whole flush batch arriving from the other half in one message.
-
-        Collision checks run for *every* block before any write is applied
-        — "before any damage is done" must hold for the batch as a whole.
-        The order of ``writes`` is the order of the records: the origin
-        puts a commit's swapped blocks last (pages before reference).
-        """
-        self._check_up()
-        for block_no, _ in writes:
-            mine = self._pending.get(block_no)
-            if mine is not None:
-                raise CompanionConflict(
-                    f"{self.name}: companion batch collides with local "
-                    f"{mine.kind} op on block {block_no}"
-                )
-        self.local.write_many(account, list(writes), adopt=True)
-        for block_no, _ in writes:
-            self._note_dirty(block_no)
 
     def cmd_fetch_intentions(self) -> list[_Intention]:
         """Hand the restarting companion the operations it missed.  The
@@ -809,17 +725,19 @@ class StableServer:
         """The companion applied the first ``count`` intentions: drop them."""
         self._check_up()
         self._intentions = self._intentions[count:]
-        if self._persist_intent_ack is not None and count:
-            self._persist_intent_ack(count)
+        if count:
+            self.local.disk.ack_intentions(count)
 
     # -- migration command set -------------------------------------------------
     #
     # These verbs serve the live-migration driver (repro.block.rebalance),
-    # not ordinary clients, so like the companion set they check only
-    # _crashed: a retired source must keep answering export/manifest/dirty
-    # queries during the cutover fence, and a recovering half may still be
-    # audited.  Only manifest and retired_epoch are read-only: export's
-    # checked read can repair, and dirty_blocks' reset mutates the set.
+    # not ordinary clients, so like the companion set they skip the
+    # retirement check: a retired source must keep answering
+    # export/manifest/dirty queries during the cutover fence.  Reads come
+    # from an up-to-date disk only (_check_current): crashed and
+    # recovering halves refuse, and their twin answers.  Only manifest and
+    # retired_epoch are read-only: export's checked read can repair, and
+    # dirty_blocks' reset mutates the set.
 
     def cmd_track_dirty(self, on: bool) -> bool:
         """Arm (or disarm) dirty-block tracking for a migration stream."""
@@ -827,17 +745,9 @@ class StableServer:
         self._dirty = set() if on else None
         return bool(on)
 
-    def _check_migration_read(self) -> None:
-        """Migration reads must come from an up-to-date disk: crashed and
-        recovering halves refuse (their twin answers), but a *retired*
-        half keeps serving — the fence reads it after cutting clients off."""
-        self._check_up()
-        if self._recovering:
-            raise ServerCrashed(f"{self.name} is recovering; resync first")
-
     def cmd_dirty_blocks(self, reset: bool = False) -> list[int]:
         """Blocks mutated since tracking was armed (or last reset)."""
-        self._check_migration_read()
+        self._check_current()
         if self._dirty is None:
             return []
         blocks = sorted(self._dirty)
@@ -850,7 +760,7 @@ class StableServer:
         """Every allocated block with its owning account, for streaming
         (this half's pooled numbers left out: they enter a migration when
         they are handed out)."""
-        self._check_migration_read()
+        self._check_current()
         return sorted(
             (block_no, self.local.owner_of(block_no))
             for block_no in self.local.allocated_blocks()
@@ -861,7 +771,7 @@ class StableServer:
         """Read a block for migration, through the corruption-repair path.
         ``None``: the block is allocated and nothing was written yet — a
         reservation (a deferred page of an update still open)."""
-        self._check_migration_read()
+        self._check_current()
         self.local._check_owner(block_no, account)
         if not self.local.disk.holds(block_no):
             return None
@@ -880,18 +790,13 @@ class StableServer:
         if owner is not None and (
             owner != account or (data is None and self.local.disk.holds(block_no))
         ):
-            op = self._new_op("free", owner, block_no)
-            self._companion_step(op)
-            self.finish_op(op)
+            self.finish_op(self.begin_free(owner, block_no))
             owner = None
-        if data is None:
-            if owner is None:
-                self.finish_op(self.begin_reserve(account, [block_no]))
-            return block_no
-        kind = "write" if owner is not None else "alloc"
-        op = self._new_op(kind, account, block_no, data)
-        self._companion_step(op)
-        return self.finish_op(op)
+        if data is not None:
+            self.finish_op(self.begin_batch(account, [(block_no, data)], adopt=True))
+        elif owner is None:
+            self.finish_op(self.begin_reserve(account, [block_no]))
+        return block_no
 
     def cmd_retire(self, epoch: int) -> None:
         """Wire form of :meth:`retire`, for an operator driving remotely."""

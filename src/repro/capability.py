@@ -109,10 +109,6 @@ class Capability:
             "restriction requires the issuing service; use CapabilityIssuer.restrict"
         )
 
-    def with_rights_unchecked(self, rights: int, check: int) -> "Capability":
-        """Internal: rebuild the capability with a server-derived check."""
-        return Capability(self.port, self.obj, rights, check)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"cap({self.port:012x}:{self.obj}:{self.rights:#04x})"
 

@@ -87,12 +87,6 @@ class PageRef:
         """A nil reference: a hole in the page tree."""
         return self.block == NIL
 
-    def with_flags(self, flags: Flags) -> "PageRef":
-        return PageRef(self.block, flags)
-
-    def with_block(self, block: int) -> "PageRef":
-        return PageRef(block, self.flags)
-
     def encode(self) -> int:
         """Pack into 32 bits: 28-bit block number, 4-bit flag code."""
         return (self.block << 4) | self.flags.encode()

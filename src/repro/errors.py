@@ -138,10 +138,6 @@ class NotBlockOwner(BlockError):
     """Per-account protection: the caller does not own the block."""
 
 
-class BlockLocked(BlockError):
-    """The block is locked by another client (block-server soft locks)."""
-
-
 class CompanionConflict(BlockError):
     """Companion-pair collision detected (simultaneous allocate or write
     of the same block number through both servers of a stable pair)."""

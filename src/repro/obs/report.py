@@ -210,28 +210,6 @@ def render_disk_table(metrics: MetricsRegistry) -> str:
     )
 
 
-def render_report(recorder) -> str:
-    """The full text report: metrics, commit table, recent span trees."""
-    sections = [render_metrics(recorder.metrics), render_commit_table(recorder.tracer)]
-    shard_table = render_shard_table(recorder.metrics)
-    if shard_table:
-        sections.append("per-shard balance:\n" + shard_table)
-    placement_table = render_placement_table(recorder.metrics)
-    if placement_table:
-        sections.append("placement / rebalance:\n" + placement_table)
-    cache_table = render_cache_table(recorder.metrics)
-    if cache_table:
-        sections.append("client cache:\n" + cache_table)
-    disk_table = render_disk_table(recorder.metrics)
-    if disk_table:
-        sections.append("durable disk:\n" + disk_table)
-    recent = list(recorder.tracer.roots)[-5:]
-    if recent:
-        sections.append("recent spans:")
-        sections.extend(render_span(span, "  ") for span in recent)
-    return "\n\n".join(sections)
-
-
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------

@@ -136,9 +136,6 @@ class HistoryRecorder:
                 )
             )
 
-    def of_kind(self, kind: str) -> list[HistoryEvent]:
-        return [event for event in self.events if event.kind == kind]
-
     def __len__(self) -> int:
         return len(self.events)
 

@@ -134,3 +134,17 @@ def test_stats_counting(disk):
     assert disk.stats.frees == 1
     delta = disk.stats.delta(disk.stats.snapshot())
     assert delta.reads == 0 and delta.writes == 0
+
+
+def test_takes_the_durable_disks_journal_calls_with_nothing_to_journal(disk):
+    """The block tier calls every disk the same way; in memory the owner
+    records, disown flag and intentions list simply have nowhere to go."""
+    disk.write_many([(1, b"a"), (2, b"b")], {1: 7, 2: 7})
+    assert disk.read(1) == b"a" and disk.read(2) == b"b"
+    disk.erase(1, disown=True)
+    assert not disk.holds(1)
+    disk.add_intention("write", 7, 2, b"b", sync=False)
+    disk.sync_journal()
+    disk.ack_intentions(1)
+    assert disk.recovered_owners() == {}
+    assert disk.recovered_intentions() == []

@@ -1,16 +1,15 @@
-"""The block server: allocation, protection, locks, test-and-set, recovery."""
+"""The block server: allocating writes, protection, test-and-set, recovery."""
 
 import pytest
 
 from repro.errors import (
-    BlockLocked,
     DiskFull,
     NoSuchBlock,
     NotBlockOwner,
     ServerCrashed,
 )
 from repro.block.disk import SimDisk
-from repro.block.server import BlockServer, PUBLIC_ACCOUNT
+from repro.block.server import BlockServer, PUBLIC_ACCOUNT, compare_and_swap
 
 
 @pytest.fixture
@@ -18,131 +17,107 @@ def server():
     return BlockServer("bs", SimDisk(capacity=32, block_size=128))
 
 
+def _put(server, account, block, data):
+    """An allocating write at a chosen number (the stable server chooses)."""
+    server.write_many(account, [(block, data)], adopt=True)
+    return block
+
+
 def test_allocate_write_read(server):
-    block = server.allocate_write(1, b"data")
+    block = _put(server, 1, 3, b"data")
     assert server.read(1, block) == b"data"
-
-
-def test_allocation_is_dense(server):
-    blocks = [server.allocate(1) for _ in range(3)]
-    assert blocks == [1, 2, 3]
+    assert server.owner_of(block) == 1
 
 
 def test_allocate_with_hint(server):
-    assert server.allocate(1, hint=7) == 7
+    server.reserve(1, [7])
+    assert server.owner_of(7) == 1
     with pytest.raises(DiskFull):
-        server.allocate(1, hint=7)
+        server.reserve(1, [7])
+    with pytest.raises(DiskFull):
+        server.reserve(1, [33])  # beyond capacity
 
 
 def test_protection_between_accounts(server):
-    block = server.allocate_write(1, b"mine")
+    block = _put(server, 1, 1, b"mine")
     with pytest.raises(NotBlockOwner):
         server.read(2, block)
     with pytest.raises(NotBlockOwner):
-        server.write(2, block, b"theirs")
+        server.write_many(2, [(block, b"theirs")])
+    with pytest.raises(NotBlockOwner):
+        server.write_many(2, [(block, b"theirs")], adopt=True)
     with pytest.raises(NotBlockOwner):
         server.free(2, block)
+    assert server.read(1, block) == b"mine"
 
 
 def test_public_account_blocks_shared(server):
-    block = server.allocate_write(PUBLIC_ACCOUNT, b"shared")
+    block = _put(server, PUBLIC_ACCOUNT, 1, b"shared")
     assert server.read(5, block) == b"shared"
 
 
 def test_unallocated_block_raises(server):
     with pytest.raises(NoSuchBlock):
         server.read(1, 9)
+    with pytest.raises(NoSuchBlock):
+        server.write_many(1, [(9, b"x")])  # only ``adopt`` allocates
 
 
 def test_free_erases_and_releases(server):
-    block = server.allocate_write(1, b"x")
+    block = _put(server, 1, 1, b"x")
     server.free(1, block)
     with pytest.raises(NoSuchBlock):
         server.read(1, block)
     assert server.owner_of(block) is None
 
 
-def test_test_and_set_success(server):
-    block = server.allocate_write(1, b"AAAABBBB")
-    result = server.test_and_set(1, block, 4, b"BBBB", b"CCCC")
-    assert result.success
-    assert server.read(1, block) == b"AAAACCCC"
+def test_test_and_set_success():
+    result, swapped = compare_and_swap(b"AAAABBBB", 4, b"BBBB", b"CCCC")
+    assert result.success and result.current == b"CCCC"
+    assert swapped == b"AAAACCCC"
 
 
-def test_test_and_set_failure_returns_current(server):
-    block = server.allocate_write(1, b"AAAABBBB")
-    result = server.test_and_set(1, block, 4, b"XXXX", b"CCCC")
+def test_test_and_set_failure_returns_current():
+    result, swapped = compare_and_swap(b"AAAABBBB", 4, b"XXXX", b"CCCC")
     assert not result.success
     assert result.current == b"BBBB"
-    assert server.read(1, block) == b"AAAABBBB"  # untouched
+    assert swapped is None  # nothing to write
 
 
-def test_test_and_set_length_mismatch(server):
-    block = server.allocate_write(1, b"AAAA")
+def test_test_and_set_length_mismatch():
     with pytest.raises(ValueError):
-        server.test_and_set(1, block, 0, b"AA", b"AAA")
+        compare_and_swap(b"AAAA", 0, b"AA", b"AAA")
 
 
-def test_test_and_set_out_of_range(server):
-    block = server.allocate_write(1, b"AAAA")
+def test_test_and_set_out_of_range():
     with pytest.raises(ValueError):
-        server.test_and_set(1, block, 2, b"AAAA", b"BBBB")
-
-
-def test_lock_unlock(server):
-    block = server.allocate_write(1, b"x")
-    assert server.lock(block, locker=0xA)
-    assert not server.lock(block, locker=0xB)
-    assert server.lock(block, locker=0xA)  # re-entrant
-    server.unlock(block, 0xA)
-    assert server.lock(block, locker=0xB)
-
-
-def test_foreign_unlock_raises(server):
-    block = server.allocate_write(1, b"x")
-    server.lock(block, 0xA)
-    with pytest.raises(BlockLocked):
-        server.unlock(block, 0xB)
-
-
-def test_unlock_unheld_is_noop(server):
-    block = server.allocate_write(1, b"x")
-    server.unlock(block, 0xA)
+        compare_and_swap(b"AAAA", 2, b"AAAA", b"BBBB")
 
 
 def test_recover_lists_account_blocks(server):
-    mine = [server.allocate_write(1, b"m") for _ in range(3)]
-    server.allocate_write(2, b"o")
+    mine = [_put(server, 1, block, b"m") for block in (4, 2, 9)]
+    _put(server, 2, 5, b"o")
     assert server.recover(1) == sorted(mine)
     assert len(server.recover(2)) == 1
     assert server.recover(3) == []
 
 
 def test_crash_blocks_all_commands(server):
-    block = server.allocate_write(1, b"x")
+    block = _put(server, 1, 1, b"x")
     server.crash()
     for call in (
         lambda: server.read(1, block),
-        lambda: server.write(1, block, b"y"),
-        lambda: server.allocate(1),
+        lambda: server.write_many(1, [(block, b"y")]),
+        lambda: server.reserve(1, [2]),
         lambda: server.recover(1),
     ):
         with pytest.raises(ServerCrashed):
             call()
 
 
-def test_restart_clears_locks_keeps_data(server):
-    block = server.allocate_write(1, b"x")
-    server.lock(block, 0xA)
+def test_restart_keeps_data(server):
+    block = _put(server, 1, 1, b"x")
     server.crash()
     server.restart()
     assert server.read(1, block) == b"x"
-    assert server.lock_holder(block) is None
-
-
-def test_free_releases_lock(server):
-    block = server.allocate_write(1, b"x")
-    server.lock(block, 0xA)
-    server.free(1, block)
-    fresh = server.allocate(1, hint=block)
-    assert server.lock_holder(fresh) is None
+    assert server.owner_of(block) == 1

@@ -38,12 +38,13 @@ def test_write_lands_on_both_disks(pair, client):
 
 def test_companion_first_ordering(pair):
     """The companion's disk is written before the receiving server's."""
-    op = pair.a.begin_allocate_write(1, b"data")
+    op = pair.a.begin_batch(1, [(pair.a._choose_block(), b"data")], adopt=True)
+    (block,) = op.blocks
     # After the begin (companion step), B has the block, A does not yet.
-    assert pair.disk_b.holds(op.block_no)
-    assert not pair.disk_a.holds(op.block_no)
+    assert pair.disk_b.holds(block) and pair.b.local.owner_of(block) == 1
+    assert not pair.disk_a.holds(block) and pair.a.local.owner_of(block) is None
     pair.a.finish_op(op)
-    assert pair.disk_a.holds(op.block_no)
+    assert pair.disk_a.holds(block) and pair.a.local.owner_of(block) == 1
 
 
 def test_read_served_locally(pair, client, net):
@@ -64,26 +65,27 @@ def test_corrupted_read_repaired_from_companion(pair, client):
 def test_allocate_collision_detected(pair):
     """Both halves pick the same number simultaneously; the op whose
     companion step arrives second is refused before any damage."""
-    op_a = pair.a._new_op("alloc", 1, pair.a._choose_block(), b"A")
-    op_b = pair.b._new_op("alloc", 1, pair.b._choose_block(), b"B")
-    assert op_a.block_no == op_b.block_no  # the accidental collision
+    op_a = pair.a._new_batch(1, [(pair.a._choose_block(), b"A")], [], adopt=True)
+    op_b = pair.b._new_batch(1, [(pair.b._choose_block(), b"B")], [], adopt=True)
+    assert op_a.blocks == op_b.blocks  # the accidental collision
     # A's companion step reaches B, which has its own pending op: refused.
     with pytest.raises(CompanionConflict):
         pair.a._companion_step(op_a)
+    assert not pair.a._pending and not pair.disk_b.holds(op_b.blocks[0])
     # B's operation proceeds unharmed.
     pair.b._companion_step(op_b)
     pair.b.finish_op(op_b)
     assert pair.consistent()
-    # A retries and gets a different block.
-    retry = pair.a.begin_allocate_write(1, b"A")
-    assert retry.block_no != op_b.block_no
-    pair.a.finish_op(retry)
+    # A retries (the whole allocate_write) and gets a different block.
+    retry = pair.a.cmd_allocate_write(1, b"A")
+    assert retry != op_b.blocks[0]
+    assert pair.disk_a.read(retry) == pair.disk_b.read(retry) == b"A"
     assert pair.consistent()
 
 
 def test_write_collision_detected(pair, client, net):
     block = client.allocate_write(b"base")
-    op_a = pair.a.begin_write(1, block, b"via A")
+    op_a = pair.a.begin_batch(1, [(block, b"via A")])
     # A second client writes the same block through B while A's op is in
     # flight: B's companion step reaches A, which has a pending marker.
     with pytest.raises(CompanionConflict):
@@ -97,10 +99,11 @@ def test_write_collision_detected(pair, client, net):
 
 def test_same_server_overlap_is_conflict(pair, client):
     block = client.allocate_write(b"base")
-    op = pair.a.begin_write(1, block, b"first")
+    op = pair.a.begin_batch(1, [(block, b"first")])
     with pytest.raises(CompanionConflict):
-        pair.a.begin_write(1, block, b"second")
+        pair.a.begin_batch(1, [(block, b"second")])
     pair.a.finish_op(op)
+    assert pair.disk_a.read(block) == pair.disk_b.read(block) == b"first"
 
 
 def test_client_fails_over_to_companion(pair, client):
@@ -127,6 +130,92 @@ def test_writes_while_companion_down_use_intentions(pair, client):
     assert pair.consistent()
 
 
+def test_a_write_while_the_companion_recovers_is_an_intention_too(pair, client):
+    """B has restarted but not resynced: a write through A must not land
+    on B, where the resync would then replay the older intention over it.
+    B refuses, A records an intention, and the resync replays both in
+    order."""
+    block = client.allocate_write(b"v0")
+    pair.b.crash()
+    client.write(block, b"v1")  # A alone: an intention for B
+    pair.b.restart()
+    client.write(block, b"v2")  # B refuses until resynced: an intention
+    assert pair.disk_b.read(block) == b"v0"
+    assert pair.b.resync() == 2
+    assert pair.disk_a.read(block) == pair.disk_b.read(block) == b"v2"
+    assert pair.consistent()
+
+
+def test_a_recovering_companion_serves_no_repair(pair, client):
+    """A corrupt block is not repaired from a half that has not resynced:
+    its copy predates the writes it missed.  The read fails, typed, until
+    the resync; then the repair comes from a current copy."""
+    block = client.allocate_write(b"v0")
+    pair.b.crash()
+    client.write(block, b"v1")
+    pair.b.restart()
+    pair.disk_a.corrupt(block)
+    with pytest.raises(ServerCrashed):
+        client.read(block)
+    pair.b.resync()
+    assert client.read(block) == b"v1"
+    assert pair.disk_a.read(block) == pair.disk_b.read(block) == b"v1"
+
+
+def test_recovering_half_refuses_every_companion_command_but_the_resyncs(pair, client):
+    block = client.allocate_write(b"v0")
+    pair.b.crash()
+    pair.b.restart()
+    for call in (
+        lambda: pair.b.cmd_companion_write_many("blockA", 1, [(block, b"x")]),
+        lambda: pair.b.cmd_companion_reserve_many(1, [block + 1]),
+        lambda: pair.b.cmd_companion_free(1, block),
+        lambda: pair.b.cmd_companion_read(1, block),
+        lambda: pair.b.cmd_companion_pooled(),
+    ):
+        with pytest.raises(ServerCrashed):
+            call()
+    assert pair.b.cmd_fetch_intentions() == []
+    pair.b.cmd_ack_intentions(0)
+    assert pair.disk_b.read(block) == b"v0"
+
+
+def test_resync_ends_only_on_an_empty_fetch(pair, client):
+    """A write that reaches the origin while the half is mid-resync is
+    refused by the half and recorded; the resync fetches again and
+    applies it before it leaves recovery."""
+    block = client.allocate_write(b"v0")
+    pair.b.crash()
+    client.write(block, b"v1")
+    pair.b.restart()
+    apply = pair.b.local.write_many
+    raced = []
+
+    def apply_then_race(*args, **kwargs):
+        apply(*args, **kwargs)
+        if not raced:
+            raced.append(client.write(block, b"v2"))  # between fetch and ack
+
+    pair.b.local.write_many = apply_then_race
+    assert pair.b.resync() == 2
+    assert pair.a._intentions == [] and pair.b.available
+    assert pair.disk_a.read(block) == pair.disk_b.read(block) == b"v2"
+
+
+def test_a_batch_the_companion_refuses_leaves_no_marker(pair):
+    """Not only a conflict: any refusal at the companion step drops the
+    origin's markers, so the block is not held pending for ever."""
+    from repro.errors import NotBlockOwner
+
+    pair.b.local.reserve(7, [5])  # B holds 5 for another account
+    with pytest.raises(NotBlockOwner):
+        pair.a.begin_batch(1, [(5, b"x")], adopt=True)
+    assert not pair.a._pending and not pair.disk_a.holds(5)
+    pair.b.local.free(7, 5)
+    pair.a.finish_op(pair.a.begin_batch(1, [(5, b"x")], adopt=True))
+    assert pair.disk_a.read(5) == pair.disk_b.read(5) == b"x"
+
+
 def test_crash_during_resync_loses_nothing(pair, client):
     """The two-phase resync: a crash after fetching but before finishing
     the apply leaves the intentions at the companion; the next resync
@@ -141,7 +230,7 @@ def test_crash_during_resync_loses_nothing(pair, client):
     intentions = pair.b._call_companion("fetch_intentions")
     assert len(intentions) == 2
     first = intentions[0]
-    pair.b.local.write(first.account, first.block_no, first.data)
+    pair.b.local.write_many(first.account, [(first.block_no, first.data)])
     pair.b.crash()
     # The intentions are all still at A.
     assert len(pair.a._intentions) == 2
@@ -187,14 +276,6 @@ def test_recover_lists_blocks(pair, client):
     assert set(client.recover()) == blocks
 
 
-def test_lock_facility_via_client(pair, client):
-    block = client.allocate_write(b"x")
-    assert client.lock(block, locker=7)
-    assert not client.lock(block, locker=8)
-    client.unlock(block, locker=7)
-    assert client.lock(block, locker=8)
-
-
 def test_reserve_then_write(pair, net):
     """Deferred-write allocation: number reserved on both halves first."""
     client = ShardedBlockClient(net, "cli", [0x500], account=1)
@@ -209,7 +290,35 @@ def test_reserve_then_write(pair, net):
 def test_crashed_half_rejects_companion_traffic(pair):
     pair.b.crash()
     with pytest.raises((ServerCrashed, ServerUnreachable)):
-        pair.b.cmd_companion_write("blockA", 1, 5, b"x")
+        pair.b.cmd_companion_write_many("blockA", 1, [(5, b"x")])
+
+
+def _verb(name, client, page, ref):
+    """Drive one write verb of the block service."""
+    if name == "write":
+        client.write(page, b"w")
+    elif name == "allocate_write":
+        client.allocate_write(b"w")
+    elif name == "test_and_set":
+        client.test_and_set(ref, 0, b"v0", b"v1")
+    elif name == "write_many":
+        client.write_many([(page, b"w")], [(ref, 0, b"v0", b"v1")])
+    else:  # a migration target installing a streamed block at number 40
+        client.txn.call(0x530, "ingest", account=1, block_no=40, data=b"w")
+
+
+@pytest.mark.parametrize(
+    "verb", ["write", "allocate_write", "test_and_set", "write_many", "ingest"]
+)
+def test_every_write_verb_reaches_the_companion_as_one_batch(net, verb):
+    pair = StablePair(net, 0x530, capacity=64, block_size=64)
+    client = ShardedBlockClient(net, "cli", [0x530], account=1)
+    page, ref = client.allocate_write(b"v0"), client.allocate_write(b"v0")
+    sent = []
+    net.tracer = lambda sender, dest, payload: sent.append(payload.command)
+    _verb(verb, client, page, ref)
+    assert sent == [verb, "companion_write_many"]
+    assert pair.consistent() and not pair.a._pending
 
 
 # -- the observability layer watching the pair -------------------------------
@@ -245,13 +354,15 @@ def test_span_shows_only_companion_write_when_origin_crashes(obs_pair, recorder)
     is already durable there (why companion-first is crash-safe)."""
     schedule = CrashSchedule(after_ops=1)
     with recorder.span("stable.write") as span:
-        op = obs_pair.a.begin_allocate_write(1, b"half-written")
+        op = obs_pair.a.begin_batch(1, [(1, b"half-written")], adopt=True)
         assert schedule.tick()  # the companion step was operation one
         obs_pair.a.crash()  # ...and the origin dies before its own write
     writes = span.events_named("disk.write")
     assert [event.tags["disk"] for event in writes] == ["blockB"]
-    assert obs_pair.disk_b.read(op.block_no) == b"half-written"
-    assert not obs_pair.disk_a.holds(op.block_no)
+    assert obs_pair.disk_b.read(1) == b"half-written"
+    assert not obs_pair.disk_a.holds(1)
+    with pytest.raises(ServerCrashed):
+        obs_pair.a.finish_op(op)
     # The schedule keeps counting past the crash (metrics must not freeze).
     assert not schedule.tick()
     assert schedule.count == 2 and schedule.fired
@@ -269,7 +380,7 @@ def test_resync_metrics_count_applied_intentions(obs_pair, recorder):
     assert obs_pair.consistent()
 
 
-# -- regressions: checked reads, replicated locks, retransmit accounting -----
+# -- regressions: checked reads, retransmit accounting ----------------------
 
 
 def test_tas_repairs_corrupted_local_copy(pair, client):
@@ -295,34 +406,15 @@ def test_tas_on_corrupt_block_does_not_false_fail(pair, client):
     assert result.current == b"expected"  # the true bytes, not garbage
 
 
-def test_lock_state_survives_half_crash(pair, client):
-    """Locks replicate companion-first, so a client failing over to the
-    surviving half still sees the lock held."""
-    block = client.allocate_write(b"locked")
-    assert client.lock(block, locker=7)
-    pair.a.crash()  # the half that served the lock dies
-    assert not client.lock(block, locker=8)  # survivor still refuses
-    client.unlock(block, locker=7)  # the holder releases via the survivor
-    assert client.lock(block, locker=8)
-
-
-def test_unlock_releases_both_halves(pair, client):
-    block = client.allocate_write(b"locked")
-    assert client.lock(block, locker=7)
-    assert pair.a.local.lock_holder(block) == 7
-    assert pair.b.local.lock_holder(block) == 7
-    client.unlock(block, locker=7)
-    assert pair.a.local.lock_holder(block) is None
-    assert pair.b.local.lock_holder(block) is None
-
-
-def test_lock_refused_by_companion_leaves_no_local_state(pair, client):
-    """If the companion refuses a lock, the origin must not grant it
-    locally — divergent lock tables are exactly the bug being fixed."""
-    block = client.allocate_write(b"contended")
-    assert pair.b.cmd_lock(block, locker=1)  # holder came in through B
-    assert not pair.a.cmd_lock(block, locker=2)
-    assert pair.a.local.lock_holder(block) != 2
+def test_a_swap_taken_through_one_half_is_refused_through_the_other(pair, client):
+    """§5.2's critical section survives a half crash: a swap replicates
+    companion-first, so a client failing over to the surviving half finds
+    the reference already set and loses the race."""
+    block = client.allocate_write(b"\x00" * 4)
+    assert client.test_and_set(block, 0, b"\x00" * 4, b"\x00\x00\x00\x07").success
+    pair.a.crash()
+    lost = client.test_and_set(block, 0, b"\x00" * 4, b"\x00\x00\x00\x08")
+    assert not lost.success and lost.current == b"\x00\x00\x00\x07"
 
 
 def test_companion_retransmissions_counted_distinctly():
@@ -439,7 +531,7 @@ def _overlap_steps():
 def test_overlapping_extents_collide_once_before_either_disk_changed(pair, order):
     halves = {"a": pair.a, "b": pair.b}
     ops = {name: half._new_extent(1) for name, half in halves.items()}
-    assert ops["a"].extent == ops["b"].extent  # the accidental collision
+    assert ops["a"].blocks == ops["b"].blocks  # the accidental collision
     lost = []
     for name, step in order:
         if name in lost:
@@ -455,10 +547,10 @@ def test_overlapping_extents_collide_once_before_either_disk_changed(pair, order
             assert (_owners(pair.a), _owners(pair.b)) == disks  # no damage
     assert len(lost) == 1
     (winner,) = set(halves) - set(lost)
-    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(ops[winner].extent, 1)
+    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(ops[winner].blocks, 1)
     # The loser's retry takes disjoint numbers.
     retry = halves[lost[0]].begin_reserve(1)
-    assert not set(retry.extent) & set(ops[winner].extent)
+    assert not set(retry.blocks) & set(ops[winner].blocks)
     halves[lost[0]].finish_op(retry)
     assert _owners(pair.a) == _owners(pair.b)
     assert len(_owners(pair.a)) == 2 * EXTENT
@@ -471,14 +563,14 @@ def test_partly_overlapping_extents_collide_too(pair, client):
         client.free(block)  # A's cursor is past them, B's is not
     op_a = pair.a._new_extent(1)
     op_b = pair.b._new_extent(1)
-    assert set(op_a.extent) != set(op_b.extent)
-    assert set(op_a.extent) & set(op_b.extent)
+    assert set(op_a.blocks) != set(op_b.blocks)
+    assert set(op_a.blocks) & set(op_b.blocks)
     with pytest.raises(CompanionConflict):
         pair.a._companion_step(op_a)
     assert not _owners(pair.a) and not _owners(pair.b)
     pair.b._companion_step(op_b)
     pair.b.finish_op(op_b)
-    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(op_b.extent, 1)
+    assert _owners(pair.a) == _owners(pair.b) == dict.fromkeys(op_b.blocks, 1)
 
 
 def test_companion_refuses_an_extent_holding_a_number_it_already_owns(pair):

@@ -240,7 +240,9 @@ def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
                 server.free(ACCOUNT, block_no - 1)
                 del owned[block_no - 1]
             disk.arm(point, power_loss=power_loss)
-            server.allocate_write(ACCOUNT, b"page-%d" % block_no, hint=block_no)
+            server.write_many(
+                ACCOUNT, [(block_no, b"page-%d" % block_no)], adopt=True
+            )
 
         died = _until_death(
             (
@@ -270,7 +272,9 @@ def test_free_crash_never_erases_an_owned_block(tmp_path, point):
         server = BlockServer("bs", disk)
         blocks = list(range(1, 50))
         for block_no in blocks:
-            server.allocate_write(ACCOUNT, b"page-%d" % block_no, hint=block_no)
+            server.write_many(
+                ACCOUNT, [(block_no, b"page-%d" % block_no)], adopt=True
+            )
         freed = set()
         disk.arm(point, power_loss=power_loss)
         died = _until_death(
@@ -490,7 +494,7 @@ def test_one_request_is_one_append_and_one_sync(tmp_path):
     disk = FDisk(tmp_path / "d", CAP, BLK)
     server = BlockServer("bs", disk)
     for request in (
-        lambda: server.allocate_write(ACCOUNT, b"fresh"),
+        lambda: server.write_many(ACCOUNT, [(1, b"fresh")], adopt=True),
         lambda: server.write_many(ACCOUNT, [(9, b"a"), (10, b"b")], adopt=True),
         lambda: server.free(ACCOUNT, 9),
     ):

@@ -48,7 +48,7 @@ def test_companion_first_write_sequence():
     # Exactly: client request to A, then A's companion write to B.
     assert trace.events == [
         ("cli", "blockA", "allocate_write"),
-        ("blockA", "blockB", "companion_write"),
+        ("blockA", "blockB", "companion_write_many"),
     ]
 
 

@@ -143,13 +143,16 @@ def test_dirty_set_survives_a_conflicted_request(store, pair):
 
     base = _committed_base(store)
     page = store.store_new(Page(data=b"retry me"))
-    other = pair.b._new_op("write", 1, page, b"in flight through B")
+    # A write of the same block through B is past its companion step.
+    other = pair.b.begin_batch(1, [(page, b"in flight through B")])
     with pytest.raises(CompanionConflict):
         store.tas_commit_ref(base, page)
-    # Refused before any damage: nothing written, nothing forgotten.
-    assert store.dirty_count == 1 and not pair.disk_a.holds(page)
+    # Refused before any damage: nothing of it written, nothing forgotten.
+    assert store.dirty_count == 1
+    assert pair.disk_a.read(page) == b"in flight through B"
+    assert not pair.disk_b.holds(page)
     assert store.read_commit_ref(base) == NIL
-    pair.b._drop_markers(other)
+    pair.b.finish_op(other)
     assert store.tas_commit_ref(base, page).success
     assert store.dirty_count == 0 and _on_both_disks(pair, page)
 

@@ -65,19 +65,15 @@ CONTRACT = {
         "allocate": (("account",), False),
         "allocate_write": (("account", "data"), False),
         "companion_free": (("account", "block_no"), False),
-        "companion_lock": (("block_no", "locker"), False),
         "companion_pooled": ((), False),
         "companion_read": (("account", "block_no"), False),
         "companion_reserve_many": (("account", "blocks"), False),
-        "companion_unlock": (("block_no", "locker"), False),
-        "companion_write": (("origin", "account", "block_no", "data"), False),
         "companion_write_many": (("origin", "account", "writes"), False),
         "dirty_blocks": (("reset",), False),
         "export": (("account", "block_no"), False),
         "fetch_intentions": ((), False),
         "free": (("account", "block_no"), False),
         "ingest": (("account", "block_no", "data"), False),
-        "lock": (("block_no", "locker"), False),
         "manifest": ((), True),
         "read": (("account", "block_no"), False),
         "recover": (("account",), False),
@@ -85,7 +81,6 @@ CONTRACT = {
         "retired_epoch": ((), True),
         "test_and_set": (("account", "block_no", "offset", "expected", "new"), False),
         "track_dirty": (("on",), False),
-        "unlock": (("block_no", "locker"), False),
         "write": (("account", "block_no", "data"), False),
         "write_many": (("account", "writes", "swaps"), False),
     },

@@ -63,7 +63,7 @@ def _run_tcp():
         cap = writer.create_file(b"base")
         before = cluster.network.stats.messages
         latencies = _workload(writer, reader, cap)
-        retries = recorder.metrics.counters.get("net.tcp.retries")
+        retries = recorder.metrics.counters.get("rpc.sweeps")
         return (
             latencies,
             cluster.network.stats.messages - before,

@@ -88,7 +88,7 @@ def run(cluster, recorder) -> None:
     other = FileClient(network, "otherhost", service_port)
     print("second client reads the essay:", other.read(essay))
 
-    failovers = recorder.metrics.counters.get("net.tcp.failovers")
+    failovers = recorder.metrics.counters.get("rpc.failovers")
     requests = recorder.metrics.counters.get("net.tcp.requests")
     print(f"\nwire totals: {requests.value} requests, "
           f"{failovers.value if failovers else 0} failovers")

@@ -14,15 +14,11 @@ table (in which case one transparently redoes).
 
 from __future__ import annotations
 
-import struct
-
 from repro.capability import Capability
 from repro.errors import NoSuchFile, ReproError
 from repro.core.pathname import PagePath
 from repro.client.api import FileClient
-
-_COUNT = struct.Struct(">I")
-_ENTRY_HEAD = struct.Struct(">H22s")  # name length, packed capability
+from repro.merge.orset import decode_entries, encode_entries
 
 
 class DirectoryEntryExists(ReproError):
@@ -34,24 +30,14 @@ class NoSuchEntry(ReproError):
 
 
 def _pack_table(entries: dict[str, Capability]) -> bytes:
-    body = _COUNT.pack(len(entries))
-    for name in sorted(entries):
-        encoded = name.encode("utf-8")
-        body += _ENTRY_HEAD.pack(len(encoded), entries[name].pack()) + encoded
-    return body
+    """The table's bytes: :mod:`repro.merge.orset`'s codec, the one place
+    the format lives, over packed capabilities."""
+    return encode_entries({name: cap.pack() for name, cap in entries.items()})
 
 
 def _unpack_table(raw: bytes) -> dict[str, Capability]:
-    if not raw:
-        return {}
-    (count,) = _COUNT.unpack_from(raw, 0)
-    offset = _COUNT.size
     entries: dict[str, Capability] = {}
-    for _ in range(count):
-        name_len, packed = _ENTRY_HEAD.unpack_from(raw, offset)
-        offset += _ENTRY_HEAD.size
-        name = raw[offset:offset + name_len].decode("utf-8")
-        offset += name_len
+    for name, packed in decode_entries(raw).items():
         cap = Capability.unpack(packed)
         if cap is not None:
             entries[name] = cap

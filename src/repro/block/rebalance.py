@@ -37,8 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import BlockError, ReproError, ServerCrashed, ServerUnreachable
-from repro.sim.rpc import Request, Transaction, _registry, failover_order
+from repro.errors import BlockError, ReproError, ServerUnreachable
+from repro.sim.rpc import Transaction, _registry
 
 
 @dataclass
@@ -68,34 +68,20 @@ def _unlisten(network, port: int, names: tuple[str, ...]) -> None:
                 listeners.remove(name)
 
 
-def _half_call(network, node: str, pair, command: str, **params):
+def _half_call(txn, pair, command: str, **params):
     """A command against an *available* source half, by name — the fence
     runs after the port is conceptually retired, and name-addressed sends
     (like companion traffic) bypass the port registry.  Only available
     halves are asked: a restarted-but-unresynced half answers with a
     stale disk, and streaming from it would lose the writes its twin
-    holds.  No available half means the migration must abort, not guess.
-    Drops are retried; an unreachable half fails over to its twin."""
-    from repro.errors import MessageDropped
-
-    halves = [half for half in pair.halves() if half.available]
+    holds.  No available half means the migration must abort, not guess."""
+    halves = sorted(half.name for half in pair.halves() if half.available)
     if not halves:
         raise ServerUnreachable(
             f"no available half of the pair on port {pair.port:#x} "
             f"to serve {command}"
         )
-    last: Exception | None = None
-    for name in failover_order([half.name for half in halves]):
-        for _ in range(4):
-            try:
-                return network.send(node, name, Request(command, params))
-            except MessageDropped as exc:
-                last = exc
-            except (ServerUnreachable, ServerCrashed) as exc:
-                last = exc
-                break
-    assert last is not None
-    raise last
+    return txn.call_nodes(halves, command, **params)
 
 
 def migrate_steps(
@@ -151,7 +137,7 @@ def migrate_steps(
             return txn.call(r.port, command, **params)
 
         def through_half(command: str, **params):
-            return _half_call(network, node, source, command, **params)
+            return _half_call(txn, source, command, **params)
 
         # -- 2. pre-copy: stream the manifest while traffic runs -----------
         streamed = 0

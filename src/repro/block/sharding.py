@@ -24,15 +24,14 @@ companion pair is simply the one-shard case:
 * :class:`ShardedBlockClient` — the block client every file server,
   baseline and hybrid store talks through: the block-service verbs (plus
   ``write_many``), routing placed blocks by the map and spreading *new*
-  allocations round-robin across shards.  Failover is two-level: within a
-  shard the transaction layer fails over between the pair's halves; a
-  whole pair that stops answering is retried with backoff (transient
-  outages: restarts, partitions) and, for allocations only, skipped in
+  allocations round-robin across shards.  Within a shard the one
+  transaction loop (:class:`repro.sim.rpc.Transaction`) fails over
+  between the pair's halves, a crashed or still-recovering half included.
+  A whole pair that stops answering is, for allocations only, skipped in
   favour of the next shard — an allocation has no placement constraint
-  until it happens.  A third level is placement staleness: on
-  :class:`~repro.errors.PlacementStale` (or a whole-pair outage that
-  turns out to be a cutover) the client refetches the map and re-routes,
-  invisibly to its caller.
+  until it happens.  On :class:`~repro.errors.PlacementStale` (or a
+  whole-pair outage that turns out to be a cutover) the client refetches
+  the map and re-routes, invisibly to its caller.
 
 Batching: ``write_many`` groups a commit flush by shard and ships each
 group as one transaction, so an M-page commit costs O(shards) round trips
@@ -207,23 +206,6 @@ class PlacementMap:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Client-side retries against a shard that stops answering.
-
-    ``attempts`` transactions are tried, separated by an exponentially
-    growing backoff charged to the logical clock — a restarting pair or a
-    healing partition gets a chance to come back before the error reaches
-    the caller.  Transient message drops are already retried one level
-    down by the transaction layer; this policy is about whole-pair
-    unreachability.
-    """
-
-    attempts: int = 3
-    backoff_ticks: int = 40
-    multiplier: int = 2
-
-
 class ShardedBlockService:
     """The server side of block storage: one stable pair per shard.
 
@@ -316,7 +298,6 @@ class ShardedBlockService:
         client_node: str,
         account: int,
         recorder=None,
-        retry: RetryPolicy | None = None,
         history=None,
     ) -> "ShardedBlockClient":
         """A shard-routing client bound to one network node.
@@ -331,7 +312,6 @@ class ShardedBlockService:
             self.placement.ports,
             account,
             recorder=recorder,
-            retry=retry,
             placement=self.placement,
             fetch=lambda: self.placement,
             history=history,
@@ -429,8 +409,8 @@ class ShardedBlockClient:
     pair the shard answers :class:`~repro.errors.PlacementStale`; the
     client refetches the map (``fetch``), accepts it only if the epoch
     advanced, and re-routes — callers never see the reshape.  A whole-
-    pair outage that exhausts its retries gets the same refresh chance:
-    the pair may have been cut over while the client was backing off.
+    pair outage gets the same refresh chance: the pair may have been cut
+    over and gone.
     """
 
     def __init__(
@@ -441,7 +421,6 @@ class ShardedBlockClient:
         account: int,
         stride: int = DEFAULT_SHARD_STRIDE,
         recorder=None,
-        retry: RetryPolicy | None = None,
         placement: PlacementMap | None = None,
         fetch: Optional[Callable[[], Optional[PlacementMap]]] = None,
         history=None,
@@ -456,7 +435,6 @@ class ShardedBlockClient:
         if recorder is None:
             recorder = getattr(network, "recorder", NULL_RECORDER)
         self.recorder = recorder
-        self.retry = retry if retry is not None else RetryPolicy()
         self._fetch = fetch
         self._history = history
         self._next_shard = 0
@@ -492,35 +470,6 @@ class ShardedBlockClient:
             tick=self.network.clock.now,
         )
 
-    # -- shard-level transaction with retry/backoff -------------------------
-
-    def _port_call(self, port: int, command: str, params: dict, failure=None):
-        """One transaction against a shard port, retrying whole-pair
-        outages with exponential backoff (the transaction layer already
-        handles drops and half-failover underneath); ``failure`` is the
-        outage a first attempt already met.  PlacementStale is not retried
-        here — the routed caller refreshes and re-routes."""
-        if failure is None:
-            try:
-                return self.txn.call(port, command, **params)
-            except (ServerUnreachable, ServerCrashed) as exc:
-                failure = exc
-        delay = self.retry.backoff_ticks
-        for _ in range(1, self.retry.attempts):
-            self._note_retry(port, command)
-            self.network.clock.advance(delay)
-            delay *= self.retry.multiplier
-            try:
-                return self.txn.call(port, command, **params)
-            except (ServerUnreachable, ServerCrashed) as exc:
-                failure = exc
-        self._note_retry(port, command)
-        raise failure
-
-    def _note_retry(self, port: int, command: str) -> None:
-        if self.recorder.enabled:
-            self.recorder.event("shard.retry", port=port, command=command)
-
     def _routed(self, command: str, block_no: int, params: dict):
         """Route a placed-block verb by the current map: one transaction
         unless the pair is out or retired (:meth:`_rerouted`)."""
@@ -531,36 +480,31 @@ class ShardedBlockClient:
                 r.port, command, block_no=block_no - r.lo + 1, **params
             )
         except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
-            return self._rerouted(command, block_no, params, r, exc)
+            return self._rerouted(command, block_no, params, exc)
         if self._history is not None:
             self._note_serve(r, command)
         return result
 
-    def _rerouted(self, command, block_no, params, r, failure):
-        """A routed verb after its first transaction on ``r`` failed:
-        ride out a whole-pair outage with backoff; if the pair is retired,
-        or stays down, and the map moved under us (a cutover mid-backoff),
-        re-route, chasing up to ``stale_attempts`` placement epochs;
-        otherwise the caller hears about it."""
+    def _rerouted(self, command, block_no, params, failure):
+        """A routed verb whose transaction failed: if the map moved under
+        us (the pair is retired, or cut over and gone), re-route, chasing
+        up to ``stale_attempts`` placement epochs; otherwise the caller
+        hears about it."""
         refreshes = self.stale_attempts
-        while True:
+        while refreshes and self._refresh():
+            refreshes -= 1
+            r = self.placement.range_of(block_no)
             try:
-                if isinstance(failure, PlacementStale):
-                    raise failure
-                result = self._port_call(
-                    r.port, command, dict(params, block_no=block_no - r.lo + 1),
-                    failure,
+                result = self.txn.call(
+                    r.port, command, block_no=block_no - r.lo + 1, **params
                 )
-            except (PlacementStale, ServerUnreachable, ServerCrashed):
-                if not (refreshes and self._refresh()):
-                    raise
-                refreshes -= 1
-                r = self.placement.range_of(block_no)
-                failure = None
+            except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
+                failure = exc
                 continue
             if self._history is not None:
                 self._note_serve(r, command)
             return result
+        raise failure
 
     # -- allocation: round-robin placement with shard failover ---------------
 
@@ -637,7 +581,12 @@ class ShardedBlockClient:
                     self._requeue(r, group, where, shard_swaps, pages, conds)
                     continue
                 try:
-                    outcome = self._batch(r.port, group, shard_swaps)
+                    # Keywords written out: CPython passes them faster
+                    # than a forwarded dict.
+                    outcome = self.txn.call(
+                        r.port, "write_many",
+                        account=self.account, writes=group, swaps=shard_swaps,
+                    )
                 except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
                     unplaced = exc
                     self._requeue(r, group, where, shard_swaps, pages, conds)
@@ -690,19 +639,6 @@ class ShardedBlockClient:
         requests += riding
         return requests
 
-    def _batch(self, port: int, writes: list, swaps: list) -> list[TasResult]:
-        """One shard's ``write_many`` (written-out keywords: CPython passes
-        them faster than a forwarded dict), with :meth:`_port_call`'s
-        backoff once the pair fails to answer."""
-        try:
-            return self.txn.call(
-                port, "write_many", account=self.account, writes=writes, swaps=swaps
-            )
-        except (ServerUnreachable, ServerCrashed) as exc:
-            return self._port_call(port, "write_many", {
-                "account": self.account, "writes": writes, "swaps": swaps,
-            }, exc)
-
     @staticmethod
     def _requeue(r, group, where, swaps, pages, conds) -> None:
         """Put a request that was not placed back into ``pages`` and
@@ -721,7 +657,7 @@ class ShardedBlockClient:
                 r.port, "read", account=self.account, block_no=block_no - r.lo + 1
             )
         except (PlacementStale, ServerUnreachable, ServerCrashed) as exc:
-            return self._rerouted("read", block_no, {"account": self.account}, r, exc)
+            return self._rerouted("read", block_no, {"account": self.account}, exc)
         if self._history is not None:
             self._note_serve(r, "read")
         return data
@@ -744,8 +680,8 @@ class ShardedBlockClient:
             try:
                 blocks: list[int] = []
                 for r in self.placement.ranges:
-                    for local in self._port_call(
-                        r.port, "recover", {"account": self.account}
+                    for local in self.txn.call(
+                        r.port, "recover", account=self.account
                     ):
                         blocks.append(r.global_of(local))
                 return sorted(blocks)

@@ -53,7 +53,7 @@ per half for the whole extent — and hands them out from memory (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from functools import partial
 
 from repro.errors import (
     CompanionConflict,
@@ -67,7 +67,7 @@ from repro.errors import (
 from repro.block.disk import SimDisk
 from repro.block.server import BLOCK_SIZE, BlockServer, TasResult, compare_and_swap
 from repro.sim.network import Network
-from repro.sim.rpc import Request, RpcEndpoint, command
+from repro.sim.rpc import RpcEndpoint, Transaction, command
 
 
 # Histogram buckets for flush-batch sizes (pages per write_many).
@@ -126,6 +126,12 @@ class StableServer:
         self.name = name
         self.companion_name = companion_name
         self.network = network
+        # One message exchange with the companion, through the one
+        # transaction loop: a dropped message is re-sent, a companion that
+        # is down or recovering raises.
+        self._call_companion = partial(
+            Transaction(network, name).call_nodes, (companion_name,)
+        )
         self.local = BlockServer(name + ".bs", disk)
         self.recorder = disk.recorder
         self._pending: dict[int, _PendingOp] = {}
@@ -257,42 +263,6 @@ class StableServer:
             self._dirty.add(block_no)
 
     # -- companion messaging ------------------------------------------------
-
-    def _call_companion(self, command: str, **params: Any) -> Any:
-        """One message exchange with the companion (counted by the network).
-
-        Dropped messages are retried — the Amoeba transaction primitive the
-        servers talk over does its own retransmission.  Every transmission
-        attempt is a ``stable.companion_rpc`` event (a dropped request still
-        crossed the wire), and retransmissions are additionally counted as
-        ``stable.companion_retransmit`` so drop-rate experiments see the
-        true traffic.
-        """
-        from repro.errors import MessageDropped
-
-        last: Exception | None = None
-        for attempt in range(4):
-            if self.recorder.enabled:
-                self.recorder.event(
-                    "stable.companion_rpc",
-                    origin=self.name,
-                    command=command,
-                    attempt=attempt + 1,
-                )
-                if attempt > 0:
-                    self.recorder.event(
-                        "stable.companion_retransmit",
-                        origin=self.name,
-                        command=command,
-                    )
-            try:
-                return self.network.send(
-                    self.name, self.companion_name, Request(command, params)
-                )
-            except MessageDropped as exc:
-                last = exc
-        assert last is not None
-        raise last
 
     def _companion_step(self, op: _PendingOp) -> None:
         """Send the operation to the companion (the companion-first write).

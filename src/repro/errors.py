@@ -105,10 +105,6 @@ class NoSuchBlock(BlockError):
     """The referenced block number is not allocated."""
 
 
-class BlockExists(BlockError):
-    """Allocation collision: the block number is already allocated."""
-
-
 class DiskFull(BlockError):
     """The disk has no free blocks left."""
 
@@ -178,10 +174,6 @@ class NoSuchFile(FileServiceError):
 
 class NoSuchVersion(FileServiceError):
     """The version capability does not name a known (live) version."""
-
-
-class NoSuchPage(FileServiceError):
-    """A page path name does not resolve to a page in this version."""
 
 
 class BadPathName(FileServiceError):
@@ -261,15 +253,6 @@ class CrossesSubFile(FileServiceError):
 
 class BaselineError(ReproError):
     """Base class for baseline comparator systems (XDFS-style, SWALLOW-style)."""
-
-
-class LockTimeout(BaselineError):
-    """A lock could not be acquired before its patience expired
-    (XDFS-style vulnerable locks)."""
-
-
-class Deadlock(BaselineError):
-    """Lock acquisition would deadlock; the transaction is chosen as victim."""
 
 
 class TransactionAborted(BaselineError):

@@ -1,9 +1,9 @@
 """The observed-remove-set merge over directory entry tables.
 
 A directory page's data is a sorted ``name → packed capability`` table
-(the binary format of :mod:`repro.apps.directory`: a ``>I`` entry count,
-then per entry a ``>H22s`` head — name length and the 22-byte packed
-capability — followed by the utf-8 name).  This module decodes two
+(:mod:`repro.apps.directory` writes it with :func:`encode_entries`: a
+``>I`` entry count, then per entry a ``>H22s`` head — name length and
+the 22-byte packed capability — followed by the utf-8 name).  This module decodes two
 concurrent rewrites of such a table plus their common base, merges them
 entry-wise, and re-encodes — treating the capability bytes as opaque
 values, so it depends on nothing above the struct layer.
@@ -74,9 +74,8 @@ def decode_entries(raw: bytes) -> dict[str, bytes]:
 
 
 def encode_entries(entries: dict[str, bytes]) -> bytes:
-    """Re-encode a table in canonical (sorted-name) order — byte-identical
-    to what :func:`repro.apps.directory._pack_table` produces for the same
-    logical table."""
+    """Encode a table in canonical (sorted-name) order; directories
+    (:mod:`repro.apps.directory`) write their pages with it too."""
     body = _COUNT.pack(len(entries))
     for name in sorted(entries):
         encoded = name.encode("utf-8")

@@ -12,9 +12,9 @@ that wire; this package *is* that wire:
   read-only commands served without the dispatch lock;
 * :mod:`repro.net.transport` — :class:`~repro.net.transport.TcpNetwork`
   (the simulated network's interface over pooled real connections,
-  each a blocking :class:`~repro.net.transport.Connection`) and
-  :class:`~repro.net.transport.TcpTransaction` (per-call timeouts,
-  bounded retry with backoff, deterministic companion failover);
+  each a blocking :class:`~repro.net.transport.Connection`, with
+  per-call timeouts and the pauses between
+  :class:`~repro.sim.rpc.Transaction`'s sweeps);
 * :mod:`repro.net.cluster` — :func:`~repro.net.cluster.build_tcp_cluster`
   to launch a whole topology of companion pairs and file servers on
   localhost (a :class:`repro.testbed.Cluster`, as on the simulator),
@@ -27,13 +27,12 @@ see docs/NETWORKING.md for the wire format and the sim/TCP parity matrix.
 
 from repro.net.cluster import bootstrap, build_tcp_cluster, connect, parse_spec
 from repro.net.server import NetServer
-from repro.net.transport import Connection, TcpNetwork, TcpTransaction, WallClock
+from repro.net.transport import Connection, TcpNetwork, WallClock
 
 __all__ = [
     "Connection",
     "NetServer",
     "TcpNetwork",
-    "TcpTransaction",
     "WallClock",
     "bootstrap",
     "build_tcp_cluster",

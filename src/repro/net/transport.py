@@ -4,18 +4,12 @@
 already programs against — ``send(sender, dest, payload)``, ``attach`` /
 ``detach`` / ``reattach``, a ``clock``, a ``recorder``, the per-port
 server registry — but ``send`` is a pooled wire call to a real daemon and
-``attach`` *starts* one (:class:`repro.net.server.NetServer`).  Because
-:class:`repro.sim.rpc.Transaction` consults ``network.transaction_class``,
-every existing client — the block client (``block/sharding.py``),
+``attach`` *starts* one (:class:`repro.net.server.NetServer`).  So every
+existing client — the block client (``block/sharding.py``),
 ``HybridBlockClient``, ``client/api.FileClient`` — runs over sockets
-unchanged.
-
-:class:`TcpTransaction` is the transaction layer for this wire: the same
-``call(port, command, ...)`` interface, with per-call socket timeouts,
-bounded whole-port retry sweeps with exponential backoff (daemons mid-
-restart), and companion failover on refused / reset / timed-out
-connections in the shared deterministic :func:`repro.sim.rpc.
-failover_order`.
+unchanged, through the one :class:`repro.sim.rpc.Transaction` loop; this
+network only sets its pause schedule between sweeps
+(:attr:`TcpNetwork.SWEEP_PAUSES`), which covers daemons mid-restart.
 
 Connections are :class:`Connection` objects, one exchange at a time:
 every request frame carries a fresh correlation id (wire version 2) and
@@ -43,17 +37,12 @@ import threading
 import time
 from typing import Any, Callable
 
-from repro.errors import MessageDropped, ServerUnreachable
+from repro.errors import ServerUnreachable
 from repro.net import wire
 from repro.net.server import NetServer
 from repro.obs import NULL_RECORDER
 from repro.sim.network import NetworkStats
-from repro.sim.rpc import Request, Transaction, _registry, failover_order
-
-# Transaction-layer retry schedule: how many whole-port sweeps, and the
-# backoff before sweep k (seconds, doubling).
-DEFAULT_RETRY_SWEEPS = 4
-DEFAULT_RETRY_BACKOFF = 0.05
+from repro.sim.rpc import Transaction
 
 DEFAULT_CALL_TIMEOUT = 10.0
 
@@ -105,9 +94,9 @@ class TcpNetwork:
     resets and refusals, not simulation flags.
     """
 
-    # Consulted by Transaction.__new__: transactions on this network are
-    # TcpTransactions.  Set after the class definition below.
-    transaction_class: type | None = None
+    # Pauses (seconds) before each extra sweep of a port's daemons
+    # (``repro.sim.rpc.Transaction``): a daemon mid-restart gets 0.35 s.
+    SWEEP_PAUSES = (0.05, 0.1, 0.2)
 
     def __init__(
         self,
@@ -116,8 +105,6 @@ class TcpNetwork:
         clock: WallClock | None = None,
         call_timeout: float = DEFAULT_CALL_TIMEOUT,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
-        retry_sweeps: int = DEFAULT_RETRY_SWEEPS,
-        retry_backoff: float = DEFAULT_RETRY_BACKOFF,
         lock_timeout: float | None = None,
     ) -> None:
         self.host = host
@@ -125,8 +112,6 @@ class TcpNetwork:
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.call_timeout = call_timeout
         self.max_frame = max_frame
-        self.retry_sweeps = retry_sweeps
-        self.retry_backoff = retry_backoff
         # How long a daemon lets one request wait for its dispatch lock
         # before answering busy; None keeps each daemon's own default.
         self.lock_timeout = lock_timeout
@@ -447,54 +432,7 @@ def _recv_exact_or_raise(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-class TcpTransaction(Transaction):
-    """The transaction layer over TCP: same ``call`` interface as the
-    simulated :class:`~repro.sim.rpc.Transaction`.
-
-    Within one *sweep*, servers on the port are tried in the shared
-    deterministic failover order; busy signals retry the same server.
-    A sweep that exhausts every server backs off (doubling, starting at
-    the network's ``retry_backoff`` seconds) and tries again, up to
-    ``retry_sweeps`` sweeps — covering the window where a daemon is
-    restarting rather than gone.
-    """
-
-    def call(
-        self,
-        port: int,
-        command: str,
-        prefer: str | None = None,
-        retries_on_drop: int = 3,
-        **params: Any,
-    ) -> Any:
-        network: TcpNetwork = self.network
-        nodes = failover_order(_registry(network).get(port, []), prefer)
-        if not nodes:
-            raise ServerUnreachable(f"no server registered on port {port:#x}")
-        recorder = network.recorder
-        if recorder.enabled:
-            recorder.event("rpc." + command, port=port, client=self.client_node)
-        request = Request(command, params)
-        last_error: Exception | None = None
-        for sweep in range(max(1, network.retry_sweeps)):
-            if sweep:
-                recorder.count("net.tcp.retries")
-                time.sleep(network.retry_backoff * (2 ** (sweep - 1)))
-            for index, node in enumerate(nodes):
-                for _ in range(retries_on_drop + 1):
-                    try:
-                        return network.send(self.client_node, node, request)
-                    except MessageDropped as exc:
-                        last_error = exc
-                        recorder.count("rpc.retries")
-                        continue  # busy signal: retry the same server
-                    except ServerUnreachable as exc:
-                        last_error = exc
-                        if index + 1 < len(nodes):
-                            recorder.count("net.tcp.failovers")
-                        break  # fail over to the next server on the port
-        assert last_error is not None
-        raise last_error
-
-
-TcpNetwork.transaction_class = TcpTransaction
+# The one transaction loop is ``repro.sim.rpc.Transaction``; this name
+# stays only because bench/layers.py wraps ``TcpTransaction.call`` (ROADMAP
+# 8(a) renames it there).
+TcpTransaction = Transaction

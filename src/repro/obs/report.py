@@ -149,7 +149,8 @@ def render_placement_table(metrics: MetricsRegistry) -> str:
 def render_net_table(metrics: MetricsRegistry) -> str:
     """Transport traffic: the simulated ``net.messages`` row next to the
     real-socket ``net.tcp.*`` counters, so a mixed run shows both wires
-    side by side."""
+    side by side, and the transaction loop's re-sends, which both wires
+    count under the same ``rpc.*`` names."""
     return render_counter_table(
         metrics,
         ("net.tcp.",),
@@ -157,8 +158,9 @@ def render_net_table(metrics: MetricsRegistry) -> str:
             "net.messages",
             "net.tcp.connections",
             "net.tcp.requests",
-            "net.tcp.retries",
-            "net.tcp.failovers",
+            "rpc.retries",
+            "rpc.failovers",
+            "rpc.sweeps",
             "net.tcp.bytes_in",
             "net.tcp.bytes_out",
         ),

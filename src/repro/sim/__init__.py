@@ -9,8 +9,7 @@ replaces that hardware with a deterministic single-process simulation:
   partitions, and drop injection.
 * :mod:`repro.sim.rpc` — Amoeba-style request/response *transactions*
   addressed to ports.
-* :mod:`repro.sim.faults` — declarative fault schedules (crash after N
-  operations, drop every k-th message, ...).
+* :mod:`repro.sim.faults` — drop policies and seeded fault scripts.
 * :mod:`repro.sim.sched` — a cooperative round-robin scheduler that
   interleaves client scripts and background tasks (e.g. the garbage
   collector) at operation granularity.
@@ -19,7 +18,7 @@ replaces that hardware with a deterministic single-process simulation:
 from repro.sim.clock import LogicalClock
 from repro.sim.network import Network, NetworkStats
 from repro.sim.rpc import RpcEndpoint, Transaction
-from repro.sim.faults import CrashSchedule, DropPolicy, FaultPlan
+from repro.sim.faults import DropPolicy
 from repro.sim.sched import Scheduler, Task, Yield
 
 __all__ = [
@@ -28,9 +27,7 @@ __all__ = [
     "NetworkStats",
     "RpcEndpoint",
     "Transaction",
-    "CrashSchedule",
     "DropPolicy",
-    "FaultPlan",
     "Scheduler",
     "Task",
     "Yield",

@@ -2,54 +2,14 @@
 
 The paper's central robustness claims are about behaviour *under failure*:
 server crashes mid-update, disk crashes, lost messages.  This module gives
-tests and benchmarks a small vocabulary for scheduling those faults
-deterministically.
+tests and the soak a small vocabulary for injecting those faults
+deterministically: a :class:`DropPolicy` for the network, and
+:class:`FaultScript` of seeded :class:`FaultEvent` entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-
-@dataclass
-class CrashSchedule:
-    """Crash a component after a fixed number of operations.
-
-    ``after_ops`` counts calls to :meth:`tick`; when the count reaches the
-    threshold, :meth:`tick` returns True exactly once and the component is
-    expected to crash itself.  ``after_ops=None`` never fires.
-
-    :meth:`tick` keeps counting after the crash has fired (and when no
-    threshold is set), so ``count`` is always the true number of operations
-    seen — metrics derived from it must not freeze at the crash point.
-    """
-
-    after_ops: int | None = None
-    _count: int = field(default=0, repr=False)
-    _fired: bool = field(default=False, repr=False)
-
-    def tick(self) -> bool:
-        """Record one operation; return True when the crash should happen."""
-        self._count += 1
-        if self.after_ops is None or self._fired:
-            return False
-        if self._count >= self.after_ops:
-            self._fired = True
-            return True
-        return False
-
-    @property
-    def fired(self) -> bool:
-        return self._fired
-
-    @property
-    def count(self) -> int:
-        """Operations seen so far (keeps increasing after the crash fires)."""
-        return self._count
-
-    def reset(self) -> None:
-        self._count = 0
-        self._fired = False
 
 
 @dataclass
@@ -134,24 +94,3 @@ class FaultScript:
 
     def __len__(self) -> int:
         return len(self.fired) + len(self._pending)
-
-
-@dataclass
-class FaultPlan:
-    """A bundle of fault schedules for one experiment run.
-
-    Components look up their crash schedule by name; the network consults
-    the drop policy.  Missing entries mean "no faults".
-    """
-
-    crashes: dict[str, CrashSchedule] = field(default_factory=dict)
-    drops: DropPolicy = field(default_factory=DropPolicy)
-
-    def crash_schedule(self, name: str) -> CrashSchedule:
-        """Return the crash schedule for ``name`` (a never-firing default)."""
-        return self.crashes.setdefault(name, CrashSchedule())
-
-    def reset(self) -> None:
-        for schedule in self.crashes.values():
-            schedule.reset()
-        self.drops.reset()

@@ -58,6 +58,11 @@ class Network:
     mutually unreachable.
     """
 
+    # Pauses (seconds) before each extra sweep of a port's servers
+    # (``repro.sim.rpc.Transaction``): none, since nothing can heal while
+    # a synchronous call is in flight.
+    SWEEP_PAUSES: tuple[float, ...] = ()
+
     def __init__(
         self,
         clock: LogicalClock | None = None,

@@ -10,9 +10,10 @@ Network`:
 
 * an :class:`RpcEndpoint` registers a server object under a port;
 * ``Transaction.call(port, request)`` routes to a live server listening on
-  that port, trying alternatives if the preferred one is unreachable —
-  exactly the failover behaviour §4 of the paper prescribes for companion
-  block servers.
+  that port, trying alternatives if the preferred one is unreachable or
+  crashed — exactly the failover behaviour §4 of the paper prescribes for
+  companion block servers.  :class:`Transaction` is the only code that
+  re-sends a request, on either network.
 
 Requests are ``(command, kwargs)`` pairs; servers expose commands as
 attributes named ``cmd_<command>``, declared with :func:`command`.
@@ -27,11 +28,12 @@ from __future__ import annotations
 
 import functools
 import inspect
+import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from sys import intern
+from typing import Any, Callable, Sequence
 
-from repro.errors import MessageDropped, ServerUnreachable
-from repro.obs import NULL_RECORDER
+from repro.errors import MessageDropped, ServerCrashed, ServerUnreachable
 from repro.sim.network import Network
 
 
@@ -151,9 +153,8 @@ def failover_order(nodes, prefer: str | None = None) -> list[str]:
     Explicit and deterministic: the preferred server first (when given and
     listening), then the remaining servers sorted by name.  Registration
     order — which depends on construction sequence and silently changes
-    when a deployment is assembled differently — plays no part.  Shared by
-    the simulated :class:`Transaction` and the TCP transport
-    (:class:`repro.net.transport.TcpTransaction`), so a client observes
+    when a deployment is assembled differently — plays no part.
+    :class:`Transaction` uses it on every network, so a client observes
     the same companion preference whichever wire it runs over.
     """
     ordered = sorted(nodes)
@@ -163,73 +164,97 @@ def failover_order(nodes, prefer: str | None = None) -> list[str]:
     return ordered
 
 
-class Transaction:
-    """Client-side transaction interface.
+# The errors a transaction answers by sending again: to the same node (a
+# drop) or to the next one.
+_RESENT = (MessageDropped, ServerUnreachable, ServerCrashed)
 
-    ``call`` addresses a port.  If several servers listen on the port the
-    first reachable one (in :func:`failover_order`, starting from
-    ``prefer`` if given) serves the request; unreachable servers are
-    skipped, reproducing the paper's "clients send requests to the
-    alternative block server if the primary fails to respond".
+
+class Transaction:
+    """Client-side transaction interface: the one loop that re-sends.
+
+    ``call`` addresses a port; the servers listening on it are tried in
+    :func:`failover_order`, starting from ``prefer`` if given.
+    ``call_nodes`` addresses named peers in the order given: a half's
+    companion, or a migration source's available halves.  Both follow the
+    paper's "clients send requests to the alternative block server if the
+    primary fails to respond":
+
+    * a :class:`MessageDropped` (a drop on the simulator, a daemon's busy
+      signal over TCP) re-sends to the same node, :data:`ATTEMPTS` in all;
+    * a :class:`ServerUnreachable` or :class:`ServerCrashed` (a crashed or
+      still-recovering server) fails over to the next node.
+
+    That is one *sweep*.  A port call that exhausts a sweep pauses and
+    sweeps again, once per entry of the network's ``SWEEP_PAUSES``
+    (seconds): the simulated network has none, because nothing can heal
+    inside a synchronous call; the TCP network's cover a daemon mid-
+    restart.  A named call sweeps once on either network, because its
+    caller has its own fallback (an intention, the twin half, an abort).
+    The last error of the last sweep reaches the caller.
     """
 
-    def __new__(cls, network, client_node: str, backoff_ticks: int = 0):
-        # A network may carry its own transaction implementation (the TCP
-        # transport does): constructing ``Transaction(network, node)``
-        # then yields that class, so the block client and FileClient run
-        # unchanged over real sockets.
-        override = getattr(network, "transaction_class", None)
-        if cls is Transaction and override is not None and override is not cls:
-            return object.__new__(override)
-        return object.__new__(cls)
+    ATTEMPTS = 4  # sends to one node per sweep while it drops the message
 
-    def __init__(
-        self, network: Network, client_node: str, backoff_ticks: int = 0
-    ) -> None:
+    def __init__(self, network: Network, client_node: str) -> None:
         self.network = network
         self.client_node = client_node
-        # Logical ticks to wait between drop retries (0 = immediate
-        # retransmit, the Amoeba default).  Clients under heavy loss set a
-        # backoff so retransmissions do not hammer a congested path.
-        self.backoff_ticks = backoff_ticks
 
     def call(
-        self,
-        port: int,
-        command: str,
-        prefer: str | None = None,
-        retries_on_drop: int = 3,
-        **params: Any,
+        self, port: int, command: str, prefer: str | None = None, **params: Any
     ) -> Any:
-        """Run one transaction against ``port``.
-
-        Dropped messages are retried (idempotence is the server's concern,
-        as it was in Amoeba); unreachable servers trigger failover to the
-        next server on the port.  If no server on the port is reachable,
-        :class:`ServerUnreachable` is raised.
-        """
-        nodes = failover_order(_registry(self.network).get(port, []), prefer)
+        """Run one transaction against ``port``.  Idempotence is the
+        server's concern, as it was in Amoeba."""
+        network = self.network
+        nodes = failover_order(_registry(network).get(port, ()), prefer)
         if not nodes:
             raise ServerUnreachable(f"no server registered on port {port:#x}")
-        recorder = getattr(self.network, "recorder", NULL_RECORDER)
+        recorder = network.recorder
         if recorder.enabled:
-            recorder.event("rpc." + command, port=port, client=self.client_node)
+            # Interned: spans keep their events, so one name per command.
+            recorder.event(intern("rpc." + command), port=port, client=self.client_node)
         request = Request(command, params)
-        last_error: Exception | None = None
-        for node in nodes:
-            attempts = retries_on_drop + 1
-            for _ in range(attempts):
-                try:
-                    return self.network.send(self.client_node, node, request)
-                except MessageDropped as exc:
-                    last_error = exc
-                    recorder.count("rpc.retries")
-                    if self.backoff_ticks:
-                        self.network.clock.advance(self.backoff_ticks)
-                    continue  # retry same node
-                except ServerUnreachable as exc:
-                    last_error = exc
-                    recorder.count("rpc.failovers")
-                    break  # fail over to next node
-        assert last_error is not None
-        raise last_error
+        try:
+            return network.send(self.client_node, nodes[0], request)
+        except _RESENT as exc:
+            return self._resend(nodes, request, exc, network.SWEEP_PAUSES)
+
+    def call_nodes(self, nodes: Sequence[str], command: str, **params: Any) -> Any:
+        """Run one transaction against the named ``nodes``, in order."""
+        network = self.network
+        recorder = network.recorder
+        if recorder.enabled:
+            recorder.event(intern("rpc." + command), client=self.client_node)
+        request = Request(command, params)
+        try:
+            return network.send(self.client_node, nodes[0], request)
+        except _RESENT as exc:
+            return self._resend(nodes, request, exc, ())
+
+    def _resend(self, nodes, request: Request, failure: Exception, pauses) -> Any:
+        """The rest of the sweeps, after the first send (to ``nodes[0]``)
+        failed with ``failure``.  Each re-send is an event, so the open
+        span sees it: ``rpc.retries`` (same node), ``rpc.failovers`` (the
+        next node) or ``rpc.sweeps`` (all nodes again, after a pause)."""
+        network = self.network
+        recorder = network.recorder
+        pauses = iter(pauses)
+        index, attempt = 0, 1
+        while True:
+            if isinstance(failure, MessageDropped) and attempt < self.ATTEMPTS:
+                recorder.event("rpc.retries", node=nodes[index])
+            else:
+                index, attempt = index + 1, 0
+                if index < len(nodes):
+                    recorder.event("rpc.failovers", node=nodes[index])
+                else:
+                    pause = next(pauses, None)
+                    if pause is None:
+                        raise failure
+                    recorder.event("rpc.sweeps", pause=pause)
+                    time.sleep(pause)
+                    index = 0
+            attempt += 1
+            try:
+                return network.send(self.client_node, nodes[index], request)
+            except _RESENT as exc:
+                failure = exc

@@ -19,7 +19,7 @@ network, so one seed names one topology on both.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from repro.capability import CapabilityIssuer, new_port
@@ -32,7 +32,6 @@ from repro.core.service import FileService
 from repro.core.store import HybridPageStore, PageStore
 from repro.core.system_tree import SystemTree
 from repro.obs import NULL_RECORDER
-from repro.sim.faults import FaultPlan
 from repro.sim.network import Network
 from repro.sim.rpc import RpcEndpoint, _registry
 
@@ -52,7 +51,6 @@ class Cluster:
     issuer: CapabilityIssuer
     servers: list[FileService]
     endpoints: list[RpcEndpoint]
-    faults: FaultPlan = field(default_factory=FaultPlan)
     optical_pair: StablePair | None = None  # set on hybrid deployments
     recorder: object = NULL_RECORDER  # the shared observability recorder
     history: object = None  # shared HistoryRecorder (verify.history), if any

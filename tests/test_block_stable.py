@@ -7,7 +7,7 @@ from repro.capability import new_port
 from repro.block.stable import EXTENT, StablePair
 from repro.block.sharding import ShardedBlockClient
 from repro.obs import Recorder
-from repro.sim.faults import CrashSchedule
+from repro.sim.faults import DropPolicy
 from repro.sim.network import Network
 
 
@@ -345,27 +345,22 @@ def test_span_shows_companion_first_write_order(obs_pair, recorder):
     assert [event.tags["disk"] for event in writes] == ["blockB", "blockA"]
     assert writes[0].tick < writes[1].tick
     assert writes[0].tags["block"] == writes[1].tags["block"] == block
-    assert span.counters["stable.companion_rpc"] == 1
+    assert span.counters["rpc.companion_write_many"] == 1
 
 
 def test_span_shows_only_companion_write_when_origin_crashes(obs_pair, recorder):
     """Inject a crash between the companion write and the local write: the
     span records exactly one disk write — the companion's — and the data
     is already durable there (why companion-first is crash-safe)."""
-    schedule = CrashSchedule(after_ops=1)
     with recorder.span("stable.write") as span:
         op = obs_pair.a.begin_batch(1, [(1, b"half-written")], adopt=True)
-        assert schedule.tick()  # the companion step was operation one
-        obs_pair.a.crash()  # ...and the origin dies before its own write
+        obs_pair.a.crash()  # the origin dies before its own write
     writes = span.events_named("disk.write")
     assert [event.tags["disk"] for event in writes] == ["blockB"]
     assert obs_pair.disk_b.read(1) == b"half-written"
     assert not obs_pair.disk_a.holds(1)
     with pytest.raises(ServerCrashed):
         obs_pair.a.finish_op(op)
-    # The schedule keeps counting past the crash (metrics must not freeze).
-    assert not schedule.tick()
-    assert schedule.count == 2 and schedule.fired
 
 
 def test_resync_metrics_count_applied_intentions(obs_pair, recorder):
@@ -418,27 +413,25 @@ def test_a_swap_taken_through_one_half_is_refused_through_the_other(pair, client
 
 
 def test_companion_retransmissions_counted_distinctly():
-    """A dropped companion message is retransmitted; each transmission is
-    a ``stable.companion_rpc`` event and the extras are additionally
-    counted as ``stable.companion_retransmit``."""
-    from repro.sim.faults import DropPolicy
-
+    """A dropped companion message is retransmitted by the transaction
+    loop: the exchange is one ``rpc.companion_write_many`` event and the
+    retransmission is counted apart, as ``rpc.retries``."""
     recorder = Recorder()
     net = Network(recorder=recorder)
     recorder.bind_clock(net.clock)
     pair = StablePair(net, 0x500, capacity=64, block_size=256)
     client = ShardedBlockClient(net, "cli", [0x500], account=1)
     block = client.allocate_write(b"v1")
-    base_rpc = recorder.metrics.counter("stable.companion_rpc").value
+    base_rpc = recorder.metrics.counter("rpc.companion_write_many").value
     # Drop exactly the companion-write message of the next write (send 1
     # is client->A, send 2 is A->B).
     net.drop_policy = DropPolicy(drop_nth=frozenset({2}))
     with recorder.span("stable.write") as span:
         client.write(block, b"v2")
-    assert recorder.metrics.counter("stable.companion_rpc").value - base_rpc == 2
-    assert recorder.metrics.counter("stable.companion_retransmit").value == 1
-    assert span.counters["stable.companion_rpc"] == 2
-    assert span.counters["stable.companion_retransmit"] == 1
+    assert recorder.metrics.counter("rpc.companion_write_many").value - base_rpc == 1
+    assert recorder.metrics.counter("rpc.retries").value == 1
+    assert span.counters["rpc.companion_write_many"] == 1
+    assert span.counters["rpc.retries"] == 1
     assert pair.disk_b.read(block) == b"v2"
     assert pair.consistent()
 

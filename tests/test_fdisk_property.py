@@ -23,6 +23,7 @@ The contract under test (``docs/DURABILITY.md``, recovery cases 1–3):
 from __future__ import annotations
 
 import tempfile
+import time
 import threading
 from pathlib import Path
 
@@ -158,6 +159,8 @@ def test_disk_matches_dict_model_across_rotation_cleaning_and_crashes(script):
         acked_seq = {b: 0 for b in range(1, CAP + 1)}  # newest acknowledged write
         stop = threading.Event()
         wrong: list = []
+        passes = [0]  # full passes the reader has finished
+        stalled: list = []  # steps across which the reader finished none
 
         def reader() -> None:
             while not stop.is_set():
@@ -170,52 +173,68 @@ def test_disk_matches_dict_model_across_rotation_cleaning_and_crashes(script):
                     owner, seq, _ = data.split(b":", 2)
                     if int(owner) != block_no or int(seq) < floor:
                         wrong.append((block_no, floor, data))
+                passes[0] += 1
+                time.sleep(0)  # yield: a spinning reader starves the writer
+
+        def reader_passed(since: int) -> bool:
+            """Wait until the reader finished a pass begun after ``since``."""
+            deadline = time.monotonic() + 2
+            while (passes[0] < since + 2 and thread.is_alive()
+                   and time.monotonic() < deadline):
+                time.sleep(0.0001)
+            return passes[0] >= since + 2
 
         thread = threading.Thread(target=reader)
         thread.start()
         try:
             for seq, step in enumerate(script, start=1):
-                disk = box["disk"]
-                step = _stamp(step, seq)
-                kind, *args = step
-                if kind == "arm":
-                    disk.arm(*args)
-                    continue
-                if kind in ("reopen", "checkpoint"):
-                    try:
-                        disk.checkpoint() if kind == "checkpoint" else disk.close()
-                    except ProcessDied:
-                        pass
-                    possible = [model]
-                else:
-                    try:
-                        getattr(disk, kind)(*args)
-                    except ProcessDied:
-                        possible = model.outcomes_of(step)
+                started = passes[0]
+                try:
+                    disk = box["disk"]
+                    step = _stamp(step, seq)
+                    kind, *args = step
+                    if kind == "arm":
+                        disk.arm(*args)
+                        continue
+                    if kind in ("reopen", "checkpoint"):
+                        try:
+                            disk.checkpoint() if kind == "checkpoint" else disk.close()
+                        except ProcessDied:
+                            pass
+                        possible = [model]
                     else:
-                        model.apply(step)
-                        possible = None
-                if possible is None:
-                    # Acknowledged: readable at once, no reopen needed.
-                    for block_no, data in _written(step):
-                        assert disk.read(block_no) == data
-                        acked_seq[block_no] = seq
-                    continue
-                # Dead (or closed): what a restarted process finds must be
-                # one of the states the crash may leave behind.
-                disk.close()
-                box["disk"] = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
-                found = _observe(box["disk"])
-                assert found in possible, (step, found.__dict__)
-                model = found
-                for block_no, data in found.blocks.items():
-                    acked_seq[block_no] = int(data.split(b":", 2)[1])
+                        try:
+                            getattr(disk, kind)(*args)
+                        except ProcessDied:
+                            possible = model.outcomes_of(step)
+                        else:
+                            model.apply(step)
+                            possible = None
+                    if possible is None:
+                        # Acknowledged: readable at once, no reopen needed.
+                        for block_no, data in _written(step):
+                            assert disk.read(block_no) == data
+                            acked_seq[block_no] = seq
+                        continue
+                    # Dead (or closed): what a restarted process finds must be
+                    # one of the states the crash may leave behind.
+                    disk.close()
+                    box["disk"] = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+                    found = _observe(box["disk"])
+                    assert found in possible, (step, found.__dict__)
+                    model = found
+                    for block_no, data in found.blocks.items():
+                        acked_seq[block_no] = int(data.split(b":", 2)[1])
+                finally:
+                    if not stalled and not reader_passed(started):
+                        stalled.append(seq)
         finally:
             stop.set()
             thread.join(timeout=30)
             box["disk"].close()
         assert not thread.is_alive()
         assert not wrong, wrong[:3]
+        assert not stalled, stalled  # the concurrent reads kept running
         final = FDisk(root, CAP, BLK, journal_limit=LIMIT)
         assert _observe(final) == model
         final.close()

@@ -82,7 +82,7 @@ def test_serve_smoke_commits_and_fails_over():
     assert result.returncode == 0, result.stdout + result.stderr
     assert "killed stable-pair daemon" in result.stdout
     assert "smoke: ok" in result.stdout
-    assert "net.tcp.failovers" in result.stdout
+    assert "rpc.failovers" in result.stdout
 
 
 def test_serve_smoke_fails_over_on_a_sharded_deployment():

@@ -280,7 +280,7 @@ def test_kill_daemon_mid_pipeline_fails_over_cleanly():
         for i, cap in enumerate(caps):
             client.transact(cap, lambda u, i=i: u.write(ROOT, b"post %d" % i))
             assert client.read(cap) == b"post %d" % i
-        assert recorder.metrics.counters["net.tcp.failovers"].value > 0
+        assert recorder.metrics.counters["rpc.failovers"].value > 0
         result = check_history(history)
         assert result.ok, result.violations()
         cluster.fs(0).restart()

@@ -18,8 +18,8 @@ from repro.errors import (
     MessageDropped,
     ServerUnreachable,
 )
-from repro.net import NetServer, TcpNetwork, TcpTransaction, wire
-from repro.net.transport import Connection
+from repro.net import NetServer, TcpNetwork, wire
+from repro.net.transport import Connection, TcpTransaction
 from repro.obs import Recorder
 from repro.sim.rpc import Request, RpcEndpoint, Transaction, dispatcher
 
@@ -268,7 +268,7 @@ def test_unparseable_header_error_reaches_the_caller_typed(daemon_cls):
     try:
         with pytest.raises(FrameTooLarge):
             Transaction(net, "client").call(0x42, "echo", value=b"x" * 4096)
-        assert "net.tcp.retries" not in recorder.metrics.counters
+        assert "rpc.sweeps" not in recorder.metrics.counters
         assert "net.tcp.conn_errors" not in recorder.metrics.counters
     finally:
         net.close()
@@ -355,9 +355,12 @@ def test_stop_resets_a_connection_still_in_the_listen_backlog():
 
 
 def test_transaction_class_dispatch_makes_tcp_transactions():
-    net = TcpNetwork()
-    txn = Transaction(net, "client")
-    assert isinstance(txn, TcpTransaction)
+    """There is nothing left to dispatch: ``TcpTransaction`` is an alias
+    of the one transaction loop, and the TCP network only sets the pauses
+    between its sweeps."""
+    assert TcpTransaction is Transaction
+    assert type(Transaction(TcpNetwork(), "client")) is Transaction
+    assert TcpNetwork.SWEEP_PAUSES == (0.05, 0.1, 0.2)
 
 
 def test_rpc_endpoint_attach_starts_a_real_daemon():
@@ -400,7 +403,7 @@ def test_failover_to_companion_on_refused_connection():
         net.detach("srvA")
         txn.call(0x77, "echo", value=2)
         assert (a.calls, b.calls) == (1, 1)
-        assert recorder.metrics.counters["net.tcp.failovers"].value >= 1
+        assert recorder.metrics.counters["rpc.failovers"].value >= 1
         net.reattach("srvA")
         txn.call(0x77, "echo", value=3)
         assert (a.calls, b.calls) == (2, 1)
@@ -428,8 +431,6 @@ def test_stale_pooled_connection_reconnects_transparently():
 
 def test_all_daemons_down_raises_server_unreachable():
     net = TcpNetwork()
-    net.retry_sweeps = 2
-    net.retry_backoff = 0.01
     RpcEndpoint(net, "solo", 0x55, EchoServer())
     try:
         txn = Transaction(net, "client")
@@ -450,7 +451,6 @@ def test_unregistered_port_raises():
 def test_call_timeout_on_a_hung_server():
     server = EchoServer()
     net = TcpNetwork(call_timeout=0.3)
-    net.retry_sweeps = 1
     RpcEndpoint(net, "hung", 0x66, server)
     try:
         txn = Transaction(net, "client")

@@ -81,7 +81,7 @@ def test_fast_path_span_sees_through_to_the_disks(cluster, recorder):
     writes = flush.events_named("disk.write")
     assert len(writes) >= 2
     assert [e.tags["disk"] for e in writes[:2]] == ["shard0B", "shard0B"]
-    assert flush.counters["stable.companion_rpc"] == 1
+    assert flush.counters["rpc.companion_write_many"] == 1
     assert flush.counters["rpc.write_many"] == 1
     assert "rpc.test_and_set" not in flush.counters
     assert "rpc.test_and_set" not in span.counters

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ServerUnreachable, UnknownShard
-from repro.block.sharding import PlacementMap, RetryPolicy, ShardedBlockService
+from repro.block.sharding import PlacementMap, ShardedBlockService
 from repro.core.pathname import PagePath
 from repro.obs import Recorder
 from repro.obs.report import render_shard_table
@@ -250,34 +250,34 @@ def test_allocation_skips_a_down_shard(service, client, recorder):
     assert recorder.metrics.counter("shard.alloc_failover").value >= 1
 
 
-def test_placed_reads_retry_with_backoff_then_fail(service, client, net, recorder):
+def test_placed_read_on_a_down_pair_fails_after_one_sweep(
+    service, client, net, recorder
+):
+    """Nothing heals inside a synchronous call on the simulator: the read
+    asks each half once and the caller hears the outage at once."""
     block = client.allocate_write(b"gone")
     for half in service.halves(client.placement.index_of(block)):
         half.crash()
     before = net.clock.now
     with pytest.raises(ServerUnreachable):
         client.read(block)
-    # Three attempts, separated by 40- and 80-tick backoffs.
-    assert recorder.metrics.counter("shard.retry").value == 3
-    assert net.clock.now - before >= 120
+    assert net.clock.now - before == 2 * net.hop_ticks  # two unanswered sends
+    assert recorder.metrics.counter("rpc.failovers").value == 1
+    assert "rpc.sweeps" not in recorder.metrics.counters
 
 
-def test_retry_policy_bridges_a_transient_outage(net, service):
-    client = service.client(
-        "cli", account=1, retry=RetryPolicy(attempts=3, backoff_ticks=40)
-    )
-    block = client.allocate_write(b"still here")
-    shard = client.placement.index_of(block)
-    a, b = service.halves(shard)
-    a.crash()
-    b.crash()
-    # The pair restarts before the client gives up (restart needs no resync
-    # here: nothing was written while either half was down).
-    a.restart()
-    b.restart()
-    a.resync()
-    b.resync()
-    assert client.read(block) == b"still here"
+def test_a_recovering_half_fails_over_to_its_twin(service, client, recorder):
+    """A restarted half refuses requests until its resync; the read and
+    the write go to its twin, which keeps an intention for it."""
+    block = client.allocate_write(b"v1")
+    pair = service.pair(client.placement.index_of(block))
+    pair.a.crash()
+    pair.a.restart()
+    client.write(block, b"v2")
+    assert client.read(block) == b"v2"
+    assert recorder.metrics.counter("rpc.failovers").value == 2
+    assert pair.a.resync() == 1
+    assert service.consistent()
 
 
 def test_shard_half_recovers_via_resync(service, client):

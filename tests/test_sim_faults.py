@@ -1,45 +1,6 @@
 """Fault-injection primitives."""
 
-from repro.sim.faults import CrashSchedule, DropPolicy, FaultPlan
-
-
-def test_crash_schedule_fires_once_at_threshold():
-    crash = CrashSchedule(after_ops=3)
-    assert [crash.tick() for _ in range(5)] == [False, False, True, False, False]
-    assert crash.fired
-
-
-def test_crash_schedule_never_fires_by_default():
-    crash = CrashSchedule()
-    assert not any(crash.tick() for _ in range(100))
-    assert crash.count == 100  # ops are still counted without a threshold
-
-
-def test_crash_schedule_keeps_counting_after_firing():
-    """``count`` is the true number of operations seen; it must not freeze
-    once the crash has fired (metrics are derived from it)."""
-    crash = CrashSchedule(after_ops=2)
-    for _ in range(5):
-        crash.tick()
-    assert crash.fired
-    assert crash.count == 5
-
-
-def test_crash_schedule_reset_clears_count():
-    crash = CrashSchedule(after_ops=2)
-    crash.tick()
-    crash.tick()
-    crash.reset()
-    assert crash.count == 0
-    assert not crash.fired
-
-
-def test_crash_schedule_reset():
-    crash = CrashSchedule(after_ops=1)
-    crash.tick()
-    crash.reset()
-    assert not crash.fired
-    assert crash.tick()
+from repro.sim.faults import DropPolicy
 
 
 def test_drop_every_kth():
@@ -60,13 +21,3 @@ def test_drop_policy_reset():
     policy.should_drop()
     policy.reset()
     assert policy.dropped == 0
-
-
-def test_fault_plan_defaults_and_reset():
-    plan = FaultPlan()
-    schedule = plan.crash_schedule("serverA")
-    assert not schedule.tick()  # never-firing default
-    plan.crashes["serverB"] = CrashSchedule(after_ops=1)
-    plan.crashes["serverB"].tick()
-    plan.reset()
-    assert not plan.crashes["serverB"].fired

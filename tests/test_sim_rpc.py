@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import ServerUnreachable
+from repro.errors import ServerCrashed, ServerUnreachable
+from repro.obs import Recorder
 from repro.sim.faults import DropPolicy
 from repro.sim.network import Network
 from repro.sim.rpc import RpcEndpoint, Transaction, failover_order
@@ -116,3 +117,48 @@ def test_exceptions_propagate_to_caller(net):
     txn = Transaction(net, "cli")
     with pytest.raises(ValueError, match="kaboom"):
         txn.call(0x100, "boom")
+
+
+class Recovering(Adder):
+    """A server that is up but refuses every request, as a restarted
+    stable half does until its resync."""
+
+    def cmd_whoami(self):
+        raise ServerCrashed(f"{self.name} is recovering")
+
+
+def test_a_crashed_server_fails_over_like_an_unreachable_one(net):
+    recorder = Recorder()
+    net.recorder = recorder
+    RpcEndpoint(net, "s1", 0x100, Recovering("s1"))
+    RpcEndpoint(net, "s2", 0x100, Adder("s2"))
+    txn = Transaction(net, "cli")
+    assert txn.call(0x100, "whoami") == "s2"
+    assert recorder.metrics.counter("rpc.failovers").value == 1
+
+
+def test_drops_retry_one_node_four_times_then_fail_over(net):
+    recorder = Recorder()
+    net.recorder = recorder
+    RpcEndpoint(net, "s1", 0x100, Adder("s1"))
+    RpcEndpoint(net, "s2", 0x100, Adder("s2"))
+    net.drop_policy = DropPolicy(drop_nth=frozenset({1, 2, 3, 4}))
+    txn = Transaction(net, "cli")
+    assert txn.call(0x100, "whoami") == "s2"
+    assert recorder.metrics.counter("rpc.retries").value == 3
+    assert recorder.metrics.counter("rpc.failovers").value == 1
+
+
+def test_named_call_goes_in_the_given_order_and_sweeps_once(net):
+    """``call_nodes`` bypasses the port registry; with every node out it
+    raises the last node's error after one sweep, even on a network that
+    would sweep a port again."""
+    RpcEndpoint(net, "s1", 0x100, Adder("s1"))
+    RpcEndpoint(net, "s2", 0x100, Recovering("s2"))
+    txn = Transaction(net, "cli")
+    assert txn.call_nodes(["s1", "s2"], "add", a=1, b=2) == 3
+    net.detach("s1")
+    net.SWEEP_PAUSES = (0.0,)
+    with pytest.raises(ServerCrashed):
+        txn.call_nodes(["s1", "s2"], "whoami")
+    assert net.stats.messages == 2 + 2  # one exchange, then one send each

@@ -190,7 +190,7 @@ def test_kill_stable_pair_daemon_mid_workload_with_history_check():
         assert cluster.pair.consistent()
         result = check_history(history)
         assert result.ok, result.violations()
-        assert recorder.metrics.counters["net.tcp.failovers"].value > 0
+        assert recorder.metrics.counters["rpc.failovers"].value > 0
     finally:
         cluster.stop()
 

@@ -106,10 +106,6 @@ class SimDisk:
         """Bring a crashed disk back online with its contents intact."""
         self._crashed = False
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
     def corrupt(self, block_no: int) -> None:
         """Flip bits in a stored block (models media decay / torn write)."""
         if block_no in self._blocks:

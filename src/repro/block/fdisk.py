@@ -826,10 +826,6 @@ class FDisk(SimDisk):
     def holds(self, block_no: int) -> bool:
         return block_no in self._index
 
-    @property
-    def blocks_in_use(self) -> int:
-        return len(self._index)
-
     def peek(self, block_no: int) -> bytes | None:
         entry = self._index.get(block_no)
         if entry is None:

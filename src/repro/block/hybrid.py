@@ -72,13 +72,6 @@ class HybridBlockClient:
     def allocate_optical(self) -> int:
         return self.optical.allocate() + OPTICAL_BASE
 
-    def allocate(self) -> int:
-        """Default allocation: optical (the vast majority of pages)."""
-        return self.allocate_optical()
-
-    def allocate_write(self, data: bytes) -> int:
-        return self.optical.allocate_write(data) + OPTICAL_BASE
-
     # -- the common verb set ---------------------------------------------------
 
     def write(self, block: int, data: bytes) -> None:

@@ -119,10 +119,6 @@ class BlockServer:
         """Restart after a crash."""
         self._crashed = False
 
-    @property
-    def crashed(self) -> bool:
-        return self._crashed
-
     def _check_up(self) -> None:
         if self._crashed:
             raise ServerCrashed(f"block server {self.name} is crashed")

@@ -283,10 +283,6 @@ class ShardedBlockService:
         """Live service ports, aligned with ``placement.ranges``."""
         return self.placement.ports
 
-    @property
-    def shards(self) -> int:
-        return len(self.pairs)
-
     def pair(self, shard: int) -> StablePair:
         return self.pairs[shard]
 
@@ -324,11 +320,6 @@ class ShardedBlockService:
         return all(
             pair.consistent() for pair in [*self.pairs, *self.retired_pairs]
         )
-
-    def close(self) -> None:
-        """Release every pair's disks, retired pairs included."""
-        for pair in [*self.pairs, *self.retired_pairs]:
-            pair.close()
 
     def allocation_counts(self) -> list[int]:
         """Blocks allocated per live shard (balance audits and reports)."""
@@ -674,7 +665,8 @@ class ShardedBlockClient:
         })
 
     def recover(self) -> list[int]:
-        """The §4 recovery operation, unioned across every live shard."""
+        """The §4 recovery operation, unioned across every live shard; a
+        pair that is retired, or cut over and gone, means the map moved."""
         refreshes = self.stale_attempts
         while True:
             try:
@@ -685,7 +677,7 @@ class ShardedBlockClient:
                     ):
                         blocks.append(r.global_of(local))
                 return sorted(blocks)
-            except PlacementStale:
+            except (PlacementStale, ServerUnreachable, ServerCrashed):
                 if refreshes and self._refresh():
                     refreshes -= 1
                     continue

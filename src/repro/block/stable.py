@@ -705,9 +705,9 @@ class StableServer:
     # retirement check: a retired source must keep answering
     # export/manifest/dirty queries during the cutover fence.  Reads come
     # from an up-to-date disk only (_check_current): crashed and
-    # recovering halves refuse, and their twin answers.  Only manifest and
-    # retired_epoch are read-only: export's checked read can repair, and
-    # dirty_blocks' reset mutates the set.
+    # recovering halves refuse, and their twin answers.  Only manifest is
+    # read-only: export's checked read can repair, and dirty_blocks' reset
+    # mutates the set.
 
     def cmd_track_dirty(self, on: bool) -> bool:
         """Arm (or disarm) dirty-block tracking for a migration stream."""
@@ -767,16 +767,6 @@ class StableServer:
         elif owner is None:
             self.finish_op(self.begin_reserve(account, [block_no]))
         return block_no
-
-    def cmd_retire(self, epoch: int) -> None:
-        """Wire form of :meth:`retire`, for an operator driving remotely."""
-        self._check_up()
-        self.retire(epoch)
-
-    @command(read_only=True)
-    def cmd_retired_epoch(self) -> int | None:
-        self._check_up()
-        return self._retired_epoch
 
 
 class StablePair:

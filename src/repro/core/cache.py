@@ -132,14 +132,6 @@ class PageCache:
         with self._mutex:
             self._pages.clear()
 
-    def __len__(self) -> int:
-        with self._mutex:
-            return len(self._pages)
-
-    def __contains__(self, block: int) -> bool:
-        with self._mutex:
-            return block in self._pages
-
 
 @dataclass
 class ClientCacheEntry:

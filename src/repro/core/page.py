@@ -95,9 +95,6 @@ class PageRef:
     def decode(word: int) -> "PageRef":
         return PageRef(word >> 4, Flags.decode(word & 0xF))
 
-    def __str__(self) -> str:
-        return f"[{self.block}:{self.flags}]"
-
 
 class Page:
     """An in-memory page, mutable until serialised to its disk block.
@@ -285,13 +282,6 @@ class Page:
             mergeable=bool(raw[_OFF_MERGEABLE]),
             refs=refs,
             data=raw[table_end:table_end + dsize],
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        kind = "version-page" if self.is_version_page else "page"
-        return (
-            f"<{kind} base={self.base_ref} commit={self.commit_ref} "
-            f"nrefs={self.nrefs} dsize={self.dsize}>"
         )
 
 

@@ -144,31 +144,20 @@ class FileRegistry:
 
     files: dict[int, FileEntry] = field(default_factory=dict)
     versions: dict[int, VersionEntry] = field(default_factory=dict)
-    _next_obj: int = 1
 
     def __post_init__(self) -> None:
         # Lock-free snapshot reads can lazily mint version entries (after
-        # a registry restore) while a commit allocates objects or the
-        # collector drops versions; the counter must never hand out the
-        # same number twice, nor the index below lose a live entry.
+        # a registry restore) while the collector drops versions; the
+        # index below must never lose a live entry.
         self._obj_lock = threading.Lock()
         # Version page block -> the newest version registered there: what
         # version_by_block answers from, so no lookup walks the table.
         self._by_block: dict[int, VersionEntry] = {}
 
-    # -- object numbers -----------------------------------------------------
-
-    def fresh_obj(self) -> int:
-        with self._obj_lock:
-            obj = self._next_obj
-            self._next_obj += 1
-            return obj
-
     # -- files ----------------------------------------------------------------
 
     def add_file(self, entry: FileEntry) -> None:
         self.files[entry.obj] = entry
-        self._next_obj = max(self._next_obj, entry.obj + 1)
 
     def file(self, obj: int) -> FileEntry:
         try:
@@ -188,7 +177,6 @@ class FileRegistry:
         with self._obj_lock:
             self.versions[entry.obj] = entry
             self._by_block[entry.root_block] = entry
-            self._next_obj = max(self._next_obj, entry.obj + 1)
 
     def version(self, obj: int) -> VersionEntry:
         try:
@@ -218,7 +206,6 @@ class FileRegistry:
         self.files = other.files
         self.versions = other.versions
         self._by_block = other._by_block
-        self._next_obj = other._next_obj
 
     def live_version_roots(self) -> set[int]:
         """Root blocks of all non-aborted versions (the GC's extra roots)."""
@@ -284,9 +271,6 @@ class FileRegistry:
             entry.epoch = -1
         self.versions = {}
         self._by_block = {}
-        self._next_obj = max(
-            [self._next_obj] + [obj + 1 for obj in self.files]
-        )
 
 
 # Sentinel for "no entry block yet".

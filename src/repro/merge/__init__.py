@@ -37,11 +37,10 @@ from repro.merge.orset import (
     merge_entries,
     merge_tables,
 )
-from repro.merge.policy import DEFAULT_MERGE_POLICY, MergePolicy, ORSetMergePolicy
+from repro.merge.policy import DEFAULT_MERGE_POLICY, ORSetMergePolicy
 
 __all__ = [
     "DEFAULT_MERGE_POLICY",
-    "MergePolicy",
     "ORSetMergePolicy",
     "decode_entries",
     "encode_entries",

@@ -10,20 +10,7 @@ the contention benchmark uses for its merge-off passes.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
-
 from repro.merge.orset import merge_tables
-
-
-@runtime_checkable
-class MergePolicy(Protocol):
-    """The interface the OCC layer programs against."""
-
-    name: str
-
-    def merge(self, base: bytes, ours: bytes, theirs: bytes) -> bytes:
-        """Merged page data, or raise :class:`MergeConflict`."""
-        ...
 
 
 class ORSetMergePolicy:

@@ -38,7 +38,7 @@ def build_tcp_cluster(
     recorder=None,
     history=None,
     call_timeout: float | None = None,
-    async_mode: bool = False,  # ignored; bench/layers.py passes it (ROADMAP 4(b))
+    async_mode: bool = False,  # ignored; bench/layers.py passes it (ROADMAP 8(a))
     lock_timeout: float | None = None,
     discovery: bool = False,
     backend: str = "sim",

@@ -231,18 +231,3 @@ class DiscoveryClient:
     def bootstrap(self) -> dict:
         return self.txn.call(self.port, "bootstrap")
 
-
-def heartbeat_script(
-    client: DiscoveryClient, registrations: dict[str, dict], interval: int, beats: int
-):
-    """A cooperative task renewing registrations — the sim stand-in for
-    each daemon's heartbeat thread.  ``registrations`` maps daemon name
-    to its ``register`` keyword arguments, so a daemon the registry has
-    forgotten (discovery restart) is transparently re-registered."""
-    for _ in range(beats):
-        for _ in range(interval):
-            yield
-        for name, info in registrations.items():
-            if not client.heartbeat(name):
-                client.register(name, **info)
-        client.network.clock.advance(1)

@@ -58,8 +58,6 @@ class WallClock:
 
     def __init__(self) -> None:
         self._t0 = time.monotonic()
-        self._events = 0
-        self._lock = threading.Lock()
 
     @property
     def now(self) -> int:
@@ -69,16 +67,6 @@ class WallClock:
         if ticks < 0:
             raise ValueError(f"cannot advance clock by {ticks}")
         return self.now
-
-    def timestamp(self) -> int:
-        with self._lock:
-            self._events += 1
-            return (self.now << 20) | (self._events & 0xFFFFF)
-
-    def reset(self) -> None:
-        with self._lock:
-            self._t0 = time.monotonic()
-            self._events = 0
 
 
 class TcpNetwork:
@@ -233,15 +221,6 @@ class TcpNetwork:
         with self._topology_lock:
             return self._daemons.get(name)
 
-    def reachable(self, sender: str, dest: str) -> bool:
-        """Best-effort reachability: for locally hosted daemons, whether
-        the daemon runs; for remote registrations, whether an address is
-        known (only a real connect can tell more)."""
-        with self._topology_lock:
-            if dest in self._daemons:
-                return self._daemons[dest].running
-            return dest in self._addresses
-
     # -- delivery (client side) ---------------------------------------------
 
     def send(self, sender: str, dest: str, payload: Any, size: int = 0) -> Any:
@@ -346,7 +325,7 @@ class TcpNetwork:
             pool.clear()
 
 
-class AsyncTcpNetwork(TcpNetwork):  # unused; bench/layers.py reads the name (ROADMAP 4(b))
+class AsyncTcpNetwork(TcpNetwork):  # unused; bench/layers.py reads the name (ROADMAP 8(a))
     pass
 
 

@@ -106,9 +106,6 @@ class _NullSpan:
     def inc(self, key: str, n: int = 1) -> None:
         pass
 
-    def add_event(self, name: str, tick: int, tags=None) -> None:
-        pass
-
     def __enter__(self) -> "_NullSpan":
         return self
 

@@ -29,9 +29,6 @@ class SpanEvent:
         self.tick = tick
         self.tags = tags or {}
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SpanEvent({self.name!r}, tick={self.tick}, tags={self.tags})"
-
     def to_dict(self) -> dict:
         return {"name": self.name, "tick": self.tick, "tags": self.tags}
 
@@ -92,12 +89,6 @@ class Span:
     def events_named(self, name: str) -> list[SpanEvent]:
         """Events of one kind recorded directly on this span, in order."""
         return [event for event in self.events if event.name == name]
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Span({self.name!r}, {self.duration} ticks, tags={self.tags}, "
-            f"{len(self.children)} children)"
-        )
 
     # -- serialisation -----------------------------------------------------
 

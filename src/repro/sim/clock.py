@@ -48,6 +48,3 @@ class LogicalClock:
         """Reset to time zero (between independent experiment runs)."""
         self._now = 0
         self._events = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"LogicalClock(now={self._now})"

@@ -87,10 +87,3 @@ class FaultScript:
             self.fired.append(event)
             out.append(event)
         return out
-
-    @property
-    def remaining(self) -> int:
-        return len(self._pending)
-
-    def __len__(self) -> int:
-        return len(self.fired) + len(self._pending)

@@ -30,7 +30,6 @@ from repro.core.gc import GarbageCollector
 from repro.core.registry import FileRegistry
 from repro.core.service import FileService
 from repro.core.store import HybridPageStore, PageStore
-from repro.core.system_tree import SystemTree
 from repro.obs import NULL_RECORDER
 from repro.sim.network import Network
 from repro.sim.rpc import RpcEndpoint, _registry
@@ -79,10 +78,6 @@ class Cluster:
     def fs(self, index: int = 0) -> FileService:
         """The ``index``-th file server process."""
         return self.servers[index]
-
-    def system_tree(self, index: int = 0) -> SystemTree:
-        """Super-file operations bound to one server."""
-        return SystemTree(self.servers[index])
 
     def gc(self, index: int = 0) -> GarbageCollector:
         """A garbage collector bound to one server."""

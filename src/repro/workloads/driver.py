@@ -66,7 +66,6 @@ class RunResult:
     lock_waits: int = 0
     messages: int = 0
     client_ticks: list[int] = field(default_factory=list)
-    obs_summary: str = ""  # observability summary table (with a recorder)
 
     @property
     def throughput(self) -> float:
@@ -366,10 +365,7 @@ def run_workload(
     the baselines silently ignore it.
 
     With a live ``recorder`` (normally the same one the cluster under the
-    adapter was built with), the run is wrapped in a ``workload`` span and
-    ``result.obs_summary`` carries the post-run summary table: the
-    commit-path breakdown (fast versus serialise versus conflict) and the
-    recorded metrics.  Callers that want it on a terminal just print it.
+    adapter was built with), the run is wrapped in a ``workload`` span.
     """
     if recorder is None:
         from repro.obs import NULL_RECORDER
@@ -399,31 +395,4 @@ def run_workload(
     result.makespan = max(result.client_ticks, default=0)
     delta = network.stats.delta(net_before)
     result.messages = delta.messages
-    if recorder.enabled:
-        result.obs_summary = summarize_run(recorder, result)
     return result
-
-
-def summarize_run(recorder, result: RunResult) -> str:
-    """The driver's after-run summary: headline numbers, the commit-path
-    table, the recorded metrics, and the per-shard allocation balance."""
-    from repro.obs.report import (
-        render_commit_table,
-        render_metrics,
-        render_shard_table,
-    )
-
-    headline = (
-        f"{result.system}: {result.committed} committed, "
-        f"{result.redo_attempts} redo attempts, {result.gave_up} gave up, "
-        f"makespan {result.makespan} ticks, {result.messages} messages"
-    )
-    sections = [
-        headline,
-        render_commit_table(recorder.tracer),
-        render_metrics(recorder.metrics),
-    ]
-    shard_table = render_shard_table(recorder.metrics)
-    if shard_table:
-        sections.append("per-shard balance:\n" + shard_table)
-    return "\n\n".join(sections)

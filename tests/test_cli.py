@@ -1,9 +1,14 @@
 """The ``python -m repro`` command-line tour."""
 
+import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from repro.__main__ import main
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _run(*args):
@@ -13,6 +18,16 @@ def _run(*args):
         text=True,
         timeout=120,
     )
+
+
+def _in_process(capsys, *args):
+    """``python -m repro ARGS`` run in this process: (exit code, stdout)."""
+    try:
+        main(["repro", *args])
+        code = 0
+    except SystemExit as exit_:
+        code = exit_.code
+    return code, capsys.readouterr().out
 
 
 def test_demo_runs_clean():
@@ -36,10 +51,23 @@ def test_salvage_recovers_files():
     assert "revised" in result.stdout
 
 
-def test_unknown_subcommand_prints_usage():
-    result = _run("no-such-command")
-    assert result.returncode == 2
-    assert "Subcommands" in result.stdout
+def test_unknown_subcommand_prints_usage(capsys):
+    code, out = _in_process(capsys, "no-such-command")
+    assert code == 2
+    assert "Subcommands" in out
+
+
+@pytest.mark.parametrize("verb", ["status", "split", "migrate"])
+def test_cluster_verbs(capsys, verb):
+    """The operator verbs over a demo sharded deployment: the placement
+    map and daemon directory, then a reshape every file reads back
+    through."""
+    code, out = _in_process(capsys, "cluster", verb, "--shards", "2")
+    assert code == 0
+    assert "placement epoch 1" in out and "daemon directory" in out
+    if verb != "status":
+        assert "placement epoch 2" in out
+        assert "all 6 files read back through the new placement: ok" in out
 
 
 @pytest.mark.parametrize(
@@ -60,12 +88,12 @@ def test_examples_run_clean(script):
         capture_output=True,
         text=True,
         timeout=180,
-        cwd="/root/repo",
+        cwd=REPO,
     )
     assert result.returncode == 0, result.stderr[-2000:]
 
 
-def test_soak_runs_a_seed_range_and_rejects_unknown_flags():
+def test_soak_runs_a_seed_range_and_rejects_unknown_flags(capsys):
     from repro.sim.explore import SoakConfig
 
     result = _run("soak", "--seed", "1..2", "--ops", "20")
@@ -78,9 +106,9 @@ def test_soak_runs_a_seed_range_and_rejects_unknown_flags():
 
     # A feature is the seed's to draw, not a flag.
     for flag in ("--bogus", "--leases"):
-        result = _run("soak", flag)
-        assert result.returncode == 2
-        assert f"unknown soak flag '{flag}'" in result.stdout
+        code, out = _in_process(capsys, "soak", flag)
+        assert code == 2
+        assert f"unknown soak flag '{flag}'" in out
 
 
 MALFORMED = [
@@ -90,16 +118,18 @@ MALFORMED = [
     ("cluster status --index", "--index"),
     ("stats x", "'x'"),
     ("soak --seed 3..1", "--seed"),
+    ("cluster bogus", "'bogus'"),
+    ("demo extra", "'extra'"),
+    ("connect", "<spec>"),
 ]
 
 
 @pytest.mark.parametrize(
     "line, named", MALFORMED, ids=[line for line, _ in MALFORMED]
 )
-def test_malformed_command_line_exits_2_naming_the_argument(line, named):
-    result = _run(*line.split())
-    assert result.returncode == 2, result.stdout + result.stderr
-    assert "Traceback" not in result.stdout + result.stderr
-    message = result.stdout.splitlines()[0]
+def test_malformed_command_line_exits_2_naming_the_argument(capsys, line, named):
+    code, out = _in_process(capsys, *line.split())
+    assert code == 2, out
+    message = out.splitlines()[0]
     assert line.split()[0] in message and named in message
-    assert "metrics" not in result.stdout  # nothing ran before the check
+    assert "metrics" not in out  # nothing ran before the check

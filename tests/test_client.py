@@ -150,8 +150,13 @@ def test_structure_and_holes_via_client(net_client):
     assert update.structure(ROOT) == [0, 1]
     update.fill_hole(a, b"a2")
     assert update.structure(ROOT) == [1, 1]
+    update.append_page(ROOT, b"c")
+    update.make_hole(PagePath.of(1))
+    update.remove_hole(PagePath.of(1))  # "c" shifts left into the slot
+    assert update.structure(ROOT) == [1, 1]
     update.commit()
     assert net_client.read(cap, a) == b"a2"
+    assert net_client.read(cap, PagePath.of(1)) == b"c"
 
 
 def test_split_and_move_via_client(net_client):
@@ -159,9 +164,11 @@ def test_split_and_move_via_client(net_client):
     update = net_client.begin(cap)
     page = update.append_page(ROOT, b"HELLOworld")
     sibling = update.split_page(page, 5)
+    moved = update.move_subtree(sibling, page, 0)
+    assert moved == PagePath.of(0, 0)
     update.commit()
     assert net_client.read(cap, page) == b"HELLO"
-    assert net_client.read(cap, sibling) == b"world"
+    assert net_client.read(cap, moved) == b"world"
 
 
 def test_history_and_read_version(net_client):

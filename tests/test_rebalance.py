@@ -16,11 +16,13 @@ import random
 
 import pytest
 
+from repro.block import rebalance
 from repro.block.rebalance import migrate_steps
 from repro.capability import new_port
 from repro.client.api import FileClient
 from repro.core.pathname import PagePath
-from repro.errors import PlacementStale, ReproError
+from repro.errors import PlacementStale, ReproError, ServerUnreachable
+from repro.obs import Recorder
 from repro.sim.sched import Scheduler
 from repro.testbed import build_cluster
 from repro.verify.history import HistoryRecorder, check_history
@@ -243,6 +245,111 @@ def test_abort_under_crash_leaves_map_and_data_untouched():
     report = service.migrate(0, new_port(cluster.rng), history=history)
     assert report.epoch == 2
     assert fs.read_page(fs.current_version(caps[0]), PagePath.of(0)) == b"page 0.0"
+    result = check_history(history)
+    assert result.ok, result.violations()
+
+
+def _finish(steps):
+    try:
+        while True:
+            next(steps)
+    except StopIteration as stop:
+        return stop.value
+
+
+@pytest.mark.parametrize(
+    "freed, restart", [(6, False), (2, False), (2, True)],
+    ids=["delta-round", "fence", "full-reconcile"],
+)
+def test_blocks_freed_after_their_copy_are_freed_on_the_target(freed, restart):
+    """Blocks the pre-copy already carried over and the source then freed
+    must not outlive the migration on the target.  Six come back through
+    the dirty set in a delta round, where one more block, written and then
+    freed inside the round, fails its copy and is left for the fence; two
+    are left for the fence's remainder; after a half restart the fence's
+    full reconcile finds the two missing from the final manifest."""
+    recorder = Recorder()
+    cluster, history, caps = _workload_cluster(
+        shards=2, servers=1, seed=23, recorder=recorder
+    )
+    service = cluster.shards
+    source = service.pairs[0]
+    owner = service.client("freer", 7)
+    blocks = [owner.allocate_write(b"short-lived %d" % i) for i in range(16)]
+    mine = [block for block in blocks if service.placement.index_of(block) == 0]
+    gone = mine[:freed]
+    steps = migrate_steps(service, 0, new_port(cluster.rng), history=history)
+    for _ in source.a.cmd_manifest():
+        next(steps)  # the pre-copy has carried all but the last block
+    for block in gone:
+        owner.free(block)
+    if restart:
+        source.a.crash()
+        source.a.restart()
+        source.a.resync()
+    if freed > 4:
+        owner.write(mine[-1], b"rewritten")  # streamed in the round
+        owner.write(mine[freed], b"rewritten")
+        next(steps)  # inside the delta round, its manifest taken
+        owner.free(mine[freed])
+        gone.append(mine[freed])
+    report = _finish(steps)
+    assert report.delta_rounds == int(freed > 4)
+    assert report.full_reconcile == restart
+    assert report.freed_on_target == (1 if freed > 4 else freed)
+    counters = recorder.metrics.counters
+    if freed > 4:
+        assert counters["rebalance.delta_rounds"].value == 1
+    if restart:
+        assert counters["rebalance.full_reconciles"].value == 1
+    target = service.pairs[0]
+    for block in gone:
+        assert target.a.local.owner_of(service.placement.local_of(block)) is None
+    assert service.consistent()
+    result = check_history(history)
+    assert result.ok, result.violations()
+
+
+def test_a_fence_that_fails_rolls_back_through_unretire(monkeypatch):
+    """A copy inside the fence fails: both source halves are unretired and
+    serve again under the old map, the migration aborts, and a retry
+    completes."""
+    recorder = Recorder()
+    cluster, history, caps = _workload_cluster(
+        shards=2, servers=1, seed=29, recorder=recorder
+    )
+    service = cluster.shards
+    source = service.pairs[0]
+    fs = cluster.fs()
+    with pytest.raises(ValueError):  # the target must be a fresh port
+        service.migrate(0, service.placement.ports[1])
+
+    class FenceCopyFails(rebalance.Transaction):
+        def call_nodes(self, nodes, command, **params):
+            if command == "export":  # only the fence exports by half name
+                raise ServerUnreachable("source lost inside the fence")
+            return super().call_nodes(nodes, command, **params)
+
+    monkeypatch.setattr(rebalance, "Transaction", FenceCopyFails)
+    steps = migrate_steps(service, 0, new_port(cluster.rng), history=history)
+    next(steps)
+    handle = fs.create_version(caps[0])  # dirty blocks for the fence
+    fs.write_page(handle.version, PagePath.of(0), b"before the fence")
+    fs.commit(handle.version)
+    with pytest.raises(ServerUnreachable):
+        _finish(steps)
+    assert recorder.metrics.counters["rebalance.aborts"].value == 1
+    assert service.placement.epoch == 1
+    assert service.pairs[0] is source and not service.retired_pairs
+    handle = fs.create_version(caps[0])
+    fs.write_page(handle.version, PagePath.of(0), b"after the abort")
+    fs.commit(handle.version)
+    monkeypatch.undo()
+    assert service.migrate(0, new_port(cluster.rng), history=history).epoch == 2
+    assert (
+        fs.read_page(fs.current_version(caps[0]), PagePath.of(0))
+        == b"after the abort"
+    )
     result = check_history(history)
     assert result.ok, result.violations()
 

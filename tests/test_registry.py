@@ -29,13 +29,6 @@ def test_missing_lookups_raise(registry):
         registry.version(99)
 
 
-def test_fresh_obj_monotone(registry):
-    first = registry.fresh_obj()
-    second = registry.fresh_obj()
-    assert second == first + 1
-    assert first > 4  # past every registered object
-
-
 def test_drop_file_cascades_to_versions(registry):
     registry.drop_file(1)
     with pytest.raises(NoSuchFile):
@@ -74,7 +67,6 @@ def test_restore_from_adopts_files(registry):
     fresh = FileRegistry()
     fresh.restore_from(FileRegistry.deserialize(raw))
     assert fresh.file(1).entry_block == 10
-    assert fresh.fresh_obj() > 2
 
 
 class _Unscannable(dict):
@@ -119,7 +111,7 @@ def test_validation_delegate_never_walks_the_version_table():
     reg = cluster.registry
     for i in range(10_000):
         reg.add_version(
-            VersionEntry(reg.fresh_obj(), file_obj=cap.obj, root_block=10**6 + i,
+            VersionEntry(10**6 + i, file_obj=cap.obj, root_block=10**6 + i,
                          secret=i, status="aborted", server="fs1")
         )
     reg.versions = _Unscannable(reg.versions)

@@ -220,6 +220,26 @@ def test_swap_waits_for_a_page_batch_that_could_not_be_placed(net, service, clie
     assert client.read(base)[:4] == b"\x00" * 4
 
 
+def test_allocation_refreshes_a_map_every_shard_of_which_moved(service):
+    """Every range of a client's map was cut over: no pair answers an old
+    port, so the allocation refetches the map and scans again."""
+    stale = service.client("stale", account=1)
+    for index in range(len(PORTS)):
+        service.migrate(index, 0x800 + index)
+    block = stale.allocate_write(b"placed by the fresh map")
+    assert stale.placement.epoch == service.placement.epoch == 1 + len(PORTS)
+    assert stale.read(block) == b"placed by the fresh map"
+
+
+def test_recover_refreshes_a_map_that_moved(service, client):
+    """The recovery sweep of a client whose map predates a cutover
+    refetches the map instead of failing on the retired port."""
+    blocks = [client.allocate_write(b"kept") for _ in range(4)]  # one per shard
+    service.migrate(0, 0x800)
+    assert client.recover() == sorted(blocks)
+    assert client.placement.epoch == 2
+
+
 def test_write_many_replicates_to_both_halves(service, client):
     blocks = [client.allocate() for _ in range(4)]  # one per shard
     client.write_many([(block, b"both halves") for block in blocks])

@@ -76,11 +76,13 @@ def test_super_update_atomic_across_subfiles(nested):
     update = tree.begin_super_update(cap_c)
     ha = tree.open_subfile(update, cap_a)
     hb = tree.open_subfile(update, cap_b)
+    assert tree.open_subfile(update, cap_a) is ha  # opened once per update
     fs.write_page(ha.version, ROOT, b"A v2")
     fs.write_page(hb.version, ROOT, b"B v2")
     # Before commit, nothing is visible.
     assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v1"
     tree.commit_super(update)
+    tree.commit_super(update)  # a second commit finds the update done
     assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v2"
     assert fs.read_page(fs.current_version(cap_b), ROOT) == b"B v2"
 
@@ -109,6 +111,8 @@ def test_inner_lock_blocks_small_updates(nested):
     tree.open_subfile(update, cap_a)
     with pytest.raises(FileLocked):
         fs.create_version(cap_a)
+    with pytest.raises(FileLocked):  # even the relaxed rule honours it
+        tree.begin_super_update(cap_a, relaxed=True)
     # Sub-file B is not opened: it stays freely updatable.
     hb = fs.create_version(cap_b)
     fs.abort(hb.version)
@@ -149,6 +153,7 @@ def test_abort_super_discards_everything(nested):
     ha = tree.open_subfile(update, cap_a)
     fs.write_page(ha.version, ROOT, b"junk")
     tree.abort_super(update)
+    tree.abort_super(update)  # a second abort finds the update done
     assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v1"
 
 
@@ -204,6 +209,47 @@ def test_crash_after_commit_ref_waiter_finishes(cluster):
     fs.abort(h.version)
 
 
+def test_inner_lock_waiter_finishes_a_dead_holders_committed_super_update(cluster):
+    """A waiter blocked by an inner lock ascends to the super-file; the
+    dead holder's super commit already landed, so the waiter finishes the
+    sub-file commits from there ("finished")."""
+    fs = cluster.fs()
+    tree = SystemTree(fs)
+    cap_c = fs.create_file(b"C")
+    handle = fs.create_version(cap_c)
+    cap_a = tree.create_subfile(handle.version, ROOT, initial_data=b"A v1")
+    fs.commit(handle.version)
+    update = tree.begin_super_update(cap_c)
+    ha = tree.open_subfile(update, cap_a)
+    fs.write_page(ha.version, ROOT, b"A v2")
+    fs.commit(update.handle.version)  # the super commit reference is set
+    fs.crash()
+    fs.restart()
+    assert SystemTree(fs).wait_or_recover(cap_a) == "finished"
+    assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v2"
+    fs.abort(fs.create_version(cap_a).version)
+
+
+def test_inner_lock_no_ancestor_claims_is_cleared(nested):
+    """The dead holder never flushed its sub-version, so clearing the
+    super-file's top lock could not find the sub-file's inner lock.  No
+    locked ancestor claims the port any more: the waiter on the sub-file
+    clears the leftover lock itself ("cleared")."""
+    fs, tree, cap_c, cap_a, cap_b = nested
+    update = tree.begin_super_update(cap_c)
+    tree.open_subfile(update, cap_a)
+    fs.crash()
+    fs.restart()
+    waiter = SystemTree(fs)
+    assert waiter.wait_or_recover(cap_c) == "cleared"
+    block, _ = fs._resolve_current(fs.registry.file(cap_a.obj))
+    assert fs.locks.read(block).inner == update.update_port
+    assert waiter.wait_or_recover(cap_a) == "cleared"
+    assert fs.locks.read(block).inner == 0
+    assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v1"
+    fs.abort(fs.create_version(cap_a).version)
+
+
 def test_recover_on_healthy_file_is_free(nested):
     fs, tree, cap_c, cap_a, cap_b = nested
     assert tree.wait_or_recover(cap_c) == "free"
@@ -214,6 +260,8 @@ def test_holder_alive_keeps_waiter_waiting(nested, cluster):
     update = tree.begin_super_update(cap_c)
     status = tree.wait_or_recover(cap_c)
     assert status == "alive"
+    tree.open_subfile(update, cap_a)  # and a waiter on its inner lock
+    assert tree.wait_or_recover(cap_a) == "alive"
     tree.abort_super(update)
 
 
@@ -291,6 +339,8 @@ def test_restored_registry_still_sees_a_dead_super_updates_inner_lock(nested):
     assert fs.registry.file(cap_a.obj).open == {}
     with pytest.raises(FileLocked):
         fs.create_version(cap_a)
+    with pytest.raises(FileLocked):  # the durable top lock, with no soft one
+        SystemTree(fs).begin_super_update(cap_c)
     assert SystemTree(fs).wait_or_recover(cap_a) == "cleared"
     assert fs.read_page(fs.current_version(cap_a), ROOT) == b"A v1"
     handle = fs.create_version(cap_a, respect_soft_lock=True)

@@ -34,6 +34,9 @@ def tcp_cluster():
 
 
 def test_create_commit_read_over_tcp(tcp_cluster):
+    network = tcp_cluster.network
+    nodes = network.nodes()  # every daemon, each with its address
+    assert "fs0" in nodes and all(network.address_of(name) for name in nodes)
     client = tcp_cluster.client("host")
     cap = client.create_file(b"first bytes over the real wire")
     assert client.read(cap) == b"first bytes over the real wire"

@@ -77,6 +77,33 @@ def test_checker_detects_broken_chain(cluster):
     assert any("cycle" in err for err in report.errors)
 
 
+DAMAGE = {
+    "unreadable version page": lambda page, caps: setattr(page, "commit_ref", 999_999),
+    "is not a version page": lambda page, caps: setattr(
+        page, "commit_ref", page.refs[0].block
+    ),
+    "claims file": lambda page, caps: setattr(page, "file_cap", caps[1]),
+    "referenced twice": lambda page, caps: page.refs.append(page.refs[0]),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_checker_reports_a_damaged_current_version(cluster, damage):
+    """Each kind of damage to the current version page is an error that
+    names it: a commit reference to nothing or to a data page, a version
+    page claiming another file, a subtree reachable twice."""
+    fs, caps = _populate(cluster)
+    entry = cluster.registry.file(caps[0].obj)
+    block, _ = fs._resolve_current(entry)
+    page = fs.store.load(block, fresh=True)
+    DAMAGE[damage](page, caps)
+    fs.store.store_in_place(block, page)
+    fs.store.flush()
+    report = CheckReport()
+    check_file(fs, entry, report)
+    assert any(damage in err for err in report.errors), report.errors
+
+
 def test_checker_detects_dangling_reference(cluster):
     fs, caps = _populate(cluster)
     entry = cluster.registry.file(caps[0].obj)
@@ -117,6 +144,15 @@ def test_checker_with_superfiles(cluster):
     tree.commit_super(update)
     report = check_cluster(cluster)
     assert report.ok, report.errors
+
+
+def test_ci_gate_is_clean_on_a_busy_deployment(capsys):
+    """``python -m repro.tools.check``: concurrent commits across two
+    servers, a crash mid-update and a GC pass leave fsck clean."""
+    from repro.tools.check import main
+
+    assert main() == 0
+    assert "ERROR" not in capsys.readouterr().out
 
 
 def test_summary_line(cluster):

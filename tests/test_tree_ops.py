@@ -180,3 +180,38 @@ def test_destination_index_shift_after_removal(fs):
     assert new_path == PagePath.of(0, 0)
     assert fs.read_page(current, PagePath.of(0)) == b"x1"
     assert fs.read_page(current, PagePath.of(0, 0)) == b"x0"
+
+
+BAD_PATHS = [
+    ("remove_page", (ROOT,)),
+    ("remove_page", (PagePath.of(9),)),
+    ("make_hole", (ROOT,)),
+    ("make_hole", (PagePath.of(9),)),
+    ("remove_hole", (ROOT,)),
+    ("remove_hole", (PagePath.of(9),)),
+    ("fill_hole", (ROOT,)),
+    ("fill_hole", (PagePath.of(9),)),
+    ("split_page", (ROOT, 0)),
+    ("move_subtree", (PagePath.of(9), ROOT, 0)),
+    ("move_subtree", (PagePath.of(0, 9), ROOT, 0)),
+    ("move_subtree", (PagePath.of(0), PagePath.of(1), 5)),
+]
+
+
+@pytest.mark.parametrize(
+    "op, args", BAD_PATHS, ids=[f"{op}{args}" for op, args in BAD_PATHS]
+)
+def test_bad_path_names_are_refused(fs, file_with_children, op, args):
+    """The root where a child is meant, and an index past the table."""
+    handle = fs.create_version(file_with_children)
+    with pytest.raises(BadPathName):
+        getattr(fs, op)(handle.version, *args)
+    fs.abort(handle.version)
+
+
+def test_making_a_hole_twice_changes_nothing(fs, file_with_children):
+    handle = fs.create_version(file_with_children)
+    fs.make_hole(handle.version, PagePath.of(2))
+    fs.make_hole(handle.version, PagePath.of(2))
+    assert fs.page_structure(handle.version, ROOT) == [1, 1, 0, 1]
+    fs.abort(handle.version)

@@ -77,8 +77,6 @@ CONTRACT = {
         "manifest": ((), True),
         "read": (("account", "block_no"), False),
         "recover": (("account",), False),
-        "retire": (("epoch",), False),
-        "retired_epoch": ((), True),
         "test_and_set": (("account", "block_no", "offset", "expected", "new"), False),
         "track_dirty": (("on",), False),
         "write": (("account", "block_no", "data"), False),

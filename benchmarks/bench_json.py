@@ -80,6 +80,31 @@ def measure_fast_commit(n_pages: int) -> dict:
     return _costs_around(cluster, lambda: fs.commit(handle.version))
 
 
+def measure_blind_update(ops: int = 32) -> dict:
+    """A write-only ``transact`` callback — one ``update`` request — on
+    an 8-page file, per op over ``ops`` commits, so the block tier's
+    extent reservations are counted at their amortised share."""
+    cluster = build_cluster(seed=20)
+    client = FileClient(cluster.network, "bench", cluster.service_port,
+                        use_cache=False)
+    cap = client.create_file(b"root")
+    setup = client.begin(cap)
+    for i in range(8):
+        setup.append_page(ROOT, b"p%d" % i)
+    setup.commit()
+
+    def workload():
+        for op in range(ops):
+            path, data = PagePath.of(op % 8), b"w%d" % op
+            client.transact(cap, lambda u: u.write(path, data))
+
+    costs = _costs_around(cluster, workload)
+    return {
+        "ops": ops,
+        "per_op": {key: round(value / ops, 2) for key, value in costs.items()},
+    }
+
+
 def _group_workload(grouped: bool) -> dict:
     """GROUP_SIZE ready, non-conflicting updates on one file server,
     settled either one commit at a time (the seed path) or through one
@@ -212,9 +237,12 @@ def bench_commit() -> dict:
         "schema": SCHEMA_VERSION,
         "fast_commit": {str(n): measure_fast_commit(n) for n in (1, 8, 64)},
         "group_commit": measure_group_commit(),
+        "blind_update": measure_blind_update(),
         # Metrics the CI gate holds against this committed baseline:
         # more than TOLERANCE_PCT percent higher fails the build.
         "gate": [
+            "blind_update.per_op.messages",
+            "blind_update.per_op.stable_writes",
             "fast_commit.64.messages",
             "fast_commit.64.ticks",
             "group_commit.grouped.messages",

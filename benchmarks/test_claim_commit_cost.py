@@ -5,6 +5,7 @@ Table: commit-step cost (messages, disk reads, disk writes, logical
 ticks) as the file grows — the fast path must be flat.
 """
 
+from repro.block.stable import EXTENT
 from repro.core.pathname import PagePath
 from repro.testbed import build_cluster
 
@@ -63,7 +64,7 @@ def test_c1_commit_cost_flat_in_file_size(benchmark, report):
     benchmark(sequential_commit)
 
 
-def _update_costs(tmp_path, updates=24):
+def _update_costs(tmp_path, updates=3 * EXTENT // 2):
     """(block-tier messages, journal syncs) of each of ``updates`` 1-page
     updates — begin, write one data page, commit — on a disk-backed pair.
     The file server talks to this process directly, so every network
@@ -105,13 +106,13 @@ def test_c1_warm_commit_block_tier_messages_and_syncs_exact(tmp_path, report):
     exchange, no sync) and writes nothing: the small file's top-lock hint
     is file-server soft state.  The commit is ONE replicated request —
     both pages and the commit reference's test-and-set — with one sync
-    per half: 5 exchanges = 10 messages and 2 syncs.  One update in eight
-    finds the pool empty and reserves the next extent: one more exchange,
-    one more sync per half."""
+    per half: 5 exchanges = 10 messages and 2 syncs.  One update in
+    EXTENT / 2 finds the pool empty and reserves the next extent: one
+    more exchange, one more sync per half."""
     costs = _update_costs(tmp_path)
     warm, cold = (10, 2), (12, 4)
     report.row("1-page update on a disk-backed pair: (messages, syncs) per update")
     report.row(f"  warm pool {warm}, cold pool {cold}, seen {sorted(set(costs))}")
     assert set(costs) == {warm, cold}
-    # Two allocations per update, sixteen numbers per extent.
-    assert costs.count(cold) == len(costs) // 8
+    # Two allocations per update, EXTENT numbers per extent.
+    assert costs.count(cold) == len(costs) // (EXTENT // 2)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import (
     PlacementStale,
@@ -499,12 +499,12 @@ class ShardedBlockClient:
 
     # -- allocation: round-robin placement with shard failover ---------------
 
-    def _allocate_on_some_shard(self, command: str, **params) -> int:
+    def _allocate_on_some_shard(self, command: str, **params) -> tuple[ShardRange, Any]:
         """Run an allocation verb on the next shard in round-robin order,
         skipping shards whose pair is entirely unreachable — a new block
         has no placement constraint, so an allocation never needs to wait
         for a down shard.  If every shard refuses and the map has moved,
-        refresh and rescan."""
+        refresh and rescan.  Returns the shard's range and its answer."""
         refreshes = self.stale_attempts
         while True:
             ranges = self.placement.ranges
@@ -524,7 +524,7 @@ class ShardedBlockClient:
                     self.recorder.count(f"shard.s{idx}.allocs")
                 if self._history is not None:
                     self._note_serve(r, command)
-                return r.global_of(local)
+                return r, local
             if refreshes and self._refresh():
                 refreshes -= 1
                 continue
@@ -532,13 +532,21 @@ class ShardedBlockClient:
             raise last
 
     def allocate_write(self, data: bytes) -> int:
-        return self._allocate_on_some_shard(
+        r, local = self._allocate_on_some_shard(
             "allocate_write", account=self.account, data=data
         )
+        return r.global_of(local)
 
     def allocate(self) -> int:
         """Reserve a block on both disks of some shard, data to follow."""
-        return self._allocate_on_some_shard("allocate", account=self.account)
+        return self.allocate_many(1)[0]
+
+    def allocate_many(self, count: int) -> list[int]:
+        """Reserve ``count`` blocks on one shard in one exchange."""
+        r, local = self._allocate_on_some_shard(
+            "allocate", account=self.account, count=count
+        )
+        return [r.global_of(block_no) for block_no in local]
 
     # -- placed-block verbs (routed by the map) ------------------------------
 

@@ -75,7 +75,7 @@ _BATCH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
 
 # Block numbers are reserved this many at a time (fewer when fewer are
 # free): one companion exchange and one sync per half buy EXTENT allocates.
-EXTENT = 16
+EXTENT = 32
 
 # One conditional swap riding a ``write_many``: (block, offset, expected, new).
 Swap = tuple[int, int, bytes, bytes]
@@ -494,12 +494,12 @@ class StableServer:
         self.finish_op(self.begin_batch(account, [(block_no, data)], adopt=True))
         return block_no
 
-    def cmd_allocate(self, account: int) -> int:
-        """Hand out one reserved block number, from memory.
+    def cmd_allocate(self, account: int, count: int = 1) -> list[int]:
+        """Hand out ``count`` reserved block numbers, from memory.
 
         The pool holds numbers already owned by ``account`` on both disks
         (:meth:`begin_reserve`), so a number handed out is as durable as
-        one reserved on its own; only an empty pool costs an exchange.
+        one reserved on its own; only a short pool costs an exchange.
         The pool itself is volatile and must stay invisible:
 
         * a number in it is never reported — ``recover`` and ``manifest``
@@ -511,18 +511,18 @@ class StableServer:
           orphan.
         """
         self._check_serving()
-        block_no = next(
-            (b for b, owner in self._pool.items() if owner == account), None
-        )
-        if block_no is None:
+        handed = [b for b, owner in self._pool.items() if owner == account]
+        handed = handed[: max(count, 0)]
+        while len(handed) < count:
             op = self.finish_op(self.begin_reserve(account))
             self._pool.update(dict.fromkeys(op.blocks, account))
-            block_no = op.blocks[0]
-        del self._pool[block_no]
-        # From here the number is a migration's to carry (the manifest
-        # left it out while it was pooled).
-        self._note_dirty(block_no)
-        return block_no
+            handed += op.blocks[: count - len(handed)]
+        for block_no in handed:
+            del self._pool[block_no]
+            # From here the number is a migration's to carry (the manifest
+            # left it out while it was pooled).
+            self._note_dirty(block_no)
+        return handed
 
     def cmd_write(self, account: int, block_no: int, data: bytes) -> None:
         self.finish_op(self.begin_batch(account, [(block_no, data)]))

@@ -42,6 +42,7 @@ ALL_RIGHTS = 0x1F
 _CHECK_BITS = 48
 _CHECK_MASK = (1 << _CHECK_BITS) - 1
 _PORT_BITS = 48
+_OBJ_MASK = (1 << 64) - 1
 
 
 def _one_way(secret: int, rights: int) -> int:
@@ -118,25 +119,22 @@ class Capability:
 
     def pack(self) -> bytes:
         """Serialize to the fixed 22-byte wire format used in page headers."""
+        if self.port >> 48 or self.obj >> 64 or self.rights >> 16 or self.check >> 48:
+            raise OverflowError(f"{self!r} does not fit the 22-byte format")
         return (
-            self.port.to_bytes(6, "big")
-            + self.obj.to_bytes(8, "big")
-            + self.rights.to_bytes(2, "big")
-            + self.check.to_bytes(6, "big")
-        )
+            (((self.port << 64 | self.obj) << 16 | self.rights) << 48) | self.check
+        ).to_bytes(22, "big")
 
     @staticmethod
     def unpack(data: bytes) -> "Capability | None":
         """Deserialize 22 bytes; all-zero bytes decode to None (nil cap)."""
         if len(data) != Capability.PACKED_SIZE:
             raise ValueError(f"capability must be {Capability.PACKED_SIZE} bytes")
-        if data == b"\x00" * Capability.PACKED_SIZE:
+        n = int.from_bytes(data, "big")
+        if not n:
             return None
         return Capability(
-            port=int.from_bytes(data[0:6], "big"),
-            obj=int.from_bytes(data[6:14], "big"),
-            rights=int.from_bytes(data[14:16], "big"),
-            check=int.from_bytes(data[16:22], "big"),
+            n >> 128, n >> 64 & _OBJ_MASK, n >> 48 & 0xFFFF, n & _CHECK_MASK
         )
 
     @staticmethod

@@ -9,7 +9,7 @@ A :class:`FileClient` is what runs on a host that uses the file service:
   server's serialisability test (no unsolicited messages);
 * it provides :meth:`FileClient.transact`, the redo loop: run the update
   against a fresh version, commit, and on :class:`CommitConflict` redo it,
-  exactly as the optimistic method demands;
+  exactly as the optimistic method demands (a write-only one is one RPC);
 * it waits out super-file locks with the §5.3 waiter protocol (including
   taking over a dead holder's recovery) via the service's recovery command.
 
@@ -257,24 +257,18 @@ class FileClient:
         locally and shipped in one burst just before commit, so a page
         rewritten n times crosses the network once.
         """
-        handle = self._begin_waiting(file_cap, respect_soft_lock)
         buffering = self.buffer_writes if buffer_writes is None else buffer_writes
-        return ClientUpdate(self, file_cap, handle, buffering)
+        update = ClientUpdate(self, file_cap, buffering, respect_soft_lock)
+        update.handle  # begun now, not on first need
+        return update
 
-    def _begin_waiting(
-        self,
-        file_cap: Capability,
-        respect_soft_lock: bool,
-        max_waits: int = 64,
-    ) -> VersionHandle:
+    def _waiting(
+        self, command: str, file_cap: Capability, max_waits: int = 64, **params: Any
+    ) -> Any:
+        """``create_version`` or ``update`` on ``file_cap``, waiting out locks."""
         for _ in range(max_waits):
             try:
-                return self._call(
-                    "create_version",
-                    file_cap=file_cap,
-                    owner=self.node,
-                    respect_soft_lock=respect_soft_lock,
-                )
+                return self._call(command, file_cap=file_cap, owner=self.node, **params)
             except FileLocked:
                 self.stats.lock_waits += 1
                 # One waiter step: clears or finishes a dead holder's work,
@@ -335,10 +329,11 @@ class FileClient:
         Returns ``update_fn``'s result from the attempt that committed.
         Whatever ``update_fn`` raises aborts the version first; a failed
         ``commit`` does not, because its reply may be all that was lost.
+        An ``update_fn`` that only writes costs one ``update`` request.
         """
         last: ReproError | None = None
         for attempt in range(max_redos):
-            update = self.begin(file_cap, respect_soft_lock)
+            update = ClientUpdate(self, file_cap, self.buffer_writes, respect_soft_lock)
             try:
                 outcome = update_fn(update)
             except Exception:
@@ -365,22 +360,37 @@ class ClientUpdate:
     (reading your own write depends on nothing in the base version, so no
     server-side R flag is needed for it).  Structural operations flush the
     buffer first — they renumber paths, which the buffer is keyed by.
+    The version is begun on first need (:attr:`handle`).
     """
 
     def __init__(
         self,
         client: FileClient,
         file_cap: Capability,
-        handle: VersionHandle,
         buffering: bool = False,
+        respect_soft_lock: bool = False,
     ) -> None:
         self.client = client
         self.file_cap = file_cap
-        self.handle = handle
         self.buffering = buffering
+        self.respect_soft_lock = respect_soft_lock
         self.done = False
+        self._handle: VersionHandle | None = None
         self._written: dict[PagePath, bytes] = {}
         self._buffered: dict[PagePath, bytes] = {}
+
+    @property
+    def handle(self) -> VersionHandle:
+        """The update's version, begun on the server the first time
+        anything but a write or a commit needs it: the writes buffered
+        until then ship first, as later ones will unless ``buffering``."""
+        if self._handle is None:
+            self._handle = self.client._waiting(
+                "create_version", self.file_cap, respect_soft_lock=self.respect_soft_lock
+            )
+            if not self.buffering:
+                self.flush()
+        return self._handle
 
     @property
     def version(self) -> Capability:
@@ -410,7 +420,7 @@ class ClientUpdate:
         return data
 
     def write(self, path: PagePath, data: bytes) -> None:
-        if self.buffering:
+        if self.buffering or self._handle is None:
             self._buffered[path] = data
         else:
             self.client._call(
@@ -508,9 +518,19 @@ class ClientUpdate:
         before commit", §5.4), and on success the written pages seed the
         client cache — except paths the server's merge policy reconciled
         with concurrent updates, whose committed bytes are a merge rather
-        than our write."""
-        self.flush()
-        merged_paths = self.client._call("commit", version_cap=self.version)
+        than our write.  An update never begun is created, written and
+        committed by one ``update`` request."""
+        if self._handle is None:
+            writes = {str(path): data for path, data in self._buffered.items()}
+            version, merged_paths = self.client._waiting(
+                "update", self.file_cap, writes=writes,
+                respect_soft_lock=self.respect_soft_lock,
+            )
+            self._buffered.clear()
+            self._handle = VersionHandle(version, self.file_cap)
+        else:
+            self.flush()
+            merged_paths = self.client._call("commit", version_cap=self.version)
         self.done = True
         self.client.stats.commits += 1
         written = self._written
@@ -525,7 +545,9 @@ class ClientUpdate:
             self.client.cache.remember(self.file_cap, self.version, written)
 
     def abort(self) -> None:
+        """Discard the update; one never begun costs no request."""
         if not self.done:
             self._buffered.clear()
-            self.client._call("abort", version_cap=self.version)
+            if self._handle is not None:
+                self.client._call("abort", version_cap=self.version)
             self.done = True

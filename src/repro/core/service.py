@@ -809,6 +809,31 @@ class FileService:
                 span.tag(semantic_merges=len(member.merged))
             return sorted(member.merged)
 
+    def update(
+        self,
+        file_cap: Capability,
+        writes: dict[str, bytes],
+        owner: str = "",
+        respect_soft_lock: bool = False,
+    ) -> tuple[Capability, list[str]]:
+        """A blind update in one request, its writes "postponed until just
+        before commit" (§5.4): :meth:`create_version`, :meth:`write_page`
+        per ``writes`` entry (page-path text -> data), :meth:`commit`;
+        returns the version's capability and the merged paths.  Its block
+        numbers — version page, one shadow per written page and ancestor —
+        take one allocation exchange; a failed write aborts the version."""
+        paths = {PagePath.parse(text): data for text, data in writes.items()}
+        shadows = {path.indices[:i] for path in paths for i in range(1, len(path) + 1)}
+        with self.store.reserving(1 + len(shadows)):
+            handle = self.create_version(file_cap, owner, respect_soft_lock)
+            try:
+                for path in sorted(paths):
+                    self.write_page(handle.version, path, paths[path])
+            except Exception:
+                self.abort(handle.version)
+                raise
+        return handle.version, self.commit(handle.version)
+
     def commit_group(
         self, version_caps: list[Capability], *, max_rounds: int = 64
     ) -> dict[int, str]:
@@ -1469,6 +1494,7 @@ class FileService:
     cmd_move_subtree = command(
         move_subtree, paths=("src", "dst_parent"), path_reply=True
     )
+    cmd_update = command(update)
     cmd_commit = command(commit)
     cmd_commit_group = command(commit_group)
     cmd_abort = command(abort)

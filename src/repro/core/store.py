@@ -21,6 +21,7 @@ cache entry, and reads of version pages during commit bypass the cache.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from contextlib import contextmanager
 
 from repro.block.sharding import ShardedBlockClient
 from repro.block.stable import Swap
@@ -50,6 +51,7 @@ class PageStore:
         self.cache = cache if cache is not None else PageCache()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._dirty: dict[int, Page] = {}
+        self._wanted, self._reserved = 0, []  # :meth:`reserving`'s state
 
     # -- reads -----------------------------------------------------------
 
@@ -92,10 +94,26 @@ class PageStore:
         the parent's reference); the data reaches stable storage with the
         next :meth:`flush`.
         """
-        block = self.blocks.allocate()
+        if self._wanted:
+            self._reserved = self.blocks.allocate_many(self._wanted)[::-1]
+            self._wanted = 0
+        block = self._reserved.pop() if self._reserved else self.blocks.allocate()
         self._dirty[block] = page
         self.cache.put(block, page)
         return block
+
+    @contextmanager
+    def reserving(self, count: int) -> Iterator[None]:
+        """Inside, the first :meth:`store_new` allocates ``count`` numbers
+        in one exchange and later ones draw from them.  Unused ones are
+        dropped on leaving — owned, unreferenced: the collector reaps
+        them — and a request that fails before any store_new takes none."""
+        self._wanted = count
+        try:
+            yield
+        finally:
+            self._wanted = 0
+            self._reserved = []
 
     def store_in_place(self, block: int, page: Page) -> None:
         """Rewrite a private page in its existing block.

@@ -371,9 +371,13 @@ class Connection:
         )
         try:
             self.sock.sendall(frame)
-            header = _recv_exact_or_raise(self.sock, wire.HEADER_SIZE)
+            # One recv, mostly: the reply arrives whole (bytes after it
+            # make its body fail to decode).
+            data = self.sock.recv(1 << 16)
+            data += _recv_exact_or_raise(self.sock, wire.HEADER_SIZE - len(data))
+            header, body = data[: wire.HEADER_SIZE], data[wire.HEADER_SIZE :]
             frame_type, reply_id, length = wire.decode_header(header, self.max_frame)
-            body = _recv_exact_or_raise(self.sock, length)
+            body += _recv_exact_or_raise(self.sock, length - len(body))
             if frame_type == wire.FRAME_REQUEST:
                 raise wire.BadFrame("peer sent a request frame as a reply")
             # Id 0 on an error frame is the daemon saying our header did
@@ -398,7 +402,7 @@ class Connection:
 
 
 def _recv_exact_or_raise(sock: socket.socket, n: int) -> bytes:
-    if n == 0:
+    if n <= 0:
         return b""
     chunks: list[bytes] = []
     remaining = n

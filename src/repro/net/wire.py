@@ -101,6 +101,8 @@ _T_PLACEMENT = 0x0F
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+# A tag byte and a u32 count or length, packed in one call.
+_TAG_U32 = struct.Struct(">BI")
 
 
 # The service value types.  Importing them when this module loads would
@@ -148,49 +150,53 @@ def _encode_into(out: bytearray, value: Any) -> bytearray:
 
 
 def _encode(value: Any, out: bytearray, depth: int) -> None:
-    """Append the tagged encoding of ``value`` to ``out``."""
+    """Append the tagged encoding of ``value`` to ``out``: the common
+    types by exact type, everything else (subclasses included) through
+    :func:`_encode_other`."""
     if depth > MAX_DEPTH:
         raise BadFrame(f"value nesting exceeds {MAX_DEPTH} levels")
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
+    kind = type(value)
+    if kind is str:
+        data = value.encode("utf-8")
+        out += _TAG_U32.pack(_T_STR, len(data))
+        out += data
+    elif kind is bytes:
+        out += _TAG_U32.pack(_T_BYTES, len(value))
+        out += value
+    elif kind is dict:
+        out += _TAG_U32.pack(_T_DICT, len(value))
+        depth += 1
+        for key, item in value.items():
+            _encode(key, out, depth)
+            _encode(item, out, depth)
+    elif kind is tuple or kind is list:
+        out += _TAG_U32.pack(_T_TUPLE if kind is tuple else _T_LIST, len(value))
+        depth += 1
+        for item in value:
+            _encode(item, out, depth)
+    elif kind is int:
         raw = value.to_bytes((value.bit_length() + 8) // 8 or 1, "big", signed=True)
         if len(raw) > 255:
             raise BadFrame(f"integer needs {len(raw)} bytes, limit 255")
         out.append(_T_INT)
         out.append(len(raw))
         out += raw
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out += _F64.pack(value)
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        data = bytes(value)
-        out.append(_T_BYTES)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(value, str):
-        data = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _U32.pack(len(data))
-        out += data
-    elif isinstance(value, (list, tuple)):
-        out.append(_T_LIST if isinstance(value, list) else _T_TUPLE)
-        out += _U32.pack(len(value))
-        for item in value:
-            _encode(item, out, depth + 1)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        out += _U32.pack(len(value))
-        for key, item in value.items():
-            _encode(key, out, depth + 1)
-            _encode(item, out, depth + 1)
-    elif isinstance(value, Capability):
+    elif kind is Capability:
         out.append(_T_CAP)
         out += value.pack()
+    elif value is None:
+        out.append(_T_NONE)
+    else:
+        _encode_other(value, out, depth)
+
+
+def _encode_other(value: Any, out: bytearray, depth: int) -> None:
+    """The ``isinstance`` ladder: service value types first, then bools,
+    floats and subclasses of the common types (as their base type)."""
+    if isinstance(value, Lease):
+        out.append(_T_LEASE)
+        _encode(value.epoch, out, depth + 1)
+        _encode(value.ttl, out, depth + 1)
     elif isinstance(value, VersionHandle):
         out.append(_T_HANDLE)
         out += value.version.pack()
@@ -206,10 +212,6 @@ def _encode(value: Any, out: bytearray, depth: int) -> None:
         _encode(value.account, out, depth + 1)
         _encode(value.block_no, out, depth + 1)
         _encode(value.data, out, depth + 1)
-    elif isinstance(value, Lease):
-        out.append(_T_LEASE)
-        _encode(value.epoch, out, depth + 1)
-        _encode(value.ttl, out, depth + 1)
     elif isinstance(value, PlacementMap):
         out.append(_T_PLACEMENT)
         _encode(value.epoch, out, depth + 1)
@@ -218,120 +220,137 @@ def _encode(value: Any, out: bytearray, depth: int) -> None:
             _encode(r.lo, out, depth + 1)
             _encode(r.hi, out, depth + 1)
             _encode(r.port, out, depth + 1)
+    elif value is True:
+        out.append(_T_TRUE)
+    elif value is False:
+        out.append(_T_FALSE)
+    elif isinstance(value, int):
+        _encode(int(value), out, depth)
+    elif isinstance(value, float):
+        out.append(_T_FLOAT)
+        out += _F64.pack(value)
+    elif isinstance(value, (bytes, bytearray, memoryview)):
+        _encode(bytes(value), out, depth)
+    elif isinstance(value, str):
+        _encode(str.__str__(value), out, depth)  # the text, not a __str__
+    elif isinstance(value, (list, tuple, dict)):
+        base = next(t for t in (list, tuple, dict) if isinstance(value, t))
+        _encode(base(value), out, depth)
+    elif isinstance(value, Capability):
+        out.append(_T_CAP)
+        out += value.pack()
     else:
         raise BadFrame(f"type {type(value).__name__} has no wire encoding")
-
-
-class _Reader:
-    """A bounds-checked cursor over one frame payload."""
-
-    __slots__ = ("buf", "pos")
-
-    def __init__(self, buf: bytes) -> None:
-        self.buf = buf
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.buf):
-            raise TruncatedFrame(
-                f"payload ends at byte {len(self.buf)}, "
-                f"needed {self.pos + n}"
-            )
-        chunk = self.buf[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def done(self) -> bool:
-        return self.pos == len(self.buf)
 
 
 def decode_value(payload: bytes) -> Any:
     """Decode one complete value; trailing bytes are an error."""
     if VersionHandle is None:
         _bind_service_types()
-    reader = _Reader(payload)
-    value = _decode(reader, 0)
-    if not reader.done():
-        raise BadFrame(
-            f"{len(payload) - reader.pos} trailing bytes after value"
-        )
+    try:
+        value, pos = _decode(payload, 0, 0)
+    except (IndexError, struct.error):  # a fixed-size read past the end
+        raise TruncatedFrame(f"payload of {len(payload)} bytes ends mid-value") from None
+    if pos != len(payload):
+        raise BadFrame(f"{len(payload) - pos} trailing bytes after value")
     return value
 
 
-def _decode(reader: _Reader, depth: int) -> Any:
+def _span(buf: bytes, pos: int, n: int) -> int:
+    """The end of an ``n``-byte field at ``pos`` (a slice would come back short)."""
+    end = pos + n
+    if end > len(buf):
+        raise TruncatedFrame(f"payload ends at byte {len(buf)}, needed {end}")
+    return end
+
+
+def _decode(buf: bytes, pos: int, depth: int) -> tuple[Any, int]:
+    """The value whose tag is at ``pos`` and the offset past it; a fixed-size
+    read past the end raises ``IndexError`` or ``struct.error``."""
     if depth > MAX_DEPTH:
         raise BadFrame(f"value nesting exceeds {MAX_DEPTH} levels")
-    tag = reader.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_INT:
-        return int.from_bytes(reader.take(reader.u8()), "big", signed=True)
-    if tag == _T_FLOAT:
-        return _F64.unpack(reader.take(8))[0]
-    if tag == _T_BYTES:
-        return reader.take(reader.u32())
-    if tag == _T_STR:
+    tag = buf[pos]
+    pos += 1
+    if tag == _T_STR or tag == _T_BYTES:
+        start = pos + 4
+        end = _span(buf, start, _U32.unpack_from(buf, pos)[0])
+        if tag == _T_BYTES:
+            return bytes(buf[start:end]), end
         try:
-            return reader.take(reader.u32()).decode("utf-8")
+            return buf[start:end].decode("utf-8"), end
         except UnicodeDecodeError as exc:
             raise BadFrame(f"invalid utf-8 in string value: {exc}") from None
-    if tag in (_T_LIST, _T_TUPLE):
-        count = reader.u32()
-        items = [_decode(reader, depth + 1) for _ in range(count)]
-        return items if tag == _T_LIST else tuple(items)
+    if tag == _T_INT:
+        start = pos + 1
+        end = _span(buf, start, buf[pos])
+        return int.from_bytes(buf[start:end], "big", signed=True), end
+    if tag == _T_TUPLE or tag == _T_LIST:
+        count = _U32.unpack_from(buf, pos)[0]
+        pos += 4
+        depth += 1
+        items = []
+        for _ in range(count):
+            item, pos = _decode(buf, pos, depth)
+            items.append(item)
+        return (items if tag == _T_LIST else tuple(items)), pos
     if tag == _T_DICT:
-        count = reader.u32()
+        count = _U32.unpack_from(buf, pos)[0]
+        pos += 4
+        depth += 1
         result = {}
         for _ in range(count):
-            key = _decode(reader, depth + 1)
-            result[key] = _decode(reader, depth + 1)
-        return result
+            key, pos = _decode(buf, pos, depth)
+            item, pos = _decode(buf, pos, depth)
+            try:
+                result[key] = item
+            except TypeError:
+                raise BadFrame(f"unhashable {type(key).__name__} dict key") from None
+        return result, pos
     if tag == _T_CAP:
-        cap = Capability.unpack(reader.take(Capability.PACKED_SIZE))
+        end = _span(buf, pos, Capability.PACKED_SIZE)
+        cap = Capability.unpack(buf[pos:end])
         if cap is None:
             raise BadFrame("nil capability on the wire (encode None instead)")
-        return cap
-    if tag == _T_HANDLE:
-        version = Capability.unpack(reader.take(Capability.PACKED_SIZE))
-        file = Capability.unpack(reader.take(Capability.PACKED_SIZE))
-        if version is None or file is None:
-            raise BadFrame("nil capability inside a version handle")
-        return VersionHandle(version, file)
-    if tag == _T_TAS:
-        success = reader.u8() != 0
-        return TasResult(success, reader.take(reader.u32()))
-    if tag == _T_INTENTION:
-        kind = _decode(reader, depth + 1)
-        account = _decode(reader, depth + 1)
-        block_no = _decode(reader, depth + 1)
-        data = _decode(reader, depth + 1)
-        if not isinstance(kind, str):
-            raise BadFrame("intention kind must be a string")
-        return _Intention(kind, account, block_no, data)
+        return cap, end
     if tag == _T_LEASE:
-        epoch = _decode(reader, depth + 1)
-        ttl = _decode(reader, depth + 1)
+        epoch, pos = _decode(buf, pos, depth + 1)
+        ttl, pos = _decode(buf, pos, depth + 1)
         if not isinstance(epoch, int) or not isinstance(ttl, int):
             raise BadFrame("lease epoch and ttl must be integers")
-        return Lease(epoch, ttl)
+        return Lease(epoch, ttl), pos
+    if tag <= _T_FALSE:
+        return (None, True, False)[tag], pos
+    if tag == _T_FLOAT:
+        return _F64.unpack_from(buf, pos)[0], pos + 8
+    if tag == _T_HANDLE:
+        mid = pos + Capability.PACKED_SIZE
+        end = _span(buf, mid, Capability.PACKED_SIZE)
+        version, file = Capability.unpack(buf[pos:mid]), Capability.unpack(buf[mid:end])
+        if version is None or file is None:
+            raise BadFrame("nil capability inside a version handle")
+        return VersionHandle(version, file), end
+    if tag == _T_TAS:
+        success = buf[pos] != 0
+        start = pos + 5
+        end = _span(buf, start, _U32.unpack_from(buf, pos + 1)[0])
+        return TasResult(success, bytes(buf[start:end])), end
+    if tag == _T_INTENTION:
+        fields = []
+        for _ in range(4):
+            field, pos = _decode(buf, pos, depth + 1)
+            fields.append(field)
+        if not isinstance(fields[0], str):
+            raise BadFrame("intention kind must be a string")
+        return _Intention(*fields), pos
     if tag == _T_PLACEMENT:
-        epoch = _decode(reader, depth + 1)
-        count = reader.u32()
+        epoch, pos = _decode(buf, pos, depth + 1)
+        count = _U32.unpack_from(buf, pos)[0]
+        pos += 4
         ranges = []
         for _ in range(count):
-            lo = _decode(reader, depth + 1)
-            hi = _decode(reader, depth + 1)
-            port = _decode(reader, depth + 1)
+            lo, pos = _decode(buf, pos, depth + 1)
+            hi, pos = _decode(buf, pos, depth + 1)
+            port, pos = _decode(buf, pos, depth + 1)
             if not all(isinstance(v, int) for v in (lo, hi, port)):
                 raise BadFrame("placement range fields must be integers")
             ranges.append((lo, hi, port))
@@ -340,7 +359,7 @@ def _decode(reader: _Reader, depth: int) -> Any:
         try:
             return PlacementMap(
                 epoch, tuple(ShardRange(lo, hi, port) for lo, hi, port in ranges)
-            )
+            ), pos
         except ValueError as exc:
             raise BadFrame(f"invalid placement map on the wire: {exc}") from None
     raise BadFrame(f"unknown value tag {tag:#04x}")

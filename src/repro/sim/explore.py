@@ -450,7 +450,7 @@ def _client_script(
     tally: dict,
     group_commit: bool = False,
 ) -> Generator[None, None, None]:
-    """One soak client: a random mix of cached reads and page updates.
+    """One soak client: a random mix of cached reads, page and blind updates.
 
     Every operation tolerates :class:`ReproError` — under injected faults
     an RPC may find every server down, a commit may conflict, a dropped
@@ -479,6 +479,10 @@ def _client_script(
         payload = f"{client.node}-op{opno}".encode()
         update = None
         try:
+            if rng.random() < 0.3:  # blind: one ``update`` request
+                client.transact(cap, lambda u: u.write(path, payload))
+                tally["commits"] += 1
+                continue
             update = client.begin(cap)
             update.read(path)
             yield

@@ -13,7 +13,7 @@ Checked per file:
 * **Version pages** — every chain node is a version page and carries the
   file's capability identity.
 * **Tree sanity** — every page tree resolves: references point at
-  readable pages, reference counts match, flag codes decode (the 13-combo
+  readable pages, flag codes decode (the 13-combo
   rule), and a reference's C flag is consistent with the child being
   exclusive to that version or shared with its base.
 * **Sharing discipline** — a block referenced *without* C from version V
@@ -108,8 +108,14 @@ def check_file(service, entry: FileEntry, report: CheckReport) -> set[int]:
                 f"(pruned?)"
             )
             break
-        if page.commit_ref != chain[0]:
-            break  # not a committed predecessor
+        # Not a committed predecessor (an aborted base, a pruned one's
+        # reused block) ends the history; a version of this file the
+        # registry lists is in it, damaged: the invariants name it.
+        version = service.registry.version_by_block(block)
+        if page.commit_ref != chain[0] and (
+            version is None or version.file_obj != entry.obj
+        ):
+            break
         if block in seen:
             report.error(f"file {entry.obj}: base-reference cycle at {block}")
             return reachable
@@ -131,9 +137,6 @@ def check_file(service, entry: FileEntry, report: CheckReport) -> set[int]:
                 f"file {entry.obj}: {later}.base_ref={lp.base_ref}, "
                 f"expected {earlier}"
             )
-    current = _load(service, chain[-1])
-    if current.commit_ref != NIL:
-        report.error(f"file {entry.obj}: current version has a commit reference")
 
     # --- per-version tree checks ----------------------------------------------
     base_reach: set[int] | None = None
@@ -200,8 +203,6 @@ def _check_tree(
             continue
         reached.add(block)
         report.pages_checked += 1
-        if page.nrefs != len(page.refs):
-            report.error(f"file {entry.obj}: page {block} nrefs mismatch")
         for index, ref in enumerate(page.refs):
             if ref.is_nil:
                 continue

@@ -613,14 +613,14 @@ def test_pool_is_per_account(pair, net):
 def test_extent_is_capped_by_what_is_free_then_disk_full(net, disk_backend):
     from repro.errors import DiskFull
 
-    pair = StablePair(net, 0x520, capacity=20, block_size=64, **disk_backend())
+    pair = StablePair(net, 0x520, capacity=EXTENT + 4, block_size=64, **disk_backend())
     client = ShardedBlockClient(net, "cli", [0x520], account=1)
     try:
         first = [client.allocate() for _ in range(EXTENT)]
         assert not pair.a._pool
         rest = [client.allocate() for _ in range(4)]  # an extent of four
         assert not pair.a._pool
-        assert sorted(first + rest) == list(range(1, 21))
+        assert sorted(first + rest) == list(range(1, EXTENT + 5))
         with pytest.raises(DiskFull):
             client.allocate()
         assert not pair.a._pending

@@ -112,6 +112,18 @@ def test_pack_unpack_roundtrip(issuer):
     assert Capability.unpack(cap.pack()) == cap
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("port", 1 << 48), ("obj", 1 << 64), ("rights", 1 << 16), ("check", 1 << 48), ("obj", -1)],
+)
+def test_pack_refuses_a_field_outside_its_width(field, value):
+    fields = {"port": 1, "obj": 2, "rights": 3, "check": 4, field: value}
+    with pytest.raises(OverflowError):
+        Capability(**fields).pack()
+    edge = {**fields, field: max(value - 1, 0)}
+    assert Capability.unpack(Capability(**edge).pack()) == Capability(**edge)
+
+
 def test_pack_nil_roundtrip():
     assert Capability.unpack(Capability.pack_nil()) is None
 

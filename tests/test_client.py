@@ -2,10 +2,19 @@
 
 import pytest
 
-from repro.errors import CommitConflict, ReproError
+from repro.errors import (
+    BadPathName,
+    CommitConflict,
+    FileLocked,
+    PageTooLarge,
+    ReproError,
+)
+from repro.core.page import PAGE_BODY_SIZE
 from repro.core.pathname import PagePath
 from repro.core.system_tree import SystemTree
 from repro.client.api import FileClient
+from repro.net import build_tcp_cluster
+from repro.testbed import build_cluster, build_hybrid_cluster
 
 ROOT = PagePath.ROOT
 
@@ -13,6 +22,34 @@ ROOT = PagePath.ROOT
 @pytest.fixture
 def net_client(cluster2):
     return FileClient(cluster2.network, "host", cluster2.service_port)
+
+
+@pytest.fixture(params=["sim", "tcp"])
+def wire_cluster(request):
+    """A two-server deployment on the simulator or over localhost TCP."""
+    if request.param == "sim":
+        yield build_cluster(servers=2, seed=7)
+        return
+    cluster = build_tcp_cluster(servers=2, seed=7)
+    yield cluster
+    cluster.stop()
+
+
+def _logging_calls(client: FileClient) -> list[str]:
+    """The commands ``client`` sends to the file service, in order."""
+    calls: list[str] = []
+    send = client._call
+
+    def logged(command, **params):
+        calls.append(command)
+        return send(command, **params)
+
+    client._call = logged
+    return calls
+
+
+def _open_versions(cluster) -> list:
+    return [v for v in cluster.registry.versions.values() if v.status == "uncommitted"]
 
 
 def test_create_and_transact(net_client):
@@ -189,6 +226,7 @@ def test_client_waits_out_super_lock_of_dead_holder(cluster2):
     client = FileClient(
         cluster2.network, "host", cluster2.service_port, prefer_server="fs1"
     )
+    calls = _logging_calls(client)
     cap_parent = fs0.create_file(b"P")
     handle = fs0.create_version(cap_parent)
     cap_sub = tree.create_subfile(handle.version, ROOT, initial_data=b"S v1")
@@ -202,3 +240,133 @@ def test_client_waits_out_super_lock_of_dead_holder(cluster2):
     client.transact(cap_sub, lambda u: u.write(ROOT, b"S v2"))
     assert client.read(cap_sub) == b"S v2"
     assert client.stats.lock_waits >= 1
+    # The blind update itself waited: refused, recovered, then sent again.
+    assert calls[:3] == ["update", "recover_lock", "update"]
+    assert "create_version" not in calls
+
+
+# -- the blind update: a write-only transact is one ``update`` request -------
+
+
+def test_blind_transact_is_one_update_request(wire_cluster):
+    client = wire_cluster.client("host")
+    cap = client.create_file(b"v1")
+    calls = _logging_calls(client)
+    client.transact(cap, lambda u: u.write(ROOT, b"v2"))
+    assert calls == ["update"]
+    assert client.read(cap) == b"v2"
+    assert calls == ["update", "read_current"]
+    assert client.stats.commits == 1
+
+
+def test_read_modify_write_keeps_the_begun_update(wire_cluster):
+    """A callback that reads begins the update as ``begin`` does, and its
+    earlier writes ship first."""
+    client = wire_cluster.client("host")
+    cap = client.create_file(b"root")
+    setup = client.begin(cap)
+    child = setup.append_page(ROOT, b"0")
+    setup.commit()
+    calls = _logging_calls(client)
+
+    def update(u):
+        u.write(ROOT, b"root 2")
+        u.write(child, b"%d" % (int(u.read(child)) + 1))
+
+    client.transact(cap, update)
+    assert calls == ["create_version", "write_page", "read_page", "write_page", "commit"]
+    assert client.read(cap, child) == b"1" and client.read(cap) == b"root 2"
+
+
+def test_abort_of_an_update_never_begun_sends_nothing(wire_cluster):
+    client = wire_cluster.client("host")
+    cap = client.create_file(b"keep")
+    calls = _logging_calls(client)
+
+    def fails(u):
+        u.write(ROOT, b"junk")
+        raise ValueError("application failed")
+
+    with pytest.raises(ValueError):
+        client.transact(cap, fails)
+    assert calls == []
+    assert client.read(cap) == b"keep"
+
+
+def test_a_conflicting_blind_update_redoes_as_a_fresh_blind_update(wire_cluster):
+    """A rival commit that restructures the root while the ``update``
+    request is in flight conflicts with its search of the root; the redo
+    is again one ``update`` request."""
+    client = wire_cluster.client("host")
+    rival = wire_cluster.fs(1)
+    cap = client.create_file(b"root")
+    setup = client.begin(cap)
+    child = setup.append_page(ROOT, b"c0")
+    setup.commit()
+    for server in wire_cluster.servers:
+        write_page = server.write_page
+
+        def racing(version_cap, path, data, write_page=write_page):
+            write_page(version_cap, path, data)
+            if not getattr(rival, "raced", False):
+                rival.raced = True
+                handle = rival.create_version(cap)
+                rival.append_page(handle.version, ROOT, b"rival")
+                rival.commit(handle.version)
+
+        server.write_page = racing
+    calls = _logging_calls(client)
+    client.transact(cap, lambda u: u.write(child, b"mine"))
+    assert calls == ["update", "update"]
+    assert client.stats.conflicts == 1 and client.stats.redos == 1
+    assert client.read(cap, child) == b"mine"
+    assert client.read(cap, PagePath.of(1)) == b"rival"
+    assert _open_versions(wire_cluster) == []
+
+
+def test_blind_update_honours_the_soft_lock_only_when_asked(wire_cluster):
+    holder = wire_cluster.client("holder")
+    client = wire_cluster.client("host")
+    cap = client.create_file(b"v1")
+    held = holder.begin(cap)  # its open version is the soft top lock
+    with pytest.raises(FileLocked):
+        client.transact(cap, lambda u: u.write(ROOT, b"careful"), respect_soft_lock=True)
+    assert client.stats.lock_waits == 64
+    client.transact(cap, lambda u: u.write(ROOT, b"bold"))
+    held.abort()
+    calls = _logging_calls(client)
+    client.transact(cap, lambda u: u.write(ROOT, b"careful"), respect_soft_lock=True)
+    assert calls == ["update"]
+    assert client.read(cap) == b"careful"
+
+
+@pytest.mark.parametrize(
+    "path, data, error",
+    [
+        (PagePath.of(3), b"x", BadPathName),
+        (ROOT, b"x" * (PAGE_BODY_SIZE + 1), PageTooLarge),
+    ],
+    ids=["bad path", "oversize page"],
+)
+def test_a_failed_blind_update_leaves_no_open_version(wire_cluster, path, data, error):
+    client = wire_cluster.client("host")
+    cap = client.create_file(b"v1")
+    with pytest.raises(error):
+        client.transact(cap, lambda u: u.write(path, data))
+    assert _open_versions(wire_cluster) == []
+    assert all(not entry.open for entry in wire_cluster.registry.files.values())
+    client.transact(cap, lambda u: u.write(ROOT, b"v2"), respect_soft_lock=True)
+    assert client.read(cap) == b"v2"
+
+
+def test_hybrid_media_commits_a_blind_update():
+    cluster = build_hybrid_cluster(seed=5)
+    client = cluster.client("host")
+    cap = client.create_file(b"root")
+    setup = client.begin(cap)
+    child = setup.append_page(ROOT, b"c0")
+    setup.commit()
+    calls = _logging_calls(client)
+    client.transact(cap, lambda u: u.write(child, b"c1"))
+    assert calls == ["update"]
+    assert client.read(cap, child) == b"c1"

@@ -333,7 +333,7 @@ def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
         chain = [tip]
 
         def commit(round_: int) -> None:
-            data, page = a.cmd_allocate(ACCOUNT), a.cmd_allocate(ACCOUNT)
+            (data,), (page,) = a.cmd_allocate(ACCOUNT), a.cmd_allocate(ACCOUNT)
             versions[page] = {
                 data: b"data of %d" % round_,
                 page: NIL4 + b"version %d" % round_,

@@ -460,3 +460,34 @@ def test_call_timeout_on_a_hung_server():
         assert time.monotonic() - start < 2.5
     finally:
         net.close()
+
+
+@pytest.mark.parametrize("split", [5, wire.HEADER_SIZE + 3], ids=["in header", "in body"])
+def test_connection_reads_a_reply_that_arrives_in_pieces(split):
+    """A client connection takes a reply with one recv when it can; a
+    reply the peer sends in two writes, cut inside the header or inside
+    the body, is read to its end all the same."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    reply = wire.encode_reply(b"piecewise" * 100, request_id=1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            header = _read(conn, wire.HEADER_SIZE)
+            _read(conn, wire.decode_header(header)[2])
+            conn.sendall(reply[:split])
+            time.sleep(0.05)
+            conn.sendall(reply[split:])
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        sock = socket.create_connection(listener.getsockname(), timeout=5)
+        frame_type, body, _ = Connection(sock, "dribbler").call("c", "echo", {})
+        assert frame_type == wire.FRAME_REPLY
+        assert wire.decode_value(body) == b"piecewise" * 100
+        sock.close()
+    finally:
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()

@@ -205,7 +205,7 @@ def test_pools_never_hand_a_number_out_twice_nor_show_it(ops):
     for op in ops:
         half = halves[op[1]]
         if op[0] == "alloc":
-            block = half.cmd_allocate(1)
+            (block,) = half.cmd_allocate(1)
             assert block not in held
             held.append(block)
         elif op[0] == "free" and held:

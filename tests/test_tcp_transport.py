@@ -138,6 +138,34 @@ def test_small_update_begin_and_abort_send_no_lock_traffic(tcp_cluster):
         assert stats.messages - before == 2 * (2 + 4)
 
 
+def test_blind_update_over_tcp_costs_what_it_costs_on_the_simulator(tcp_cluster):
+    """A write-only ``transact`` is one client exchange, and the whole
+    commit — base read, one allocation for both block numbers, the
+    replicated write — sends the same messages over sockets as on the
+    simulator."""
+    from repro.testbed import build_cluster
+
+    def blind_commits(cluster) -> list[int]:
+        client = cluster.client("host", use_cache=False)
+        cap = client.create_file(b"root")
+        setup = client.begin(cap)
+        child = setup.append_page(ROOT, b"c")
+        setup.commit()
+        counts = []
+        for i in range(4):
+            before = cluster.network.stats.messages
+            client.transact(cap, lambda u: u.write(child, b"v%d" % i))
+            counts.append(cluster.network.stats.messages - before)
+        assert client.read(cap, child) == b"v3"
+        return counts
+
+    tcp = blind_commits(tcp_cluster)
+    assert tcp == blind_commits(build_cluster(servers=2, seed=7))
+    # update (2) + base read (2) + allocate (2) + write_many and its
+    # companion exchange (4); one commit in four also refills the pool.
+    assert min(tcp) == 10
+
+
 def test_group_commit_over_tcp(tcp_cluster):
     client = tcp_cluster.client("host", use_cache=False)
     cap = client.create_file(b"base")

@@ -104,6 +104,64 @@ def test_checker_reports_a_damaged_current_version(cluster, damage):
     assert any(damage in err for err in report.errors), report.errors
 
 
+def _four_versions(cluster):
+    """A file with four committed versions; returns (service, file entry,
+    version blocks oldest first)."""
+    fs = cluster.fs()
+    cap = fs.create_file(b"v1")
+    for n in (2, 3, 4):
+        handle = fs.create_version(cap)
+        fs.write_page(handle.version, ROOT, b"v%d" % n)
+        fs.commit(handle.version)
+    entry = cluster.registry.file(cap.obj)
+    current, _ = fs._resolve_current(entry)
+    return fs, entry, fs.store.history_of(current)[::-1]
+
+
+def _vandalise(fs, block, **fields):
+    page = fs.store.load(block, fresh=True)
+    for name, value in fields.items():
+        setattr(page, name, value)
+    fs.store.blocks.write(block, page.to_bytes())
+    fs.store.cache.invalidate(block)
+
+
+def test_checker_reports_a_damaged_older_commit_reference(cluster):
+    """An older version whose commit reference is damaged is still in
+    the history (the registry lists it as committed): the walk back goes
+    on past it and the error names its block."""
+    fs, entry, blocks = _four_versions(cluster)
+    assert len(blocks) == 4
+    _vandalise(fs, blocks[1], commit_ref=424242)
+    report = CheckReport()
+    check_file(fs, entry, report)
+    assert not report.ok
+    assert any(
+        f"{blocks[1]}.commit_ref=424242" in err for err in report.errors
+    ), report.errors
+    assert report.versions_checked == 4
+
+
+def test_checker_reports_a_base_reference_cycle(cluster):
+    fs, entry, blocks = _four_versions(cluster)
+    _vandalise(fs, blocks[2], base_ref=blocks[3])
+    report = CheckReport()
+    check_file(fs, entry, report)
+    assert any("base-reference cycle" in err for err in report.errors), report.errors
+
+
+def test_checker_stops_quietly_at_a_base_that_never_committed(cluster):
+    """A base reference to a version that is not a committed one of the
+    file ends the history without an error (an aborted base's block)."""
+    fs, entry, blocks = _four_versions(cluster)
+    cluster.registry.version_by_block(blocks[1]).status = "aborted"
+    _vandalise(fs, blocks[1], commit_ref=424242)
+    report = CheckReport()
+    check_file(fs, entry, report)
+    assert report.ok, report.errors
+    assert report.versions_checked == 2
+
+
 def test_checker_detects_dangling_reference(cluster):
     fs, caps = _populate(cluster)
     entry = cluster.registry.file(caps[0].obj)

@@ -58,11 +58,12 @@ CONTRACT = {
         "remove_hole": (("version_cap", "path"), False),
         "remove_page": (("version_cap", "path"), False),
         "split_page": (("version_cap", "path", "at"), False),
+        "update": (("file_cap", "writes", "owner", "respect_soft_lock"), False),
         "write_page": (("version_cap", "path", "data"), False),
     },
     "StableServer": {
         "ack_intentions": (("count",), False),
-        "allocate": (("account",), False),
+        "allocate": (("account", "count"), False),
         "allocate_write": (("account", "data"), False),
         "companion_free": (("account", "block_no"), False),
         "companion_pooled": ((), False),
@@ -188,3 +189,24 @@ def test_unknown_command_is_server_unreachable(wire, request):
     node = _first_file_server(cluster)
     with pytest.raises(ServerUnreachable, match="nonsense"):
         cluster.network.send("probe", node, Request("nonsense", {}))
+
+
+@pytest.mark.parametrize("wire", ["sim", "tcp"])
+def test_update_and_a_counted_allocate_answer_on_both_wires(wire, request):
+    """``update`` replies (version capability, merged paths); ``allocate``
+    with a count hands out that many numbers in one exchange."""
+    if wire == "sim":
+        cluster = build_cluster(servers=1, seed=3)
+    else:
+        cluster, _ = request.getfixturevalue("tcp")
+    client = cluster.client("c", use_cache=False)
+    cap = client.create_file(b"x")
+    version, merged = client._call("update", file_cap=cap, writes={"": b"y"})
+    assert client.read_version(version) == b"y" and list(merged) == []
+    with pytest.raises(TypeError, match="write_set"):
+        client._call("update", file_cap=cap, write_set={})
+    blocks = cluster.fs().store.blocks
+    before = cluster.network.stats.messages
+    numbers = blocks.allocate_many(3)
+    assert len(set(numbers)) == 3
+    assert cluster.network.stats.messages - before in (2, 4)  # 4: a refill

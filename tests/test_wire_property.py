@@ -237,6 +237,44 @@ def test_depth_limit_is_enforced_both_ways():
         wire.decode_value(payload)
 
 
+def test_subclasses_encode_as_their_base_type():
+    """The encoder's exact-type fast path leaves subclasses to the
+    ``isinstance`` ladder, which encodes them as their base type, byte
+    for byte."""
+    import collections
+    import enum
+
+    class Count(enum.IntEnum):
+        TWO = 2
+
+    class Text(str):
+        def __str__(self):
+            return "not the text"
+
+    class Cap(Capability):
+        pass
+
+    Pair = collections.namedtuple("Pair", "a b")
+    cases = [
+        (Count.TWO, 2),
+        (bytearray(b"ab"), b"ab"),
+        (memoryview(b"ab"), b"ab"),
+        (Text("text"), "text"),
+        (Pair(1, "b"), (1, "b")),
+        (collections.OrderedDict(a=1), {"a": 1}),
+        (type("Items", (list,), {})([1, 2]), [1, 2]),
+        (Cap(CAP.port, CAP.obj, CAP.rights, CAP.check), CAP),
+    ]
+    for value, base in cases:
+        assert wire.encode_value(value) == wire.encode_value(base), value
+
+
+def test_unhashable_dict_key_is_a_bad_frame():
+    # A dict whose one key is an empty list: hashing it would raise.
+    with pytest.raises(BadFrame, match="unhashable"):
+        wire.decode_value(b"\x09\x00\x00\x00\x01\x07\x00\x00\x00\x00\x00")
+
+
 def test_unencodable_type_is_an_explicit_error():
     with pytest.raises(BadFrame):
         wire.encode_value(object())

@@ -105,6 +105,34 @@ def measure_blind_update(ops: int = 32) -> dict:
     }
 
 
+def measure_bulk_append(pages: int = 32, files: int = 4) -> dict:
+    """A ``pages``-page update built by ``append_page`` calls, per append
+    and per commit, over ``files`` such updates so the block tier's
+    extent refills count at their share: a new page's block number is
+    drawn by the commit's flush, so an append is one exchange."""
+    cluster = build_cluster(seed=20)
+    client = FileClient(cluster.network, "bench", cluster.service_port,
+                        use_cache=False)
+    appends, commits = [], []
+    for _ in range(files):
+        update = client.begin(client.create_file(b""))
+        appends.append(_costs_around(cluster, lambda: [
+            update.append_page(ROOT, b"a%d" % i) for i in range(pages)
+        ]))
+        commits.append(_costs_around(cluster, update.commit))
+
+    def mean(costs: list[dict], per: int) -> dict:
+        return {key: round(sum(c[key] for c in costs) / (len(costs) * per), 2)
+                for key in costs[0]}
+
+    return {
+        "pages": pages,
+        "files": files,
+        "per_append": mean(appends, pages),
+        "per_commit": mean(commits, 1),
+    }
+
+
 def _group_workload(grouped: bool) -> dict:
     """GROUP_SIZE ready, non-conflicting updates on one file server,
     settled either one commit at a time (the seed path) or through one
@@ -238,11 +266,16 @@ def bench_commit() -> dict:
         "fast_commit": {str(n): measure_fast_commit(n) for n in (1, 8, 64)},
         "group_commit": measure_group_commit(),
         "blind_update": measure_blind_update(),
+        "bulk_append": measure_bulk_append(),
         # Metrics the CI gate holds against this committed baseline:
         # more than TOLERANCE_PCT percent higher fails the build.
         "gate": [
             "blind_update.per_op.messages",
             "blind_update.per_op.stable_writes",
+            "bulk_append.per_append.messages",
+            "bulk_append.per_append.stable_writes",
+            "bulk_append.per_commit.messages",
+            "bulk_append.per_commit.stable_writes",
             "fast_commit.64.messages",
             "fast_commit.64.ticks",
             "group_commit.grouped.messages",

@@ -26,11 +26,13 @@ def _update_cost(depth, seed=70):
     fs = cluster.fs()
     cap = fs.create_file(b"root")
     path = ROOT
-    if depth:
-        setup = fs.create_version(cap)
-        for _ in range(depth):
-            path = fs.append_page(setup.version, path, b"level")
-        fs.commit(setup.version)
+    # A set-up update at every depth, so each measured update draws its
+    # block number from a warm pool: ``create_file`` is one
+    # ``allocate_write`` and fills no pool.
+    setup = fs.create_version(cap)
+    for _ in range(depth):
+        path = fs.append_page(setup.version, path, b"level")
+    fs.commit(setup.version)
     disk = cluster.pair.disk_a
     msgs = cluster.network.stats.messages
     writes = disk.stats.writes

@@ -13,7 +13,7 @@ import threading
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = str(ROOT / "src" / "repro")
-RECORDED = 280  # only ever lowered; 272 plus 8 lines thread timing decides
+RECORDED = 279  # only ever lowered; 271 plus 8 lines thread timing decides
 hits: dict[str, set[int]] = {}
 entered: set[tuple[str, int]] = set()
 

@@ -72,6 +72,11 @@ class HybridBlockClient:
     def allocate_optical(self) -> int:
         return self.optical.allocate() + OPTICAL_BASE
 
+    def allocate_write(self, data: bytes) -> int:
+        """A block written at birth — a version page or the file table —
+        lives on the rewritable magnetic pair."""
+        return self.magnetic.allocate_write(data)
+
     # -- the common verb set ---------------------------------------------------
 
     def write(self, block: int, data: bytes) -> None:

@@ -154,9 +154,10 @@ class BlockServer:
         one sync.  Nothing is granted if the write fails."""
         self.disk.write_many(writes, grants)
         self._owner.update(grants)
-        if self.recorder.enabled:
-            for block_no in grants:
-                self.recorder.event("block.alloc", server=self.name, block=block_no)
+        if self.recorder.enabled and grants:
+            # One event per batch: an extent refill inside a commit would
+            # otherwise hang EXTENT events on every retained commit span.
+            self.recorder.event("block.alloc", server=self.name, blocks=len(grants))
 
     def reserve(self, account: int, blocks: list[int]) -> None:
         """Allocate an extent of chosen block numbers for ``account``, no

@@ -548,6 +548,15 @@ class ShardedBlockClient:
         )
         return [r.global_of(block_no) for block_no in local]
 
+    def allocate_spread(self, count: int) -> list[int]:
+        """``count`` numbers placed as ``count`` :meth:`allocate` calls
+        would place them — the i-th on the i-th shard of the rotation —
+        in one :meth:`allocate_many` exchange per shard drawn from."""
+        draws = min(count, len(self.placement.ranges))
+        shares = [self.allocate_many(count // draws + (i < count % draws))
+                  for i in range(draws)]
+        return [shares[i % draws][i // draws] for i in range(count)]
+
     # -- placed-block verbs (routed by the map) ------------------------------
 
     def write(self, block_no: int, data: bytes) -> None:

@@ -134,8 +134,9 @@ class GarbageCollector:
     ) -> Generator[None, None, None]:
         """Reshare copied-but-unchanged subtrees of one committed version."""
         root = self.store.load(root_block, fresh=True)
-        changed = yield from self._reshare_page(root, stats)
-        if changed:
+        rewritten: list[int] = []
+        changed = yield from self._reshare_page(root, stats, rewritten)
+        if changed or rewritten:
             # Other servers' cached copies name the pages the sweep frees:
             # the table stops naming the version, so their readers chase.
             file_entry.rewrite()
@@ -151,18 +152,20 @@ class GarbageCollector:
             # leaves the commit-reference bytes untouched.  If that swap
             # fails (the header moved under us), the redirects are
             # abandoned — the cache is dropped so memory agrees with disk
-            # and a later cycle reshares again.
+            # and a later cycle reshares again.  Only the pages the walk
+            # rewrote are flushed: the rest of the deferred set belongs to
+            # updates still open on this server.
             try:
-                self.store.flush()
-                rewritten = self.store.rewrite_version_page(root_block, root)
+                self.store.flush("reshare", only=rewritten)
+                swapped = self.store.rewrite_version_page(root_block, root)
             except BlockError:
                 self.store.forget(root_block)
                 raise
-            if not rewritten:
+            if not swapped:
                 self.store.forget(root_block)
 
     def _reshare_page(
-        self, page: Page, stats: GcStats
+        self, page: Page, stats: GcStats, rewritten: list[int]
     ) -> Generator[None, bool, bool]:
         changed = False
         for index, ref in enumerate(page.refs):
@@ -179,9 +182,10 @@ class GarbageCollector:
             if ref.flags.s:
                 child = self.store.load(ref.block)
                 stats.pages_visited += 1
-                child_changed = yield from self._reshare_page(child, stats)
+                child_changed = yield from self._reshare_page(child, stats, rewritten)
                 if child_changed:
                     self.store.store_in_place(ref.block, child)
+                    rewritten.append(ref.block)
             yield
         return changed
 

@@ -24,7 +24,10 @@ Each reference is "a block number and some flag bits": 28 bits of block
 number and the 4-bit C/R/W/S/M code of :mod:`repro.core.flags`, packed in
 32 bits, exactly as Amoeba did.  Block number 0 is the nil reference; a nil
 reference inside the table is a *hole* (see ``make_hole`` in
-:mod:`repro.core.tree_ops`).
+:mod:`repro.core.tree_ops`).  A negative number is *provisional*: a
+brand-new page's name inside one page store until the flush that first
+writes it gives it a real one (:meth:`repro.core.store.PageStore.flush`).
+It never reaches a disk or the wire — serialising one is refused.
 
 The commit reference sits at a fixed byte offset (:data:`COMMIT_REF_OFFSET`)
 so the block server's test-and-set can operate on it directly — that
@@ -79,7 +82,7 @@ class PageRef:
     flags: Flags = field(default_factory=Flags)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.block <= MAX_BLOCK:
+        if self.block > MAX_BLOCK:
             raise ValueError(f"block number {self.block} outside 28-bit range")
 
     @property
@@ -89,6 +92,8 @@ class PageRef:
 
     def encode(self) -> int:
         """Pack into 32 bits: 28-bit block number, 4-bit flag code."""
+        if self.block < 0:
+            raise ValueError(f"provisional block number {self.block} written")
         return (self.block << 4) | self.flags.encode()
 
     @staticmethod
@@ -212,6 +217,13 @@ class Page:
         """
         self.refs = [PageRef(ref.block, Flags()) for ref in self.refs]
 
+    def renumber(self, numbers: dict[int, int]) -> None:
+        """Rename every block this page names that ``numbers`` maps."""
+        self.refs = [PageRef(numbers.get(r.block, r.block), r.flags) for r in self.refs]
+        self.commit_ref, self.parent_ref, self.base_ref = (
+            numbers.get(b, b) for b in (self.commit_ref, self.parent_ref, self.base_ref)
+        )
+
     # -- copying ---------------------------------------------------------------
 
     def clone(self) -> "Page":
@@ -236,6 +248,8 @@ class Page:
     def to_bytes(self) -> bytes:
         """Serialise to the on-disk block format (header + body)."""
         self.check_fits()
+        if min(self.commit_ref, self.parent_ref, self.base_ref) < 0:
+            raise ValueError("a provisional block number cannot be written")
         header = bytearray(HEADER_SIZE)
         header[_OFF_MAGIC:_OFF_MAGIC + 2] = _MAGIC
         header[_OFF_FILE_CAP:_OFF_FILE_CAP + 22] = (

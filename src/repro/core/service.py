@@ -291,13 +291,8 @@ class FileService:
             data=initial_data,
         )
         root.check_fits()
-        block = self.store.store_new(root)
-        # The initial version is committed: durable now.  Only THIS page —
-        # flushing the whole dirty set would push other updates'
-        # half-finished pages to disk mid-update, where a crash could
-        # leave their flushed version pages referencing blocks those
-        # updates later freed.
-        self.store.flush_one(block)
+        # The initial version is committed: durable now, in one exchange.
+        block = self.store.store_durable(root)
         self.registry.add_file(
             FileEntry(
                 file_cap.obj,
@@ -1427,18 +1422,9 @@ class FileService:
         self._check_up()
         raw = self.registry.serialize()
         if table_block is None:
-            return self.blocks_allocate_write_table(raw)
+            return self.store.blocks.allocate_write(raw)
         self.store.blocks.write(table_block, raw)
         return table_block
-
-    def blocks_allocate_write_table(self, raw: bytes) -> int:
-        """Allocate the table's block (magnetic side on hybrid media)."""
-        blocks = self.store.blocks
-        if hasattr(blocks, "allocate_magnetic"):
-            block = blocks.allocate_magnetic()
-            blocks.write(block, raw)
-            return block
-        return blocks.allocate_write(raw)
 
     def restore_registry(self, table_block: int) -> int:
         """Rebuild this server's registry and capability secrets from a

@@ -9,7 +9,10 @@ Wraps a :class:`repro.block.sharding.ShardedBlockClient` with
   be postponed until just before commit." (§5.4).  Private (shadowed) pages
   accumulate dirty in memory; :meth:`flush` pushes them out, and commit
   calls it first — "First it ascertains that all of V.b's pages are safely
-  on disk" (§5.2).
+  on disk" (§5.2).  The deferral covers a brand-new page's block *number*
+  too (delayed allocation): until the flush that first writes it, the
+  page has a provisional number private to this store, and that flush
+  draws every real number it needs in one exchange per shard.
 
 Shared, committed pages are immutable on disk (copy-on-write), so caching
 them is always safe.  Version pages are the exception — their commit
@@ -27,6 +30,7 @@ from repro.block.sharding import ShardedBlockClient
 from repro.block.stable import Swap
 from repro.block.server import TasResult
 from repro.core.cache import PageCache
+from repro.errors import NoSuchBlock
 from repro.core.page import (
     COMMIT_REF_OFFSET,
     COMMIT_REF_SIZE,
@@ -51,6 +55,7 @@ class PageStore:
         self.cache = cache if cache is not None else PageCache()
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self._dirty: dict[int, Page] = {}
+        self._provisional = NIL  # the last provisional number handed out
         self._wanted, self._reserved = 0, []  # :meth:`reserving`'s state
 
     # -- reads -----------------------------------------------------------
@@ -72,7 +77,7 @@ class PageStore:
             cached = self.cache.get(block)
             if cached is not None:
                 return cached
-        page = Page.from_bytes(self.blocks.read(block))
+        page = Page.from_bytes(self._read(block))
         self.cache.put(block, page)
         return page
 
@@ -83,17 +88,26 @@ class PageStore:
         dirty = self._dirty.get(block)
         if dirty is not None:
             return dirty
-        return Page.from_bytes(self.blocks.read(block))
+        return Page.from_bytes(self._read(block))
+
+    def _read(self, block: int) -> bytes:
+        if block < 0:  # flushed under its real number since, or dropped
+            raise NoSuchBlock(f"provisional block {block} is not in this store")
+        return self.blocks.read(block)
 
     # -- writes ------------------------------------------------------------
 
     def store_new(self, page: Page) -> int:
-        """Allocate a fresh block for a page; the data write is deferred.
+        """Take a block for a new page; the data write is deferred.
 
-        The allocation happens eagerly (the block *number* is needed for
-        the parent's reference); the data reaches stable storage with the
-        next :meth:`flush`.
+        A brand-new page (no base, not a version page) gets a provisional
+        number, renamed by the :meth:`flush` that writes it.  A version
+        page (its number names the version) or a shadow is numbered now.
         """
+        if page.base_ref == NIL and not page.is_version_page:
+            self._provisional -= 1
+            self._dirty[self._provisional] = page
+            return self._provisional
         if self._wanted:
             self._reserved = self.blocks.allocate_many(self._wanted)[::-1]
             self._wanted = 0
@@ -115,6 +129,14 @@ class PageStore:
             self._wanted = 0
             self._reserved = []
 
+    def store_durable(self, page: Page) -> int:
+        """Number and write a page in one exchange (``allocate_write``):
+        for a version page durable the moment it exists — a new file's,
+        or a new sub-file's, which an open update's tree points at."""
+        block = self.blocks.allocate_write(page.to_bytes())
+        self.cache.put(block, page)
+        return block
+
     def store_in_place(self, block: int, page: Page) -> None:
         """Rewrite a private page in its existing block.
 
@@ -122,7 +144,8 @@ class PageStore:
         when it is written again."  Deferred until the next flush.
         """
         self._dirty[block] = page
-        self.cache.put(block, page)
+        if block > NIL:  # a provisional page is cached by its flush
+            self.cache.put(block, page)
 
     # Histogram buckets for pages-per-flush (commit batch sizes).
     _FLUSH_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -132,8 +155,11 @@ class PageStore:
         reason: str = "commit",
         swaps: list[Swap] = (),
         outcomes: list[TasResult] | None = None,
+        only: list[int] | None = None,
     ) -> int:
-        """Write all dirty pages to stable storage; returns how many.
+        """Write all dirty pages (or those in ``only``, leaving the rest
+        of the deferred set alone) to stable storage; returns how many.
+        Provisional ones among them are numbered first (:meth:`_number`).
 
         The flush is one ``write_many`` request, grouped by the block
         client into one transaction per shard, so an M-page commit costs
@@ -147,10 +173,15 @@ class PageStore:
         ``reason`` distinguishes the callers in traces (a plain commit's
         flush vs a group commit's single batched flush).
         """
-        if not self._dirty and not swaps:
+        picked = list(self._dirty) if only is None else [
+            block for block in only if block in self._dirty
+        ]
+        if not picked and not swaps:
             return 0
+        if any(block < 0 for block in picked):
+            picked = self._number(picked)
         recorder = self.recorder
-        items = sorted(self._dirty.items())
+        items = sorted((block, self._dirty[block]) for block in picked)
         with recorder.span("flush", pages=len(items), reason=reason) as span:
             writes = [(block, page.to_bytes()) for block, page in items]
             results = self.blocks.write_many(writes, swaps)
@@ -166,18 +197,22 @@ class PageStore:
                 recorder.observe(
                     "store.flush_pages", len(items), bounds=self._FLUSH_BUCKETS
                 )
-        self._dirty.clear()
+        for block, _ in items:
+            self._dirty.pop(block, None)
         return len(items)
 
-    def flush_one(self, block: int) -> bool:
-        """Flush a single dirty page (e.g. a new sub-file's version page
-        that must be durable mid-update, without disturbing the rest of
-        the deferred set)."""
-        page = self._dirty.pop(block, None)
-        if page is None:
-            return False
-        self.blocks.write(block, page.to_bytes())
-        return True
+    def _number(self, picked: list[int]) -> list[int]:
+        """Number the provisional pages among ``picked`` in creation order,
+        one ``allocate`` per shard, and rename them in every dirty page,
+        the dirty set and the cache; returns ``picked`` renamed."""
+        fresh = sorted((block for block in picked if block < 0), reverse=True)
+        numbers = dict(zip(fresh, self.blocks.allocate_spread(len(fresh))))
+        for page in self._dirty.values():
+            page.renumber(numbers)
+        self._dirty = {numbers.get(b, b): page for b, page in self._dirty.items()}
+        for block in numbers.values():
+            self.cache.put(block, self._dirty[block])
+        return [numbers.get(block, block) for block in picked]
 
     def store_mutable(self, block: int, page: Page) -> int:
         """Store an updated private page, returning its (possibly new)
@@ -197,10 +232,11 @@ class PageStore:
         self.cache.invalidate(block)
 
     def free(self, block: int) -> None:
-        """Deallocate a block (GC, aborts)."""
+        """Deallocate a block (GC, aborts); a provisional one has none."""
         self._dirty.pop(block, None)
-        self.cache.invalidate(block)
-        self.blocks.free(block)
+        if block > NIL:
+            self.cache.invalidate(block)
+            self.blocks.free(block)
 
     @property
     def dirty_count(self) -> int:

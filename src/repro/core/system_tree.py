@@ -107,8 +107,7 @@ class SystemTree:
             data=initial_data,
         )
         sub_root.check_fits()
-        sub_block = service.store.store_new(sub_root)
-        service.store.flush_one(sub_block)
+        sub_block = service.store.store_durable(sub_root)
 
         block, page = service._walk(entry, parent_path, "modify")
         ref = PageRef(sub_block, Flags(c=True, w=True))

@@ -450,7 +450,8 @@ def _client_script(
     tally: dict,
     group_commit: bool = False,
 ) -> Generator[None, None, None]:
-    """One soak client: a random mix of cached reads, page and blind updates.
+    """One soak client: a random mix of cached reads, page, append and
+    blind updates.
 
     Every operation tolerates :class:`ReproError` — under injected faults
     an RPC may find every server down, a commit may conflict, a dropped
@@ -484,10 +485,15 @@ def _client_script(
                 tally["commits"] += 1
                 continue
             update = client.begin(cap)
-            update.read(path)
-            yield
-            update.write(path, payload)
-            yield
+            if opno % 8 == 7:  # new pages: numbered by the commit's flush
+                for _ in range(2):
+                    update.append_page(path, payload)
+                    yield
+            else:
+                update.read(path)
+                yield
+                update.write(path, payload)
+                yield
             update.commit()
             tally["commits"] += 1
         except VersionCommitted:

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import CommitConflict
 from repro.core.pathname import PagePath
 from repro.sim.sched import Scheduler
+from repro.tools.check import check_cluster
 
 ROOT = PagePath.ROOT
 
@@ -95,6 +96,29 @@ def test_reshare_preserves_write_information(cluster):
     assert discards == [PagePath.of(0)]  # only the write; the read-copy
     # of `b` was reshared without inventing a phantom write.
     assert fs.read_page(fs.current_version(cap), b) == b"b"
+
+
+def test_a_reshare_below_a_written_page_is_durable_before_the_sweep(cluster):
+    """Only an interior page's reference moves (its parent was written, so
+    the root keeps its own): that page must reach the disk before the
+    sweep frees the read copy it named, or a crash leaves it dangling."""
+    fs = cluster.fs()
+    cap = fs.create_file(b"root")
+    setup = fs.create_version(cap)
+    parent = fs.append_page(setup.version, ROOT, b"parent")
+    leaf = fs.append_page(setup.version, parent, b"leaf")
+    fs.commit(setup.version)
+    handle = fs.create_version(cap)
+    fs.write_page(handle.version, parent, b"parent, rewritten")
+    fs.read_page(handle.version, leaf)  # a read copy under a written page
+    fs.commit(handle.version)
+    stats = cluster.gc().collect()
+    assert stats.reshared == 1 and stats.swept >= 1
+    fs.crash()
+    fs.restart()
+    report = check_cluster(cluster)
+    assert report.ok, report.errors
+    assert fs.read_page(fs.current_version(cap), leaf) == b"leaf"
 
 
 @pytest.mark.parametrize("collector_server_begins_first", [False, True])

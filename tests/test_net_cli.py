@@ -154,6 +154,51 @@ def test_serve_data_dir_survives_sigkill(tmp_path):
         server.wait(timeout=30)
 
 
+def test_appended_pages_survive_sigkill_right_after_their_commit(tmp_path):
+    """A 32-page update built by ``append_page`` calls — every page numbered
+    by the commit's flush — then ``kill -9`` with no pause, a restart on
+    the data dir, and every page read back."""
+    from repro.client.api import FileClient
+    from repro.core.pathname import PagePath
+    from repro.net import connect
+
+    data_dir = str(tmp_path / "store")
+    args = ("--servers", "1", "--seed", "6", "--data-dir", data_dir)
+    table = os.path.join(data_dir, "TABLE")
+    pages = [b"page %d " % i * 64 for i in range(32)]
+    server, spec, _ = _spawn_server(*args)
+    try:
+        network, service_port = connect(spec)
+        client = FileClient(network, "append-client", service_port)
+        cap = client.create_file(b"root")
+        created = time.time_ns()
+        # The file must be in the checkpointed table; its commit need not.
+        # A rewrite after the create may have serialised the table before
+        # it; the serve loop's next one, 0.2 s on, covers it.
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not (
+            os.path.exists(table) and os.stat(table).st_mtime_ns > created
+        ):
+            time.sleep(0.02)
+        time.sleep(0.6)
+        update = client.begin(cap)
+        for data in pages:
+            update.append_page(PagePath.ROOT, data)
+        update.commit()
+    finally:
+        server.send_signal(signal.SIGKILL)
+        server.wait(timeout=30)
+
+    server, spec, _ = _spawn_server(*args)
+    try:
+        network, service_port = connect(spec)
+        client = FileClient(network, "append-client-2", service_port)
+        assert [client.read(cap, PagePath.of(i)) for i in range(32)] == pages
+    finally:
+        server.terminate()
+        server.wait(timeout=30)
+
+
 def test_connect_in_process_by_spec_and_by_discovery(capsys):
     """The ``connect`` verb's client round trip, run in this process
     against an in-process TCP deployment: once from the full spec, once

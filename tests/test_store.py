@@ -32,8 +32,14 @@ def test_store_new_and_load(store):
     assert store.load(block).data == b"hello"
 
 
+def _numbered(data: bytes) -> Page:
+    """A page numbered at birth: a version page (a brand-new page's number
+    is provisional until its flush, see tests/test_numbering.py)."""
+    return Page(is_version_page=True, data=data)
+
+
 def test_deferred_write_not_on_disk_until_flush(store, pair):
-    block = store.store_new(Page(data=b"deferred"))
+    block = store.store_new(_numbered(b"deferred"))
     assert not pair.disk_a.holds(block)
     assert store.dirty_count == 1
     flushed = store.flush()
@@ -52,7 +58,7 @@ def test_dirty_pages_served_from_memory(store):
 
 
 def test_cache_avoids_disk_reads(store, pair):
-    block = store.store_new(Page(data=b"cached"))
+    block = store.store_new(_numbered(b"cached"))
     store.flush()
     store.cache.clear()
     reads_before = pair.disk_a.stats.reads + pair.disk_b.stats.reads
@@ -64,7 +70,7 @@ def test_cache_avoids_disk_reads(store, pair):
 
 
 def test_fresh_load_bypasses_cache(store, pair):
-    block = store.store_new(Page(data=b"x"))
+    block = store.store_new(_numbered(b"x"))
     store.flush()
     store.load(block)
     reads_before = pair.disk_a.stats.reads + pair.disk_b.stats.reads
@@ -76,7 +82,7 @@ def test_forget_and_free(store, pair):
     block = store.store_new(Page(data=b"x"))
     store.forget(block)
     assert store.dirty_count == 0
-    block2 = store.store_new(Page(data=b"y"))
+    block2 = store.store_new(_numbered(b"y"))
     store.flush()
     store.free(block2)
     assert not pair.disk_a.holds(block2)
@@ -113,7 +119,7 @@ def _on_both_disks(pair, block):
 
 def test_tas_commit_ref_flushes_in_the_same_request(store, pair, net):
     base = _committed_base(store)
-    page = store.store_new(Page(data=b"the version's page"))
+    page = store.store_new(_numbered(b"the version's page"))
     messages = net.stats.messages
     result = store.tas_commit_ref(base, page)
     # One request to the pair, one companion exchange: four messages.
@@ -128,7 +134,7 @@ def test_tas_commit_ref_flushes_in_the_same_request(store, pair, net):
 def test_failed_compare_still_flushes(store, pair):
     base = _committed_base(store)
     assert store.tas_commit_ref(base, 777).success
-    page = store.store_new(Page(data=b"the loser's page"))
+    page = store.store_new(_numbered(b"the loser's page"))
     result = store.tas_commit_ref(base, page)
     assert not result.success
     assert int.from_bytes(result.current, "big") == 777
@@ -142,7 +148,7 @@ def test_dirty_set_survives_a_conflicted_request(store, pair):
     from repro.errors import CompanionConflict
 
     base = _committed_base(store)
-    page = store.store_new(Page(data=b"retry me"))
+    page = store.store_new(_numbered(b"retry me"))
     # A write of the same block through B is past its companion step.
     other = pair.b.begin_batch(1, [(page, b"in flight through B")])
     with pytest.raises(CompanionConflict):
@@ -161,7 +167,7 @@ def test_dirty_set_survives_an_outage(store, pair):
     from repro.errors import ServerUnreachable
 
     base = _committed_base(store)
-    page = store.store_new(Page(data=b"retry me"))
+    page = store.store_new(_numbered(b"retry me"))
     pair.a.crash()
     pair.b.crash()
     with pytest.raises(ServerUnreachable):

@@ -29,9 +29,9 @@ def _fresh_results_file():
 
 @pytest.fixture(params=["sim", "disk"])
 def disk_backend(request, tmp_path):
-    """Block-medium parametrisation (same shape as the tests/ fixture):
-    benchmarks taking this run on simulated memory AND the durable
-    file-backed disk.  Returns a zero-argument callable producing
+    """File-system parametrisation (same shape as the tests/ fixture):
+    benchmarks taking this run with the disks on the in-memory kernel AND
+    on real files.  Returns a zero-argument callable producing
     ``StablePair`` keyword arguments with a fresh data dir per call."""
     import itertools
 
@@ -39,13 +39,9 @@ def disk_backend(request, tmp_path):
 
     def kwargs() -> dict:
         if request.param == "sim":
-            return {"backend": "sim", "data_dir": None}
-        return {
-            "backend": "disk",
-            "data_dir": str(tmp_path / f"disk{next(counter)}"),
-        }
+            return {"data_dir": None}
+        return {"data_dir": str(tmp_path / f"disk{next(counter)}")}
 
-    kwargs.backend = request.param
     return kwargs
 
 

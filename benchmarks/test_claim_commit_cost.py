@@ -70,7 +70,7 @@ def _update_costs(tmp_path, updates=3 * EXTENT // 2):
     The file server talks to this process directly, so every network
     message is block-tier traffic: requests to the pair and the exchanges
     between its halves."""
-    cluster = build_cluster(seed=22, backend="disk", data_dir=str(tmp_path))
+    cluster = build_cluster(seed=22, data_dir=str(tmp_path))
     try:
         fs = cluster.fs()
         cap = fs.create_file(b"root")

@@ -27,14 +27,13 @@ def _workload(seed, track=False):
     disk = cluster.pair.disk_a
     overwritten: set[int] = set()
     if track:
-        original_write = disk.write
+        original_write_many = disk.write_many
 
-        def tracked_write(block_no, data):
-            if disk.holds(block_no):
-                overwritten.add(block_no)
-            original_write(block_no, data)
+        def tracked_write_many(writes, owners=None):
+            overwritten.update(b for b, _ in writes if disk.holds(b))
+            original_write_many(writes, owners)
 
-        disk.write = tracked_write
+        disk.write_many = tracked_write_many  # the one way data reaches a disk
     fs = cluster.fs()
     caps = []
     for f in range(3):

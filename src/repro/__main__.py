@@ -13,8 +13,9 @@ Subcommands:
   serializability history checking.  ``--seed N`` (or ``--seed A..B`` for
   a range), ``--ops M``, ``--mutant``.  Each seed draws its topology,
   client count and features — group commit, read leases, hot-directory
-  contention with or without semantic merges, the durable file-backed
-  disk, a live shard rebalance — and its summary line names them.
+  contention with or without semantic merges, power loss on every
+  storage-half crash, a live shard rebalance — and its summary line names
+  them.
   Exits nonzero and prints the replay command on any violation.  See
   docs/SIMULATION.md.
 * ``cluster`` — operator verbs over a demo sharded deployment with a
@@ -25,8 +26,8 @@ Subcommands:
   topology and the shard operated on.  See docs/DISCOVERY.md.
 * ``serve``  — host the whole deployment as real TCP daemons on
   localhost (``--servers N``, ``--shards K``, ``--seed S``, ``--host``).
-  ``--data-dir PATH`` puts block storage on real files (the durable
-  ``block/fdisk.py`` backend): every acknowledged write survives process
+  ``--data-dir PATH`` puts the disks (``block/fdisk.py``) on real files
+  instead of in memory: every acknowledged write survives process
   death, the file table is checkpointed to disk, and serving again with
   the same ``--data-dir`` and ``--seed`` recovers files, capabilities and
   intentions lists by journal replay.  See docs/DURABILITY.md.
@@ -287,7 +288,7 @@ def _stats(shards: int = 4) -> None:
     print("===============================")
     print(render_cache_table(lease_recorder.metrics))
 
-    # The same commit workload on the durable file-backed disk: the disk
+    # The same commit workload with the disks on real files: the disk
     # table shows the journal appends, the per-medium fsync counts, and
     # the measured cost of each sync primitive.
     import tempfile
@@ -298,8 +299,7 @@ def _stats(shards: int = 4) -> None:
     with tempfile.TemporaryDirectory(prefix="repro-stats-") as data_dir:
         disk_recorder = Recorder()
         disk_cluster = build_cluster(
-            servers=1, seed=11, recorder=disk_recorder,
-            backend="disk", data_dir=data_dir,
+            servers=1, seed=11, recorder=disk_recorder, data_dir=data_dir,
         )
         fs = disk_cluster.fs()
         for i in range(4):
@@ -444,7 +444,7 @@ def _serve(servers: int = 2, shards: int = 1, seed: int = 42, host: str = "127.0
 
         primitive, costs = tune_journal_sync(data_dir)
         print(
-            f"disk backend: data dir {data_dir}, journal sync via "
+            f"disks on real files: data dir {data_dir}, journal sync via "
             f"{primitive} ({costs[primitive] * 1e6:.0f} us median; probed "
             + ", ".join(f"{k} {v * 1e6:.0f}us" for k, v in costs.items())
             + ")"
@@ -456,7 +456,6 @@ def _serve(servers: int = 2, shards: int = 1, seed: int = 42, host: str = "127.0
         host=host,
         recorder=recorder,
         discovery=discovery,
-        backend="disk" if data_dir is not None else "sim",
         data_dir=data_dir,
     )
     table_path = None

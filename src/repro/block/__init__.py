@@ -4,9 +4,10 @@
 deallocate, read and write fixed size blocks of data" (§4).  This package
 provides:
 
-* :mod:`repro.block.disk` — a simulated disk: fixed-size blocks, atomic
-  writes, crash and corruption injection, optional write-once (optical)
-  mode.
+* :mod:`repro.block.fdisk` — the disk: fixed-size blocks in a
+  log-structured journal, every write acknowledged after its sync, on a
+  real data directory or on the simulator's in-memory kernel; optional
+  write-once (optical) mode.
 * :mod:`repro.block.server` — the block server: per-account protection,
   reservation, one batched (optionally allocating) write, the
   compare-and-swap behind the test-and-set the file service's commit
@@ -19,13 +20,13 @@ provides:
   talks through.
 """
 
-from repro.block.disk import SimDisk, DiskStats
+from repro.block.fdisk import DiskStats, FDisk
 from repro.block.server import BlockServer, BLOCK_SIZE
 from repro.block.sharding import ShardedBlockClient
 from repro.block.stable import StablePair
 
 __all__ = [
-    "SimDisk",
+    "FDisk",
     "DiskStats",
     "BlockServer",
     "BLOCK_SIZE",

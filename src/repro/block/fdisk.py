@@ -1,11 +1,14 @@
-"""A file-backed disk: the durable twin of :class:`~repro.block.disk.SimDisk`.
+"""The disk: a log-structured block store, on any file system.
 
 §4 of the paper: "Writing a block must be an atomic action, with an
 acknowledgement that is returned after the block has been stored on disk."
-:class:`SimDisk` satisfies that by fiat; :class:`FDisk` satisfies it on a
-real filesystem, so companion recovery, intentions lists and the page
-store's version chains survive genuine process death (``kill -9``, power
-loss modelled as truncating unsynced bytes).
+:class:`FDisk` acknowledges a write only after it is synced, so companion
+recovery, intentions lists and the page store's version chains survive
+process death and power loss.  It makes every file-system call through
+one object by ``os``'s names (``FDisk.fs``): this module's ``os`` on a
+real data directory, and :class:`repro.sim.kernel.Kernel` — which keeps
+in memory what a crash would keep — everywhere else.  Every deployment
+runs this one disk.
 
 The disk is a **log-structured block store**: the CRC-framed redo journal
 is the only on-disk copy of block data, and memory holds an index into it.
@@ -23,7 +26,7 @@ Durability protocol:
 * ``write_many`` — and every request that produces several records
   (``OWNER`` + ``WRITE``, ``DISOWN`` + ``ERASE``) — is **one** append and
   **one** sync: an M-page flush costs one disk sync, not M.
-* A read is an index lookup, one ``os.pread`` on the segment's long-lived
+* A read is an index lookup, one ``pread`` on the segment's long-lived
   descriptor and a check of the *on-disk* frame CRC, record type and block
   number: damage raises :class:`CorruptBlock` (never silent bytes) and the
   companion-repair path upstream heals it by appending a fresh record.
@@ -37,6 +40,10 @@ Durability protocol:
   one is a torn write and is truncated durably; damage anywhere else
   never crashes recovery and never lets an older version of a block pass
   as current (``docs/DURABILITY.md`` states the three-case contract).
+
+Blocks are numbered from 1 (0 is the nil reference of the version
+chains).  ``write_once=True`` is optical media: no block is ever
+overwritten or erased (claim C10's bench runs the whole service on it).
 
 Block-server metadata (the owner map) and the companion intentions list
 ride the same log, so :class:`~repro.block.server.BlockServer` and
@@ -59,17 +66,25 @@ import struct
 import threading
 import time
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import (
     BlockTooLarge,
     CorruptBlock,
     DiskCrashed,
+    DiskFull,
     NoSuchBlock,
     UnsupportedDiskLayout,
     WriteOnceViolation,
 )
-from repro.block.disk import READ_TICKS, WRITE_TICKS, SimDisk
+from repro.obs import NULL_RECORDER
+from repro.sim.clock import LogicalClock
+
+# Logical-tick cost of one disk operation.  A disk access is an order of
+# magnitude slower than a network hop (10 ticks), as it was in 1985.
+READ_TICKS = 100
+WRITE_TICKS = 150
 
 # Record framing: u32 body length + u32 crc32(body), then the body.
 _FRAME = struct.Struct(">II")
@@ -124,9 +139,14 @@ def _intent_body(kind: str, account: int, block_no: int, data: bytes) -> bytes:
     )
 
 
-class ProcessDied(DiskCrashed):
-    """Raised by :class:`FaultingFDisk` at an armed crash point: the
-    simulated process is dead and every further operation fails."""
+@dataclass
+class DiskStats:
+    """Operation counters for cost accounting in benchmarks."""
+
+    reads: int = 0
+    writes: int = 0
+    frees: int = 0
+    overwrites: int = 0  # writes to an already-written block number
 
 
 class _Segment:
@@ -152,20 +172,21 @@ class _Segment:
         self.entry_durable = False
 
 
-class FDisk(SimDisk):
-    """A :class:`SimDisk` whose contents live in a log under ``root``.
+class FDisk:
+    """``capacity`` blocks of ``block_size`` bytes in a log under ``root``.
 
-    The full SimDisk surface (write / read / erase / holds / first_free /
-    crash / restore / corrupt / stats / tick accounting) is preserved and
-    every acknowledged mutation is durable: re-opening an ``FDisk`` on the
-    same root after process death recovers exactly the acknowledged state.
-    Payloads are not mirrored in memory — only the index (which carries
-    the CRC of each block's acknowledged record) and the ever-written set.
+    Every acknowledged mutation is durable: re-opening an ``FDisk`` on the
+    same root and file system after process death recovers exactly the
+    acknowledged state (:meth:`reopen`).  Payloads are not mirrored in
+    memory — only the index (which carries the CRC of each block's
+    acknowledged record) and the ever-written set.
 
-    Beyond the SimDisk surface it persists the block-server owner map and
-    the stable-server intentions list (``set_owner`` / ``clear_owner`` /
+    Besides blocks it persists the block-server owner map and the
+    stable-server intentions list (``set_owner`` / ``clear_owner`` /
     ``recovered_owners`` / ``add_intention`` / ``ack_intentions`` /
-    ``recovered_intentions``), which the servers adopt when present.
+    ``recovered_intentions``), which the servers adopt when they start.
+    ``fs`` is the file system (default: this module's ``os`` as it is
+    when the disk is built).
     """
 
     # Which durable primitive the ack-point sync uses: "fsync" or
@@ -183,10 +204,18 @@ class FDisk(SimDisk):
         name: str = "fdisk",
         recorder=None,
         journal_limit: int = JOURNAL_LIMIT,
+        fs=None,
     ) -> None:
-        super().__init__(
-            capacity, block_size, clock, write_once, name=name, recorder=recorder
-        )
+        if capacity < 1:
+            raise ValueError("disk needs at least one block")
+        self.capacity = capacity
+        self.block_size = block_size
+        self.write_once = write_once
+        self.name = name
+        self.recorder = recorder if recorder is not None else NULL_RECORDER
+        self.clock = clock if clock is not None else LogicalClock()
+        self.stats = DiskStats()
+        self.fs = fs if fs is not None else os
         self.root = Path(root)
         self.journal_limit = journal_limit
         self.fsyncs = 0
@@ -200,6 +229,7 @@ class FDisk(SimDisk):
         # block_no -> (segment, frame offset, body length, frame CRC) of its
         # newest record; one tuple, so a lock-free reader sees all four agree.
         self._index: dict[int, tuple[_Segment, int, int, int]] = {}
+        self._ever_written: set[int] = set()
         # Blocks whose newest record may have been lost to log damage:
         # they read CorruptBlock until rewritten (recovery contract case 3).
         self._suspect: set[int] = set()
@@ -216,23 +246,34 @@ class FDisk(SimDisk):
         self._closed = False
         self._open_or_recover()
 
-    # -- fault-injection hook (overridden by FaultingFDisk) -----------------
-
-    def _fault(self, point: str, pending: bytes = b"") -> None:
-        """``pending`` is the part of an append in flight that has reached
-        the file when execution stands at ``point``."""
+    def reopen(self) -> "FDisk":
+        """The disk a restarted process opens on the same files: recovery
+        rebuilds the index, the owner map and the intentions list."""
+        return FDisk(
+            self.root, self.capacity, self.block_size, self.clock,
+            self.write_once, name=self.name, recorder=self.recorder,
+            journal_limit=self.journal_limit, fs=self.fs,
+        )
 
     # -- setup / recovery ---------------------------------------------------
 
     def _open_or_recover(self) -> None:
+        fs = self.fs
         meta_path = self.root / "meta.json"
         geometry = {
             "capacity": self.capacity,
             "block_size": self.block_size,
             "write_once": self.write_once,
         }
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
+        try:
+            fd = fs.open(meta_path, os.O_RDONLY)
+        except FileNotFoundError:
+            fd = None
+        if fd is not None:
+            try:
+                meta = json.loads(fs.pread(fd, fs.fstat(fd).st_size, 0))
+            finally:
+                fs.close(fd)
             if meta.get("version") != _LAYOUT_VERSION:
                 raise UnsupportedDiskLayout(
                     f"{self.root}: on-disk layout version {meta.get('version')!r}, "
@@ -244,22 +285,28 @@ class FDisk(SimDisk):
                         f"{self.root}: on-disk {key}={meta.get(key)!r} does not "
                         f"match requested {mine!r}"
                     )
+            # A process that died between writing meta.json and syncing its
+            # directory left the entry volatile: it is acknowledged now.
+            self._fsync_dir(self.root)
             self._recover()
         else:
             # meta.json is written atomically, before the first segment: a
             # directory without it never acknowledged anything.
-            self._log_dir.mkdir(parents=True, exist_ok=True)
-            if any(self._log_dir.glob("*.seg")):
+            fs.makedirs(self._log_dir, exist_ok=True)
+            if any(name.endswith(".seg") for name in fs.listdir(self._log_dir)):
                 raise UnsupportedDiskLayout(
                     f"{self.root}: log segments but no meta.json to read them by"
                 )
             body = json.dumps({**geometry, "version": _LAYOUT_VERSION}).encode()
             tmp = meta_path.with_suffix(".json.tmp")
-            with open(tmp, "wb") as fh:
-                fh.write(body)
-                os.fsync(fh.fileno())
+            fd = fs.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
+            try:
+                fs.write(fd, body)
+                fs.fsync(fd)
+            finally:
+                fs.close(fd)
             self.fsyncs += 1
-            os.replace(tmp, meta_path)
+            fs.replace(tmp, meta_path)
             self._fsync_dir(self.root)
         if not self._segments:
             self._open_segment(1)
@@ -273,8 +320,8 @@ class FDisk(SimDisk):
 
     def _open_segment(self, seq: int) -> _Segment:
         path = self._log_dir / f"{seq:08d}.seg"
-        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
-        segment = _Segment(seq, path, fd, os.fstat(fd).st_size)
+        fd = self.fs.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        segment = _Segment(seq, path, fd, self.fs.fstat(fd).st_size)
         self._segments.append(segment)
         if self.recorder.enabled:
             self.recorder.count("disk.segments")
@@ -284,8 +331,8 @@ class FDisk(SimDisk):
         """Rebuild the index, owner map and intentions by streaming the
         segments, oldest first."""
         names = sorted(
-            int(path.stem) for path in self._log_dir.glob("*.seg")
-            if path.stem.isdigit()
+            int(name[:-4]) for name in self.fs.listdir(self._log_dir)
+            if name.endswith(".seg") and name[:-4].isdigit()
         )
         segments = [self._open_segment(seq) for seq in names]
         for segment, successor in zip(segments, segments[1:] + [None]):
@@ -297,7 +344,11 @@ class FDisk(SimDisk):
                 # of anything replayed so far may have been in it.
                 self._suspect_before(successor, 0)
         # Whatever survived to be replayed is acknowledged state from here
-        # on: make sure no segment's directory entry is still volatile.
+        # on: make sure none of it is still volatile — not the tail a killed
+        # process appended but never synced, nor a segment's directory entry.
+        if segments:
+            self.fs.fsync(segments[-1].fd)
+            self.fsyncs += 1
         self._fsync_dir(self._log_dir)
         for segment in self._segments:
             segment.entry_durable = True
@@ -312,13 +363,13 @@ class FDisk(SimDisk):
         """What ``segment``'s head snapshot recorded about the segment
         sealed before it — ``(size, skeleton)`` — or None if the snapshot
         does not read back intact."""
-        raw = os.pread(segment.fd, _FRAME.size, 0)
+        raw = self.fs.pread(segment.fd, _FRAME.size, 0)
         if len(raw) < _FRAME.size:
             return None
         length, crc = _FRAME.unpack(raw)
         if not _SNAPSHOT_HEAD.size <= length <= segment.size - _FRAME.size:
             return None
-        body = os.pread(segment.fd, length, _FRAME.size)
+        body = self.fs.pread(segment.fd, length, _FRAME.size)
         if zlib.crc32(body) != crc or body[0] != _REC_SNAPSHOT:
             return None
         return _SNAPSHOT_HEAD.unpack_from(body)[1:]
@@ -327,6 +378,7 @@ class FDisk(SimDisk):
         """Yield ``(offset, crc, body, intact)`` for every frame that can be
         walked, reading through a bounded window; a final ``(offset, 0,
         None, False)`` marks a point the walk cannot pass."""
+        pread = self.fs.pread
         size = segment.size
         chunk, start = b"", 0
         offset = 0
@@ -336,7 +388,7 @@ class FDisk(SimDisk):
                 yield offset, 0, None, False
                 return
             if not start <= offset or header_end > start + len(chunk):
-                chunk, start = os.pread(segment.fd, _SCAN_CHUNK, offset), offset
+                chunk, start = pread(segment.fd, _SCAN_CHUNK, offset), offset
             length, crc = _FRAME.unpack_from(chunk, offset - start)
             end = header_end + length
             if length == 0 or end > size:
@@ -344,7 +396,7 @@ class FDisk(SimDisk):
                 return
             if end > start + len(chunk):
                 want = max(_SCAN_CHUNK, end - offset)
-                chunk, start = os.pread(segment.fd, want, offset), offset
+                chunk, start = pread(segment.fd, want, offset), offset
                 if len(chunk) < end - offset:
                     yield offset, 0, None, False  # the file shrank under us
                     return
@@ -387,8 +439,8 @@ class FDisk(SimDisk):
             # Case 1: nothing valid follows — a torn write.  Cut it away
             # durably so a second restart sees a clean log.
             self.truncated_bytes += segment.size - tail
-            os.ftruncate(segment.fd, tail)
-            os.fsync(segment.fd)
+            self.fs.ftruncate(segment.fd, tail)
+            self.fs.fsync(segment.fd)
             self.fsyncs += 1
             segment.size = tail
             segment.skeleton = held if damaged else skeleton
@@ -516,7 +568,7 @@ class FDisk(SimDisk):
         record, and the body must name this block."""
         segment, offset, length, crc = entry
         try:
-            raw = os.pread(segment.fd, _FRAME.size + length, offset)
+            raw = self.fs.pread(segment.fd, _FRAME.size + length, offset)
         except OSError as exc:
             raise CorruptBlock(f"block {block_no}: segment unreadable ({exc})") from None
         if len(raw) != _FRAME.size + length:
@@ -539,23 +591,19 @@ class FDisk(SimDisk):
         (optionally) sync — the ack point.  Returns each frame's
         ``(offset, crc)``."""
         segment = self._active
-        self._fault("journal.before_append")
         buffer = bytearray()
         frames = []
-        for i, body in enumerate(bodies):
-            if i:
-                self._fault("batch.mid_records", buffer)
+        for body in bodies:
             crc = zlib.crc32(body)
             frames.append((segment.size + len(buffer), crc))
             header = _FRAME.pack(len(body), crc)
             if segment.skeleton is not None:
                 segment.skeleton = _skeleton(segment.skeleton, header, body)
             buffer += header
-            self._fault("journal.mid_append", buffer)
             buffer += body
         view = memoryview(buffer)
         while view:
-            view = view[os.write(segment.fd, view) :]
+            view = view[self.fs.write(segment.fd, view) :]
         segment.size += len(buffer)
         self.journal_appends += len(bodies)
         if sync:
@@ -575,11 +623,10 @@ class FDisk(SimDisk):
         """
         with self._io_lock:
             segment = self._active
-            self._fault("journal.before_sync")
-            if self.sync_primitive == "fdatasync" and hasattr(os, "fdatasync"):
-                os.fdatasync(segment.fd)
+            if self.sync_primitive == "fdatasync" and hasattr(self.fs, "fdatasync"):
+                self.fs.fdatasync(segment.fd)
             else:
-                os.fsync(segment.fd)
+                self.fs.fsync(segment.fd)
             self._synced_size = segment.size
             self.fsyncs += 1
             if self.recorder.enabled:
@@ -587,14 +634,13 @@ class FDisk(SimDisk):
             if not segment.entry_durable:
                 self._fsync_dir(self._log_dir)
                 segment.entry_durable = True
-            self._fault("journal.after_sync")
 
     def _fsync_dir(self, path: Path) -> None:
-        fd = os.open(path, os.O_RDONLY)
+        fd = self.fs.open(path, os.O_RDONLY)
         try:
-            os.fsync(fd)
+            self.fs.fsync(fd)
         finally:
-            os.close(fd)
+            self.fs.close(fd)
         self.fsyncs += 1
         if self.recorder.enabled:
             self.recorder.count("disk.fsync.dir")
@@ -631,13 +677,11 @@ class FDisk(SimDisk):
         if self._synced_size < self._active.size:
             self.sync_journal()
         for segment in self._retired:
-            os.close(segment.fd)
+            self.fs.close(segment.fd)
         self._retired.clear()
         self._active = self._open_segment(self._active.seq + 1)
         self._synced_size = 0
-        self._fault("rotate.after_create")
         self._write_head()
-        self._fault("rotate.after_snapshot")
 
     def _cleanable(self) -> bool:
         """Dead bytes exceed live bytes by more than one segment.  Head
@@ -677,14 +721,12 @@ class FDisk(SimDisk):
         if bodies:
             head = self._active
             frames = self._append_records(bodies)
-            self._fault("clean.after_copy")
             for block_no, body, (offset, crc) in zip(moved, bodies, frames):
                 self._index_put(head, block_no, offset, len(body), crc)
         self.cleaned_bytes += copied
         self._segments.pop(0)
-        os.unlink(victim.path)
+        self.fs.unlink(victim.path)
         self._retired.append(victim)
-        self._fault("clean.after_unlink")
         # The unlink must be durable before the next pass drops tombstones
         # that still shadow this segment's dead writes.
         self._fsync_dir(self._log_dir)
@@ -715,7 +757,11 @@ class FDisk(SimDisk):
             while self._cleanable():
                 self._clean_oldest()
 
-    # -- SimDisk surface ----------------------------------------------------
+    # -- blocks ---------------------------------------------------------------
+
+    def _check_up(self) -> None:
+        if self._closed:
+            raise DiskCrashed(f"{self.name} is closed or crashed")
 
     def write(self, block_no: int, data: bytes, owner: int | None = None) -> None:
         """Durably store one block; with ``owner``, the block's ``OWNER``
@@ -791,6 +837,7 @@ class FDisk(SimDisk):
                     raise CorruptBlock(f"block {block_no} was lost to log damage")
                 break
             except CorruptBlock:
+                self._check_up()  # a crash closed the segment under us
                 if self._index.get(block_no) == entry:
                     raise
         self.clock.advance(READ_TICKS)
@@ -824,18 +871,37 @@ class FDisk(SimDisk):
             self.recorder.event("disk.free", disk=self.name, block=block_no)
 
     def holds(self, block_no: int) -> bool:
+        """Whether the block currently stores data (no integrity check)."""
         return block_no in self._index
 
+    @property
+    def blocks_in_use(self) -> int:
+        return len(self._index)
+
     def peek(self, block_no: int) -> bytes | None:
+        """The stored bytes as they are — no integrity check, no tick, no
+        error — or None when the block holds nothing.  For audits that
+        compare media (``StablePair.consistent``)."""
         entry = self._index.get(block_no)
         if entry is None:
             return None
         segment, offset, length, _ = entry
         header = _FRAME.size + _BLOCK_HEAD.size
         try:
-            return os.pread(segment.fd, length - _BLOCK_HEAD.size, offset + header)
+            return self.fs.pread(segment.fd, length - _BLOCK_HEAD.size, offset + header)
         except OSError:
             return b""
+
+    def first_free(self, start: int = 1) -> int:
+        """Lowest never-written block number at or after ``start``.
+
+        Raises :class:`DiskFull` when none remains.  Allocation policy
+        proper lives in the block server; this is the media-level probe.
+        """
+        for block_no in range(max(start, 1), self.capacity + 1):
+            if block_no not in self._ever_written:
+                return block_no
+        raise DiskFull(f"no free block at or after {start}")
 
     def corrupt(self, block_no: int) -> None:
         """Flip a byte of the block's record *in the segment*, modelling
@@ -847,11 +913,12 @@ class FDisk(SimDisk):
         # The last payload byte — or, for an empty payload, a CRC byte.
         at = offset + _FRAME.size + length - 1 if length > _BLOCK_HEAD.size else offset + 4
         # Not the segment's own descriptor: O_APPEND turns pwrite into append.
-        fd = os.open(segment.path, os.O_RDWR)
+        fs = self.fs
+        fd = fs.open(segment.path, os.O_RDWR)
         try:
-            os.pwrite(fd, bytes([os.pread(fd, 1, at)[0] ^ 0xFF]), at)
+            fs.pwrite(fd, bytes([fs.pread(fd, 1, at)[0] ^ 0xFF]), at)
         finally:
-            os.close(fd)
+            fs.close(fd)
 
     # -- durable server metadata --------------------------------------------
 
@@ -899,108 +966,35 @@ class FDisk(SimDisk):
         return list(self._intentions)
 
     def close(self) -> None:
-        """Sync what is unsynced and release every descriptor.  Idempotent."""
+        """Sync what is unsynced and release every descriptor.  Idempotent;
+        a disk whose process died has nothing left to sync."""
         with self._io_lock:
             if self._closed:
                 return
-            if self._synced_size < self._active.size:
-                self.sync_journal()
+            try:
+                if self._synced_size < self._active.size:
+                    self.sync_journal()
+                self._release()
+            except DiskCrashed:
+                self._release()
+
+    def crash(self, power_loss: bool = False) -> None:
+        """The process holding the disk dies: its descriptors go unsynced
+        and every later call raises :class:`DiskCrashed`.  ``power_loss``
+        (on the in-memory kernel) also drops every byte and directory
+        entry no sync covered.  :meth:`reopen` is the restart."""
+        with self._io_lock:
+            if self._closed:
+                return
+            if power_loss:
+                self.fs.crash(power_loss=True)
             self._release()
 
     def _release(self) -> None:
         self._closed = True
         for segment in self._segments + self._retired:
-            os.close(segment.fd)
+            self.fs.close(segment.fd)
         self._retired.clear()
-
-
-# ---------------------------------------------------------------------------
-# crash-point injection
-# ---------------------------------------------------------------------------
-
-# Every boundary the write paths cross, in execution order.  The recovery
-# test suite parametrises over all of them; ``batch.*`` only fires on a
-# multi-record append, ``rotate.*`` and ``clean.*`` only when the log
-# rotates or a cleaning pass runs.
-CRASH_POINTS = (
-    "journal.before_append",
-    "journal.mid_append",
-    "batch.mid_records",
-    "journal.before_sync",
-    "journal.after_sync",
-    "rotate.after_create",
-    "rotate.after_snapshot",
-    "clean.after_copy",
-    "clean.after_unlink",
-)
-
-
-class FaultingFDisk(FDisk):
-    """An :class:`FDisk` that dies at an armed crash point.
-
-    ``die_at`` names a :data:`CRASH_POINTS` entry; ``countdown`` selects
-    the n-th time execution reaches it (1 = first).  Death raises
-    :class:`ProcessDied` and makes every later operation fail — recovery
-    is then exercised by opening a plain :class:`FDisk` on the same root,
-    exactly as a restarted process would.
-
-    Two kinds of death: a killed *process* leaves every byte it handed to
-    the kernel in the page cache, so appended-but-unsynced records
-    survive; with ``power_loss`` everything past the last sync is cut
-    away, and a segment whose directory entry was never synced vanishes.
-    An append in flight reaches the file as the prefix its crash point
-    names (``journal.mid_append``: a frame header without its body — the
-    torn record recovery must truncate).
-    """
-
-    def __init__(self, *args, die_at: str | None = None, countdown: int = 1,
-                 power_loss: bool = False, **kwargs) -> None:
-        self._die_at = None  # hooks fire during __init__'s recovery
-        self._countdown = 0
-        self._power_loss = False
-        self._dead = False
-        super().__init__(*args, **kwargs)
-        if die_at is not None:
-            self.arm(die_at, countdown, power_loss)
-
-    def arm(self, die_at: str, countdown: int = 1, power_loss: bool = False) -> None:
-        if die_at not in CRASH_POINTS:
-            raise ValueError(f"unknown crash point {die_at!r}")
-        self._die_at = die_at
-        self._countdown = countdown
-        self._power_loss = power_loss
-
-    def disarm(self) -> None:
-        self._die_at = None
-
-    @property
-    def dead(self) -> bool:
-        return self._dead
-
-    def _fault(self, point: str, pending: bytes = b"") -> None:
-        if self._dead:
-            raise ProcessDied(f"{self.name} died earlier")
-        if point != self._die_at:
-            return
-        self._countdown -= 1
-        if self._countdown > 0:
-            return
-        self._dead = True
-        active = self._active
-        if pending:
-            os.write(active.fd, pending)
-        if self._power_loss:
-            if active.entry_durable:
-                os.truncate(active.path, self._synced_size)
-            else:
-                os.unlink(active.path)
-        self._release()
-        raise ProcessDied(f"{self.name} died at crash point {point}")
-
-    def _check_up(self) -> None:
-        if self._dead:
-            raise ProcessDied(f"{self.name} is dead (crash point fired)")
-        super()._check_up()
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from repro.errors import (
     NotBlockOwner,
     ServerCrashed,
 )
-from repro.block.disk import SimDisk
+from repro.block.fdisk import FDisk
 from repro.sim.clock import LogicalClock
 
 # Serialized pages carry a fixed header in front of up to 32K of page body
@@ -85,21 +85,20 @@ def compare_and_swap(
 
 
 class BlockServer:
-    """One block server over one simulated disk.
+    """One block server over one disk.
 
     ``name`` identifies the server on the network and in intentions lists.
-    Crashing a block server (``crash()``) makes every command raise
-    :class:`ServerCrashed` until ``restart()``; the underlying disk keeps
-    its contents, as §4 assumes for magnetic media.  The owner map is
-    seeded from the disk, so a durable disk (``block.fdisk.FDisk``, which
-    journals it with the data) recovers protection state across a restart;
-    memory recovers none.
+    Crashing a block server (``crash()``) kills its process: the disk's
+    descriptors and the owner map in memory are gone, and every command
+    raises :class:`ServerCrashed` until ``restart()``.  The disk keeps
+    what was synced, as §4 assumes for magnetic media; ``restart()``
+    reopens it, and the owner map comes back from its journal.
     """
 
     def __init__(
         self,
         name: str,
-        disk: SimDisk,
+        disk: FDisk,
         clock: LogicalClock | None = None,
     ) -> None:
         self.name = name
@@ -111,13 +110,19 @@ class BlockServer:
 
     # -- lifecycle -------------------------------------------------------
 
-    def crash(self) -> None:
-        """Crash the server process (disk contents survive)."""
+    def crash(self, power_loss: bool = False) -> None:
+        """Crash the server process; with ``power_loss`` its machine loses
+        power too (see :meth:`FDisk.crash`)."""
         self._crashed = True
+        self._owner = {}
+        self.disk.crash(power_loss)
 
     def restart(self) -> None:
-        """Restart after a crash."""
-        self._crashed = False
+        """Restart after a crash: reopen the disk and recover from it."""
+        if self._crashed:
+            self.disk = self.disk.reopen()
+            self._owner = self.disk.recovered_owners()
+            self._crashed = False
 
     def _check_up(self) -> None:
         if self._crashed:
@@ -149,9 +154,9 @@ class BlockServer:
     def _write_granting(
         self, writes: list[tuple[int, bytes]], grants: dict[int, int]
     ) -> None:
-        """Write a batch and grant ``grants`` (block → account) with it: on
-        a durable disk the OWNER records and the data are one append and
-        one sync.  Nothing is granted if the write fails."""
+        """Write a batch and grant ``grants`` (block → account) with it: the
+        OWNER records and the data are one append and one sync.  Nothing is
+        granted if the write fails."""
         self.disk.write_many(writes, grants)
         self._owner.update(grants)
         if self.recorder.enabled and grants:
@@ -161,8 +166,8 @@ class BlockServer:
 
     def reserve(self, account: int, blocks: list[int]) -> None:
         """Allocate an extent of chosen block numbers for ``account``, no
-        data yet: on a durable disk all the OWNER records are one append
-        and one sync.  Nothing is granted if any number is taken."""
+        data yet: all the OWNER records are one append and one sync.
+        Nothing is granted if any number is taken."""
         grants = {self._pick(block_no): account for block_no in blocks}
         self._write_granting([], grants)
 
@@ -172,9 +177,8 @@ class BlockServer:
         """Atomically write a batch of allocated blocks — the only way data
         reaches this disk.
 
-        On a durable disk the whole batch becomes stable at one journal
-        sync (``FDisk.write_many``); on a plain SimDisk it degrades to a
-        loop of atomic writes.  Ownership is checked for every member
+        The whole batch becomes stable at one journal sync
+        (``FDisk.write_many``).  Ownership is checked for every member
         before anything is written.  With ``adopt`` — an allocating write,
         where the stable server chose the numbers — members nobody owns
         yet are allocated to ``account`` in the same transaction.

@@ -43,6 +43,7 @@ sent after every other shard's pages are durable.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -227,7 +228,6 @@ class ShardedBlockService:
         stride: int = DEFAULT_SHARD_STRIDE,
         write_once: bool = False,
         recorder=None,
-        backend: str = "sim",
         data_dir: str | None = None,
     ) -> None:
         if capacity > stride:
@@ -239,7 +239,6 @@ class ShardedBlockService:
         self.capacity = capacity
         self.block_size = block_size
         self.write_once = write_once
-        self.backend = backend
         self.data_dir = data_dir
         if recorder is None:
             recorder = getattr(network, "recorder", None)
@@ -258,13 +257,11 @@ class ShardedBlockService:
         self.publishers: list[Callable[[PlacementMap, int], None]] = []
 
     def _spawn_pair(self, seq: int, port: int, capacity: int) -> StablePair:
-        data_dir = None
-        if self.data_dir is not None:
-            # One subdirectory per pair; the seq number keeps migration
-            # targets from colliding with the pair they replace.
-            import os
-
-            data_dir = os.path.join(self.data_dir, f"pair{seq}")
+        # One subdirectory per pair; the seq number keeps migration targets
+        # from colliding with the pair they replace.
+        data_dir = (
+            None if self.data_dir is None else os.path.join(self.data_dir, f"pair{seq}")
+        )
         return StablePair(
             self.network,
             port,
@@ -274,7 +271,6 @@ class ShardedBlockService:
             name_b=f"shard{seq}B",
             write_once=self.write_once,
             recorder=self._pair_recorder,
-            backend=self.backend,
             data_dir=data_dir,
         )
 

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 from repro.errors import (
     CompanionConflict,
@@ -64,8 +65,9 @@ from repro.errors import (
     ServerUnreachable,
     WriteOnceViolation,
 )
-from repro.block.disk import SimDisk
+from repro.block.fdisk import FDisk
 from repro.block.server import BLOCK_SIZE, BlockServer, TasResult, compare_and_swap
+from repro.sim.kernel import Kernel
 from repro.sim.network import Network
 from repro.sim.rpc import RpcEndpoint, Transaction, command
 
@@ -120,7 +122,7 @@ class StableServer:
         self,
         name: str,
         companion_name: str,
-        disk: SimDisk,
+        disk: FDisk,
         network: Network,
     ) -> None:
         self.name = name
@@ -139,13 +141,7 @@ class StableServer:
         # Reserved block numbers not handed out yet, block -> owning account,
         # oldest first (see cmd_allocate).  Memory only: a restart forgets it.
         self._pool: dict[int, int] = {}
-        # A durable disk (block.fdisk.FDisk) journals the intentions list:
-        # those recorded for a crashed companion survive *this* server's
-        # own process death too.
-        self._intentions = [
-            _Intention(kind, account, block_no, data)
-            for kind, account, block_no, data in disk.recovered_intentions()
-        ]
+        self._intentions = self._recovered_intentions()
         self._recovering = False
         self._crashed = False
         # Migration support (see repro.block.rebalance): while a live
@@ -158,24 +154,40 @@ class StableServer:
 
     # -- lifecycle --------------------------------------------------------
 
-    def crash(self) -> None:
-        """Crash this half: in-memory pending markers are lost, the network
-        stops routing to it, the disk keeps its contents."""
+    def _recovered_intentions(self) -> list[_Intention]:
+        """The disk journals the intentions list: those recorded for a
+        crashed companion survive *this* server's own crash too."""
+        return [
+            _Intention(kind, account, block_no, data)
+            for kind, account, block_no, data
+            in self.local.disk.recovered_intentions()
+        ]
+
+    def crash(self, power_loss: bool = False) -> None:
+        """Crash this half: everything in memory is lost — pending markers,
+        pool, intentions, the disk's index and owner map — and the network
+        stops routing to it.  The disk keeps every byte written, or with
+        ``power_loss`` only what was synced (:meth:`FDisk.crash`)."""
         self._crashed = True
+        # Off the network first: a request in flight on a daemon thread
+        # that meets the closed disk has no one left to answer.
+        self.network.detach(self.name)
         self._pending.clear()
         self._pool.clear()  # the numbers stay owned on disk; the GC reaps them
         self._dirty = None  # in-memory tracking is lost with the process
-        self.local.crash()
-        self.network.detach(self.name)
+        self._intentions = []
+        self.local.crash(power_loss)
 
     def restart(self) -> None:
-        """Restart after a crash.  Until :meth:`resync` has run the server
-        answers nothing but its companion's resync ("restores its disk
-        before accepting any requests")."""
+        """Restart after a crash: reopen the disk, whose journal gives back
+        the owner map and intentions list.  Until :meth:`resync` has run
+        the server answers nothing but its companion's resync ("restores
+        its disk before accepting any requests")."""
+        self.local.restart()
+        self._intentions = self._recovered_intentions()
         self._crashed = False
         self._recovering = True
         self.restarts += 1
-        self.local.restart()
         self.network.reattach(self.name)
 
     def resync(self) -> int:
@@ -788,52 +800,40 @@ class StablePair:
         name_b: str = "blockB",
         write_once: bool = False,
         recorder=None,
-        backend: str = "sim",
         data_dir: str | None = None,
     ) -> None:
         self.network = network
         self.port = port
         self.capacity = capacity
-        self.backend = backend
         if recorder is None:
             recorder = getattr(network, "recorder", None)
-        if backend == "disk":
-            # File-backed halves, one directory per disk.  Re-building a
-            # pair on an existing data_dir recovers both halves' blocks,
-            # owner maps and intentions lists from their journals.
-            from pathlib import Path
-
-            from repro.block.fdisk import FDisk
-
-            if data_dir is None:
-                raise ValueError("backend='disk' needs a data_dir")
-            base = Path(data_dir)
-            self.disk_a = FDisk(
-                base / name_a, capacity, block_size, network.clock,
-                write_once, name=name_a, recorder=recorder,
-            )
-            self.disk_b = FDisk(
-                base / name_b, capacity, block_size, network.clock,
-                write_once, name=name_b, recorder=recorder,
-            )
-        elif backend == "sim":
-            self.disk_a = SimDisk(
-                capacity, block_size, network.clock, write_once,
-                name=name_a, recorder=recorder,
-            )
-            self.disk_b = SimDisk(
-                capacity, block_size, network.clock, write_once,
-                name=name_b, recorder=recorder,
-            )
-        else:
-            raise ValueError(f"unknown disk backend {backend!r}")
-        self.a = StableServer(name_a, name_b, self.disk_a, network)
-        self.b = StableServer(name_b, name_a, self.disk_b, network)
+        disks = []
+        for name in (name_a, name_b):
+            # One directory per disk: on ``data_dir`` if given (re-building
+            # a pair there recovers both halves' blocks, owner maps and
+            # intentions lists from their journals), else on an in-memory
+            # kernel of the half's own.
+            disks.append(FDisk(
+                name if data_dir is None else Path(data_dir) / name,
+                capacity, block_size, network.clock, write_once, name=name,
+                recorder=recorder, fs=Kernel() if data_dir is None else None,
+            ))
+        self.a = StableServer(name_a, name_b, disks[0], network)
+        self.b = StableServer(name_b, name_a, disks[1], network)
         self.endpoint_a = RpcEndpoint(network, name_a, port, self.a)
         self.endpoint_b = RpcEndpoint(network, name_b, port, self.b)
 
     def halves(self) -> tuple[StableServer, StableServer]:
         return self.a, self.b
+
+    @property
+    def disk_a(self) -> FDisk:
+        """Half A's disk as it is now (a restart reopens it)."""
+        return self.a.local.disk
+
+    @property
+    def disk_b(self) -> FDisk:
+        return self.b.local.disk
 
     def consistent(self) -> bool:
         """Whether both disks agree on every allocated block (audit)."""
@@ -848,8 +848,8 @@ class StablePair:
         return True
 
     def close(self) -> None:
-        """Release both disks (a file-backed disk syncs what is unsynced
-        and closes its segment descriptors)."""
+        """Release both disks: each syncs what is unsynced and closes its
+        segment descriptors."""
         self.disk_a.close()
         self.disk_b.close()
 

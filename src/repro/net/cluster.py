@@ -41,7 +41,7 @@ def build_tcp_cluster(
     async_mode: bool = False,  # ignored; bench/layers.py passes it (ROADMAP 8(a))
     lock_timeout: float | None = None,
     discovery: bool = False,
-    backend: str = "sim",
+    backend: str = "",  # ignored; bench/layers.py passes it (ROADMAP 8(a))
     data_dir: str | None = None,
 ) -> Cluster:
     """Build and start a localhost TCP deployment of ``shards`` companion
@@ -61,7 +61,7 @@ def build_tcp_cluster(
     network.share_dispatch_lock([f"fs{i}" for i in range(servers)])
     tier = partial(
         block_tier, shards=shards, capacity=disk_capacity,
-        cache_capacity=cache_capacity, backend=backend, data_dir=data_dir,
+        cache_capacity=cache_capacity, data_dir=data_dir,
     )
     return assemble(
         network, seed, servers, tier, network.recorder, history, discovery

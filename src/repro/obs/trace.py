@@ -2,9 +2,9 @@
 
 A :class:`Span` is one timed operation (a commit, a serialise walk, a
 companion write) with tags, per-span counters, an ordered event log, and
-child spans.  The :class:`Tracer` keeps a stack of open spans — the
-simulation is single-threaded, so one stack suffices — and a bounded list
-of finished root spans for reporting.
+child spans.  The :class:`Tracer` keeps a stack of open spans per thread
+— the simulation has one; a TCP daemon serves each connection on its
+own — and a bounded list of finished root spans for reporting.
 
 Instrumented components do not talk to spans directly; they call
 ``recorder.event(...)`` and the event lands on whatever span is currently
@@ -15,6 +15,7 @@ layer knowing anything about commits.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from typing import Callable, Iterator
 
@@ -133,35 +134,47 @@ class _SpanContext:
 
 
 class Tracer:
-    """The span stack plus a bounded history of finished root spans."""
+    """The span stacks plus a bounded history of finished root spans.
+
+    Each thread opens and closes spans on its own stack, so an event lands
+    on the span open in the thread that raised it — on a thread with no
+    open span it is counted (by the recorder) and retained nowhere."""
 
     def __init__(self, now: Callable[[], int], max_roots: int = 1024) -> None:
         self._now = now
-        self._stack: list[Span] = []
+        self._local = threading.local()
         self.roots: deque[Span] = deque(maxlen=max_roots)
 
     @property
+    def _stack(self) -> list[Span]:
+        """The calling thread's stack of open spans."""
+        return self._local.__dict__.setdefault("stack", [])
+
+    @property
     def current(self) -> Span | None:
-        return self._stack[-1] if self._stack else None
+        stack = self._stack
+        return stack[-1] if stack else None
 
     def span(self, name: str, **tags) -> _SpanContext:
         return _SpanContext(self, Span(name, self._now(), tags or None))
 
     def _push(self, span: Span) -> None:
         span.start = self._now()
-        if self._stack:
-            self._stack[-1].children.append(span)
-        self._stack.append(span)
+        stack = self._stack
+        if stack:
+            stack[-1].children.append(span)
+        stack.append(span)
 
     def _pop(self, span: Span) -> None:
         span.end = self._now()
+        stack = self._stack
         # Tolerate a mismatched stack (a component that forgot to close an
         # inner span) rather than corrupting the tree: unwind to the span.
-        while self._stack:
-            top = self._stack.pop()
+        while stack:
+            top = stack.pop()
             if top is span:
                 break
-        if not self._stack:
+        if not stack:
             self.roots.append(span)
 
     def roots_named(self, name: str) -> list[Span]:
@@ -176,5 +189,5 @@ class Tracer:
         return out
 
     def clear(self) -> None:
-        self._stack.clear()
+        self._local = threading.local()
         self.roots.clear()

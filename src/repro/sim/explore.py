@@ -135,12 +135,10 @@ class SoakConfig:
     # over with a single epoch bump.  The history checker proves no
     # read or commit was served by the old pair after its cutover.
     rebalance: bool = False
-    # Block-storage medium: "sim" (in-memory SimDisk) or "disk" (the
-    # durable file-backed FDisk on a temporary directory, torn down after
-    # the run).  The same seed drives the identical interleaving on both,
-    # so every soak invariant proven on simulated media holds on real
-    # files too.
-    backend: str = "sim"
+    # Every half crash is a power loss: the crashed half's disk keeps
+    # only what its journal synced, and the restart recovers from that.
+    # Otherwise a crash is a process death, which keeps every byte written.
+    power_loss: bool = False
     # Contention battery: replace the page-update mix with hot-directory
     # churn — every client toggles entries in a small set of merge-typed
     # directory files, Zipf-skewed so directory 0 takes most of the heat.
@@ -169,7 +167,7 @@ class SoakConfig:
                    contention=contention, merge=merge,
                    group_commit=not contention and rng.random() < 1 / 2,
                    leases=rng.random() < 1 / 2,
-                   backend="disk" if rng.random() < 1 / 3 else "sim",
+                   power_loss=rng.random() < 1 / 3,
                    rebalance=shards >= 2 and rng.random() < 1 / 2)
 
     def features(self) -> list[str]:
@@ -177,7 +175,7 @@ class SoakConfig:
         switched = {"group commit": self.group_commit, "leases": self.leases,
                     "contention": self.contention,
                     "merge off": self.contention and not self.merge,
-                    "disk": self.backend == "disk", "rebalance": self.rebalance}
+                    "power loss": self.power_loss, "rebalance": self.rebalance}
         return [name for name, on in switched.items() if on]
 
 
@@ -327,8 +325,9 @@ def random_fault_script(
     return FaultScript(events)
 
 
-def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
-    """Map one :class:`FaultEvent` onto a live cluster.
+def apply_fault(cluster: Cluster, event: FaultEvent, power_loss: bool = False) -> None:
+    """Map one :class:`FaultEvent` onto a live cluster; with
+    ``power_loss`` a storage half's crash is a power loss.
 
     Idempotent and forgiving: crashing a crashed server or healing a
     healed link is a no-op, so scripts compose without bookkeeping.
@@ -348,7 +347,7 @@ def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
         half = pair.a if target[0] == "a" else pair.b
         if action == "half_down":
             if not half._crashed:
-                half.crash()
+                half.crash(power_loss)
         else:
             # Restart first, then resync each recovering half whose
             # companion is up: two half episodes may overlap, and a
@@ -367,7 +366,7 @@ def apply_fault(cluster: Cluster, event: FaultEvent) -> None:
         if action == "pair_down":
             for half in pair.halves():
                 if not half._crashed:
-                    half.crash()
+                    half.crash(power_loss)
         else:
             # Restart both halves first, then resync: fetch_intentions
             # answers companion traffic even while recovering.
@@ -681,13 +680,6 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
     """Run one deterministic soak and check everything it recorded."""
     recorder = recorder if recorder is not None else NULL_RECORDER
     history = HistoryRecorder()
-    data_dir = None
-    tmp_dir = None
-    if config.backend == "disk":
-        import tempfile
-
-        tmp_dir = tempfile.TemporaryDirectory(prefix="repro-soak-")
-        data_dir = tmp_dir.name
     cluster = build_cluster(
         servers=config.servers,
         shards=config.shards,
@@ -697,8 +689,6 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
         # A rebalance soak also exercises the discovery republish path on
         # every epoch bump.
         discovery=config.rebalance,
-        backend=config.backend,
-        data_dir=data_dir,
     )
     rng = random.Random(f"soak-{config.seed}")
     if not config.merge:
@@ -775,7 +765,7 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
         for event in script.due(step):
             recorder.count("soak.faults")
             recorder.event("soak.fault", action=event.action)
-            apply_fault(cluster, event)
+            apply_fault(cluster, event, config.power_loss)
 
     run_error: BaseException | None = None
     with recorder.span("soak", seed=config.seed, shards=config.shards):
@@ -787,7 +777,7 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
         # -- recovery, then the audit --------------------------------------
         recover_all(cluster)
         for event in script.due(1 << 60):  # anything the run never reached
-            apply_fault(cluster, event)
+            apply_fault(cluster, event, config.power_loss)
         final_state = _audit_final_state(cluster, caps, config.pages)
 
     check = check_history(history, final_state)
@@ -805,8 +795,6 @@ def run_soak(config: SoakConfig, recorder=None) -> SoakReport:
     if not check.ok or not fsck.ok:
         recorder.count("soak.violations", len(check.violations) + len(fsck.errors))
     cluster.close()
-    if tmp_dir is not None:
-        tmp_dir.cleanup()
     return SoakReport(
         config=config,
         check=check,

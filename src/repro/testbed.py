@@ -141,14 +141,14 @@ def _address_of(network, name: str) -> tuple[str, int] | None:
 
 def block_tier(
     network, rng, recorder, history, *, shards, capacity, cache_capacity,
-    write_once=False, backend="sim", data_dir=None,
+    write_once=False, data_dir=None,
 ):
     """``shards`` companion pairs behind a placement map; every file
     server gets a block client that routes by it."""
     ports = [new_port(rng) for _ in range(shards)]
     service = ShardedBlockService(
         network, ports, capacity=capacity, write_once=write_once,
-        recorder=recorder, backend=backend, data_dir=data_dir,
+        recorder=recorder, data_dir=data_dir,
     )
 
     def store_for(name):
@@ -326,7 +326,6 @@ def build_cluster(
     recorder=None,
     history=None,
     discovery: bool = False,
-    backend: str = "sim",
     data_dir: str | None = None,
 ) -> Cluster:
     """Build a network, ``shards`` companion pairs of ``disk_capacity``
@@ -337,6 +336,8 @@ def build_cluster(
     shard-oblivious.  ``cluster.shards`` exposes the pairs (balance
     audits, splits, migrations), ``cluster.pairs`` every pair the state
     lives on, and ``cluster.pair`` / ``cluster.block_port`` shard 0.
+    Every half's disk is an :class:`~repro.block.fdisk.FDisk`: on an
+    in-memory kernel of its own, or on real files under ``data_dir``.
 
     ``recorder`` (a :class:`repro.obs.Recorder`) sees the whole
     deployment (see :func:`assemble`); the default is the no-op recorder
@@ -350,7 +351,7 @@ def build_cluster(
     tier = partial(
         block_tier, shards=shards, capacity=disk_capacity,
         cache_capacity=cache_capacity, write_once=write_once,
-        backend=backend, data_dir=data_dir,
+        data_dir=data_dir,
     )
     return assemble(
         network, seed, servers, tier, network.recorder, history, discovery

@@ -40,7 +40,7 @@ def _run_pass(batch: int, data_dir: str, seed: int = 29) -> dict:
     from repro.testbed import build_cluster
 
     cluster = build_cluster(
-        servers=1, seed=seed, backend="disk", data_dir=data_dir
+        servers=1, seed=seed, data_dir=data_dir
     )
     client = FileClient(
         cluster.network, "diskbench", cluster.service_port, use_cache=False

@@ -18,13 +18,13 @@ def rng() -> random.Random:
 
 @pytest.fixture(params=["sim", "disk"])
 def disk_backend(request, tmp_path):
-    """Block-medium parametrisation: tests taking this fixture run once on
-    simulated memory and once on the durable file-backed disk (a tmpdir).
+    """File-system parametrisation: tests taking this fixture run once with
+    the disks on the in-memory kernel (``sim``) and once on real files in
+    a tmpdir (``disk``).
 
     Returns a zero-argument callable producing ``StablePair`` keyword
     arguments; each call hands out a fresh data directory so tests that
-    build several pairs don't collide.  ``disk_backend.backend`` names the
-    active medium for tests that need to branch.
+    build several pairs don't collide.
     """
     import itertools
 
@@ -32,13 +32,9 @@ def disk_backend(request, tmp_path):
 
     def kwargs() -> dict:
         if request.param == "sim":
-            return {"backend": "sim", "data_dir": None}
-        return {
-            "backend": "disk",
-            "data_dir": str(tmp_path / f"disk{next(counter)}"),
-        }
+            return {"data_dir": None}
+        return {"data_dir": str(tmp_path / f"disk{next(counter)}")}
 
-    kwargs.backend = request.param
     return kwargs
 
 

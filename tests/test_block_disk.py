@@ -1,4 +1,5 @@
-"""The simulated disk: atomic writes, crashes, corruption, write-once media."""
+"""The disk on the in-memory kernel: atomic writes, crashes, corruption,
+write-once media."""
 
 import pytest
 
@@ -11,12 +12,18 @@ from repro.errors import (
     WriteOnceViolation,
 )
 from repro.sim.clock import LogicalClock
-from repro.block.disk import SimDisk
+from repro.sim.kernel import Kernel
+from repro.block.fdisk import FDisk
+
+
+def _disk(capacity, block_size, clock=None, write_once=False):
+    """An FDisk on a kernel of its own, as every simulated half gets."""
+    return FDisk("d", capacity, block_size, clock, write_once, fs=Kernel())
 
 
 @pytest.fixture
 def disk():
-    return SimDisk(capacity=16, block_size=64, clock=LogicalClock())
+    return _disk(capacity=16, block_size=64, clock=LogicalClock())
 
 
 def test_write_read_roundtrip(disk):
@@ -49,14 +56,14 @@ def test_overwrite_allowed_on_magnetic(disk):
 
 
 def test_write_once_forbids_overwrite():
-    disk = SimDisk(4, 64, write_once=True)
+    disk = _disk(4, 64, write_once=True)
     disk.write(1, b"a")
     with pytest.raises(WriteOnceViolation):
         disk.write(1, b"b")
 
 
 def test_write_once_erase_is_noop():
-    disk = SimDisk(4, 64, write_once=True)
+    disk = _disk(4, 64, write_once=True)
     disk.write(1, b"a")
     disk.erase(1)
     assert disk.read(1) == b"a"
@@ -74,8 +81,10 @@ def test_crash_makes_disk_inaccessible(disk):
 def test_restore_preserves_contents(disk):
     disk.write(1, b"survivor")
     disk.crash()
-    disk.restore()
+    disk = disk.reopen()  # the restarted process recovers the journal
     assert disk.read(1) == b"survivor"
+    disk.crash(power_loss=True)
+    assert disk.reopen().read(1) == b"survivor"  # acknowledged means synced
 
 
 def test_corruption_detected_on_read(disk):
@@ -109,7 +118,7 @@ def test_first_free_skips_written(disk):
 
 
 def test_disk_full():
-    disk = SimDisk(2, 64)
+    disk = _disk(2, 64)
     disk.write(1, b"a")
     disk.write(2, b"b")
     with pytest.raises(DiskFull):
@@ -132,19 +141,19 @@ def test_stats_counting(disk):
     assert disk.stats.writes == 1
     assert disk.stats.reads == 1
     assert disk.stats.frees == 1
-    delta = disk.stats.delta(disk.stats.snapshot())
-    assert delta.reads == 0 and delta.writes == 0
 
 
-def test_takes_the_durable_disks_journal_calls_with_nothing_to_journal(disk):
-    """The block tier calls every disk the same way; in memory the owner
-    records, disown flag and intentions list simply have nowhere to go."""
+def test_journals_owner_records_disowns_and_intentions(disk):
+    """The owner records, the disown flag and the intentions list ride the
+    journal with the blocks, and a restart gives them back."""
     disk.write_many([(1, b"a"), (2, b"b")], {1: 7, 2: 7})
     assert disk.read(1) == b"a" and disk.read(2) == b"b"
     disk.erase(1, disown=True)
     assert not disk.holds(1)
     disk.add_intention("write", 7, 2, b"b", sync=False)
     disk.sync_journal()
+    disk.add_intention("free", 7, 1)
     disk.ack_intentions(1)
-    assert disk.recovered_owners() == {}
-    assert disk.recovered_intentions() == []
+    for handle in (disk, disk.reopen()):
+        assert handle.recovered_owners() == {2: 7}
+        assert handle.recovered_intentions() == [("free", 7, 1, b"")]

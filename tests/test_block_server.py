@@ -8,13 +8,14 @@ from repro.errors import (
     NotBlockOwner,
     ServerCrashed,
 )
-from repro.block.disk import SimDisk
+from repro.block.fdisk import FDisk
 from repro.block.server import BlockServer, PUBLIC_ACCOUNT, compare_and_swap
+from repro.sim.kernel import Kernel
 
 
 @pytest.fixture
 def server():
-    return BlockServer("bs", SimDisk(capacity=32, block_size=128))
+    return BlockServer("bs", FDisk("d", capacity=32, block_size=128, fs=Kernel()))
 
 
 def _put(server, account, block, data):

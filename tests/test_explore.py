@@ -174,7 +174,8 @@ COVERED_CELLS = [
     (shards, feature)
     for shards in (1, 4)
     for feature in (
-        "plain", "group commit", "leases", "merges on", "merge off", "disk"
+        "plain", "group commit", "leases", "merges on", "merge off",
+        "power loss",
     )
 ] + [(2, "rebalance"), (4, "rebalance")]
 

@@ -147,7 +147,7 @@ hand_built = st.builds(
     group_commit=st.booleans(),
     leases=st.booleans(),
     rebalance=st.booleans(),
-    backend=st.sampled_from(["sim", "disk"]),
+    power_loss=st.booleans(),
     contention=st.booleans(),
     merge=st.booleans(),
 )

@@ -5,7 +5,8 @@ The contract under test (``docs/DURABILITY.md``, recovery cases 1–3):
 
 * sequences of every mutation, on a segment limit of a few records (so
   every example rotates and cleans many times), interleaved with crashes
-  at random crash points in both death modes and with reopens, leave
+  after a random number of kernel calls (:mod:`repro.sim.kernel`) in both
+  death modes and with reopens, leave
   blocks, owner map and intentions equal to the model — and a reader
   thread running throughout never sees anything but acknowledged bytes;
 * payload damage makes ``read`` raise :class:`CorruptBlock` for that block
@@ -31,10 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.block.fdisk import CRASH_POINTS, FDisk, FaultingFDisk, ProcessDied
+from repro.block.fdisk import FDisk
 from repro.block.stable import StablePair
 from repro.block.sharding import ShardedBlockClient
-from repro.errors import CorruptBlock, NoSuchBlock
+from repro.errors import CorruptBlock, DiskCrashed, NoSuchBlock
+from repro.sim.kernel import Kernel, ProcessDied
 from repro.sim.network import Network
 
 CAP, BLK = 64, 256
@@ -68,8 +70,7 @@ steps = st.one_of(
     mutations,
     mutations,
     st.tuples(
-        st.just("arm"), st.sampled_from(CRASH_POINTS),
-        st.integers(min_value=1, max_value=4), st.booleans(),
+        st.just("arm"), st.integers(min_value=0, max_value=30), st.booleans(),
     ),
     st.tuples(st.just("reopen")),
     st.tuples(st.just("checkpoint")),
@@ -149,95 +150,104 @@ def _stamp(step, seq: int):
     return step
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(script=st.lists(steps, min_size=10, max_size=70))
 def test_disk_matches_dict_model_across_rotation_cleaning_and_crashes(script):
-    with tempfile.TemporaryDirectory() as td:
-        root = Path(td) / "d"
-        box = {"disk": FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)}
-        model = _Model()
-        acked_seq = {b: 0 for b in range(1, CAP + 1)}  # newest acknowledged write
-        stop = threading.Event()
-        wrong: list = []
-        passes = [0]  # full passes the reader has finished
-        stalled: list = []  # steps across which the reader finished none
+    kernel = Kernel()
+    box = {"disk": _reopen(kernel)}
+    model = _Model()
+    acked_seq = {b: 0 for b in range(1, CAP + 1)}  # newest acknowledged write
+    stop = threading.Event()
+    wrong: list = []
+    passes = [0]  # full passes the reader has finished
+    stalled: list = []  # steps across which the reader finished none
 
-        def reader() -> None:
-            while not stop.is_set():
-                for block_no in range(1, 13):
-                    floor = acked_seq[block_no]
-                    try:
-                        data = box["disk"].read(block_no)
-                    except (NoSuchBlock, CorruptBlock, ProcessDied):
-                        continue
-                    owner, seq, _ = data.split(b":", 2)
-                    if int(owner) != block_no or int(seq) < floor:
-                        wrong.append((block_no, floor, data))
-                passes[0] += 1
-                time.sleep(0)  # yield: a spinning reader starves the writer
-
-        def reader_passed(since: int) -> bool:
-            """Wait until the reader finished a pass begun after ``since``."""
-            deadline = time.monotonic() + 2
-            while (passes[0] < since + 2 and thread.is_alive()
-                   and time.monotonic() < deadline):
-                time.sleep(0.0001)
-            return passes[0] >= since + 2
-
-        thread = threading.Thread(target=reader)
-        thread.start()
-        try:
-            for seq, step in enumerate(script, start=1):
-                started = passes[0]
+    def reader() -> None:
+        while not stop.is_set():
+            for block_no in range(1, 13):
+                floor = acked_seq[block_no]
                 try:
-                    disk = box["disk"]
-                    step = _stamp(step, seq)
-                    kind, *args = step
-                    if kind == "arm":
-                        disk.arm(*args)
-                        continue
-                    if kind in ("reopen", "checkpoint"):
-                        try:
-                            disk.checkpoint() if kind == "checkpoint" else disk.close()
-                        except ProcessDied:
-                            pass
-                        possible = [model]
+                    data = box["disk"].read(block_no)
+                except (NoSuchBlock, CorruptBlock, DiskCrashed):
+                    continue  # DiskCrashed: dead, or closed for a reopen
+                owner, seq, _ = data.split(b":", 2)
+                if int(owner) != block_no or int(seq) < floor:
+                    wrong.append((block_no, floor, data))
+            passes[0] += 1
+            time.sleep(0)  # yield: a spinning reader starves the writer
+
+    def reader_passed(since: int) -> bool:
+        """Wait until the reader finished a pass begun after ``since``."""
+        deadline = time.monotonic() + 2
+        while (passes[0] < since + 2 and thread.is_alive()
+               and time.monotonic() < deadline):
+            time.sleep(0.0001)
+        return passes[0] >= since + 2
+
+    thread = threading.Thread(target=reader)
+    thread.start()
+    try:
+        for seq, step in enumerate(script, start=1):
+            started = passes[0]
+            try:
+                disk = box["disk"]
+                step = _stamp(step, seq)
+                kind, *args = step
+                if kind == "arm":
+                    kernel.crash_after(*args)
+                    continue
+                if kind in ("reopen", "checkpoint"):
+                    try:
+                        disk.checkpoint() if kind == "checkpoint" else disk.close()
+                    except ProcessDied:
+                        pass
+                    possible = [model]
+                else:
+                    try:
+                        getattr(disk, kind)(*args)
+                    except ProcessDied:
+                        possible = model.outcomes_of(step)
                     else:
-                        try:
-                            getattr(disk, kind)(*args)
-                        except ProcessDied:
-                            possible = model.outcomes_of(step)
-                        else:
-                            model.apply(step)
-                            possible = None
-                    if possible is None:
-                        # Acknowledged: readable at once, no reopen needed.
-                        for block_no, data in _written(step):
-                            assert disk.read(block_no) == data
-                            acked_seq[block_no] = seq
-                        continue
-                    # Dead (or closed): what a restarted process finds must be
-                    # one of the states the crash may leave behind.
-                    disk.close()
-                    box["disk"] = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
-                    found = _observe(box["disk"])
-                    assert found in possible, (step, found.__dict__)
-                    model = found
-                    for block_no, data in found.blocks.items():
-                        acked_seq[block_no] = int(data.split(b":", 2)[1])
-                finally:
-                    if not stalled and not reader_passed(started):
-                        stalled.append(seq)
-        finally:
-            stop.set()
-            thread.join(timeout=30)
-            box["disk"].close()
-        assert not thread.is_alive()
-        assert not wrong, wrong[:3]
-        assert not stalled, stalled  # the concurrent reads kept running
-        final = FDisk(root, CAP, BLK, journal_limit=LIMIT)
-        assert _observe(final) == model
-        final.close()
+                        model.apply(step)
+                        possible = None
+                if possible is None:
+                    # Acknowledged: readable at once, no reopen needed.
+                    for block_no, data in _written(step):
+                        assert disk.read(block_no) == data
+                        acked_seq[block_no] = seq
+                    continue
+                # Dead (or closed): what a restarted process finds must be
+                # one of the states the crash may leave behind.
+                disk.close()
+                box["disk"] = _reopen(kernel)
+                found = _observe(box["disk"])
+                assert found in possible, (step, found.__dict__)
+                model = found
+                for block_no, data in found.blocks.items():
+                    acked_seq[block_no] = int(data.split(b":", 2)[1])
+            finally:
+                if not stalled and not reader_passed(started):
+                    stalled.append(seq)
+    finally:
+        stop.set()
+        thread.join(timeout=30)
+        box["disk"].close()
+    assert not thread.is_alive()
+    assert not wrong, wrong[:3]
+    assert not stalled, stalled  # the concurrent reads kept running
+    final = _reopen(kernel)
+    assert _observe(final) == model
+    final.close()
+
+
+def _reopen(kernel: Kernel) -> FDisk:
+    """What a restarted process opens; a death armed earlier may strike
+    its recovery too, and the next restart recovers from that."""
+    while True:
+        try:
+            return FDisk("d", CAP, BLK, journal_limit=LIMIT, fs=kernel)
+        except ProcessDied:
+            pass
 
 
 def _written(step) -> list[tuple[int, bytes]]:
@@ -442,7 +452,7 @@ def test_companion_repair_heals_corrupt_half(payload_list, corrupt_mask):
     with tempfile.TemporaryDirectory() as td:
         net = Network()
         pair = StablePair(
-            net, 0x910, capacity=CAP, block_size=BLK, backend="disk", data_dir=td
+            net, 0x910, capacity=CAP, block_size=BLK, data_dir=td
         )
         client = ShardedBlockClient(net, "cli", [0x910], account=1)
         blocks = [client.allocate_write(p) for p in payload_list]

@@ -1,20 +1,28 @@
-"""Crash-point recovery: FDisk survives death at every boundary the write
-paths cross — in both kinds of death.
+"""Crash recovery: FDisk survives death at every call it makes of the
+file system — in both kinds of death.
 
-Each test arms a :class:`FaultingFDisk` to die at one of
-:data:`CRASH_POINTS`, runs operations over a seeded store until one dies,
-then re-opens a plain :class:`FDisk` on the same root — exactly what a
-restarted process does — and asserts the recovered state is
-*prefix-consistent*:
+The disks run on the in-memory kernel (:mod:`repro.sim.kernel`), which
+keeps what a crash would keep.  Two kinds of test:
 
-* every acknowledged operation survives byte-for-byte;
-* the in-flight operation lands in the deterministic outcome its crash
-  point implies (old state before the ack-point sync, new state after);
-* nothing ever reads back as silent garbage.
+* **Crash states, enumerated** (``test_every_crash_state_recovers_*``):
+  short scripts of every mutation, on a segment limit that makes them
+  rotate and clean, die after every prefix of their kernel calls, by
+  process death and by power loss, with the last write whole or torn at
+  a sector boundary (Pillai et al., OSDI 2014).  Each reopened disk must
+  hold every acknowledged operation, the in-flight one applied, not
+  applied or (for a multi-record append) a record prefix of it — and
+  nothing no script wrote — and must keep working through rotation and
+  cleaning after it.
+* **Named crash points** (the parametrised tests below them): the
+  positions in that call stream where the in-flight operation's outcome
+  is fixed — before the append, a frame header torn from its body, a
+  batch cut after its first record, either side of the ack-point sync,
+  after a rotation's new segment or its head snapshot, either side of a
+  cleaning pass's unlink — each checked against the outcome it implies.
 
 Every point runs twice: **process death** (bytes handed to the kernel
-survive in the page cache, so a complete-but-unsynced record replays) and
-**power loss** (everything past the last sync is cut away).  The segment
+survive, so a complete-but-unsynced record replays) and **power loss**
+(only synced bytes and synced directory entries survive).  The segment
 limit is a few records, so the stores below have rotated before the crash
 and the ``rotate.*`` / ``clean.*`` points are reached by ordinary writes.
 """
@@ -24,19 +32,15 @@ from __future__ import annotations
 import gc
 import json
 import os
+import struct
 import threading
 
 import pytest
 
-from repro.block.fdisk import (
-    CRASH_POINTS,
-    FDisk,
-    FaultingFDisk,
-    ProcessDied,
-    probe_sync_primitives,
-)
+from repro.block.fdisk import FDisk, probe_sync_primitives
 from repro.block.server import BlockServer
 from repro.errors import CorruptBlock, NoSuchBlock, UnsupportedDiskLayout
+from repro.sim.kernel import SECTOR, Kernel, ProcessDied
 
 CAP, BLK = 64, 256
 LIMIT = 160  # segment size: a handful of records
@@ -93,12 +97,125 @@ PAIR_OUTCOME = {
 MODES = [("process", False), ("power", True)]
 
 
+class _Dying:
+    """A kernel that dies at a named point of FDisk's call stream.
+
+    ``arm(point, countdown)`` picks the ``countdown``-th time the stream
+    reaches ``point`` (1 = first); a death makes the kernel crash — by
+    process death, or by power loss — and raises :class:`ProcessDied`.
+    Every other call goes straight to the kernel.
+    """
+
+    POINTS = (
+        "journal.before_append",  # the segment write of an append
+        "journal.mid_append",  # in it: a frame header lands without its body
+        "batch.mid_records",  # in a multi-record one: the first frame lands
+        "journal.before_sync",  # the segment sync
+        "journal.after_sync",  # after it (and a new segment's directory sync)
+        "rotate.after_create",  # a new segment's create
+        "rotate.after_snapshot",  # after its head snapshot's directory sync
+        "clean.after_copy",  # a cleaning pass's unlink of its victim
+        "clean.after_unlink",  # after it
+    )
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self.point = None
+        self.countdown = 0
+        self.power_loss = False
+        self.dead = False
+        self._segments: set[int] = set()
+        self._headless: set[int] = set()  # new segments not yet dir-synced
+        self._after_dir_sync = False
+
+    def arm(self, point: str, countdown: int = 1, power_loss: bool = False) -> None:
+        assert point in self.POINTS
+        self.point, self.countdown, self.power_loss = point, countdown, power_loss
+
+    def disarm(self) -> None:
+        self.point = None
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def _reached(self, point: str) -> bool:
+        if self.point != point:
+            return False
+        self.countdown -= 1
+        return self.countdown == 0
+
+    def _die(self, fd: int | None = None, landed=b"") -> None:
+        if landed:
+            self.kernel.write(fd, landed)
+        self.point, self.dead = None, True
+        self.kernel.crash(self.power_loss)
+        raise ProcessDied("died at a named crash point")
+
+    def open(self, path, flags, mode=0o777):
+        fd = self.kernel.open(path, flags, mode)
+        if os.fspath(path).endswith(".seg"):
+            self._segments.add(fd)
+            if flags & os.O_CREAT and self.point is not None:
+                self._headless.add(fd)
+                if self._reached("rotate.after_create"):
+                    self._die()
+        return fd
+
+    def write(self, fd, data):
+        if fd in self._segments:
+            if self._reached("journal.before_append"):
+                self._die()
+            if self._reached("journal.mid_append"):
+                self._die(fd, data[:8])
+            first = 8 + struct.unpack_from(">I", data)[0]
+            if first < len(data) and self._reached("batch.mid_records"):
+                self._die(fd, data[:first])
+        return self.kernel.write(fd, data)
+
+    def fsync(self, fd):
+        if fd in self._segments:
+            if self._reached("journal.before_sync"):
+                self._die()
+            self.kernel.fsync(fd)
+            if self._reached("journal.after_sync"):
+                if fd not in self._headless:
+                    self._die()
+                self._after_dir_sync = True
+            return
+        self.kernel.fsync(fd)  # a directory
+        if self._after_dir_sync:
+            self._die()
+        if self._headless:
+            self._headless.clear()
+            if self._reached("rotate.after_snapshot"):
+                self._die()
+
+    fdatasync = fsync
+
+    def unlink(self, path):
+        if self._reached("clean.after_copy"):
+            self._die()
+        self.kernel.unlink(path)
+        if self._reached("clean.after_unlink"):
+            self._die()
+
+
+def _dying_disk(**kwargs) -> tuple[FDisk, _Dying]:
+    dying = _Dying(Kernel())
+    return FDisk("d", CAP, BLK, fs=dying, **kwargs), dying
+
+
+def _reopened(dying: _Dying, **kwargs) -> FDisk:
+    """What a restarted process opens on the dead disk's kernel."""
+    return FDisk("d", CAP, BLK, fs=dying.kernel, **kwargs)
+
+
 def test_crash_point_matrix_is_exhaustive():
-    """Every enumerated crash point is exercised by some scenario below."""
+    """Every named crash point is exercised by some scenario below."""
     covered = set(WRITE_OUTCOME) | set(ERASE_OUTCOME) | set(BATCH_OUTCOME)
-    assert covered == set(CRASH_POINTS)
-    assert set(PAIR_OUTCOME) == set(CRASH_POINTS)
-    assert len(CRASH_POINTS) <= 9
+    assert covered == set(_Dying.POINTS)
+    assert set(PAIR_OUTCOME) == set(_Dying.POINTS)
+    assert len(_Dying.POINTS) <= 9
 
 
 def _seed(disk) -> None:
@@ -135,17 +252,210 @@ def _until_death(steps):
     pytest.fail("the armed crash point was never reached")
 
 
+# -- crash states, enumerated ------------------------------------------------
+
+STATE_LIMIT = 800  # segment limit of the scripts: each rotates or cleans
+
+
+def _pad(tag: bytes) -> bytes:
+    """A 200-byte payload: frames of this size cross sector boundaries."""
+    return tag.ljust(200, b".")
+
+
+# Each script is a list of FDisk calls, ``(method, *args)``.
+SCRIPTS = {
+    "write": [("write", 1, _pad(b"a")), ("write", 2, _pad(b"b")),
+              ("write", 1, _pad(b"a2"), 7)],
+    "write_many": [
+        ("write_many", [(1, _pad(b"a")), (2, _pad(b"b")), (3, b"c"), (5, _pad(b"e"))],
+         {1: 7, 2: 7}),
+        ("write_many", [(2, _pad(b"b2")), (4, _pad(b"d")), (6, _pad(b"f"))], {4: 8}),
+    ],
+    "erase": [("write", 1, _pad(b"a"), 7), ("write", 2, _pad(b"b")),
+              ("erase", 1, True), ("erase", 2, False)],
+    "set_owner": [("set_owner", 3, 7), ("set_owner", 4, 8), ("clear_owner", 3),
+                  ("set_owner", 5, 9, False), ("write", 5, b"e")],
+    "add_intention": [("add_intention", "write", 7, 5, b"page"),
+                      ("add_intention", "free", 7, 6, b"", False),
+                      ("add_intention", "reserve", 8, 9), ("ack_intentions", 2)],
+    "rotation": [("set_owner", 1, 7), ("add_intention", "write", 7, 2, _pad(b"x") * 3)]
+                + [("write", b, _pad(b"r%d" % b)) for b in range(1, 6)]
+                + [("ack_intentions", 1), ("write", 6, _pad(b"r6")), ("checkpoint",)],
+    "cleaning": [("write", 2, _pad(b"cold"), 7)]
+                + [("write", 1, _pad(b"hot%d" % i)) for i in range(9)]
+                + [("checkpoint",), ("write", 1, _pad(b"hot"))],
+}
+
+
+class _State:
+    """What a disk holds: blocks, owner map, intentions list."""
+
+    def __init__(self, blocks=None, owners=None, intentions=None) -> None:
+        self.blocks = dict(blocks or {})
+        self.owners = dict(owners or {})
+        self.intentions = list(intentions or [])
+
+    def copy(self) -> "_State":
+        return _State(self.blocks, self.owners, self.intentions)
+
+    def records(self, step) -> list:
+        """``step``'s journal records, in append order, as state updates."""
+        name, *args = step
+        if name == "write":  # write(block, data, owner=None) is a one-block batch
+            block_no, data, *owner = args
+            name, args = "write_many", ([(block_no, data)], {block_no: a for a in owner})
+        if name == "write_many":
+            writes, owners = args
+            return [lambda s, b=b, a=a: s.owners.__setitem__(b, a) for b, a in owners.items()] + [
+                lambda s, b=b, d=d: s.blocks.__setitem__(b, d) for b, d in writes
+            ]
+        if name == "erase":
+            block_no, disown = args
+            return [lambda s: s.owners.pop(block_no, None)] * disown + [
+                lambda s: s.blocks.pop(block_no, None)
+            ]
+        if name == "set_owner":
+            return [lambda s: s.owners.__setitem__(args[0], args[1])]
+        if name == "clear_owner":
+            return [lambda s: s.owners.pop(args[0], None)]
+        if name == "add_intention":
+            kind, account, block_no, data = (list(args) + [b""])[:4]
+            return [lambda s: s.intentions.append((kind, account, block_no, data))]
+        if name == "checkpoint":
+            return []
+        assert name == "ack_intentions"
+        return [lambda s: s.intentions.__delitem__(slice(args[0]))]
+
+    def outcomes(self, steps) -> list["_State"]:
+        """Every state ``steps`` not yet synced may leave: a prefix of
+        their records."""
+        states = [self.copy()]
+        for step in steps:
+            for record in self.records(step):
+                states.append(states[-1].copy())
+                record(states[-1])
+        return states
+
+    def __eq__(self, other) -> bool:
+        return (self.blocks, self.owners, self.intentions) == (
+            other.blocks, other.owners, other.intentions
+        )
+
+    def __repr__(self) -> str:
+        return f"_State({self.blocks!r}, {self.owners!r}, {self.intentions!r})"
+
+
+def _held(disk: FDisk) -> _State:
+    blocks = {b: disk.read(b) for b in range(1, CAP + 1) if disk.holds(b)}
+    return _State(blocks, disk.recovered_owners(), disk.recovered_intentions())
+
+
+class _AckProbe:
+    """A kernel that, at each operation's first sync — its ack point —
+    checks that the disk still serves only acknowledged state."""
+
+    def __init__(self, kernel: Kernel) -> None:
+        self.kernel = kernel
+        self.disk = None
+        self.acked = None  # what the disk may serve until the next sync
+
+    def __getattr__(self, name):
+        return getattr(self.kernel, name)
+
+    def fsync(self, fd):
+        if self.acked is not None:
+            acked, self.acked = self.acked, None
+            assert _held(self.disk) == acked, "served before its ack-point sync"
+        return self.kernel.fsync(fd)
+
+    fdatasync = fsync
+
+
+def _unsynced(step) -> bool:
+    """A metadata call told not to sync: acknowledged by the next sync."""
+    return step[0] in ("set_owner", "clear_owner", "add_intention") and step[-1] is False
+
+
+def _run(script, fs) -> list[_State]:
+    """Run ``script`` on a fresh disk until the kernel dies; returns the
+    states recovery may find: the state at the last sync with a record
+    prefix of every call made since."""
+    synced, since = _State(), []
+    try:
+        disk = fs.disk = FDisk("d", CAP, BLK, journal_limit=STATE_LIMIT, fs=fs)
+        for step in script:
+            fs.acked = synced.outcomes(since)[-1]
+            since.append(step)
+            getattr(disk, step[0])(*step[1:])
+            if not _unsynced(step):
+                synced, since = synced.outcomes(since)[-1], []
+    except ProcessDied:
+        pass
+    return synced.outcomes(since)
+
+
+def _crash_states(script):
+    """Every crash state of ``script``: a kernel that died after each
+    prefix of its calls, by process death and by power loss, with the
+    write in flight whole or torn at each sector boundary inside it.
+    Yields ``(kernel, possible states, torn)``."""
+    probe = _AckProbe(Kernel())
+    _run(script, probe)  # also checks every ack point, uncrashed
+    for calls in range(probe.kernel.calls + 1):
+        for power_loss in (False, True):
+            kernel = _AckProbe(Kernel())
+            kernel.crash_after(calls, power_loss)
+            possible = _run(script, kernel)
+            if kernel.died_in is None:
+                kernel.crash(power_loss)  # the script finished: die after it
+            yield kernel.kernel, possible, False
+            name, at, length = kernel.died_in or ("", 0, 0)
+            for boundary in range((at // SECTOR + 1) * SECTOR, at + length, SECTOR):
+                if name == "write":
+                    kernel = _AckProbe(Kernel())
+                    kernel.crash_after(calls, power_loss, torn=boundary - at)
+                    yield kernel.kernel, _run(script, kernel), True
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+def test_every_crash_state_recovers_the_acknowledged_state(script):
+    """Recovery finds every acknowledged operation, the one in flight as a
+    record prefix, and nothing no script wrote; what it found survives a
+    power loss right after it; and the recovered log keeps working
+    through another rotation and cleaning pass."""
+    states = tears = 0
+    for kernel, possible, torn in _crash_states(SCRIPTS[script]):
+        states += 1
+        tears += torn
+        found = _held(FDisk("d", CAP, BLK, journal_limit=STATE_LIMIT, fs=kernel))
+        assert found in possible, (kernel.died_in, found, possible)
+        # What recovery found is acknowledged from now on: power loss right
+        # after it loses none of it.
+        kernel.crash(power_loss=True)
+        disk = FDisk("d", CAP, BLK, journal_limit=STATE_LIMIT, fs=kernel)
+        assert _held(disk) == found, kernel.died_in
+        # Every segment starts with its head snapshot: cleaning the one
+        # before it drops only records that snapshot supersedes.
+        assert all(segment.head for segment in disk._segments), kernel.died_in
+        for i in range(8):
+            disk.write(9, _pad(b"after-%d" % i))
+        found.blocks[9] = _pad(b"after-7")
+        disk.close()
+        assert _held(FDisk("d", CAP, BLK, journal_limit=STATE_LIMIT, fs=kernel)) == found
+    print(f"{script}: {states} crash states, {tears} of them torn writes")
+    assert states > 40
+
+
 @pytest.mark.parametrize("point", sorted(WRITE_OUTCOME))
 @pytest.mark.parametrize("target", ["overwrite", "fresh"])
-def test_write_crash_recovers_prefix(tmp_path, point, target):
+def test_write_crash_recovers_prefix(point, target):
     for (mode, power_loss), outcome in zip(MODES, WRITE_OUTCOME[point]):
-        root = tmp_path / mode
-        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        disk, dying = _dying_disk(journal_limit=LIMIT)
         _seed(disk)
         block_no = 2 if target == "overwrite" else 5
         acked = dict(ACKED)
         values = [b"in-flight-%d" % i for i in range(100)]
-        disk.arm(point, power_loss=power_loss)
+        dying.arm(point, power_loss=power_loss)
         died = _until_death(
             (
                 lambda v=v: disk.write(block_no, v),
@@ -153,9 +463,9 @@ def test_write_crash_recovers_prefix(tmp_path, point, target):
             )
             for v in values
         )
-        assert disk.dead
+        assert dying.dead
 
-        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        recovered = _reopened(dying, journal_limit=LIMIT)
         _assert_acked(recovered, acked, skip={block_no})
         expected = values[died] if outcome == "new" else acked.get(block_no)
         assert _value(recovered, block_no) == expected, mode
@@ -163,22 +473,21 @@ def test_write_crash_recovers_prefix(tmp_path, point, target):
 
 
 @pytest.mark.parametrize("point", sorted(ERASE_OUTCOME))
-def test_erase_crash_recovers_prefix(tmp_path, point):
+def test_erase_crash_recovers_prefix(point):
     for (mode, power_loss), outcome in zip(MODES, ERASE_OUTCOME[point]):
-        root = tmp_path / mode
-        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        disk, dying = _dying_disk(journal_limit=LIMIT)
         _seed(disk)
         acked = dict(ACKED)
         victims = [2, *range(10, 50)]
         for block_no in victims[1:]:
             disk.write(block_no, b"filler-%d" % block_no)
             acked[block_no] = b"filler-%d" % block_no
-        disk.arm(point, power_loss=power_loss)
+        dying.arm(point, power_loss=power_loss)
         died = _until_death(
             (lambda b=b: disk.erase(b), lambda b=b: acked.pop(b)) for b in victims
         )
 
-        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        recovered = _reopened(dying, journal_limit=LIMIT)
         victim = victims[died]
         _assert_acked(recovered, acked, skip={victim})
         for gone in victims[:died]:
@@ -200,19 +509,18 @@ def _batch(round_: int) -> list[tuple[int, bytes]]:
 
 
 @pytest.mark.parametrize("point", sorted(BATCH_OUTCOME))
-def test_write_many_crash_recovers_batch_prefix(tmp_path, point):
+def test_write_many_crash_recovers_batch_prefix(point):
     for (mode, power_loss), applied in zip(MODES, BATCH_OUTCOME[point]):
-        root = tmp_path / mode
-        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        disk, dying = _dying_disk(journal_limit=LIMIT)
         _seed(disk)
         acked = dict(ACKED)
-        disk.arm(point, power_loss=power_loss)
+        dying.arm(point, power_loss=power_loss)
         died = _until_death(
             (lambda r=r: disk.write_many(_batch(r)), lambda r=r: acked.update(_batch(r)))
             for r in range(100)
         )
 
-        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        recovered = _reopened(dying, journal_limit=LIMIT)
         batch = _batch(died)
         _assert_acked(recovered, acked, skip={b for b, _ in batch[:applied]})
         for i, (block_no, payload) in enumerate(batch):
@@ -225,10 +533,9 @@ def test_write_many_crash_recovers_batch_prefix(tmp_path, point):
 
 
 @pytest.mark.parametrize("point", sorted(PAIR_OUTCOME))
-def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
+def test_allocate_write_crash_never_leaves_data_without_owner(point):
     for (mode, power_loss), applied in zip(MODES, PAIR_OUTCOME[point]):
-        root = tmp_path / mode
-        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        disk, dying = _dying_disk(journal_limit=LIMIT)
         server = BlockServer("bs", disk)
         owned = {}
 
@@ -236,10 +543,10 @@ def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
             if block_no % 2:
                 # Unarmed housekeeping: freed blocks are the dead bytes
                 # that make the cleaner run under the armed requests.
-                disk.disarm()
+                dying.disarm()
                 server.free(ACCOUNT, block_no - 1)
                 del owned[block_no - 1]
-            disk.arm(point, power_loss=power_loss)
+            dying.arm(point, power_loss=power_loss)
             server.write_many(
                 ACCOUNT, [(block_no, b"page-%d" % block_no)], adopt=True
             )
@@ -252,7 +559,7 @@ def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
             for b in range(2, CAP)
         )
 
-        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        recovered = _reopened(dying, journal_limit=LIMIT)
         reborn = BlockServer("bs", recovered)
         for block_no, payload in owned.items():
             assert reborn.read(ACCOUNT, block_no) == payload
@@ -265,10 +572,9 @@ def test_allocate_write_crash_never_leaves_data_without_owner(tmp_path, point):
 
 
 @pytest.mark.parametrize("point", sorted(PAIR_OUTCOME))
-def test_free_crash_never_erases_an_owned_block(tmp_path, point):
+def test_free_crash_never_erases_an_owned_block(point):
     for (mode, power_loss), applied in zip(MODES, PAIR_OUTCOME[point]):
-        root = tmp_path / mode
-        disk = FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT)
+        disk, dying = _dying_disk(journal_limit=LIMIT)
         server = BlockServer("bs", disk)
         blocks = list(range(1, 50))
         for block_no in blocks:
@@ -276,13 +582,13 @@ def test_free_crash_never_erases_an_owned_block(tmp_path, point):
                 ACCOUNT, [(block_no, b"page-%d" % block_no)], adopt=True
             )
         freed = set()
-        disk.arm(point, power_loss=power_loss)
+        dying.arm(point, power_loss=power_loss)
         died = _until_death(
             (lambda b=b: server.free(ACCOUNT, b), lambda b=b: freed.add(b))
             for b in blocks
         )
 
-        recovered = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+        recovered = _reopened(dying, journal_limit=LIMIT)
         reborn = BlockServer("bs", recovered)
         in_flight = blocks[died]
         for block_no in blocks:
@@ -306,7 +612,7 @@ def _ref(block_no: int) -> bytes:
 @pytest.mark.parametrize("victim", ["companion", "origin"])
 @pytest.mark.parametrize("point", sorted(BATCH_OUTCOME))
 def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
-    tmp_path, point, victim
+    point, victim
 ):
     """A commit as the block tier sees it: one ``write_many`` of the new
     version's pages plus the test-and-set of the base's commit reference.
@@ -318,16 +624,17 @@ def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
     from repro.sim.rpc import RpcEndpoint
 
     for (mode, power_loss), applied in zip(MODES, BATCH_OUTCOME[point]):
-        roots = {name: tmp_path / mode / name for name in ("blockA", "blockB")}
         net = Network()
+        kernels = {name: _Dying(Kernel()) for name in ("blockA", "blockB")}
         disks = {
-            name: FaultingFDisk(root, CAP, BLK, journal_limit=LIMIT, name=name)
-            for name, root in roots.items()
+            name: FDisk("d", CAP, BLK, journal_limit=LIMIT, name=name, fs=fs)
+            for name, fs in kernels.items()
         }
         a = StableServer("blockA", "blockB", disks["blockA"], net)
         b = StableServer("blockB", "blockA", disks["blockB"], net)
         ends = [RpcEndpoint(net, "blockA", 0x77, a), RpcEndpoint(net, "blockB", 0x77, b)]
-        dying = disks["blockB" if victim == "companion" else "blockA"]
+        doomed = "blockB" if victim == "companion" else "blockA"
+        dying = kernels[doomed]
         tip = a.cmd_allocate_write(ACCOUNT, NIL4 + b"version 0")
         versions: dict[int, dict[int, bytes]] = {}  # version page -> its pages
         chain = [tip]
@@ -352,9 +659,9 @@ def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
         in_flight = max(versions)
         assert len(chain) == died + 1 and in_flight not in chain
 
-        for name, root in roots.items():
+        for name, fs in kernels.items():
             disks[name].close()
-            disk = FDisk(root, CAP, BLK, journal_limit=LIMIT)
+            disk = FDisk("d", CAP, BLK, journal_limit=LIMIT, fs=fs.kernel)
             # Every acknowledged commit is whole, and linked.
             for base, page in zip(chain, chain[1:]):
                 assert disk.read(base)[:4] == _ref(page), (mode, name)
@@ -362,8 +669,8 @@ def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
                     assert disk.read(block_no)[4:] == payload[4:], (mode, name)
             # The one in flight: a prefix of [data page, version page, swap].
             # The companion is written first; the origin only after it.
-            whole = name != dying.name and victim == "origin"
-            none = name != dying.name and victim == "companion"
+            whole = name != doomed and victim == "origin"
+            none = name != doomed and victim == "companion"
             kept = 3 if whole else 0 if none else applied
             landed = [
                 _value(disk, block_no) == payload
@@ -374,27 +681,27 @@ def test_commit_batch_crash_never_keeps_the_reference_without_its_pages(
             disk.close()
 
 
-def test_ack_point_semantics(tmp_path):
+def test_ack_point_semantics():
     """An operation that RETURNED was acked and must survive — countdown=2
     lets one write pass through the armed point before the next one dies."""
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
+    disk, dying = _dying_disk()
     _seed(disk)
-    disk.arm("journal.before_sync", countdown=2, power_loss=True)
+    dying.arm("journal.before_sync", countdown=2, power_loss=True)
     disk.write(5, b"acked")  # reaches the point once, survives
     with pytest.raises(ProcessDied):
         disk.write(6, b"never-acked")
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK)
+    recovered = _reopened(dying)
     _assert_acked(recovered)
     assert recovered.read(5) == b"acked"
     assert _value(recovered, 6) is None
     recovered.close()
 
 
-def test_dead_disk_refuses_everything(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
+def test_dead_disk_refuses_everything():
+    disk, dying = _dying_disk()
     disk.write(1, b"x")
-    disk.arm("journal.after_sync")
+    dying.arm("journal.after_sync")
     with pytest.raises(ProcessDied):
         disk.write(2, b"y")
     for op in (
@@ -408,8 +715,8 @@ def test_dead_disk_refuses_everything(tmp_path):
     disk.close()  # closing the dead is a no-op, not an error
 
 
-def test_owner_map_and_intentions_survive_crash(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK, journal_limit=64)
+def test_owner_map_and_intentions_survive_crash():
+    disk, dying = _dying_disk(journal_limit=64)
     disk.write(1, b"x")
     disk.set_owner(1, 7)
     disk.set_owner(9, 8)
@@ -419,11 +726,11 @@ def test_owner_map_and_intentions_survive_crash(tmp_path):
     disk.add_intention("free", 7, 11)
     disk.ack_intentions(1)  # the companion applied the first one
     assert disk._active.seq > 1  # the snapshot path, not just replay
-    disk.arm("journal.before_sync", power_loss=True)
+    dying.arm("journal.before_sync", power_loss=True)
     with pytest.raises(ProcessDied):
         disk.write(2, b"y")
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK, journal_limit=64)
+    recovered = _reopened(dying, journal_limit=64)
     assert recovered.recovered_owners() == {1: 7}
     assert recovered.recovered_intentions() == [
         ("reserve", 7, 10, b""),
@@ -432,8 +739,8 @@ def test_owner_map_and_intentions_survive_crash(tmp_path):
     recovered.close()
 
 
-def test_checkpoint_then_crash_keeps_compacted_state(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+def test_checkpoint_then_crash_keeps_compacted_state():
+    disk, dying = _dying_disk(journal_limit=LIMIT)
     first_segment = disk._active.path
     disk.set_owner(3, 9)
     disk.add_intention("write", 9, 3, b"later")
@@ -445,12 +752,12 @@ def test_checkpoint_then_crash_keeps_compacted_state(tmp_path):
     assert disk.journal_compactions >= 1
     # The segment that held the OWNER and INTENT records is gone: only
     # the snapshots carry them now.
-    assert not first_segment.exists()
-    disk.arm("journal.before_sync", power_loss=True)
+    assert first_segment.name not in dying.listdir(first_segment.parent)
+    dying.arm("journal.before_sync", power_loss=True)
     with pytest.raises(ProcessDied):
         disk.write(5, b"post-checkpoint")
 
-    recovered = FDisk(tmp_path / "d", CAP, BLK, journal_limit=LIMIT)
+    recovered = _reopened(dying, journal_limit=LIMIT)
     _assert_acked(recovered)
     assert _value(recovered, 5) is None
     assert recovered.recovered_owners() == {3: 9}
@@ -458,21 +765,21 @@ def test_checkpoint_then_crash_keeps_compacted_state(tmp_path):
     recovered.close()
 
 
-def test_torn_tail_is_truncated_once(tmp_path):
-    disk = FaultingFDisk(tmp_path / "d", CAP, BLK)
+def test_torn_tail_is_truncated_once():
+    disk, dying = _dying_disk()
     _seed(disk)
-    disk.arm("journal.mid_append")
+    dying.arm("journal.mid_append")
     with pytest.raises(ProcessDied):
         disk.write(5, b"torn")
 
-    first = FDisk(tmp_path / "d", CAP, BLK)
+    first = _reopened(dying)
     assert first.truncated_bytes > 0  # the torn frame header was cut away
     assert first.recovered_records == 6  # the head snapshot + the seed writes
     _assert_acked(first)
     first.close()
 
     # The truncation is durable: a second restart sees a clean log.
-    second = FDisk(tmp_path / "d", CAP, BLK)
+    second = _reopened(dying)
     assert second.truncated_bytes == 0
     assert second.recovered_records == 6
     second.close()
@@ -658,6 +965,28 @@ def test_rotted_block_number_never_serves_the_older_version(tmp_path, sealed):
     again.close()
 
 
+def test_a_rotted_head_at_the_tail_vouches_for_nothing_and_costs_nothing(tmp_path):
+    """The newest segment holds nothing but its head snapshot, and a bit of
+    the seal in it — the sealed segment's size — rots.  The frame fails
+    its CRC, so recovery cuts it away as a torn tail and believes none of
+    it: the segment it sealed is served whole, not suspected."""
+    root = tmp_path / "d"
+    disk = FDisk(root, CAP, BLK)
+    disk.write(1, b"one")
+    disk.write(2, b"two")
+    disk.checkpoint()
+    head = disk._active.path
+    disk.close()
+    raw = bytearray(head.read_bytes())
+    raw[8 + 1 + 7] ^= 0x01  # frame header, record type, then the >Q size
+    head.write_bytes(bytes(raw))
+
+    recovered = FDisk(root, CAP, BLK)
+    assert recovered.truncated_bytes == len(raw)
+    assert [recovered.read(b) for b in (1, 2)] == [b"one", b"two"]
+    recovered.close()
+
+
 def test_payload_rot_in_a_sealed_segment_costs_that_block_only(tmp_path):
     """The seal in the next segment's head vouches for every frame head of
     a sealed segment, so a CRC failure there is payload damage: after a
@@ -794,7 +1123,7 @@ def test_build_stop_cycles_leak_no_descriptors(tmp_path):
 
     def cycle() -> None:
         cluster = build_tcp_cluster(
-            servers=1, backend="disk", data_dir=str(tmp_path / "data")
+            servers=1, data_dir=str(tmp_path / "data")
         )
         cluster.fs().create_file(b"x")
         cluster.stop()

@@ -451,10 +451,12 @@ def test_checker_skips_unstamped_reads():
 
 @pytest.mark.parametrize("shards", [1, 2])
 def test_leased_soak_holds_staleness_bound(soak_seed, shards):
+    """Long enough that the bound is checked on a few handfuls of
+    lease-served reads (19 on both shard counts at seed 1), not on one."""
     from repro.sim.explore import SoakConfig, run_soak
 
     report = run_soak(SoakConfig(
-        seed=soak_seed, ops=250, shards=shards, leases=True, lease_ticks=300,
+        seed=soak_seed, ops=1000, shards=shards, leases=True, lease_ticks=300,
     ))
     assert report.ok, report.violations()
-    assert report.check.lease_reads_checked > 0
+    assert report.check.lease_reads_checked >= 10

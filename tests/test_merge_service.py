@@ -161,7 +161,7 @@ def test_merge_typed_pages_survive_restart(tmp_path):
     files — the SIGKILL-and-restart path — an amnesiac server salvaging
     the registry from the blocks alone still merges."""
     data_dir = str(tmp_path / "blocks")
-    before = build_cluster(servers=1, seed=51, backend="disk", data_dir=data_dir)
+    before = build_cluster(servers=1, seed=51, data_dir=data_dir)
     fs = before.fs()
     cap = fs.create_file(_pack_table({}), mergeable=True)
     first = fs.create_version(cap)
@@ -175,7 +175,7 @@ def test_merge_typed_pages_survive_restart(tmp_path):
 
     # A fresh process over the same directory: new network, new registry,
     # new secrets; only the disk images survive.
-    after = build_cluster(servers=1, seed=52, backend="disk", data_dir=data_dir)
+    after = build_cluster(servers=1, seed=52, data_dir=data_dir)
     reborn = FileService(
         "reborn",
         after.network,

@@ -124,6 +124,40 @@ def test_events_outside_any_span_only_count():
     assert len(recorder.tracer.roots) == 0
 
 
+def test_each_thread_raises_events_into_its_own_open_span():
+    """A daemon serves connections on threads: an event lands on the span
+    open in the thread that raised it, never on another thread's, and a
+    thread with no open span only counts it."""
+    import threading
+
+    recorder = Recorder()
+    both_open = threading.Barrier(3)
+    spans = {}
+
+    def serve(name: str) -> None:
+        with recorder.span(name) as span:
+            spans[name] = span
+            both_open.wait()
+            for i in range(200):
+                recorder.event(f"{name}.op", i=i)
+            both_open.wait()
+
+    threads = [threading.Thread(target=serve, args=(n,)) for n in ("commit", "read")]
+    for thread in threads:
+        thread.start()
+    both_open.wait()
+    recorder.event("stray")  # this thread has no span open
+    both_open.wait()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    for name, span in spans.items():
+        assert [e.name for e in span.events] == [f"{name}.op"] * 200
+        assert span.children == []
+    assert sorted(s.name for s in recorder.tracer.roots) == ["commit", "read"]
+    assert recorder.metrics.counter("stray").value == 1
+
+
 def test_span_find_and_events_named():
     clock = LogicalClock()
     recorder = Recorder(clock)

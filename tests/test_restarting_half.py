@@ -41,3 +41,49 @@ def test_a_restarted_half_does_not_block_its_shard(cluster):
     assert report.ok and not report.warnings, report.errors + report.warnings
     for i, cap in enumerate(caps):
         assert client.read(cap) == b"restarted %d" % i
+
+
+@pytest.mark.parametrize("power_loss", [False, True], ids=["death", "power"])
+def test_a_half_crash_reopens_its_disk_and_recovers_the_journal(power_loss):
+    """A crashed half keeps nothing in memory: its restart reopens the disk,
+    recovery replays the journal, and the owner map comes back from it."""
+    cluster = build_cluster(seed=7)
+    client = cluster.client("host", use_cache=False)
+    for i in range(3):
+        cap = client.create_file(b"file %d" % i)
+        client.transact(cap, lambda u, i=i: u.write(ROOT, b"v2 of %d" % i))
+    half, before = cluster.pair.a, cluster.pair.disk_a
+    owners = {b: half.local.owner_of(b) for b in half.local.allocated_blocks()}
+    half.crash(power_loss=power_loss)
+    half.restart()
+    assert cluster.pair.disk_a is not before
+    assert cluster.pair.disk_a.recovered_records > len(owners)
+    assert {b: half.local.owner_of(b) for b in half.local.allocated_blocks()} == owners
+    assert half.resync() == 0
+    report = CheckReport()
+    check_pairs(cluster, report)
+    assert report.ok and not report.warnings, report.errors + report.warnings
+
+
+def test_intentions_outlive_the_crash_of_the_half_that_kept_them():
+    """B is down, so A keeps intentions for it; A then loses power before
+    B is back.  A's journal gives the list back, and B's resync replays
+    every write it missed."""
+    cluster = build_cluster(seed=7)
+    client = cluster.client("host", use_cache=False)
+    caps = [client.create_file(b"file %d" % i) for i in range(3)]
+    a, b = cluster.pair.a, cluster.pair.b
+    b.crash()
+    for i, cap in enumerate(caps):
+        client.transact(cap, lambda u, i=i: u.write(ROOT, b"while B was down %d" % i))
+    a.crash(power_loss=True)
+    a.restart()
+    b.restart()
+    assert b.resync() > 0
+    assert a.resync() == 0
+    report = CheckReport()
+    check_pairs(cluster, report)
+    assert report.ok and not report.warnings, report.errors + report.warnings
+    cluster.fs().store.cache.clear()
+    for i, cap in enumerate(caps):
+        assert client.read(cap) == b"while B was down %d" % i
